@@ -9,7 +9,7 @@ use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
 use fl_ml::dataset::SyntheticDigits;
 use fl_ml::TrainConfig;
 use shapley::coalition::{MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
-use shapley::hierarchy::CohortPlan;
+use shapley::hierarchy::{CohortPlan, RoundPlan};
 
 /// The contribution-evaluation method for a protocol run — part of the
 /// on-chain agreement, exactly like the permutation seed and group
@@ -157,12 +157,13 @@ pub struct FlConfig {
     /// drives the contract's recovery phase instead; an empty schedule is
     /// the paper's no-churn setting.
     pub dropout_schedule: Vec<(u64, Vec<usize>)>,
-    /// Number of cohorts the owners are sharded into each round
-    /// (`1` = the flat single-cohort round). With `k > 1` every round
-    /// partitions the owners with a deterministic
-    /// [`shapley::hierarchy::CohortPlan`], runs secure aggregation and a
-    /// cohort-local SV pass per cohort, and composes global
-    /// contributions through the second-level cohort game.
+    /// Number of cohorts `k` the owners are partitioned into each round
+    /// by the deterministic [`shapley::hierarchy::RoundPlan`]: secure
+    /// aggregation and a cohort-local SV pass run per cohort, one block
+    /// is committed per cohort, and for `k > 1` the second-level cohort
+    /// game composes the global contributions. `1` is the paper's flat
+    /// round: one cohort holding every owner, one block, no second
+    /// level.
     pub num_cohorts: usize,
     /// Size of the miner committee that runs consensus (`0` = every
     /// owner mines, the cross-silo default). At cohort scale a bounded
@@ -426,21 +427,22 @@ impl FlConfig {
                 owners: self.num_owners,
             });
         }
-        if self.num_cohorts > 1 {
-            if self.num_cohorts > self.sv_method.max_groups() {
-                return Err(ConfigError::CohortCountExceedsMethodCap {
-                    cohorts: self.num_cohorts,
-                    cap: self.sv_method.max_groups(),
-                    method: self.sv_method.name(),
-                });
-            }
-            let min_cohort = CohortPlan::min_cohort_size(self.num_owners, self.num_cohorts);
-            if self.num_groups > min_cohort {
-                return Err(ConfigError::GroupCountExceedsCohortSize {
-                    groups: self.num_groups,
-                    cohort_size: min_cohort,
-                });
-            }
+        // The second-level game enumerates coalitions over the cohorts,
+        // and every cohort must hold at least `num_groups` members (both
+        // vacuous for the one cohort of a flat round).
+        if self.num_cohorts > self.sv_method.max_groups() {
+            return Err(ConfigError::CohortCountExceedsMethodCap {
+                cohorts: self.num_cohorts,
+                cap: self.sv_method.max_groups(),
+                method: self.sv_method.name(),
+            });
+        }
+        let min_cohort = CohortPlan::min_cohort_size(self.num_owners, self.num_cohorts);
+        if self.num_groups > min_cohort {
+            return Err(ConfigError::GroupCountExceedsCohortSize {
+                groups: self.num_groups,
+                cohort_size: min_cohort,
+            });
         }
         if self.miner_committee > self.num_owners {
             return Err(ConfigError::BadMinerCommittee {
@@ -475,23 +477,23 @@ impl FlConfig {
             // Cohort interaction: the partition is round-dependent, so
             // check each scheduled round's actual plan. Wiping a whole
             // cohort is rejected here as a planning error; the contract
-            // itself still tolerates one at runtime.
-            if self.num_cohorts > 1 && !dropped.is_empty() {
-                let plan = CohortPlan::new(
-                    self.permutation_seed,
-                    *round,
-                    self.num_owners,
-                    self.num_cohorts,
-                )
-                .expect("cohort count validated above");
-                for (c, cohort) in plan.cohorts().iter().enumerate() {
-                    if cohort.iter().all(|m| dropped.binary_search(m).is_ok()) {
-                        return Err(ConfigError::CohortFullyDropped {
-                            round: *round,
-                            cohort: c,
-                            size: cohort.len(),
-                        });
-                    }
+            // itself still tolerates one at runtime. (The one cohort of
+            // a flat round can never be wiped: `max_dropouts < n`.)
+            let plan = RoundPlan::new(
+                self.permutation_seed,
+                *round,
+                self.num_owners,
+                self.num_cohorts,
+                self.num_groups,
+            )
+            .expect("cohort and group counts validated above");
+            for (c, cohort) in plan.cohorts().iter().enumerate() {
+                if cohort.iter().all(|m| dropped.binary_search(m).is_ok()) {
+                    return Err(ConfigError::CohortFullyDropped {
+                        round: *round,
+                        cohort: c,
+                        size: cohort.len(),
+                    });
                 }
             }
         }

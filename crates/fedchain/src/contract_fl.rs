@@ -24,6 +24,22 @@
 //!   reconstructs the dropped keys, strips the residual masks, and
 //!   evaluates the group-model game **restricted to survivors**.
 //!
+//! # One round path
+//!
+//! Evaluation is the paper's Algorithm 1 executed over one
+//! [`shapley::hierarchy::RoundPlan`] — the round's cohorts, the
+//! secure-aggregation groups within each cohort and the per-cohort seed
+//! streams, derived from the digest-bound
+//! `(permutation_seed, round, n, num_cohorts, num_groups)`. Per cohort
+//! the contract aggregates the group models and runs the configured
+//! estimator; `reduce_models` folds the group models into cohort
+//! aggregates and the global model; for `num_cohorts > 1` a second-level
+//! game over the cohort aggregates prices the cohorts and
+//! [`shapley::hierarchy::compose`] scales the within-cohort values. The
+//! paper's flat round is the one-cohort plan run through the same code:
+//! its single cohort holds every owner, no second-level game is played,
+//! and its [`RoundRecord`] carries no per-cohort section.
+//!
 //! Everything the contract decides — including *which* estimator ran,
 //! its sampling diagnostics, the survivor set, and the recovery
 //! evidence — is emitted as events and captured in the state digest, so
@@ -44,10 +60,11 @@ use fl_crypto::shamir::{Shamir, Share};
 use fl_ml::dataset::Dataset;
 use fl_ml::metrics::model_accuracy_design;
 use fl_ml::LogisticModel;
+use numeric::linalg::mean_vectors;
 use numeric::{FixedCodec, U256};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimate, SvEstimator};
-use shapley::group::{grouping, permutation, GroupModelGame};
-use shapley::hierarchy::{cohort_stream, compose, CohortPlan};
+use shapley::group::GroupModelGame;
+use shapley::hierarchy::{compose, CohortPlan, RoundPlan};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
 use shapley::utility::{CachedUtility, ModelUtility, RestrictedGame};
@@ -78,11 +95,12 @@ pub struct FlParams {
     /// Shamir threshold of the key escrow: recovery of a dropped owner's
     /// key needs verified shares from this many surviving owners.
     pub escrow_threshold: usize,
-    /// Number of cohorts `k` each round is sharded into (1 = the flat
-    /// single-cohort round). With `k > 1` every round partitions the
-    /// owners by a [`shapley::hierarchy::CohortPlan`], runs the group
-    /// game *within* each cohort, and prices the cohorts against each
-    /// other in a second-level game over their aggregate models.
+    /// Number of cohorts `k` of each round's
+    /// [`shapley::hierarchy::RoundPlan`]: the group game runs *within*
+    /// each cohort and, for `k > 1`, a second-level game over the cohort
+    /// aggregate models prices the cohorts against each other. `k = 1`
+    /// is the paper's flat round — one cohort holding every owner, no
+    /// second level.
     pub num_cohorts: usize,
 }
 
@@ -525,13 +543,13 @@ impl Decode for RecoveryEvidence {
     }
 }
 
-/// Per-cohort section of a sharded round's audit trail.
+/// Per-cohort section of a `num_cohorts > 1` round's audit trail.
 ///
 /// One entry per cohort of the round's
-/// [`shapley::hierarchy::CohortPlan`], bound into the state digest via
+/// [`shapley::hierarchy::RoundPlan`], bound into the state digest via
 /// [`RoundRecord`]: a tampered cohort assignment, survivor set, or
 /// within-cohort estimator diverges at the first state root exactly like
-/// the flat-round evidence.
+/// the rest of the record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CohortEvidence {
     /// Owner positions assigned to this cohort (the plan row).
@@ -609,11 +627,12 @@ pub struct RoundRecord {
     pub utility_evaluations: usize,
     /// Independent samples drawn by a sampling estimator (0 for exact).
     pub samples: usize,
-    /// Per-cohort evidence of a sharded round, one entry per cohort in
-    /// plan order (empty for flat `num_cohorts == 1` rounds). For
-    /// sharded rounds, [`RoundRecord::groups`] and
-    /// [`RoundRecord::per_group_sv`] concatenate the cohorts'
-    /// within-cohort groups/values in the same order.
+    /// Per-cohort evidence, one entry per cohort in plan order — empty
+    /// for a one-cohort (`num_cohorts == 1`) round, which plays no
+    /// second-level game and whose record is fully described by the
+    /// fields above. [`RoundRecord::groups`] and
+    /// [`RoundRecord::per_group_sv`] concatenate the cohorts' groups and
+    /// values in the same order.
     pub cohorts: Vec<CohortEvidence>,
 }
 
@@ -663,47 +682,37 @@ fn sampling_seed(permutation_seed: u64, round: u64) -> u64 {
     permutation_seed ^ round.wrapping_mul(0xd1b5_4a32_d192_ed03) ^ 0x5eed_5a3f_0e1e_57a7
 }
 
-/// The deterministic cohort plan and per-cohort group directory of one
-/// sharded round.
+/// The round's model reductions — per-cohort aggregate, then global
+/// model — from the per-group survivor means.
 ///
-/// For each cohort of the round's [`CohortPlan`] (drawn on the
-/// [`shapley::hierarchy::COHORT_STREAM`]-separated seed), the
-/// within-cohort grouping is drawn on that cohort's
-/// [`cohort_stream`] sub-seed and mapped back to owner positions. The
-/// protocol driver masks within exactly these groups and the contract
-/// aggregates over them — both derive the directory from the same public
-/// `(seed, round, n, k, m)` inputs, all of which are digest-bound.
+/// `survivor_means[c]` holds the models of cohort `c`'s surviving groups
+/// in group order (empty when the whole cohort dropped). Each cohort's
+/// aggregate is the mean of its surviving group models (`None` for a
+/// fully-dropped cohort); the global model is the mean of the surviving
+/// cohort aggregates.
 ///
-/// # Panics
+/// The contract calls this on mask-stripped group aggregates and the
+/// protocol driver's next-model predictor on plaintext ring sums, so the
+/// two cannot disagree on the reduction order.
 ///
-/// Panics if `num_cohorts` is outside `1..=num_owners` (genesis rejects
-/// such parameters).
-pub fn sharded_round_groups(
-    permutation_seed: u64,
-    round: u64,
-    num_owners: usize,
-    num_cohorts: usize,
-    num_groups: usize,
-) -> (CohortPlan, Vec<Vec<Vec<usize>>>) {
-    let plan = CohortPlan::new(permutation_seed, round, num_owners, num_cohorts)
-        .unwrap_or_else(|e| panic!("{e}"));
-    let groups = plan
-        .cohorts()
+/// **One-cohort rule**: with a single cohort the global model is that
+/// cohort's aggregate itself, *not* `mean_vectors(&[aggregate])` —
+/// `mean_vectors` accumulates from `+0.0`, which would turn a `-0.0`
+/// coordinate into `+0.0` and change the state digest of every flat
+/// round.
+pub(crate) fn reduce_models(survivor_means: &[Vec<Vec<f64>>]) -> (Vec<Option<Vec<f64>>>, Vec<f64>) {
+    let cohort_models: Vec<Option<Vec<f64>>> = survivor_means
         .iter()
-        .enumerate()
-        .map(|(c, members)| {
-            let pi = permutation(
-                cohort_stream(permutation_seed, c as u64),
-                round,
-                members.len(),
-            );
-            grouping(&pi, num_groups)
-                .into_iter()
-                .map(|g| g.into_iter().map(|i| members[i]).collect())
-                .collect()
-        })
+        .map(|models| (!models.is_empty()).then(|| mean_vectors(models)))
         .collect();
-    (plan, groups)
+    let global_model = match cohort_models.as_slice() {
+        [Some(only)] => only.clone(),
+        _ => {
+            let alive: Vec<Vec<f64>> = cohort_models.iter().flatten().cloned().collect();
+            mean_vectors(&alive)
+        }
+    };
+    (cohort_models, global_model)
 }
 
 /// Test-set-accuracy utility `u(W)` shared by the contract and the
@@ -845,20 +854,19 @@ impl FlContract {
             (1..=params.owners.len()).contains(&params.num_cohorts),
             "num_cohorts out of range"
         );
-        if params.num_cohorts > 1 {
-            // The second-level game enumerates coalitions over the
-            // cohorts; the within game needs every cohort to hold at
-            // least num_groups members.
-            params
-                .sv_method
-                .validate_groups(params.num_cohorts)
-                .expect("SV method must support the cohort count");
-            assert!(
-                params.num_groups
-                    <= CohortPlan::min_cohort_size(params.owners.len(), params.num_cohorts),
-                "num_groups exceeds the smallest cohort"
-            );
-        }
+        // The second-level game enumerates coalitions over the cohorts,
+        // and the within game needs every cohort to hold at least
+        // num_groups members (both vacuous for the one cohort of a flat
+        // round).
+        params
+            .sv_method
+            .validate_groups(params.num_cohorts)
+            .expect("SV method must support the cohort count");
+        assert!(
+            params.num_groups
+                <= CohortPlan::min_cohort_size(params.owners.len(), params.num_cohorts),
+            "num_groups exceeds the smallest cohort"
+        );
         let global_model = vec![0.0; params.model_dim];
         let contributions = params.owners.iter().map(|&o| (o, 0.0)).collect();
         Self {
@@ -1210,21 +1218,6 @@ impl FlContract {
         }
     }
 
-    /// Completes a round on the survivor set, dispatching between the
-    /// flat single-cohort path and the sharded hierarchical path on the
-    /// digest-bound `num_cohorts` parameter.
-    fn finish_round(
-        &mut self,
-        round: u64,
-        dropped_ids: &[AccountId],
-    ) -> Result<ExecutionOutcome, FlError> {
-        if self.params.num_cohorts > 1 {
-            self.finish_round_sharded(round, dropped_ids)
-        } else {
-            self.finish_round_flat(round, dropped_ids)
-        }
-    }
-
     /// Reconstructs every dropped key from the first threshold-many
     /// verified shares (providers ascending — a pure function of the
     /// on-chain share set) and checks it against the advertised public
@@ -1334,142 +1327,32 @@ impl FlContract {
         (group_models, surviving_groups)
     }
 
-    /// Completes a flat round on the survivor set: reconstructs the
-    /// dropped keys (if any), strips residual masks per group, and
-    /// evaluates the group-model game restricted to the surviving
-    /// groups.
+    /// Completes a round on the survivor set — Algorithm 1 over the
+    /// round's [`RoundPlan`], the full-cohort round being the special
+    /// case `dropped_ids = []`.
     ///
-    /// The full-cohort path is the special case `dropped_ids = []`.
-    fn finish_round_flat(
-        &mut self,
-        round: u64,
-        dropped_ids: &[AccountId],
-    ) -> Result<ExecutionOutcome, FlError> {
-        let n = self.params.owners.len();
-        let m = self.params.num_groups;
-        let codec = FixedCodec::new(self.params.frac_bits);
-
-        let dropped_set: BTreeSet<AccountId> = dropped_ids.iter().copied().collect();
-        let is_dropped = |idx: usize| dropped_set.contains(&self.params.owners[idx]);
-        let dropped_pos: Vec<usize> = (0..n).filter(|&i| is_dropped(i)).collect();
-        let survivor_pos: Vec<usize> = (0..n).filter(|&i| !is_dropped(i)).collect();
-
-        let dh = DhGroup::simulation_256();
-        let (recovered, evidence) = self.recover_dropped_keys(&dh, &dropped_pos)?;
-
-        // Lines 1–2 of Algorithm 1: the public grouping for this round
-        // (over the *full* cohort — the grouping is fixed at round start;
-        // dropping out does not reshuffle anyone).
-        let pi = permutation(self.params.permutation_seed, round, n);
-        let groups = grouping(&pi, m);
-
-        let (group_models, surviving_groups) =
-            self.aggregate_group_models(&groups, &dropped_set, &recovered, &dh, &codec, round);
-
-        // Lines 4–6 (generalized): SV over the group coalition game
-        // restricted to the surviving groups, dispatched through the
-        // estimator the round config selects. Every miner derives the
-        // same sampling seed from the public permutation seed and the
-        // round number, so sampling estimators re-execute bit-identically.
-        let utility = AccuracyUtility::new(
-            &self.test_set,
-            self.params.num_features,
-            self.params.num_classes,
-        );
-        let full_game = GroupModelGame::new(&group_models, &utility);
-        let game = RestrictedGame::new(&full_game, surviving_groups.clone());
-        let estimate = Self::dispatch_estimator(
-            self.params.sv_method,
-            sampling_seed(self.params.permutation_seed, round),
-            &game,
-        );
-        let SvEstimate {
-            values,
-            utility_evaluations,
-            diagnostics,
-        } = estimate;
-
-        let mut per_group_sv = vec![0.0f64; m];
-        for (k, &j) in surviving_groups.iter().enumerate() {
-            per_group_sv[j] = values[k];
-        }
-
-        // Line 7: uniform split among each group's *survivors*; dropped
-        // owners score exactly zero this round.
-        let mut per_owner_sv = vec![0.0f64; n];
-        for &j in &surviving_groups {
-            let alive: Vec<usize> = groups[j]
-                .iter()
-                .copied()
-                .filter(|&i| !is_dropped(i))
-                .collect();
-            let share = per_group_sv[j] / alive.len() as f64;
-            for idx in alive {
-                per_owner_sv[idx] = share;
-                let owner = self.params.owners[idx];
-                *self
-                    .contributions
-                    .get_mut(&owner)
-                    .expect("initialized at genesis") += share;
-            }
-        }
-
-        // New global model: the average of the surviving group models.
-        let surviving_models: Vec<Vec<f64>> = surviving_groups
-            .iter()
-            .map(|&j| group_models[j].clone())
-            .collect();
-        self.global_model = numeric::linalg::mean_vectors(&surviving_models);
-        let global_accuracy = utility.of_model(&self.global_model);
-
-        let method = self.params.sv_method;
-        self.history.push(RoundRecord {
-            round,
-            sv_method: method,
-            groups: groups.clone(),
-            survivors: survivor_pos.clone(),
-            dropped: dropped_pos.clone(),
-            recovery: evidence,
-            per_group_sv: per_group_sv.clone(),
-            per_owner_sv,
-            global_accuracy,
-            utility_evaluations,
-            samples: diagnostics.samples,
-            cohorts: Vec::new(),
-        });
-        self.submissions.clear();
-        self.recovery_shares.clear();
-        self.phase = RoundPhase::Submitting;
-        self.current_round += 1;
-
-        let gas = self.gas.charge(
-            self.params.model_dim,
-            (utility_evaluations + dropped_pos.len() * survivor_pos.len()) * self.params.model_dim,
-        );
-        Ok(ExecutionOutcome::event(
-            format!(
-                "evaluate: round {round}, m={m}, method {}, survivors {}/{n}, global acc \
-                 {global_accuracy:.4}, group SVs {per_group_sv:?}",
-                method.name(),
-                survivor_pos.len(),
-            ),
-            gas,
-        ))
-    }
-
-    /// Completes a cohort-sharded round: each cohort independently
-    /// aggregates its group models and runs the configured estimator
-    /// under its own seed stream (one `numeric::par` slot per cohort,
-    /// index-pure so the fan-out is bit-identical across thread caps),
-    /// then a second-level coalition game over the cohort aggregate
-    /// models prices the cohorts, and the two levels compose into
-    /// global per-owner contributions
-    /// (see [`shapley::hierarchy::compose`]).
+    /// Reconstructs the dropped keys (if any); then, per cohort of the
+    /// plan, strips the residual masks per group and runs the configured
+    /// estimator over the group-model game restricted to the surviving
+    /// groups, on the cohort's own seed stream (one `numeric::par` slot
+    /// per cohort, index-pure so the fan-out is bit-identical across
+    /// thread caps); [`reduce_models`] folds the group models into the
+    /// cohort aggregates and the new global model.
     ///
-    /// A cohort whose members all dropped keeps a zero-model
-    /// placeholder and leaves the second-level game via
-    /// [`RestrictedGame`]; its members score exactly zero this round.
-    fn finish_round_sharded(
+    /// With `num_cohorts > 1` a second-level coalition game over the
+    /// cohort aggregates prices the cohorts and the two levels compose
+    /// into global per-owner contributions
+    /// ([`shapley::hierarchy::compose`]); a cohort whose members all
+    /// dropped keeps a zero-model placeholder, leaves that game via
+    /// [`RestrictedGame`], and its members score exactly zero. The skip
+    /// keys on the static `num_cohorts`, not on how many cohorts
+    /// survived: a one-cohort round *is* the flat game — `compose`
+    /// passes its within-cohort values through verbatim, playing a
+    /// second level would add utility evaluations to the digest-bound
+    /// record, and its [`RoundRecord::cohorts`] stays empty — while a
+    /// sharded round with one surviving cohort still plays its
+    /// one-player second level.
+    fn finish_round(
         &mut self,
         round: u64,
         dropped_ids: &[AccountId],
@@ -1487,11 +1370,13 @@ impl FlContract {
         let dh = DhGroup::simulation_256();
         let (recovered, evidence) = self.recover_dropped_keys(&dh, &dropped_pos)?;
 
-        // The cohort plan and the per-cohort groupings are pure
-        // functions of the digest-bound round parameters, so every
-        // miner and every auditor derives the identical partition.
-        let (plan, cohort_groups) =
-            sharded_round_groups(self.params.permutation_seed, round, n, k, m);
+        // Lines 1–2 of Algorithm 1: the public layout of the round, a
+        // pure function of digest-bound parameters, so every miner and
+        // every auditor derives the identical partition. It covers the
+        // *full* owner set — the layout is fixed at round start;
+        // dropping out does not reshuffle anyone.
+        let plan = RoundPlan::new(self.params.permutation_seed, round, n, k, m)
+            .expect("layout parameters validated at genesis");
 
         let utility = AccuracyUtility::new(
             &self.test_set,
@@ -1499,7 +1384,6 @@ impl FlContract {
             self.params.num_classes,
         );
         let method = self.params.sv_method;
-        let seed = self.params.permutation_seed;
 
         struct CohortOutcome {
             group_models: Vec<Vec<f64>>,
@@ -1509,12 +1393,15 @@ impl FlContract {
             samples: usize,
         }
 
-        // First level, fanned out one slot per cohort. Each slot only
-        // reads cohort-indexed inputs, so slot `c` is a pure function
-        // of `c` regardless of the thread cap.
+        // Lines 3–6 (generalized), fanned out one slot per cohort. Each
+        // slot only reads cohort-indexed inputs, so slot `c` is a pure
+        // function of `c` regardless of the thread cap. Every miner
+        // derives the same sampling seed from the cohort's public seed
+        // stream and the round number, so sampling estimators
+        // re-execute bit-identically.
         let this: &Self = self;
         let per_cohort: Vec<CohortOutcome> =
-            numeric::par::par_map(cohort_groups.as_slice(), 1, |c, groups_c| {
+            numeric::par::par_map(plan.groups(), 1, |c, groups_c| {
                 let (group_models, surviving_groups) = this.aggregate_group_models(
                     groups_c,
                     &dropped_set,
@@ -1523,77 +1410,96 @@ impl FlContract {
                     &codec,
                     round,
                 );
-                if surviving_groups.is_empty() {
-                    return CohortOutcome {
-                        group_models,
-                        surviving_groups,
-                        per_group_sv: vec![0.0; m],
-                        utility_evaluations: 0,
-                        samples: 0,
-                    };
-                }
-                let full_game = GroupModelGame::new(&group_models, &utility);
-                let game = RestrictedGame::new(&full_game, surviving_groups.clone());
-                let estimate = Self::dispatch_estimator(
-                    method,
-                    sampling_seed(cohort_stream(seed, c as u64), round),
-                    &game,
-                );
-                let mut per_group_sv = vec![0.0f64; m];
-                for (gi, &j) in surviving_groups.iter().enumerate() {
-                    per_group_sv[j] = estimate.values[gi];
-                }
-                CohortOutcome {
+                let mut outcome = CohortOutcome {
                     group_models,
                     surviving_groups,
-                    per_group_sv,
-                    utility_evaluations: estimate.utility_evaluations,
-                    samples: estimate.diagnostics.samples,
+                    per_group_sv: vec![0.0; m],
+                    utility_evaluations: 0,
+                    samples: 0,
+                };
+                if outcome.surviving_groups.is_empty() {
+                    return outcome;
                 }
+                let full_game = GroupModelGame::new(&outcome.group_models, &utility);
+                let game = RestrictedGame::new(&full_game, outcome.surviving_groups.clone());
+                let estimate =
+                    Self::dispatch_estimator(method, sampling_seed(plan.seeds()[c], round), &game);
+                for (gi, &j) in outcome.surviving_groups.iter().enumerate() {
+                    outcome.per_group_sv[j] = estimate.values[gi];
+                }
+                outcome.utility_evaluations = estimate.utility_evaluations;
+                outcome.samples = estimate.diagnostics.samples;
+                outcome
             });
 
-        // Cohort aggregate models: the mean of each cohort's surviving
-        // group models; fully-dropped cohorts keep a zero placeholder
-        // and leave the second-level game.
-        let mut cohort_models: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let mut alive_cohorts: Vec<usize> = Vec::new();
-        for (c, out) in per_cohort.iter().enumerate() {
-            if out.surviving_groups.is_empty() {
-                cohort_models.push(vec![0.0; self.params.model_dim]);
-            } else {
-                let models: Vec<Vec<f64>> = out
-                    .surviving_groups
+        let survivor_means: Vec<Vec<Vec<f64>>> = per_cohort
+            .iter()
+            .map(|out| {
+                out.surviving_groups
                     .iter()
                     .map(|&j| out.group_models[j].clone())
-                    .collect();
-                cohort_models.push(numeric::linalg::mean_vectors(&models));
-                alive_cohorts.push(c);
+                    .collect()
+            })
+            .collect();
+        let (cohort_models, global_model) = reduce_models(&survivor_means);
+
+        // Second level (sharded rounds only, see above): the coalition
+        // game over cohort aggregate models, restricted to cohorts with
+        // at least one survivor, under the round's own (un-streamed)
+        // sampling seed — and the record's per-cohort section, which
+        // binds each cohort's membership, survivor set, and second-level
+        // value into the state digest.
+        let mut per_cohort_sv = vec![0.0f64; k];
+        let mut cohort_evidence: Vec<CohortEvidence> = Vec::new();
+        let mut total_evals = 0;
+        let mut total_samples = 0;
+        if k > 1 {
+            let alive_cohorts: Vec<usize> =
+                (0..k).filter(|&c| cohort_models[c].is_some()).collect();
+            let cohort_models: Vec<Vec<f64>> = cohort_models
+                .into_iter()
+                .map(|model| model.unwrap_or_else(|| vec![0.0; self.params.model_dim]))
+                .collect();
+            let full_game = GroupModelGame::new(&cohort_models, &utility);
+            let game = RestrictedGame::new(&full_game, alive_cohorts.clone());
+            let estimate = Self::dispatch_estimator(
+                method,
+                sampling_seed(self.params.permutation_seed, round),
+                &game,
+            );
+            for (ci, &c) in alive_cohorts.iter().enumerate() {
+                per_cohort_sv[c] = estimate.values[ci];
+            }
+            total_evals = estimate.utility_evaluations;
+            total_samples = estimate.diagnostics.samples;
+            for (c, out) in per_cohort.iter().enumerate() {
+                let members = plan.cohorts()[c].clone();
+                let (dropped, survivors) = members.iter().partition(|&&i| is_dropped(i));
+                cohort_evidence.push(CohortEvidence {
+                    members,
+                    survivors,
+                    dropped,
+                    sv_method: method,
+                    sv: per_cohort_sv[c],
+                    utility_evaluations: out.utility_evaluations,
+                    samples: out.samples,
+                });
             }
         }
 
-        // Second level: the coalition game over cohort aggregate
-        // models, restricted to cohorts with at least one survivor,
-        // under the round's own (un-streamed) sampling seed.
-        let full_game2 = GroupModelGame::new(&cohort_models, &utility);
-        let game2 = RestrictedGame::new(&full_game2, alive_cohorts.clone());
-        let estimate2 = Self::dispatch_estimator(method, sampling_seed(seed, round), &game2);
-        let mut per_cohort_sv = vec![0.0f64; k];
-        for (ci, &c) in alive_cohorts.iter().enumerate() {
-            per_cohort_sv[c] = estimate2.values[ci];
-        }
-
-        // Two-level composition: within-cohort survivor values (group
-        // value split uniformly among the group's survivors) scaled by
-        // the cohort's second-level value. Dropped owners are excluded
-        // from the within vectors so even the uniform zero-total
-        // fallback can never pay them; they score exactly zero.
+        // Line 7, then the two-level composition: each group's value
+        // splits uniformly among the group's *survivors*, and the
+        // within-cohort values are scaled by the cohort's second-level
+        // value. Dropped owners are excluded from the within vectors so
+        // even the uniform zero-total fallback can never pay them; they
+        // score exactly zero.
         let mut within: Vec<Vec<f64>> = Vec::with_capacity(k);
         let mut within_owners: Vec<Vec<usize>> = Vec::with_capacity(k);
-        for (c, out) in per_cohort.iter().enumerate() {
+        for (out, groups_c) in per_cohort.iter().zip(plan.groups()) {
             let mut vals = Vec::new();
             let mut owners_of = Vec::new();
             for &j in &out.surviving_groups {
-                let alive: Vec<usize> = cohort_groups[c][j]
+                let alive: Vec<usize> = groups_c[j]
                     .iter()
                     .copied()
                     .filter(|&i| !is_dropped(i))
@@ -1611,9 +1517,8 @@ impl FlContract {
             compose(&within, &per_cohort_sv).expect("within/cohort lengths match by construction");
 
         let mut per_owner_sv = vec![0.0f64; n];
-        for (c, vals) in composed.iter().enumerate() {
-            for (vi, &v) in vals.iter().enumerate() {
-                let idx = within_owners[c][vi];
+        for (vals, owners_of) in composed.iter().zip(&within_owners) {
+            for (&v, &idx) in vals.iter().zip(owners_of) {
                 per_owner_sv[idx] = v;
                 let owner = self.params.owners[idx];
                 *self
@@ -1623,53 +1528,35 @@ impl FlContract {
             }
         }
 
-        // New global model: the average of the surviving cohort models.
-        let alive_models: Vec<Vec<f64>> = alive_cohorts
-            .iter()
-            .map(|&c| cohort_models[c].clone())
-            .collect();
-        self.global_model = numeric::linalg::mean_vectors(&alive_models);
+        self.global_model = global_model;
         let global_accuracy = utility.of_model(&self.global_model);
 
-        // Evidence: the flat `groups`/`per_group_sv` sections
-        // concatenate the cohorts' within-cohort groups and values in
-        // plan order; the per-cohort section binds each cohort's
-        // membership, survivor set, and second-level value into the
-        // state digest.
-        let mut flat_groups: Vec<Vec<usize>> = Vec::with_capacity(k * m);
+        // The record's `groups`/`per_group_sv` sections concatenate the
+        // cohorts' groups and values in plan order.
+        let flat_groups = plan.groups().concat();
         let mut flat_group_sv: Vec<f64> = Vec::with_capacity(k * m);
-        let mut cohort_evidence: Vec<CohortEvidence> = Vec::with_capacity(k);
-        let mut total_evals = estimate2.utility_evaluations;
-        let mut total_samples = estimate2.diagnostics.samples;
-        for (c, out) in per_cohort.iter().enumerate() {
-            flat_groups.extend(cohort_groups[c].iter().cloned());
-            flat_group_sv.extend(out.per_group_sv.iter().copied());
+        for out in &per_cohort {
+            flat_group_sv.extend(&out.per_group_sv);
             total_evals += out.utility_evaluations;
             total_samples += out.samples;
-            let members = plan.cohorts()[c].clone();
-            let survivors: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&i| !is_dropped(i))
-                .collect();
-            let dropped: Vec<usize> = members.iter().copied().filter(|&i| is_dropped(i)).collect();
-            cohort_evidence.push(CohortEvidence {
-                members,
-                survivors,
-                dropped,
-                sv_method: method,
-                sv: per_cohort_sv[c],
-                utility_evaluations: out.utility_evaluations,
-                samples: out.samples,
-            });
         }
 
+        let event = format!(
+            "evaluate: round {round}, k={k} cohorts, m={m}, method {}, survivors {}/{n}, \
+             global acc {global_accuracy:.4}, group SVs {flat_group_sv:?}",
+            method.name(),
+            survivor_pos.len(),
+        );
+        let gas = self.gas.charge(
+            self.params.model_dim,
+            (total_evals + dropped_pos.len() * survivor_pos.len()) * self.params.model_dim,
+        );
         self.history.push(RoundRecord {
             round,
             sv_method: method,
             groups: flat_groups,
-            survivors: survivor_pos.clone(),
-            dropped: dropped_pos.clone(),
+            survivors: survivor_pos,
+            dropped: dropped_pos,
             recovery: evidence,
             per_group_sv: flat_group_sv,
             per_owner_sv,
@@ -1683,19 +1570,7 @@ impl FlContract {
         self.phase = RoundPhase::Submitting;
         self.current_round += 1;
 
-        let gas = self.gas.charge(
-            self.params.model_dim,
-            (total_evals + dropped_pos.len() * survivor_pos.len()) * self.params.model_dim,
-        );
-        Ok(ExecutionOutcome::event(
-            format!(
-                "evaluate: round {round}, k={k} cohorts, m={m}, method {}, survivors {}/{n}, \
-                 global acc {global_accuracy:.4}, cohort SVs {per_cohort_sv:?}",
-                method.name(),
-                survivor_pos.len(),
-            ),
-            gas,
-        ))
+        Ok(ExecutionOutcome::event(event, gas))
     }
 
     /// Runs the configured estimator over the round's group game.
@@ -2377,27 +2252,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_round_groups_partition_the_owner_set() {
-        for (n, k, m) in [(10usize, 3usize, 2usize), (9, 9, 1), (32, 4, 3)] {
-            let (plan, groups) = sharded_round_groups(7, 5, n, k, m);
-            assert_eq!(plan.num_cohorts(), k);
-            assert_eq!(groups.len(), k);
-            let mut seen: Vec<usize> = groups.iter().flatten().flatten().copied().collect();
-            assert_eq!(seen.len(), n, "every owner grouped exactly once");
-            seen.sort_unstable();
-            assert_eq!(seen, (0..n).collect::<Vec<_>>());
-            for (c, gs) in groups.iter().enumerate() {
-                assert_eq!(gs.len(), m, "each cohort runs m groups");
-                let mut members: Vec<usize> = gs.iter().flatten().copied().collect();
-                members.sort_unstable();
-                let mut expect = plan.cohorts()[c].clone();
-                expect.sort_unstable();
-                assert_eq!(members, expect, "cohort {c} groups cover its members");
-            }
-        }
-    }
-
-    #[test]
     fn flat_round_record_has_no_cohort_section() {
         let mut c = contract(4, 2);
         run_one_round(&mut c, 4);
@@ -2537,15 +2391,10 @@ mod tests {
                 c.execute(&ctx(i as u32), &FlCall::EscrowKeyShares { commitments })
                     .unwrap();
             }
-            let groups: Vec<Vec<usize>> = if k > 1 {
-                sharded_round_groups(c.params().permutation_seed, 0, n, k, m)
-                    .1
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            } else {
-                grouping(&permutation(c.params().permutation_seed, 0, n), m)
-            };
+            let groups: Vec<Vec<usize>> = RoundPlan::new(c.params().permutation_seed, 0, n, k, m)
+                .unwrap()
+                .groups()
+                .concat();
             let dim = c.params().model_dim;
             let weights: Vec<Vec<f64>> =
                 (0..n).map(|i| vec![0.1 * (i as f64 + 1.0); dim]).collect();
@@ -2901,7 +2750,7 @@ mod tests {
             let (n, m, k) = (9usize, 1usize, 3usize);
             let mut w = masked_world_sharded(n, m, k);
             let threshold = w.contract.params().escrow_threshold;
-            let (plan, _) = sharded_round_groups(w.contract.params().permutation_seed, 0, n, k, m);
+            let plan = RoundPlan::new(w.contract.params().permutation_seed, 0, n, k, m).unwrap();
             let dead: Vec<usize> = {
                 let mut v = plan.cohorts()[0].clone();
                 v.sort_unstable();

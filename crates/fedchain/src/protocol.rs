@@ -11,21 +11,23 @@
 //!   cohort; the shares travel off-chain, their commitments live
 //!   on-chain);
 //! * **round blocks** — the surviving owners' masked updates for round
-//!   `r` plus the `EvaluateRound` call. With a complete cohort that is
-//!   one block; when the round's dropout schedule
-//!   ([`FlConfig::dropout_schedule`]) withholds owners, the same
-//!   `EvaluateRound` instead opens the contract's recovery phase and a
-//!   **second block** carries the survivors' recovery shares plus the
-//!   closing `EvaluateRound` — the full dropout lifecycle is on-chain,
-//!   two state roots per churned round.
+//!   `r`, one block per cohort of the round's
+//!   [`shapley::hierarchy::RoundPlan`] (a flat `num_cohorts = 1` round
+//!   is one block), the `EvaluateRound` call riding in the last. When
+//!   the round's dropout schedule ([`FlConfig::dropout_schedule`])
+//!   withholds owners, the same `EvaluateRound` instead opens the
+//!   contract's recovery phase and a **further block** carries the
+//!   survivors' recovery shares plus the closing `EvaluateRound` — the
+//!   full dropout lifecycle is on-chain.
 //!
-//! Each block's transactions flow through the batched mempool pipeline:
-//! staged with per-sender nonces, admitted in one
-//! [`Mempool::submit_batch`] pass, drained as a sealed
-//! [`fl_chain::tx::TxBundle`], and committed via
-//! [`ConsensusEngine::commit_bundle`]. If consensus fails, the bundle is
-//! [`Mempool::release`]d so the owners' nonce counters roll back instead
-//! of wedging every later submission behind a permanent gap.
+//! Every commit — setup block, round, recovery block — goes through one
+//! routine: the calls are staged with per-sender nonces, admitted in one
+//! [`Mempool::submit_batch`] pass, drained as sealed
+//! [`fl_chain::tx::TxBundle`]s (one per cohort for a round), and
+//! committed block by block via [`ConsensusEngine::commit_bundle`]. If
+//! consensus fails, the unfinished bundles are [`Mempool::release`]d so
+//! the owners' nonce counters roll back instead of wedging every later
+//! submission behind a permanent gap.
 //!
 //! After `R` rounds the contract holds each owner's cumulative
 //! contribution `v_i = Σ_r v_i^r` (dropped owners earn exactly zero for
@@ -50,15 +52,17 @@
 //!   point — before SV evaluation even begins. Pairwise masks cancel
 //!   exactly in the u64 ring, so the off-chain stage predicts the
 //!   committed model bit-identically from the plaintext encodings it
-//!   already holds: per group, `decode_avg(Σ_ring encode(update_i))`
-//!   over the group's survivors, then the same surviving-mean
-//!   reductions the contract applies (flat, or per-cohort then across
-//!   alive cohorts when sharded). Round `r+1` trains against that
-//!   prediction; after round `r` commits, the driver compares the
-//!   prediction against the live contract **bit for bit** and fails
-//!   with [`ProtocolError::PipelineDivergence`] on any mismatch. The
-//!   check runs in sequential mode too, so the predictor is pinned by
-//!   every test that drives the protocol.
+//!   already holds: per group of the round's plan,
+//!   `decode_avg(Σ_ring encode(update_i))` over the group's survivors,
+//!   folded by the very `reduce_models` function the contract calls
+//!   (group means → cohort aggregates → global model), so only the
+//!   inputs differ — masked-sum-then-strip on-chain, plaintext ring sum
+//!   here. Round `r+1` trains against that prediction; after round `r`
+//!   commits, the driver compares the prediction against the live
+//!   contract **bit for bit** and fails with
+//!   [`ProtocolError::PipelineDivergence`] on any mismatch. The check
+//!   runs in sequential mode too, so the predictor is pinned by every
+//!   test that drives the protocol.
 //! * **Nonces and block order** are consensus-visible, so they are
 //!   assigned only in the on-chain stage (which owns the mempool); the
 //!   off-chain stage emits nonce-free `(sender, call)` pairs.
@@ -86,12 +90,12 @@ use fl_crypto::shamir::{Shamir, Share};
 use fl_crypto::ChaChaPrg;
 use fl_ml::dataset::Dataset;
 use numeric::{par, FixedCodec, U256};
-use shapley::group::{grouping, permutation};
+use shapley::hierarchy::RoundPlan;
 
 use crate::adversary::AdversaryKind;
 use crate::config::{ConfigError, FlConfig};
 use crate::contract_fl::{
-    sharded_round_groups, share_commitment, FlCall, FlContract, FlParams, RoundRecord,
+    reduce_models, share_commitment, FlCall, FlContract, FlParams, RoundRecord,
 };
 use crate::owner::DataOwner;
 use crate::world::World;
@@ -201,11 +205,13 @@ pub struct StageTimings {
     pub train_mask: f64,
     /// Transaction assembly and next-model prediction (off-chain).
     pub assemble: f64,
-    /// Committing submission-only cohort bundles (on-chain; zero for
-    /// flat rounds, whose single block lands under `evaluate`).
+    /// Committing the submission-only bundles of a round — every cohort
+    /// bundle but the last (on-chain; exactly zero for a one-cohort
+    /// round, whose single block lands under `evaluate`).
     pub commit: f64,
-    /// Committing the `EvaluateRound`-bearing bundle(s): SV evaluation
-    /// plus, on churned rounds, the recovery block.
+    /// Committing the `EvaluateRound`-bearing bundles — a round's last
+    /// cohort bundle (SV evaluation) and, on churned rounds, the
+    /// recovery block — plus persisting the round's blocks.
     pub evaluate: f64,
 }
 
@@ -245,19 +251,6 @@ pub struct FlRunReport {
     pub stages: StageTimings,
     /// End-to-end wall clock of the run, including setup.
     pub wall_seconds: f64,
-}
-
-/// Next nonce for `sender`: the pool's expectation plus however many
-/// transactions the batch under construction already stages for it.
-fn staged_nonce(
-    pool: &Mempool<FlCall>,
-    staged: &mut BTreeMap<AccountId, u64>,
-    sender: AccountId,
-) -> u64 {
-    let count = staged.entry(sender).or_insert(0);
-    let nonce = pool.expected_nonce(sender) + *count;
-    *count += 1;
-    nonce
 }
 
 /// One round's fully prepared off-chain work: everything `commit_round`
@@ -307,46 +300,34 @@ impl OffChainStage<'_> {
         global_model: &[f64],
     ) -> Result<PreparedRound, ProtocolError> {
         let n = self.owners.len();
-        let k = self.config.num_cohorts;
         let dropped = self.config.dropped_in_round(round);
         let is_dropped = |idx: usize| dropped.binary_search(&idx).is_ok();
 
-        // Public grouping for the round (identical to the contract's):
-        // flat rounds are the one-cohort special case, so the secure-agg
-        // directories below are cohort-scoped in both paths.
-        let cohort_groups: Vec<Vec<Vec<usize>>> = if k > 1 {
-            sharded_round_groups(
-                self.config.permutation_seed,
-                round,
-                n,
-                k,
-                self.config.num_groups,
-            )
-            .1
-        } else {
-            vec![grouping(
-                &permutation(self.config.permutation_seed, round, n),
-                self.config.num_groups,
-            )]
-        };
-        let groups: Vec<Vec<usize>> = cohort_groups.iter().flatten().cloned().collect();
+        // The round's public layout — the same plan the contract
+        // derives, so owners mask within exactly the groups the contract
+        // aggregates over.
+        let plan = RoundPlan::new(
+            self.config.permutation_seed,
+            round,
+            n,
+            self.config.num_cohorts,
+            self.config.num_groups,
+        )
+        .expect("validated: cohort and group counts fit the owner set");
 
         // Every owner reads its group's keys from the phase-0 snapshot.
-        let group_directories: Vec<Vec<(AccountId, U256)>> = groups
-            .iter()
-            .map(|group| {
+        let mut group_directories: Vec<Vec<(AccountId, U256)>> = Vec::new();
+        let mut group_of = vec![0usize; n];
+        for group in plan.groups().iter().flatten() {
+            for &idx in group {
+                group_of[idx] = group_directories.len();
+            }
+            group_directories.push(
                 group
                     .iter()
                     .map(|&idx| (idx as u32, self.keys[idx]))
-                    .collect()
-            })
-            .collect();
-
-        let mut group_of = vec![0usize; n];
-        for (j, group) in groups.iter().enumerate() {
-            for &idx in group {
-                group_of[idx] = j;
-            }
+                    .collect(),
+            );
         }
 
         let codec = FixedCodec::new(self.config.frac_bits);
@@ -407,8 +388,8 @@ impl OffChainStage<'_> {
         // block order); bundle boundaries follow the cohort plan — one
         // bundle per cohort, in plan order.
         let mut calls: Vec<(AccountId, FlCall)> = Vec::with_capacity(n + 1);
-        let mut bundle_sizes: Vec<usize> = Vec::with_capacity(cohort_groups.len());
-        for cohort in &cohort_groups {
+        let mut bundle_sizes: Vec<usize> = Vec::with_capacity(plan.groups().len());
+        for cohort in plan.groups() {
             let before = calls.len();
             for group in cohort {
                 for &idx in group {
@@ -437,49 +418,39 @@ impl OffChainStage<'_> {
         calls.push((trigger, FlCall::EvaluateRound { round }));
         *bundle_sizes.last_mut().expect("at least one cohort") += 1;
 
-        // Handoff prediction: mirror the contract's aggregation bit-path
-        // from the plaintext encodings. Masks cancel exactly in the u64
-        // ring, so per group the masked-sum-then-strip the contract runs
-        // equals this plaintext ring sum; the survivor-mean reductions
-        // are then applied in the contract's exact order.
+        // Handoff prediction: masks cancel exactly in the u64 ring, so
+        // per group the masked-sum-then-strip the contract runs equals
+        // this plaintext ring sum over the group's survivors (exactly
+        // the owners that produced an encoding); the contract's own
+        // `reduce_models` then folds the group means into the model the
+        // round will commit.
         let dim = (num_features + 1) * num_classes;
-        let mut group_models: Vec<Option<Vec<f64>>> = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let alive: Vec<usize> = group.iter().copied().filter(|&i| !is_dropped(i)).collect();
-            if alive.is_empty() {
-                group_models.push(None);
-                continue;
-            }
-            let mut acc = vec![0u64; dim];
-            for &i in &alive {
-                FixedCodec::ring_add_assign(&mut acc, plain[i].as_ref().expect("survivor encoded"));
-            }
-            group_models.push(Some(
-                acc.iter()
-                    .map(|&r| codec.decode_avg(r, alive.len()))
-                    .collect(),
-            ));
-        }
-        let predicted_model = if k > 1 {
-            let mut cohort_models: Vec<Vec<f64>> = Vec::new();
-            let mut g = 0usize;
-            for cohort in &cohort_groups {
-                let mut surviving: Vec<Vec<f64>> = Vec::new();
-                for _ in cohort {
-                    if let Some(model) = group_models[g].take() {
-                        surviving.push(model);
-                    }
-                    g += 1;
-                }
-                if !surviving.is_empty() {
-                    cohort_models.push(numeric::linalg::mean_vectors(&surviving));
-                }
-            }
-            numeric::linalg::mean_vectors(&cohort_models)
-        } else {
-            let surviving: Vec<Vec<f64>> = group_models.into_iter().flatten().collect();
-            numeric::linalg::mean_vectors(&surviving)
-        };
+        let survivor_means: Vec<Vec<Vec<f64>>> = plan
+            .groups()
+            .iter()
+            .map(|cohort| {
+                cohort
+                    .iter()
+                    .filter_map(|group| {
+                        let alive: Vec<&Vec<u64>> =
+                            group.iter().filter_map(|&i| plain[i].as_ref()).collect();
+                        if alive.is_empty() {
+                            return None;
+                        }
+                        let mut acc = vec![0u64; dim];
+                        for encoded in &alive {
+                            FixedCodec::ring_add_assign(&mut acc, encoded);
+                        }
+                        Some(
+                            acc.iter()
+                                .map(|&r| codec.decode_avg(r, alive.len()))
+                                .collect(),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let (_, predicted_model) = reduce_models(&survivor_means);
 
         // Recovery block (assembled here, committed only after the main
         // block): threshold-many survivors reveal their escrowed shares
@@ -555,123 +526,86 @@ impl OnChainStage<'_> {
         Ok(())
     }
 
-    /// Admits `txs` in one batched pass, drains *everything pending* as a
-    /// sealed bundle, and commits it. The two error paths scope their
-    /// rollback differently, on purpose: an admission failure un-admits
-    /// only this batch (transactions queued earlier were not part of the
-    /// failure and stay pending), while a consensus failure releases the
-    /// whole bundle — earlier-queued transactions included, because they
-    /// were part of the failed block — so every affected sender's nonce
-    /// counter rewinds and resubmission is possible.
-    fn commit_batch(
-        &mut self,
-        txs: Vec<Transaction<FlCall>>,
-    ) -> Result<CommitReport, ProtocolError> {
-        let admission = self.pool.submit_batch(txs);
-        if !admission.all_admitted() {
-            // Never commit a truncated round block (e.g. one missing an
-            // owner's update or the evaluation trigger): un-admit this
-            // batch — transactions queued before it stay pending — and
-            // surface the first rejection.
-            self.pool.rollback_admitted(admission.admitted);
-            let (_, reason) = admission
-                .rejected
-                .into_iter()
-                .next()
-                .expect("not all_admitted implies a rejection");
-            return Err(ProtocolError::Admission(reason));
-        }
-        let bundle = self.pool.drain_bundle(usize::MAX);
-        match self.engine.commit_bundle(&bundle) {
-            Ok(report) => {
-                // Persist the freshly committed block(s) before reporting
-                // success: a crash after this point replays them from disk.
-                self.sync_durable()?;
-                Ok(report)
-            }
-            Err(e) => {
-                // Dropping release()'s evicted orphans is deliberate:
-                // the rollback makes any still-queued transactions above
-                // the rewind point unexecutable, and their senders
-                // resubmit from the rewound nonce.
-                self.pool.release(bundle.txs());
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Admits `txs` in one batched pass and commits them as a *stream*
-    /// of consecutive blocks, one per entry of `sizes` — the sharded
-    /// round's per-cohort bundles. The submission-only prefix is timed
-    /// under `commit`, the final (`EvaluateRound`-bearing) bundle under
-    /// `evaluate`.
+    /// The one commit routine: assigns nonces to `calls`, admits them in
+    /// one batched pass, drains one sealed bundle per entry of `sizes`,
+    /// commits the bundles as consecutive blocks, and persists them.
+    /// A sharded round streams one bundle per cohort; the flat round,
+    /// the setup block and the recovery block are its one-bundle case.
     ///
-    /// The per-bundle atomic-commit invariant carries over from
-    /// [`ConsensusEngine::commit_bundles`]: a consensus failure at
-    /// bundle `i` keeps the committed prefix (those blocks reached
-    /// quorum on every replica) and releases only the unfinished
-    /// suffix back to the pool, rewinding the affected senders'
-    /// nonces for resubmission.
-    fn commit_stream_timed(
+    /// Time up to and including each bundle before the last lands
+    /// under `commit`; the last bundle (the `EvaluateRound`-bearing one
+    /// of a round) plus persistence lands under `evaluate` — so a
+    /// one-bundle commit reports `commit == 0`.
+    ///
+    /// The two error paths scope their rollback differently, on
+    /// purpose. An admission failure un-admits this batch and commits
+    /// nothing: never commit a truncated round (e.g. one missing an
+    /// owner's update or the evaluation trigger). A consensus failure
+    /// at bundle `i` keeps the committed prefix (those blocks reached
+    /// quorum on every replica; they are persisted before the failure
+    /// surfaces, so a crash-restart replays exactly the blocks every
+    /// replica agrees on) and releases the unfinished suffix back to
+    /// the pool, rewinding the affected senders' nonces for
+    /// resubmission. Dropping `release`'s evicted orphans is deliberate:
+    /// the rollback makes any still-queued transactions above the rewind
+    /// point unexecutable, and their senders resubmit from the rewound
+    /// nonce.
+    fn commit_stream(
         &mut self,
-        txs: Vec<Transaction<FlCall>>,
+        calls: Vec<(AccountId, FlCall)>,
         sizes: &[usize],
         timings: &mut StageTimings,
     ) -> Result<Vec<CommitReport>, ProtocolError> {
-        debug_assert_eq!(txs.len(), sizes.iter().sum::<usize>());
+        debug_assert_eq!(calls.len(), sizes.iter().sum::<usize>());
+        let mut lap = Instant::now();
+        let mut staged: BTreeMap<AccountId, u64> = BTreeMap::new();
+        let txs: Vec<Transaction<FlCall>> = calls
+            .into_iter()
+            .map(|(sender, call)| {
+                // The pool's expectation plus however many transactions
+                // this batch already stages for the sender.
+                let count = staged.entry(sender).or_insert(0);
+                let nonce = self.pool.expected_nonce(sender) + *count;
+                *count += 1;
+                Transaction::new(sender, nonce, call)
+            })
+            .collect();
         let admission = self.pool.submit_batch(txs);
-        if !admission.all_admitted() {
+        if let Some((_, reason)) = admission.rejected.into_iter().next() {
             self.pool.rollback_admitted(admission.admitted);
-            let (_, reason) = admission
-                .rejected
-                .into_iter()
-                .next()
-                .expect("not all_admitted implies a rejection");
             return Err(ProtocolError::Admission(reason));
         }
         let bundles = self.pool.drain_bundles(sizes);
-        let split = bundles.len() - 1;
-        let release_from = |pool: &mut Mempool<FlCall>, from: usize| {
-            let unfinished: Vec<Transaction<FlCall>> = bundles[from..]
-                .iter()
-                .flat_map(|b| b.txs().iter().cloned())
-                .collect();
-            pool.release(&unfinished);
-        };
-        let commit_start = Instant::now();
-        let mut reports = match self.engine.commit_bundles(&bundles[..split]) {
-            Ok(reports) => reports,
-            Err((_, failed_at, e)) => {
-                release_from(self.pool, failed_at);
-                // Persist the committed prefix before surfacing the
-                // failure, so a crash-restart replays exactly the
-                // blocks every replica agrees on.
-                self.sync_durable()?;
-                return Err(e.into());
+        let mut reports = Vec::with_capacity(bundles.len());
+        for (i, bundle) in bundles.iter().enumerate() {
+            match self.engine.commit_bundle(bundle) {
+                Ok(report) => reports.push(report),
+                Err(e) => {
+                    let unfinished: Vec<Transaction<FlCall>> = bundles[i..]
+                        .iter()
+                        .flat_map(|b| b.txs().iter().cloned())
+                        .collect();
+                    self.pool.release(&unfinished);
+                    self.sync_durable()?;
+                    return Err(e.into());
+                }
             }
-        };
-        timings.commit += commit_start.elapsed().as_secs_f64();
-        let evaluate_start = Instant::now();
-        match self.engine.commit_bundles(&bundles[split..]) {
-            Ok(mut tail) => {
-                reports.append(&mut tail);
+            let stage = if i + 1 == bundles.len() {
                 self.sync_durable()?;
-                timings.evaluate += evaluate_start.elapsed().as_secs_f64();
-                Ok(reports)
-            }
-            Err((_, _, e)) => {
-                release_from(self.pool, split);
-                self.sync_durable()?;
-                Err(e.into())
-            }
+                &mut timings.evaluate
+            } else {
+                &mut timings.commit
+            };
+            *stage += lap.elapsed().as_secs_f64();
+            lap = Instant::now();
         }
+        Ok(reports)
     }
 
-    /// Commits one prepared round: assigns nonces, streams the cohort
-    /// bundles (flat rounds commit one block), commits the recovery
-    /// block on churned rounds, and verifies the pipeline handoff —
-    /// the committed global model must equal the prediction bit for
-    /// bit.
+    /// Commits one prepared round: streams the cohort bundles, commits
+    /// the recovery block on churned rounds, and verifies the pipeline
+    /// handoff — the committed global model must equal the prediction
+    /// bit for bit.
     fn commit_round(
         &mut self,
         prepared: PreparedRound,
@@ -686,39 +620,10 @@ impl OnChainStage<'_> {
         } = prepared;
         let mut timings = StageTimings::default();
 
-        let mut staged = BTreeMap::new();
-        let txs: Vec<Transaction<FlCall>> = calls
-            .into_iter()
-            .map(|(id, call)| {
-                let nonce = staged_nonce(self.pool, &mut staged, id);
-                Transaction::new(id, nonce, call)
-            })
-            .collect();
-
-        let mut commits = if bundle_sizes.len() > 1 {
-            self.commit_stream_timed(txs, &bundle_sizes, &mut timings)?
-        } else {
-            // One flat block carries both the submissions and the
-            // evaluation; SV evaluation dominates it, so it lands under
-            // `evaluate`.
-            let start = Instant::now();
-            let report = self.commit_batch(txs)?;
-            timings.evaluate += start.elapsed().as_secs_f64();
-            vec![report]
-        };
-
+        let mut commits = self.commit_stream(calls, &bundle_sizes, &mut timings)?;
         if !recovery_calls.is_empty() {
-            let mut staged = BTreeMap::new();
-            let txs: Vec<Transaction<FlCall>> = recovery_calls
-                .into_iter()
-                .map(|(id, call)| {
-                    let nonce = staged_nonce(self.pool, &mut staged, id);
-                    Transaction::new(id, nonce, call)
-                })
-                .collect();
-            let start = Instant::now();
-            commits.push(self.commit_batch(txs)?);
-            timings.evaluate += start.elapsed().as_secs_f64();
+            let size = recovery_calls.len();
+            commits.extend(self.commit_stream(recovery_calls, &[size], &mut timings)?);
         }
 
         // Pipeline handoff check (module docs): round r+1 may already be
@@ -941,37 +846,28 @@ impl FlProtocol {
     /// Commits the setup block (phase 0): every owner advertises its DH
     /// public key and escrows hash commitments to the Shamir shares of
     /// its private key — the on-chain half of the dropout extension.
-    fn advertise_keys(&mut self) -> Result<CommitReport, ProtocolError> {
-        let n = self.owners.len();
-        let mut staged = BTreeMap::new();
-        let mut txs: Vec<Transaction<FlCall>> = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            let id = self.owners[i].id();
-            let nonce = staged_nonce(&self.pool, &mut staged, id);
-            txs.push(Transaction::new(
-                id,
-                nonce,
-                FlCall::AdvertiseKey {
-                    public_key: self.owners[i].public_key_bytes(),
-                },
-            ));
-        }
+    fn advertise_keys(&mut self) -> Result<Vec<CommitReport>, ProtocolError> {
+        let mut calls: Vec<(AccountId, FlCall)> = self
+            .owners
+            .iter()
+            .map(|owner| {
+                let public_key = owner.public_key_bytes();
+                (owner.id(), FlCall::AdvertiseKey { public_key })
+            })
+            .collect();
         // No escrows were generated when the run schedules no dropouts;
         // the setup block is then keys-only.
-        for (i, shares) in self.escrows.iter().enumerate() {
-            let id = self.owners[i].id();
+        for (owner, shares) in self.owners.iter().zip(&self.escrows) {
+            let id = owner.id();
             let commitments: Vec<Hash32> = shares
                 .iter()
                 .map(|share| share_commitment(id, share))
                 .collect();
-            let nonce = staged_nonce(&self.pool, &mut staged, id);
-            txs.push(Transaction::new(
-                id,
-                nonce,
-                FlCall::EscrowKeyShares { commitments },
-            ));
+            calls.push((id, FlCall::EscrowKeyShares { commitments }));
         }
-        self.on_chain().commit_batch(txs)
+        let size = calls.len();
+        self.on_chain()
+            .commit_stream(calls, &[size], &mut StageTimings::default())
     }
 
     /// Snapshots the phase-0 key directory: every owner's advertised DH
@@ -1020,7 +916,7 @@ impl FlProtocol {
         // would fail the block with `KeyAlreadyAdvertised` and wedge the
         // protocol).
         if self.contract().public_key_of(self.owners[0].id()).is_none() {
-            commits.push(self.advertise_keys()?);
+            commits.extend(self.advertise_keys()?);
         }
         let (keys, epoch) = self.snapshot_keys()?;
         let mut stages = StageTimings::default();

@@ -50,6 +50,13 @@
 //! [`numeric::par`]'s index-pure contract, so results are bit-identical
 //! for every thread count and the plan is digest-bound wherever those
 //! four inputs are (the on-chain round record binds all of them).
+//!
+//! **One round layout** ([`RoundPlan`]): the cohorts, the within-cohort
+//! secure-aggregation groups and the per-cohort seed streams of a round
+//! are derived in exactly one place from `(seed, round, n, k, m)`. The
+//! on-chain contract, the off-chain protocol driver and configuration
+//! validation all read the same plan, and the flat round of the paper's
+//! Algorithm 1 is its `k = 1` case rather than a second code path.
 
 use numeric::linalg::mean_vectors;
 use numeric::par;
@@ -193,6 +200,98 @@ impl CohortPlan {
     /// into `cohorts` produces (`floor(owners / cohorts)`).
     pub fn min_cohort_size(owners: usize, cohorts: usize) -> usize {
         owners.checked_div(cohorts).unwrap_or(0)
+    }
+}
+
+/// The complete public layout of one round: cohorts, the
+/// secure-aggregation groups within each cohort, and the seed stream
+/// each cohort draws on.
+///
+/// A pure function of the digest-bound `(seed, round, n, k, m)`, so every
+/// owner masking an update, every miner aggregating and every auditor
+/// replaying derives the identical layout. For `k > 1` the cohorts are
+/// the round's [`CohortPlan`] and cohort `c` groups its members on the
+/// [`cohort_stream`]`(seed, c)` sub-seed.
+///
+/// **`k = 1` is the flat round**: a single cohort holding `0..n` in
+/// identity order, drawn on the *un-streamed* seed. Its grouping is
+/// therefore exactly `grouping(permutation(seed, round, n), m)` — lines
+/// 1–2 of the paper's Algorithm 1 — and its one entry of
+/// [`RoundPlan::seeds`] is `seed` itself. This is the only rule that distinguishes the flat
+/// round from the sharded one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoundPlan {
+    cohorts: Vec<Vec<usize>>,
+    groups: Vec<Vec<Vec<usize>>>,
+    seeds: Vec<u64>,
+}
+
+impl RoundPlan {
+    /// Derives the round's layout: `num_owners` owners in `num_cohorts`
+    /// cohorts of `num_groups` groups each.
+    pub fn new(
+        seed: u64,
+        round: u64,
+        num_owners: usize,
+        num_cohorts: usize,
+        num_groups: usize,
+    ) -> Result<Self, HierarchyError> {
+        if num_cohorts == 0 || num_cohorts > num_owners {
+            return Err(HierarchyError::BadCohortCount {
+                cohorts: num_cohorts,
+                owners: num_owners,
+            });
+        }
+        let (cohorts, seeds) = if num_cohorts == 1 {
+            (vec![(0..num_owners).collect()], vec![seed])
+        } else {
+            let plan = CohortPlan::new(seed, round, num_owners, num_cohorts)?;
+            let seeds = (0..num_cohorts as u64)
+                .map(|c| cohort_stream(seed, c))
+                .collect();
+            (plan.cohorts, seeds)
+        };
+        let min_cohort = CohortPlan::min_cohort_size(num_owners, num_cohorts);
+        if num_groups == 0 || num_groups > min_cohort {
+            return Err(HierarchyError::GroupCountExceedsCohortSize {
+                groups: num_groups,
+                cohort_size: min_cohort,
+            });
+        }
+        let groups = cohorts
+            .iter()
+            .zip(&seeds)
+            .map(|(members, &stream)| {
+                let pi = permutation(stream, round, members.len());
+                grouping(&pi, num_groups)
+                    .into_iter()
+                    .map(|g| g.into_iter().map(|i| members[i]).collect())
+                    .collect()
+            })
+            .collect();
+        Ok(Self {
+            cohorts,
+            groups,
+            seeds,
+        })
+    }
+
+    /// Cohort memberships: `cohorts()[c]` lists the owner positions of
+    /// cohort `c`.
+    pub fn cohorts(&self) -> &[Vec<usize>] {
+        &self.cohorts
+    }
+
+    /// Secure-aggregation groups: `groups()[c][j]` lists the owner
+    /// positions of group `j` of cohort `c`.
+    pub fn groups(&self) -> &[Vec<Vec<usize>>] {
+        &self.groups
+    }
+
+    /// Seed streams: `seeds()[c]` is the seed cohort `c` draws on — for
+    /// its grouping here and for its sampling estimator in the contract.
+    pub fn seeds(&self) -> &[u64] {
+        &self.seeds
     }
 }
 
@@ -629,6 +728,88 @@ mod tests {
                 cohort_size: 7
             }
         );
+    }
+
+    #[test]
+    fn round_plan_rejects_bad_layouts() {
+        for k in [0, 6] {
+            assert_eq!(
+                RoundPlan::new(1, 0, 5, k, 1),
+                Err(HierarchyError::BadCohortCount {
+                    cohorts: k,
+                    owners: 5
+                })
+            );
+        }
+        // 10 owners in 3 cohorts: the smallest cohort holds 3.
+        for m in [0, 4] {
+            assert_eq!(
+                RoundPlan::new(1, 0, 10, 3, m),
+                Err(HierarchyError::GroupCountExceedsCohortSize {
+                    groups: m,
+                    cohort_size: 3
+                })
+            );
+        }
+        // One cohort holds everyone.
+        assert!(RoundPlan::new(1, 0, 10, 1, 10).is_ok());
+        assert!(RoundPlan::new(1, 0, 10, 1, 11).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_round_plan_is_the_one_layout_derivation(
+            seed in any::<u64>(),
+            round in 0u64..8,
+            n in 2usize..40,
+            k_raw in 1usize..9,
+            m_raw in 1usize..6,
+        ) {
+            let k = k_raw.min(n);
+            let m = m_raw.min(n / k);
+            let plan = RoundPlan::new(seed, round, n, k, m).unwrap();
+            prop_assert_eq!(&plan, &RoundPlan::new(seed, round, n, k, m).unwrap());
+
+            // The groups partition 0..n, cohort by cohort.
+            prop_assert_eq!(plan.cohorts().len(), k);
+            prop_assert_eq!(plan.groups().len(), k);
+            prop_assert_eq!(plan.seeds().len(), k);
+            let mut seen: Vec<usize> = plan.groups().iter().flatten().flatten().copied().collect();
+            seen.sort_unstable();
+            prop_assert_eq!(seen, (0..n).collect::<Vec<_>>());
+            for (members, groups) in plan.cohorts().iter().zip(plan.groups()) {
+                prop_assert_eq!(groups.len(), m);
+                let mut grouped: Vec<usize> = groups.iter().flatten().copied().collect();
+                grouped.sort_unstable();
+                let mut expect = members.clone();
+                expect.sort_unstable();
+                prop_assert_eq!(grouped, expect);
+            }
+
+            if k == 1 {
+                // The flat round: Algorithm 1's grouping over 0..n on
+                // the un-streamed seed.
+                prop_assert_eq!(plan.cohorts(), &[(0..n).collect::<Vec<_>>()][..]);
+                prop_assert_eq!(plan.groups(), &[grouping(&permutation(seed, round, n), m)][..]);
+                prop_assert_eq!(plan.seeds(), &[seed][..]);
+            } else {
+                // The sharded round: the cohort plan, each cohort
+                // grouped on its own cohort stream.
+                let cohorts = CohortPlan::new(seed, round, n, k).unwrap();
+                prop_assert_eq!(plan.cohorts(), cohorts.cohorts());
+                for (c, members) in cohorts.cohorts().iter().enumerate() {
+                    let stream = cohort_stream(seed, c as u64);
+                    prop_assert_eq!(plan.seeds()[c], stream);
+                    let expect: Vec<Vec<usize>> =
+                        grouping(&permutation(stream, round, members.len()), m)
+                            .into_iter()
+                            .map(|g| g.into_iter().map(|i| members[i]).collect())
+                            .collect();
+                    prop_assert_eq!(&plan.groups()[c], &expect);
+                }
+            }
+        }
     }
 
     proptest! {

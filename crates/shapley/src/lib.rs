@@ -47,6 +47,7 @@ pub use estimator::{SvDiagnostics, SvEstimate, SvEstimator};
 pub use group::{group_shapley, GroupModelGame, GroupSvConfig, GroupSvResult};
 pub use hierarchy::{
     compose, hierarchical_shapley, CohortPlan, HierarchyConfig, HierarchyError, HierarchyResult,
+    RoundPlan,
 };
 pub use monte_carlo::{monte_carlo_shapley, McConfig};
 pub use native::exact_shapley;

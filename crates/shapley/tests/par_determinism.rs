@@ -245,9 +245,7 @@ fn restricted_game_is_schedule_invariant() {
 /// declaration, share-verified recovery, survivor-restricted estimation.
 mod survivor_rounds {
     use fedchain::config::SvMethod;
-    use fedchain::contract_fl::{
-        sharded_round_groups, share_commitment, FlCall, FlContract, FlParams, RoundPhase,
-    };
+    use fedchain::contract_fl::{share_commitment, FlCall, FlContract, FlParams, RoundPhase};
     use fl_chain::contract::{SmartContract, TxContext};
     use fl_chain::hash::Hash32;
     use fl_crypto::dh::{DhGroup, DhKeyPair};
@@ -257,7 +255,7 @@ mod survivor_rounds {
     use fl_crypto::ChaChaPrg;
     use fl_ml::dataset::SyntheticDigits;
     use numeric::FixedCodec;
-    use shapley::group::{grouping, permutation};
+    use shapley::hierarchy::RoundPlan;
 
     const FEATURES: usize = 64;
     const CLASSES: usize = 10;
@@ -337,15 +335,7 @@ mod survivor_rounds {
                 .unwrap();
         }
 
-        let groups: Vec<Vec<usize>> = if k > 1 {
-            sharded_round_groups(7, 0, n, k, m)
-                .1
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            grouping(&permutation(7, 0, n), m)
-        };
+        let groups: Vec<Vec<usize>> = RoundPlan::new(7, 0, n, k, m).unwrap().groups().concat();
         let survivors: Vec<usize> = (0..n).filter(|i| !dropped.contains(i)).collect();
         let mut full_dir = KeyDirectory::new();
         for (j, kp) in keypairs.iter().enumerate() {
@@ -428,39 +418,12 @@ mod survivor_rounds {
         )
     }
 
-    /// From-scratch unmasked survivor aggregate: per-group survivor ring
-    /// sums (same order, same fixed-point ring), mean over surviving
-    /// groups.
+    /// From-scratch unmasked survivor aggregate over the round's plan:
+    /// per-group survivor ring sums (same order, same fixed-point ring),
+    /// the mean over each cohort's surviving groups, then the mean over
+    /// the surviving cohorts — a flat round's one cohort *is* the
+    /// global model.
     pub(super) fn from_scratch_global(
-        n: usize,
-        m: usize,
-        dropped: &[usize],
-        weights: &[Vec<f64>],
-    ) -> Vec<f64> {
-        let codec = FixedCodec::new(24);
-        let groups = grouping(&permutation(7, 0, n), m);
-        let mut surviving_models: Vec<Vec<f64>> = Vec::new();
-        for g in &groups {
-            let alive: Vec<usize> = g.iter().copied().filter(|i| !dropped.contains(i)).collect();
-            if alive.is_empty() {
-                continue;
-            }
-            let mut acc = vec![0u64; DIM];
-            for &i in &alive {
-                FixedCodec::ring_add_assign(&mut acc, &codec.encode_vec(&weights[i]));
-            }
-            surviving_models.push(
-                acc.iter()
-                    .map(|&r| codec.decode_avg(r, alive.len()))
-                    .collect(),
-            );
-        }
-        numeric::linalg::mean_vectors(&surviving_models)
-    }
-
-    /// Two-level from-scratch aggregate: per-cohort mean of surviving
-    /// group ring sums, then the mean over surviving cohorts.
-    pub(super) fn from_scratch_global_sharded(
         n: usize,
         m: usize,
         k: usize,
@@ -468,9 +431,9 @@ mod survivor_rounds {
         weights: &[Vec<f64>],
     ) -> Vec<f64> {
         let codec = FixedCodec::new(24);
-        let (_, cohort_groups) = sharded_round_groups(7, 0, n, k, m);
+        let plan = RoundPlan::new(7, 0, n, k, m).unwrap();
         let mut cohort_models: Vec<Vec<f64>> = Vec::new();
-        for groups in &cohort_groups {
+        for groups in plan.groups() {
             let mut surviving_models: Vec<Vec<f64>> = Vec::new();
             for g in groups {
                 let alive: Vec<usize> =
@@ -492,7 +455,11 @@ mod survivor_rounds {
                 cohort_models.push(numeric::linalg::mean_vectors(&surviving_models));
             }
         }
-        numeric::linalg::mean_vectors(&cohort_models)
+        if k == 1 {
+            cohort_models.remove(0)
+        } else {
+            numeric::linalg::mean_vectors(&cohort_models)
+        }
     }
 }
 
@@ -537,7 +504,7 @@ proptest! {
         for &d in &dropped {
             prop_assert_eq!(per_owner_sv[d], 0.0, "dropped owner {} must score 0", d);
         }
-        let expect = survivor_rounds::from_scratch_global(n, m, &dropped, &weights);
+        let expect = survivor_rounds::from_scratch_global(n, m, 1, &dropped, &weights);
         prop_assert_eq!(
             global_model, expect,
             "mask-stripped survivor aggregate must be bit-identical to the plaintext ring sum"
@@ -585,7 +552,7 @@ proptest! {
         for &d in &dropped {
             prop_assert_eq!(per_owner_sv[d], 0.0, "dropped owner {} must score 0", d);
         }
-        let expect = survivor_rounds::from_scratch_global_sharded(n, m, k, &dropped, &weights);
+        let expect = survivor_rounds::from_scratch_global(n, m, k, &dropped, &weights);
         prop_assert_eq!(
             global_model, expect,
             "sharded survivor aggregate must be bit-identical to the two-level plaintext mean"
