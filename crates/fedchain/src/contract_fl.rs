@@ -1410,26 +1410,20 @@ impl FlContract {
                     &codec,
                     round,
                 );
-                let mut outcome = CohortOutcome {
+                let (per_group_sv, utility_evaluations, samples) = Self::estimate_alive(
+                    method,
+                    sampling_seed(plan.seeds()[c], round),
+                    &group_models,
+                    &surviving_groups,
+                    &utility,
+                );
+                CohortOutcome {
                     group_models,
                     surviving_groups,
-                    per_group_sv: vec![0.0; m],
-                    utility_evaluations: 0,
-                    samples: 0,
-                };
-                if outcome.surviving_groups.is_empty() {
-                    return outcome;
+                    per_group_sv,
+                    utility_evaluations,
+                    samples,
                 }
-                let full_game = GroupModelGame::new(&outcome.group_models, &utility);
-                let game = RestrictedGame::new(&full_game, outcome.surviving_groups.clone());
-                let estimate =
-                    Self::dispatch_estimator(method, sampling_seed(plan.seeds()[c], round), &game);
-                for (gi, &j) in outcome.surviving_groups.iter().enumerate() {
-                    outcome.per_group_sv[j] = estimate.values[gi];
-                }
-                outcome.utility_evaluations = estimate.utility_evaluations;
-                outcome.samples = estimate.diagnostics.samples;
-                outcome
             });
 
         let survivor_means: Vec<Vec<Vec<f64>>> = per_cohort
@@ -1460,18 +1454,13 @@ impl FlContract {
                 .into_iter()
                 .map(|model| model.unwrap_or_else(|| vec![0.0; self.params.model_dim]))
                 .collect();
-            let full_game = GroupModelGame::new(&cohort_models, &utility);
-            let game = RestrictedGame::new(&full_game, alive_cohorts.clone());
-            let estimate = Self::dispatch_estimator(
+            (per_cohort_sv, total_evals, total_samples) = Self::estimate_alive(
                 method,
                 sampling_seed(self.params.permutation_seed, round),
-                &game,
+                &cohort_models,
+                &alive_cohorts,
+                &utility,
             );
-            for (ci, &c) in alive_cohorts.iter().enumerate() {
-                per_cohort_sv[c] = estimate.values[ci];
-            }
-            total_evals = estimate.utility_evaluations;
-            total_samples = estimate.diagnostics.samples;
             for (c, out) in per_cohort.iter().enumerate() {
                 let members = plan.cohorts()[c].clone();
                 let (dropped, survivors) = members.iter().partition(|&&i| is_dropped(i));
@@ -1571,6 +1560,36 @@ impl FlContract {
         self.current_round += 1;
 
         Ok(ExecutionOutcome::event(event, gas))
+    }
+
+    /// Plays the coalition game over `models` restricted to the `alive`
+    /// players ([`RestrictedGame`]) with the configured estimator and
+    /// returns `(values, utility evaluations, samples)`. The values sit
+    /// at the players' own positions: a player outside `alive` — its
+    /// model is a zero placeholder that only keeps indices aligned —
+    /// scores `0.0`, and with nobody alive no game is played at all.
+    fn estimate_alive(
+        method: SvMethod,
+        seed: u64,
+        models: &[Vec<f64>],
+        alive: &[usize],
+        utility: &AccuracyUtility,
+    ) -> (Vec<f64>, usize, usize) {
+        let mut values = vec![0.0f64; models.len()];
+        if alive.is_empty() {
+            return (values, 0, 0);
+        }
+        let full_game = GroupModelGame::new(models, utility);
+        let game = RestrictedGame::new(&full_game, alive.to_vec());
+        let estimate = Self::dispatch_estimator(method, seed, &game);
+        for (&player, &value) in alive.iter().zip(&estimate.values) {
+            values[player] = value;
+        }
+        (
+            values,
+            estimate.utility_evaluations,
+            estimate.diagnostics.samples,
+        )
     }
 
     /// Runs the configured estimator over the round's group game.
