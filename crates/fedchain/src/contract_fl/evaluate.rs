@@ -1,0 +1,543 @@
+//! Round evaluation: Algorithm 1 over the round's plan — key recovery,
+//! per-group aggregation, the model reductions, estimator dispatch —
+//! and the test-accuracy utility it scores models with.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use fl_chain::contract::ExecutionOutcome;
+use fl_chain::tx::AccountId;
+use fl_crypto::dh::DhGroup;
+use fl_crypto::dropout::{reconstruct_private_key, strip_dropped_set_masks};
+use fl_crypto::shamir::{Shamir, Share};
+use fl_ml::dataset::Dataset;
+use fl_ml::metrics::model_accuracy_design;
+use fl_ml::LogisticModel;
+use numeric::linalg::mean_vectors;
+use numeric::{FixedCodec, U256};
+use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimate, SvEstimator};
+use shapley::group::GroupModelGame;
+use shapley::hierarchy::{compose, RoundPlan};
+use shapley::monte_carlo::McConfig;
+use shapley::stratified::StratifiedConfig;
+use shapley::utility::{CachedUtility, ModelUtility, RestrictedGame};
+
+use super::{CohortEvidence, FlContract, FlError, RecoveryEvidence, RoundPhase, RoundRecord};
+use crate::config::SvMethod;
+
+/// Derives the round's public sampling seed from the permutation seed.
+///
+/// A different multiplier than the grouping permutation's golden-ratio
+/// stream, so the subsets a sampling estimator draws are not correlated
+/// with the round's group assignment. Pure function of public on-chain
+/// data — any miner or auditor re-derives it.
+fn sampling_seed(permutation_seed: u64, round: u64) -> u64 {
+    permutation_seed ^ round.wrapping_mul(0xd1b5_4a32_d192_ed03) ^ 0x5eed_5a3f_0e1e_57a7
+}
+
+/// The round's model reductions — per-cohort aggregate, then global
+/// model — from the per-group survivor means.
+///
+/// `survivor_means[c]` holds the models of cohort `c`'s surviving groups
+/// in group order (empty when the whole cohort dropped). Each cohort's
+/// aggregate is the mean of its surviving group models (`None` for a
+/// fully-dropped cohort); the global model is the mean of the surviving
+/// cohort aggregates.
+///
+/// The contract calls this on mask-stripped group aggregates and the
+/// protocol driver's next-model predictor on plaintext ring sums, so the
+/// two cannot disagree on the reduction order.
+///
+/// **One-cohort rule**: with a single cohort the global model is that
+/// cohort's aggregate itself, *not* `mean_vectors(&[aggregate])` —
+/// `mean_vectors` accumulates from `+0.0`, which would turn a `-0.0`
+/// coordinate into `+0.0` and change the state digest of every flat
+/// round.
+pub(crate) fn reduce_models(survivor_means: &[Vec<Vec<f64>>]) -> (Vec<Option<Vec<f64>>>, Vec<f64>) {
+    let cohort_models: Vec<Option<Vec<f64>>> = survivor_means
+        .iter()
+        .map(|models| (!models.is_empty()).then(|| mean_vectors(models)))
+        .collect();
+    let global_model = match cohort_models.as_slice() {
+        [Some(only)] => only.clone(),
+        _ => {
+            let alive: Vec<Vec<f64>> = cohort_models.iter().flatten().cloned().collect();
+            mean_vectors(&alive)
+        }
+    };
+    (cohort_models, global_model)
+}
+
+/// Test-set-accuracy utility `u(W)` shared by the contract and the
+/// off-chain analysis (Fig. 1/2 ground truth uses the same function).
+///
+/// The test set is conditioned into a prepared design **once** at
+/// construction; every `of_model` call — GroupSV issues `2^m` of them
+/// per round — then runs one GEMM over the cached design instead of
+/// re-scaling and re-bias-extending the test matrix. The accuracy values
+/// are bit-identical to the uncached pipeline, so state digests and
+/// round records are unaffected.
+pub struct AccuracyUtility {
+    test_design: fl_ml::Design,
+    num_features: usize,
+    num_classes: usize,
+}
+
+impl AccuracyUtility {
+    /// Builds the utility over a held-out test set.
+    pub fn new(test_set: &Dataset, num_features: usize, num_classes: usize) -> Self {
+        Self {
+            test_design: fl_ml::Design::new(test_set),
+            num_features,
+            num_classes,
+        }
+    }
+}
+
+impl ModelUtility for AccuracyUtility {
+    fn of_model(&self, weights: &[f64]) -> f64 {
+        let model = LogisticModel::from_flat(weights, self.num_features, self.num_classes);
+        model_accuracy_design(&model, &self.test_design)
+    }
+
+    fn of_empty(&self) -> f64 {
+        // The zero model: uniform logits, argmax picks class 0 — exactly
+        // what an untrained participant would deploy.
+        let zero = LogisticModel::zeros(self.num_features, self.num_classes);
+        model_accuracy_design(&zero, &self.test_design)
+    }
+}
+
+impl FlContract {
+    /// Reconstructs every dropped key from the first threshold-many
+    /// verified shares (providers ascending — a pure function of the
+    /// on-chain share set) and checks it against the advertised public
+    /// key. All fallible work happens before any state mutation, so a
+    /// failed recovery leaves the round intact.
+    #[allow(clippy::type_complexity)]
+    fn recover_dropped_keys(
+        &self,
+        dh: &DhGroup,
+        dropped_pos: &[usize],
+    ) -> Result<(BTreeMap<AccountId, U256>, Vec<RecoveryEvidence>), FlError> {
+        let threshold = self.params.escrow_threshold;
+        let shamir = Shamir::default();
+        let mut recovered: BTreeMap<AccountId, U256> = BTreeMap::new();
+        let mut evidence: Vec<RecoveryEvidence> = Vec::with_capacity(dropped_pos.len());
+        for &pos in dropped_pos {
+            let id = self.params.owners[pos];
+            let provided = self
+                .recovery_shares
+                .get(&id)
+                .expect("threshold checked before finish_round");
+            let providers: Vec<AccountId> = provided.keys().copied().take(threshold).collect();
+            let shares: Vec<Share> = providers.iter().map(|p| provided[p].clone()).collect();
+            let advertised =
+                U256::from_be_bytes(self.keys.get(&id).expect("dropped owner advertised"));
+            let private = reconstruct_private_key(&shamir, dh, &shares, threshold, &advertised)
+                .map_err(|e| FlError::RecoveryFailed {
+                    owner: id,
+                    reason: e.to_string(),
+                })?;
+            recovered.insert(id, private);
+            evidence.push(RecoveryEvidence {
+                dropped: pos,
+                providers: providers
+                    .iter()
+                    .map(|p| self.owner_index(*p).expect("provider is an owner"))
+                    .collect(),
+            });
+        }
+        Ok((recovered, evidence))
+    }
+
+    /// Line 3 of Algorithm 1, survivor-restricted, over one group
+    /// directory: each group's aggregate sums its *surviving* members'
+    /// masked submissions; survivor-survivor masks cancel in the sum,
+    /// and each dropped member's residual masks are stripped with its
+    /// reconstructed key. A group whose members all dropped has no model
+    /// (a zero placeholder keeps indices aligned) and leaves the game.
+    /// Returns the per-group models and the surviving group indices.
+    fn aggregate_group_models(
+        &self,
+        groups: &[Vec<usize>],
+        dropped_set: &BTreeSet<AccountId>,
+        recovered: &BTreeMap<AccountId, U256>,
+        dh: &DhGroup,
+        codec: &FixedCodec,
+        round: u64,
+    ) -> (Vec<Vec<f64>>, Vec<usize>) {
+        let is_dropped = |idx: usize| dropped_set.contains(&self.params.owners[idx]);
+        let mut group_models: Vec<Vec<f64>> = Vec::with_capacity(groups.len());
+        let mut surviving_groups: Vec<usize> = Vec::new();
+        for (j, g) in groups.iter().enumerate() {
+            let alive: Vec<usize> = g.iter().copied().filter(|&i| !is_dropped(i)).collect();
+            if alive.is_empty() {
+                group_models.push(vec![0.0; self.params.model_dim]);
+                continue;
+            }
+            surviving_groups.push(j);
+            let mut acc = vec![0u64; self.params.model_dim];
+            for &idx in &alive {
+                let owner = self.params.owners[idx];
+                let masked = self
+                    .submissions
+                    .get(&owner)
+                    .expect("survivors submitted by definition");
+                FixedCodec::ring_add_assign(&mut acc, masked);
+            }
+            let mut group_dropped: Vec<(AccountId, U256)> = g
+                .iter()
+                .copied()
+                .filter(|&i| is_dropped(i))
+                .map(|i| {
+                    let id = self.params.owners[i];
+                    (id, recovered[&id])
+                })
+                .collect();
+            if !group_dropped.is_empty() {
+                group_dropped.sort_unstable_by_key(|(id, _)| *id);
+                let survivor_keys: Vec<(AccountId, U256)> = alive
+                    .iter()
+                    .map(|&i| {
+                        let id = self.params.owners[i];
+                        (
+                            id,
+                            U256::from_be_bytes(self.keys.get(&id).expect("keys complete")),
+                        )
+                    })
+                    .collect();
+                strip_dropped_set_masks(dh, &mut acc, &group_dropped, &survivor_keys, round);
+            }
+            group_models.push(
+                acc.iter()
+                    .map(|&r| codec.decode_avg(r, alive.len()))
+                    .collect(),
+            );
+        }
+        (group_models, surviving_groups)
+    }
+
+    /// Completes a round on the survivor set — Algorithm 1 over the
+    /// round's [`RoundPlan`], the full-cohort round being the special
+    /// case `dropped_ids = []`.
+    ///
+    /// Reconstructs the dropped keys (if any); then, per cohort of the
+    /// plan, strips the residual masks per group and runs the configured
+    /// estimator over the group-model game restricted to the surviving
+    /// groups, on the cohort's own seed stream (one `numeric::par` slot
+    /// per cohort, index-pure so the fan-out is bit-identical across
+    /// thread caps); [`reduce_models`] folds the group models into the
+    /// cohort aggregates and the new global model.
+    ///
+    /// With `num_cohorts > 1` a second-level coalition game over the
+    /// cohort aggregates prices the cohorts and the two levels compose
+    /// into global per-owner contributions
+    /// ([`shapley::hierarchy::compose`]); a cohort whose members all
+    /// dropped keeps a zero-model placeholder, leaves that game via
+    /// [`RestrictedGame`], and its members score exactly zero. The skip
+    /// keys on the static `num_cohorts`, not on how many cohorts
+    /// survived: a one-cohort round *is* the flat game — `compose`
+    /// passes its within-cohort values through verbatim, playing a
+    /// second level would add utility evaluations to the digest-bound
+    /// record, and its [`RoundRecord::cohorts`] stays empty — while a
+    /// sharded round with one surviving cohort still plays its
+    /// one-player second level.
+    pub(super) fn finish_round(
+        &mut self,
+        round: u64,
+        dropped_ids: &[AccountId],
+    ) -> Result<ExecutionOutcome, FlError> {
+        let n = self.params.owners.len();
+        let m = self.params.num_groups;
+        let k = self.params.num_cohorts;
+        let codec = FixedCodec::new(self.params.frac_bits);
+
+        let dropped_set: BTreeSet<AccountId> = dropped_ids.iter().copied().collect();
+        let is_dropped = |idx: usize| dropped_set.contains(&self.params.owners[idx]);
+        let dropped_pos: Vec<usize> = (0..n).filter(|&i| is_dropped(i)).collect();
+        let survivor_pos: Vec<usize> = (0..n).filter(|&i| !is_dropped(i)).collect();
+
+        let dh = DhGroup::simulation_256();
+        let (recovered, evidence) = self.recover_dropped_keys(&dh, &dropped_pos)?;
+
+        // Lines 1–2 of Algorithm 1: the public layout of the round, a
+        // pure function of digest-bound parameters, so every miner and
+        // every auditor derives the identical partition. It covers the
+        // *full* owner set — the layout is fixed at round start;
+        // dropping out does not reshuffle anyone.
+        let plan = RoundPlan::new(self.params.permutation_seed, round, n, k, m)
+            .expect("layout parameters validated at genesis");
+
+        let utility = AccuracyUtility::new(
+            &self.test_set,
+            self.params.num_features,
+            self.params.num_classes,
+        );
+        let method = self.params.sv_method;
+
+        struct CohortOutcome {
+            group_models: Vec<Vec<f64>>,
+            surviving_groups: Vec<usize>,
+            per_group_sv: Vec<f64>,
+            utility_evaluations: usize,
+            samples: usize,
+        }
+
+        // Lines 3–6 (generalized), fanned out one slot per cohort. Each
+        // slot only reads cohort-indexed inputs, so slot `c` is a pure
+        // function of `c` regardless of the thread cap. Every miner
+        // derives the same sampling seed from the cohort's public seed
+        // stream and the round number, so sampling estimators
+        // re-execute bit-identically.
+        let this: &Self = self;
+        let per_cohort: Vec<CohortOutcome> =
+            numeric::par::par_map(plan.groups(), 1, |c, groups_c| {
+                let (group_models, surviving_groups) = this.aggregate_group_models(
+                    groups_c,
+                    &dropped_set,
+                    &recovered,
+                    &dh,
+                    &codec,
+                    round,
+                );
+                let (per_group_sv, utility_evaluations, samples) = Self::estimate_alive(
+                    method,
+                    sampling_seed(plan.seeds()[c], round),
+                    &group_models,
+                    &surviving_groups,
+                    &utility,
+                );
+                CohortOutcome {
+                    group_models,
+                    surviving_groups,
+                    per_group_sv,
+                    utility_evaluations,
+                    samples,
+                }
+            });
+
+        let survivor_means: Vec<Vec<Vec<f64>>> = per_cohort
+            .iter()
+            .map(|out| {
+                out.surviving_groups
+                    .iter()
+                    .map(|&j| out.group_models[j].clone())
+                    .collect()
+            })
+            .collect();
+        let (cohort_models, global_model) = reduce_models(&survivor_means);
+
+        // Second level (sharded rounds only, see above): the coalition
+        // game over cohort aggregate models, restricted to cohorts with
+        // at least one survivor, under the round's own (un-streamed)
+        // sampling seed — and the record's per-cohort section, which
+        // binds each cohort's membership, survivor set, and second-level
+        // value into the state digest.
+        let mut per_cohort_sv = vec![0.0f64; k];
+        let mut cohort_evidence: Vec<CohortEvidence> = Vec::new();
+        let mut total_evals = 0;
+        let mut total_samples = 0;
+        if k > 1 {
+            let alive_cohorts: Vec<usize> =
+                (0..k).filter(|&c| cohort_models[c].is_some()).collect();
+            let cohort_models: Vec<Vec<f64>> = cohort_models
+                .into_iter()
+                .map(|model| model.unwrap_or_else(|| vec![0.0; self.params.model_dim]))
+                .collect();
+            (per_cohort_sv, total_evals, total_samples) = Self::estimate_alive(
+                method,
+                sampling_seed(self.params.permutation_seed, round),
+                &cohort_models,
+                &alive_cohorts,
+                &utility,
+            );
+            for (c, out) in per_cohort.iter().enumerate() {
+                let members = plan.cohorts()[c].clone();
+                let (dropped, survivors) = members.iter().partition(|&&i| is_dropped(i));
+                cohort_evidence.push(CohortEvidence {
+                    members,
+                    survivors,
+                    dropped,
+                    sv_method: method,
+                    sv: per_cohort_sv[c],
+                    utility_evaluations: out.utility_evaluations,
+                    samples: out.samples,
+                });
+            }
+        }
+
+        // Line 7, then the two-level composition: each group's value
+        // splits uniformly among the group's *survivors*, and the
+        // within-cohort values are scaled by the cohort's second-level
+        // value. Dropped owners are excluded from the within vectors so
+        // even the uniform zero-total fallback can never pay them; they
+        // score exactly zero.
+        let mut within: Vec<Vec<f64>> = Vec::with_capacity(k);
+        let mut within_owners: Vec<Vec<usize>> = Vec::with_capacity(k);
+        for (out, groups_c) in per_cohort.iter().zip(plan.groups()) {
+            let mut vals = Vec::new();
+            let mut owners_of = Vec::new();
+            for &j in &out.surviving_groups {
+                let alive: Vec<usize> = groups_c[j]
+                    .iter()
+                    .copied()
+                    .filter(|&i| !is_dropped(i))
+                    .collect();
+                let share = out.per_group_sv[j] / alive.len() as f64;
+                for idx in alive {
+                    vals.push(share);
+                    owners_of.push(idx);
+                }
+            }
+            within.push(vals);
+            within_owners.push(owners_of);
+        }
+        let composed =
+            compose(&within, &per_cohort_sv).expect("within/cohort lengths match by construction");
+
+        let mut per_owner_sv = vec![0.0f64; n];
+        for (vals, owners_of) in composed.iter().zip(&within_owners) {
+            for (&v, &idx) in vals.iter().zip(owners_of) {
+                per_owner_sv[idx] = v;
+                let owner = self.params.owners[idx];
+                *self
+                    .contributions
+                    .get_mut(&owner)
+                    .expect("initialized at genesis") += v;
+            }
+        }
+
+        self.global_model = global_model;
+        let global_accuracy = utility.of_model(&self.global_model);
+
+        // The record's `groups`/`per_group_sv` sections concatenate the
+        // cohorts' groups and values in plan order.
+        let flat_groups = plan.groups().concat();
+        let mut flat_group_sv: Vec<f64> = Vec::with_capacity(k * m);
+        for out in &per_cohort {
+            flat_group_sv.extend(&out.per_group_sv);
+            total_evals += out.utility_evaluations;
+            total_samples += out.samples;
+        }
+
+        let event = format!(
+            "evaluate: round {round}, k={k} cohorts, m={m}, method {}, survivors {}/{n}, \
+             global acc {global_accuracy:.4}, group SVs {flat_group_sv:?}",
+            method.name(),
+            survivor_pos.len(),
+        );
+        let gas = self.gas.charge(
+            self.params.model_dim,
+            (total_evals + dropped_pos.len() * survivor_pos.len()) * self.params.model_dim,
+        );
+        self.history.push(RoundRecord {
+            round,
+            sv_method: method,
+            groups: flat_groups,
+            survivors: survivor_pos,
+            dropped: dropped_pos,
+            recovery: evidence,
+            per_group_sv: flat_group_sv,
+            per_owner_sv,
+            global_accuracy,
+            utility_evaluations: total_evals,
+            samples: total_samples,
+            cohorts: cohort_evidence,
+        });
+        self.submissions.clear();
+        self.recovery_shares.clear();
+        self.phase = RoundPhase::Submitting;
+        self.current_round += 1;
+
+        Ok(ExecutionOutcome::event(event, gas))
+    }
+
+    /// Plays the coalition game over `models` restricted to the `alive`
+    /// players ([`RestrictedGame`]) with the configured estimator and
+    /// returns `(values, utility evaluations, samples)`. The values sit
+    /// at the players' own positions: a player outside `alive` — its
+    /// model is a zero placeholder that only keeps indices aligned —
+    /// scores `0.0`, and with nobody alive no game is played at all.
+    fn estimate_alive(
+        method: SvMethod,
+        seed: u64,
+        models: &[Vec<f64>],
+        alive: &[usize],
+        utility: &AccuracyUtility,
+    ) -> (Vec<f64>, usize, usize) {
+        let mut values = vec![0.0f64; models.len()];
+        if alive.is_empty() {
+            return (values, 0, 0);
+        }
+        let full_game = GroupModelGame::new(models, utility);
+        let game = RestrictedGame::new(&full_game, alive.to_vec());
+        let estimate = Self::dispatch_estimator(method, seed, &game);
+        for (&player, &value) in alive.iter().zip(&estimate.values) {
+            values[player] = value;
+        }
+        (
+            values,
+            estimate.utility_evaluations,
+            estimate.diagnostics.samples,
+        )
+    }
+
+    /// Runs the configured estimator over the round's group game.
+    ///
+    /// The method is on-chain configuration; the dispatch is the single
+    /// point where that configuration meets the estimator layer, so
+    /// every miner — and every later auditor replaying the chain —
+    /// resolves the identical estimator with the identical seed.
+    ///
+    /// The sampling estimators revisit coalitions (e.g. every size-0
+    /// stratum draws the same singleton), so their game is wrapped in
+    /// [`CachedUtility`] — each distinct coalition model pays for one
+    /// accuracy pass, with bit-identical values. The exact path visits
+    /// each coalition exactly once and skips the cache.
+    ///
+    /// The cache's hit/miss counters are copied into the estimate's
+    /// diagnostics afterwards so the streaming-evaluation behaviour is
+    /// auditable; they stay out of [`RoundRecord`] and every consensus
+    /// digest because the counters are scheduling observability, not
+    /// protocol state.
+    fn dispatch_estimator(
+        method: SvMethod,
+        seed: u64,
+        game: &(impl shapley::utility::CoalitionUtility + Sync),
+    ) -> SvEstimate {
+        match method {
+            SvMethod::GroupExact => Exact.estimate(game),
+            SvMethod::MonteCarlo { permutations } => {
+                let cached = CachedUtility::new(game);
+                let mut estimate = MonteCarlo {
+                    config: McConfig {
+                        permutations: permutations as usize,
+                        seed,
+                        truncation_tolerance: None,
+                    },
+                }
+                .estimate(&cached);
+                let stats = cached.stats();
+                estimate.diagnostics.cache_hits = stats.hits;
+                estimate.diagnostics.cache_misses = stats.misses;
+                estimate
+            }
+            SvMethod::Stratified {
+                samples_per_stratum,
+            } => {
+                let cached = CachedUtility::new(game);
+                let mut estimate = Stratified {
+                    config: StratifiedConfig {
+                        samples_per_stratum: samples_per_stratum as usize,
+                        seed,
+                    },
+                }
+                .estimate(&cached);
+                let stats = cached.stats();
+                estimate.diagnostics.cache_hits = stats.hits;
+                estimate.diagnostics.cache_misses = stats.misses;
+                estimate
+            }
+        }
+    }
+}

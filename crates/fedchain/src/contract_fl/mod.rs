@@ -1,0 +1,465 @@
+//! The federated-learning smart contract.
+//!
+//! Paper Sect. III: "in our setting, Smart contract builds the FL model
+//! and evaluates the contribution." The contract is a deterministic state
+//! machine executed identically by every miner:
+//!
+//! * **AdvertiseKey** — a data owner registers its DH public key (round 0
+//!   of secure aggregation).
+//! * **EscrowKeyShares** — a data owner commits hash commitments to the
+//!   Shamir shares of its DH private key, one per cohort member (the
+//!   shares themselves travel off-chain to their holders). The
+//!   commitments are bound into the state digest, so the escrow cannot
+//!   be rewritten after the fact.
+//! * **SubmitMaskedUpdate** — a data owner submits its masked local
+//!   weights for the current round. The contract can *never* unmask an
+//!   individual submission: masks only cancel in the within-group sum.
+//! * **SubmitRecoveryShare** — during recovery, a surviving owner
+//!   reveals its escrowed share of a dropped owner's key; the contract
+//!   checks it against the escrowed commitment before accepting it.
+//! * **EvaluateRound** — drives the round state machine (see
+//!   [`FlContract`]): with every submission in it evaluates immediately;
+//!   with owners missing it declares them dropped and opens recovery;
+//!   called again with ≥ threshold verified shares per dropped owner it
+//!   reconstructs the dropped keys, strips the residual masks, and
+//!   evaluates the group-model game **restricted to survivors**.
+//!
+//! # One round path
+//!
+//! Evaluation is the paper's Algorithm 1 executed over one
+//! [`shapley::hierarchy::RoundPlan`] — the round's cohorts, the
+//! secure-aggregation groups within each cohort and the per-cohort seed
+//! streams, derived from the digest-bound
+//! `(permutation_seed, round, n, num_cohorts, num_groups)`. Per cohort
+//! the contract aggregates the group models and runs the configured
+//! estimator; `reduce_models` folds the group models into cohort
+//! aggregates and the global model; for `num_cohorts > 1` a second-level
+//! game over the cohort aggregates prices the cohorts and
+//! [`shapley::hierarchy::compose`] scales the within-cohort values. The
+//! paper's flat round is the one-cohort plan run through the same code:
+//! its single cohort holds every owner, no second-level game is played,
+//! and its [`RoundRecord`] carries no per-cohort section.
+//!
+//! Everything the contract decides — including *which* estimator ran,
+//! its sampling diagnostics, the survivor set, and the recovery
+//! evidence — is emitted as events and captured in the state digest, so
+//! a fraudulent leader cannot tamper with the evaluation (or quietly
+//! swap the method, or forge the survivor set) without every honest
+//! miner's re-execution diverging at the first state root.
+
+use std::collections::BTreeMap;
+
+use fl_chain::codec::Encode;
+use fl_chain::contract::ExecutionOutcome;
+use fl_chain::gas::GasSchedule;
+use fl_chain::hash::Hash32;
+use fl_chain::tx::AccountId;
+use fl_crypto::dh::DhGroup;
+use fl_crypto::shamir::Share;
+use fl_ml::dataset::Dataset;
+use numeric::U256;
+
+use crate::config::SvMethod;
+
+mod calls;
+mod evaluate;
+mod records;
+mod state;
+#[cfg(test)]
+mod tests;
+
+pub use calls::{share_commitment, FlCall, FlError};
+pub(crate) use evaluate::reduce_models;
+pub use evaluate::AccuracyUtility;
+pub use records::{CohortEvidence, RecoveryEvidence, RoundPhase, RoundRecord};
+
+/// Static protocol parameters agreed at the off-chain setup stage.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlParams {
+    /// Participating data owners (also the miner set).
+    pub owners: Vec<AccountId>,
+    /// Number of SV groups `m`.
+    pub num_groups: usize,
+    /// Contribution-evaluation method every miner dispatches to.
+    pub sv_method: SvMethod,
+    /// Public permutation seed `e`.
+    pub permutation_seed: u64,
+    /// Total rounds `R`.
+    pub total_rounds: u64,
+    /// Flat model dimension (`(features+1) × classes`).
+    pub model_dim: usize,
+    /// Feature count of the model.
+    pub num_features: usize,
+    /// Class count of the model.
+    pub num_classes: usize,
+    /// Fixed-point fractional bits of the aggregation ring.
+    pub frac_bits: u32,
+    /// Shamir threshold of the key escrow: recovery of a dropped owner's
+    /// key needs verified shares from this many surviving owners.
+    pub escrow_threshold: usize,
+    /// Number of cohorts `k` of each round's
+    /// [`shapley::hierarchy::RoundPlan`]: the group game runs *within*
+    /// each cohort and, for `k > 1`, a second-level game over the cohort
+    /// aggregate models prices the cohorts against each other. `k = 1`
+    /// is the paper's flat round — one cohort holding every owner, no
+    /// second level.
+    pub num_cohorts: usize,
+}
+
+impl Encode for FlParams {
+    fn encode_to(&self, out: &mut Vec<u8>) {
+        self.owners.encode_to(out);
+        self.num_groups.encode_to(out);
+        self.sv_method.encode_to(out);
+        self.permutation_seed.encode_to(out);
+        self.total_rounds.encode_to(out);
+        self.model_dim.encode_to(out);
+        self.num_features.encode_to(out);
+        self.num_classes.encode_to(out);
+        (self.frac_bits as u64).encode_to(out);
+        self.escrow_threshold.encode_to(out);
+        self.num_cohorts.encode_to(out);
+    }
+}
+
+/// The contract state. `Clone` gives each miner an independent replica.
+///
+/// # Round state machine
+///
+/// Each round walks a deterministic lifecycle, driven entirely by
+/// committed transactions:
+///
+/// ```text
+///              SubmitMaskedUpdate×k          EvaluateRound
+///  Submitting ────────────────────▶ Submitting ──────────┐
+///      │                                                 │ all owners
+///      │ EvaluateRound, owners missing                   │ submitted
+///      ▼                                                 ▼
+///  Recovering { dropped }                            Evaluated
+///      │  SubmitRecoveryShare×(≥t per dropped)      (RoundRecord,
+///      │                                             round += 1,
+///      └───────────── EvaluateRound ────────────▶    → Submitting)
+/// ```
+///
+/// * **Submitting** — masked updates accumulate. `EvaluateRound` with a
+///   complete cohort evaluates immediately (the paper's original path).
+///   With owners missing — and provided the survivors can reach the
+///   escrow threshold and every missing owner escrowed its key shares —
+///   the round transitions to *Recovering* and the missing owners are
+///   declared dropped; late submissions are rejected from that point on.
+/// * **Recovering** — survivors reveal their escrowed shares of each
+///   dropped key via [`FlCall::SubmitRecoveryShare`]; each share is
+///   checked against its on-chain commitment before it counts. A second
+///   `EvaluateRound` (with ≥ threshold shares per dropped owner)
+///   reconstructs every dropped key, verifies it against the advertised
+///   DH public key, strips the residual pairwise masks from each group's
+///   partial aggregate, and evaluates the group-model game **restricted
+///   to survivors** ([`shapley::utility::RestrictedGame`]): dropped
+///   owners score exactly zero, groups whose members all dropped leave
+///   the game entirely.
+/// * **Evaluated** — terminal per round: the [`RoundRecord`] (survivor
+///   set, dropout set, and recovery evidence included) is appended to
+///   the history, the phase resets to *Submitting*, and the round
+///   counter advances.
+///
+/// The phase, the escrow commitments, and every accepted recovery share
+/// are part of the state digest, so a replica (or auditor) that disagrees
+/// on any lifecycle step — including the survivor set — diverges at the
+/// first state root.
+#[derive(Debug, Clone)]
+pub struct FlContract {
+    params: FlParams,
+    /// Public test set for the utility function (agreed at setup; the
+    /// *training* shards never leave their owners).
+    test_set: Dataset,
+    gas: GasSchedule,
+    keys: BTreeMap<AccountId, Vec<u8>>,
+    /// Escrow commitments per owner: entry `j` commits the Shamir share
+    /// of the owner's DH private key destined for owner position `j`.
+    escrows: BTreeMap<AccountId, Vec<Hash32>>,
+    current_round: u64,
+    phase: RoundPhase,
+    submissions: BTreeMap<AccountId, Vec<u64>>,
+    /// Verified recovery shares: dropped owner → (provider → share).
+    recovery_shares: BTreeMap<AccountId, BTreeMap<AccountId, Share>>,
+    contributions: BTreeMap<AccountId, f64>,
+    global_model: Vec<f64>,
+    history: Vec<RoundRecord>,
+}
+
+impl FlContract {
+    fn owner_index(&self, id: AccountId) -> Result<usize, FlError> {
+        self.params
+            .owners
+            .iter()
+            .position(|&o| o == id)
+            .ok_or(FlError::NotAnOwner(id))
+    }
+
+    fn advertise_key(
+        &mut self,
+        sender: AccountId,
+        public_key: &[u8],
+    ) -> Result<ExecutionOutcome, FlError> {
+        self.owner_index(sender)?;
+        if self.keys.contains_key(&sender) {
+            return Err(FlError::KeyAlreadyAdvertised(sender));
+        }
+        // Keys are full-width 256-bit group elements. Rejecting other
+        // lengths here keeps every later parse (`U256::from_be_bytes` in
+        // the recovery path) infallible — an oversized key must never be
+        // able to panic a re-executing replica mid-round.
+        if public_key.len() != 32 {
+            return Err(FlError::BadKeyEncoding {
+                expected: 32,
+                got: public_key.len(),
+            });
+        }
+        // A length-valid key must also be a *usable* group element. The DH
+        // layer rejects degenerate (0, 1, p−1) and non-canonical (>= p)
+        // keys — a malicious owner could otherwise force a predictable
+        // pair mask — and the contract surfaces that rejection here, at
+        // advertise time, so a round can never wedge at derive time.
+        let element = U256::from_be_bytes(public_key);
+        if let Err(reason) = DhGroup::simulation_256().validate_public_key(&element) {
+            return Err(FlError::InvalidKeyElement {
+                owner: sender,
+                reason: reason.to_string(),
+            });
+        }
+        self.keys.insert(sender, public_key.to_vec());
+        let gas = self.gas.charge(public_key.len().div_ceil(8), 0);
+        Ok(ExecutionOutcome::event(
+            format!(
+                "key: owner {sender} advertised ({}/{})",
+                self.keys.len(),
+                self.params.owners.len()
+            ),
+            gas,
+        ))
+    }
+
+    fn submit_update(
+        &mut self,
+        sender: AccountId,
+        round: u64,
+        masked: &[u64],
+    ) -> Result<ExecutionOutcome, FlError> {
+        self.owner_index(sender)?;
+        if self.finished() {
+            return Err(FlError::ProtocolFinished);
+        }
+        if self.keys.len() != self.params.owners.len() {
+            return Err(FlError::KeysIncomplete {
+                have: self.keys.len(),
+                need: self.params.owners.len(),
+            });
+        }
+        if round != self.current_round {
+            return Err(FlError::WrongRound {
+                expected: self.current_round,
+                got: round,
+            });
+        }
+        if matches!(self.phase, RoundPhase::Recovering { .. }) {
+            // The sender was declared dropped when recovery opened; a
+            // late submission would change the survivor set after the
+            // fact and is rejected deterministically.
+            return Err(FlError::RoundInRecovery(round));
+        }
+        if self.submissions.contains_key(&sender) {
+            return Err(FlError::DuplicateSubmission(sender));
+        }
+        if masked.len() != self.params.model_dim {
+            return Err(FlError::DimMismatch {
+                expected: self.params.model_dim,
+                got: masked.len(),
+            });
+        }
+        self.submissions.insert(sender, masked.to_vec());
+        let gas = self.gas.charge(masked.len(), masked.len());
+        Ok(ExecutionOutcome::event(
+            format!(
+                "submit: owner {sender} round {round} ({}/{})",
+                self.submissions.len(),
+                self.params.owners.len()
+            ),
+            gas,
+        ))
+    }
+
+    fn escrow_key_shares(
+        &mut self,
+        sender: AccountId,
+        commitments: &[Hash32],
+    ) -> Result<ExecutionOutcome, FlError> {
+        self.owner_index(sender)?;
+        if self.finished() {
+            return Err(FlError::ProtocolFinished);
+        }
+        if !self.keys.contains_key(&sender) {
+            // The escrow secret-shares the advertised key; without the
+            // key there is nothing for recovery to verify against.
+            return Err(FlError::EscrowWithoutKey(sender));
+        }
+        if self.escrows.contains_key(&sender) {
+            return Err(FlError::EscrowAlreadyCommitted(sender));
+        }
+        let n = self.params.owners.len();
+        if commitments.len() != n {
+            return Err(FlError::EscrowSizeMismatch {
+                expected: n,
+                got: commitments.len(),
+            });
+        }
+        self.escrows.insert(sender, commitments.to_vec());
+        let gas = self.gas.charge(commitments.len() * 4, 0);
+        Ok(ExecutionOutcome::event(
+            format!(
+                "escrow: owner {sender} committed {n} share commitments ({}/{})",
+                self.escrows.len(),
+                n
+            ),
+            gas,
+        ))
+    }
+
+    fn submit_recovery_share(
+        &mut self,
+        sender: AccountId,
+        round: u64,
+        dropped: AccountId,
+        share_x: u64,
+        share_y: &[u8],
+    ) -> Result<ExecutionOutcome, FlError> {
+        let provider_pos = self.owner_index(sender)?;
+        if self.finished() {
+            return Err(FlError::ProtocolFinished);
+        }
+        if round != self.current_round {
+            return Err(FlError::WrongRound {
+                expected: self.current_round,
+                got: round,
+            });
+        }
+        let RoundPhase::Recovering { dropped: ref set } = self.phase else {
+            return Err(FlError::NotRecovering(round));
+        };
+        if !set.contains(&dropped) {
+            return Err(FlError::NotDropped(dropped));
+        }
+        if !self.submissions.contains_key(&sender) {
+            return Err(FlError::NotASurvivor(sender));
+        }
+        let expected_x = provider_pos as u64 + 1;
+        if share_x != expected_x {
+            return Err(FlError::BadRecoveryShare {
+                expected_x,
+                got: share_x,
+            });
+        }
+        // Length-check before parsing: `U256::from_be_bytes` panics on
+        // oversized input, and a panic inside `execute` would take down
+        // every re-executing replica on one malformed transaction.
+        if share_y.len() != 32 {
+            return Err(FlError::BadShareEncoding {
+                expected: 32,
+                got: share_y.len(),
+            });
+        }
+        let share = Share {
+            x: share_x,
+            y: U256::from_be_bytes(share_y),
+        };
+        let committed = self
+            .escrows
+            .get(&dropped)
+            .expect("recovery only opens for escrowed owners")[provider_pos];
+        if share_commitment(dropped, &share) != committed {
+            return Err(FlError::ShareCommitmentMismatch {
+                dropped,
+                provider: sender,
+            });
+        }
+        let entry = self.recovery_shares.entry(dropped).or_default();
+        if entry.contains_key(&sender) {
+            return Err(FlError::DuplicateRecoveryShare {
+                dropped,
+                provider: sender,
+            });
+        }
+        entry.insert(sender, share);
+        let have = self.recovery_shares[&dropped].len();
+        let need = self.params.escrow_threshold;
+        let gas = self.gas.charge(4, 0);
+        Ok(ExecutionOutcome::event(
+            format!("recover: owner {sender} revealed share for dropped {dropped} ({have}/{need})"),
+            gas,
+        ))
+    }
+
+    fn evaluate_round(&mut self, round: u64) -> Result<ExecutionOutcome, FlError> {
+        if self.finished() {
+            return Err(FlError::ProtocolFinished);
+        }
+        if round != self.current_round {
+            return Err(FlError::WrongRound {
+                expected: self.current_round,
+                got: round,
+            });
+        }
+        match self.phase.clone() {
+            RoundPhase::Submitting => {
+                let missing: Vec<AccountId> = self
+                    .params
+                    .owners
+                    .iter()
+                    .copied()
+                    .filter(|o| !self.submissions.contains_key(o))
+                    .collect();
+                if missing.is_empty() {
+                    return self.finish_round(round, &[]);
+                }
+                // Opening recovery is only sound if the dropped keys are
+                // actually recoverable: the survivors must be able to
+                // reach the escrow threshold, and every missing owner
+                // must have escrowed its shares.
+                let survivors = self.params.owners.len() - missing.len();
+                let need = self.params.escrow_threshold;
+                if survivors < need {
+                    return Err(FlError::InsufficientSurvivors { survivors, need });
+                }
+                for &d in &missing {
+                    if !self.escrows.contains_key(&d) {
+                        return Err(FlError::EscrowMissing(d));
+                    }
+                }
+                self.phase = RoundPhase::Recovering {
+                    dropped: missing.clone(),
+                };
+                let gas = self.gas.charge(missing.len() * 2, 0);
+                Ok(ExecutionOutcome::event(
+                    format!(
+                        "recover: round {round} entered recovery, dropped {missing:?}, \
+                         {survivors} survivors"
+                    ),
+                    gas,
+                ))
+            }
+            RoundPhase::Recovering { dropped } => {
+                let need = self.params.escrow_threshold;
+                for &d in &dropped {
+                    let have = self.recovery_shares.get(&d).map_or(0, BTreeMap::len);
+                    if have < need {
+                        return Err(FlError::RecoveryIncomplete {
+                            dropped: d,
+                            have,
+                            need,
+                        });
+                    }
+                }
+                self.finish_round(round, &dropped)
+            }
+        }
+    }
+}

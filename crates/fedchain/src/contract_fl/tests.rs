@@ -1,0 +1,1126 @@
+use super::*;
+use fl_chain::codec::Decode;
+use fl_chain::contract::{SmartContract, TxContext};
+use fl_crypto::shamir::Shamir;
+use fl_ml::dataset::SyntheticDigits;
+use numeric::FixedCodec;
+use shapley::hierarchy::RoundPlan;
+
+fn test_params(n: usize, m: usize) -> FlParams {
+    FlParams {
+        owners: (0..n as u32).collect(),
+        num_groups: m,
+        sv_method: SvMethod::GroupExact,
+        permutation_seed: 7,
+        total_rounds: 2,
+        model_dim: (64 + 1) * 10,
+        num_features: 64,
+        num_classes: 10,
+        frac_bits: 24,
+        escrow_threshold: n / 2 + 1,
+        num_cohorts: 1,
+    }
+}
+
+fn contract(n: usize, m: usize) -> FlContract {
+    let test_set = SyntheticDigits::small().generate(99);
+    FlContract::genesis(test_params(n, m), test_set)
+}
+
+fn ctx(sender: AccountId) -> TxContext {
+    TxContext {
+        block_height: 0,
+        view: 0,
+        sender,
+        tx_index: 0,
+    }
+}
+
+fn advertise_all(c: &mut FlContract, n: usize) {
+    for i in 0..n as u32 {
+        c.execute(
+            &ctx(i),
+            &FlCall::AdvertiseKey {
+                public_key: vec![i as u8 + 1; 32],
+            },
+        )
+        .unwrap();
+    }
+}
+
+/// Unmasked "masked" updates: with no pairwise masks (sum of zero
+/// masks), the ring math still holds — the contract cannot tell.
+fn plain_update(c: &FlContract, value: f64) -> Vec<u64> {
+    let codec = FixedCodec::new(c.params.frac_bits);
+    codec.encode_vec(&vec![value; c.params.model_dim])
+}
+
+#[test]
+fn key_exchange_rules() {
+    let mut c = contract(3, 2);
+    assert!(matches!(
+        c.execute(
+            &ctx(9),
+            &FlCall::AdvertiseKey {
+                public_key: vec![1; 32]
+            }
+        ),
+        Err(FlError::NotAnOwner(9))
+    ));
+    // Keys must be full-width group elements: a short (or oversized)
+    // encoding is rejected before it can poison the recovery path.
+    assert!(matches!(
+        c.execute(
+            &ctx(0),
+            &FlCall::AdvertiseKey {
+                public_key: vec![1]
+            }
+        ),
+        Err(FlError::BadKeyEncoding {
+            expected: 32,
+            got: 1
+        })
+    ));
+    assert!(matches!(
+        c.execute(
+            &ctx(0),
+            &FlCall::AdvertiseKey {
+                public_key: vec![1; 33]
+            }
+        ),
+        Err(FlError::BadKeyEncoding {
+            expected: 32,
+            got: 33
+        })
+    ));
+    // Length-valid but degenerate or non-canonical group elements are
+    // rejected with the offender named (a degenerate key would force a
+    // predictable pair mask on every peer).
+    for bad in [vec![0u8; 32], {
+        let mut one = vec![0u8; 32];
+        one[31] = 1;
+        one
+    }] {
+        assert!(matches!(
+            c.execute(&ctx(0), &FlCall::AdvertiseKey { public_key: bad }),
+            Err(FlError::InvalidKeyElement { owner: 0, .. })
+        ));
+    }
+    assert!(matches!(
+        c.execute(
+            &ctx(0),
+            &FlCall::AdvertiseKey {
+                public_key: vec![0xFF; 32] // >= p: not canonical
+            }
+        ),
+        Err(FlError::InvalidKeyElement { owner: 0, .. })
+    ));
+    c.execute(
+        &ctx(0),
+        &FlCall::AdvertiseKey {
+            public_key: vec![1; 32],
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        c.execute(
+            &ctx(0),
+            &FlCall::AdvertiseKey {
+                public_key: vec![2; 32]
+            }
+        ),
+        Err(FlError::KeyAlreadyAdvertised(0))
+    ));
+    assert_eq!(c.public_key_of(0), Some(&[1u8; 32][..]));
+    assert_eq!(c.public_key_of(1), None);
+}
+
+#[test]
+fn submissions_require_complete_keys() {
+    let mut c = contract(3, 2);
+    let update = plain_update(&c, 0.1);
+    assert!(matches!(
+        c.execute(
+            &ctx(0),
+            &FlCall::SubmitMaskedUpdate {
+                round: 0,
+                masked: update
+            }
+        ),
+        Err(FlError::KeysIncomplete { have: 0, need: 3 })
+    ));
+}
+
+#[test]
+fn submission_validation() {
+    let mut c = contract(3, 2);
+    advertise_all(&mut c, 3);
+    let update = plain_update(&c, 0.1);
+    // Wrong round.
+    assert!(matches!(
+        c.execute(
+            &ctx(0),
+            &FlCall::SubmitMaskedUpdate {
+                round: 5,
+                masked: update.clone()
+            }
+        ),
+        Err(FlError::WrongRound {
+            expected: 0,
+            got: 5
+        })
+    ));
+    // Wrong dimension.
+    assert!(matches!(
+        c.execute(
+            &ctx(0),
+            &FlCall::SubmitMaskedUpdate {
+                round: 0,
+                masked: vec![0u64; 3]
+            }
+        ),
+        Err(FlError::DimMismatch { .. })
+    ));
+    // Valid, then duplicate.
+    c.execute(
+        &ctx(0),
+        &FlCall::SubmitMaskedUpdate {
+            round: 0,
+            masked: update.clone(),
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        c.execute(
+            &ctx(0),
+            &FlCall::SubmitMaskedUpdate {
+                round: 0,
+                masked: update
+            }
+        ),
+        Err(FlError::DuplicateSubmission(0))
+    ));
+}
+
+#[test]
+fn incomplete_round_needs_threshold_survivors_and_escrow() {
+    // 3 owners, threshold 2. One submission: survivors below the
+    // escrow threshold, the round cannot even open recovery.
+    let mut c = contract(3, 2);
+    advertise_all(&mut c, 3);
+    let update = plain_update(&c, 0.1);
+    c.execute(
+        &ctx(0),
+        &FlCall::SubmitMaskedUpdate {
+            round: 0,
+            masked: update.clone(),
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        c.execute(&ctx(0), &FlCall::EvaluateRound { round: 0 }),
+        Err(FlError::InsufficientSurvivors {
+            survivors: 1,
+            need: 2
+        })
+    ));
+    // Two submissions reach the threshold, but the missing owner
+    // never escrowed its key shares: its masks are unrecoverable.
+    c.execute(
+        &ctx(1),
+        &FlCall::SubmitMaskedUpdate {
+            round: 0,
+            masked: update,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        c.execute(&ctx(0), &FlCall::EvaluateRound { round: 0 }),
+        Err(FlError::EscrowMissing(2))
+    ));
+    // Nothing transitioned: the round is still accepting submissions.
+    assert_eq!(c.phase(), &RoundPhase::Submitting);
+}
+
+#[test]
+fn full_round_evaluates_and_advances() {
+    let mut c = contract(4, 2);
+    advertise_all(&mut c, 4);
+    for i in 0..4u32 {
+        let update = plain_update(&c, 0.01 * (i as f64 + 1.0));
+        c.execute(
+            &ctx(i),
+            &FlCall::SubmitMaskedUpdate {
+                round: 0,
+                masked: update,
+            },
+        )
+        .unwrap();
+    }
+    let out = c
+        .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+        .unwrap();
+    assert!(out.events[0].contains("evaluate: round 0"));
+    assert_eq!(c.current_round(), 1);
+    assert_eq!(c.history().len(), 1);
+    let record = &c.history()[0];
+    assert_eq!(record.per_owner_sv.len(), 4);
+    assert_eq!(record.utility_evaluations, 4); // 2^m, m=2
+                                               // Groups partition all 4 owners.
+    let total: usize = record.groups.iter().map(Vec::len).sum();
+    assert_eq!(total, 4);
+    // Submissions cleared for the next round.
+    assert!(c.observed_submission(0).is_none());
+}
+
+fn contract_with_method(n: usize, m: usize, method: SvMethod) -> FlContract {
+    let mut params = test_params(n, m);
+    params.sv_method = method;
+    let test_set = SyntheticDigits::small().generate(99);
+    FlContract::genesis(params, test_set)
+}
+
+fn run_one_round(c: &mut FlContract, n: usize) {
+    advertise_all(c, n);
+    for i in 0..n as u32 {
+        let update = plain_update(c, 0.01 * (i as f64 + 1.0));
+        c.execute(
+            &ctx(i),
+            &FlCall::SubmitMaskedUpdate {
+                round: 0,
+                masked: update,
+            },
+        )
+        .unwrap();
+    }
+    c.execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+        .unwrap();
+}
+
+#[test]
+fn method_choice_appears_in_audit_record() {
+    let method = SvMethod::Stratified {
+        samples_per_stratum: 2,
+    };
+    let mut c = contract_with_method(4, 4, method);
+    run_one_round(&mut c, 4);
+    let record = &c.history()[0];
+    assert_eq!(record.sv_method, method);
+    // Stratified cost envelope: 2 evals × m² strata × k samples.
+    assert_eq!(record.utility_evaluations, 2 * 16 * 2);
+    assert_eq!(record.samples, 16 * 2);
+    // Exact records report zero samples.
+    let mut exact = contract_with_method(4, 4, SvMethod::GroupExact);
+    run_one_round(&mut exact, 4);
+    let exact_record = &exact.history()[0];
+    assert_eq!(exact_record.sv_method, SvMethod::GroupExact);
+    assert_eq!(exact_record.samples, 0);
+    assert_eq!(exact_record.utility_evaluations, 16);
+}
+
+#[test]
+fn method_name_appears_in_round_event() {
+    let mut c = contract_with_method(3, 3, SvMethod::MonteCarlo { permutations: 8 });
+    advertise_all(&mut c, 3);
+    for i in 0..3u32 {
+        let update = plain_update(&c, 0.01);
+        c.execute(
+            &ctx(i),
+            &FlCall::SubmitMaskedUpdate {
+                round: 0,
+                masked: update,
+            },
+        )
+        .unwrap();
+    }
+    let out = c
+        .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+        .unwrap();
+    assert!(
+        out.events[0].contains("method monte_carlo"),
+        "event must name the estimator: {}",
+        out.events[0]
+    );
+}
+
+#[test]
+fn method_is_part_of_the_state_digest() {
+    // Two replicas that agree on everything but the estimator must
+    // diverge from genesis: the method is consensus configuration.
+    let a = contract_with_method(3, 2, SvMethod::GroupExact);
+    let b = contract_with_method(3, 2, SvMethod::MonteCarlo { permutations: 50 });
+    assert_ne!(a.state_digest(), b.state_digest());
+}
+
+#[test]
+fn sampling_replicas_stay_digest_identical() {
+    // The sampling estimators are deterministic per (seed, round), so
+    // two honest replicas running Stratified agree bit-for-bit.
+    let method = SvMethod::Stratified {
+        samples_per_stratum: 3,
+    };
+    let mut a = contract_with_method(4, 2, method);
+    let mut b = contract_with_method(4, 2, method);
+    run_one_round(&mut a, 4);
+    run_one_round(&mut b, 4);
+    assert_eq!(a.state_digest(), b.state_digest());
+    assert_eq!(a.history()[0].per_owner_sv, b.history()[0].per_owner_sv);
+}
+
+#[test]
+#[should_panic(expected = "must support the group count")]
+fn genesis_rejects_method_that_cannot_cover_the_groups() {
+    let mut params = test_params(4, 2);
+    params.sv_method = SvMethod::MonteCarlo { permutations: 0 };
+    let test_set = SyntheticDigits::small().generate(99);
+    let _ = FlContract::genesis(params, test_set);
+}
+
+#[test]
+fn contributions_accumulate_across_rounds() {
+    let mut c = contract(3, 3);
+    advertise_all(&mut c, 3);
+    for round in 0..2u64 {
+        for i in 0..3u32 {
+            let update = plain_update(&c, 0.01 * (i as f64 + 1.0));
+            c.execute(
+                &ctx(i),
+                &FlCall::SubmitMaskedUpdate {
+                    round,
+                    masked: update,
+                },
+            )
+            .unwrap();
+        }
+        c.execute(&ctx(0), &FlCall::EvaluateRound { round })
+            .unwrap();
+    }
+    assert!(c.finished());
+    // Cumulative SV equals the sum over round records.
+    for (pos, owner) in (0..3u32).enumerate() {
+        let total: f64 = c.history().iter().map(|r| r.per_owner_sv[pos]).sum();
+        let ledger = c.contributions()[&owner];
+        assert!((ledger - total).abs() < 1e-12);
+    }
+    // Further activity is rejected.
+    assert!(matches!(
+        c.execute(&ctx(0), &FlCall::EvaluateRound { round: 2 }),
+        Err(FlError::ProtocolFinished)
+    ));
+}
+
+#[test]
+fn replicas_stay_digest_identical() {
+    let mut a = contract(3, 2);
+    let mut b = contract(3, 2);
+    assert_eq!(a.state_digest(), b.state_digest());
+    advertise_all(&mut a, 3);
+    advertise_all(&mut b, 3);
+    assert_eq!(a.state_digest(), b.state_digest());
+    let update = plain_update(&a, 0.2);
+    for c in [&mut a, &mut b] {
+        c.execute(
+            &ctx(1),
+            &FlCall::SubmitMaskedUpdate {
+                round: 0,
+                masked: update.clone(),
+            },
+        )
+        .unwrap();
+    }
+    assert_eq!(a.state_digest(), b.state_digest());
+}
+
+#[test]
+fn digest_changes_with_state() {
+    let mut c = contract(3, 2);
+    let before = c.state_digest();
+    advertise_all(&mut c, 3);
+    assert_ne!(c.state_digest(), before);
+}
+
+#[test]
+fn flat_round_record_has_no_cohort_section() {
+    let mut c = contract(4, 2);
+    run_one_round(&mut c, 4);
+    assert!(c.history()[0].cohorts.is_empty());
+}
+
+#[test]
+#[should_panic(expected = "num_cohorts out of range")]
+fn genesis_rejects_zero_cohorts() {
+    let mut params = test_params(4, 2);
+    params.num_cohorts = 0;
+    FlContract::genesis(params, SyntheticDigits::small().generate(99));
+}
+
+#[test]
+#[should_panic(expected = "num_cohorts out of range")]
+fn genesis_rejects_more_cohorts_than_owners() {
+    let mut params = test_params(4, 1);
+    params.num_cohorts = 5;
+    FlContract::genesis(params, SyntheticDigits::small().generate(99));
+}
+
+#[test]
+#[should_panic(expected = "num_groups exceeds the smallest cohort")]
+fn genesis_rejects_groups_wider_than_smallest_cohort() {
+    let mut params = test_params(4, 3);
+    params.num_cohorts = 2;
+    FlContract::genesis(params, SyntheticDigits::small().generate(99));
+}
+
+#[test]
+#[should_panic(expected = "SV method must support the cohort count")]
+fn genesis_rejects_method_incapable_of_cohort_count() {
+    let mut params = test_params(26, 1);
+    params.num_cohorts = 26;
+    FlContract::genesis(params, SyntheticDigits::small().generate(99));
+}
+
+#[test]
+fn sharded_history_snapshot_roundtrip() {
+    // CohortEvidence must survive the snapshot/restore cycle and
+    // land on the identical state digest.
+    let (n, m, k) = (8usize, 2usize, 2usize);
+    let mut w = dropout_lifecycle::masked_world_sharded(n, m, k);
+    for i in 0..n {
+        let masked = dropout_lifecycle::masked_submission(&w, i, 0);
+        w.contract
+            .execute(
+                &ctx(i as u32),
+                &FlCall::SubmitMaskedUpdate { round: 0, masked },
+            )
+            .unwrap();
+    }
+    w.contract
+        .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+        .unwrap();
+    assert!(!w.contract.history()[0].cohorts.is_empty());
+    let snap = w.contract.snapshot_state();
+    let restored = FlContract::restore(
+        w.contract.params().clone(),
+        SyntheticDigits::small().generate(99),
+        &snap,
+    )
+    .unwrap();
+    assert_eq!(restored.state_digest(), w.contract.state_digest());
+}
+
+mod dropout_lifecycle {
+    //! The round state machine under real pairwise masks: escrow,
+    //! dropout declaration, share verification, survivor-only
+    //! evaluation.
+
+    use super::*;
+    use fl_crypto::dh::{DhGroup, DhKeyPair};
+    use fl_crypto::dropout::escrow_private_key;
+    use fl_crypto::secure_agg::{KeyDirectory, PartyState};
+    use fl_crypto::ChaChaPrg;
+
+    pub(super) struct MaskedWorld {
+        pub contract: FlContract,
+        pub keypairs: Vec<DhKeyPair>,
+        /// `escrowed[i][j]`: share of owner i's key held by owner j.
+        pub escrowed: Vec<Vec<Share>>,
+        pub groups: Vec<Vec<usize>>,
+        pub weights: Vec<Vec<f64>>,
+    }
+
+    /// Builds a contract with real DH keys advertised, escrows
+    /// committed, and per-owner plaintext weights prepared.
+    pub(super) fn masked_world(n: usize, m: usize) -> MaskedWorld {
+        masked_world_from(super::contract(n, m))
+    }
+
+    /// Like [`masked_world`] but sharded into `k` cohorts: the
+    /// group directories are the flattened per-cohort groupings of
+    /// the round-0 cohort plan.
+    pub(super) fn masked_world_sharded(n: usize, m: usize, k: usize) -> MaskedWorld {
+        let mut params = test_params(n, m);
+        params.num_cohorts = k;
+        let test_set = SyntheticDigits::small().generate(99);
+        masked_world_from(FlContract::genesis(params, test_set))
+    }
+
+    fn masked_world_from(contract: FlContract) -> MaskedWorld {
+        let n = contract.params().owners.len();
+        let m = contract.params().num_groups;
+        let k = contract.params().num_cohorts;
+        let dh = DhGroup::simulation_256();
+        let shamir = Shamir::default();
+        let threshold = contract.params().escrow_threshold;
+        let keypairs: Vec<DhKeyPair> = (0..n)
+            .map(|i| dh.keypair_from_seed(&[i as u8 + 1; 32]))
+            .collect();
+        let mut c = contract;
+        for (i, kp) in keypairs.iter().enumerate() {
+            c.execute(
+                &ctx(i as u32),
+                &FlCall::AdvertiseKey {
+                    public_key: kp.public.to_be_bytes(),
+                },
+            )
+            .unwrap();
+        }
+        let escrowed: Vec<Vec<Share>> = keypairs
+            .iter()
+            .enumerate()
+            .map(|(i, kp)| {
+                let mut prg = ChaChaPrg::from_seed(&[i as u8 + 50; 32]);
+                escrow_private_key(&shamir, kp, threshold, n, &mut prg).unwrap()
+            })
+            .collect();
+        for (i, shares) in escrowed.iter().enumerate() {
+            let commitments: Vec<Hash32> = shares
+                .iter()
+                .map(|s| share_commitment(i as u32, s))
+                .collect();
+            c.execute(&ctx(i as u32), &FlCall::EscrowKeyShares { commitments })
+                .unwrap();
+        }
+        let groups: Vec<Vec<usize>> = RoundPlan::new(c.params().permutation_seed, 0, n, k, m)
+            .unwrap()
+            .groups()
+            .concat();
+        let dim = c.params().model_dim;
+        let weights: Vec<Vec<f64>> = (0..n).map(|i| vec![0.1 * (i as f64 + 1.0); dim]).collect();
+        MaskedWorld {
+            contract: c,
+            keypairs,
+            escrowed,
+            groups,
+            weights,
+        }
+    }
+
+    pub(super) fn masked_submission(w: &MaskedWorld, i: usize, round: u64) -> Vec<u64> {
+        let codec = FixedCodec::new(w.contract.params().frac_bits);
+        let group = w
+            .groups
+            .iter()
+            .find(|g| g.contains(&i))
+            .expect("every owner grouped");
+        if group.len() == 1 {
+            return codec.encode_vec(&w.weights[i]);
+        }
+        let dh = DhGroup::simulation_256();
+        let mut dir = KeyDirectory::new();
+        for &j in group {
+            dir.advertise(j as u32, w.keypairs[j].public).unwrap();
+        }
+        let party = PartyState::derive(&dh, i as u32, &w.keypairs[i], &dir).unwrap();
+        party.masked_update(&codec, round, &w.weights[i])
+    }
+
+    pub(super) fn recovery_share_call(w: &MaskedWorld, dropped: usize, provider: usize) -> FlCall {
+        let share = &w.escrowed[dropped][provider];
+        FlCall::SubmitRecoveryShare {
+            round: 0,
+            dropped: dropped as u32,
+            share_x: share.x,
+            share_y: share.y.to_be_bytes(),
+        }
+    }
+
+    #[test]
+    fn escrow_requires_key_size_and_uniqueness() {
+        let mut c = contract(3, 2);
+        let commitments = vec![Hash32::ZERO; 3];
+        assert!(matches!(
+            c.execute(
+                &ctx(0),
+                &FlCall::EscrowKeyShares {
+                    commitments: commitments.clone()
+                }
+            ),
+            Err(FlError::EscrowWithoutKey(0))
+        ));
+        advertise_all(&mut c, 3);
+        assert!(matches!(
+            c.execute(
+                &ctx(0),
+                &FlCall::EscrowKeyShares {
+                    commitments: vec![Hash32::ZERO; 2]
+                }
+            ),
+            Err(FlError::EscrowSizeMismatch {
+                expected: 3,
+                got: 2
+            })
+        ));
+        c.execute(
+            &ctx(0),
+            &FlCall::EscrowKeyShares {
+                commitments: commitments.clone(),
+            },
+        )
+        .unwrap();
+        assert_eq!(c.escrow_of(0), Some(&commitments[..]));
+        assert!(matches!(
+            c.execute(&ctx(0), &FlCall::EscrowKeyShares { commitments }),
+            Err(FlError::EscrowAlreadyCommitted(0))
+        ));
+    }
+
+    #[test]
+    fn dropout_round_completes_on_survivors_only() {
+        // 4 owners in ONE group (everyone pairwise masked), owner 2
+        // vanishes after masking. Threshold = 3.
+        let mut w = masked_world(4, 1);
+        let dropped = 2usize;
+        for i in [0usize, 1, 3] {
+            let masked = masked_submission(&w, i, 0);
+            w.contract
+                .execute(
+                    &ctx(i as u32),
+                    &FlCall::SubmitMaskedUpdate { round: 0, masked },
+                )
+                .unwrap();
+        }
+
+        // Evaluation with a missing owner opens recovery.
+        let out = w
+            .contract
+            .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+            .unwrap();
+        assert!(
+            out.events[0].contains("entered recovery"),
+            "{:?}",
+            out.events
+        );
+        assert_eq!(
+            w.contract.phase(),
+            &RoundPhase::Recovering { dropped: vec![2] }
+        );
+
+        // Late submission from the dropped owner is rejected.
+        let late = masked_submission(&w, dropped, 0);
+        assert!(matches!(
+            w.contract.execute(
+                &ctx(2),
+                &FlCall::SubmitMaskedUpdate {
+                    round: 0,
+                    masked: late
+                }
+            ),
+            Err(FlError::RoundInRecovery(0))
+        ));
+
+        // Recovery-share validation: wrong target, dead sender,
+        // foreign evaluation point, tampered value, early evaluate.
+        assert!(matches!(
+            w.contract.execute(&ctx(0), &recovery_share_call(&w, 1, 0)),
+            Err(FlError::NotDropped(1))
+        ));
+        assert!(matches!(
+            w.contract.execute(&ctx(2), &recovery_share_call(&w, 2, 2)),
+            Err(FlError::NotASurvivor(2))
+        ));
+        assert!(matches!(
+            w.contract.execute(&ctx(0), &recovery_share_call(&w, 2, 1)),
+            Err(FlError::BadRecoveryShare {
+                expected_x: 1,
+                got: 2
+            })
+        ));
+        let tampered = FlCall::SubmitRecoveryShare {
+            round: 0,
+            dropped: 2,
+            share_x: 1,
+            share_y: vec![0xAB; 32],
+        };
+        assert!(matches!(
+            w.contract.execute(&ctx(0), &tampered),
+            Err(FlError::ShareCommitmentMismatch {
+                dropped: 2,
+                provider: 0
+            })
+        ));
+        // An oversized share value must be a clean error, never a
+        // parse panic that would crash every replica.
+        let oversized = FlCall::SubmitRecoveryShare {
+            round: 0,
+            dropped: 2,
+            share_x: 1,
+            share_y: vec![0xAB; 33],
+        };
+        assert!(matches!(
+            w.contract.execute(&ctx(0), &oversized),
+            Err(FlError::BadShareEncoding {
+                expected: 32,
+                got: 33
+            })
+        ));
+        assert!(matches!(
+            w.contract
+                .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 }),
+            Err(FlError::RecoveryIncomplete {
+                dropped: 2,
+                have: 0,
+                need: 3
+            })
+        ));
+
+        // Three survivors reveal their verified shares; duplicates
+        // are rejected.
+        for provider in [0usize, 1, 3] {
+            w.contract
+                .execute(
+                    &ctx(provider as u32),
+                    &recovery_share_call(&w, dropped, provider),
+                )
+                .unwrap();
+        }
+        assert!(matches!(
+            w.contract
+                .execute(&ctx(0), &recovery_share_call(&w, dropped, 0)),
+            Err(FlError::DuplicateRecoveryShare {
+                dropped: 2,
+                provider: 0
+            })
+        ));
+
+        // The second EvaluateRound completes the round on survivors.
+        let out = w
+            .contract
+            .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+            .unwrap();
+        assert!(out.events[0].contains("survivors 3/4"), "{:?}", out.events);
+        assert_eq!(w.contract.current_round(), 1);
+        assert_eq!(w.contract.phase(), &RoundPhase::Submitting);
+
+        let record = &w.contract.history()[0];
+        assert_eq!(record.survivors, vec![0, 1, 3]);
+        assert_eq!(record.dropped, vec![2]);
+        assert_eq!(record.per_owner_sv[2], 0.0);
+        assert_eq!(record.recovery.len(), 1);
+        assert_eq!(record.recovery[0].dropped, 2);
+        assert_eq!(record.recovery[0].providers, vec![0, 1, 3]);
+
+        // Survivor-only aggregate: the single group model must be
+        // the survivors' mean — masks (incl. the dropped owner's
+        // residuals) stripped exactly.
+        let expect = (0.1 + 0.2 + 0.4) / 3.0;
+        for v in w.contract.global_model() {
+            assert!((v - expect).abs() < 1e-6, "got {v}, want {expect}");
+        }
+    }
+
+    #[test]
+    fn recovery_state_is_part_of_the_digest() {
+        // Two replicas agree while both track the same lifecycle;
+        // declaring the dropout (and each accepted share) moves the
+        // digest, so replicas cannot silently disagree on phase.
+        let build = || {
+            let mut w = masked_world(4, 1);
+            for i in [0usize, 1, 3] {
+                let masked = masked_submission(&w, i, 0);
+                w.contract
+                    .execute(
+                        &ctx(i as u32),
+                        &FlCall::SubmitMaskedUpdate { round: 0, masked },
+                    )
+                    .unwrap();
+            }
+            w
+        };
+        let mut a = build();
+        let b = build();
+        assert_eq!(a.contract.state_digest(), b.contract.state_digest());
+        a.contract
+            .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+            .unwrap();
+        assert_ne!(
+            a.contract.state_digest(),
+            b.contract.state_digest(),
+            "entering recovery must move the state root"
+        );
+        let before_share = a.contract.state_digest();
+        a.contract
+            .execute(&ctx(0), &recovery_share_call(&a, 2, 0))
+            .unwrap();
+        assert_ne!(
+            a.contract.state_digest(),
+            before_share,
+            "every accepted share must move the state root"
+        );
+    }
+
+    #[test]
+    fn full_round_records_everyone_as_survivor() {
+        let mut w = masked_world(4, 2);
+        for i in 0..4usize {
+            let masked = masked_submission(&w, i, 0);
+            w.contract
+                .execute(
+                    &ctx(i as u32),
+                    &FlCall::SubmitMaskedUpdate { round: 0, masked },
+                )
+                .unwrap();
+        }
+        w.contract
+            .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+            .unwrap();
+        let record = &w.contract.history()[0];
+        assert_eq!(record.survivors, vec![0, 1, 2, 3]);
+        assert!(record.dropped.is_empty());
+        assert!(record.recovery.is_empty());
+    }
+
+    #[test]
+    fn sharded_round_emits_cohort_evidence_and_composes() {
+        // 8 owners, 2 cohorts of 4, 2 groups per cohort, nobody
+        // drops: the hierarchical path must bind per-cohort
+        // evidence into the record and compose within-cohort
+        // values with the second-level cohort values.
+        let (n, m, k) = (8usize, 2usize, 2usize);
+        let mut w = masked_world_sharded(n, m, k);
+        for i in 0..n {
+            let masked = masked_submission(&w, i, 0);
+            w.contract
+                .execute(
+                    &ctx(i as u32),
+                    &FlCall::SubmitMaskedUpdate { round: 0, masked },
+                )
+                .unwrap();
+        }
+        let out = w
+            .contract
+            .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+            .unwrap();
+        assert!(out.events[0].contains("k=2 cohorts"), "{:?}", out.events);
+
+        let record = &w.contract.history()[0];
+        assert_eq!(record.cohorts.len(), k);
+        assert_eq!(record.groups.len(), k * m);
+        assert_eq!(record.per_group_sv.len(), k * m);
+
+        // The cohort memberships partition the owner set.
+        let mut all: Vec<usize> = record
+            .cohorts
+            .iter()
+            .flat_map(|c| c.members.clone())
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..n).collect::<Vec<_>>());
+
+        for (c, ev) in record.cohorts.iter().enumerate() {
+            assert_eq!(ev.survivors, ev.members, "nobody dropped");
+            assert!(ev.dropped.is_empty());
+            assert_eq!(ev.sv_method, SvMethod::GroupExact);
+            // Composition efficiency: each cohort's member values
+            // sum to the cohort's second-level value.
+            let total: f64 = ev.members.iter().map(|&i| record.per_owner_sv[i]).sum();
+            assert!(
+                (total - ev.sv).abs() < 1e-9,
+                "cohort {c}: members sum {total}, cohort SV {}",
+                ev.sv
+            );
+        }
+        // The record totals include the second-level game on top
+        // of the per-cohort passes.
+        let within: usize = record.cohorts.iter().map(|c| c.utility_evaluations).sum();
+        assert!(record.utility_evaluations > within);
+    }
+
+    #[test]
+    fn fully_dropped_cohort_scores_zero_and_survives_evaluation() {
+        // 9 owners, 3 cohorts of 3, one group per cohort. Every
+        // member of one cohort drops after masking; the 6 survivors
+        // (>= threshold 5) recover the keys and the round completes
+        // with the dead cohort out of the second-level game.
+        let (n, m, k) = (9usize, 1usize, 3usize);
+        let mut w = masked_world_sharded(n, m, k);
+        let threshold = w.contract.params().escrow_threshold;
+        let plan = RoundPlan::new(w.contract.params().permutation_seed, 0, n, k, m).unwrap();
+        let dead: Vec<usize> = {
+            let mut v = plan.cohorts()[0].clone();
+            v.sort_unstable();
+            v
+        };
+        let survivors: Vec<usize> = (0..n).filter(|i| !dead.contains(i)).collect();
+
+        for &i in &survivors {
+            let masked = masked_submission(&w, i, 0);
+            w.contract
+                .execute(
+                    &ctx(i as u32),
+                    &FlCall::SubmitMaskedUpdate { round: 0, masked },
+                )
+                .unwrap();
+        }
+        w.contract
+            .execute(
+                &ctx(survivors[0] as u32),
+                &FlCall::EvaluateRound { round: 0 },
+            )
+            .unwrap();
+        assert!(matches!(w.contract.phase(), RoundPhase::Recovering { .. }));
+        for &d in &dead {
+            for &p in survivors.iter().take(threshold) {
+                w.contract
+                    .execute(&ctx(p as u32), &recovery_share_call(&w, d, p))
+                    .unwrap();
+            }
+        }
+        w.contract
+            .execute(
+                &ctx(survivors[0] as u32),
+                &FlCall::EvaluateRound { round: 0 },
+            )
+            .unwrap();
+
+        let record = &w.contract.history()[0];
+        assert_eq!(record.survivors, survivors);
+        assert_eq!(record.dropped, dead);
+        // The dead cohort stays evidence-complete but worthless.
+        let ev0 = &record.cohorts[0];
+        assert!(ev0.survivors.is_empty());
+        assert_eq!(ev0.sv, 0.0);
+        assert_eq!(ev0.utility_evaluations, 0);
+        for &i in &dead {
+            assert_eq!(record.per_owner_sv[i], 0.0);
+        }
+        // Live cohorts still compose to their second-level values.
+        for ev in &record.cohorts[1..] {
+            let total: f64 = ev.members.iter().map(|&i| record.per_owner_sv[i]).sum();
+            assert!((total - ev.sv).abs() < 1e-9);
+        }
+        assert_eq!(w.contract.current_round(), 1);
+        assert_eq!(w.contract.phase(), &RoundPhase::Submitting);
+    }
+}
+
+#[test]
+fn masked_aggregation_cancels_for_real_masks() {
+    // End-to-end through the contract: three owners in ONE group mask
+    // pairwise; the group model must equal the mean of the plaintext.
+    use fl_crypto::dh::DhGroup;
+    use fl_crypto::secure_agg::{KeyDirectory, PartyState};
+
+    let mut c = contract(3, 1); // single group: all three cancel
+    let dh = DhGroup::simulation_256();
+    let codec = FixedCodec::new(c.params.frac_bits);
+    let dim = c.params.model_dim;
+
+    let keypairs: Vec<_> = (0..3u8)
+        .map(|i| dh.keypair_from_seed(&[i + 1; 32]))
+        .collect();
+    let mut dir = KeyDirectory::new();
+    for (i, kp) in keypairs.iter().enumerate() {
+        dir.advertise(i as u32, kp.public).unwrap();
+    }
+    for (i, kp) in keypairs.iter().enumerate() {
+        c.execute(
+            &ctx(i as u32),
+            &FlCall::AdvertiseKey {
+                public_key: kp.public.to_be_bytes(),
+            },
+        )
+        .unwrap();
+    }
+    let plain: Vec<Vec<f64>> = (0..3).map(|i| vec![0.1 * (i as f64 + 1.0); dim]).collect();
+    for (i, kp) in keypairs.iter().enumerate() {
+        let party = PartyState::derive(&dh, i as u32, kp, &dir).unwrap();
+        let masked = party.masked_update(&codec, 0, &plain[i]);
+        c.execute(
+            &ctx(i as u32),
+            &FlCall::SubmitMaskedUpdate { round: 0, masked },
+        )
+        .unwrap();
+    }
+    c.execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+        .unwrap();
+    // Global model = the single group model = mean of plaintexts = 0.2.
+    for w in c.global_model() {
+        assert!((w - 0.2).abs() < 1e-6, "got {w}");
+    }
+}
+
+#[test]
+fn fl_call_decode_roundtrips_every_variant() {
+    let calls = [
+        FlCall::AdvertiseKey {
+            public_key: vec![7; 32],
+        },
+        FlCall::SubmitMaskedUpdate {
+            round: 3,
+            masked: vec![1, u64::MAX, 0],
+        },
+        FlCall::EvaluateRound { round: 9 },
+        FlCall::EscrowKeyShares {
+            commitments: vec![Hash32::of_bytes(b"a"), Hash32::of_bytes(b"b")],
+        },
+        FlCall::SubmitRecoveryShare {
+            round: 1,
+            dropped: 2,
+            share_x: 3,
+            share_y: vec![0xde, 0xad],
+        },
+    ];
+    for call in &calls {
+        let enc = call.encode();
+        assert_eq!(&FlCall::decode(&enc).unwrap(), call);
+        // Strict: a truncated call must never decode.
+        assert!(FlCall::decode(&enc[..enc.len() - 1]).is_err());
+    }
+    assert!(FlCall::decode(&[0xee]).is_err(), "unknown tag rejected");
+}
+
+#[test]
+fn snapshot_state_restores_to_identical_digest() {
+    // Drive a contract through a full round — keys, escrows, masked
+    // updates, evaluation — then snapshot, restore, and require the
+    // restored contract to be digest-identical AND behaviourally
+    // live (it must accept the next round's traffic).
+    let mut c = contract(3, 2);
+    advertise_all(&mut c, 3);
+    for i in 0..3u32 {
+        let masked = plain_update(&c, 0.5);
+        c.execute(&ctx(i), &FlCall::SubmitMaskedUpdate { round: 0, masked })
+            .unwrap();
+    }
+    c.execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+        .unwrap();
+    assert_eq!(c.history().len(), 1);
+
+    let blob = c.snapshot_state();
+    let test_set = SyntheticDigits::small().generate(99);
+    let mut restored =
+        FlContract::restore(test_params(3, 2), test_set, &blob).expect("snapshot decodes");
+    assert_eq!(
+        restored.state_digest(),
+        c.state_digest(),
+        "restore must be digest-exact"
+    );
+    assert_eq!(restored.history().len(), 1);
+
+    // The restored contract keeps executing in lockstep.
+    for i in 0..3u32 {
+        let call = FlCall::SubmitMaskedUpdate {
+            round: 1,
+            masked: plain_update(&restored, 0.25),
+        };
+        restored.execute(&ctx(i), &call).unwrap();
+        c.execute(&ctx(i), &call).unwrap();
+    }
+    assert_eq!(restored.state_digest(), c.state_digest());
+}
+
+#[test]
+fn snapshot_restore_rejects_malformed_blobs() {
+    let c = contract(3, 2);
+    let blob = c.snapshot_state();
+    let test_set = SyntheticDigits::small().generate(99);
+    // Truncations and trailing garbage must error, never panic.
+    for cut in [0, 1, blob.len() / 2, blob.len() - 1] {
+        assert!(
+            FlContract::restore(test_params(3, 2), test_set.clone(), &blob[..cut]).is_err(),
+            "prefix of {cut} bytes"
+        );
+    }
+    let mut padded = blob;
+    padded.push(0);
+    assert!(FlContract::restore(test_params(3, 2), test_set, &padded).is_err());
+}
