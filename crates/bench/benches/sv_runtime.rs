@@ -12,7 +12,8 @@ use fedchain::contract_fl::AccuracyUtility;
 use fedchain::ground_truth::RetrainUtility;
 use fedchain::world::World;
 use fl_ml::dataset::SyntheticDigits;
-use fl_ml::TrainConfig;
+use fl_ml::metrics::model_accuracy_design_reference;
+use fl_ml::{Design, LogisticModel, TrainConfig};
 use numeric::linalg::mean_vectors;
 use shapley::coalition::{binomial, Coalition};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
@@ -20,7 +21,7 @@ use shapley::exact_shapley;
 use shapley::group::{group_shapley, shapley_over_group_models, GroupModelGame, GroupSvConfig};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
-use shapley::utility::{model_utility_fn, CachedUtility, ModelUtility};
+use shapley::utility::{model_utility_fn, CachedUtility, CoalitionUtility, ModelUtility};
 
 fn bench_config() -> FlConfig {
     let mut config = FlConfig::paper_setting();
@@ -37,27 +38,53 @@ fn bench_config() -> FlConfig {
     config
 }
 
+/// Algorithm 1 end to end under the contract's accuracy utility:
+/// `group_sv/opt/m` scores the `2^m` coalitions in logit space (one
+/// test-set GEMM per group), `group_sv/seed/m` is the evaluation it
+/// replaced — the same library code over a closure utility, so every
+/// coalition pays a GEMM + softmax pass
+/// ([`model_accuracy_design_reference`], the retained oracle). Before
+/// any sampling every coalition's value is asserted equal between the
+/// two, through both backings of the game (at this test-set size m = 9
+/// is past the subset-sum tables' byte budget).
 fn bench_group_sv(c: &mut Criterion) {
     let config = bench_config();
     let world = World::generate(&config).expect("valid config");
     let updates = world.local_updates(&config);
-    let utility = AccuracyUtility::new(&world.test, config.data.features, config.data.classes);
+    let (features, classes) = (config.data.features, config.data.classes);
+    let utility = AccuracyUtility::new(&world.test, features, classes);
+    let design = Design::new(&world.test);
+    let reference = model_utility_fn(
+        |w: &[f64]| {
+            let model = LogisticModel::from_flat(w, features, classes);
+            model_accuracy_design_reference(&model, &design)
+        },
+        utility.of_empty(),
+    );
 
     let mut group = c.benchmark_group("group_sv");
     group.sample_size(10);
     for m in [2usize, 3, 5, 7, 9] {
-        group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, &m| {
-            b.iter(|| {
-                group_shapley(
-                    black_box(&updates),
-                    &utility,
-                    &GroupSvConfig {
-                        num_groups: m,
-                        seed: config.permutation_seed,
-                        round: 0,
-                    },
-                )
-            })
+        let cfg = GroupSvConfig {
+            num_groups: m,
+            seed: config.permutation_seed,
+            round: 0,
+        };
+        let models = group_shapley(&updates, &utility, &cfg).group_models;
+        let game = GroupModelGame::new(&models, &utility);
+        for coalition in Coalition::powerset(m).skip(1) {
+            let members: Vec<Vec<f64>> = coalition.members().map(|j| models[j].clone()).collect();
+            assert_eq!(
+                game.evaluate(coalition),
+                reference.of_model(&mean_vectors(&members)),
+                "m = {m}, coalition {coalition:?}: logit-space score differs from the reference"
+            );
+        }
+        group.bench_with_input(BenchmarkId::new("seed", m), &m, |b, _| {
+            b.iter(|| group_shapley(black_box(&updates), &reference, &cfg))
+        });
+        group.bench_with_input(BenchmarkId::new("opt", m), &m, |b, _| {
+            b.iter(|| group_shapley(black_box(&updates), &utility, &cfg))
         });
     }
     group.finish();

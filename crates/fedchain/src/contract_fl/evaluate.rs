@@ -10,9 +10,9 @@ use fl_crypto::dh::DhGroup;
 use fl_crypto::dropout::{reconstruct_private_key, strip_dropped_set_masks};
 use fl_crypto::shamir::{Shamir, Share};
 use fl_ml::dataset::Dataset;
-use fl_ml::metrics::model_accuracy_design;
 use fl_ml::LogisticModel;
 use numeric::linalg::mean_vectors;
+use numeric::stats::is_argmax;
 use numeric::{FixedCodec, U256};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimate, SvEstimator};
 use shapley::group::GroupModelGame;
@@ -71,22 +71,45 @@ pub(crate) fn reduce_models(survivor_means: &[Vec<Vec<f64>>]) -> (Vec<Option<Vec
 /// off-chain analysis (Fig. 1/2 ground truth uses the same function).
 ///
 /// The test set is conditioned into a prepared design **once** at
-/// construction; every `of_model` call — GroupSV issues `2^m` of them
-/// per round — then runs one GEMM over the cached design instead of
-/// re-scaling and re-bias-extending the test matrix. The accuracy values
-/// are bit-identical to the uncached pipeline, so state digests and
-/// round records are unaffected.
+/// construction, and the model is linear, so the utility has a
+/// [`ModelUtility::scores`] view: `scores(W) = X · W`, the row-major
+/// test-set logits, and `X · mean_j(W_j) = mean_j(X · W_j)`. A GroupSV
+/// round therefore pays one GEMM per *group* and the `2^m` coalitions
+/// only average logits ([`shapley::group::GroupModelGame`]).
+/// `of_scores` is the fraction of rows whose first-maximum logit is the
+/// label — the tie rule of [`numeric::stats::argmax`], checked per row
+/// by [`numeric::stats::is_argmax`]: equal logits resolve to the lowest
+/// class index. Neither the softmax nor the
+/// `1/|S|` scale can reorder a row, so no `exp` is evaluated.
+/// `of_model` is `of_scores ∘ scores`: one scoring path.
+///
+/// Caveat: the logits of a mean model and the mean of the members'
+/// logits are equal as real numbers, not as floats, and softmax can
+/// merge two logits closer than an ulp of their probabilities. A row
+/// whose top two logits are that close could resolve differently from
+/// the GEMM-then-softmax evaluation this replaced
+/// ([`fl_ml::metrics::model_accuracy_design_reference`], kept as the
+/// test and bench oracle). Every miner and auditor runs this same code,
+/// so nothing on-chain can disagree; `tests/golden_digests.rs` is the
+/// arbiter that recorded chains still replay.
+#[derive(Debug, Clone)]
 pub struct AccuracyUtility {
     test_design: fl_ml::Design,
     num_features: usize,
     num_classes: usize,
+    /// `u(∅)`: the zero model's logits all tie, so it predicts class 0 —
+    /// exactly what an untrained participant would deploy.
+    empty: f64,
 }
 
 impl AccuracyUtility {
     /// Builds the utility over a held-out test set.
     pub fn new(test_set: &Dataset, num_features: usize, num_classes: usize) -> Self {
+        let test_design = fl_ml::Design::new(test_set);
+        let zeros = test_design.labels().iter().filter(|&&l| l == 0).count();
         Self {
-            test_design: fl_ml::Design::new(test_set),
+            empty: zeros as f64 / test_design.len() as f64,
+            test_design,
             num_features,
             num_classes,
         }
@@ -95,15 +118,28 @@ impl AccuracyUtility {
 
 impl ModelUtility for AccuracyUtility {
     fn of_model(&self, weights: &[f64]) -> f64 {
-        let model = LogisticModel::from_flat(weights, self.num_features, self.num_classes);
-        model_accuracy_design(&model, &self.test_design)
+        self.of_scores(&self.scores(weights))
     }
 
     fn of_empty(&self) -> f64 {
-        // The zero model: uniform logits, argmax picks class 0 — exactly
-        // what an untrained participant would deploy.
-        let zero = LogisticModel::zeros(self.num_features, self.num_classes);
-        model_accuracy_design(&zero, &self.test_design)
+        self.empty
+    }
+
+    fn scores(&self, weights: &[f64]) -> Vec<f64> {
+        LogisticModel::from_flat(weights, self.num_features, self.num_classes)
+            .logits_design(&self.test_design)
+            .into_vec()
+    }
+
+    fn of_scores(&self, mean_scores: &[f64]) -> f64 {
+        let labels = self.test_design.labels();
+        debug_assert_eq!(mean_scores.len(), labels.len() * self.num_classes);
+        let correct = mean_scores
+            .chunks_exact(self.num_classes)
+            .zip(labels)
+            .filter(|(row, &label)| is_argmax(row, label))
+            .count();
+        correct as f64 / labels.len() as f64
     }
 }
 
@@ -268,11 +304,7 @@ impl FlContract {
         let plan = RoundPlan::new(self.params.permutation_seed, round, n, k, m)
             .expect("layout parameters validated at genesis");
 
-        let utility = AccuracyUtility::new(
-            &self.test_set,
-            self.params.num_features,
-            self.params.num_classes,
-        );
+        let utility = &self.utility;
         let method = self.params.sv_method;
 
         struct CohortOutcome {
@@ -305,7 +337,7 @@ impl FlContract {
                     sampling_seed(plan.seeds()[c], round),
                     &group_models,
                     &surviving_groups,
-                    &utility,
+                    utility,
                 );
                 CohortOutcome {
                     group_models,
@@ -349,7 +381,7 @@ impl FlContract {
                 sampling_seed(self.params.permutation_seed, round),
                 &cohort_models,
                 &alive_cohorts,
-                &utility,
+                utility,
             );
             for (c, out) in per_cohort.iter().enumerate() {
                 let members = plan.cohorts()[c].clone();

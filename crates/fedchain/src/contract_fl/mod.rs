@@ -56,7 +56,6 @@ use fl_chain::hash::Hash32;
 use fl_chain::tx::AccountId;
 use fl_crypto::dh::DhGroup;
 use fl_crypto::shamir::Share;
-use fl_ml::dataset::Dataset;
 use numeric::U256;
 
 use crate::config::SvMethod;
@@ -169,9 +168,11 @@ impl Encode for FlParams {
 #[derive(Debug, Clone)]
 pub struct FlContract {
     params: FlParams,
-    /// Public test set for the utility function (agreed at setup; the
-    /// *training* shards never leave their owners).
-    test_set: Dataset,
+    /// The utility function over the public test set (agreed at setup;
+    /// the *training* shards never leave their owners), conditioned once
+    /// at genesis. Derived from the genesis artefacts alone, so it is in
+    /// neither the state digest nor the snapshot.
+    utility: AccuracyUtility,
     gas: GasSchedule,
     keys: BTreeMap<AccountId, Vec<u8>>,
     /// Escrow commitments per owner: entry `j` commits the Shamir share

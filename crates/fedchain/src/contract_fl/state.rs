@@ -14,7 +14,7 @@ use fl_ml::dataset::Dataset;
 use numeric::U256;
 use shapley::hierarchy::CohortPlan;
 
-use super::{FlCall, FlContract, FlError, FlParams, RoundPhase, RoundRecord};
+use super::{AccuracyUtility, FlCall, FlContract, FlError, FlParams, RoundPhase, RoundRecord};
 
 impl FlContract {
     /// Creates the genesis contract state.
@@ -66,8 +66,8 @@ impl FlContract {
         let global_model = vec![0.0; params.model_dim];
         let contributions = params.owners.iter().map(|&o| (o, 0.0)).collect();
         Self {
+            utility: AccuracyUtility::new(&test_set, params.num_features, params.num_classes),
             params,
-            test_set,
             gas: GasSchedule::default(),
             keys: BTreeMap::new(),
             escrows: BTreeMap::new(),

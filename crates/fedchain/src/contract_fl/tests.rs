@@ -1124,3 +1124,146 @@ fn snapshot_restore_rejects_malformed_blobs() {
     padded.push(0);
     assert!(FlContract::restore(test_params(3, 2), test_set, &padded).is_err());
 }
+
+// ---- AccuracyUtility: coalitions scored in logit space ----
+
+mod accuracy_utility {
+    use super::*;
+    use fl_ml::dataset::Dataset;
+    use fl_ml::metrics::model_accuracy_design_reference;
+    use fl_ml::rng::Xoshiro256;
+    use fl_ml::{Design, LogisticModel};
+    use numeric::linalg::mean_vectors;
+    use numeric::Matrix;
+    use proptest::prelude::*;
+    use shapley::coalition::Coalition;
+    use shapley::group::GroupModelGame;
+    use shapley::utility::{CoalitionUtility, ModelUtility, RestrictedGame};
+
+    fn random_test_set(
+        rng: &mut Xoshiro256,
+        rows: usize,
+        features: usize,
+        classes: usize,
+    ) -> Dataset {
+        let x = (0..rows * features)
+            .map(|_| rng.next_f64() * 16.0)
+            .collect();
+        let labels = (0..rows)
+            .map(|_| rng.next_below(classes as u64) as usize)
+            .collect();
+        Dataset::new(Matrix::from_vec(rows, features, x), labels, classes)
+    }
+
+    fn random_models(rng: &mut Xoshiro256, m: usize, dim: usize) -> Vec<Vec<f64>> {
+        (0..m)
+            .map(|_| (0..dim).map(|_| rng.next_gaussian()).collect())
+            .collect()
+    }
+
+    /// A test set whose row `r` is labelled `labels[r]`, for driving
+    /// `of_scores` with hand-written logits.
+    fn labelled(labels: &[usize], classes: usize) -> AccuracyUtility {
+        let x = Matrix::from_vec(labels.len(), 1, vec![1.0; labels.len()]);
+        AccuracyUtility::new(&Dataset::new(x, labels.to_vec(), classes), 1, classes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_every_coalition_matches_the_gemm_softmax_oracle(
+            seed in any::<u64>(),
+            rows in 1usize..60,
+            long in any::<bool>(),
+            features in 1usize..6,
+            classes in 2usize..5,
+            m in 1usize..6,
+        ) {
+            // Long test sets (thousands of rows) push every subset-sum
+            // table over its byte budget, so both backings of the game
+            // are held to the oracle.
+            let rows = if long { 6_000 + rows } else { rows };
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let test_set = random_test_set(&mut rng, rows, features, classes);
+            let models = random_models(&mut rng, m, (features + 1) * classes);
+            let utility = AccuracyUtility::new(&test_set, features, classes);
+            let design = Design::new(&test_set);
+            let game = GroupModelGame::new(&models, &utility);
+            for coalition in Coalition::powerset(m).skip(1) {
+                let members: Vec<Vec<f64>> =
+                    coalition.members().map(|j| models[j].clone()).collect();
+                let mean = LogisticModel::from_flat(&mean_vectors(&members), features, classes);
+                // Both sides are `correct / rows`: exact equality.
+                prop_assert_eq!(
+                    game.evaluate(coalition),
+                    model_accuracy_design_reference(&mean, &design),
+                    "coalition {:?}", coalition
+                );
+            }
+            prop_assert_eq!(game.evaluate(Coalition::EMPTY), utility.of_empty());
+        }
+    }
+
+    #[test]
+    fn of_model_is_of_scores_of_scores_and_matches_the_oracle() {
+        let test_set = SyntheticDigits::small().generate(99);
+        let utility = AccuracyUtility::new(&test_set, 64, 10);
+        let design = Design::new(&test_set);
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        for w in random_models(&mut rng, 4, 650) {
+            let scores = utility.scores(&w);
+            assert_eq!(scores.len(), test_set.len() * 10);
+            assert_eq!(utility.of_model(&w), utility.of_scores(&scores));
+            assert_eq!(
+                utility.of_model(&w),
+                model_accuracy_design_reference(&LogisticModel::from_flat(&w, 64, 10), &design)
+            );
+        }
+    }
+
+    #[test]
+    fn equal_logits_resolve_to_the_lowest_class_index() {
+        // Rows labelled 0, 1, 2; every row's logits tie across classes.
+        let utility = labelled(&[0, 1, 2], 3);
+        assert_eq!(utility.of_scores(&[0.5; 9]), 1.0 / 3.0);
+        // A tie between the label and a *later* class goes to the label,
+        // a tie with an earlier class does not.
+        let utility = labelled(&[1, 1], 3);
+        assert_eq!(
+            utility.of_scores(&[0.0, 2.0, 2.0, /* row 1 */ 2.0, 2.0, 0.0]),
+            0.5
+        );
+    }
+
+    #[test]
+    fn zero_model_is_the_empty_coalition() {
+        let test_set = SyntheticDigits::small().generate(99);
+        let utility = AccuracyUtility::new(&test_set, 64, 10);
+        assert_eq!(utility.of_model(&vec![0.0; 650]), utility.of_empty());
+        let zeros = test_set.labels.iter().filter(|&&l| l == 0).count();
+        assert_eq!(utility.of_empty(), zeros as f64 / test_set.len() as f64);
+    }
+
+    #[test]
+    fn fully_dropped_placeholder_group_leaves_the_game() {
+        // A group whose members all dropped keeps a zero-model
+        // placeholder at its index; restricted away, the survivors play
+        // exactly the game they would play without it.
+        let test_set = SyntheticDigits::small().generate(99);
+        let utility = AccuracyUtility::new(&test_set, 64, 10);
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        let survivors = random_models(&mut rng, 3, 650);
+        let with_placeholder = vec![
+            survivors[0].clone(),
+            vec![0.0; 650],
+            survivors[1].clone(),
+            survivors[2].clone(),
+        ];
+        let full = GroupModelGame::new(&with_placeholder, &utility);
+        let restricted = RestrictedGame::new(&full, vec![0, 2, 3]);
+        let without = GroupModelGame::new(&survivors, &utility);
+        for coalition in Coalition::powerset(3) {
+            assert_eq!(restricted.evaluate(coalition), without.evaluate(coalition));
+        }
+    }
+}

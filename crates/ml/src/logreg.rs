@@ -55,7 +55,7 @@ impl Default for TrainConfig {
 /// [`LogisticModel::predict_design`] call then runs straight GEMMs over
 /// it. The FL hot paths build one design per dataset — per owner shard,
 /// per coalition, and *once* for the test set an accuracy utility
-/// evaluates `2^m` models against.
+/// scores every model against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     x: Matrix,
@@ -214,12 +214,8 @@ impl LogisticModel {
         }
     }
 
-    /// Class-probability matrix for `features` (one row per example).
-    ///
-    /// Conditions the input on every call; evaluation loops that hit the
-    /// same data repeatedly should build a [`Design`] once and use
-    /// [`LogisticModel::predict_proba_design`].
-    pub fn predict_proba(&self, features: &Matrix) -> Matrix {
+    /// Logits for raw `features`: conditions the input, then one GEMM.
+    fn logits(&self, features: &Matrix) -> Matrix {
         assert_eq!(
             features.cols(),
             self.num_features,
@@ -227,15 +223,23 @@ impl LogisticModel {
             self.num_features,
             features.cols()
         );
-        let x = scaled_with_bias(features);
-        let mut logits = x.matmul(&self.weights);
+        scaled_with_bias(features).matmul(&self.weights)
+    }
+
+    /// Class-probability matrix for `features` (one row per example).
+    ///
+    /// Conditions the input on every call; evaluation loops that hit the
+    /// same data repeatedly should build a [`Design`] once and use
+    /// [`LogisticModel::predict_proba_design`].
+    pub fn predict_proba(&self, features: &Matrix) -> Matrix {
+        let mut logits = self.logits(features);
         softmax_rows_in_place(&mut logits);
         logits
     }
 
-    /// Class-probability matrix over a prepared design (no conditioning
-    /// pass: one GEMM plus the in-place softmax).
-    pub fn predict_proba_design(&self, design: &Design) -> Matrix {
+    /// Logits `X · W` over a prepared design, one row per example — the
+    /// linear part of the model, which is all a hard prediction needs.
+    pub fn logits_design(&self, design: &Design) -> Matrix {
         assert_eq!(
             design.num_features(),
             self.num_features,
@@ -243,21 +247,27 @@ impl LogisticModel {
             self.num_features,
             design.num_features()
         );
-        let mut logits = design.x.matmul(&self.weights);
+        design.x.matmul(&self.weights)
+    }
+
+    /// Class-probability matrix over a prepared design (no conditioning
+    /// pass: one GEMM plus the in-place softmax).
+    pub fn predict_proba_design(&self, design: &Design) -> Matrix {
+        let mut logits = self.logits_design(design);
         softmax_rows_in_place(&mut logits);
         logits
     }
 
-    /// Hard label predictions.
+    /// Hard label predictions: the row argmax of the logits. Softmax is
+    /// monotone within a row, so it is skipped (`predict_proba*` keeps
+    /// it for [`LogisticModel::log_loss`]).
     pub fn predict(&self, features: &Matrix) -> Vec<usize> {
-        let proba = self.predict_proba(features);
-        argmax_rows(&proba)
+        argmax_rows(&self.logits(features))
     }
 
     /// Hard label predictions over a prepared design.
     pub fn predict_design(&self, design: &Design) -> Vec<usize> {
-        let proba = self.predict_proba_design(design);
-        argmax_rows(&proba)
+        argmax_rows(&self.logits_design(design))
     }
 
     /// Trains in place on `data` for `config.epochs` full-batch steps.
@@ -350,10 +360,10 @@ fn scaled_with_bias(features: &Matrix) -> Matrix {
     features.map(|v| v / 16.0).with_bias_column()
 }
 
-/// Row-wise argmax over a probability matrix.
-fn argmax_rows(proba: &Matrix) -> Vec<usize> {
-    (0..proba.rows())
-        .map(|r| argmax(proba.row(r)).expect("non-empty probability row"))
+/// Row-wise argmax (first maximum) over a logits or probability matrix.
+pub(crate) fn argmax_rows(scores: &Matrix) -> Vec<usize> {
+    (0..scores.rows())
+        .map(|r| argmax(scores.row(r)).expect("row holds a non-NaN score"))
         .collect()
 }
 
@@ -536,6 +546,24 @@ mod tests {
             via_dataset.predict_proba(&ds.features),
             via_design.predict_proba_design(&design)
         );
+    }
+
+    #[test]
+    fn predict_design_is_the_argmax_of_the_probabilities() {
+        // Skipping the softmax must not change a single hard prediction
+        // on trained models, from barely trained to converged.
+        let ds = SyntheticDigits::small().generate(8);
+        let design = Design::new(&ds);
+        for epochs in [1usize, 5, 60] {
+            let config = TrainConfig {
+                epochs,
+                ..quick_config()
+            };
+            let model = train_model_design(&design, &config);
+            let proba = model.predict_proba_design(&design);
+            assert_eq!(model.predict_design(&design), argmax_rows(&proba));
+            assert_eq!(model.predict(&ds.features), argmax_rows(&proba));
+        }
     }
 
     #[test]

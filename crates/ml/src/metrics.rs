@@ -5,7 +5,7 @@
 //! hinge on which every Shapley value in the system turns.
 
 use crate::dataset::Dataset;
-use crate::logreg::{Design, LogisticModel};
+use crate::logreg::{argmax_rows, Design, LogisticModel};
 
 /// Fraction of predictions matching the labels.
 ///
@@ -34,11 +34,20 @@ pub fn model_accuracy(model: &LogisticModel, data: &Dataset) -> f64 {
 
 /// Accuracy of `model` over a prepared [`Design`] — bit-identical to
 /// [`model_accuracy`] on the underlying dataset, but without re-running
-/// the conditioning pass. The accuracy utilities build the test design
-/// once and evaluate every one of their `2^m` coalition models through
-/// this.
+/// the conditioning pass. The retrain utilities build the test design
+/// once and evaluate every coalition's retrained model through this.
 pub fn model_accuracy_design(model: &LogisticModel, design: &Design) -> f64 {
     accuracy(&model.predict_design(design), design.labels())
+}
+
+/// Reference oracle for [`model_accuracy_design`] and for the accuracy
+/// utilities built on logits: softmax first, then the row argmax of the
+/// *probabilities* — the same predictions at one `exp` per class per
+/// row. Tests and benches hold the logit-space paths to it; nothing on
+/// a round path calls it.
+pub fn model_accuracy_design_reference(model: &LogisticModel, design: &Design) -> f64 {
+    let predictions = argmax_rows(&model.predict_proba_design(design));
+    accuracy(&predictions, design.labels())
 }
 
 /// Row-normalized confusion matrix counts: `counts[actual][predicted]`.
@@ -122,5 +131,8 @@ mod tests {
         );
         let acc = model_accuracy(&model, &ds);
         assert!(acc > 0.9, "training accuracy {acc} too low");
+        let design = Design::new(&ds);
+        assert_eq!(model_accuracy_design(&model, &design), acc);
+        assert_eq!(model_accuracy_design_reference(&model, &design), acc);
     }
 }

@@ -60,6 +60,22 @@ pub fn argmax(v: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
+/// `argmax(v) == Some(index)` as a branch-free scan, for callers that
+/// only ask whether a known index wins (an accuracy pass checks one
+/// label per row): `index` is the first maximum iff no earlier element
+/// reaches it and no later element exceeds it. Same rules as [`argmax`]:
+/// first on ties, NaN elements skipped, a NaN or out-of-range `index`
+/// never wins.
+#[inline]
+pub fn is_argmax(v: &[f64], index: usize) -> bool {
+    let Some(&x) = v.get(index) else {
+        return false;
+    };
+    let reached = v[..index].iter().fold(false, |hit, &e| hit | (e >= x));
+    let exceeded = v[index + 1..].iter().fold(false, |hit, &e| hit | (e > x));
+    !(x.is_nan() | reached | exceeded)
+}
+
 /// Ranks of the elements in descending order: `ranks[i]` is the rank
 /// (0 = largest) of element `i`. Ties broken by index for determinism.
 pub fn descending_ranks(v: &[f64]) -> Vec<usize> {
@@ -188,6 +204,34 @@ mod tests {
         assert_eq!(argmax(&[1.0, 3.0, 2.0]), Some(1));
         assert_eq!(argmax(&[3.0, 3.0]), Some(0), "ties resolve to first");
         assert_eq!(argmax(&[f64::NAN, 1.0]), Some(1));
+    }
+
+    #[test]
+    fn is_argmax_agrees_with_argmax_on_ties_nans_and_infinities() {
+        let values = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            0.0,
+            -0.0,
+            1.0,
+            f64::INFINITY,
+        ];
+        for &a in &values {
+            for &b in &values {
+                for &c in &values {
+                    let row = [a, b, c];
+                    for index in 0..4 {
+                        assert_eq!(
+                            is_argmax(&row, index),
+                            argmax(&row) == Some(index),
+                            "{row:?} at {index}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(!is_argmax(&[], 0));
     }
 
     #[test]

@@ -17,6 +17,20 @@
 //! per-user SV over local models (no grouping privacy), small `m` hides
 //! individuals inside group averages ((n/m)-anonymity) at the cost of
 //! uniform within-group attribution.
+//!
+//! # Where the averaging happens
+//!
+//! Step 3 is never materialised in weight space. [`GroupModelGame`]
+//! takes each group model's [`ModelUtility::scores`] once — the weights
+//! themselves by default, the test-set logits `X · W_j` for an accuracy
+//! utility — and averages *those* per coalition, which is the same
+//! number whenever `scores` is linear: `m` GEMMs per evaluated round
+//! instead of `2^m`. `evaluate` stays a pure function of the coalition
+//! mask: the mean is summed in an order fixed by the subset-sum tables
+//! or by ascending member index, never by the order an estimator walks
+//! coalitions in, so every thread count produces the same bits. The
+//! tables are bounded in bytes (`TABLE_BYTE_BUDGET`); past the bound a
+//! game holds only its `m` score vectors.
 
 use std::cell::RefCell;
 
@@ -100,23 +114,40 @@ pub fn grouping(pi: &[usize], m: usize) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Precomputed partial coalition sums: every coalition's weight-sum is
+/// Most bytes the subset-sum tables of one game may occupy; a game whose
+/// tables would be larger sums members directly. The tables hold
+/// `2^⌊m/2⌋ + 2^⌈m/2⌉` score vectors, and a score vector can be a whole
+/// test set of logits (11 240 `f64` at Table I against 650 weights):
+/// unbounded they would be 46 MB at `m = 16` and over 1 GiB at `m = 25`.
+/// A quarter MiB tabulates weight-sized vectors up to the paper's
+/// `m = 9` and never a Table-I-sized logit vector — at that length even
+/// the six table rows of `m = 3` showed up as +10 % peak RSS on a
+/// replica, for at most one vector add saved per coalition.
+const TABLE_BYTE_BUDGET: usize = 256 << 10;
+
+/// Precomputed partial coalition sums: every coalition's score-sum is
 /// one vector addition away.
 ///
-/// The `2^m` coalition models are averages `W_S = (1/|S|) Σ_{j∈S} W_j`.
+/// The `2^m` coalition models are averages `W_S = (1/|S|) Σ_{j∈S} W_j`,
+/// and the game scores them through the utility's linear view
+/// ([`ModelUtility::scores`]): `scores(W_S) = (1/|S|) Σ_{j∈S} scores(W_j)`.
+/// What is tabulated is therefore the groups' *score* vectors — the
+/// weights themselves under the identity view, the test-set logits under
+/// an accuracy utility — computed once per group at construction.
 /// Building each sum naively costs `O(|S| · d)` — the dominant cost of
 /// the enumeration once the utility is cheap. Splitting the bitmask into
 /// its low `h` and high `m − h` halves and tabulating the subset-sums of
 /// each half (classic subset-DP, each table entry one vector add on a
 /// smaller entry) gets `Σ_S = lows[S_lo] + highs[S_hi]` in `O(d)` with
-/// `O(2^{m/2} · d)` memory instead of `O(2^m · d)`.
+/// `O(2^{m/2} · d)` memory instead of `O(2^m · d)` — memory that
+/// [`CoalitionSums::fits`] holds to [`TABLE_BYTE_BUDGET`].
 ///
-/// Determinism: every table entry adds member models in ascending group
-/// index, so the coalition model is a pure function of `mask` — chunk
+/// Determinism: every table entry adds member scores in ascending group
+/// index, so the coalition mean is a pure function of `mask` — chunk
 /// boundaries of the parallel enumeration cannot influence a single bit
-/// of any coalition model. Note the floating-point *grouping* differs
+/// of any coalition's scores. Note the floating-point *grouping* differs
 /// from a flat sequential fold: a coalition spanning both halves is
-/// summed as `(low half) + (high half)`, so its model can differ from
+/// summed as `(low half) + (high half)`, so its mean can differ from
 /// the seed implementation's `mean_vectors` fold in the final ULP.
 /// That changes nothing on-chain — every miner runs this same code —
 /// but exact-equality replays of chains recorded *before* this rewrite
@@ -129,11 +160,23 @@ struct CoalitionSums {
 }
 
 impl CoalitionSums {
-    fn new(group_models: &[Vec<f64>], dim: usize) -> Self {
-        let m = group_models.len();
+    /// Whether the tables over `m` vectors of `dim` scores stay within
+    /// [`TABLE_BYTE_BUDGET`] (and `m` within the exact-enumeration cap,
+    /// past which only sampling estimators play and `2^{m/2}` overflows
+    /// any budget anyway).
+    fn fits(m: usize, dim: usize) -> bool {
+        m <= MAX_PLAYERS
+            && ((1usize << (m / 2)) + (1usize << m.div_ceil(2)))
+                .saturating_mul(dim)
+                .saturating_mul(std::mem::size_of::<f64>())
+                <= TABLE_BYTE_BUDGET
+    }
+
+    fn new(scores: &[Vec<f64>], dim: usize) -> Self {
+        let m = scores.len();
         let low_bits = (m / 2) as u32;
-        let lows = Self::half_table(&group_models[..low_bits as usize], dim);
-        let highs = Self::half_table(&group_models[low_bits as usize..], dim);
+        let lows = Self::half_table(&scores[..low_bits as usize], dim);
+        let highs = Self::half_table(&scores[low_bits as usize..], dim);
         Self {
             dim,
             low_bits,
@@ -142,12 +185,12 @@ impl CoalitionSums {
         }
     }
 
-    /// Subset-sum table over `models` (one half of the groups). Entry
-    /// `x` holds `Σ_{bit j ∈ x} models[j]`, built by adding the highest
+    /// Subset-sum table over `scores` (one half of the groups). Entry
+    /// `x` holds `Σ_{bit j ∈ x} scores[j]`, built by adding the highest
     /// member onto the already-computed remainder — so within a half,
     /// members accumulate in ascending index order.
-    fn half_table(models: &[Vec<f64>], dim: usize) -> Vec<Vec<f64>> {
-        let bits = models.len();
+    fn half_table(scores: &[Vec<f64>], dim: usize) -> Vec<Vec<f64>> {
+        let bits = scores.len();
         let mut table = vec![vec![0.0f64; dim]; 1usize << bits];
         for x in 1usize..(1usize << bits) {
             let msb = usize::BITS - 1 - x.leading_zeros();
@@ -155,15 +198,15 @@ impl CoalitionSums {
             let (head, tail) = table.split_at_mut(x);
             let entry = &mut tail[0];
             entry.copy_from_slice(&head[rest]);
-            for (e, w) in entry.iter_mut().zip(&models[msb as usize]) {
+            for (e, w) in entry.iter_mut().zip(&scores[msb as usize]) {
                 *e += w;
             }
         }
         table
     }
 
-    /// Writes the coalition *mean* `W_S` for a non-empty `mask` into
-    /// `out` without allocating.
+    /// Writes the coalition *mean* for a non-empty `mask` into `out`
+    /// without allocating.
     fn mean_into(&self, mask: usize, out: &mut [f64]) {
         debug_assert_ne!(mask, 0);
         debug_assert_eq!(out.len(), self.dim);
@@ -188,27 +231,35 @@ impl CoalitionSums {
 /// (Algorithm 1), Monte-Carlo, or stratified sampling for group counts
 /// beyond the exact cap.
 ///
-/// Representation: for `m ≤` [`MAX_PLAYERS`] groups the coalition means
-/// come from the incremental subset-sum tables (`CoalitionSums`) —
-/// `O(d)` per coalition, zero per-coalition clones. Beyond that the
-/// tables' `O(2^{m/2} · d)` memory is prohibitive (and only sampling
-/// estimators reach there anyway), so members are summed directly in
-/// ascending group order. Both paths make `evaluate` a pure function of
-/// the coalition bitmask, so every estimator built on [`numeric::par`]
-/// stays bit-identical across thread counts.
+/// Representation: construction takes each group model's
+/// [`ModelUtility::scores`] once (`m` test-set GEMMs for an accuracy
+/// utility, `m` copies for the identity view); a coalition is then
+/// valued by [`ModelUtility::of_scores`] on the mean of its members'
+/// scores. When the incremental subset-sum tables (`CoalitionSums`) fit
+/// their byte budget the mean is `O(d)` per coalition; otherwise — `m`
+/// beyond [`MAX_PLAYERS`], or score vectors as long as a test set —
+/// members are summed directly in ascending group order, with no memory
+/// beyond the `m` score vectors. Both paths make `evaluate` a pure
+/// function of the coalition bitmask (the summation order is fixed by
+/// the tables or by member order, never by the estimator's walk), so
+/// every estimator built on [`numeric::par`] stays bit-identical across
+/// thread counts.
 pub struct GroupModelGame<'a, U> {
     utility: &'a U,
-    backing: Backing<'a>,
+    backing: Backing,
     m: usize,
     dim: usize,
 }
 
-enum Backing<'a> {
-    /// Subset-sum tables (small `m`): coalition sum in one vector add.
+enum Backing {
+    /// Subset-sum tables (within budget): coalition sum in one vector add.
     Tabulated(CoalitionSums),
-    /// Direct member summation (large `m`, sampling estimators only).
-    Direct(&'a [Vec<f64>]),
+    /// Direct member summation over the groups' score vectors.
+    Direct(Vec<Vec<f64>>),
 }
+
+/// Elements per accumulator block of the direct summation (4 KiB).
+const DIRECT_BLOCK: usize = 512;
 
 thread_local! {
     /// Per-thread scratch for coalition means, so `evaluate` allocates
@@ -225,22 +276,23 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
     ///
     /// Panics on empty/ragged input or more than
     /// [`MAX_SAMPLED_PLAYERS`] groups.
-    pub fn new(group_models: &'a [Vec<f64>], utility: &'a U) -> Self {
+    pub fn new(group_models: &[Vec<f64>], utility: &'a U) -> Self {
         let m = group_models.len();
         assert!(m > 0, "no groups");
         assert!(
             m <= MAX_SAMPLED_PLAYERS,
             "coalition masks hold {MAX_SAMPLED_PLAYERS} groups, got {m}"
         );
-        let dim = group_models[0].len();
+        let scores: Vec<Vec<f64>> = group_models.iter().map(|w| utility.scores(w)).collect();
+        let dim = scores[0].len();
         assert!(
-            group_models.iter().all(|w| w.len() == dim),
+            scores.iter().all(|s| s.len() == dim),
             "all group models must share a dimension"
         );
-        let backing = if m <= MAX_PLAYERS {
-            Backing::Tabulated(CoalitionSums::new(group_models, dim))
+        let backing = if CoalitionSums::fits(m, dim) {
+            Backing::Tabulated(CoalitionSums::new(&scores, dim))
         } else {
-            Backing::Direct(group_models)
+            Backing::Direct(scores)
         };
         Self {
             utility,
@@ -261,28 +313,34 @@ impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
             return self.utility.of_empty();
         }
         // Take the buffer out of the cell rather than holding a borrow
-        // across `of_model`: a re-entrant evaluation on the same thread
+        // across `of_scores`: a re-entrant evaluation on the same thread
         // (a utility that itself consults another game) then starts from
         // an empty buffer instead of panicking the RefCell.
-        let mut w_s = MEAN_SCRATCH.with(RefCell::take);
-        w_s.resize(self.dim, 0.0);
+        let mut mean = MEAN_SCRATCH.with(RefCell::take);
+        mean.resize(self.dim, 0.0);
         match &self.backing {
-            Backing::Tabulated(sums) => sums.mean_into(coalition.0 as usize, &mut w_s),
-            Backing::Direct(models) => {
-                w_s.fill(0.0);
-                for j in coalition.members() {
-                    for (acc, w) in w_s.iter_mut().zip(&models[j]) {
-                        *acc += w;
-                    }
-                }
+            Backing::Tabulated(sums) => sums.mean_into(coalition.0 as usize, &mut mean),
+            Backing::Direct(scores) => {
+                // Block by block, so the accumulator stays in L1 while
+                // the members stream past; every element still sums its
+                // members in ascending order, then scales.
                 let inv = 1.0 / coalition.len() as f64;
-                for acc in w_s.iter_mut() {
-                    *acc *= inv;
+                for (b, block) in mean.chunks_mut(DIRECT_BLOCK).enumerate() {
+                    let at = b * DIRECT_BLOCK;
+                    block.fill(0.0);
+                    for j in coalition.members() {
+                        for (acc, s) in block.iter_mut().zip(&scores[j][at..]) {
+                            *acc += s;
+                        }
+                    }
+                    for acc in block.iter_mut() {
+                        *acc *= inv;
+                    }
                 }
             }
         }
-        let value = self.utility.of_model(&w_s);
-        MEAN_SCRATCH.with(|scratch| scratch.replace(w_s));
+        let value = self.utility.of_scores(&mean);
+        MEAN_SCRATCH.with(|scratch| scratch.replace(mean));
         value
     }
 }
@@ -601,6 +659,77 @@ mod tests {
                 round: 0,
             },
         );
+    }
+
+    /// `u(W) = w_0`, seen through a score vector of `len` copies of it —
+    /// linear, and as long as the test wants (a test set's logits are
+    /// 11 240 long at Table I).
+    struct Stretched {
+        len: usize,
+    }
+
+    impl ModelUtility for Stretched {
+        fn of_model(&self, weights: &[f64]) -> f64 {
+            weights[0]
+        }
+
+        fn of_empty(&self) -> f64 {
+            0.0
+        }
+
+        fn scores(&self, weights: &[f64]) -> Vec<f64> {
+            vec![weights[0]; self.len]
+        }
+
+        fn of_scores(&self, mean_scores: &[f64]) -> f64 {
+            assert_eq!(mean_scores.len(), self.len);
+            assert!(mean_scores.iter().all(|&s| s == mean_scores[0]));
+            mean_scores[0]
+        }
+    }
+
+    #[test]
+    fn tables_are_bounded_by_bytes_not_only_by_m() {
+        // Weight-sized vectors tabulate at the paper's m = 9; test-set
+        // logits never do, whatever m; m beyond the exact cap never does.
+        assert!(CoalitionSums::fits(9, 650));
+        assert!(CoalitionSums::fits(MAX_PLAYERS, 1));
+        assert!(!CoalitionSums::fits(MAX_PLAYERS + 1, 1));
+        for m in [1usize, 3, 9, 16, MAX_PLAYERS] {
+            assert!(!CoalitionSums::fits(m, 11_240), "m = {m}");
+        }
+        assert!(!CoalitionSums::fits(2, usize::MAX));
+    }
+
+    #[test]
+    fn table1_sized_game_at_m25_falls_back_to_member_order() {
+        // Unbounded, the two half-tables would be (2^12 + 2^13) × 11 240
+        // f64 — over a GiB. The game holds the 25 score vectors instead.
+        let utility = Stretched { len: 11_240 };
+        let models: Vec<Vec<f64>> = (0..MAX_PLAYERS).map(|j| vec![j as f64]).collect();
+        let game = GroupModelGame::new(&models, &utility);
+        assert!(matches!(&game.backing, Backing::Direct(scores) if scores.len() == MAX_PLAYERS));
+        assert_eq!(game.evaluate(Coalition::from_members(&[4, 24])), 14.0);
+        assert_eq!(game.evaluate(Coalition::EMPTY), 0.0);
+    }
+
+    #[test]
+    fn both_backings_value_every_coalition_alike() {
+        // Integer weights: every sum is exact, so the table grouping and
+        // the member-order fold must agree to the bit.
+        let models: Vec<Vec<f64>> = (0..7).map(|j| vec![(j * j) as f64 - 3.0]).collect();
+        let short = Stretched { len: 600 };
+        let long = Stretched { len: 6_000 };
+        let tabulated = GroupModelGame::new(&models, &short);
+        let direct = GroupModelGame::new(&models, &long);
+        assert!(matches!(tabulated.backing, Backing::Tabulated(_)));
+        assert!(matches!(direct.backing, Backing::Direct(_)));
+        for coalition in Coalition::powerset(7).skip(1) {
+            let sum: f64 = coalition.members().map(|j| models[j][0]).sum();
+            let mean = sum * (1.0 / coalition.len() as f64);
+            assert_eq!(tabulated.evaluate(coalition), mean);
+            assert_eq!(direct.evaluate(coalition), mean);
+        }
     }
 
     proptest! {

@@ -44,12 +44,37 @@ pub trait CoalitionUtility {
 /// Utility of a *model*, `u(W)`, plus the value assigned to the empty
 /// coalition (no model at all — the paper's implicit `u(∅)`, e.g. the
 /// accuracy of random guessing).
+///
+/// # The scores view
+///
+/// [`crate::group::GroupModelGame`] asks for the utility of `2^m`
+/// coalition *averages* of the same `m` group models. When the expensive
+/// part of `u` is linear in the weights — test accuracy of a linear
+/// model is `argmax(X · W)`, and `X · mean_j(W_j) = mean_j(X · W_j)` — a
+/// utility can expose that part as [`ModelUtility::scores`]; the game
+/// then computes it once per group and averages the scores instead of
+/// the weights. Contract: `scores` is linear, and
+/// `of_model(w) == of_scores(&scores(w))`. The defaults are the
+/// identity view (`scores(w) = w`, `of_scores = of_model`), so closures
+/// and every utility without linear structure behave as if the view did
+/// not exist.
 pub trait ModelUtility {
     /// Utility of the model with flat weights `w`.
     fn of_model(&self, weights: &[f64]) -> f64;
 
     /// Utility of the empty coalition.
     fn of_empty(&self) -> f64;
+
+    /// The linear view of a model that coalition averaging commutes
+    /// with. Every model's score vector has the same length.
+    fn scores(&self, weights: &[f64]) -> Vec<f64> {
+        weights.to_vec()
+    }
+
+    /// Utility of a model given the mean of its members' `scores`.
+    fn of_scores(&self, mean_scores: &[f64]) -> f64 {
+        self.of_model(mean_scores)
+    }
 }
 
 /// Blanket impl so closures `(Fn(&[f64]) -> f64, f64)` can be used as a

@@ -16,7 +16,7 @@ use numeric::par;
 use proptest::prelude::*;
 use shapley::coalition::Coalition;
 use shapley::estimator::{Exact, GroupSv, Stratified, SvEstimator};
-use shapley::group::{group_shapley, shapley_over_group_models, GroupSvConfig};
+use shapley::group::{group_shapley, shapley_over_group_models, GroupModelGame, GroupSvConfig};
 use shapley::monte_carlo::{monte_carlo_shapley, McConfig};
 use shapley::native::exact_shapley;
 use shapley::stratified::{stratified_shapley, StratifiedConfig};
@@ -238,6 +238,43 @@ fn restricted_game_is_schedule_invariant() {
         }
         .estimate(&restricted)
     });
+}
+
+#[test]
+fn accuracy_game_is_schedule_invariant_through_both_backings() {
+    // The game the contract plays: test accuracy, scored in logit space.
+    // Forty test rows keep the subset-sum tables inside their byte
+    // budget; the full 600-row set, or more groups than the exact cap,
+    // falls back to member-order summation. Thread caps 1, 2 and 4 must
+    // agree to the bit on every path.
+    use fedchain::contract_fl::AccuracyUtility;
+    use fl_ml::dataset::SyntheticDigits;
+
+    let full = SyntheticDigits::small().generate(99);
+    let short = full.subset(&(0..40).collect::<Vec<_>>());
+    let stratified = Stratified {
+        config: StratifiedConfig {
+            samples_per_stratum: 3,
+            seed: 23,
+        },
+    };
+    let _lock = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
+    for (test_set, m) in [(&short, 8usize), (&full, 8), (&short, 30)] {
+        let utility = AccuracyUtility::new(test_set, 64, 10);
+        let models = synthetic_models(m, 650);
+        let run = |cap: usize| {
+            par::set_max_threads(cap);
+            let game = GroupModelGame::new(&models, &utility);
+            let exact = (m <= 8).then(|| Exact.estimate(&game).values);
+            (exact, stratified.estimate(&game).values)
+        };
+        let sequential = run(1);
+        assert!(sequential.1.iter().any(|&v| v != 0.0), "degenerate game");
+        for cap in [2usize, 4] {
+            assert_eq!(sequential, run(cap), "m = {m}: cap 1 vs cap {cap}");
+        }
+    }
+    par::set_max_threads(0);
 }
 
 /// The survivor-only round evaluation, end to end through the FL
