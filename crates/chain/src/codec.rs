@@ -79,6 +79,9 @@ impl<T: Encode> Encode for Vec<T> {
 
 impl<T: Encode> Encode for [T] {
     fn encode_to(&self, out: &mut Vec<u8>) {
+        // One growth for the whole sequence instead of one per element:
+        // exact for fixed-width elements, a hint for nested ones.
+        out.reserve(8 + std::mem::size_of_val(self));
         (self.len() as u64).encode_to(out);
         for item in self {
             item.encode_to(out);

@@ -154,6 +154,14 @@ impl<C: Encode + Clone> ChainStore<C> {
         self.read().get(height as usize).cloned()
     }
 
+    /// Runs `f` on the block at `height` under the read guard, without
+    /// cloning it — for readers that only inspect the block, such as a
+    /// replaying auditor. `f` must not append to this store: the guard
+    /// is held until it returns.
+    pub fn with_block<R>(&self, height: u64, f: impl FnOnce(&Block<C>) -> R) -> Option<R> {
+        self.read().get(height as usize).map(f)
+    }
+
     /// Clone of the tip block.
     pub fn tip(&self) -> Option<Block<C>> {
         self.read().last().cloned()
@@ -281,6 +289,8 @@ mod tests {
         assert_eq!(store.verify_chain(), Ok(()));
         assert_eq!(store.block_at(0).unwrap().txs.len(), 2);
         assert!(store.block_at(5).is_none());
+        assert_eq!(store.with_block(1, |b| b.txs.len()), Some(1));
+        assert_eq!(store.with_block(5, |b| b.txs.len()), None);
     }
 
     #[test]

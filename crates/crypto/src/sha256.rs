@@ -64,52 +64,44 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
-        }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
+            let block = self.buffer;
             self.compress(&block);
-            input = &input[64..];
+            self.buffer_len = 0;
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        // Full blocks are compressed straight from the input; only the
+        // tail is staged.
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            self.compress(block.try_into().expect("chunks_exact yields 64 bytes"));
         }
+        let tail = blocks.remainder();
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Finishes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len * 8;
-        // Append 0x80, pad with zeros to 56 mod 64, append 64-bit length.
-        self.raw_update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.raw_update(&[0]);
+        // Padding in one step: 0x80, zeros to 56 mod 64, the 64-bit
+        // length — one block when the tail leaves room for the length
+        // (at most 55 buffered bytes), two otherwise.
+        let mut block = [0u8; 64];
+        block[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        block[self.buffer_len] = 0x80;
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    /// Update without advancing `total_len` (padding bytes).
-    fn raw_update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffer_len] = b;
-            self.buffer_len += 1;
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -239,7 +231,54 @@ mod tests {
         assert_eq!(hex(&sha256(b"x")).len(), 64);
     }
 
+    /// FIPS 180-4 §5.1.1 padding spelled out on a copy of the message,
+    /// then block-by-block compression: the oracle for the one-step
+    /// padding in `finalize` and the unstaged block path in `update`.
+    fn padded_reference(data: &[u8]) -> Digest {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut h = Sha256::new();
+        for block in message.chunks_exact(64) {
+            h.compress(block.try_into().unwrap());
+        }
+        let words: Vec<u8> = h.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+        words.try_into().unwrap()
+    }
+
+    #[test]
+    fn every_length_across_the_padding_edges_matches_the_reference() {
+        // 55 / 56 / 64 are where the padding goes from one block to two
+        // and where the tail buffer empties; 0..=200 crosses each edge
+        // three times.
+        let data: Vec<u8> = (0u8..=200).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                sha256(&data[..len]),
+                padded_reference(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_three_way_split_matches_the_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..201),
+            a in 0usize..201,
+            b in 0usize..201,
+        ) {
+            let (a, b) = (a.min(b).min(data.len()), a.max(b).min(data.len()));
+            let mut h = Sha256::new();
+            h.update(&data[..a]);
+            h.update(&data[a..b]);
+            h.update(&data[b..]);
+            prop_assert_eq!(h.finalize(), padded_reference(&data));
+        }
+
         #[test]
         fn prop_deterministic(data in proptest::collection::vec(any::<u8>(), 0..512)) {
             prop_assert_eq!(sha256(&data), sha256(&data));

@@ -19,6 +19,7 @@
 
 use std::path::Path;
 
+use fl_chain::block::Block;
 use fl_chain::codec::DecodeError;
 use fl_chain::contract::{SmartContract, TxContext};
 use fl_chain::durability::{DurabilityConfig, DurabilityError, DurableStore};
@@ -121,34 +122,47 @@ fn replay_blocks(
     let mut blocks = Vec::new();
     let mut clean = true;
     for height in from..store.height() {
-        let block = store.block_at(height).expect("height bounded by store");
-        for (tx_index, tx) in block.txs.iter().enumerate() {
-            let ctx = TxContext {
-                block_height: height,
-                view: block.header.view,
-                sender: tx.sender,
-                tx_index,
-            };
-            contract
-                .execute(&ctx, &tx.call)
-                .map_err(|e| AuditError::ReplayFailure {
-                    height,
-                    tx_index,
-                    reason: format!("{e:?}"),
-                })?;
-        }
-        let recomputed = contract.state_digest();
-        let consistent = recomputed == block.header.state_root;
-        clean &= consistent;
-        blocks.push(BlockAudit {
-            height,
-            committed_root: block.header.state_root,
-            recomputed_root: recomputed,
-            consistent,
-            txs: block.txs.len(),
-        });
+        // Under the store's read guard: the auditor only reads the
+        // block, so nothing is cloned.
+        let audit = store
+            .with_block(height, |block| replay_block(contract, block))
+            .expect("height bounded by store")?;
+        clean &= audit.consistent;
+        blocks.push(audit);
     }
     Ok((blocks, clean))
+}
+
+/// Re-executes one block and compares the resulting state digest with
+/// the root the block committed.
+fn replay_block(
+    contract: &mut FlContract,
+    block: &Block<FlCall>,
+) -> Result<BlockAudit, AuditError> {
+    let height = block.header.height;
+    for (tx_index, tx) in block.txs.iter().enumerate() {
+        let ctx = TxContext {
+            block_height: height,
+            view: block.header.view,
+            sender: tx.sender,
+            tx_index,
+        };
+        contract
+            .execute(&ctx, &tx.call)
+            .map_err(|e| AuditError::ReplayFailure {
+                height,
+                tx_index,
+                reason: format!("{e:?}"),
+            })?;
+    }
+    let recomputed = contract.state_digest();
+    Ok(BlockAudit {
+        height,
+        committed_root: block.header.state_root,
+        recomputed_root: recomputed,
+        consistent: recomputed == block.header.state_root,
+        txs: block.txs.len(),
+    })
 }
 
 fn report_of(contract: &FlContract, blocks: Vec<BlockAudit>, clean: bool) -> AuditReport {
@@ -269,10 +283,8 @@ pub fn fast_sync(
             let restored = FlContract::restore(params, test_set, &snap.state)
                 .map_err(FastSyncError::SnapshotUndecodable)?;
             let committed = store
-                .block_at(snap.height - 1)
-                .expect("snapshot height validated during recovery")
-                .header
-                .state_root;
+                .with_block(snap.height - 1, |block| block.header.state_root)
+                .expect("snapshot height validated during recovery");
             let digest = restored.state_digest();
             if digest != committed {
                 return Err(FastSyncError::SnapshotStateMismatch {
