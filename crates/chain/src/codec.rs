@@ -2,7 +2,8 @@
 //!
 //! Transaction and block digests must be identical on every miner, so the
 //! encoding must be fully specified: little-endian fixed-width integers,
-//! `u64` length prefixes for sequences, and a tag byte for options. This
+//! `u64` length prefixes for sequences and for maps (entries in key
+//! order), and a tag byte for options. This
 //! is *not* a general-purpose serialization format (no versioning, no
 //! schema evolution) — it exists to give [`crate::hash`] a deterministic
 //! pre-image and [`crate::log`] a replayable record format.
@@ -13,6 +14,8 @@
 //! [`DecodeError`] instead of panicking. A replica recovering its chain
 //! from disk (or syncing one from a peer) must never be killable by a
 //! corrupt byte stream.
+
+use std::collections::BTreeMap;
 
 /// Types with a canonical byte encoding.
 pub trait Encode {
@@ -85,6 +88,18 @@ impl<T: Encode> Encode for [T] {
         (self.len() as u64).encode_to(out);
         for item in self {
             item.encode_to(out);
+        }
+    }
+}
+
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode_to(&self, out: &mut Vec<u8>) {
+        // `len ‖ (key ‖ value)*` in ascending key order — the map's own
+        // iteration order, so equal maps encode equally.
+        (self.len() as u64).encode_to(out);
+        for (key, value) in self {
+            key.encode_to(out);
+            value.encode_to(out);
         }
     }
 }
@@ -347,6 +362,21 @@ impl<T: Decode> Decode for Vec<T> {
     }
 }
 
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        // Nothing is allocated ahead of the entries actually read. Keys
+        // out of order or repeated (the last one wins) are tolerated:
+        // whoever decodes untrusted bytes checks the result's digest.
+        let len = r.take_len(1)?;
+        let mut out = BTreeMap::new();
+        for _ in 0..len {
+            let key = K::decode_from(r)?;
+            out.insert(key, V::decode_from(r)?);
+        }
+        Ok(out)
+    }
+}
+
 impl<T: Decode, const N: usize> Decode for [T; N] {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         // Fixed length, no prefix — mirror of the Encode impl.
@@ -487,6 +517,24 @@ mod tests {
         roundtrip((1u8, 2u64));
         roundtrip((1u8, 2u64, String::from("x")));
         roundtrip(vec![vec![1u8], vec![2, 3]]);
+    }
+
+    #[test]
+    fn maps_encode_in_key_order_and_roundtrip() {
+        let mut map = BTreeMap::new();
+        map.insert(7u32, vec![1u8, 2]);
+        map.insert(3u32, vec![]);
+        let mut expected = 2u64.encode();
+        expected.extend((3u32, Vec::<u8>::new()).encode());
+        expected.extend((7u32, vec![1u8, 2]).encode());
+        assert_eq!(map.encode(), expected);
+        roundtrip(map);
+        roundtrip(BTreeMap::<u32, f64>::new());
+        // A length no input could hold is rejected before the loop.
+        assert!(matches!(
+            BTreeMap::<u32, u8>::decode(&u64::MAX.encode()),
+            Err(DecodeError::LengthOverflow { .. })
+        ));
     }
 
     #[test]

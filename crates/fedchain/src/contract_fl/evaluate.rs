@@ -155,12 +155,12 @@ impl FlContract {
         dh: &DhGroup,
         dropped_pos: &[usize],
     ) -> Result<(BTreeMap<AccountId, U256>, Vec<RecoveryEvidence>), FlError> {
-        let threshold = self.params.escrow_threshold;
+        let threshold = self.params().escrow_threshold;
         let shamir = Shamir::default();
         let mut recovered: BTreeMap<AccountId, U256> = BTreeMap::new();
         let mut evidence: Vec<RecoveryEvidence> = Vec::with_capacity(dropped_pos.len());
         for &pos in dropped_pos {
-            let id = self.params.owners[pos];
+            let id = self.params().owners[pos];
             let provided = self
                 .recovery_shares
                 .get(&id)
@@ -202,19 +202,19 @@ impl FlContract {
         codec: &FixedCodec,
         round: u64,
     ) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let is_dropped = |idx: usize| dropped_set.contains(&self.params.owners[idx]);
+        let is_dropped = |idx: usize| dropped_set.contains(&self.params().owners[idx]);
         let mut group_models: Vec<Vec<f64>> = Vec::with_capacity(groups.len());
         let mut surviving_groups: Vec<usize> = Vec::new();
         for (j, g) in groups.iter().enumerate() {
             let alive: Vec<usize> = g.iter().copied().filter(|&i| !is_dropped(i)).collect();
             if alive.is_empty() {
-                group_models.push(vec![0.0; self.params.model_dim]);
+                group_models.push(vec![0.0; self.params().model_dim]);
                 continue;
             }
             surviving_groups.push(j);
-            let mut acc = vec![0u64; self.params.model_dim];
+            let mut acc = vec![0u64; self.params().model_dim];
             for &idx in &alive {
-                let owner = self.params.owners[idx];
+                let owner = self.params().owners[idx];
                 let masked = self
                     .submissions
                     .get(&owner)
@@ -226,7 +226,7 @@ impl FlContract {
                 .copied()
                 .filter(|&i| is_dropped(i))
                 .map(|i| {
-                    let id = self.params.owners[i];
+                    let id = self.params().owners[i];
                     (id, recovered[&id])
                 })
                 .collect();
@@ -235,7 +235,7 @@ impl FlContract {
                 let survivor_keys: Vec<(AccountId, U256)> = alive
                     .iter()
                     .map(|&i| {
-                        let id = self.params.owners[i];
+                        let id = self.params().owners[i];
                         (
                             id,
                             U256::from_be_bytes(self.keys.get(&id).expect("keys complete")),
@@ -283,13 +283,13 @@ impl FlContract {
         round: u64,
         dropped_ids: &[AccountId],
     ) -> Result<ExecutionOutcome, FlError> {
-        let n = self.params.owners.len();
-        let m = self.params.num_groups;
-        let k = self.params.num_cohorts;
-        let codec = FixedCodec::new(self.params.frac_bits);
+        let n = self.params().owners.len();
+        let m = self.params().num_groups;
+        let k = self.params().num_cohorts;
+        let codec = FixedCodec::new(self.params().frac_bits);
 
         let dropped_set: BTreeSet<AccountId> = dropped_ids.iter().copied().collect();
-        let is_dropped = |idx: usize| dropped_set.contains(&self.params.owners[idx]);
+        let is_dropped = |idx: usize| dropped_set.contains(&self.params().owners[idx]);
         let dropped_pos: Vec<usize> = (0..n).filter(|&i| is_dropped(i)).collect();
         let survivor_pos: Vec<usize> = (0..n).filter(|&i| !is_dropped(i)).collect();
 
@@ -301,11 +301,11 @@ impl FlContract {
         // every auditor derives the identical partition. It covers the
         // *full* owner set — the layout is fixed at round start;
         // dropping out does not reshuffle anyone.
-        let plan = RoundPlan::new(self.params.permutation_seed, round, n, k, m)
+        let plan = RoundPlan::new(self.params().permutation_seed, round, n, k, m)
             .expect("layout parameters validated at genesis");
 
-        let utility = &self.utility;
-        let method = self.params.sv_method;
+        let utility = &self.genesis.utility;
+        let method = self.params().sv_method;
 
         struct CohortOutcome {
             group_models: Vec<Vec<f64>>,
@@ -374,11 +374,11 @@ impl FlContract {
                 (0..k).filter(|&c| cohort_models[c].is_some()).collect();
             let cohort_models: Vec<Vec<f64>> = cohort_models
                 .into_iter()
-                .map(|model| model.unwrap_or_else(|| vec![0.0; self.params.model_dim]))
+                .map(|model| model.unwrap_or_else(|| vec![0.0; self.params().model_dim]))
                 .collect();
             (per_cohort_sv, total_evals, total_samples) = Self::estimate_alive(
                 method,
-                sampling_seed(self.params.permutation_seed, round),
+                sampling_seed(self.params().permutation_seed, round),
                 &cohort_models,
                 &alive_cohorts,
                 utility,
@@ -431,7 +431,7 @@ impl FlContract {
         for (vals, owners_of) in composed.iter().zip(&within_owners) {
             for (&v, &idx) in vals.iter().zip(owners_of) {
                 per_owner_sv[idx] = v;
-                let owner = self.params.owners[idx];
+                let owner = self.params().owners[idx];
                 *self
                     .contributions
                     .get_mut(&owner)
@@ -439,8 +439,8 @@ impl FlContract {
             }
         }
 
-        self.global_model = global_model;
-        let global_accuracy = utility.of_model(&self.global_model);
+        let global_accuracy = utility.of_model(&global_model);
+        *self.global_model = global_model;
 
         // The record's `groups`/`per_group_sv` sections concatenate the
         // cohorts' groups and values in plan order.
@@ -459,8 +459,8 @@ impl FlContract {
             survivor_pos.len(),
         );
         let gas = self.gas.charge(
-            self.params.model_dim,
-            (total_evals + dropped_pos.len() * survivor_pos.len()) * self.params.model_dim,
+            self.params().model_dim,
+            (total_evals + dropped_pos.len() * survivor_pos.len()) * self.params().model_dim,
         );
         self.history.push(RoundRecord {
             round,
@@ -476,6 +476,7 @@ impl FlContract {
             samples: total_samples,
             cohorts: cohort_evidence,
         });
+        self.history_leaves.push(Default::default());
         self.submissions.clear();
         self.recovery_shares.clear();
         self.phase = RoundPhase::Submitting;

@@ -42,12 +42,18 @@
 //!
 //! Everything the contract decides — including *which* estimator ran,
 //! its sampling diagnostics, the survivor set, and the recovery
-//! evidence — is emitted as events and captured in the state digest, so
+//! evidence — is emitted as events and bound by the state digest, so
 //! a fraudulent leader cannot tamper with the evaluation (or quietly
 //! swap the method, or forge the survivor set) without every honest
-//! miner's re-execution diverging at the first state root.
+//! miner's re-execution diverging at the first state root. The digest
+//! binds the parameters, round and phase, every key, escrow commitment,
+//! masked word and recovery share, the contributions, the global model
+//! and every field of every [`RoundRecord`], as a root over per-section
+//! digests memoised until their section is next borrowed mutably — a
+//! block pays for what it changed (layout: `state_digest` below).
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use fl_chain::codec::Encode;
 use fl_chain::contract::ExecutionOutcome;
@@ -63,6 +69,7 @@ use crate::config::SvMethod;
 mod calls;
 mod evaluate;
 mod records;
+mod section;
 mod state;
 #[cfg(test)]
 mod tests;
@@ -71,6 +78,7 @@ pub use calls::{share_commitment, FlCall, FlError};
 pub(crate) use evaluate::reduce_models;
 pub use evaluate::AccuracyUtility;
 pub use records::{CohortEvidence, RecoveryEvidence, RoundPhase, RoundRecord};
+use section::Section;
 
 /// Static protocol parameters agreed at the off-chain setup stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,30 +175,41 @@ impl Encode for FlParams {
 /// first state root.
 #[derive(Debug, Clone)]
 pub struct FlContract {
-    params: FlParams,
-    /// The utility function over the public test set (agreed at setup;
-    /// the *training* shards never leave their owners), conditioned once
-    /// at genesis. Derived from the genesis artefacts alone, so it is in
-    /// neither the state digest nor the snapshot.
-    utility: AccuracyUtility,
+    genesis: Arc<Genesis>,
     gas: GasSchedule,
-    keys: BTreeMap<AccountId, Vec<u8>>,
+    keys: Section<BTreeMap<AccountId, Vec<u8>>>,
     /// Escrow commitments per owner: entry `j` commits the Shamir share
     /// of the owner's DH private key destined for owner position `j`.
-    escrows: BTreeMap<AccountId, Vec<Hash32>>,
+    escrows: Section<BTreeMap<AccountId, Vec<Hash32>>>,
     current_round: u64,
     phase: RoundPhase,
-    submissions: BTreeMap<AccountId, Vec<u64>>,
+    /// Each masked update memoises its own leaf digest.
+    submissions: Section<BTreeMap<AccountId, Section<Vec<u64>>>>,
     /// Verified recovery shares: dropped owner → (provider → share).
     recovery_shares: BTreeMap<AccountId, BTreeMap<AccountId, Share>>,
-    contributions: BTreeMap<AccountId, f64>,
-    global_model: Vec<f64>,
+    contributions: Section<BTreeMap<AccountId, f64>>,
+    global_model: Section<Vec<f64>>,
     history: Vec<RoundRecord>,
+    /// `history_leaves[i]` memoises the leaf digest of `history[i]`.
+    history_leaves: Section<Vec<OnceLock<Hash32>>>,
+}
+
+/// What genesis fixes for the life of the chain; replica clones share it.
+#[derive(Debug)]
+struct Genesis {
+    params: FlParams,
+    /// The `/params` row of the state digest.
+    params_digest: Hash32,
+    /// The utility function over the public test set (agreed at setup;
+    /// the *training* shards never leave their owners), conditioned
+    /// once. Derived from the genesis artefacts alone, so it is in
+    /// neither the state digest nor the snapshot.
+    utility: AccuracyUtility,
 }
 
 impl FlContract {
     fn owner_index(&self, id: AccountId) -> Result<usize, FlError> {
-        self.params
+        self.params()
             .owners
             .iter()
             .position(|&o| o == id)
@@ -234,7 +253,7 @@ impl FlContract {
             format!(
                 "key: owner {sender} advertised ({}/{})",
                 self.keys.len(),
-                self.params.owners.len()
+                self.params().owners.len()
             ),
             gas,
         ))
@@ -250,10 +269,10 @@ impl FlContract {
         if self.finished() {
             return Err(FlError::ProtocolFinished);
         }
-        if self.keys.len() != self.params.owners.len() {
+        if self.keys.len() != self.params().owners.len() {
             return Err(FlError::KeysIncomplete {
                 have: self.keys.len(),
-                need: self.params.owners.len(),
+                need: self.params().owners.len(),
             });
         }
         if round != self.current_round {
@@ -271,19 +290,20 @@ impl FlContract {
         if self.submissions.contains_key(&sender) {
             return Err(FlError::DuplicateSubmission(sender));
         }
-        if masked.len() != self.params.model_dim {
+        if masked.len() != self.params().model_dim {
             return Err(FlError::DimMismatch {
-                expected: self.params.model_dim,
+                expected: self.params().model_dim,
                 got: masked.len(),
             });
         }
-        self.submissions.insert(sender, masked.to_vec());
+        self.submissions
+            .insert(sender, Section::new(masked.to_vec()));
         let gas = self.gas.charge(masked.len(), masked.len());
         Ok(ExecutionOutcome::event(
             format!(
                 "submit: owner {sender} round {round} ({}/{})",
                 self.submissions.len(),
-                self.params.owners.len()
+                self.params().owners.len()
             ),
             gas,
         ))
@@ -306,7 +326,7 @@ impl FlContract {
         if self.escrows.contains_key(&sender) {
             return Err(FlError::EscrowAlreadyCommitted(sender));
         }
-        let n = self.params.owners.len();
+        let n = self.params().owners.len();
         if commitments.len() != n {
             return Err(FlError::EscrowSizeMismatch {
                 expected: n,
@@ -391,7 +411,7 @@ impl FlContract {
         }
         entry.insert(sender, share);
         let have = self.recovery_shares[&dropped].len();
-        let need = self.params.escrow_threshold;
+        let need = self.params().escrow_threshold;
         let gas = self.gas.charge(4, 0);
         Ok(ExecutionOutcome::event(
             format!("recover: owner {sender} revealed share for dropped {dropped} ({have}/{need})"),
@@ -412,7 +432,7 @@ impl FlContract {
         match self.phase.clone() {
             RoundPhase::Submitting => {
                 let missing: Vec<AccountId> = self
-                    .params
+                    .params()
                     .owners
                     .iter()
                     .copied()
@@ -425,8 +445,8 @@ impl FlContract {
                 // actually recoverable: the survivors must be able to
                 // reach the escrow threshold, and every missing owner
                 // must have escrowed its shares.
-                let survivors = self.params.owners.len() - missing.len();
-                let need = self.params.escrow_threshold;
+                let survivors = self.params().owners.len() - missing.len();
+                let need = self.params().escrow_threshold;
                 if survivors < need {
                     return Err(FlError::InsufficientSurvivors { survivors, need });
                 }
@@ -448,7 +468,7 @@ impl FlContract {
                 ))
             }
             RoundPhase::Recovering { dropped } => {
-                let need = self.params.escrow_threshold;
+                let need = self.params().escrow_threshold;
                 for &d in &dropped {
                     let have = self.recovery_shares.get(&d).map_or(0, BTreeMap::len);
                     if have < need {

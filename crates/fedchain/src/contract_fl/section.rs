@@ -1,0 +1,79 @@
+//! One memoised digest per section of the contract state.
+
+use std::ops::{Deref, DerefMut};
+use std::sync::OnceLock;
+
+use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
+use fl_chain::hash::Hash32;
+
+/// A value and the memo of its digest. Reads go through `Deref`; every
+/// mutable borrow goes through `DerefMut`, which drops the memo first,
+/// so a section whose value changed can never answer with a stale
+/// digest. `Clone` copies the memo with the value (a scratch replica
+/// starts warm); encoding and decoding see the value only, so a memo
+/// never reaches a snapshot and a restored section starts cold.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Section<T> {
+    value: T,
+    memo: OnceLock<Hash32>,
+}
+
+impl<T> Section<T> {
+    pub(super) fn new(value: T) -> Self {
+        Self {
+            value,
+            memo: OnceLock::new(),
+        }
+    }
+
+    /// The section's digest: [`tagged`] over what `encode` writes for
+    /// the value, computed on the first call after a mutation. Each
+    /// section has one call site, in `state_digest`, so one `tag` and one
+    /// `encode` per section.
+    pub(super) fn digest(&self, tag: &str, encode: impl FnOnce(&T, &mut Vec<u8>)) -> Hash32 {
+        *self
+            .memo
+            .get_or_init(|| tagged(tag, |buf| encode(&self.value, buf)))
+    }
+}
+
+/// SHA-256 over the domain string `transparent-fl/state` + `tag`,
+/// encoded as a string, followed by the bytes `encode` appends.
+pub(super) fn tagged(tag: &str, encode: impl FnOnce(&mut Vec<u8>)) -> Hash32 {
+    const DOMAIN: &str = "transparent-fl/state";
+    // The root and the small sections fit; larger ones grow from here
+    // (a long slice reserves its whole length at once).
+    let mut buf = Vec::with_capacity(512);
+    ((DOMAIN.len() + tag.len()) as u64).encode_to(&mut buf);
+    buf.extend_from_slice(DOMAIN.as_bytes());
+    buf.extend_from_slice(tag.as_bytes());
+    encode(&mut buf);
+    Hash32::of_bytes(&buf)
+}
+
+impl<T> Deref for Section<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> DerefMut for Section<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.memo.take();
+        &mut self.value
+    }
+}
+
+impl<T: Encode> Encode for Section<T> {
+    fn encode_to(&self, out: &mut Vec<u8>) {
+        self.value.encode_to(out);
+    }
+}
+
+impl<T: Decode> Decode for Section<T> {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        T::decode_from(r).map(Self::new)
+    }
+}

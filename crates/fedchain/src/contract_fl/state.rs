@@ -3,6 +3,7 @@
 //! [`SmartContract`] binding with the consensus state digest.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
 use fl_chain::contract::{ExecutionOutcome, SmartContract, TxContext};
@@ -14,6 +15,7 @@ use fl_ml::dataset::Dataset;
 use numeric::U256;
 use shapley::hierarchy::CohortPlan;
 
+use super::section::{tagged, Section};
 use super::{AccuracyUtility, FlCall, FlContract, FlError, FlParams, RoundPhase, RoundRecord};
 
 impl FlContract {
@@ -66,24 +68,28 @@ impl FlContract {
         let global_model = vec![0.0; params.model_dim];
         let contributions = params.owners.iter().map(|&o| (o, 0.0)).collect();
         Self {
-            utility: AccuracyUtility::new(&test_set, params.num_features, params.num_classes),
-            params,
+            genesis: Arc::new(super::Genesis {
+                utility: AccuracyUtility::new(&test_set, params.num_features, params.num_classes),
+                params_digest: tagged("/params", |buf| params.encode_to(buf)),
+                params,
+            }),
             gas: GasSchedule::default(),
-            keys: BTreeMap::new(),
-            escrows: BTreeMap::new(),
+            keys: Section::default(),
+            escrows: Section::default(),
             current_round: 0,
             phase: RoundPhase::Submitting,
-            submissions: BTreeMap::new(),
+            submissions: Section::default(),
             recovery_shares: BTreeMap::new(),
-            contributions,
-            global_model,
+            contributions: Section::new(contributions),
+            global_model: Section::new(global_model),
             history: Vec::new(),
+            history_leaves: Section::default(),
         }
     }
 
     /// Static parameters.
     pub fn params(&self) -> &FlParams {
-        &self.params
+        &self.genesis.params
     }
 
     /// Current (unevaluated) round.
@@ -93,7 +99,7 @@ impl FlContract {
 
     /// True once all rounds are evaluated.
     pub fn finished(&self) -> bool {
-        self.current_round >= self.params.total_rounds
+        self.current_round >= self.params().total_rounds
     }
 
     /// Cumulative contribution (total SV `v_i = Σ_r v_i^r`) per owner.
@@ -115,6 +121,7 @@ impl FlContract {
     /// (e.g. a tampered survivor set) and prove the digest catches it.
     #[cfg(test)]
     pub(crate) fn history_mut(&mut self) -> &mut [RoundRecord] {
+        self.history_leaves.fill(OnceLock::new());
         &mut self.history
     }
 
@@ -136,33 +143,8 @@ impl FlContract {
     /// What a chain observer sees for `owner` this round: the masked
     /// submission (used by the privacy analysis).
     pub fn observed_submission(&self, owner: AccountId) -> Option<&[u64]> {
-        self.submissions.get(&owner).map(Vec::as_slice)
+        self.submissions.get(&owner).map(|update| update.as_slice())
     }
-}
-
-/// Encodes a map as `len ‖ (key ‖ value)*` — the same shape the state
-/// digest uses, but with an explicit length everywhere so the snapshot
-/// is strictly decodable.
-fn encode_map<K: Encode, V: Encode>(map: &BTreeMap<K, V>, out: &mut Vec<u8>) {
-    (map.len() as u64).encode_to(out);
-    for (k, v) in map {
-        k.encode_to(out);
-        v.encode_to(out);
-    }
-}
-
-/// Strict inverse of [`encode_map`].
-fn decode_map<K: Decode + Ord, V: Decode>(
-    r: &mut Reader<'_>,
-) -> Result<BTreeMap<K, V>, DecodeError> {
-    let len = u64::decode_from(r)?;
-    let mut map = BTreeMap::new();
-    for _ in 0..len {
-        let k = K::decode_from(r)?;
-        let v = V::decode_from(r)?;
-        map.insert(k, v);
-    }
-    Ok(map)
 }
 
 impl FlContract {
@@ -178,26 +160,37 @@ impl FlContract {
     /// and `fedchain::audit::fast_sync` verifies a restored state against
     /// the committed state root before trusting it.
     pub fn snapshot_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Sized for the escrows and the masked updates, the bulk of a
+        // mid-round state.
+        let (n, dim) = (self.params().owners.len(), self.params().model_dim);
+        let bulk = (48 + 32 * n) * self.escrows.len() + (16 + 8 * dim) * self.submissions.len();
+        let mut out = Vec::with_capacity(bulk + 64 * n + 8 * dim);
         self.current_round.encode_to(&mut out);
         self.phase.encode_to(&mut out);
-        encode_map(&self.keys, &mut out);
-        encode_map(&self.escrows, &mut out);
-        encode_map(&self.submissions, &mut out);
-        (self.recovery_shares.len() as u64).encode_to(&mut out);
-        for (dropped, providers) in &self.recovery_shares {
-            dropped.encode_to(&mut out);
-            (providers.len() as u64).encode_to(&mut out);
-            for (provider, share) in providers {
-                provider.encode_to(&mut out);
-                share.x.encode_to(&mut out);
-                share.y.to_be_bytes().encode_to(&mut out);
-            }
-        }
-        encode_map(&self.contributions, &mut out);
+        self.keys.encode_to(&mut out);
+        self.escrows.encode_to(&mut out);
+        self.submissions.encode_to(&mut out);
+        self.encode_recovery_shares(&mut out);
+        self.contributions.encode_to(&mut out);
         self.global_model.encode_to(&mut out);
         self.history.encode_to(&mut out);
         out
+    }
+
+    /// `len ‖ (dropped ‖ len ‖ (provider ‖ x ‖ y)*)*`: the verified
+    /// recovery shares as the snapshot stores them and as the state
+    /// digest binds them.
+    fn encode_recovery_shares(&self, out: &mut Vec<u8>) {
+        (self.recovery_shares.len() as u64).encode_to(out);
+        for (dropped, providers) in &self.recovery_shares {
+            dropped.encode_to(out);
+            (providers.len() as u64).encode_to(out);
+            for (provider, share) in providers {
+                provider.encode_to(out);
+                share.x.encode_to(out);
+                share.y.to_be_bytes().encode_to(out);
+            }
+        }
     }
 
     /// Rebuilds a contract from the genesis artefacts plus a
@@ -222,11 +215,10 @@ impl FlContract {
         let mut r = Reader::new(snapshot);
         c.current_round = u64::decode_from(&mut r)?;
         c.phase = RoundPhase::decode_from(&mut r)?;
-        c.keys = decode_map(&mut r)?;
-        c.escrows = decode_map(&mut r)?;
-        c.submissions = decode_map(&mut r)?;
+        c.keys = Section::decode_from(&mut r)?;
+        c.escrows = Section::decode_from(&mut r)?;
+        c.submissions = Section::decode_from(&mut r)?;
         let dropped_count = u64::decode_from(&mut r)?;
-        c.recovery_shares = BTreeMap::new();
         for _ in 0..dropped_count {
             let dropped = AccountId::decode_from(&mut r)?;
             let provider_count = u64::decode_from(&mut r)?;
@@ -245,9 +237,10 @@ impl FlContract {
             }
             c.recovery_shares.insert(dropped, providers);
         }
-        c.contributions = decode_map(&mut r)?;
-        c.global_model = Vec::decode_from(&mut r)?;
+        c.contributions = Section::decode_from(&mut r)?;
+        c.global_model = Section::decode_from(&mut r)?;
         c.history = Vec::decode_from(&mut r)?;
+        *c.history_leaves = vec![OnceLock::new(); c.history.len()];
         if !r.is_empty() {
             return Err(DecodeError::TrailingBytes {
                 remaining: r.remaining(),
@@ -280,42 +273,64 @@ impl SmartContract for FlContract {
         }
     }
 
+    /// The state root: a hash over one memoised digest per section, so
+    /// a block re-hashes the sections it touched and nothing else.
+    ///
+    /// `H(tag, bytes)` is SHA-256 over the string `transparent-fl/state`
+    /// with `tag` appended, in its [`fl_chain::codec`] encoding (`u64`
+    /// little-endian byte length, then the bytes), followed by `bytes`;
+    /// values use their `codec` encoding. The root is `H("", ·)` over the
+    /// rows top to bottom, a tagged row as its 32-byte digest, the others
+    /// inline.
+    ///
+    /// | section | tag | bytes | re-hashed after |
+    /// |---|---|---|---|
+    /// | params | `/params` | [`FlParams`] | never: fixed at genesis |
+    /// | round, phase | — | `u64`, [`RoundPhase`] | every root |
+    /// | keys | `/keys` | map owner → key bytes | `AdvertiseKey` |
+    /// | escrows | `/escrows` | map owner → commitments | `EscrowKeyShares` |
+    /// | submissions | `/submissions` | `len ‖ (owner ‖ H("/update", masked words))*` | `SubmitMaskedUpdate` (the new leaf once, then the list), round end |
+    /// | recovery shares | — | `len ‖ (dropped ‖ len ‖ (provider ‖ x ‖ y)*)*` | every root |
+    /// | contributions | `/contributions` | map owner → `f64` | round end |
+    /// | global model | `/model` | `Vec<f64>` | round end |
+    /// | history | `/history` | `len ‖ H("/record", `[`RoundRecord`]`)*` | round end (the new leaf once, then the list) |
+    ///
+    /// A memo is dropped by any mutable borrow of its section, copied by
+    /// `clone`, and absent from a snapshot: a restored replica computes
+    /// every digest from the values it read.
     fn state_digest(&self) -> Hash32 {
-        let mut buf = Vec::new();
-        self.params.encode_to(&mut buf);
-        self.current_round.encode_to(&mut buf);
-        self.phase.encode_to(&mut buf);
-        (self.keys.len() as u64).encode_to(&mut buf);
-        for (id, key) in &self.keys {
-            id.encode_to(&mut buf);
-            key.encode_to(&mut buf);
-        }
-        (self.escrows.len() as u64).encode_to(&mut buf);
-        for (id, commitments) in &self.escrows {
-            id.encode_to(&mut buf);
-            commitments.encode_to(&mut buf);
-        }
-        (self.submissions.len() as u64).encode_to(&mut buf);
-        for (id, update) in &self.submissions {
-            id.encode_to(&mut buf);
-            update.encode_to(&mut buf);
-        }
-        (self.recovery_shares.len() as u64).encode_to(&mut buf);
-        for (dropped, providers) in &self.recovery_shares {
-            dropped.encode_to(&mut buf);
-            (providers.len() as u64).encode_to(&mut buf);
-            for (provider, share) in providers {
-                provider.encode_to(&mut buf);
-                share.x.encode_to(&mut buf);
-                share.y.to_be_bytes().encode_to(&mut buf);
+        let keys = self.keys.digest("/keys", BTreeMap::encode_to);
+        let escrows = self.escrows.digest("/escrows", BTreeMap::encode_to);
+        let submissions = self.submissions.digest("/submissions", |updates, buf| {
+            (updates.len() as u64).encode_to(buf);
+            for (owner, update) in updates {
+                owner.encode_to(buf);
+                update.digest("/update", Vec::encode_to).encode_to(buf);
             }
-        }
-        for (id, value) in &self.contributions {
-            id.encode_to(&mut buf);
-            value.encode_to(&mut buf);
-        }
-        self.global_model.encode_to(&mut buf);
-        self.history.encode_to(&mut buf);
-        Hash32::of("transparent-fl/state", &buf)
+        });
+        let contributions = self
+            .contributions
+            .digest("/contributions", BTreeMap::encode_to);
+        let global_model = self.global_model.digest("/model", Vec::encode_to);
+        let history = self.history_leaves.digest("/history", |leaves, buf| {
+            debug_assert_eq!(leaves.len(), self.history.len());
+            (leaves.len() as u64).encode_to(buf);
+            for (record, leaf) in self.history.iter().zip(leaves) {
+                leaf.get_or_init(|| tagged("/record", |buf| record.encode_to(buf)))
+                    .encode_to(buf);
+            }
+        });
+        tagged("", |buf| {
+            self.genesis.params_digest.encode_to(buf);
+            self.current_round.encode_to(buf);
+            self.phase.encode_to(buf);
+            keys.encode_to(buf);
+            escrows.encode_to(buf);
+            submissions.encode_to(buf);
+            self.encode_recovery_shares(buf);
+            contributions.encode_to(buf);
+            global_model.encode_to(buf);
+            history.encode_to(buf);
+        })
     }
 }

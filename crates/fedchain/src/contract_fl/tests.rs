@@ -51,8 +51,8 @@ fn advertise_all(c: &mut FlContract, n: usize) {
 /// Unmasked "masked" updates: with no pairwise masks (sum of zero
 /// masks), the ring math still holds — the contract cannot tell.
 fn plain_update(c: &FlContract, value: f64) -> Vec<u64> {
-    let codec = FixedCodec::new(c.params.frac_bits);
-    codec.encode_vec(&vec![value; c.params.model_dim])
+    let codec = FixedCodec::new(c.params().frac_bits);
+    codec.encode_vec(&vec![value; c.params().model_dim])
 }
 
 #[test]
@@ -1001,8 +1001,8 @@ fn masked_aggregation_cancels_for_real_masks() {
 
     let mut c = contract(3, 1); // single group: all three cancel
     let dh = DhGroup::simulation_256();
-    let codec = FixedCodec::new(c.params.frac_bits);
-    let dim = c.params.model_dim;
+    let codec = FixedCodec::new(c.params().frac_bits);
+    let dim = c.params().model_dim;
 
     let keypairs: Vec<_> = (0..3u8)
         .map(|i| dh.keypair_from_seed(&[i + 1; 32]))
