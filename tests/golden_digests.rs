@@ -88,8 +88,8 @@ fn sharded() -> FlConfig {
 fn flat_group_exact_two_rounds() {
     assert_golden(
         flat(),
-        "7d46b14b310c7b94d835ef654924180254a6172dc5e5fa31df6e46eddc2ce2cf",
-        "f124ca40413c18e29866ca5bc61f73f609923f2668e393406e856d0130f5200d",
+        "c5a6bf9e2d081e4bf2936b7bded2e3768182a3a115ddd909fc316df6ca3b7e87",
+        "91b28c54a0faf08ec5f48b0f3911a7db58069f9f9cbe71f59b74d2c7c81720b5",
         &[
             0x3fdc444444444444,
             0x3fdd555555555556,
@@ -105,8 +105,8 @@ fn flat_with_dropout_and_recovery_round() {
     config.dropout_schedule = vec![(0, vec![1])];
     assert_golden(
         config,
-        "c7313c9bc869963aa4a31e3fff5aa683577cce24207e99e8fe766938fa768390",
-        "8acfc7638fc41de0ca2b26f93ea909b7817b15e8f016dd7c517e462467372bb4",
+        "45a5e12580ca0b6971da322551bbe07dc6f9dfd4965aa72cd0f7cc11d34f218c",
+        "930d2a4172a5f1addd4105ab416ed816fd480910558e3cdfc1016a6a2c8517c7",
         &[
             0x3fdd333333333334,
             0x3fcccccccccccccd,
@@ -122,8 +122,8 @@ fn flat_monte_carlo() {
     config.sv_method = SvMethod::MonteCarlo { permutations: 16 };
     assert_golden(
         config,
-        "7329cb284182e2f920696f9f3111db0f490f2a8095c5d3bbb6891e5a5dd788f7",
-        "dcdf05cf51b266e7e3483894eed54595095cc312534cf603a7cbc07be79923e3",
+        "a2f14c0a98dd983208b7cbdfd4776d70962b6fb3ff387d2ebce9022fdd02dc13",
+        "1d73bc74439b9dda84c0aa42fc0a575a664b4c999d6f9701c4f6589b943a0644",
         &[
             0x3fdc222222222224,
             0x3fdd777777777778,
@@ -141,8 +141,8 @@ fn flat_stratified() {
     };
     assert_golden(
         config,
-        "e96c345a149d6277efd60fe64323210905ab8901917032ed8f4c6958cdd263e9",
-        "aa3d4eba2876c21eb14567b53ea74184c2e739fbca22beb86ed2d9b39fe70989",
+        "3b7fa20269a26075c420723d35f2e42010164ee195894f7ae199d74dc7aae2dc",
+        "613cd157649646dfaae760a631641423b9f0857c49c63109bab75aadab6407cb",
         &[
             0x3fdc444444444444,
             0x3fdd555555555556,
@@ -156,8 +156,8 @@ fn flat_stratified() {
 fn sharded_two_cohorts_two_rounds() {
     assert_golden(
         sharded(),
-        "c0c38701fd3801637dbb56985faf25ed8fbc452a9eda56ffe9605bd97f9939f0",
-        "7fef4ffeb07cf71b858cd5f72ffe43a30b045fd2bcad980c14d7e06322e266a4",
+        "035b1ecd3cce3680a29505a5450356bb06f753d8ebd09d1bc2ce19e524d33007",
+        "45858feb4ed5838fc10c01cebb9b1bbf0dbb4911c2727c11b7b6ed2a9ef1751a",
         &[
             0x3fd0fb5fdc458aed,
             0x3fd015b134cb8624,
@@ -177,8 +177,8 @@ fn sharded_two_cohorts_with_dropout() {
     config.dropout_schedule = vec![(1, vec![2, 5])];
     assert_golden(
         config,
-        "515f34eeede053c1a657c266cb7b234a8ff114cc3eb292ca885997bf03ba09b5",
-        "d94ad79f2f588b266dfb7e4212ceaa1f703e5427a0750d68ce9fe5ab5cae5efc",
+        "ca7f6bc555b1453db3f12588a556d964f615c949aa6c7e6d5ac6ca8ba8060da0",
+        "b112f6bfa48e676c0934e960b416fc6c658feba2d0d6b2538e5741aa6489eae5",
         &[
             0x3fd0fb5fdc458aed,
             0x3fd015b134cb8624,
