@@ -226,14 +226,17 @@ impl FlContract {
             for _ in 0..provider_count {
                 let provider = AccountId::decode_from(&mut r)?;
                 let x = u64::decode_from(&mut r)?;
-                let y_bytes = <[u8; 32]>::decode_from(&mut r)?;
-                providers.insert(
-                    provider,
-                    Share {
-                        x,
-                        y: U256::from_be_bytes(&y_bytes),
-                    },
-                );
+                // `snapshot_state` writes `y` as a `Vec` of 32 bytes;
+                // `U256::from_be_bytes` panics on more.
+                let y_len = r.take_len(1)?;
+                if y_len != 32 {
+                    return Err(DecodeError::Truncated {
+                        needed: 32,
+                        remaining: y_len,
+                    });
+                }
+                let y = U256::from_be_bytes(r.take(32)?);
+                providers.insert(provider, Share { x, y });
             }
             c.recovery_shares.insert(dropped, providers);
         }

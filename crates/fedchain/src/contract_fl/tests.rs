@@ -1267,3 +1267,308 @@ mod accuracy_utility {
         }
     }
 }
+
+// ---- The sectioned state root: memoised ≡ cold, every field bound ----
+
+mod state_root {
+    use super::dropout_lifecycle::{
+        masked_submission, masked_world, masked_world_sharded, MaskedWorld,
+    };
+    use super::*;
+    use fl_ml::dataset::Dataset;
+    use fl_ml::rng::Xoshiro256;
+    use proptest::prelude::*;
+
+    /// The root of a replica restored from the contract's own snapshot:
+    /// no memo survives a snapshot, so every section is hashed afresh.
+    fn cold_root(c: &FlContract, test_set: &Dataset) -> Hash32 {
+        FlContract::restore(c.params().clone(), test_set.clone(), &c.snapshot_state())
+            .expect("own snapshot decodes")
+            .state_digest()
+    }
+
+    fn recovery_share(w: &MaskedWorld, round: u64, dropped: usize, provider: usize) -> FlCall {
+        let share = &w.escrowed[dropped][provider];
+        FlCall::SubmitRecoveryShare {
+            round,
+            dropped: dropped as u32,
+            share_x: share.x,
+            share_y: share.y.to_be_bytes(),
+        }
+    }
+
+    /// A contract driven call by call, held to the memo invariants at
+    /// every step.
+    struct Walk {
+        c: FlContract,
+        test_set: Dataset,
+        last_accepted: Option<(AccountId, FlCall)>,
+        rejected: usize,
+    }
+
+    impl Walk {
+        /// Executes one call; returns whether the contract accepted it.
+        fn step(&mut self, sender: AccountId, call: FlCall) -> bool {
+            let before = self.c.state_digest();
+            // A scratch replica runs the call first, as the consensus
+            // engine does: it starts from the original's memos, must
+            // answer like a cold replica afterwards, and must leave the
+            // original's root alone.
+            let mut scratch = self.c.clone();
+            let scratch_ok = scratch.execute(&ctx(sender), &call).is_ok();
+            assert_eq!(
+                scratch.state_digest(),
+                cold_root(&scratch, &self.test_set),
+                "scratch memo went stale on {call:?}"
+            );
+            assert_eq!(
+                self.c.state_digest(),
+                before,
+                "scratch leaked into the original"
+            );
+
+            let accepted = self.c.execute(&ctx(sender), &call).is_ok();
+            assert_eq!(accepted, scratch_ok);
+            let after = self.c.state_digest();
+            assert_eq!(after, scratch.state_digest());
+            assert_eq!(
+                after,
+                cold_root(&self.c, &self.test_set),
+                "memo went stale on {call:?}"
+            );
+            if accepted {
+                self.last_accepted = Some((sender, call));
+            } else {
+                assert_eq!(after, before, "a rejected call moved the root: {call:?}");
+                self.rejected += 1;
+            }
+            accepted
+        }
+
+        fn honest(&mut self, sender: usize, call: FlCall) {
+            assert!(
+                self.step(sender as u32, call.clone()),
+                "honest call rejected: {call:?}"
+            );
+        }
+
+        /// Up to two calls the contract must reject, whatever its phase.
+        fn hostile(&mut self, rng: &mut Xoshiro256, w: &MaskedWorld) {
+            for _ in 0..rng.next_below(3) {
+                let n = self.c.params().owners.len();
+                let dim = self.c.params().model_dim;
+                let round = self.c.current_round();
+                let owner = rng.next_below(n as u64) as usize;
+                let other = rng.next_below(n as u64) as usize;
+                let (sender, call) = match (rng.next_below(8), self.last_accepted.clone()) {
+                    // Every accepted call is a rejected one the second time.
+                    (0, Some(replay)) => replay,
+                    (1, _) => (
+                        owner as u32,
+                        FlCall::SubmitMaskedUpdate {
+                            round: round + 1,
+                            masked: vec![0; dim],
+                        },
+                    ),
+                    (2, _) => (
+                        owner as u32,
+                        FlCall::SubmitMaskedUpdate {
+                            round,
+                            masked: vec![0; dim - 1],
+                        },
+                    ),
+                    (3, _) => (
+                        owner as u32,
+                        FlCall::AdvertiseKey {
+                            public_key: vec![9; 31],
+                        },
+                    ),
+                    (4, _) => (
+                        owner as u32,
+                        FlCall::EscrowKeyShares {
+                            commitments: vec![Hash32::ZERO; n + 1],
+                        },
+                    ),
+                    (5, _) => (owner as u32, FlCall::EvaluateRound { round: round + 1 }),
+                    (6, _) => {
+                        // A share that does not open its commitment.
+                        let mut forged = recovery_share(w, round, owner, other);
+                        if let FlCall::SubmitRecoveryShare { share_y, .. } = &mut forged {
+                            share_y[31] ^= 1;
+                        }
+                        (other as u32, forged)
+                    }
+                    _ => (
+                        n as u32 + 7,
+                        FlCall::AdvertiseKey {
+                            public_key: vec![9; 32],
+                        },
+                    ),
+                };
+                assert!(!self.step(sender, call.clone()), "accepted {call:?}");
+            }
+        }
+    }
+
+    /// Setup, then every round of the protocol: survivors submit in a
+    /// random order, round 0 always loses an owner (so recovery runs),
+    /// later rounds lose one half the time; rejected calls in between.
+    fn walk(seed: u64, k: usize) -> Walk {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let (n, m) = (4 * k, 2);
+        // The world's own contract has run setup already; the walk
+        // replays it, call by call, on a fresh replica.
+        let mut w = if k == 1 {
+            masked_world(n, m)
+        } else {
+            masked_world_sharded(n, m, k)
+        };
+        let params = w.contract.params().clone();
+        let test_set = SyntheticDigits::small().generate(99);
+        let mut walk = Walk {
+            c: FlContract::genesis(params.clone(), test_set.clone()),
+            test_set,
+            last_accepted: None,
+            rejected: 0,
+        };
+
+        for i in rng.permutation(n) {
+            walk.hostile(&mut rng, &w);
+            let public_key = w.keypairs[i].public.to_be_bytes();
+            walk.honest(i, FlCall::AdvertiseKey { public_key });
+        }
+        for i in rng.permutation(n) {
+            walk.hostile(&mut rng, &w);
+            let commitments = w.escrowed[i]
+                .iter()
+                .map(|s| share_commitment(i as u32, s))
+                .collect();
+            walk.honest(i, FlCall::EscrowKeyShares { commitments });
+        }
+
+        for round in 0..params.total_rounds {
+            w.groups = RoundPlan::new(params.permutation_seed, round, n, k, m)
+                .unwrap()
+                .groups()
+                .concat();
+            let dropped =
+                (round == 0 || rng.next_below(2) == 0).then(|| rng.next_below(n as u64) as usize);
+            let mut survivors: Vec<usize> = (0..n).filter(|&i| Some(i) != dropped).collect();
+            rng.shuffle(&mut survivors);
+            for &i in &survivors {
+                walk.hostile(&mut rng, &w);
+                let masked = masked_submission(&w, i, round);
+                walk.honest(i, FlCall::SubmitMaskedUpdate { round, masked });
+            }
+            walk.hostile(&mut rng, &w);
+            walk.honest(survivors[0], FlCall::EvaluateRound { round });
+            if let Some(d) = dropped {
+                assert!(matches!(walk.c.phase(), RoundPhase::Recovering { .. }));
+                rng.shuffle(&mut survivors);
+                let extra = rng.next_below(2) as usize;
+                let providers = (params.escrow_threshold + extra).min(survivors.len());
+                for &p in &survivors[..providers] {
+                    walk.hostile(&mut rng, &w);
+                    walk.honest(p, recovery_share(&w, round, d, p));
+                }
+                walk.hostile(&mut rng, &w);
+                walk.honest(survivors[0], FlCall::EvaluateRound { round });
+            }
+            assert_eq!(walk.c.current_round(), round + 1);
+        }
+        walk.hostile(&mut rng, &w);
+        walk
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn memoised_root_equals_cold_root_after_every_call(
+            seed in any::<u64>(),
+            k in 1usize..=2,
+        ) {
+            let walk = walk(seed, k);
+            prop_assert!(walk.c.finished());
+            prop_assert_eq!(walk.c.history().len(), 2);
+            prop_assert_eq!(walk.c.history()[0].dropped.len(), 1);
+            prop_assert_eq!(walk.c.history()[0].cohorts.len(), if k == 1 { 0 } else { k });
+        }
+    }
+
+    #[test]
+    fn rejected_calls_are_actually_exercised() {
+        let walk = walk(1, 2);
+        assert!(walk.rejected >= 10, "only {} rejected calls", walk.rejected);
+    }
+
+    #[test]
+    fn every_digest_bound_field_moves_the_root() {
+        // Round 0 evaluated in full, round 1 in recovery with one share
+        // in: every section of the state is populated.
+        let mut w = masked_world(4, 2);
+        let run = |w: &mut MaskedWorld, sender: usize, call: FlCall| {
+            w.contract.execute(&ctx(sender as u32), &call).unwrap();
+        };
+        for i in 0..4 {
+            let masked = masked_submission(&w, i, 0);
+            run(&mut w, i, FlCall::SubmitMaskedUpdate { round: 0, masked });
+        }
+        run(&mut w, 0, FlCall::EvaluateRound { round: 0 });
+        w.groups = RoundPlan::new(w.contract.params().permutation_seed, 1, 4, 1, 2)
+            .unwrap()
+            .groups()
+            .concat();
+        for i in [0, 1, 3] {
+            let masked = masked_submission(&w, i, 1);
+            run(&mut w, i, FlCall::SubmitMaskedUpdate { round: 1, masked });
+        }
+        run(&mut w, 0, FlCall::EvaluateRound { round: 1 });
+        let share = recovery_share(&w, 1, 2, 0);
+        run(&mut w, 0, share);
+
+        let c = w.contract;
+        let test_set = SyntheticDigits::small().generate(99);
+        let root = c.state_digest();
+        assert_eq!(root, cold_root(&c, &test_set));
+
+        type Forgery = fn(&mut FlContract);
+        let forgeries: [(&str, Forgery); 9] = [
+            ("a key byte", |c| c.keys.get_mut(&3).unwrap()[31] ^= 1),
+            ("one escrow commitment", |c| {
+                c.escrows.get_mut(&1).unwrap()[2].0[0] ^= 1
+            }),
+            ("one masked word", |c| {
+                c.submissions.get_mut(&3).unwrap()[649] ^= 1
+            }),
+            ("a recovery share", |c| {
+                let share = c.recovery_shares.get_mut(&2).unwrap().get_mut(&0).unwrap();
+                share.y = U256::from_be_bytes(&[7; 32]);
+            }),
+            ("one contribution", |c| {
+                *c.contributions.get_mut(&0).unwrap() += 1e-9
+            }),
+            ("one model weight", |c| c.global_model[649] += 1e-9),
+            ("one field of an old record", |c| {
+                c.history_mut()[0].global_accuracy += 1e-9
+            }),
+            ("the round", |c| c.current_round += 1),
+            ("the phase", |c| c.phase = RoundPhase::Submitting),
+        ];
+        let mut roots = vec![root];
+        for (what, forge) in forgeries {
+            // The clone starts with every memo warm: only the
+            // invalidation on the mutable borrow can move its root.
+            let mut forged = c.clone();
+            forge(&mut forged);
+            let forged_root = forged.state_digest();
+            assert_eq!(forged_root, cold_root(&forged, &test_set), "{what}");
+            assert!(
+                !roots.contains(&forged_root),
+                "forging {what} went unnoticed"
+            );
+            roots.push(forged_root);
+        }
+        assert_eq!(c.state_digest(), root);
+    }
+}
