@@ -9,6 +9,14 @@
 //! (`run`) and sequential (`run_sequential`); all four must reproduce
 //! the same constants. A mismatch prints the observed values in the
 //! constants' own syntax.
+//!
+//! The `tip` and `state` strings were re-recorded once, in PR 14, on
+//! purpose: the state root became a hash over per-section digests
+//! (layout: `SmartContract::state_digest` on `FlContract`), a
+//! consensus-format change that moves every state root and with it
+//! every block and tip digest. The contribution bit patterns were not
+//! touched by that change — what the contract computes did not move,
+//! only how its state is hashed.
 
 use std::sync::Mutex;
 
