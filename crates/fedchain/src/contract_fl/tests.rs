@@ -1493,13 +1493,8 @@ mod state_root {
             prop_assert_eq!(walk.c.history().len(), 2);
             prop_assert_eq!(walk.c.history()[0].dropped.len(), 1);
             prop_assert_eq!(walk.c.history()[0].cohorts.len(), if k == 1 { 0 } else { k });
+            prop_assert!(walk.rejected >= 10, "only {} rejected calls", walk.rejected);
         }
-    }
-
-    #[test]
-    fn rejected_calls_are_actually_exercised() {
-        let walk = walk(1, 2);
-        assert!(walk.rejected >= 10, "only {} rejected calls", walk.rejected);
     }
 
     #[test]
