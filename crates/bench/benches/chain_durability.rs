@@ -1,6 +1,8 @@
-//! Durability benchmarks: write-ahead-log append/flush cost, cold-start
-//! replay throughput (blocks/s) vs chain length, and torn-tail recovery
-//! (scan + truncate + replay of the surviving prefix).
+//! Durability benchmarks: write-ahead-log append/flush cost, a stream
+//! of blocks made durable with one flush per 1 / 4 / 32 of them,
+//! cold-start replay throughput (blocks/s) vs chain length, and
+//! torn-tail recovery (scan + truncate + replay of the surviving
+//! prefix).
 //!
 //! Committed medians live in `BENCH_chain_durability.json`; regenerate
 //! with `CRITERION_JSON=out.jsonl cargo bench --bench chain_durability`.
@@ -94,6 +96,80 @@ fn bench_log_append(c: &mut Criterion) {
     group.finish();
 }
 
+/// The segment files of `dir`, in id order.
+fn segment_paths(dir: &Path) -> Vec<PathBuf> {
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect();
+    segments.sort();
+    segments
+}
+
+/// The segment files of `dir`, in id order, byte for byte.
+fn segment_bytes(dir: &Path) -> Vec<Vec<u8>> {
+    segment_paths(dir)
+        .iter()
+        .map(|p| std::fs::read(p).expect("read segment"))
+        .collect()
+}
+
+/// A committed stream of 32 blocks made durable in a fresh directory
+/// with one flush per 1, 4 or 32 blocks. One block per flush is
+/// `DurableStore::append` block by block, the others
+/// `DurableStore::append_batch` over chunks of the stream; the framing is
+/// per block either way, so all three leave the same bytes on disk
+/// (asserted before sampling) and differ only in how often they sync.
+fn bench_append_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("append_batch");
+    group.sample_size(20);
+    let chain: ChainStore<Vec<u64>> = ChainStore::new();
+    for i in 0..32 {
+        chain.append(next_block(&chain, i)).expect("extends");
+    }
+    let stream = chain.blocks_from(0);
+    let persist = |dir: &Path, per_flush: usize| {
+        let (mut durable, _) = DurableStore::<Vec<u64>>::open(dir, config()).expect("fresh dir");
+        if per_flush == 1 {
+            for block in &stream {
+                durable.append(block.clone()).expect("honest append");
+            }
+        } else {
+            for chunk in stream.chunks(per_flush) {
+                durable
+                    .append_batch(chunk.iter().cloned())
+                    .expect("honest batch");
+            }
+        }
+        durable.store().height()
+    };
+
+    let singly = TestDir::new("batch-gate");
+    persist(singly.path(), 1);
+    let reference = segment_bytes(singly.path());
+    for per_flush in [1usize, 4, 32] {
+        let dir = TestDir::new("batch-gate");
+        persist(dir.path(), per_flush);
+        assert_eq!(
+            segment_bytes(dir.path()),
+            reference,
+            "{per_flush} blocks per flush must write the bytes of block-by-block appends"
+        );
+        group.bench_with_input(
+            BenchmarkId::new("blocks_per_flush", per_flush),
+            &per_flush,
+            |b, &per_flush| {
+                b.iter(|| {
+                    let dir = TestDir::new("batch");
+                    persist(dir.path(), black_box(per_flush))
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("chain_replay");
     group.sample_size(20);
@@ -121,13 +197,7 @@ fn bench_torn_tail_recovery(c: &mut Criterion) {
     let blocks = 64u64;
     let dir = TestDir::new("torn");
     build_chain(dir.path(), blocks);
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir.path())
-        .expect("read dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
-        .collect();
-    segments.sort();
-    let last_segment = segments.last().expect("segments exist").clone();
+    let last_segment = segment_paths(dir.path()).pop().expect("segments exist");
     let intact = std::fs::read(&last_segment).expect("read tail segment");
     group.bench_with_input(BenchmarkId::new("blocks", blocks), &dir, |b, dir| {
         b.iter(|| {
@@ -159,6 +229,7 @@ fn bench_crc(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_log_append,
+    bench_append_batch,
     bench_replay,
     bench_torn_tail_recovery,
     bench_crc

@@ -1,6 +1,7 @@
 //! Chain-level benchmarks: block commitment with re-execution
-//! verification (the paper's consensus cost) at different cohort sizes,
-//! and mempool admission (per-tx vs batched).
+//! verification (the paper's consensus cost) at different cohort sizes
+//! and on a 1024-owner FL contract state, and mempool admission (per-tx
+//! vs batched).
 //!
 //! Committed medians live in `BENCH_chain_throughput.json`; regenerate
 //! with `CRITERION_JSON=out.jsonl cargo bench --bench chain_throughput`.
@@ -9,6 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
+use fl_bench::fixtures::MidRound;
 use fl_chain::consensus::engine::{ConsensusEngine, EngineConfig};
 use fl_chain::consensus::leader::LeaderSchedule;
 use fl_chain::contract::{ExecutionOutcome, SmartContract, TxContext};
@@ -58,6 +60,28 @@ fn submissions(n: usize, dim: usize) -> Vec<Transaction<Vec<u64>>> {
 fn bench_commit(c: &mut Criterion) {
     let mut group = c.benchmark_group("commit_block");
     group.sample_size(20);
+    // `VectorStore` holds one 650-word vector, so the replica copies a
+    // commit makes (a scratch per miner, the proven outcome per replica)
+    // cost nothing there; at the `sharded_1k` shape they carry 1024
+    // keys and 512 masked updates.
+    let miners = 4usize;
+    let mid_round = MidRound::new(1024, 32);
+    let (state, bundle) = (&mid_round.replica, mid_round.next_bundle());
+    group.bench_function(BenchmarkId::new("fl_1024_owners_miners", miners), |b| {
+        b.iter(|| {
+            let schedule = LeaderSchedule::round_robin((0..miners as u32).collect());
+            let mut engine = ConsensusEngine::new(
+                black_box(state).clone(),
+                schedule,
+                &BTreeMap::new(),
+                EngineConfig::default(),
+            )
+            .expect("non-empty miner set");
+            engine
+                .commit_bundle(black_box(&bundle))
+                .expect("honest commit")
+        })
+    });
     for miners in [3usize, 9, 21] {
         group.bench_with_input(BenchmarkId::new("miners", miners), &miners, |b, &miners| {
             b.iter(|| {

@@ -31,8 +31,9 @@ use std::sync::OnceLock;
 
 use fedchain::audit::fast_sync;
 use fedchain::config::{FlConfig, SvMethod};
-use fedchain::contract_fl::{FlCall, FlContract, FlParams};
+use fedchain::contract_fl::{FlContract, FlParams};
 use fedchain::protocol::FlProtocol;
+use fl_bench::fixtures::MidRound;
 use fl_chain::consensus::engine::{ConsensusEngine, EngineConfig};
 use fl_chain::consensus::leader::LeaderSchedule;
 use fl_chain::contract::{ExecutionOutcome, SmartContract, TxContext};
@@ -43,8 +44,6 @@ use fl_chain::log::LogConfig;
 use fl_chain::mempool::Mempool;
 use fl_chain::tx::Transaction;
 use fl_ml::dataset::{Dataset, SyntheticDigits};
-use numeric::U256;
-use shapley::hierarchy::RoundPlan;
 
 /// Unique scratch directory, removed on drop.
 struct TestDir(PathBuf);
@@ -273,76 +272,52 @@ fn bench_commit_stream(c: &mut Criterion) {
 /// The state root after one more cohort bundle, mid-round, at the
 /// `stream_churn` (32 owners × 4 cohorts) and acceptance (1024 × 32)
 /// shapes. The replica has advertised keys and half the cohorts'
-/// masked updates, has published a root (every memo warm), and has then
-/// executed the next cohort's bundle:
+/// masked updates and has published a root (every memo warm). Replica
+/// clones share their values, leaf memos included, so each iteration
+/// makes the state it measures afresh and a second entry prices the
+/// making alone:
 ///
-/// * `warm` — its root: the bundle's leaves and the submission list are
-///   hashed, every other section answers from its memo;
-/// * `cold` — the root of a replica restored from its snapshot: every
-///   section is hashed, which is also what each block cost before the
-///   root was sectioned;
-/// * `clone` — the replica copy both of the above make per iteration
-///   (a memo filled inside the timed body would make the next iteration
-///   warm), to be subtracted.
+/// * `warm` — a clone of that replica executes the next cohort's bundle
+///   and answers with its root: the bundle's leaves and the submission
+///   list are hashed, every other section answers from its memo;
+///   `execute` is the clone and the bundle without the root;
+/// * `cold` — a replica restored from the snapshot taken after that
+///   bundle answers with its root: every section is hashed, which is
+///   also what each block cost before the root was sectioned; `restore`
+///   is the restore alone.
 fn bench_state_root(c: &mut Criterion) {
     let mut group = c.benchmark_group("state_root");
     for &(n, k) in &[(32usize, 4usize), (1024, 32)] {
-        let protocol = FlProtocol::new(bench_config(n, k)).expect("valid config");
-        let params = protocol.contract().params().clone();
-        let test_set = protocol.test_set().clone();
-        drop(protocol);
-        let plan = RoundPlan::new(params.permutation_seed, 0, n, k, params.num_groups)
-            .expect("validated by the config");
-
-        let mut replica = FlContract::genesis(params.clone(), test_set.clone());
-        let execute = |replica: &mut FlContract, owner: usize, call: FlCall| {
-            let ctx = TxContext {
-                block_height: 0,
-                view: 0,
-                sender: params.owners[owner],
-                tx_index: 0,
-            };
-            replica.execute(&ctx, &call).expect("honest call");
+        let mid_round = MidRound::new(n, k);
+        let next_bundle = |replica: &FlContract| {
+            let mut scratch = replica.clone();
+            mid_round.submit_next_cohort(&mut scratch);
+            scratch
         };
-        for owner in 0..n {
-            // Any element of [2, p - 2] is a valid key; no round is
-            // evaluated here, so nothing has to agree on it.
-            let public_key = U256::from_u64(owner as u64 + 2).to_be_bytes();
-            execute(&mut replica, owner, FlCall::AdvertiseKey { public_key });
-        }
-        let submit_cohort = |replica: &mut FlContract, cohort: usize| {
-            for &owner in &plan.cohorts()[cohort] {
-                // The contract cannot tell masked words from noise.
-                let masked = vec![0x9e37_79b9_7f4a_7c15 ^ owner as u64; params.model_dim];
-                execute(
-                    replica,
-                    owner,
-                    FlCall::SubmitMaskedUpdate { round: 0, masked },
-                );
-            }
+        let restore = |snapshot: &[u8]| {
+            let params = mid_round.replica.params().clone();
+            FlContract::restore(params, mid_round.test_set.clone(), snapshot)
+                .expect("own snapshot restores")
         };
-        for cohort in 0..k / 2 {
-            submit_cohort(&mut replica, cohort);
-        }
-        replica.state_digest();
-        submit_cohort(&mut replica, k / 2);
 
-        let warm = replica;
-        let cold = FlContract::restore(params.clone(), test_set, &warm.snapshot_state())
-            .expect("own snapshot restores");
+        let replica = &mid_round.replica;
+        let snapshot = next_bundle(replica).snapshot_state();
         assert_eq!(
-            warm.clone().state_digest(),
-            cold.clone().state_digest(),
+            next_bundle(replica).state_digest(),
+            restore(&snapshot).state_digest(),
             "a memoised root must equal the cold one"
         );
         group.bench_function(BenchmarkId::new("warm", n), |b| {
-            b.iter(|| black_box(&warm).clone().state_digest())
+            b.iter(|| next_bundle(black_box(replica)).state_digest())
+        });
+        group.bench_function(BenchmarkId::new("execute", n), |b| {
+            b.iter(|| next_bundle(black_box(replica)))
         });
         group.bench_function(BenchmarkId::new("cold", n), |b| {
-            b.iter(|| black_box(&cold).clone().state_digest())
+            b.iter(|| restore(black_box(&snapshot)).state_digest())
         });
-        group.bench_function(BenchmarkId::new("clone", n), |b| {
-            b.iter(|| black_box(&warm).clone())
+        group.bench_function(BenchmarkId::new("restore", n), |b| {
+            b.iter(|| restore(black_box(&snapshot)))
         });
     }
     group.finish();

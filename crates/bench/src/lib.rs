@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod fixtures;
 pub mod report;
 
 pub use experiments::Scale;

@@ -16,6 +16,7 @@
 //! corrupt byte stream.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Types with a canonical byte encoding.
 pub trait Encode {
@@ -143,6 +144,13 @@ impl<A: Encode, B: Encode, C: Encode> Encode for (A, B, C) {
 impl<T: Encode + ?Sized> Encode for &T {
     fn encode_to(&self, out: &mut Vec<u8>) {
         (*self).encode_to(out);
+    }
+}
+
+/// A shared value encodes as the value: sharing is not part of the format.
+impl<T: Encode + ?Sized> Encode for Arc<T> {
+    fn encode_to(&self, out: &mut Vec<u8>) {
+        (**self).encode_to(out);
     }
 }
 
@@ -410,6 +418,12 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 impl<A: Decode, B: Decode, C: Decode> Decode for (A, B, C) {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok((A::decode_from(r)?, B::decode_from(r)?, C::decode_from(r)?))
+    }
+}
+
+impl<T: Decode> Decode for Arc<T> {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        T::decode_from(r).map(Arc::new)
     }
 }
 

@@ -43,8 +43,17 @@
 //! the apply loop. A post-quorum failure therefore cannot leave some
 //! replicas advanced and others not (a divergence that would be
 //! permanent, since every later block builds on it).
+//!
+//! Both copies in that scheme — the scratch a miner executes on and the
+//! proven outcome each replica adopts — are `S::clone`, and the block
+//! is assembled once and shared by every store behind one `Arc`. A
+//! contract whose `Clone` shares its state until written to (the FL
+//! contract's sections) therefore pays per block for what the block
+//! touched, not for the size of its state, while replicas stay as
+//! independent as deep copies: a write goes to the writer's own copy.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use numeric::par;
 
@@ -467,26 +476,25 @@ where
             // lying root — tests pin that this cannot happen with an
             // honest majority.
             let parent = self.miners[0].store.tip_digest();
-            let block = Block::from_bundle(height, parent, proposed_root, leader_id, view, bundle);
+            let block = Arc::new(Block::from_bundle(
+                height,
+                parent,
+                proposed_root,
+                leader_id,
+                view,
+                bundle,
+            ));
             let block_digest = block.header.digest();
-            // The last replica takes ownership instead of cloning —
-            // saves one deep copy of contract state and transactions per
-            // committed block.
-            let (last, rest) = self
-                .miners
-                .split_last_mut()
-                .expect("constructor rejects empty miner sets");
-            for miner in rest {
+            // Every store shares the one block, and a contract whose
+            // `Clone` shares what it holds (the FL contract's sections)
+            // hands each replica the proven state for a few pointers.
+            for miner in &mut self.miners {
                 miner.contract = proven.clone();
                 miner
                     .store
-                    .append_sealed(block.clone())
+                    .append_sealed(Arc::clone(&block))
                     .expect("replicas advance in lockstep");
             }
-            last.contract = proven;
-            last.store
-                .append_sealed(block)
-                .expect("replicas advance in lockstep");
 
             self.stats.blocks += 1;
             self.stats.txs += txs.len() as u64;

@@ -6,10 +6,16 @@
 //! A [`DurableStore`] wraps the in-memory [`ChainStore`] with a
 //! write-ahead discipline over [`crate::log::SegmentedLog`]:
 //!
-//! 1. [`DurableStore::append`] validates the block against the in-memory
-//!    chain, writes its canonical encoding as one log record, and
-//!    flushes (fsync-equivalent) before returning. **A block whose
-//!    append returned `Ok` survives any later crash.**
+//! 1. [`DurableStore::append_batch`] validates each block against the
+//!    in-memory chain, writes its canonical encoding as one log record
+//!    of its own, and flushes (fsync-equivalent) once, after the last
+//!    record, before returning; [`DurableStore::append`] is its
+//!    one-block case. **Every block of an append that returned `Ok`
+//!    survives any later crash.** A batch is one flush, not one record:
+//!    the framing is per block, so the bytes on disk are those of
+//!    one-by-one appends, and a crash inside a batch leaves a clean
+//!    prefix of whole blocks — possibly a prefix of the batch, never a
+//!    part of a block.
 //! 2. [`DurableStore::write_snapshot`] persists a caller-provided
 //!    contract-state blob bound to the current tip (height + tip header
 //!    digest), CRC-framed in its own file. Snapshots are an
@@ -46,6 +52,7 @@
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::block::Block;
 use crate::codec::{Decode, DecodeError, Encode};
@@ -80,10 +87,14 @@ impl Default for DurabilityConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Mid-write of a block record: a strict prefix of the framed record
-    /// reaches the segment (a torn write), then the process dies.
+    /// reaches the segment (a torn write), then the process dies. The
+    /// records buffered ahead of it in the same batch are written whole.
     TornRecord,
     /// After the record is buffered but before the flush: the block is
-    /// lost entirely; on-disk state is exactly the previous flush.
+    /// lost entirely, and with it every earlier block of its batch that
+    /// no flush has covered yet; on-disk state is exactly the previous
+    /// flush (the end of the previous append, or a segment roll inside
+    /// this batch).
     BeforeFlush,
     /// After the record is flushed (the block *is* durable) but before
     /// any snapshot could be written: recovery must work from an older
@@ -95,8 +106,8 @@ pub enum CrashPoint {
 }
 
 /// Arms a [`CrashPoint`] to fire on the n-th operation (0-based):
-/// appends for the three append-path points, snapshot writes for
-/// [`CrashPoint::TornSnapshot`].
+/// appended blocks (not batches) for the three append-path points,
+/// snapshot writes for [`CrashPoint::TornSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
     /// Where to crash.
@@ -279,47 +290,63 @@ impl<C: Encode + Decode + Clone> DurableStore<C> {
     }
 
     /// Validates `block` against the chain, write-ahead logs it, and
-    /// flushes. On `Ok`, the block is durable.
-    pub fn append(&mut self, block: Block<C>) -> Result<(), DurabilityError> {
-        self.check_alive()?;
-        let encoded = block.encode();
-        // Validate (and stage in memory) first: an invalid block must
-        // not reach the log at all.
-        self.store
-            .append(block)
-            .map_err(DurabilityError::Rejected)?;
+    /// flushes. On `Ok`, the block is durable. The one-block case of
+    /// [`Self::append_batch`].
+    pub fn append(&mut self, block: impl Into<Arc<Block<C>>>) -> Result<(), DurabilityError> {
+        self.append_batch([block.into()])
+    }
 
-        let fire = self
-            .plan
-            .filter(|p| p.point != CrashPoint::TornSnapshot && p.at == self.appends);
-        self.appends += 1;
-        match fire.map(|p| p.point) {
-            Some(CrashPoint::BeforeFlush) => {
-                // The record never reaches the buffer's flush: simulate
-                // by buffering then dropping it with the crash.
-                self.log.append(&encoded)?;
-                self.log.crash();
-                self.die()
-            }
-            Some(CrashPoint::TornRecord) => {
-                self.log.append(&encoded)?;
-                // Persist the frame header plus half the payload.
-                let keep = RECORD_HEADER_BYTES + encoded.len() / 2;
-                self.log.crash_torn(keep)?;
-                self.die()
-            }
-            Some(CrashPoint::AfterFlushBeforeSnapshot) => {
-                self.log.append(&encoded)?;
+    /// Validates each block against the chain in turn, write-ahead logs
+    /// it as its own record, and flushes once after the last. On `Ok`,
+    /// every block is durable.
+    ///
+    /// A block that does not extend the chain ends the batch: the blocks
+    /// before it are flushed, it and the rest are dropped, and the error
+    /// names the failure — what appending them one by one would leave.
+    pub fn append_batch(
+        &mut self,
+        blocks: impl IntoIterator<Item = Arc<Block<C>>>,
+    ) -> Result<(), DurabilityError> {
+        self.check_alive()?;
+        let mut encoded = Vec::new();
+        for block in blocks {
+            // Validate (and stage in memory) first: an invalid block must
+            // not reach the log at all.
+            if let Err(rejected) = self.store.append(Arc::clone(&block)) {
                 self.log.flush()?;
-                self.log.crash();
-                self.die()
+                return Err(DurabilityError::Rejected(rejected));
             }
-            _ => {
-                self.log.append(&encoded)?;
-                self.log.flush()?;
-                Ok(())
+            encoded.clear();
+            block.encode_to(&mut encoded);
+            self.log.append(&encoded)?;
+
+            let fire = self
+                .plan
+                .filter(|p| p.point != CrashPoint::TornSnapshot && p.at == self.appends);
+            self.appends += 1;
+            match fire.map(|p| p.point) {
+                Some(CrashPoint::BeforeFlush) => {
+                    // Nothing buffered since the last flush reaches disk.
+                    self.log.crash();
+                    return self.die();
+                }
+                Some(CrashPoint::TornRecord) => {
+                    // Persist the records buffered before this one, its
+                    // frame header, and half its payload.
+                    let keep = self.log.pending_bytes() - encoded.len().div_ceil(2);
+                    self.log.crash_torn(keep)?;
+                    return self.die();
+                }
+                Some(CrashPoint::AfterFlushBeforeSnapshot) => {
+                    self.log.flush()?;
+                    self.log.crash();
+                    return self.die();
+                }
+                _ => {}
             }
         }
+        self.log.flush()?;
+        Ok(())
     }
 
     /// True when the advisory snapshot cadence says the caller should
@@ -528,6 +555,71 @@ mod tests {
         drop(durable);
         let (_, report) = open(&dir);
         assert_eq!(report.blocks, 1);
+    }
+
+    fn segment_bytes(dir: &TestDir) -> Vec<(String, Vec<u8>)> {
+        let mut segments: Vec<(String, Vec<u8>)> = fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, fs::read(&p).unwrap())
+            })
+            .collect();
+        segments.sort();
+        segments
+    }
+
+    #[test]
+    fn batch_writes_the_bytes_of_one_by_one_appends() {
+        // Small segments, so the batch rolls more than once.
+        let config = DurabilityConfig {
+            log: LogConfig { segment_bytes: 256 },
+            snapshot_every: u64::MAX,
+        };
+        let chain: ChainStore<u64> = ChainStore::new();
+        for i in 0..9u64 {
+            chain.append(next_block(&chain, &[i, i + 1])).unwrap();
+        }
+        let singly = TestDir::new("dur-batch-singly");
+        let (mut durable, _) = DurableStore::<u64>::open(singly.path(), config).unwrap();
+        for block in chain.blocks_from(0) {
+            durable.append(block).unwrap();
+        }
+        let batched = TestDir::new("dur-batch-batched");
+        let (mut durable, _) = DurableStore::<u64>::open(batched.path(), config).unwrap();
+        durable.append_batch(chain.blocks_from(0)).unwrap();
+        assert_eq!(durable.store().height(), 9);
+        drop(durable);
+
+        let segments = segment_bytes(&batched);
+        assert!(segments.len() > 2, "the batch must straddle segment rolls");
+        assert_eq!(segments, segment_bytes(&singly));
+    }
+
+    #[test]
+    fn invalid_block_ends_a_batch_after_flushing_its_prefix() {
+        let dir = TestDir::new("dur-batch-reject");
+        let (mut durable, _) = open(&dir);
+        let chain: ChainStore<u64> = ChainStore::new();
+        for i in 0..4u64 {
+            chain.append(next_block(&chain, &[i])).unwrap();
+        }
+        let mut batch = chain.blocks_from(0);
+        Arc::make_mut(&mut batch[2]).header.height = 9;
+        assert!(matches!(
+            durable.append_batch(batch),
+            Err(DurabilityError::Rejected(StoreError::HeightMismatch { .. }))
+        ));
+        // Blocks 0 and 1 are staged and durable, 2 and 3 are neither.
+        assert!(!durable.crashed());
+        assert_eq!(durable.store().height(), 2);
+        drop(durable);
+        let (mut durable, report) = open(&dir);
+        assert_eq!(report.blocks, 2);
+        durable.append_batch(chain.blocks_from(2)).unwrap();
+        assert_eq!(durable.store().tip_digest(), chain.tip_digest());
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! flip the log into a dead state where every later call returns
 //! [`LogError::Crashed`].
 
-use std::fs::{self, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -195,6 +195,9 @@ pub struct SegmentedLog {
     /// Framed bytes appended but not yet flushed. Never spans a segment
     /// boundary: `append` rolls segments *before* buffering.
     pending: Vec<u8>,
+    /// The current segment, opened for appending by the first write to
+    /// it and kept until the log rolls or dies.
+    segment: Option<File>,
     /// Set by an injected crash; poisons every later operation.
     crashed: bool,
 }
@@ -292,6 +295,7 @@ impl SegmentedLog {
                 segment_id: tail.0,
                 durable_len: tail.1,
                 pending: Vec::new(),
+                segment: None,
                 crashed: false,
             },
             LogRecovery { records, truncated },
@@ -312,6 +316,7 @@ impl SegmentedLog {
         let used = self.durable_len as usize + self.pending.len();
         if used > 0 && used + record_len > self.config.segment_bytes {
             self.flush()?;
+            self.segment = None;
             self.segment_id += 1;
             self.durable_len = 0;
         }
@@ -331,19 +336,30 @@ impl SegmentedLog {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let path = segment_path(&self.dir, self.segment_id);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("open segment", &path, &e))?;
-        file.write_all(&self.pending)
-            .map_err(|e| io_err("write segment", &path, &e))?;
-        file.sync_all()
-            .map_err(|e| io_err("sync segment", &path, &e))?;
+        self.write_synced(self.pending.len())?;
         self.durable_len += self.pending.len() as u64;
         self.pending.clear();
         Ok(())
+    }
+
+    /// Writes the first `len` buffered bytes to the current segment and
+    /// syncs it.
+    fn write_synced(&mut self, len: usize) -> Result<(), LogError> {
+        let path = segment_path(&self.dir, self.segment_id);
+        let file = match &mut self.segment {
+            Some(file) => file,
+            empty => empty.insert(
+                OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&path)
+                    .map_err(|e| io_err("open segment", &path, &e))?,
+            ),
+        };
+        file.write_all(&self.pending[..len])
+            .map_err(|e| io_err("write segment", &path, &e))?;
+        file.sync_all()
+            .map_err(|e| io_err("sync segment", &path, &e))
     }
 
     /// Buffered bytes not yet flushed.
@@ -360,6 +376,7 @@ impl SegmentedLog {
     /// the handle is dead. On-disk state is exactly the last flush.
     pub fn crash(&mut self) {
         self.pending.clear();
+        self.segment = None;
         self.crashed = true;
     }
 
@@ -369,17 +386,7 @@ impl SegmentedLog {
     /// record.
     pub fn crash_torn(&mut self, persist: usize) -> Result<(), LogError> {
         self.check_alive()?;
-        let persist = persist.min(self.pending.len());
-        let path = segment_path(&self.dir, self.segment_id);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("open segment", &path, &e))?;
-        file.write_all(&self.pending[..persist])
-            .map_err(|e| io_err("torn write", &path, &e))?;
-        file.sync_all()
-            .map_err(|e| io_err("sync torn write", &path, &e))?;
+        self.write_synced(persist.min(self.pending.len()))?;
         self.crash();
         Ok(())
     }

@@ -109,10 +109,12 @@ impl std::error::Error for StoreError {}
 /// A thread-safe, append-only block store.
 ///
 /// Cloning shares the underlying chain (all replicas of one *miner* see
-/// the same store; different miners hold different stores).
+/// the same store; different miners hold different stores). A committed
+/// block is immutable, so stores of different miners — and the durable
+/// tail of one — hold the same block behind one `Arc`.
 #[derive(Debug, Clone, Default)]
 pub struct ChainStore<C> {
-    inner: Arc<RwLock<Vec<Block<C>>>>,
+    inner: Arc<RwLock<Vec<Arc<Block<C>>>>>,
 }
 
 impl<C: Encode + Clone> ChainStore<C> {
@@ -128,12 +130,12 @@ impl<C: Encode + Clone> ChainStore<C> {
     /// validated block or nothing), so the poisoned data is intact and a
     /// long-lived replica's readers must not be wedged by one dead
     /// thread.
-    fn read(&self) -> RwLockReadGuard<'_, Vec<Block<C>>> {
+    fn read(&self) -> RwLockReadGuard<'_, Vec<Arc<Block<C>>>> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Write access with the same poison-recovery rationale as `read`.
-    fn write(&self) -> RwLockWriteGuard<'_, Vec<Block<C>>> {
+    fn write(&self) -> RwLockWriteGuard<'_, Vec<Arc<Block<C>>>> {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -151,7 +153,15 @@ impl<C: Encode + Clone> ChainStore<C> {
 
     /// Clone of the block at `height` (0-based), if present.
     pub fn block_at(&self, height: u64) -> Option<Block<C>> {
-        self.read().get(height as usize).cloned()
+        self.with_block(height, Block::clone)
+    }
+
+    /// The blocks from `height` to the tip, shared, not copied: what a
+    /// store tailing this one has yet to append.
+    pub fn blocks_from(&self, height: u64) -> Vec<Arc<Block<C>>> {
+        self.read()
+            .get(height as usize..)
+            .map_or_else(Vec::new, <[_]>::to_vec)
     }
 
     /// Runs `f` on the block at `height` under the read guard, without
@@ -159,16 +169,17 @@ impl<C: Encode + Clone> ChainStore<C> {
     /// replaying auditor. `f` must not append to this store: the guard
     /// is held until it returns.
     pub fn with_block<R>(&self, height: u64, f: impl FnOnce(&Block<C>) -> R) -> Option<R> {
-        self.read().get(height as usize).map(f)
+        self.read().get(height as usize).map(|block| f(block))
     }
 
     /// Clone of the tip block.
     pub fn tip(&self) -> Option<Block<C>> {
-        self.read().last().cloned()
+        self.read().last().map(|block| Block::clone(block))
     }
 
-    /// Validates and appends a block.
-    pub fn append(&self, block: Block<C>) -> Result<(), StoreError> {
+    /// Validates and appends a block, owned or already shared.
+    pub fn append(&self, block: impl Into<Arc<Block<C>>>) -> Result<(), StoreError> {
+        let block = block.into();
         let mut chain = self.write();
         Self::check_structure(&chain, &block)?;
         // Root check last: the O(1) structural checks reject cheaply
@@ -187,7 +198,7 @@ impl<C: Encode + Clone> ChainStore<C> {
     /// miner replica; debug builds still re-check it. Crate-private so
     /// external callers cannot bypass the root validation of
     /// [`ChainStore::append`].
-    pub(crate) fn append_sealed(&self, block: Block<C>) -> Result<(), StoreError> {
+    pub(crate) fn append_sealed(&self, block: Arc<Block<C>>) -> Result<(), StoreError> {
         debug_assert!(
             block.tx_root_consistent(),
             "append_sealed requires a pre-verified tx root"
@@ -199,7 +210,7 @@ impl<C: Encode + Clone> ChainStore<C> {
     }
 
     /// Parent-link and height-continuity checks shared by both appends.
-    fn check_structure(chain: &[Block<C>], block: &Block<C>) -> Result<(), StoreError> {
+    fn check_structure(chain: &[Arc<Block<C>>], block: &Block<C>) -> Result<(), StoreError> {
         let expected_parent = chain.last().map_or(Hash32::ZERO, |b| b.header.digest());
         if block.header.parent != expected_parent {
             return Err(StoreError::ParentMismatch {
@@ -308,11 +319,13 @@ mod tests {
     #[test]
     fn append_sealed_keeps_structural_checks() {
         let store: ChainStore<u64> = ChainStore::new();
-        store.append_sealed(next_block(&store, &[1])).unwrap();
+        store
+            .append_sealed(Arc::new(next_block(&store, &[1])))
+            .unwrap();
         let mut bad = next_block(&store, &[2]);
         bad.header.height = 9;
         assert!(matches!(
-            store.append_sealed(bad),
+            store.append_sealed(Arc::new(bad)),
             Err(StoreError::HeightMismatch { .. })
         ));
         assert_eq!(store.height(), 1);
@@ -363,7 +376,7 @@ mod tests {
         // Tamper with block 1's transactions: tx-root fault at height 1.
         {
             let mut chain = store.write();
-            chain[1].txs[0].call = 999;
+            Arc::make_mut(&mut chain[1]).txs[0].call = 999;
         }
         assert_eq!(
             store.verify_chain(),
@@ -378,14 +391,14 @@ mod tests {
         let expected_parent = store.block_at(0).unwrap().header.digest();
         {
             let mut chain = store.write();
-            chain[1] = Block::assemble(
+            chain[1] = Arc::new(Block::assemble(
                 1,
                 Hash32::of_bytes(b"bogus"),
                 Hash32::of_bytes(b"state"),
                 0,
                 1,
                 vec![Transaction::new(0, 10, 2u64)],
-            );
+            ));
         }
         match store.verify_chain() {
             Err(ChainFault {
@@ -402,14 +415,14 @@ mod tests {
         {
             let mut chain = store.write();
             let parent = chain[0].header.digest();
-            chain[1] = Block::assemble(
+            chain[1] = Arc::new(Block::assemble(
                 9,
                 parent,
                 Hash32::of_bytes(b"state"),
                 0,
                 1,
                 vec![Transaction::new(0, 10, 2u64)],
-            );
+            ));
         }
         assert_eq!(
             store.verify_chain(),

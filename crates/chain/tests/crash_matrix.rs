@@ -1,11 +1,12 @@
 //! Crash-matrix test for the durable chain store.
 //!
 //! Every [`CrashPoint`] is injected at every interesting log position
-//! (mid-segment, exactly at a segment boundary, during a snapshot), and
-//! after each crash the reopened chain must be **bit-identical to a
-//! clean prefix** of the pre-crash chain — never divergent, never
-//! reordered — and must remain appendable up to the full reference
-//! chain. Corrupted-CRC and stale-snapshot recoveries ride along.
+//! (mid-segment, exactly at a segment boundary, at every block of a
+//! multi-block batch, during a snapshot), and after each crash the
+//! reopened chain must be **bit-identical to a clean prefix** of the
+//! pre-crash chain — never divergent, never reordered — and must remain
+//! appendable up to the full reference chain. Corrupted-CRC and
+//! stale-snapshot recoveries ride along.
 
 use fl_chain::block::Block;
 use fl_chain::codec::Encode;
@@ -200,6 +201,83 @@ fn crash_matrix_reopen_is_clean_prefix() {
             case.name
         );
         assert_bit_identical_prefix(full.store(), &reference, TOTAL);
+    }
+}
+
+/// Every append-path crash point at every block of a batch, once with
+/// the whole batch inside one segment and once straddling two segment
+/// rolls. What survives:
+///
+/// * `TornRecord` at block `j` keeps every block before `j`: the torn
+///   write carries the records buffered ahead of it;
+/// * `BeforeFlush` loses everything the batch had not flushed — the
+///   whole batch, unless a segment roll inside it flushed a prefix;
+/// * `AfterFlushBeforeSnapshot` keeps blocks up to and including `j`.
+#[test]
+fn crash_inside_a_batch_reopens_to_a_clean_prefix() {
+    const BASE: u64 = 1; // appended one by one before the batch
+    const BATCH: u64 = 4;
+    const TOTAL: u64 = BASE + BATCH + 2;
+    let reference = reference_chain(TOTAL);
+    let one_segment = DurabilityConfig {
+        log: LogConfig::default(),
+        snapshot_every: u64::MAX,
+    };
+    // Two records per segment: appending block 2 flushes blocks 0–1 and
+    // rolls, appending block 4 flushes 2–3 and rolls.
+    let configs = [(one_segment, None), (two_records_per_segment(), Some(2))];
+
+    for (config, per_segment) in configs {
+        for point in [
+            CrashPoint::TornRecord,
+            CrashPoint::BeforeFlush,
+            CrashPoint::AfterFlushBeforeSnapshot,
+        ] {
+            for position in 0..BATCH {
+                // `CrashPlan::at` counts blocks, not batches.
+                let at = BASE + position;
+                let flushed_by_rolls = per_segment.map_or(BASE, |per| (at - at % per).max(BASE));
+                let survive = match point {
+                    CrashPoint::TornRecord => at,
+                    CrashPoint::BeforeFlush => flushed_by_rolls,
+                    CrashPoint::AfterFlushBeforeSnapshot => at + 1,
+                    CrashPoint::TornSnapshot => unreachable!("not an append-path point"),
+                };
+                let case = format!("{point:?} at batch block {position}, {per_segment:?}/segment");
+
+                let dir = TestDir::new("batch");
+                let (mut durable, _) = DurableStore::<u64>::open(dir.path(), config).unwrap();
+                for block in reference.blocks_from(0).into_iter().take(BASE as usize) {
+                    durable.append(block).unwrap();
+                }
+                durable.set_crash_plan(CrashPlan { point, at });
+                let batch = reference.blocks_from(BASE).into_iter().take(BATCH as usize);
+                assert_eq!(
+                    durable.append_batch(batch),
+                    Err(DurabilityError::Crashed),
+                    "{case}"
+                );
+                drop(durable);
+
+                let (mut durable, report) = DurableStore::<u64>::open(dir.path(), config).unwrap();
+                assert_bit_identical_prefix(durable.store(), &reference, survive);
+                assert_eq!(
+                    report.truncated.is_some(),
+                    point == CrashPoint::TornRecord,
+                    "{case}: torn-tail detection"
+                );
+
+                // The recovered chain is live: one more batch converges
+                // on the full reference chain.
+                durable
+                    .append_batch(reference.blocks_from(survive))
+                    .unwrap();
+                drop(durable);
+                let (full, report) = DurableStore::<u64>::open(dir.path(), config).unwrap();
+                assert!(report.truncated.is_none(), "{case}: second reopen clean");
+                assert_bit_identical_prefix(full.store(), &reference, TOTAL);
+            }
+        }
     }
 }
 

@@ -445,7 +445,7 @@ mod tests {
         );
 
         // Forge the record: claim the dropped owner survived.
-        let record = &mut contract.history_mut()[0];
+        let record = contract.history_mut(0);
         assert_eq!(record.dropped, vec![1]);
         record.dropped.clear();
         record.survivors = vec![0, 1, 2, 3];

@@ -3,6 +3,7 @@
 //! and the test-accuracy utility it scores models with.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use fl_chain::contract::ExecutionOutcome;
 use fl_chain::tx::AccountId;
@@ -462,7 +463,7 @@ impl FlContract {
             self.params().model_dim,
             (total_evals + dropped_pos.len() * survivor_pos.len()) * self.params().model_dim,
         );
-        self.history.push(RoundRecord {
+        self.history.push(Arc::new(RoundRecord {
             round,
             sv_method: method,
             groups: flat_groups,
@@ -475,7 +476,7 @@ impl FlContract {
             utility_evaluations: total_evals,
             samples: total_samples,
             cohorts: cohort_evidence,
-        });
+        }));
         self.history_leaves.push(Default::default());
         self.submissions.clear();
         self.recovery_shares.clear();

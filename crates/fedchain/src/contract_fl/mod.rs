@@ -129,7 +129,9 @@ impl Encode for FlParams {
     }
 }
 
-/// The contract state. `Clone` gives each miner an independent replica.
+/// The contract state. `Clone` gives each miner an independent replica
+/// for one pointer per section: a replica copies a section the first
+/// time it writes to it, so a block costs what it touched.
 ///
 /// # Round state machine
 ///
@@ -189,7 +191,9 @@ pub struct FlContract {
     recovery_shares: BTreeMap<AccountId, BTreeMap<AccountId, Share>>,
     contributions: Section<BTreeMap<AccountId, f64>>,
     global_model: Section<Vec<f64>>,
-    history: Vec<RoundRecord>,
+    /// Shared record by record: a replica clone copies one pointer per
+    /// evaluated round.
+    history: Vec<Arc<RoundRecord>>,
     /// `history_leaves[i]` memoises the leaf digest of `history[i]`.
     history_leaves: Section<Vec<OnceLock<Hash32>>>,
 }
@@ -198,6 +202,9 @@ pub struct FlContract {
 #[derive(Debug)]
 struct Genesis {
     params: FlParams,
+    /// Position of each owner in `params.owners` (the first, should an
+    /// id repeat).
+    owner_positions: BTreeMap<AccountId, usize>,
     /// The `/params` row of the state digest.
     params_digest: Hash32,
     /// The utility function over the public test set (agreed at setup;
@@ -209,10 +216,10 @@ struct Genesis {
 
 impl FlContract {
     fn owner_index(&self, id: AccountId) -> Result<usize, FlError> {
-        self.params()
-            .owners
-            .iter()
-            .position(|&o| o == id)
+        self.genesis
+            .owner_positions
+            .get(&id)
+            .copied()
             .ok_or(FlError::NotAnOwner(id))
     }
 

@@ -1,7 +1,7 @@
 //! One memoised digest per section of the contract state.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
 use fl_chain::hash::Hash32;
@@ -9,21 +9,31 @@ use fl_chain::hash::Hash32;
 /// A value and the memo of its digest. Reads go through `Deref`; every
 /// mutable borrow goes through `DerefMut`, which drops the memo first,
 /// so a section whose value changed can never answer with a stale
-/// digest. `Clone` copies the memo with the value (a scratch replica
-/// starts warm); encoding and decoding see the value only, so a memo
-/// never reaches a snapshot and a restored section starts cold.
+/// digest. `Clone` shares the value and copies the memo: a scratch
+/// replica starts warm and costs a pointer per section, and the first
+/// mutable borrow of a shared value copies it — one level deep, so a map
+/// of sections copies its pointers, not what they point to. Encoding
+/// and decoding see the value only, so a memo never reaches a snapshot
+/// and a restored section starts cold.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Section<T> {
-    value: T,
+    value: Arc<T>,
     memo: OnceLock<Hash32>,
 }
 
 impl<T> Section<T> {
     pub(super) fn new(value: T) -> Self {
         Self {
-            value,
+            value: Arc::new(value),
             memo: OnceLock::new(),
         }
+    }
+
+    /// Whether `self` and `other` read the same allocation: the test
+    /// that a replica clone copied nothing it did not write to.
+    #[cfg(test)]
+    pub(super) fn shares_value_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.value, &other.value)
     }
 
     /// The section's digest: [`tagged`] over what `encode` writes for
@@ -59,10 +69,10 @@ impl<T> Deref for Section<T> {
     }
 }
 
-impl<T> DerefMut for Section<T> {
+impl<T: Clone> DerefMut for Section<T> {
     fn deref_mut(&mut self) -> &mut T {
         self.memo.take();
-        &mut self.value
+        Arc::make_mut(&mut self.value)
     }
 }
 

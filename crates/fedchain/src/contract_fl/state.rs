@@ -67,8 +67,13 @@ impl FlContract {
         );
         let global_model = vec![0.0; params.model_dim];
         let contributions = params.owners.iter().map(|&o| (o, 0.0)).collect();
+        let mut owner_positions = BTreeMap::new();
+        for (position, &owner) in params.owners.iter().enumerate() {
+            owner_positions.entry(owner).or_insert(position);
+        }
         Self {
             genesis: Arc::new(super::Genesis {
+                owner_positions,
                 utility: AccuracyUtility::new(&test_set, params.num_features, params.num_classes),
                 params_digest: tagged("/params", |buf| params.encode_to(buf)),
                 params,
@@ -112,17 +117,18 @@ impl FlContract {
         &self.global_model
     }
 
-    /// The audit trail of evaluated rounds.
-    pub fn history(&self) -> &[RoundRecord] {
+    /// The audit trail of evaluated rounds, one shared record each.
+    pub fn history(&self) -> &[Arc<RoundRecord>] {
         &self.history
     }
 
-    /// Test-only mutable history access, used to *forge* audit records
-    /// (e.g. a tampered survivor set) and prove the digest catches it.
+    /// Test-only mutable access to one record, used to *forge* the audit
+    /// trail (e.g. a tampered survivor set) and prove the digest catches
+    /// it.
     #[cfg(test)]
-    pub(crate) fn history_mut(&mut self) -> &mut [RoundRecord] {
-        self.history_leaves.fill(OnceLock::new());
-        &mut self.history
+    pub(crate) fn history_mut(&mut self, index: usize) -> &mut RoundRecord {
+        self.history_leaves[index].take();
+        Arc::make_mut(&mut self.history[index])
     }
 
     /// Advertised public key of an owner.
@@ -299,8 +305,9 @@ impl SmartContract for FlContract {
     /// | history | `/history` | `len ‖ H("/record", `[`RoundRecord`]`)*` | round end (the new leaf once, then the list) |
     ///
     /// A memo is dropped by any mutable borrow of its section, copied by
-    /// `clone`, and absent from a snapshot: a restored replica computes
-    /// every digest from the values it read.
+    /// `clone` (which shares the section's value until either side
+    /// writes to it), and absent from a snapshot: a restored replica
+    /// computes every digest from the values it read.
     fn state_digest(&self) -> Hash32 {
         let keys = self.keys.digest("/keys", BTreeMap::encode_to);
         let escrows = self.escrows.digest("/escrows", BTreeMap::encode_to);

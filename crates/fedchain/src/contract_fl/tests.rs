@@ -56,6 +56,25 @@ fn plain_update(c: &FlContract, value: f64) -> Vec<u64> {
 }
 
 #[test]
+fn owner_positions_follow_the_owner_list_not_the_ids() {
+    let mut params = test_params(3, 2);
+    params.owners = vec![9, 2, 5];
+    let mut c = FlContract::genesis(params, SyntheticDigits::small().generate(99));
+    assert_eq!(c.owner_index(9), Ok(0));
+    assert_eq!(c.owner_index(2), Ok(1));
+    assert_eq!(c.owner_index(5), Ok(2));
+    // An id between two owner ids is no owner, before or after them.
+    for stranger in [0, 4, 7, 10] {
+        assert_eq!(c.owner_index(stranger), Err(FlError::NotAnOwner(stranger)));
+    }
+    let public_key = vec![1; 32];
+    assert!(matches!(
+        c.execute(&ctx(4), &FlCall::AdvertiseKey { public_key }),
+        Err(FlError::NotAnOwner(4))
+    ));
+}
+
+#[test]
 fn key_exchange_rules() {
     let mut c = contract(3, 2);
     assert!(matches!(
@@ -1279,12 +1298,16 @@ mod state_root {
     use fl_ml::rng::Xoshiro256;
     use proptest::prelude::*;
 
-    /// The root of a replica restored from the contract's own snapshot:
-    /// no memo survives a snapshot, so every section is hashed afresh.
-    fn cold_root(c: &FlContract, test_set: &Dataset) -> Hash32 {
+    /// A replica restored from the contract's own snapshot: no memo and
+    /// no shared value survives a snapshot.
+    fn cold(c: &FlContract, test_set: &Dataset) -> FlContract {
         FlContract::restore(c.params().clone(), test_set.clone(), &c.snapshot_state())
             .expect("own snapshot decodes")
-            .state_digest()
+    }
+
+    /// The root of [`cold`]: every section is hashed afresh.
+    fn cold_root(c: &FlContract, test_set: &Dataset) -> Hash32 {
+        cold(c, test_set).state_digest()
     }
 
     fn recovery_share(w: &MaskedWorld, round: u64, dropped: usize, provider: usize) -> FlCall {
@@ -1297,8 +1320,36 @@ mod state_root {
         }
     }
 
-    /// A contract driven call by call, held to the memo invariants at
-    /// every step.
+    /// A submission writes to the submissions map and to nothing else:
+    /// the scratch it ran on still reads every other section, every
+    /// round record and every earlier update from the original's own
+    /// allocations. A clone that copied them would pass every digest
+    /// check and fail here.
+    fn assert_submission_copied_its_map_only(original: &FlContract, scratch: &FlContract) {
+        assert!(scratch.keys.shares_value_with(&original.keys));
+        assert!(scratch.escrows.shares_value_with(&original.escrows));
+        assert!(scratch
+            .contributions
+            .shares_value_with(&original.contributions));
+        assert!(scratch
+            .global_model
+            .shares_value_with(&original.global_model));
+        assert!(scratch
+            .history_leaves
+            .shares_value_with(&original.history_leaves));
+        assert_eq!(scratch.history.len(), original.history.len());
+        for (copied, record) in scratch.history.iter().zip(&original.history) {
+            assert!(Arc::ptr_eq(copied, record));
+        }
+        assert!(!scratch.submissions.shares_value_with(&original.submissions));
+        assert_eq!(scratch.submissions.len(), original.submissions.len() + 1);
+        for (owner, update) in original.submissions.iter() {
+            assert!(scratch.submissions[owner].shares_value_with(update));
+        }
+    }
+
+    /// A contract driven call by call, held to the memo and
+    /// copy-on-write invariants at every step.
     struct Walk {
         c: FlContract,
         test_set: Dataset,
@@ -1310,10 +1361,12 @@ mod state_root {
         /// Executes one call; returns whether the contract accepted it.
         fn step(&mut self, sender: AccountId, call: FlCall) -> bool {
             let before = self.c.state_digest();
+            let snapshot = self.c.snapshot_state();
             // A scratch replica runs the call first, as the consensus
-            // engine does: it starts from the original's memos, must
-            // answer like a cold replica afterwards, and must leave the
-            // original's root alone.
+            // engine does: it starts from the original's memos and
+            // shares its values, must answer like a cold replica
+            // afterwards, and must leave the original alone — its
+            // values (the snapshot reads them) as well as its memos.
             let mut scratch = self.c.clone();
             let scratch_ok = scratch.execute(&ctx(sender), &call).is_ok();
             assert_eq!(
@@ -1321,11 +1374,18 @@ mod state_root {
                 cold_root(&scratch, &self.test_set),
                 "scratch memo went stale on {call:?}"
             );
+            assert_eq!(self.c.state_digest(), before);
             assert_eq!(
-                self.c.state_digest(),
-                before,
-                "scratch leaked into the original"
+                self.c.snapshot_state(),
+                snapshot,
+                "scratch wrote through to the original on {call:?}"
             );
+            let cold = cold(&self.c, &self.test_set);
+            assert_eq!(cold.state_digest(), before);
+            assert_eq!(cold.snapshot_state(), snapshot);
+            if scratch_ok && matches!(call, FlCall::SubmitMaskedUpdate { .. }) {
+                assert_submission_copied_its_map_only(&self.c, &scratch);
+            }
 
             let accepted = self.c.execute(&ctx(sender), &call).is_ok();
             assert_eq!(accepted, scratch_ok);
@@ -1545,7 +1605,7 @@ mod state_root {
             }),
             ("one model weight", |c| c.global_model[649] += 1e-9),
             ("one field of an old record", |c| {
-                c.history_mut()[0].global_accuracy += 1e-9
+                c.history_mut(0).global_accuracy += 1e-9
             }),
             ("the round", |c| c.current_round += 1),
             ("the phase", |c| c.phase = RoundPhase::Submitting),

@@ -504,21 +504,16 @@ struct OnChainStage<'a> {
 
 impl OnChainStage<'_> {
     /// Tails the honest replica's chain into the durable store: appends
-    /// every block beyond the durable height, then snapshots the
-    /// contract state if the cadence says so.
+    /// every block beyond the durable height as one batch (the blocks
+    /// themselves are shared with the replica, one flush makes them all
+    /// durable), then snapshots the contract state if the cadence says
+    /// so.
     fn sync_durable(&mut self) -> Result<(), ProtocolError> {
         let Some(durable) = self.durable.as_mut() else {
             return Ok(());
         };
-        let live = self
-            .engine
-            .store_of(0)
-            .expect("miner 0 always exists")
-            .clone();
-        for height in durable.store().height()..live.height() {
-            let block = live.block_at(height).expect("height bounded by store");
-            durable.append(block)?;
-        }
+        let live = self.engine.store_of(0).expect("miner 0 always exists");
+        durable.append_batch(live.blocks_from(durable.store().height()))?;
         if durable.snapshot_due() {
             let state = self.engine.honest_contract().snapshot_state();
             durable.write_snapshot(&state)?;
@@ -783,9 +778,10 @@ impl FlProtocol {
 
     /// Attaches a durable store at `dir`: from now on, every committed
     /// block is write-ahead logged to disk (and snapshotted at the
-    /// configured cadence) as it lands on the honest replica — blocks
-    /// already committed are logged immediately, so attaching mid-run is
-    /// sound. Reopening the directory later (or handing it to
+    /// configured cadence) before the commit of its stream of bundles
+    /// returns, one flush per stream — blocks already committed are
+    /// logged immediately, so attaching mid-run is sound. Reopening the
+    /// directory later (or handing it to
     /// [`crate::audit::fast_sync`]) reproduces the chain bit-identically.
     ///
     /// If `dir` already holds a prefix of this run's chain (a resumed
@@ -1000,7 +996,11 @@ impl FlProtocol {
             .iter()
             .map(|r| r.global_accuracy)
             .collect();
-        let round_records = contract.history().to_vec();
+        let round_records = contract
+            .history()
+            .iter()
+            .map(|record| RoundRecord::clone(record))
+            .collect();
         let stats = self.engine.stats();
 
         Ok(FlRunReport {
