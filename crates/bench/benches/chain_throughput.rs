@@ -1,7 +1,6 @@
 //! Chain-level benchmarks: block commitment with re-execution
 //! verification (the paper's consensus cost) at different cohort sizes
-//! and on a 1024-owner FL contract state, and mempool admission (per-tx
-//! vs batched).
+//! and on a 1024-owner FL contract state, and batched mempool admission.
 //!
 //! Committed medians live in `BENCH_chain_throughput.json`; regenerate
 //! with `CRITERION_JSON=out.jsonl cargo bench --bench chain_throughput`.
@@ -93,9 +92,8 @@ fn bench_commit(c: &mut Criterion) {
                     EngineConfig::default(),
                 )
                 .expect("non-empty miner set");
-                engine
-                    .commit_transactions(black_box(submissions(miners, 650)))
-                    .expect("honest commit")
+                let bundle = TxBundle::seal_unchecked(black_box(submissions(miners, 650)));
+                engine.commit_bundle(&bundle).expect("honest commit")
             })
         });
     }
@@ -118,19 +116,8 @@ fn bench_admission(c: &mut Criterion) {
     let mut group = c.benchmark_group("mempool_admission");
     group.sample_size(20);
     let (count, senders) = (1024usize, 8usize);
-    // Seed path: one capacity check + nonce-map lookup/insert per call.
-    group.bench_function(BenchmarkId::new("per_tx", count), |b| {
-        let batch = admission_batch(count, senders);
-        b.iter(|| {
-            let mut pool: Mempool<u64> = Mempool::new(count);
-            for tx in black_box(batch.clone()) {
-                pool.submit(tx).expect("admissible");
-            }
-            pool.len()
-        })
-    });
-    // Batched path: capacity computed once, nonce expectations cached
-    // across each same-sender run.
+    // Capacity computed once, nonce expectations cached across each
+    // same-sender run.
     group.bench_function(BenchmarkId::new("batched", count), |b| {
         let batch = admission_batch(count, senders);
         b.iter(|| {

@@ -204,7 +204,7 @@ fn bench_fast_sync(c: &mut Criterion) {
 
 /// A storage-bound contract isolating the chain-side cost of streaming
 /// one round as `k` per-cohort bundles (admission → `drain_bundles` →
-/// `commit_bundles`) from the FL work above.
+/// one `commit_bundle` each) from the FL work above.
 #[derive(Debug, Clone, Default)]
 struct VectorStore {
     sum: Vec<u64>,
@@ -257,12 +257,10 @@ fn bench_commit_stream(c: &mut Criterion) {
                     .map(|i| Transaction::new(i as u32, 0, vec![i as u64; 68]))
                     .collect();
                 assert!(pool.submit_batch(black_box(txs)).all_admitted());
-                let drained = pool.drain_bundles(sizes);
-                let reports = engine
-                    .commit_bundles(&drained)
-                    .expect("honest multi-bundle commit");
-                assert_eq!(reports.len(), sizes.len());
-                reports.len()
+                for bundle in pool.drain_bundles(sizes) {
+                    engine.commit_bundle(&bundle).expect("honest commit");
+                }
+                engine.height()
             })
         });
     }

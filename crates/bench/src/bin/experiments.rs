@@ -1,9 +1,10 @@
 //! CLI regenerating every table and figure of the paper.
 //!
 //! ```text
-//! experiments <fig1|fig2|table1|ext-throughput|ext-adversary|ext-privacy|all> [fast|paper]
+//! experiments <name|all> [fast|paper]
 //! ```
 //!
+//! The names are the keys of [`ALL`]; an unknown one prints them.
 //! Results print as aligned tables and are archived as JSON under
 //! `target/experiments/`.
 
@@ -11,54 +12,49 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fl_bench::experiments::{
-    ext_adversary, ext_privacy, ext_rounds, ext_throughput, fig1, fig2, table1, Scale,
-};
+use fl_bench::experiments::{ext_adversary, ext_privacy, ext_rounds, fig1, fig2, table1, Scale};
 use fl_bench::report::Table;
 
-fn artefact_dir() -> PathBuf {
-    PathBuf::from("target/experiments")
+/// Runs one experiment at a scale and renders its table.
+type Experiment = fn(Scale) -> Table;
+
+/// Every experiment by CLI name; `all` runs them in this order.
+const ALL: [(&str, Experiment); 6] = [
+    ("fig1", |scale| fig1::render(&fig1::run(scale))),
+    ("fig2", |scale| fig2::render(&fig2::run(scale))),
+    ("table1", |scale| table1::render(&table1::run(scale))),
+    ("ext-adversary", |scale| {
+        ext_adversary::render(&ext_adversary::run(scale))
+    }),
+    ("ext-privacy", |scale| {
+        ext_privacy::render(&ext_privacy::run(scale))
+    }),
+    ("ext-rounds", |scale| {
+        ext_rounds::render(&ext_rounds::run(scale))
+    }),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
+    format!("usage: experiments <{}|all> [fast|paper]", names.join("|"))
 }
 
-fn emit(table: &Table, name: &str) {
-    println!("{}", table.render());
-    if let Err(e) = table.write_json(&artefact_dir(), name) {
-        eprintln!("warning: could not archive {name}.json: {e}");
-    }
+/// The experiment `which` names; an unknown name is the only error.
+fn lookup(which: &str) -> Result<Experiment, String> {
+    ALL.iter()
+        .find(|(name, _)| *name == which)
+        .map(|(_, experiment)| *experiment)
+        .ok_or_else(|| format!("unknown experiment {which:?}"))
 }
 
 fn run_one(which: &str, scale: Scale) -> Result<(), String> {
+    let experiment = lookup(which)?;
     let started = Instant::now();
-    match which {
-        "fig1" => {
-            let rows = fig1::run(scale);
-            emit(&fig1::render(&rows), "fig1");
-        }
-        "fig2" => {
-            let points = fig2::run(scale);
-            emit(&fig2::render(&points), "fig2");
-        }
-        "table1" => {
-            let result = table1::run(scale);
-            emit(&table1::render(&result), "table1");
-        }
-        "ext-throughput" => {
-            let rows = ext_throughput::run(scale);
-            emit(&ext_throughput::render(&rows), "ext_throughput");
-        }
-        "ext-adversary" => {
-            let rows = ext_adversary::run(scale);
-            emit(&ext_adversary::render(&rows), "ext_adversary");
-        }
-        "ext-privacy" => {
-            let rows = ext_privacy::run(scale);
-            emit(&ext_privacy::render(&rows), "ext_privacy");
-        }
-        "ext-rounds" => {
-            let rows = ext_rounds::run(scale);
-            emit(&ext_rounds::render(&rows), "ext_rounds");
-        }
-        other => return Err(format!("unknown experiment {other:?}")),
+    let table = experiment(scale);
+    println!("{}", table.render());
+    let artefact = which.replace('-', "_");
+    if let Err(e) = table.write_json(&PathBuf::from("target/experiments"), &artefact) {
+        eprintln!("warning: could not archive {artefact}.json: {e}");
     }
     eprintln!(
         "[{which} completed in {:.1}s]\n",
@@ -66,16 +62,6 @@ fn run_one(which: &str, scale: Scale) -> Result<(), String> {
     );
     Ok(())
 }
-
-const ALL: [&str; 7] = [
-    "fig1",
-    "fig2",
-    "table1",
-    "ext-throughput",
-    "ext-adversary",
-    "ext-privacy",
-    "ext-rounds",
-];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,7 +79,7 @@ fn main() -> ExitCode {
 
     eprintln!("scale: {scale:?} (use `experiments <name> paper` for the full-size runs)\n");
     let result = if which == "all" {
-        ALL.iter().try_for_each(|name| run_one(name, scale))
+        ALL.iter().try_for_each(|(name, _)| run_one(name, scale))
     } else {
         run_one(which, scale)
     };
@@ -101,8 +87,26 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: experiments <{}|all> [fast|paper]", ALL.join("|"));
+            eprintln!("{}", usage());
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_listed_experiment_dispatches_and_is_in_the_usage_text() {
+        let usage = usage();
+        for (name, _) in ALL {
+            assert!(lookup(name).is_ok(), "{name} does not dispatch");
+            assert!(usage.contains(name), "{name} missing from {usage:?}");
+        }
+        assert_eq!(
+            lookup("fig3").err(),
+            Some("unknown experiment \"fig3\"".to_string())
+        );
     }
 }

@@ -3,7 +3,6 @@
 pub mod ext_adversary;
 pub mod ext_privacy;
 pub mod ext_rounds;
-pub mod ext_throughput;
 pub mod fig1;
 pub mod fig2;
 #[cfg(test)]

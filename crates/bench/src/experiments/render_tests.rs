@@ -4,11 +4,10 @@
 use super::ext_adversary::AdversaryRow;
 use super::ext_privacy::PrivacyRow;
 use super::ext_rounds::RoundsRow;
-use super::ext_throughput::ThroughputRow;
 use super::fig1::Fig1Row;
 use super::fig2::Fig2Point;
 use super::table1::Table1Result;
-use super::{ext_adversary, ext_privacy, ext_rounds, ext_throughput, fig1, fig2, table1};
+use super::{ext_adversary, ext_privacy, ext_rounds, fig1, fig2, table1};
 use fedchain::protocol::StageTimings;
 
 #[test]
@@ -165,22 +164,6 @@ fn table1_render_without_recovery_measurements() {
         !text.contains("shard n=9"),
         "no scaling columns when unmeasured"
     );
-}
-
-#[test]
-fn throughput_render() {
-    let rows = vec![ThroughputRow {
-        num_owners: 9,
-        model_dim: 650,
-        txs: 10,
-        gas: 1234,
-        makespan_secs: 0.5,
-        tx_per_sec: 20.0,
-        bytes: 99,
-    }];
-    let text = ext_throughput::render(&rows).render();
-    assert!(text.contains("1234"));
-    assert!(text.contains("0.500s"));
 }
 
 #[test]

@@ -1,15 +1,15 @@
 //! Experiment harness for the paper's evaluation section.
 //!
-//! Every table and figure has a regeneration target (see DESIGN.md §4):
+//! Every table and figure has a regeneration target:
 //!
 //! | Paper artefact | Module | CLI |
 //! |---|---|---|
 //! | Fig. 1 — ground-truth SV vs σ | [`experiments::fig1`] | `experiments fig1` |
 //! | Fig. 2 — GroupSV/native cosine similarity | [`experiments::fig2`] | `experiments fig2` |
 //! | Table I — GroupSV vs NativeSV runtime | [`experiments::table1`] | `experiments table1` |
-//! | Ext A — chain throughput (future work §VI-1) | [`experiments::ext_throughput`] | `experiments ext-throughput` |
 //! | Ext B — adversarial participants (§VI-2) | [`experiments::ext_adversary`] | `experiments ext-adversary` |
 //! | Ext C — privacy/resolution trade-off (§IV-B) | [`experiments::ext_privacy`] | `experiments ext-privacy` |
+//! | Ext D — cumulative resolution across rounds (Alg. 1) | [`experiments::ext_rounds`] | `experiments ext-rounds` |
 //!
 //! Two scales are supported: `fast` (reduced instances/epochs, seconds to
 //! minutes, same qualitative shape) and `paper` (the paper's 5620×64

@@ -320,42 +320,6 @@ where
     S: SmartContract + Clone + Send + Sync,
     S::Call: Send + Sync,
 {
-    /// Runs the full protocol to commit `txs` as one block.
-    ///
-    /// Convenience wrapper over [`Self::commit_bundle`] for callers that
-    /// bypass a mempool (tests, examples); the engine itself imposes no
-    /// nonce semantics, so the bundle is sealed without admission checks.
-    pub fn commit_transactions(
-        &mut self,
-        txs: Vec<Transaction<S::Call>>,
-    ) -> Result<CommitReport, EngineError> {
-        self.commit_bundle(&TxBundle::seal_unchecked(txs))
-    }
-
-    /// Commits a streamed sequence of bundles as consecutive blocks,
-    /// one [`Self::commit_bundle`] round each.
-    ///
-    /// The per-bundle atomic-commit invariant is preserved verbatim:
-    /// on failure at bundle `i` the first `i` blocks stay committed on
-    /// every replica (they reached quorum), bundle `i` has advanced no
-    /// replica, and bundles `i..` are untouched — the caller gets the
-    /// reports for the committed prefix, the failing index, and the
-    /// error, so it can `release` the unfinished suffix back to a
-    /// mempool.
-    pub fn commit_bundles(
-        &mut self,
-        bundles: &[TxBundle<S::Call>],
-    ) -> Result<Vec<CommitReport>, (Vec<CommitReport>, usize, EngineError)> {
-        let mut reports = Vec::with_capacity(bundles.len());
-        for (i, bundle) in bundles.iter().enumerate() {
-            match self.commit_bundle(bundle) {
-                Ok(report) => reports.push(report),
-                Err(e) => return Err((reports, i, e)),
-            }
-        }
-        Ok(reports)
-    }
-
     /// Runs the full protocol to commit a sealed bundle as one block.
     ///
     /// The bundle is borrowed so that on error the caller still holds
@@ -584,6 +548,19 @@ mod tests {
         .unwrap()
     }
 
+    /// Seals `txs` with no admission checks (the engine imposes no nonce
+    /// semantics) and commits them as one block.
+    fn commit<S>(
+        engine: &mut ConsensusEngine<S>,
+        txs: Vec<Transaction<S::Call>>,
+    ) -> Result<CommitReport, EngineError>
+    where
+        S: SmartContract + Clone + Send + Sync,
+        S::Call: Send + Sync,
+    {
+        engine.commit_bundle(&TxBundle::seal_unchecked(txs))
+    }
+
     fn add_txs(values: &[u64]) -> Vec<Transaction<CounterCall>> {
         values
             .iter()
@@ -595,7 +572,7 @@ mod tests {
     #[test]
     fn honest_commit_first_view() {
         let mut engine = engine_with(4, &[]);
-        let report = engine.commit_transactions(add_txs(&[1, 2, 3])).unwrap();
+        let report = commit(&mut engine, add_txs(&[1, 2, 3])).unwrap();
         assert_eq!(report.attempts, 1);
         assert_eq!(report.votes_for, 4);
         assert_eq!(report.leader, 0);
@@ -607,8 +584,8 @@ mod tests {
     #[test]
     fn all_replicas_converge() {
         let mut engine = engine_with(5, &[]);
-        engine.commit_transactions(add_txs(&[10])).unwrap();
-        engine.commit_transactions(add_txs(&[5])).unwrap();
+        commit(&mut engine, add_txs(&[10])).unwrap();
+        commit(&mut engine, add_txs(&[5])).unwrap();
         let roots: Vec<Hash32> = (0..5)
             .map(|id| engine.contract_of(id).unwrap().state_digest())
             .collect();
@@ -622,14 +599,15 @@ mod tests {
     #[test]
     fn commit_bundles_streams_consecutive_blocks() {
         let mut engine = engine_with(4, &[]);
-        let bundles = vec![
+        let bundles = [
             TxBundle::seal_unchecked(add_txs(&[1, 2])),
             TxBundle::seal_unchecked(vec![Transaction::new(0, 2, CounterCall::Add(3))]),
             TxBundle::seal_unchecked(vec![Transaction::new(0, 3, CounterCall::Add(4))]),
         ];
-        let reports = engine.commit_bundles(&bundles).unwrap();
-        assert_eq!(reports.len(), 3);
-        let heights: Vec<u64> = reports.iter().map(|r| r.height).collect();
+        let heights: Vec<u64> = bundles
+            .iter()
+            .map(|bundle| engine.commit_bundle(bundle).unwrap().height)
+            .collect();
         assert_eq!(heights, vec![0, 1, 2], "one block per bundle, in order");
         assert_eq!(engine.honest_contract().value, 10);
         for id in 0..4 {
@@ -640,26 +618,24 @@ mod tests {
 
     #[test]
     fn commit_bundles_failure_keeps_committed_prefix() {
-        // A Byzantine majority stalls every bundle: the stream fails at
-        // index 0 with nothing committed, and the bundle stream from an
-        // honest engine that later stalls keeps its committed prefix.
-        let mut engine = engine_with(
-            4,
-            &[
-                (1, MinerBehavior::RejectAll),
-                (2, MinerBehavior::RejectAll),
-                (3, MinerBehavior::RejectAll),
-            ],
-        );
-        let bundles = vec![
-            TxBundle::seal_unchecked(add_txs(&[1])),
-            TxBundle::seal_unchecked(vec![Transaction::new(0, 1, CounterCall::Add(2))]),
-        ];
-        let (reports, failed_at, err) = engine.commit_bundles(&bundles).unwrap_err();
-        assert!(reports.is_empty());
-        assert_eq!(failed_at, 0);
-        assert!(matches!(err, EngineError::NoQuorum { .. }));
-        assert_eq!(engine.height(), 0, "nothing committed without quorum");
+        // A stream that fails at its second bundle: the first block stays
+        // committed on every replica and the failing bundle advanced none.
+        let mut engine = engine_with(4, &[]);
+        let good = TxBundle::seal_unchecked(add_txs(&[1, 2]));
+        let bad = TxBundle::seal_unchecked(vec![
+            Transaction::new(0, 2, CounterCall::Add(4)),
+            Transaction::new(0, 3, CounterCall::Fail),
+        ]);
+        engine.commit_bundle(&good).unwrap();
+        let err = engine.commit_bundle(&bad).unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::ExecutionFailed { tx_index: 1, .. }
+        ));
+        for id in 0..4 {
+            assert_eq!(engine.contract_of(id).unwrap().value, 3);
+            assert_eq!(engine.store_of(id).unwrap().height(), 1);
+        }
     }
 
     #[test]
@@ -667,7 +643,7 @@ mod tests {
         // Miner 0 (first leader) corrupts proposals; honest majority
         // rejects and miner 1 commits instead.
         let mut engine = engine_with(4, &[(0, MinerBehavior::CorruptProposals)]);
-        let report = engine.commit_transactions(add_txs(&[7])).unwrap();
+        let report = commit(&mut engine, add_txs(&[7])).unwrap();
         assert_eq!(report.attempts, 2, "view change after corrupt proposal");
         assert_eq!(report.leader, 1);
         assert_eq!(report.rejected_leaders, vec![0]);
@@ -682,14 +658,14 @@ mod tests {
         // After being skipped as leader, the Byzantine miner's replica
         // still applies the honest block (it follows the chain).
         let mut engine = engine_with(4, &[(0, MinerBehavior::CorruptProposals)]);
-        engine.commit_transactions(add_txs(&[7])).unwrap();
+        commit(&mut engine, add_txs(&[7])).unwrap();
         assert_eq!(engine.contract_of(0).unwrap().value, 7);
     }
 
     #[test]
     fn reject_all_minority_cannot_block() {
         let mut engine = engine_with(5, &[(3, MinerBehavior::RejectAll)]);
-        let report = engine.commit_transactions(add_txs(&[1])).unwrap();
+        let report = commit(&mut engine, add_txs(&[1])).unwrap();
         assert_eq!(report.attempts, 1);
         assert_eq!(report.votes_for, 4);
     }
@@ -704,7 +680,7 @@ mod tests {
                 (3, MinerBehavior::RejectAll),
             ],
         );
-        let err = engine.commit_transactions(add_txs(&[1])).unwrap_err();
+        let err = commit(&mut engine, add_txs(&[1])).unwrap_err();
         assert!(matches!(err, EngineError::NoQuorum { .. }));
         assert_eq!(engine.height(), 0, "nothing committed without quorum");
     }
@@ -720,7 +696,7 @@ mod tests {
                 (1, MinerBehavior::AcceptAll),
             ],
         );
-        let report = engine.commit_transactions(add_txs(&[9])).unwrap();
+        let report = commit(&mut engine, add_txs(&[9])).unwrap();
         // Corrupt leader (1 self-vote) + AcceptAll (1) = 2 of 5: rejected.
         assert_eq!(
             report.leader, 1,
@@ -742,7 +718,7 @@ mod tests {
                 (2, MinerBehavior::AcceptAll),
             ],
         );
-        let report = engine.commit_transactions(add_txs(&[3])).unwrap();
+        let report = commit(&mut engine, add_txs(&[3])).unwrap();
         assert_eq!(report.attempts, 1, "fraud wins with a lazy majority");
         assert_ne!(
             report.state_root,
@@ -755,7 +731,7 @@ mod tests {
     fn failing_tx_aborts() {
         let mut engine = engine_with(3, &[]);
         let txs = vec![Transaction::new(0, 0, CounterCall::Fail)];
-        let err = engine.commit_transactions(txs).unwrap_err();
+        let err = commit(&mut engine, txs).unwrap_err();
         assert!(matches!(
             err,
             EngineError::ExecutionFailed { tx_index: 0, .. }
@@ -777,15 +753,15 @@ mod tests {
         )
         .unwrap();
         // Two txs at 1 gas each exceed the 1-gas block limit.
-        let err = engine.commit_transactions(add_txs(&[1, 2])).unwrap_err();
+        let err = commit(&mut engine, add_txs(&[1, 2])).unwrap_err();
         assert!(matches!(err, EngineError::OutOfGas { .. }));
     }
 
     #[test]
     fn stats_accumulate() {
         let mut engine = engine_with(3, &[]);
-        engine.commit_transactions(add_txs(&[1, 2])).unwrap();
-        engine.commit_transactions(add_txs(&[3])).unwrap();
+        commit(&mut engine, add_txs(&[1, 2])).unwrap();
+        commit(&mut engine, add_txs(&[3])).unwrap();
         let stats = engine.stats();
         assert_eq!(stats.blocks, 2);
         assert_eq!(stats.txs, 3);
@@ -813,26 +789,9 @@ mod tests {
     #[test]
     fn empty_block_commits() {
         let mut engine = engine_with(3, &[]);
-        let report = engine.commit_transactions(vec![]).unwrap();
+        let report = commit(&mut engine, vec![]).unwrap();
         assert_eq!(report.gas_used, Gas(0));
         assert_eq!(engine.height(), 1);
-    }
-
-    #[test]
-    fn commit_bundle_equals_commit_transactions() {
-        let txs = add_txs(&[4, 5, 6]);
-        let mut via_txs = engine_with(4, &[]);
-        let a = via_txs.commit_transactions(txs.clone()).unwrap();
-        let mut via_bundle = engine_with(4, &[]);
-        let bundle = crate::tx::TxBundle::seal(txs).unwrap();
-        let b = via_bundle.commit_bundle(&bundle).unwrap();
-        assert_eq!(a.block_digest, b.block_digest);
-        assert_eq!(a.state_root, b.state_root);
-        assert_eq!(a.events, b.events);
-        assert_eq!(
-            via_txs.honest_contract().state_digest(),
-            via_bundle.honest_contract().state_digest()
-        );
     }
 
     mod commit_atomicity {
@@ -933,7 +892,7 @@ mod tests {
             let mut engine = budgeted_engine(n, 8);
             let txs: Vec<Transaction<u64>> =
                 vec![Transaction::new(0, 0, 10u64), Transaction::new(0, 1, 20u64)];
-            let report = engine.commit_transactions(txs).expect(
+            let report = commit(&mut engine, txs).expect(
                 "commit must not re-execute after quorum: the proven outcome is applied as-is",
             );
             assert_eq!(report.votes_for, 4);
@@ -951,7 +910,7 @@ mod tests {
             let mut engine = budgeted_engine(n, 1);
             let txs: Vec<Transaction<u64>> =
                 vec![Transaction::new(0, 0, 10u64), Transaction::new(0, 1, 20u64)];
-            let err = engine.commit_transactions(txs).unwrap_err();
+            let err = commit(&mut engine, txs).unwrap_err();
             assert!(matches!(err, EngineError::ExecutionFailed { .. }));
             assert_replicas_identical(&engine, n);
             assert_eq!(engine.height(), 0, "committed on no replica");

@@ -15,8 +15,10 @@
 //!   append-only validated chain store.
 //! * [`contract`] — the smart-contract trait: deterministic state
 //!   machines with digestible state, executed identically by every miner.
-//! * [`gas`] — execution metering, powering the paper's future-work
-//!   throughput analysis (Ext A in DESIGN.md).
+//! * [`gas`] — execution metering: the engine charges every executed
+//!   call against the optional block gas limit.
+//! * [`light`] — header-only verification of transaction inclusion
+//!   proofs.
 //! * [`mempool`] — pending-transaction pool with per-sender nonce order,
 //!   batched admission ([`mempool::Mempool::submit_batch`]), and sealed
 //!   [`tx::TxBundle`] hand-off to the engine.
@@ -25,8 +27,6 @@
 //!   commit pipeline executes once per replica on scratch state (fanned
 //!   out on `numeric::par`, bit-identical for any thread count) and
 //!   applies the proven outcome atomically.
-//! * [`net`] — a discrete-event message network with latency models, for
-//!   the throughput experiments.
 //! * [`log`] / [`durability`] — an append-only segmented record log
 //!   (CRC-framed, torn-tail recovering) and the durable chain store on
 //!   top of it: periodic state snapshots, crash-point injection, and
@@ -52,7 +52,6 @@ pub mod light;
 pub mod log;
 pub mod mempool;
 pub mod merkle;
-pub mod net;
 pub mod store;
 pub mod tx;
 

@@ -1,9 +1,10 @@
 //! Pending-transaction pool.
 //!
 //! FIFO within a sender, nonce-gap detection across submissions. Leaders
-//! drain the pool when proposing a block; if the proposal is rejected the
-//! transactions return to the pool so the next leader can retry — this is
-//! exactly the paper's "wait for another leader to propose" behaviour.
+//! drain the pool when proposing a block. A rejected proposal does not
+//! come back here: the paper's "wait for another leader to propose" is
+//! `ConsensusEngine::commit_bundle`'s view loop, which hands the same
+//! bundle to the next leader.
 //!
 //! # Batched admission
 //!
@@ -18,14 +19,10 @@
 //!
 //! # Capacity invariants
 //!
-//! * [`Mempool::submit`] / [`Mempool::submit_batch`] never grow the pool
-//!   past `capacity`.
-//! * [`Mempool::requeue`] is **exempt** from the capacity check: the
-//!   transactions it restores were already admitted once, and dropping
-//!   them after a rejected proposal would silently lose committed nonce
-//!   history (the sender could never fill the gap). Requeued transactions
-//!   still **count** toward `len()`, so a pool swollen past capacity by a
-//!   requeue rejects fresh submissions until a later drain frees space.
+//! * [`Mempool::submit_batch`] never grows the pool past `capacity`, and
+//!   nothing else adds to it.
+//! * [`Mempool::rollback_admitted`] undoes a batch that was only partly
+//!   admitted, before anything else touched the pool.
 //! * [`Mempool::release`] is the inverse of a drain for transactions that
 //!   will *never* commit (e.g. the engine reported an execution failure):
 //!   it rolls the per-sender nonce counters back so the sender is not
@@ -111,31 +108,12 @@ impl<C: Encode + Clone> Mempool<C> {
         }
     }
 
-    /// Submits a transaction, enforcing contiguous nonces per sender.
-    pub fn submit(&mut self, tx: Transaction<C>) -> Result<(), MempoolError> {
-        if self.queue.len() >= self.capacity {
-            return Err(MempoolError::Full {
-                capacity: self.capacity,
-            });
-        }
-        let expected = self.next_nonce.get(&tx.sender).copied().unwrap_or(0);
-        if tx.nonce != expected {
-            return Err(MempoolError::NonceGap {
-                sender: tx.sender,
-                expected,
-                got: tx.nonce,
-            });
-        }
-        self.next_nonce.insert(tx.sender, expected + 1);
-        self.queue.push_back(tx);
-        Ok(())
-    }
-
-    /// Admits a whole batch in one pass: remaining capacity is computed
-    /// once, and each sender's nonce expectation is read and written once
-    /// per *run* of same-sender transactions (the counter is cached
-    /// across the run and flushed to the map only at run boundaries), not
-    /// once per transaction.
+    /// Admits a whole batch in one pass, enforcing contiguous nonces per
+    /// sender: remaining capacity is computed once, and each sender's
+    /// nonce expectation is read and written once per *run* of
+    /// same-sender transactions (the counter is cached across the run
+    /// and flushed to the map only at run boundaries), not once per
+    /// transaction.
     ///
     /// Admission is greedy — a rejected transaction does not block later
     /// ones (unless they depend on its nonce). Never grows the pool past
@@ -212,7 +190,7 @@ impl<C: Encode + Clone> Mempool<C> {
     }
 
     /// Takes up to `max` transactions for a block proposal.
-    pub fn drain(&mut self, max: usize) -> Vec<Transaction<C>> {
+    fn drain(&mut self, max: usize) -> Vec<Transaction<C>> {
         let take = max.min(self.queue.len());
         self.queue.drain(..take).collect()
     }
@@ -239,24 +217,6 @@ impl<C: Encode + Clone> Mempool<C> {
     /// nonce order is preserved across consecutive drains.
     pub fn drain_bundles(&mut self, sizes: &[usize]) -> Vec<TxBundle<C>> {
         sizes.iter().map(|&s| self.drain_bundle(s)).collect()
-    }
-
-    /// Returns transactions to the *front* of the pool after a rejected
-    /// proposal, preserving their original order.
-    ///
-    /// Deliberately exempt from the capacity check (see the module docs):
-    /// these transactions were admitted once and their nonces are already
-    /// recorded, so refusing them would wedge their senders. They still
-    /// count toward [`Mempool::len`], so an over-full pool keeps
-    /// rejecting *fresh* submissions until a drain frees space.
-    pub fn requeue(&mut self, txs: Vec<Transaction<C>>) {
-        for tx in txs.into_iter().rev() {
-            debug_assert!(
-                tx.nonce < self.next_nonce.get(&tx.sender).copied().unwrap_or(0),
-                "requeue is only for txs this pool admitted before"
-            );
-            self.queue.push_front(tx);
-        }
     }
 
     /// Rolls back the nonce accounting for drained transactions that
@@ -292,8 +252,7 @@ impl<C: Encode + Clone> Mempool<C> {
         evicted
     }
 
-    /// Admission capacity the pool was created with ([`Mempool::requeue`]
-    /// may push `len()` past it).
+    /// Admission capacity the pool was created with.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -322,12 +281,20 @@ mod tests {
         Transaction::new(sender, nonce, nonce * 10)
     }
 
+    /// Admits one transaction as a singleton batch.
+    fn submit(pool: &mut Mempool<u64>, tx: Transaction<u64>) -> Result<(), MempoolError> {
+        match pool.submit_batch(vec![tx]).rejected.pop() {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
+    }
+
     #[test]
     fn fifo_order_preserved() {
         let mut pool = Mempool::new(10);
-        pool.submit(tx(0, 0)).unwrap();
-        pool.submit(tx(1, 0)).unwrap();
-        pool.submit(tx(0, 1)).unwrap();
+        submit(&mut pool, tx(0, 0)).unwrap();
+        submit(&mut pool, tx(1, 0)).unwrap();
+        submit(&mut pool, tx(0, 1)).unwrap();
         let drained = pool.drain(10);
         assert_eq!(
             drained
@@ -342,25 +309,25 @@ mod tests {
     fn nonce_gap_rejected() {
         let mut pool = Mempool::new(10);
         assert_eq!(
-            pool.submit(tx(0, 5)).unwrap_err(),
+            submit(&mut pool, tx(0, 5)).unwrap_err(),
             MempoolError::NonceGap {
                 sender: 0,
                 expected: 0,
                 got: 5
             }
         );
-        pool.submit(tx(0, 0)).unwrap();
-        assert!(pool.submit(tx(0, 0)).is_err(), "replay rejected");
+        submit(&mut pool, tx(0, 0)).unwrap();
+        assert!(submit(&mut pool, tx(0, 0)).is_err(), "replay rejected");
         assert_eq!(pool.expected_nonce(0), 1);
     }
 
     #[test]
     fn capacity_enforced() {
         let mut pool = Mempool::new(2);
-        pool.submit(tx(0, 0)).unwrap();
-        pool.submit(tx(0, 1)).unwrap();
+        submit(&mut pool, tx(0, 0)).unwrap();
+        submit(&mut pool, tx(0, 1)).unwrap();
         assert_eq!(
-            pool.submit(tx(0, 2)).unwrap_err(),
+            submit(&mut pool, tx(0, 2)).unwrap_err(),
             MempoolError::Full { capacity: 2 }
         );
     }
@@ -369,7 +336,7 @@ mod tests {
     fn drain_respects_max() {
         let mut pool = Mempool::new(10);
         for n in 0..5 {
-            pool.submit(tx(0, n)).unwrap();
+            submit(&mut pool, tx(0, n)).unwrap();
         }
         assert_eq!(pool.drain(2).len(), 2);
         assert_eq!(pool.len(), 3);
@@ -381,10 +348,10 @@ mod tests {
     fn drain_bundles_streams_sized_bundles_in_order() {
         let mut pool = Mempool::new(16);
         for n in 0..3 {
-            pool.submit(tx(0, n)).unwrap();
+            submit(&mut pool, tx(0, n)).unwrap();
         }
         for n in 0..3 {
-            pool.submit(tx(1, n)).unwrap();
+            submit(&mut pool, tx(1, n)).unwrap();
         }
         let bundles = pool.drain_bundles(&[2, 3, 4]);
         assert_eq!(bundles.len(), 3);
@@ -404,19 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn requeue_restores_order() {
-        let mut pool = Mempool::new(10);
-        for n in 0..4 {
-            pool.submit(tx(0, n)).unwrap();
-        }
-        let taken = pool.drain(2);
-        pool.requeue(taken);
-        let all = pool.drain(10);
-        let nonces: Vec<u64> = all.iter().map(|t| t.nonce).collect();
-        assert_eq!(nonces, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _: Mempool<u64> = Mempool::new(0);
@@ -424,6 +378,9 @@ mod tests {
 
     #[test]
     fn submit_batch_matches_sequential_submits() {
+        // One batch ≡ the same transactions as singleton batches: the
+        // nonce counter cached across a same-sender run and flushed at run
+        // boundaries must read exactly what the map would.
         let batch: Vec<Transaction<u64>> = vec![
             tx(0, 0),
             tx(1, 0),
@@ -435,7 +392,7 @@ mod tests {
         let mut sequential = Mempool::new(10);
         let mut seq_rejected = Vec::new();
         for t in batch.clone() {
-            if let Err(e) = sequential.submit(t.clone()) {
+            if let Err(e) = submit(&mut sequential, t.clone()) {
                 seq_rejected.push((t, e));
             }
         }
@@ -452,7 +409,7 @@ mod tests {
     #[test]
     fn submit_batch_checks_capacity_once_and_never_overfills() {
         let mut pool = Mempool::new(3);
-        pool.submit(tx(9, 0)).unwrap();
+        submit(&mut pool, tx(9, 0)).unwrap();
         let admission = pool.submit_batch((0..5).map(|n| tx(0, n)).collect());
         assert_eq!(admission.admitted, 2, "only the free slots are filled");
         assert_eq!(pool.len(), 3);
@@ -470,9 +427,9 @@ mod tests {
     #[test]
     fn drain_bundle_seals_pool_order() {
         let mut pool = Mempool::new(10);
-        pool.submit(tx(0, 0)).unwrap();
-        pool.submit(tx(1, 0)).unwrap();
-        pool.submit(tx(0, 1)).unwrap();
+        submit(&mut pool, tx(0, 0)).unwrap();
+        submit(&mut pool, tx(1, 0)).unwrap();
+        submit(&mut pool, tx(0, 1)).unwrap();
         let bundle = pool.drain_bundle(2);
         assert_eq!(bundle.len(), 2);
         assert_eq!(
@@ -483,34 +440,9 @@ mod tests {
     }
 
     #[test]
-    fn requeue_exempt_from_capacity_but_counted() {
-        let mut pool = Mempool::new(2);
-        pool.submit(tx(0, 0)).unwrap();
-        pool.submit(tx(0, 1)).unwrap();
-        let proposal = pool.drain(2);
-        // New txs race in while the proposal is out for votes.
-        pool.submit(tx(0, 2)).unwrap();
-        pool.submit(tx(0, 3)).unwrap();
-        // The proposal is rejected: requeue must take the txs back even
-        // though the pool is already at capacity...
-        pool.requeue(proposal);
-        assert_eq!(pool.len(), 4, "requeued txs are exempt from capacity");
-        // ...and the swollen pool counts them, rejecting fresh traffic.
-        assert_eq!(
-            pool.submit(tx(0, 4)).unwrap_err(),
-            MempoolError::Full { capacity: 2 }
-        );
-        // Order is preserved across the round trip.
-        let nonces: Vec<u64> = pool.drain(10).iter().map(|t| t.nonce).collect();
-        assert_eq!(nonces, vec![0, 1, 2, 3]);
-        // Back under capacity: fresh submissions flow again.
-        pool.submit(tx(0, 4)).unwrap();
-    }
-
-    #[test]
     fn rollback_admitted_restores_pre_batch_state() {
         let mut pool = Mempool::new(4);
-        pool.submit(tx(0, 0)).unwrap(); // pre-batch, must survive
+        submit(&mut pool, tx(0, 0)).unwrap(); // pre-batch, must survive
         let admission = pool.submit_batch(vec![tx(0, 1), tx(1, 0), tx(1, 1), tx(1, 2)]);
         assert_eq!(admission.admitted, 3, "capacity 4: 1 pre-batch + 3");
         assert!(!admission.all_admitted());
@@ -530,15 +462,15 @@ mod tests {
     fn release_unwedges_sender_after_dropped_drain() {
         let mut pool = Mempool::new(10);
         for n in 0..3 {
-            pool.submit(tx(0, n)).unwrap();
+            submit(&mut pool, tx(0, n)).unwrap();
         }
-        pool.submit(tx(1, 0)).unwrap();
+        submit(&mut pool, tx(1, 0)).unwrap();
         let drained = pool.drain(2); // takes sender 0's nonces 0 and 1
         assert_eq!(pool.expected_nonce(0), 3);
 
         // Execution failed; without release the sender is wedged.
         assert!(matches!(
-            pool.submit(tx(0, 0)).unwrap_err(),
+            submit(&mut pool, tx(0, 0)).unwrap_err(),
             MempoolError::NonceGap { expected: 3, .. }
         ));
 
@@ -551,7 +483,7 @@ mod tests {
 
         // The sender resubmits from the rewind point.
         for n in 0..3 {
-            pool.submit(tx(0, n)).unwrap();
+            submit(&mut pool, tx(0, n)).unwrap();
         }
         assert_eq!(pool.len(), 4);
     }

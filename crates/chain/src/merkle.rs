@@ -58,16 +58,6 @@ impl MerkleTree {
         self.levels.last().expect("tree always has a root")[0]
     }
 
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        if self.levels.len() == 1 && self.levels[0] == vec![Hash32::ZERO] {
-            // Ambiguous with a single zero leaf; acceptable for a
-            // convenience accessor.
-            return self.levels[0].len();
-        }
-        self.levels[0].len()
-    }
-
     /// Produces an inclusion proof for leaf `index`.
     ///
     /// Returns `None` if the index is out of range.

@@ -118,9 +118,9 @@ impl<C: Encode> TxBundle<C> {
     }
 
     /// Seals a batch without the nonce-contiguity check (still computes
-    /// the root). For transactions that bypass a mempool — e.g. tests and
-    /// the legacy `commit_transactions` path — where nonce semantics are
-    /// the caller's business.
+    /// the root). For transactions whose nonce order is already
+    /// guaranteed (`Mempool::drain_bundle`) or is the caller's business
+    /// (tests and benches that bypass a mempool).
     pub fn seal_unchecked(txs: Vec<Transaction<C>>) -> Self {
         let leaves: Vec<Hash32> = txs.iter().map(Transaction::digest).collect();
         let tx_root = MerkleTree::build(&leaves).root();

@@ -1,6 +1,7 @@
-//! Integration between the mempool and the consensus engine: the paper's
-//! "wait for another leader to propose" loop, driven the way a real node
-//! would drive it.
+//! Integration between the mempool and the consensus engine, driven the
+//! way the protocol drives them: `submit_batch` → `drain_bundle` →
+//! `commit_bundle`, whose view loop is the paper's "wait for another
+//! leader to propose".
 
 use std::collections::BTreeMap;
 
@@ -43,17 +44,22 @@ fn engine(miners: u32, behaviors: &[(u32, MinerBehavior)]) -> ConsensusEngine<Ac
     .expect("non-empty miner set")
 }
 
+/// A pool holding `txs`, all admitted.
+fn pool_of(txs: Vec<Transaction<u64>>) -> Mempool<u64> {
+    let mut pool = Mempool::new(100);
+    assert!(pool.submit_batch(txs).all_admitted());
+    pool
+}
+
 #[test]
 fn mempool_drained_into_blocks_until_empty() {
-    let mut pool: Mempool<u64> = Mempool::new(100);
-    for n in 0..10u64 {
-        pool.submit(Transaction::new(0, n, n + 1)).unwrap();
-    }
+    let mut pool = pool_of((0..10).map(|n| Transaction::new(0, n, n + 1)).collect());
     let mut engine = engine(4, &[]);
     let mut blocks = 0;
     while !pool.is_empty() {
-        let txs = pool.drain(4);
-        engine.commit_transactions(txs).expect("honest commit");
+        engine
+            .commit_bundle(&pool.drain_bundle(4))
+            .expect("honest commit");
         blocks += 1;
     }
     assert_eq!(blocks, 3, "10 txs at 4/block = 3 blocks");
@@ -61,44 +67,34 @@ fn mempool_drained_into_blocks_until_empty() {
 }
 
 #[test]
-fn rejected_proposal_requeues_and_retries() {
-    // A fraudulent first leader forces a view change; the transactions
-    // still commit exactly once, in order.
-    let mut pool: Mempool<u64> = Mempool::new(100);
-    for n in 0..6u64 {
-        pool.submit(Transaction::new(0, n, 10 + n)).unwrap();
-    }
+fn rejected_proposal_retries_under_the_next_leader() {
+    // A fraudulent first leader costs one view; the same bundle then
+    // commits under the next leader, exactly once and in order, with
+    // nothing handed back to the pool.
+    let mut pool = pool_of((0..6).map(|n| Transaction::new(0, n, 10 + n)).collect());
     let mut engine = engine(4, &[(0, MinerBehavior::CorruptProposals)]);
 
-    let txs = pool.drain(6);
-    // Simulate the node behaviour: requeue on error, retry. (The engine
-    // itself retries leaders internally; this exercises the node-level
-    // loop for the case where the engine gives up.)
-    match engine.commit_transactions(txs.clone()) {
-        Ok(report) => {
-            assert!(report.attempts > 1, "fraud must cost at least one view");
-        }
-        Err(_) => {
-            pool.requeue(txs);
-            let retry = pool.drain(6);
-            engine.commit_transactions(retry).expect("retry succeeds");
-        }
-    }
+    let report = engine
+        .commit_bundle(&pool.drain_bundle(6))
+        .expect("the honest majority commits under leader 1");
+    assert_eq!(report.attempts, 2, "fraud costs exactly one view");
+    assert_eq!(report.rejected_leaders, vec![0]);
+    assert!(pool.is_empty());
     assert_eq!(engine.honest_contract().total, (10..16).sum::<u64>());
     assert_eq!(engine.stats().failed_views, 1);
 }
 
 #[test]
 fn interleaved_senders_keep_nonce_order() {
-    let mut pool: Mempool<u64> = Mempool::new(100);
-    // Two senders interleaved.
-    pool.submit(Transaction::new(0, 0, 1)).unwrap();
-    pool.submit(Transaction::new(1, 0, 2)).unwrap();
-    pool.submit(Transaction::new(0, 1, 3)).unwrap();
-    pool.submit(Transaction::new(1, 1, 4)).unwrap();
+    let mut pool = pool_of(vec![
+        Transaction::new(0, 0, 1),
+        Transaction::new(1, 0, 2),
+        Transaction::new(0, 1, 3),
+        Transaction::new(1, 1, 4),
+    ]);
     let mut engine = engine(3, &[]);
     let report = engine
-        .commit_transactions(pool.drain(10))
+        .commit_bundle(&pool.drain_bundle(10))
         .expect("honest commit");
     assert_eq!(report.events, vec!["+1", "+2", "+3", "+4"]);
 }
@@ -108,9 +104,10 @@ fn seeded_schedule_commits_identically() {
     // The same transactions through a seeded (pseudorandom) leader
     // schedule: different leaders, same state.
     let txs: Vec<Transaction<u64>> = (0..5).map(|n| Transaction::new(0, n, n * n)).collect();
+    let bundle = pool_of(txs).drain_bundle(5);
 
     let mut round_robin = engine(5, &[]);
-    round_robin.commit_transactions(txs.clone()).unwrap();
+    round_robin.commit_bundle(&bundle).unwrap();
 
     let schedule = LeaderSchedule::seeded((0..5).collect(), [3u8; 32]);
     let mut seeded = ConsensusEngine::new(
@@ -120,7 +117,7 @@ fn seeded_schedule_commits_identically() {
         EngineConfig::default(),
     )
     .unwrap();
-    seeded.commit_transactions(txs).unwrap();
+    seeded.commit_bundle(&bundle).unwrap();
 
     assert_eq!(
         round_robin.honest_contract().total,

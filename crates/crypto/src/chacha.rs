@@ -51,13 +51,6 @@ impl ChaChaPrg {
         u64::from_le_bytes(bytes)
     }
 
-    /// Produces the next pseudorandom `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        let mut bytes = [0u8; 4];
-        self.fill_bytes(&mut bytes);
-        u32::from_le_bytes(bytes)
-    }
-
     /// Fills `out` with keystream bytes.
     ///
     /// Large requests (mask expansion fills `8 · dim` bytes at once) are

@@ -209,24 +209,10 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
         Ok(())
     }
 
-    /// Computes the raw shared group element `other_pub^my_priv mod p`,
-    /// rejecting degenerate or out-of-range public keys.
-    pub fn shared_element(
-        &self,
-        my_private: &Uint<LIMBS>,
-        other_public: &Uint<LIMBS>,
-    ) -> Result<Uint<LIMBS>, DhKeyError> {
-        self.validate_public_key(other_public)?;
-        Ok(self.shared_element_unchecked(my_private, other_public))
-    }
-
-    /// The exponentiation core of [`DhGroupW::shared_element`], after
-    /// validation: peer key to Montgomery form, fixed-window pow, retrieve.
-    fn shared_element_unchecked(
-        &self,
-        my_private: &Uint<LIMBS>,
-        other_public: &Uint<LIMBS>,
-    ) -> Uint<LIMBS> {
+    /// The raw shared group element `other_pub^my_priv mod p` — peer key
+    /// to Montgomery form, fixed-window pow, retrieve. Every caller
+    /// validates `other_public` first.
+    fn shared_element(&self, my_private: &Uint<LIMBS>, other_public: &Uint<LIMBS>) -> Uint<LIMBS> {
         let peer = self.ctx.to_elem(other_public);
         self.ctx.retrieve(&self.ctx.pow(&peer, my_private))
     }
@@ -241,7 +227,7 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
     ) -> Result<[u8; 32], DhKeyError> {
         self.validate_public_key(other_public)?;
         Ok(derive_pair_key(
-            &self.shared_element_unchecked(my_private, other_public),
+            &self.shared_element(my_private, other_public),
         ))
     }
 
@@ -261,7 +247,7 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
             self.validate_public_key(pk)?;
         }
         Ok(par::par_map(peer_publics, 1, |_, pk| {
-            derive_pair_key(&self.shared_element_unchecked(my_private, pk))
+            derive_pair_key(&self.shared_element(my_private, pk))
         }))
     }
 
@@ -278,7 +264,7 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
             self.validate_public_key(pk)?;
         }
         Ok(par::par_map(pairs, 1, |_, (private, public)| {
-            derive_pair_key(&self.shared_element_unchecked(private, public))
+            derive_pair_key(&self.shared_element(private, public))
         }))
     }
 }
@@ -375,7 +361,7 @@ mod tests {
         let group = DhGroup::simulation_256();
         let a = group.generate_keypair(&mut prg(4));
         let b = group.generate_keypair(&mut prg(5));
-        let fast = group.shared_element(&a.private, &b.public).unwrap();
+        let fast = group.shared_element(&a.private, &b.public);
         let naive = b.public.mod_pow_naive(&a.private, &group.p);
         assert_eq!(fast, naive);
         assert_eq!(a.public, group.g.mod_pow_naive(&a.private, &group.p));
@@ -394,7 +380,6 @@ mod tests {
             (U256::MAX, DhKeyError::OutOfRange),
         ] {
             assert_eq!(group.validate_public_key(&bad), Err(want), "{bad:?}");
-            assert_eq!(group.shared_element(&kp.private, &bad), Err(want));
             assert_eq!(group.shared_key(&kp.private, &bad), Err(want));
             assert_eq!(
                 group.shared_keys_batch(&kp.private, &[kp.public, bad]),
@@ -433,7 +418,7 @@ mod tests {
         let group = DhGroup::simulation_256();
         let a = group.generate_keypair(&mut prg(1));
         let b = group.generate_keypair(&mut prg(2));
-        let element = group.shared_element(&a.private, &b.public).unwrap();
+        let element = group.shared_element(&a.private, &b.public);
         let key = group.shared_key(&a.private, &b.public).unwrap();
         assert_ne!(key.to_vec(), element.to_be_bytes()[..32].to_vec());
     }

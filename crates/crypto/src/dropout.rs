@@ -112,27 +112,6 @@ pub struct DroppedParty {
     pub shares: Vec<Share>,
 }
 
-/// Removes a dropped party's residual masks from a partial ring sum.
-///
-/// Single-dropout convenience over [`strip_dropped_set_masks`]: see
-/// there for the contract.
-pub fn strip_dropped_masks(
-    group: &DhGroup,
-    partial_sum: &mut [u64],
-    dropped: PartyId,
-    dropped_private: &U256,
-    survivors: &[(PartyId, U256)],
-    round: u64,
-) {
-    strip_dropped_set_masks(
-        group,
-        partial_sum,
-        &[(dropped, *dropped_private)],
-        survivors,
-        round,
-    );
-}
-
 /// Removes the residual masks of a *set* of simultaneously dropped
 /// parties from a survivors-only partial ring sum, in one pass.
 ///
@@ -295,7 +274,7 @@ mod tests {
         // Strip party 3's residual masks and decode the survivor mean.
         let survivors: Vec<(PartyId, U256)> =
             (0..3).map(|s| (s as PartyId, keypairs[s].public)).collect();
-        strip_dropped_masks(&group, &mut partial, 3, &recovered, &survivors, round);
+        strip_dropped_set_masks(&group, &mut partial, &[(3, recovered)], &survivors, round);
 
         for (d, &ring) in partial.iter().enumerate() {
             let expect: f64 = (0..3).map(|i| weights[i][d]).sum();
@@ -395,7 +374,7 @@ mod tests {
     #[test]
     fn set_strip_equals_sequential_single_strips() {
         // The one-pass set strip must be bit-identical to stripping each
-        // dropped party in ascending order with the single-party API.
+        // dropped party in ascending order as a set of one.
         let group = DhGroup::simulation_256();
         let keypairs: Vec<DhKeyPair> = (0..4u8)
             .map(|i| group.keypair_from_seed(&[i + 31; 32]))
@@ -409,8 +388,8 @@ mod tests {
         let mut one_pass = base.clone();
         strip_dropped_set_masks(&group, &mut one_pass, &dropped, &survivors, 4);
         let mut sequential = base;
-        for (d, private) in &dropped {
-            strip_dropped_masks(&group, &mut sequential, *d, private, &survivors, 4);
+        for single in &dropped {
+            strip_dropped_set_masks(&group, &mut sequential, &[*single], &survivors, 4);
         }
         assert_eq!(one_pass, sequential);
     }

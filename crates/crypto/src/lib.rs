@@ -13,10 +13,12 @@
 //!   groups (a fast 256-bit simulation group and RFC 3526 MODP-2048).
 //! * [`masking`] — pairwise mask derivation with the canonical add/sub
 //!   orientation so that masks cancel in the aggregate.
-//! * [`secure_agg`] — the full secure-aggregation session: key exchange,
-//!   masked submission, aggregate-and-unmask.
-//! * [`shamir`] — Shamir secret sharing over a prime field, the
-//!   dropout-recovery extension of the Bonawitz protocol.
+//! * [`secure_agg`] — the data-owner side of secure aggregation: the
+//!   advertised key directory, cached pair secrets, masked submission.
+//!   The masks cancel in the plain ring sum the FL contract takes.
+//! * [`shamir`] / [`dropout`] — Shamir secret sharing over a prime field
+//!   and the dropout-recovery extension of the Bonawitz protocol built on
+//!   it: key escrow, reconstruction, residual-mask stripping.
 //!
 //! # Security disclaimer
 //!
@@ -46,5 +48,5 @@ pub mod shamir;
 pub use chacha::ChaChaPrg;
 pub use dh::{DhGroup, DhKeyError, DhKeyPair};
 pub use masking::PairwiseMasker;
-pub use secure_agg::{key_epoch, PairSecretCache, SecureAggError, SecureAggSession};
+pub use secure_agg::{key_epoch, PairSecretCache, SecureAggError};
 pub use sha256::Sha256;

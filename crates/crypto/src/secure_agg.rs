@@ -1,19 +1,21 @@
-//! The secure-aggregation session (Bonawitz et al., adapted to the paper).
+//! The data-owner side of secure aggregation (Bonawitz et al., adapted to
+//! the paper).
 //!
-//! Orchestrates the three protocol phases for a *fixed* cohort of parties
-//! (the paper's cross-silo setting assumes every owner participates in
-//! every round, Sect. III):
+//! For a *fixed* cohort of parties (the paper's cross-silo setting
+//! assumes every owner participates in every round, Sect. III):
 //!
-//! 1. **Advertise** — each party registers its DH public key.
-//! 2. **Mask** — a party turns its fixed-point update into a masked
-//!    submission by applying the pairwise mask against every other party.
-//! 3. **Aggregate** — the ring sum of all submissions; the masks
+//! 1. **Advertise** — each party registers its DH public key in a
+//!    [`KeyDirectory`], visible to everyone.
+//! 2. **Mask** — a [`PartyState`] turns its fixed-point update into a
+//!    masked submission by applying the pairwise mask against every other
+//!    party.
+//! 3. **Aggregate** — the ring sum of all submissions
+//!    (`FixedCodec::ring_sum`, decoded with `decode_avg`); the masks
 //!    telescope away and only the *sum of the cohort's updates* remains.
 //!
-//! The session object is deliberately symmetric: the same type drives the
-//! data-owner side (produce a masked update) and the contract side
-//! (aggregate submissions). The contract never holds pair keys, so it can
-//! only ever see masked vectors and their cohort-level sum — this is the
+//! Step 3 needs no key material, so it is not in this crate: the FL
+//! contract sums the masked vectors it was sent (`fedchain::contract_fl`)
+//! and can only ever see them and their cohort-level sum — this is the
 //! privacy property the paper's Sect. III threat model requires.
 
 use std::collections::BTreeMap;
@@ -25,14 +27,14 @@ use crate::dh::{DhGroup, DhKeyPair};
 use crate::masking::{PairwiseMasker, PartyId};
 use crate::sha256::sha256;
 
-/// Minimum ring elements per worker thread when expanding or summing
-/// mask vectors. ChaCha expansion costs a few ns per element, so below
+/// Minimum ring elements per worker thread when expanding mask
+/// vectors. ChaCha expansion costs a few ns per element, so below
 /// this the thread hand-off dominates; one paper-scale pair mask
 /// (dim ≈ 650) stays inline while multi-pair and high-dimensional work
 /// fans out.
 const MIN_RING_ELEMS_PER_THREAD: usize = 2048;
 
-/// Errors from driving a [`SecureAggSession`].
+/// Errors from building a [`KeyDirectory`] or deriving a [`PartyState`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SecureAggError {
     /// A party id was registered twice.
@@ -42,17 +44,6 @@ pub enum SecureAggError {
     /// Fewer than two parties: masking would be a no-op and the single
     /// update would be exposed.
     CohortTooSmall(usize),
-    /// A masked submission had the wrong dimension.
-    DimensionMismatch {
-        /// Expected vector length.
-        expected: usize,
-        /// Received vector length.
-        got: usize,
-    },
-    /// Aggregation was requested before every party submitted.
-    MissingSubmissions(Vec<PartyId>),
-    /// The same party submitted twice in one round.
-    DuplicateSubmission(PartyId),
     /// A peer advertised a degenerate or out-of-range public key; deriving
     /// a pair secret against it would yield a predictable mask.
     InvalidPeerKey(PartyId),
@@ -65,15 +56,6 @@ impl fmt::Display for SecureAggError {
             Self::UnknownParty(id) => write!(f, "party {id} is not registered"),
             Self::CohortTooSmall(n) => {
                 write!(f, "secure aggregation needs >= 2 parties, got {n}")
-            }
-            Self::DimensionMismatch { expected, got } => {
-                write!(f, "update dimension {got} != expected {expected}")
-            }
-            Self::MissingSubmissions(ids) => {
-                write!(f, "missing submissions from parties {ids:?}")
-            }
-            Self::DuplicateSubmission(id) => {
-                write!(f, "party {id} already submitted this round")
             }
             Self::InvalidPeerKey(id) => {
                 write!(f, "party {id} advertised an invalid public key")
@@ -345,158 +327,6 @@ impl PartyState {
     }
 }
 
-/// The aggregator side: collects masked submissions for one round and
-/// produces the unmasked *sum* once the cohort is complete.
-///
-/// Holds no key material — this is what runs inside the smart contract.
-#[derive(Debug, Clone)]
-pub struct SecureAggSession {
-    expected: Vec<PartyId>,
-    dim: usize,
-    submissions: BTreeMap<PartyId, Vec<u64>>,
-}
-
-impl SecureAggSession {
-    /// Starts a round for the given cohort and update dimension.
-    pub fn new(cohort: &[PartyId], dim: usize) -> Result<Self, SecureAggError> {
-        if cohort.len() < 2 {
-            return Err(SecureAggError::CohortTooSmall(cohort.len()));
-        }
-        let mut expected = cohort.to_vec();
-        expected.sort_unstable();
-        expected.dedup();
-        if expected.len() != cohort.len() {
-            // Find the duplicate for a useful error.
-            let mut seen = std::collections::BTreeSet::new();
-            for &id in cohort {
-                if !seen.insert(id) {
-                    return Err(SecureAggError::DuplicateParty(id));
-                }
-            }
-        }
-        Ok(Self {
-            expected,
-            dim,
-            submissions: BTreeMap::new(),
-        })
-    }
-
-    /// Records a masked submission.
-    pub fn submit(&mut self, party: PartyId, masked: Vec<u64>) -> Result<(), SecureAggError> {
-        if !self.expected.contains(&party) {
-            return Err(SecureAggError::UnknownParty(party));
-        }
-        if masked.len() != self.dim {
-            return Err(SecureAggError::DimensionMismatch {
-                expected: self.dim,
-                got: masked.len(),
-            });
-        }
-        if self.submissions.contains_key(&party) {
-            return Err(SecureAggError::DuplicateSubmission(party));
-        }
-        self.submissions.insert(party, masked);
-        Ok(())
-    }
-
-    /// Parties that have not submitted yet.
-    pub fn pending(&self) -> Vec<PartyId> {
-        self.expected
-            .iter()
-            .copied()
-            .filter(|id| !self.submissions.contains_key(id))
-            .collect()
-    }
-
-    /// True when every expected party has submitted.
-    pub fn is_complete(&self) -> bool {
-        self.submissions.len() == self.expected.len()
-    }
-
-    /// Ring sum of all submissions. The pairwise masks cancel, leaving
-    /// `Σ encode(w_i)`.
-    ///
-    /// For high-dimensional models the sum is chunked over coordinates
-    /// and computed on the fork-join layer; each coordinate always sums
-    /// parties in ascending id order (and wrapping `u64` addition is
-    /// exact), so the aggregate is bit-identical for any thread count.
-    pub fn aggregate(&self) -> Result<Vec<u64>, SecureAggError> {
-        let missing = self.pending();
-        if !missing.is_empty() {
-            return Err(SecureAggError::MissingSubmissions(missing));
-        }
-        let mut acc = vec![0u64; self.dim];
-        if self.submissions.len() * self.dim < 2 * MIN_RING_ELEMS_PER_THREAD {
-            for masked in self.submissions.values() {
-                FixedCodec::ring_add_assign(&mut acc, masked);
-            }
-            return Ok(acc);
-        }
-        let submissions: Vec<&Vec<u64>> = self.submissions.values().collect();
-        let min_chunk = MIN_RING_ELEMS_PER_THREAD / self.submissions.len().max(1);
-        par::par_fill_with(&mut acc, min_chunk.max(1), |start, chunk| {
-            let len = chunk.len();
-            for masked in &submissions {
-                for (a, m) in chunk.iter_mut().zip(&masked[start..start + len]) {
-                    *a = a.wrapping_add(*m);
-                }
-            }
-        });
-        Ok(acc)
-    }
-
-    /// Aggregates and decodes to the cohort *average* in `f64`.
-    pub fn aggregate_mean(&self, codec: &FixedCodec) -> Result<Vec<f64>, SecureAggError> {
-        let ring = self.aggregate()?;
-        let n = self.expected.len();
-        Ok(ring.iter().map(|&r| codec.decode_avg(r, n)).collect())
-    }
-
-    /// The masked submission of one party, exactly as an on-chain
-    /// observer would see it.
-    pub fn observed_submission(&self, party: PartyId) -> Option<&[u64]> {
-        self.submissions.get(&party).map(Vec::as_slice)
-    }
-}
-
-/// Convenience: runs one complete secure-aggregation round for a cohort of
-/// plaintext weight vectors and returns the decoded mean. Used pervasively
-/// by the FL layer and tests.
-///
-/// `seeds[i]` deterministically generates party `i`'s DH keypair.
-pub fn secure_mean(
-    group: &DhGroup,
-    codec: &FixedCodec,
-    round: u64,
-    weights: &[Vec<f64>],
-    seeds: &[[u8; 32]],
-) -> Result<Vec<f64>, SecureAggError> {
-    assert_eq!(weights.len(), seeds.len(), "one seed per party");
-    let n = weights.len();
-    if n < 2 {
-        return Err(SecureAggError::CohortTooSmall(n));
-    }
-    let dim = weights[0].len();
-
-    let keypairs: Vec<DhKeyPair> = seeds
-        .iter()
-        .map(|seed| group.keypair_from_seed(seed))
-        .collect();
-
-    let mut directory = KeyDirectory::new();
-    for (i, kp) in keypairs.iter().enumerate() {
-        directory.advertise(i as PartyId, kp.public)?;
-    }
-
-    let cohort: Vec<PartyId> = (0..n as PartyId).collect();
-    let mut session = SecureAggSession::new(&cohort, dim)?;
-    for (i, (w, kp)) in weights.iter().zip(&keypairs).enumerate() {
-        let party = PartyState::derive(group, i as PartyId, kp, &directory)?;
-        session.submit(i as PartyId, party.masked_update(codec, round, w))?;
-    }
-    session.aggregate_mean(codec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,6 +340,38 @@ mod tests {
         (0..n).map(|i| [i as u8 + 1; 32]).collect()
     }
 
+    /// One full-cohort round the way the contract aggregates it: party
+    /// `i` masks `weights[i]` against everyone else, and the ring sum of
+    /// the submissions decodes to the cohort mean. Returns the masked
+    /// submissions (all an on-chain observer sees) and that mean.
+    fn masked_round(
+        codec: &FixedCodec,
+        round: u64,
+        weights: &[Vec<f64>],
+    ) -> (Vec<Vec<u64>>, Vec<f64>) {
+        let g = group();
+        let n = weights.len();
+        let kps: Vec<DhKeyPair> = seeds(n).iter().map(|s| g.keypair_from_seed(s)).collect();
+        let mut dir = KeyDirectory::new();
+        for (i, kp) in kps.iter().enumerate() {
+            dir.advertise(i as PartyId, kp.public).unwrap();
+        }
+        let submissions: Vec<Vec<u64>> = kps
+            .iter()
+            .zip(weights)
+            .enumerate()
+            .map(|(i, (kp, w))| {
+                let party = PartyState::derive(&g, i as PartyId, kp, &dir).unwrap();
+                party.masked_update(codec, round, w)
+            })
+            .collect();
+        let mean = FixedCodec::ring_sum(&submissions)
+            .iter()
+            .map(|&r| codec.decode_avg(r, n))
+            .collect();
+        (submissions, mean)
+    }
+
     #[test]
     fn three_party_mean_matches_plaintext() {
         let codec = FixedCodec::default();
@@ -518,7 +380,7 @@ mod tests {
             vec![0.5, 0.5, 0.5],
             vec![-1.5, 1.5, 2.0],
         ];
-        let mean = secure_mean(&group(), &codec, 0, &weights, &seeds(3)).unwrap();
+        let (_, mean) = masked_round(&codec, 0, &weights);
         let expect = [0.0, 0.0, 2.0];
         for (m, e) in mean.iter().zip(expect) {
             assert!((m - e).abs() < 1e-6, "got {m}, want {e}");
@@ -528,16 +390,22 @@ mod tests {
     #[test]
     fn two_party_minimum_cohort() {
         let codec = FixedCodec::default();
-        let weights = vec![vec![4.0], vec![2.0]];
-        let mean = secure_mean(&group(), &codec, 1, &weights, &seeds(2)).unwrap();
+        let (_, mean) = masked_round(&codec, 1, &[vec![4.0], vec![2.0]]);
         assert!((mean[0] - 3.0).abs() < 1e-6);
     }
 
     #[test]
     fn single_party_rejected() {
-        let codec = FixedCodec::default();
-        let err = secure_mean(&group(), &codec, 0, &[vec![1.0]], &seeds(1));
-        assert_eq!(err.unwrap_err(), SecureAggError::CohortTooSmall(1));
+        // Alone in the directory there is nobody to mask against: the
+        // update would go out in the clear.
+        let g = group();
+        let kp = g.keypair_from_seed(&seeds(1)[0]);
+        let mut dir = KeyDirectory::new();
+        dir.advertise(0, kp.public).unwrap();
+        assert_eq!(
+            PartyState::derive(&g, 0, &kp, &dir).err(),
+            Some(SecureAggError::CohortTooSmall(1))
+        );
     }
 
     #[test]
@@ -654,41 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn session_errors() {
-        let mut s = SecureAggSession::new(&[0, 1, 2], 2).unwrap();
-        assert_eq!(
-            s.submit(9, vec![0, 0]),
-            Err(SecureAggError::UnknownParty(9))
-        );
-        assert_eq!(
-            s.submit(0, vec![0]),
-            Err(SecureAggError::DimensionMismatch {
-                expected: 2,
-                got: 1
-            })
-        );
-        s.submit(0, vec![1, 2]).unwrap();
-        assert_eq!(
-            s.submit(0, vec![1, 2]),
-            Err(SecureAggError::DuplicateSubmission(0))
-        );
-        assert_eq!(
-            s.aggregate(),
-            Err(SecureAggError::MissingSubmissions(vec![1, 2]))
-        );
-        assert_eq!(s.pending(), vec![1, 2]);
-        assert!(!s.is_complete());
-    }
-
-    #[test]
-    fn duplicate_cohort_rejected() {
-        assert_eq!(
-            SecureAggSession::new(&[0, 1, 1], 1).unwrap_err(),
-            SecureAggError::DuplicateParty(1)
-        );
-    }
-
-    #[test]
     fn directory_duplicate_advertise() {
         let mut dir = KeyDirectory::new();
         dir.advertise(0, numeric::U256::from_u64(1)).unwrap();
@@ -700,31 +533,15 @@ mod tests {
 
     #[test]
     fn observer_sees_only_masked_data() {
-        // Reconstruct the observer's view: per-party submissions plus the
-        // final sum. No submission equals the plaintext encoding.
+        // The observer's view is the per-party submissions plus their
+        // sum. No submission equals the plaintext encoding.
         let codec = FixedCodec::default();
-        let g = group();
-        let n = 4;
-        let weights: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let kps: Vec<DhKeyPair> = seeds(n).iter().map(|s| g.keypair_from_seed(s)).collect();
-        let mut dir = KeyDirectory::new();
-        for (i, kp) in kps.iter().enumerate() {
-            dir.advertise(i as PartyId, kp.public).unwrap();
-        }
-        let cohort: Vec<PartyId> = (0..n as PartyId).collect();
-        let mut session = SecureAggSession::new(&cohort, 2).unwrap();
-        for (i, kp) in kps.iter().enumerate() {
-            let party = PartyState::derive(&g, i as PartyId, kp, &dir).unwrap();
-            session
-                .submit(i as PartyId, party.masked_update(&codec, 7, &weights[i]))
-                .unwrap();
-        }
-        for (i, w) in weights.iter().enumerate() {
-            let observed = session.observed_submission(i as PartyId).unwrap();
-            assert_ne!(observed, codec.encode_vec(w).as_slice());
+        let weights: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64, -(i as f64)]).collect();
+        let (observed, mean) = masked_round(&codec, 7, &weights);
+        for (seen, w) in observed.iter().zip(&weights) {
+            assert_ne!(seen, &codec.encode_vec(w));
         }
         // But the aggregate is exact.
-        let mean = session.aggregate_mean(&codec).unwrap();
         assert!((mean[0] - 1.5).abs() < 1e-6);
         assert!((mean[1] + 1.5).abs() < 1e-6);
     }
@@ -742,8 +559,7 @@ mod tests {
             let weights: Vec<Vec<f64>> = (0..n)
                 .map(|i| (0..dim).map(|d| base + (i * dim + d) as f64 * 0.25).collect())
                 .collect();
-            let mean =
-                secure_mean(&group(), &codec, round, &weights, &seeds(n)).unwrap();
+            let (_, mean) = masked_round(&codec, round, &weights);
             for d in 0..dim {
                 let plain: f64 =
                     weights.iter().map(|w| w[d]).sum::<f64>() / n as f64;

@@ -4,9 +4,8 @@
 //! (Sect. III), so mask recovery is never needed. The full Bonawitz
 //! protocol, however, secret-shares each party's key material so the
 //! cohort can unmask the aggregate when a party drops out mid-round. We
-//! implement that extension here: it is exercised by the dropout-recovery
-//! tests and documented in DESIGN.md as an optional feature beyond the
-//! paper's scope.
+//! implement that extension here, beyond the paper's scope: [`crate::dropout`]
+//! holds the escrow / reconstruct / strip protocol built on it.
 //!
 //! Shares are points `(x, P(x))` of a random degree `t-1` polynomial over
 //! `GF(p)` with `P(0) = secret`; any `t` shares reconstruct via Lagrange

@@ -125,29 +125,17 @@ impl DataOwner {
     }
 
     /// Masks `update` for submission, using the advertised keys of the
-    /// owner's *group members* this round.
+    /// owner's *group members* this round, through the owner's persistent
+    /// pair-secret cache: group members whose keys are unchanged since the
+    /// last derivation under the same `epoch` skip the DH exponentiation.
     ///
     /// `group_directory` maps every member of the owner's group
     /// (including itself) to its public key, exactly as read from the
-    /// chain. A singleton group has nobody to pair with, so the encoding
-    /// goes out unmasked — this is the paper's `m = n` resolution
-    /// extreme, which it explicitly notes "reveals the model parameters".
-    pub fn mask_update(
-        &self,
-        update: &[f64],
-        round: u64,
-        group_directory: &[(AccountId, U256)],
-    ) -> Result<Vec<u64>, SecureAggError> {
-        let Some(directory) = self.build_directory(group_directory)? else {
-            return Ok(self.codec.encode_vec(update));
-        };
-        let party = PartyState::derive(&self.group, self.id, &self.keypair, &directory)?;
-        Ok(party.masked_update(&self.codec, round, update))
-    }
-
-    /// [`DataOwner::mask_update`] through the owner's persistent
-    /// pair-secret cache: group members whose keys are unchanged since the
-    /// last derivation under the same `epoch` skip the DH exponentiation.
+    /// chain; a directory without this owner is
+    /// [`SecureAggError::UnknownParty`]. A singleton group has nobody to
+    /// pair with, so the encoding goes out unmasked — this is the paper's
+    /// `m = n` resolution extreme, which it explicitly notes "reveals the
+    /// model parameters".
     ///
     /// `epoch` must be [`fl_crypto::key_epoch`] over the *full* advertised
     /// key set (not the per-round group directory, which permutes every
@@ -161,9 +149,16 @@ impl DataOwner {
         group_directory: &[(AccountId, U256)],
         epoch: [u8; 32],
     ) -> Result<Vec<u64>, SecureAggError> {
-        let Some(directory) = self.build_directory(group_directory)? else {
+        if !group_directory.iter().any(|(id, _)| *id == self.id) {
+            return Err(SecureAggError::UnknownParty(self.id));
+        }
+        if group_directory.len() == 1 {
             return Ok(self.codec.encode_vec(update));
-        };
+        }
+        let mut directory = KeyDirectory::new();
+        for (id, key) in group_directory {
+            directory.advertise(*id, *key)?;
+        }
         let party = PartyState::derive_cached(
             &self.group,
             self.id,
@@ -178,27 +173,6 @@ impl DataOwner {
     /// Number of pair secrets currently cached (observability for tests).
     pub fn cached_pair_secrets(&self) -> usize {
         self.pair_cache.len()
-    }
-
-    /// Validates the group directory and builds the secure-agg
-    /// [`KeyDirectory`]; `None` means a singleton group (submit plain).
-    fn build_directory(
-        &self,
-        group_directory: &[(AccountId, U256)],
-    ) -> Result<Option<KeyDirectory>, SecureAggError> {
-        assert!(
-            group_directory.iter().any(|(id, _)| *id == self.id),
-            "owner {} missing from its own group directory",
-            self.id
-        );
-        if group_directory.len() == 1 {
-            return Ok(None);
-        }
-        let mut directory = KeyDirectory::new();
-        for (id, key) in group_directory {
-            directory.advertise(*id, *key)?;
-        }
-        Ok(Some(directory))
     }
 }
 
@@ -251,8 +225,9 @@ mod tests {
         let ua = a.local_update(&zeros, 64, 10);
         let ub = b.local_update(&zeros, 64, 10);
         let dir = vec![(0u32, a.keypair.public), (1u32, b.keypair.public)];
-        let ma = a.mask_update(&ua, 3, &dir).unwrap();
-        let mb = b.mask_update(&ub, 3, &dir).unwrap();
+        let epoch = fl_crypto::key_epoch(&dir);
+        let ma = a.mask_update_cached(&ua, 3, &dir, epoch).unwrap();
+        let mb = b.mask_update_cached(&ub, 3, &dir, epoch).unwrap();
         let codec = FixedCodec::new(24);
         // Individually masked…
         assert_ne!(ma, codec.encode_vec(&ua));
@@ -267,7 +242,7 @@ mod tests {
     #[test]
     fn cached_masking_matches_cold_across_rounds() {
         // The pair-secret cache must never change what goes on the wire:
-        // warm rounds are bit-identical to cold derivations.
+        // warm rounds are bit-identical to a cold `PartyState::derive`.
         let mut a = owner(0);
         let b = owner(1);
         let c = owner(2);
@@ -278,10 +253,16 @@ mod tests {
             (1u32, b.keypair.public),
             (2u32, c.keypair.public),
         ];
+        let mut directory = KeyDirectory::new();
+        for (id, key) in &dir {
+            directory.advertise(*id, *key).unwrap();
+        }
         let epoch = fl_crypto::key_epoch(&dir);
         assert_eq!(a.cached_pair_secrets(), 0);
         for round in 0..3u64 {
-            let cold = a.mask_update(&ua, round, &dir).unwrap();
+            let cold = PartyState::derive(&a.group, a.id, &a.keypair, &directory)
+                .unwrap()
+                .masked_update(&a.codec, round, &ua);
             let warm = a.mask_update_cached(&ua, round, &dir, epoch).unwrap();
             assert_eq!(cold, warm, "round {round}");
             assert_eq!(a.cached_pair_secrets(), 2);
@@ -294,17 +275,27 @@ mod tests {
         let zeros = vec![0.0; 65 * 10];
         let u = a.local_update(&zeros, 64, 10);
         let dir = vec![(0u32, a.keypair.public)];
-        let masked = a.mask_update(&u, 0, &dir).unwrap();
+        let masked = a.mask_update_cached(&u, 0, &dir, [0u8; 32]).unwrap();
         assert_eq!(masked, FixedCodec::new(24).encode_vec(&u));
     }
 
     #[test]
-    #[should_panic(expected = "missing from its own group")]
     fn masking_requires_self_in_directory() {
-        let a = owner(0);
+        // A directory read from the chain that leaves this owner out is a
+        // typed error — also when it is a singleton, which must not go
+        // out unmasked under somebody else's name.
+        let mut a = owner(0);
         let b = owner(1);
-        let dir = vec![(1u32, b.keypair.public)];
-        let _ = a.mask_update(&[0.0; 650], 0, &dir);
+        let c = owner(2);
+        for dir in [
+            vec![(1u32, b.keypair.public)],
+            vec![(1u32, b.keypair.public), (2u32, c.keypair.public)],
+        ] {
+            assert_eq!(
+                a.mask_update_cached(&[0.0; 650], 0, &dir, [0u8; 32]),
+                Err(SecureAggError::UnknownParty(0))
+            );
+        }
     }
 
     #[test]

@@ -799,11 +799,6 @@ impl FlProtocol {
         Ok(report)
     }
 
-    /// The attached durable store, if any.
-    pub fn durable_store(&self) -> Option<&DurableStore<FlCall>> {
-        self.durable.as_ref()
-    }
-
     /// Installs an adversarial behaviour on one owner (by position).
     ///
     /// # Panics

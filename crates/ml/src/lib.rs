@@ -7,7 +7,7 @@
 //!   that miners re-executing the evaluation agree bit-for-bit.
 //! * [`dataset`] — an in-memory labelled dataset and the synthetic
 //!   "optdigits-like" generator substituting for the UCI handwritten
-//!   digits data (see DESIGN.md §3 for the substitution argument).
+//!   digits data (the substitution argument is in [`dataset`]'s docs).
 //! * [`noise`] — the paper's data-quality degradation:
 //!   `d_i = d_i + N(0, σ·i)` for owner `i`.
 //! * [`split`] — train/test split and per-owner sharding.
@@ -26,7 +26,6 @@ pub mod logreg;
 pub mod metrics;
 pub mod noise;
 pub mod rng;
-pub mod sgd;
 pub mod split;
 
 pub use dataset::{Dataset, DatasetView, SyntheticDigits};

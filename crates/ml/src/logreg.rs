@@ -185,11 +185,6 @@ impl LogisticModel {
         &self.weights
     }
 
-    /// Length of the flat parameter vector.
-    pub fn flat_len(&self) -> usize {
-        (self.num_features + 1) * self.num_classes
-    }
-
     /// Serializes parameters row-major into a flat vector.
     pub fn to_flat(&self) -> Vec<f64> {
         self.weights.as_slice().to_vec()

@@ -64,11 +64,6 @@ impl FixedCodec {
         2f64.powi(-(self.frac_bits as i32))
     }
 
-    /// Largest magnitude that encodes without saturating.
-    pub fn max_magnitude(&self) -> f64 {
-        2f64.powi(63 - self.frac_bits as i32)
-    }
-
     /// Encodes a single value, saturating at the representable range.
     ///
     /// NaN encodes as zero (a NaN weight is a training bug, but the codec

@@ -227,8 +227,9 @@ fn multi_round_ledger_is_sum_of_round_records() {
 #[test]
 fn determinism_across_full_stack() {
     // Two completely independent protocol instances must agree on every
-    // observable: SVs, accuracies, chain digests. This is invariant 4 of
-    // DESIGN.md — without it, verification by re-execution cannot work.
+    // observable: SVs, accuracies, chain digests — without that,
+    // verification by re-execution (`fl_chain::consensus::engine`) cannot
+    // work.
     let run = || {
         let mut p = FlProtocol::new(quick()).expect("valid config");
         let report = p.run().expect("honest run");
