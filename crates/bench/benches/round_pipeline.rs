@@ -6,10 +6,13 @@
 //! masking, tx assembly) with round `r`'s on-chain tail (block commit,
 //! SV evaluation), so the wall-clock win is bounded by
 //! `min(off_chain, on_chain)` per round — the report's
-//! [`fedchain::protocol::StageTimings`] shows the two sides. On a
-//! single-core host the overlap primitive degrades to sequential
-//! execution and both modes measure alike; the bit-equality contract is
-//! asserted either way.
+//! [`fedchain::protocol::StageTimings`] shows the two sides. Both modes
+//! are sampled at `numeric::par` thread caps 1 and 2 (benchmark id
+//! suffix `cap1` / `cap2`): at cap 1 the overlap primitive runs the
+//! stages in order and both modes measure alike; at cap 2 — skipped on a
+//! single-core host — the pipeline's one extra thread runs the off-chain
+//! stage while sequential mode spends it on its fan-outs. The
+//! bit-equality contract is asserted either way.
 //!
 //! Before anything is timed, [`gate`] runs both modes on both shapes
 //! and asserts the chains are **bit-identical**: same per-owner
@@ -18,6 +21,8 @@
 //!
 //! Committed medians live in `BENCH_round_pipeline.json`; regenerate
 //! with `CRITERION_JSON=out.jsonl cargo bench --bench round_pipeline`.
+//! `scripts/bench_smoke.sh` gates `pipelined/4/cap2` against
+//! `sequential/4/cap1` of one run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -26,6 +31,7 @@ use std::sync::OnceLock;
 use fedchain::config::{FlConfig, SvMethod};
 use fedchain::protocol::FlProtocol;
 use fl_ml::dataset::SyntheticDigits;
+use numeric::par;
 
 const ROUNDS: u64 = 20;
 
@@ -91,40 +97,40 @@ fn gate() {
     });
 }
 
+/// One timed chain in either mode.
+fn run_chain(cohorts: usize, pipelined: bool) -> usize {
+    let mut protocol = FlProtocol::new(bench_config(black_box(cohorts))).expect("valid config");
+    let report = if pipelined {
+        protocol.run()
+    } else {
+        protocol.run_sequential()
+    }
+    .expect("honest run");
+    assert_eq!(report.blocks, expected_blocks(cohorts));
+    report.per_owner_sv.len()
+}
+
 /// 20-round chains, sequential vs pipelined, flat (`k=1`) and sharded
-/// (`k=4`).
+/// (`k=4`), at thread caps 1 and 2.
 fn bench_pipeline(c: &mut Criterion) {
     gate();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut group = c.benchmark_group("round_pipeline");
     group.sample_size(10);
-    for &cohorts in &[1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("sequential", cohorts),
-            &cohorts,
-            |b, &cohorts| {
-                b.iter(|| {
-                    let mut protocol =
-                        FlProtocol::new(bench_config(black_box(cohorts))).expect("valid config");
-                    let report = protocol.run_sequential().expect("honest run");
-                    assert_eq!(report.blocks, expected_blocks(cohorts));
-                    report.per_owner_sv.len()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("pipelined", cohorts),
-            &cohorts,
-            |b, &cohorts| {
-                b.iter(|| {
-                    let mut protocol =
-                        FlProtocol::new(bench_config(black_box(cohorts))).expect("valid config");
-                    let report = protocol.run().expect("honest run");
-                    assert_eq!(report.blocks, expected_blocks(cohorts));
-                    report.per_owner_sv.len()
-                })
-            },
-        );
+    for cap in [1usize, 2] {
+        if cap > cores {
+            println!("round_pipeline: cap {cap} skipped, {cores} core available");
+            continue;
+        }
+        par::set_max_threads(cap);
+        for cohorts in [1usize, 4] {
+            for (mode, pipelined) in [("sequential", false), ("pipelined", true)] {
+                let id = BenchmarkId::new(format!("{mode}/{cohorts}"), format!("cap{cap}"));
+                group.bench_function(id, |b| b.iter(|| run_chain(cohorts, pipelined)));
+            }
+        }
     }
+    par::set_max_threads(0);
     group.finish();
 }
 

@@ -24,8 +24,14 @@
 //!   the calling thread in plain index order, and the parallel schedule
 //!   produces exactly the same slot values.
 //!
+//! **Thread budget.** The cap is process-wide: a region leases its extra
+//! threads from the `max_threads() - 1` that may be alive at once and
+//! returns them when it ends, a panic included. How many it gets depends
+//! on what is free at call time; slot values never do. Granted none — as
+//! when nested in a region holding the budget — it runs on its caller.
+//!
 //! The property tests in `shapley/tests/par_determinism.rs` pin this
-//! contract across thread counts 1, 2, and `available_parallelism`.
+//! contract across thread caps 1, 2, 3 and 8, `tests/par_budget.rs` the budget.
 //!
 //! # Knobs
 //!
@@ -35,9 +41,8 @@
 //!   sequential fallback without recompiling).
 //! * Every helper takes `min_per_thread`, the smallest number of items
 //!   worth shipping to another thread; below `2 * min_per_thread` items
-//!   the call stays sequential. Callers pick it per workload: `1` for
-//!   model training or modular exponentiation, tens for utility
-//!   evaluations, thousands for ring-element arithmetic.
+//!   the call stays sequential. It only matters where a region can be
+//!   outermost: a nested one finds the budget taken and never spawns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -77,10 +82,40 @@ pub fn max_threads() -> usize {
     })
 }
 
-/// Number of worker threads for `n` items at the given granularity.
-fn plan_threads(n: usize, min_per_thread: usize) -> usize {
-    let min = min_per_thread.max(1);
-    (n / min).clamp(1, max_threads())
+/// Extra par threads alive process-wide, leased up to `max_threads() - 1`.
+static EXTRAS_ALIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// Extra threads leased to one region. `Drop` returns them — on unwind too,
+/// after `thread::scope` joined — with a Release the next lease Acquires.
+struct Lease(usize);
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        if self.0 > 0 {
+            EXTRAS_ALIVE.fetch_sub(self.0, Ordering::Release);
+        }
+    }
+}
+
+/// Threads for `n` items at the given granularity: the caller plus the
+/// extras the budget has free, leased until the returned guard drops.
+fn lease_threads(n: usize, min_per_thread: usize) -> (usize, Lease) {
+    let budget = max_threads() - 1;
+    let want = (n / min_per_thread.max(1)).saturating_sub(1).min(budget);
+    let mut granted = 0;
+    if want > 0 {
+        let _ = EXTRAS_ALIVE.fetch_update(Ordering::Acquire, Ordering::Relaxed, |alive| {
+            granted = want.min(budget.saturating_sub(alive));
+            (granted > 0).then_some(alive + granted)
+        });
+    }
+    (granted + 1, Lease(granted))
+}
+
+/// Joins a scoped worker; its panic continues with its own payload.
+fn join<R>(worker: std::thread::ScopedJoinHandle<'_, R>) -> R {
+    let joined = worker.join();
+    joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Splits `slice` into `threads` contiguous chunks whose lengths differ by
@@ -106,7 +141,7 @@ fn balanced_chunks<T>(slice: &mut [T], threads: usize) -> Vec<(usize, &mut [T])>
 /// `f(start, chunk)` must set `chunk[k]` to a pure function of
 /// `start + k`.
 ///
-/// The workhorse primitive: all other helpers are built on it. Runs on
+/// This is [`par_fill_rows`] at row width 1, its one spawn site. Runs on
 /// the calling thread when `out.len() < 2 * min_per_thread` or the thread
 /// cap is 1.
 pub fn par_fill_with<T, F>(out: &mut [T], min_per_thread: usize, f: F)
@@ -114,22 +149,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let threads = plan_threads(out.len(), min_per_thread);
-    if threads <= 1 {
-        f(0, out);
-        return;
-    }
-    let mut chunks = balanced_chunks(out, threads);
-    let (first_start, first_chunk) = chunks.remove(0);
-    let f = &f;
-    std::thread::scope(|scope| {
-        // Spawn workers for all but the first chunk; the calling thread
-        // works instead of idling at the join.
-        for (start, chunk) in chunks {
-            scope.spawn(move || f(start, chunk));
-        }
-        f(first_start, first_chunk);
-    });
+    par_fill_rows(out, 1, min_per_thread, f);
 }
 
 /// Like [`par_fill_with`], but chunk boundaries always land on multiples
@@ -160,7 +180,7 @@ where
         out.len()
     );
     let rows = out.len() / width;
-    let threads = plan_threads(rows, min_rows_per_thread);
+    let (threads, _lease) = lease_threads(rows, min_rows_per_thread);
     if threads <= 1 {
         f(0, out);
         return;
@@ -184,15 +204,17 @@ where
     std::thread::scope(|scope| {
         // Spawn workers for all but the first chunk; the calling thread
         // works instead of idling at the join.
+        let mut workers = Vec::with_capacity(threads - 1);
         for (start, chunk) in chunks {
-            scope.spawn(move || f(start, chunk));
+            workers.push(scope.spawn(move || f(start, chunk)));
         }
         f(first_start, first_chunk);
+        workers.into_iter().for_each(join);
     });
 }
 
 /// Runs two independent pipeline stages, overlapping them on two
-/// threads when the cap allows, and returns `(a(), b())`.
+/// threads when the budget has one free, and returns `(a(), b())`.
 ///
 /// This is the stage-overlap primitive of the streaming round pipeline:
 /// stage `a` is round `r`'s on-chain tail (evaluation + commit), stage
@@ -208,9 +230,9 @@ where
 ///   never in completion order;
 /// * nothing is reduced across the stages; the caller combines the two
 ///   results itself, after both have finished;
-/// * with the thread cap at 1 the stages run sequentially (`a` first)
-///   on the calling thread, and the overlapped schedule is required to
-///   be bit-identical to that order.
+/// * with no thread to lease (cap 1, or the budget is held elsewhere)
+///   the stages run sequentially (`a` first) on the calling thread, and
+///   the overlapped schedule must be bit-identical to that order.
 ///
 /// Stage `b` runs on the spawned thread and `a` on the caller, so a
 /// panic in either propagates to the caller once both stages have
@@ -222,7 +244,8 @@ where
     A: FnOnce() -> RA,
     B: FnOnce() -> RB + Send,
 {
-    if max_threads() <= 1 {
+    let (threads, _lease) = lease_threads(2, 1);
+    if threads <= 1 {
         let ra = a();
         let rb = b();
         return (ra, rb);
@@ -230,8 +253,7 @@ where
     std::thread::scope(|scope| {
         let handle = scope.spawn(b);
         let ra = a();
-        let rb = handle.join().expect("par overlap stage panicked");
-        (ra, rb)
+        (ra, join(handle))
     })
 }
 
@@ -244,7 +266,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = plan_threads(n, min_per_thread);
+    let (threads, _lease) = lease_threads(n, min_per_thread);
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
@@ -269,11 +291,7 @@ where
         let first: Vec<R> = bounds[0].clone().map(f).collect();
         let mut parts = Vec::with_capacity(threads);
         parts.push(first);
-        parts.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("par worker panicked")),
-        );
+        parts.extend(handles.into_iter().map(join));
         parts
     });
     let mut out = Vec::with_capacity(n);
@@ -302,7 +320,7 @@ where
     F: Fn(usize, &mut T) -> R + Sync,
 {
     let n = items.len();
-    let threads = plan_threads(n, min_per_thread);
+    let (threads, _lease) = lease_threads(n, min_per_thread);
     if threads <= 1 {
         return items
             .iter_mut()
@@ -335,11 +353,7 @@ where
             .collect();
         let mut results = Vec::with_capacity(threads);
         results.push(first);
-        results.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("par worker panicked")),
-        );
+        results.extend(handles.into_iter().map(join));
         results
     });
     let mut out = Vec::with_capacity(n);

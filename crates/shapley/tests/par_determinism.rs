@@ -4,8 +4,8 @@
 //! counts, so every parallel engine must produce **bit-identical**
 //! `Vec<f64>` output for any thread count. These tests run each engine
 //! with the fork-join layer capped at 1 thread (the sequential
-//! fallback), 2 threads, and `available_parallelism`, and require exact
-//! equality — not approximate closeness.
+//! fallback), 2, 3 and 8 threads, and require exact equality — not
+//! approximate closeness.
 //!
 //! The thread cap is a process-global knob, so the tests serialize on a
 //! mutex and restore the automatic setting afterwards.
@@ -24,24 +24,23 @@ use shapley::utility::{model_utility_fn, utility_fn, RestrictedGame};
 
 static THREAD_CAP: Mutex<()> = Mutex::new(());
 
-/// Runs `f` under thread caps 1, 2, and automatic, asserting the three
-/// results are exactly equal.
+/// Runs `f` under thread caps 1, 2, 3 and 8, asserting every result is
+/// exactly equal to the one-thread result. (The automatic cap is 2 on
+/// the CI box, and 3 is the first cap at which a nested region can lease
+/// a thread while an outer one holds part of the budget.)
 fn assert_schedule_invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
     let _lock = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
     par::set_max_threads(1);
     let sequential = f();
-    par::set_max_threads(2);
-    let two_threads = f();
-    par::set_max_threads(0); // automatic: available_parallelism
-    let automatic = f();
-    assert_eq!(
-        sequential, two_threads,
-        "1 thread vs 2 threads must be bit-identical"
-    );
-    assert_eq!(
-        sequential, automatic,
-        "1 thread vs available_parallelism must be bit-identical"
-    );
+    for cap in [2usize, 3, 8] {
+        par::set_max_threads(cap);
+        assert_eq!(
+            sequential,
+            f(),
+            "1 thread vs cap {cap} must be bit-identical"
+        );
+    }
+    par::set_max_threads(0);
 }
 
 /// A deliberately nonlinear coalition game whose floating-point path
@@ -150,7 +149,7 @@ fn stratified_is_schedule_invariant() {
 fn stratified_48_players_is_schedule_invariant() {
     // The acceptance case: a 48-player game — impossible for the exact
     // engines (2^48 coalitions) — runs and is bit-identical for thread
-    // caps 1, 2, and available_parallelism.
+    // caps 1, 2, 3 and 8.
     let game = nonlinear_game(48);
     let cfg = StratifiedConfig {
         samples_per_stratum: 2,
@@ -509,7 +508,7 @@ proptest! {
         drop_seed in any::<u64>(),
     ) {
         // Random owner set, random dropout set (capped so the survivors
-        // can reach the majority escrow threshold), thread caps 1/2/auto:
+        // can reach the majority escrow threshold), thread caps 1/2/3/8:
         // the survivor-only round evaluation must be bit-identical across
         // thread counts AND equal a from-scratch unmasked aggregate of
         // the survivors.
@@ -556,7 +555,7 @@ proptest! {
         drop_seed in any::<u64>(),
     ) {
         // Random cohort plans (the per-cohort pass runs one numeric::par
-        // slot per cohort) × thread caps 1/2/auto: global per-owner
+        // slot per cohort) × thread caps 1/2/3/8: global per-owner
         // contributions AND the full contract state digest must be
         // bit-identical, and the global model must equal the two-level
         // from-scratch plaintext aggregate.
@@ -603,7 +602,7 @@ fn warm_pair_cache_round_digest_matches_cold() {
     // the pair-secret cache replays stored secrets instead of
     // exponentiating. Neither may be visible in consensus: the full round
     // outcome — per-owner SV, global model, and the contract state digest
-    // — must be bit-identical across thread caps 1/2/auto AND across
+    // — must be bit-identical across thread caps 1/2/3/8 AND across
     // cache cold/warm, including through dropout recovery (whose residual
     // strip runs the batched pair API).
     let n = 6usize;
@@ -659,7 +658,7 @@ fn blocked_gemm_is_schedule_invariant() {
 fn logreg_training_is_schedule_invariant() {
     // End-to-end through the batched trainer: conditioned design, logits
     // GEMM, fused softmax+residual, gradient GEMM — trained weights must
-    // be bit-identical for thread caps 1/2/auto. This is the property
+    // be bit-identical for thread caps 1/2/3/8. This is the property
     // that makes coalition retraining (the native-SV ground truth)
     // re-executable by miners on arbitrary hardware.
     use fl_ml::dataset::SyntheticDigits;
@@ -710,7 +709,7 @@ proptest! {
         // overlapping round r's on-chain tail) must produce the same
         // chain as the strictly sequential loop — same contributions,
         // same accuracy trace, same block count, same tip digest — for
-        // thread caps 1/2/auto, across random dropout schedules and
+        // thread caps 1/2/3/8, across random dropout schedules and
         // cohort counts.
         use fedchain::config::FlConfig;
         use fedchain::protocol::FlProtocol;

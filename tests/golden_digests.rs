@@ -5,10 +5,12 @@
 //! constants, so a refactor of the round path proves itself
 //! byte-identical (ROADMAP invariant 4) — or fails here.
 //!
-//! Each configuration is run at thread caps 1 and 2, pipelined
-//! (`run`) and sequential (`run_sequential`); all four must reproduce
-//! the same constants. A mismatch prints the observed values in the
-//! constants' own syntax.
+//! Each configuration is run at thread caps 1, 2, 3 and 8 (3 is the
+//! first cap at which a nested `numeric::par` region can lease a thread
+//! while an outer one holds part of the budget), pipelined (`run`) and
+//! sequential (`run_sequential`); all eight must reproduce the same
+//! constants. A mismatch prints the observed values in the constants'
+//! own syntax.
 //!
 //! The `tip` and `state` strings were re-recorded once, in PR 14, on
 //! purpose: the state root became a hash over per-section digests
@@ -62,7 +64,7 @@ fn assert_golden(config: FlConfig, tip: &str, state: &str, contributions: &[u64]
         contributions: contributions.to_vec(),
     };
     let _guard = THREAD_CAP.lock().unwrap_or_else(|e| e.into_inner());
-    for cap in [1, 2] {
+    for cap in [1, 2, 3, 8] {
         par::set_max_threads(cap);
         for pipelined in [true, false] {
             let got = fingerprint(&config, pipelined);
