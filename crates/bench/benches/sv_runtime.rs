@@ -21,7 +21,9 @@ use shapley::exact_shapley;
 use shapley::group::{group_shapley, shapley_over_group_models, GroupModelGame, GroupSvConfig};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
-use shapley::utility::{model_utility_fn, CachedUtility, CoalitionUtility, ModelUtility};
+use shapley::utility::{
+    model_utility_fn, CachedUtility, CoalitionUtility, ModelUtility, RestrictedGame,
+};
 
 fn bench_config() -> FlConfig {
     let mut config = FlConfig::paper_setting();
@@ -44,9 +46,10 @@ fn bench_config() -> FlConfig {
 /// replaced — the same library code over a closure utility, so every
 /// coalition pays a GEMM + softmax pass
 /// ([`model_accuracy_design_reference`], the retained oracle). Before
-/// any sampling every coalition's value is asserted equal between the
-/// two, through both backings of the game (at this test-set size m = 9
-/// is past the subset-sum tables' byte budget).
+/// any sampling every coalition's value — asked for alone and in one
+/// batch of all `2^m` — is asserted equal between the two, through both
+/// backings of the game (at this test-set size m = 9 is past the
+/// subset-sum tables' byte budget).
 fn bench_group_sv(c: &mut Criterion) {
     let config = bench_config();
     let world = World::generate(&config).expect("valid config");
@@ -72,13 +75,17 @@ fn bench_group_sv(c: &mut Criterion) {
         };
         let models = group_shapley(&updates, &utility, &cfg).group_models;
         let game = GroupModelGame::new(&models, &utility);
-        for coalition in Coalition::powerset(m).skip(1) {
+        let all: Vec<Coalition> = Coalition::powerset(m).collect();
+        let batched = game.evaluate_many(&all);
+        for (&coalition, batched) in all.iter().zip(batched).skip(1) {
             let members: Vec<Vec<f64>> = coalition.members().map(|j| models[j].clone()).collect();
-            assert_eq!(
-                game.evaluate(coalition),
-                reference.of_model(&mean_vectors(&members)),
-                "m = {m}, coalition {coalition:?}: logit-space score differs from the reference"
-            );
+            let oracle = reference.of_model(&mean_vectors(&members));
+            for (path, value) in [("evaluate", game.evaluate(coalition)), ("batch", batched)] {
+                assert_eq!(
+                    value, oracle,
+                    "m = {m}, {coalition:?}, {path}: logit-space score differs from the reference"
+                );
+            }
         }
         group.bench_with_input(BenchmarkId::new("seed", m), &m, |b, _| {
             b.iter(|| group_shapley(black_box(&updates), &reference, &cfg))
@@ -150,6 +157,17 @@ fn seed_shapley_over_group_models(
     (per_group, evaluations)
 }
 
+/// `m` deterministic models of `dim` weights in [−1, 1].
+fn synthetic_models(m: usize, dim: usize) -> Vec<Vec<f64>> {
+    (0..m)
+        .map(|j| {
+            (0..dim)
+                .map(|d| ((j * dim + d) as f64 * 0.37).sin())
+                .collect()
+        })
+        .collect()
+}
+
 /// GroupSV's on-chain core at paper model dimensionality (650 weights)
 /// with a cheap deterministic utility, so the measured cost is the
 /// coalition-model construction + enumeration machinery itself — the
@@ -167,13 +185,7 @@ fn bench_group_sv_models(c: &mut Criterion) {
     let mut group = c.benchmark_group("group_sv_models");
     group.sample_size(10);
     for m in [4usize, 8, 12, 16] {
-        let models: Vec<Vec<f64>> = (0..m)
-            .map(|j| {
-                (0..dim)
-                    .map(|d| ((j * dim + d) as f64 * 0.37).sin())
-                    .collect()
-            })
-            .collect();
+        let models = synthetic_models(m, dim);
         group.bench_with_input(BenchmarkId::new("seed", m), &models, |b, models| {
             b.iter(|| seed_shapley_over_group_models(black_box(models), &utility))
         });
@@ -188,8 +200,9 @@ fn bench_group_sv_models(c: &mut Criterion) {
 /// model dimensionality, across group counts the exact path cannot
 /// reach: `exact` runs only at m = 16 (the `2^m` wall), while the
 /// sampling estimators cover m = 16/32/48 — the workload behind the
-/// 64-group on-chain cap. m > 25 also exercises the game's direct
-/// member-summation backing (the subset-sum tables are exact-cap only).
+/// 64-group on-chain cap. Every m here plays on the game's direct
+/// member-summation backing: at 650 weights the subset-sum tables of
+/// m = 16 are past their byte budget, and m > 25 never tabulates.
 fn bench_sv_estimator(c: &mut Criterion) {
     let dim = 650usize;
     let utility = model_utility_fn(
@@ -203,13 +216,7 @@ fn bench_sv_estimator(c: &mut Criterion) {
     let mut group = c.benchmark_group("sv_estimator");
     group.sample_size(10);
     for m in [16usize, 32, 48] {
-        let models: Vec<Vec<f64>> = (0..m)
-            .map(|j| {
-                (0..dim)
-                    .map(|d| ((j * dim + d) as f64 * 0.37).sin())
-                    .collect()
-            })
-            .collect();
+        let models = synthetic_models(m, dim);
         let game = GroupModelGame::new(&models, &utility);
         if m <= 16 {
             group.bench_with_input(BenchmarkId::new("exact", m), &m, |b, _| {
@@ -238,6 +245,87 @@ fn bench_sv_estimator(c: &mut Criterion) {
                 }
                 .estimate(black_box(&game))
             })
+        });
+    }
+    group.finish();
+}
+
+/// A game stripped of its batch call: `evaluate_many` is the trait
+/// default again, one `evaluate` per coalition — how every coalition was
+/// valued before the batch kernel, and how uncached sampling still is.
+struct OneAtATime<'a, G>(&'a G);
+
+impl<G: CoalitionUtility> CoalitionUtility for OneAtATime<'_, G> {
+    fn num_players(&self) -> usize {
+        self.0.num_players()
+    }
+
+    fn evaluate(&self, coalition: Coalition) -> f64 {
+        self.0.evaluate(coalition)
+    }
+}
+
+/// The contract's estimator dispatch at the benchmark's two SV-bound
+/// shapes: exact enumeration, or `Stratified{2}` behind the cache.
+fn play(game: &(impl CoalitionUtility + Sync), exact: bool) -> Vec<f64> {
+    if exact {
+        return Exact.estimate(game).values;
+    }
+    let stratified = Stratified {
+        config: StratifiedConfig {
+            samples_per_stratum: 2,
+            seed: 42,
+        },
+    };
+    stratified.estimate(&CachedUtility::new(game)).values
+}
+
+/// What the batch kernel buys on the two games the federation benchmark
+/// spends its evaluation time in: `table1_sv` (`Exact`, m = 9 groups,
+/// 1 124 test rows × 10 classes) and the second level of `sharded_1k`
+/// (`Stratified{2}` over k = 32 cohorts, 410 rows × 4 classes, through
+/// `CachedUtility` ∘ `RestrictedGame` as the contract wraps it).
+/// `batch` lets the estimator hand the game whole subtrees / prewarm
+/// runs, `single` asks the same game one coalition at a time; the two
+/// estimates are asserted equal to the bit before sampling.
+/// `scripts/bench_smoke.sh` gates `batch/table1_sv` against
+/// `single/table1_sv` of one run.
+fn bench_coalition_walk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("coalition_walk");
+    group.sample_size(10);
+    for (shape, m, rows, features, classes) in [
+        ("table1_sv", 9usize, 1_124usize, 64usize, 10usize),
+        ("sharded_1k", 32, 410, 16, 4),
+    ] {
+        let test = SyntheticDigits {
+            instances: rows,
+            features,
+            classes,
+            ..SyntheticDigits::default()
+        }
+        .generate(7);
+        let utility = AccuracyUtility::new(&test, features, classes);
+        let dim = (features + 1) * classes;
+        let models = synthetic_models(m, dim);
+        let full = GroupModelGame::new(&models, &utility);
+        let game = RestrictedGame::new(&full, (0..m).collect());
+        let single = OneAtATime(&game);
+        let exact = m <= 9;
+        let values = play(&game, exact);
+        assert!(values.iter().any(|&v| v != 0.0), "{shape}: degenerate game");
+        assert_eq!(
+            values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            play(&single, exact)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            "{shape}: batched and one-at-a-time estimates differ"
+        );
+        group.bench_function(BenchmarkId::new("batch", shape), |b| {
+            b.iter(|| play(black_box(&game), exact))
+        });
+        group.bench_function(BenchmarkId::new("single", shape), |b| {
+            b.iter(|| play(black_box(&single), exact))
         });
     }
     group.finish();
@@ -355,6 +443,7 @@ criterion_group!(
     bench_native_sv,
     bench_group_sv_models,
     bench_sv_estimator,
+    bench_coalition_walk,
     bench_secure_agg_recovery
 );
 criterion_main!(benches);

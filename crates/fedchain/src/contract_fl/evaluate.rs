@@ -81,7 +81,10 @@ pub(crate) fn reduce_models(survivor_means: &[Vec<Vec<f64>>]) -> (Vec<Option<Vec
 /// label — the tie rule of [`numeric::stats::argmax`], checked per row
 /// by [`numeric::stats::is_argmax`]: equal logits resolve to the lowest
 /// class index. Neither the softmax nor the
-/// `1/|S|` scale can reorder a row, so no `exp` is evaluated.
+/// `1/|S|` scale can reorder a row, so no `exp` is evaluated. Hits add
+/// up row by row, so there is an additive view too: the granule is one
+/// row's logits, [`ModelUtility::tally`] the hits in a block of rows.
+/// `of_scores` is the tally of all rows over the row count and
 /// `of_model` is `of_scores ∘ scores`: one scoring path.
 ///
 /// Caveat: the logits of a mean model and the mean of the members'
@@ -133,14 +136,27 @@ impl ModelUtility for AccuracyUtility {
     }
 
     fn of_scores(&self, mean_scores: &[f64]) -> f64 {
-        let labels = self.test_design.labels();
-        debug_assert_eq!(mean_scores.len(), labels.len() * self.num_classes);
-        let correct = mean_scores
+        debug_assert_eq!(mean_scores.len(), self.test_design.len() * self.num_classes);
+        self.of_tally(self.tally(0, mean_scores))
+    }
+
+    fn granule(&self) -> Option<usize> {
+        Some(self.num_classes)
+    }
+
+    /// Hits among the rows of `mean_block`, which starts at logit `at`;
+    /// counts, so a test set's tallies add up exactly.
+    fn tally(&self, at: usize, mean_block: &[f64]) -> f64 {
+        let labels = &self.test_design.labels()[at / self.num_classes..];
+        mean_block
             .chunks_exact(self.num_classes)
             .zip(labels)
             .filter(|(row, &label)| is_argmax(row, label))
-            .count();
-        correct as f64 / labels.len() as f64
+            .count() as f64
+    }
+
+    fn of_tally(&self, hits: f64) -> f64 {
+        hits / self.test_design.len() as f64
     }
 }
 

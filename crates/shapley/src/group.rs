@@ -25,12 +25,28 @@
 //! themselves by default, the test-set logits `X · W_j` for an accuracy
 //! utility — and averages *those* per coalition, which is the same
 //! number whenever `scores` is linear: `m` GEMMs per evaluated round
-//! instead of `2^m`. `evaluate` stays a pure function of the coalition
-//! mask: the mean is summed in an order fixed by the subset-sum tables
-//! or by ascending member index, never by the order an estimator walks
-//! coalitions in, so every thread count produces the same bits. The
-//! tables are bounded in bytes (`TABLE_BYTE_BUDGET`); past the bound a
-//! game holds only its `m` score vectors.
+//! instead of `2^m`.
+//!
+//! **Summation order.** Per element a coalition's mean is
+//! `(((0 + s_a) + s_b) + …) · 1/|S|` over its members in ascending index
+//! (the subset-sum tables, where they fit `TABLE_BYTE_BUDGET`, group it
+//! `(low half) + (high half)`): a pure function of the mask, never of
+//! the order or the batch coalitions are asked for in, so every thread
+//! count produces the same bits.
+//!
+//! **The member trie.** In that order `sum(S) = sum(S ∖ max S) +
+//! s[max S]`: coalitions are the nodes of a trie keyed by ascending
+//! member, each partial sum one vector add on its parent's. Past the
+//! tables a game values a *batch* ([`CoalitionUtility::evaluate_many`];
+//! `evaluate` is a batch of one) by walking that trie in pre-order: the
+//! batch sorted by `mask.reverse_bits()` — player 0 compares first — so
+//! the longest member prefix a coalition has in common with its
+//! predecessor is still on a stack of partial sums, a level per member,
+//! and only the members past it are added. That is one add per coalition
+//! of a full enumeration and about half a from-scratch sum on a sampled
+//! list. The walk runs once per tile of score elements; a tile's stack
+//! stays within `WALK_BYTES` when the utility scores means tile by tile
+//! ([`ModelUtility::tally`]) and is one whole-length tile when not.
 
 use std::cell::RefCell;
 
@@ -234,15 +250,13 @@ impl CoalitionSums {
 /// Representation: construction takes each group model's
 /// [`ModelUtility::scores`] once (`m` test-set GEMMs for an accuracy
 /// utility, `m` copies for the identity view); a coalition is then
-/// valued by [`ModelUtility::of_scores`] on the mean of its members'
-/// scores. When the incremental subset-sum tables (`CoalitionSums`) fit
-/// their byte budget the mean is `O(d)` per coalition; otherwise — `m`
-/// beyond [`MAX_PLAYERS`], or score vectors as long as a test set —
-/// members are summed directly in ascending group order, with no memory
-/// beyond the `m` score vectors. Both paths make `evaluate` a pure
-/// function of the coalition bitmask (the summation order is fixed by
-/// the tables or by member order, never by the estimator's walk), so
-/// every estimator built on [`numeric::par`] stays bit-identical across
+/// valued by the utility on the mean of its members' scores. Within
+/// their byte budget the subset-sum tables (`CoalitionSums`) make that
+/// mean `O(d)` per coalition; otherwise — `m` beyond [`MAX_PLAYERS`], or
+/// score vectors as long as a test set — the game holds only the `m`
+/// score vectors and walks the member trie (module docs). Either way a
+/// value is a pure function of the coalition bitmask, so every
+/// estimator built on [`numeric::par`] stays bit-identical across
 /// thread counts.
 pub struct GroupModelGame<'a, U> {
     utility: &'a U,
@@ -258,14 +272,15 @@ enum Backing {
     Direct(Vec<Vec<f64>>),
 }
 
-/// Elements per accumulator block of the direct summation (4 KiB).
-const DIRECT_BLOCK: usize = 512;
+/// Bytes of partial sums per tile of a walk — the zero level, a level per
+/// member of the batch's deepest coalition, the mean: L1 for what is
+/// touched next, L2 for the rest (64 KiB read best of 16–256).
+const WALK_BYTES: usize = 64 << 10;
 
 thread_local! {
-    /// Per-thread scratch for coalition means, so `evaluate` allocates
-    /// only on a thread's first use. The value in each slot is a pure
-    /// function of the coalition mask, so which thread owns the buffer
-    /// cannot influence a single output bit.
+    /// Per-thread scratch for means and partial sums: `evaluate` only
+    /// allocates on a thread's first use. A call reads what it wrote, a
+    /// pure function of the masks, so no output bit knows the thread.
     static MEAN_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -301,6 +316,107 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             dim,
         }
     }
+
+    /// `out[i] = u(coalitions[i])`; allocates only to grow the scratch.
+    fn values_into(&self, coalitions: &[Coalition], out: &mut [f64]) {
+        // Taken out of the cell, not borrowed across the utility's
+        // calls: a utility that itself consults another game on this
+        // thread starts from an empty buffer instead of a RefCell panic.
+        let mut scratch = MEAN_SCRATCH.with(RefCell::take);
+        match &self.backing {
+            Backing::Tabulated(sums) => {
+                scratch.resize(self.dim, 0.0);
+                for (value, coalition) in out.iter_mut().zip(coalitions) {
+                    if !coalition.is_empty() {
+                        sums.mean_into(coalition.0 as usize, &mut scratch);
+                        *value = self.utility.tally(0, &scratch);
+                    }
+                }
+            }
+            Backing::Direct(scores) => self.walk(scores, coalitions, out, &mut scratch),
+        }
+        MEAN_SCRATCH.with(|cell| cell.replace(scratch));
+        for (value, coalition) in out.iter_mut().zip(coalitions) {
+            *value = if coalition.is_empty() {
+                self.utility.of_empty()
+            } else {
+                self.utility.of_tally(*value)
+            };
+        }
+    }
+
+    /// The direct backing's kernel: one pre-order walk of the member
+    /// trie per tile of score elements (module docs), leaving in `out`
+    /// the tally totals of the non-empty coalitions.
+    fn walk(
+        &self,
+        scores: &[Vec<f64>],
+        coalitions: &[Coalition],
+        out: &mut [f64],
+        scratch: &mut Vec<f64>,
+    ) {
+        // Trie pre-order; a batch that arrives in it (one coalition, an
+        // exact subtree, a prewarm run) is walked as it stands.
+        let mut order: Vec<usize> = Vec::new();
+        if !coalitions.is_sorted_by_key(|c| c.0.reverse_bits()) {
+            order = (0..coalitions.len()).collect();
+            order.sort_unstable_by_key(|&i| coalitions[i].0.reverse_bits());
+        }
+        // The mean, then levels 0 (zeros) ..= deepest.
+        let deepest = coalitions.iter().map(Coalition::len).max().unwrap_or(0);
+        let granule = self.utility.granule().unwrap_or(self.dim).max(1);
+        let fit = WALK_BYTES / std::mem::size_of::<f64>() / (deepest + 2) / granule;
+        let tile = (fit.max(1) * granule).min(self.dim.max(1));
+        scratch.resize(scratch.len().max((deepest + 2) * tile), 0.0);
+        let (mean, levels) = scratch.split_at_mut(tile);
+        levels[..tile].fill(0.0);
+
+        let slot = |k: usize| order.get(k).copied().unwrap_or(k);
+        let mask_at = |k: usize| coalitions.get(slot(k)).map_or(0, |c| c.0);
+        // Pre-order puts the empty coalitions first; they have no mean.
+        let empties = coalitions.iter().filter(|c| c.is_empty()).count();
+        for first in (0..self.dim.max(1)).step_by(tile) {
+            let len = tile.min(self.dim - first);
+            // The coalition whose member-prefix sums the levels hold.
+            let mut stacked = 0u64;
+            for k in empties..coalitions.len() {
+                let mask = mask_at(k);
+                // The levels of the prefix shared with the stacked
+                // coalition stand; the other members go on top: a level
+                // each while the next coalition shares it, then in place.
+                let shared = shared_prefix(mask, stacked);
+                let kept = shared | shared_prefix(mask, mask_at(k + 1));
+                let own = kept.count_ones() as usize;
+                let mut depth = shared.count_ones() as usize;
+                let mut rest = mask ^ shared;
+                while rest != 0 {
+                    let member = &scores[rest.trailing_zeros() as usize][first..first + len];
+                    rest &= rest - 1;
+                    let (below, above) = levels.split_at_mut((depth + 1) * tile);
+                    if depth <= own {
+                        let parent = &below[depth * tile..][..len];
+                        for ((c, p), s) in above[..len].iter_mut().zip(parent).zip(member) {
+                            *c = p + s;
+                        }
+                        depth += 1;
+                    } else {
+                        for (c, s) in below[depth * tile..][..len].iter_mut().zip(member) {
+                            *c += s;
+                        }
+                    }
+                }
+                stacked = mask;
+                let inv = 1.0 / mask.count_ones() as f64;
+                for (mean, sum) in mean[..len].iter_mut().zip(&levels[depth * tile..]) {
+                    *mean = sum * inv;
+                }
+                let tally = self.utility.tally(first, &mean[..len]);
+                // Assigned, not added to 0.0: a `-0.0` utility survives.
+                let value = &mut out[slot(k)];
+                *value = if first == 0 { tally } else { *value + tally };
+            }
+        }
+    }
 }
 
 impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
@@ -309,40 +425,22 @@ impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
     }
 
     fn evaluate(&self, coalition: Coalition) -> f64 {
-        if coalition.is_empty() {
-            return self.utility.of_empty();
-        }
-        // Take the buffer out of the cell rather than holding a borrow
-        // across `of_scores`: a re-entrant evaluation on the same thread
-        // (a utility that itself consults another game) then starts from
-        // an empty buffer instead of panicking the RefCell.
-        let mut mean = MEAN_SCRATCH.with(RefCell::take);
-        mean.resize(self.dim, 0.0);
-        match &self.backing {
-            Backing::Tabulated(sums) => sums.mean_into(coalition.0 as usize, &mut mean),
-            Backing::Direct(scores) => {
-                // Block by block, so the accumulator stays in L1 while
-                // the members stream past; every element still sums its
-                // members in ascending order, then scales.
-                let inv = 1.0 / coalition.len() as f64;
-                for (b, block) in mean.chunks_mut(DIRECT_BLOCK).enumerate() {
-                    let at = b * DIRECT_BLOCK;
-                    block.fill(0.0);
-                    for j in coalition.members() {
-                        for (acc, s) in block.iter_mut().zip(&scores[j][at..]) {
-                            *acc += s;
-                        }
-                    }
-                    for acc in block.iter_mut() {
-                        *acc *= inv;
-                    }
-                }
-            }
-        }
-        let value = self.utility.of_scores(&mean);
-        MEAN_SCRATCH.with(|scratch| scratch.replace(mean));
-        value
+        let mut value = [0.0];
+        self.values_into(&[coalition], &mut value);
+        value[0]
     }
+
+    fn evaluate_many(&self, coalitions: &[Coalition]) -> Vec<f64> {
+        let mut values = vec![0.0; coalitions.len()];
+        self.values_into(coalitions, &mut values);
+        values
+    }
+}
+
+/// The members of `a` below the lowest player on whom `a` and `b`
+/// disagree: the member prefix — the trie path — the two share.
+fn shared_prefix(a: u64, b: u64) -> u64 {
+    a & !u64::MAX.checked_shl((a ^ b).trailing_zeros()).unwrap_or(0)
 }
 
 /// Lines 4–6 of Algorithm 1: exact Shapley values over *group models*.
@@ -732,8 +830,250 @@ mod tests {
         }
     }
 
+    /// A decomposable utility over rows of `classes` scores, valued in
+    /// whole numbers so that any cut adds up exactly: a row counts
+    /// `row + 1` when its first maximum is class `row % classes`, and
+    /// every element counts the low bits of its mantissa. A tile handed
+    /// over with the wrong `at`, cut inside a row, or holding a mean
+    /// summed in another order changes the total.
+    struct RowHits {
+        classes: usize,
+        /// `false`: no granule, the vector is scored whole.
+        cut: bool,
+    }
+
+    impl ModelUtility for RowHits {
+        fn of_model(&self, weights: &[f64]) -> f64 {
+            self.of_tally(self.tally(0, weights))
+        }
+
+        fn of_empty(&self) -> f64 {
+            -1.0
+        }
+
+        fn granule(&self) -> Option<usize> {
+            self.cut.then_some(self.classes)
+        }
+
+        fn tally(&self, at: usize, mean_block: &[f64]) -> f64 {
+            assert_eq!(at % self.classes, 0, "tile cut inside a row");
+            let mut total = 0u64;
+            for (r, row) in mean_block.chunks(self.classes).enumerate() {
+                let index = at / self.classes + r;
+                if numeric::stats::is_argmax(row, index % self.classes) {
+                    total += index as u64 + 1;
+                }
+                total += row.iter().map(|s| s.to_bits() % 1021).sum::<u64>();
+            }
+            total as f64
+        }
+
+        fn of_tally(&self, total: f64) -> f64 {
+            total.sqrt()
+        }
+    }
+
+    /// [`RowHits`] whose every tally also asks a second game, on the same
+    /// thread, while the first one's scratch is checked out.
+    struct Nested<'a> {
+        rows: RowHits,
+        inner: &'a GroupModelGame<'a, RowHits>,
+    }
+
+    impl ModelUtility for Nested<'_> {
+        fn of_model(&self, weights: &[f64]) -> f64 {
+            self.of_tally(self.tally(0, weights))
+        }
+
+        fn of_empty(&self) -> f64 {
+            -1.0
+        }
+
+        fn granule(&self) -> Option<usize> {
+            self.rows.granule()
+        }
+
+        fn tally(&self, at: usize, mean_block: &[f64]) -> f64 {
+            let some = Coalition::from_members(&[0, 3, 25]);
+            let asked = self.inner.evaluate(some);
+            let both = self.inner.evaluate_many(&[Coalition::grand(26), some]);
+            assert_eq!(asked.to_bits(), both[1].to_bits());
+            let per_element = (asked.to_bits() % 1021 + both[0].to_bits() % 1021) as f64;
+            self.rows.tally(at, mean_block) + per_element * mean_block.len() as f64
+        }
+    }
+
+    /// A utility that is `-0.0` wherever it is asked.
+    struct NegativeZero {
+        cut: bool,
+    }
+
+    impl ModelUtility for NegativeZero {
+        fn of_model(&self, _: &[f64]) -> f64 {
+            -0.0
+        }
+
+        fn of_empty(&self) -> f64 {
+            0.0
+        }
+
+        fn granule(&self) -> Option<usize> {
+            self.cut.then_some(1)
+        }
+
+        fn tally(&self, _: usize, _: &[f64]) -> f64 {
+            -0.0
+        }
+    }
+
+    /// `m` score vectors of `dim` full-mantissa values in (−1, 1), a few
+    /// of them repeated so that rows tie.
+    fn random_models(m: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut state = seed;
+        let mut models = vec![vec![0.0f64; dim]; m];
+        for model in &mut models {
+            for d in 0..dim {
+                let draw = crate::rng::stream_next(&mut state);
+                model[d] = if draw.is_multiple_of(9) && d > 0 {
+                    model[d - 1]
+                } else {
+                    (draw >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+                };
+            }
+        }
+        models
+    }
+
+    /// `evaluate_many`, `evaluate` and the sum spelled out here agree to
+    /// the bit on every coalition of `batch`.
+    fn assert_batch_single_oracle<U: ModelUtility>(
+        utility: &U,
+        models: &[Vec<f64>],
+        batch: &[Coalition],
+    ) {
+        let game = GroupModelGame::new(models, utility);
+        let many = game.evaluate_many(batch);
+        assert_eq!(many.len(), batch.len());
+        // Fresh vector, the chosen members in ascending order from 0.0.
+        let sum_of = |coalition: Coalition, chosen: &dyn Fn(usize) -> bool| {
+            let mut sum = vec![0.0f64; models[0].len()];
+            for j in coalition.members().filter(|&j| chosen(j)) {
+                for (acc, s) in sum.iter_mut().zip(&models[j]) {
+                    *acc += s;
+                }
+            }
+            sum
+        };
+        for (&coalition, &got) in batch.iter().zip(&many) {
+            let want = if coalition.is_empty() {
+                utility.of_empty()
+            } else {
+                let inv = 1.0 / coalition.len() as f64;
+                let mean: Vec<f64> = match &game.backing {
+                    Backing::Direct(_) => sum_of(coalition, &|_| true)
+                        .iter()
+                        .map(|sum| sum * inv)
+                        .collect(),
+                    // The tables' grouping: (low half) + (high half).
+                    Backing::Tabulated(sums) => {
+                        let half = sums.low_bits as usize;
+                        sum_of(coalition, &|j| j < half)
+                            .iter()
+                            .zip(sum_of(coalition, &|j| j >= half))
+                            .map(|(low, high)| (low + high) * inv)
+                            .collect()
+                    }
+                };
+                utility.of_scores(&mean)
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "batch, {coalition:?}");
+            assert_eq!(
+                game.evaluate(coalition).to_bits(),
+                want.to_bits(),
+                "single, {coalition:?}"
+            );
+        }
+    }
+
+    /// A batch over `m` players out of raw draws: dense, sparse, grand
+    /// and empty coalitions, a duplicate, unsorted unless `presorted`.
+    fn random_batch(m: usize, draws: &[u64], presorted: bool) -> Vec<Coalition> {
+        let grand = Coalition::grand(m).0;
+        let mut batch: Vec<Coalition> = draws
+            .iter()
+            .map(|&draw| match draw % 8 {
+                0 => Coalition::EMPTY,
+                1 => Coalition(grand),
+                2 | 3 => Coalition(draw >> 3 & draw >> 17 & draw >> 29 & grand),
+                _ => Coalition(draw >> 3 & grand),
+            })
+            .collect();
+        if let Some(&first) = batch.first() {
+            batch.push(first);
+        }
+        if presorted {
+            batch.sort_unstable_by_key(|c| c.0.reverse_bits());
+        }
+        batch
+    }
+
+    #[test]
+    fn negative_zero_utility_keeps_its_sign_through_one_tile_and_many() {
+        for (cut, dim) in [(false, 7usize), (true, 7), (true, 1_640)] {
+            let utility = NegativeZero { cut };
+            let models = random_models(30, dim, 5);
+            let game = GroupModelGame::new(&models, &utility);
+            assert!(matches!(game.backing, Backing::Direct(_)));
+            let batch = [Coalition::grand(30), Coalition::EMPTY, Coalition(0b101)];
+            let want = [(-0.0f64).to_bits(), 0.0f64.to_bits(), (-0.0f64).to_bits()];
+            let many = game.evaluate_many(&batch);
+            for ((&coalition, got), want) in batch.iter().zip(many).zip(want) {
+                assert_eq!(got.to_bits(), want, "cut {cut}, dim {dim}");
+                assert_eq!(game.evaluate(coalition).to_bits(), want);
+            }
+        }
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_batch_equals_single_equals_spelled_out_oracle(
+            m in 1usize..=40,
+            dim_pick in 0usize..5,
+            granule_pick in 0usize..4,
+            seed in any::<u64>(),
+            draws in proptest::collection::vec(any::<u64>(), 0..40),
+        ) {
+            let dim = [1usize, 7, 64, 650, 1_640][dim_pick];
+            let (classes, cut) = [(1usize, true), (4, true), (10, true), (4, false)][granule_pick];
+            let models = random_models(m, dim, seed);
+            let batch = random_batch(m, &draws, seed.is_multiple_of(2));
+            let rows = RowHits { classes, cut };
+            assert_batch_single_oracle(&rows, &models, &batch);
+            assert_batch_single_oracle(&rows, &models, &batch[..batch.len().min(1)]);
+            assert_batch_single_oracle(&rows, &models, &[]);
+        }
+
+        #[test]
+        fn prop_utility_that_asks_another_game_mid_walk(
+            m in 26usize..=40,
+            seed in any::<u64>(),
+            draws in proptest::collection::vec(any::<u64>(), 1..12),
+        ) {
+            // Both games are past the tables: both walk, one inside the
+            // other's tally, on one thread-local scratch.
+            let inner_utility = RowHits { classes: 2, cut: seed.is_multiple_of(2) };
+            let inner_models = random_models(26, 6, !seed);
+            let inner = GroupModelGame::new(&inner_models, &inner_utility);
+            prop_assert!(matches!(inner.backing, Backing::Direct(_)));
+            let nested = Nested {
+                rows: RowHits { classes: 10, cut: !seed.is_multiple_of(3) },
+                inner: &inner,
+            };
+            let models = random_models(m, 650, seed);
+            assert_batch_single_oracle(&nested, &models, &random_batch(m, &draws, false));
+        }
+
         #[test]
         fn prop_group_efficiency_any_m(
             n in 2usize..8,

@@ -16,13 +16,13 @@
 use numeric::par;
 
 use crate::coalition::{binomial, Coalition, MAX_PLAYERS};
-use crate::utility::CoalitionUtility;
+use crate::utility::{CoalitionUtility, MAX_BATCH};
 
 /// Minimum utility evaluations per worker thread (coalition utilities
 /// range from closure arithmetic to full model retraining; 8 keeps even
 /// the `n = 6` retraining bench parallel without shipping trivial games
 /// to threads).
-const MIN_EVALS_PER_THREAD: usize = 8;
+pub(crate) const MIN_EVALS_PER_THREAD: usize = 8;
 
 /// The shared exact-enumeration core: powerset utility cache plus
 /// weighted marginal assembly.
@@ -30,11 +30,13 @@ const MIN_EVALS_PER_THREAD: usize = 8;
 /// Both public exact entry points — [`exact_shapley`] and the estimator
 /// layer's `Exact`/`GroupSv` (and [`crate::group`]'s Algorithm 1 lines
 /// 4–6) — funnel through this function, so the determinism contract is
-/// pinned once: each cache slot and each player's marginal sum is a pure
-/// function of its index on [`numeric::par`], making the result
-/// bit-identical for every thread count. `min_evals_per_thread` is the
-/// caller's granularity knob (cheap closure games want coarser chunks
-/// than full model retraining).
+/// pinned once: the utilities are asked for in batches whose boundaries
+/// move with the thread cap ([`CoalitionUtility::evaluate_many`], a pure
+/// function of each mask), every value lands in its mask's cache slot,
+/// and each player's marginal sum is a pure function of its index on
+/// [`numeric::par`] — bit-identical for every thread count.
+/// `min_evals_per_thread` is the caller's granularity knob (cheap
+/// closure games want coarser chunks than full model retraining).
 ///
 /// # Panics
 ///
@@ -53,13 +55,29 @@ pub(crate) fn exact_shapley_core(
         return Vec::new();
     }
 
-    // One pass over the powerset: cache[mask] = u(mask).
-    let mut cache = vec![0.0f64; 1usize << n];
-    par::par_fill_with(&mut cache, min_evals_per_thread, |start, chunk| {
-        for (k, slot) in chunk.iter_mut().enumerate() {
-            *slot = utility.evaluate(Coalition((start + k) as u64));
-        }
+    // One pass over the powerset, cache[mask] = u(mask), a subtree of
+    // the member trie per slot: its index fixes the low players, every
+    // coalition of the high ones above them is one batch — a vector add
+    // each where the game shares member-prefix sums. Four slots per
+    // thread keep the contiguous split near even at thread counts that
+    // are no power of two; one thread gets the powerset whole.
+    let threads = ((1usize << n) / min_evals_per_thread.max(1)).clamp(1, par::max_threads());
+    let slots: usize = if threads > 1 { 4 * threads } else { 1 };
+    let low_bits = (slots.next_power_of_two().ilog2() as usize)
+        .max(n.saturating_sub(MAX_BATCH.ilog2() as usize))
+        .min(n);
+    let subtrees = par::par_map_indices(1 << low_bits, (1 << low_bits) / threads, |low| {
+        let batch: Vec<Coalition> = (0..1u64 << (n - low_bits))
+            .map(|high| Coalition(high << low_bits | low as u64))
+            .collect();
+        utility.evaluate_many(&batch)
     });
+    let mut cache = vec![0.0f64; 1usize << n];
+    for (low, values) in subtrees.iter().enumerate() {
+        for (high, &value) in values.iter().enumerate() {
+            cache[high << low_bits | low] = value;
+        }
+    }
 
     // Precompute the per-size weights 1 / (n · C(n−1, s)).
     let weights: Vec<f64> = (0..n)
@@ -154,6 +172,68 @@ mod tests {
         let cached = CachedUtility::new(&game);
         let _ = exact_shapley(&cached);
         assert_eq!(cached.unique_evaluations(), 64);
+    }
+
+    #[test]
+    fn exact_core_asks_for_every_mask_once_a_subtree_per_batch() {
+        use crate::utility::games::{Recording, THREAD_CAP};
+        let _cap = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
+        for n in 0usize..=14 {
+            let game = Recording::new(utility_fn(n, |c: Coalition| {
+                let s: f64 = c.members().map(|i| ((i * 37 + 11) as f64).sin()).sum();
+                s + 0.25 * s.abs().sqrt() * c.len() as f64
+            }));
+            // Eq. 1 with every utility asked for on the spot: equal bits
+            // mean every batched value landed in its own mask's slot.
+            let by_definition: Vec<f64> = (0..n)
+                .map(|i| {
+                    let mut acc = 0.0;
+                    for s in Coalition::grand(n).without(i).subsets() {
+                        let marginal = game.evaluate(s.with(i)) - game.evaluate(s);
+                        acc += 1.0 / (n as f64 * binomial(n - 1, s.len())) * marginal;
+                    }
+                    acc
+                })
+                .collect();
+            game.take();
+            for cap in [1usize, 2, 3, 8] {
+                par::set_max_threads(cap);
+                let values = exact_shapley_core(&game, 16);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&values), bits(&by_definition), "n = {n}, cap {cap}");
+                let batches = game.take();
+                if n == 0 {
+                    assert!(batches.is_empty());
+                    continue;
+                }
+                let mut asked: Vec<u64> = batches.iter().flatten().map(|c| c.0).collect();
+                asked.sort_unstable();
+                assert_eq!(
+                    asked,
+                    (0..1u64 << n).collect::<Vec<_>>(),
+                    "n = {n}, cap {cap}"
+                );
+                for batch in &batches {
+                    // 2^h masks that agree on the n − h low players.
+                    assert!(batch.len().is_power_of_two() && batch.len() <= MAX_BATCH);
+                    let low = (1u64 << n) / batch.len() as u64 - 1;
+                    assert!(batch.iter().all(|c| c.0 & low == batch[0].0 & low));
+                }
+                if (1usize << n) >= 2 * 16 {
+                    assert!(batches.len() >= cap, "n = {n}, cap {cap}");
+                } else {
+                    assert_eq!(batches.len(), 1, "n = {n}: too small to split");
+                }
+            }
+        }
+        // The retraining bench's shape must not lose its second thread.
+        let game = Recording::new(MajorityGame { n: 6 });
+        for cap in [1usize, 2, 3, 8] {
+            par::set_max_threads(cap);
+            let _ = exact_shapley_core(&game, MIN_EVALS_PER_THREAD);
+            assert!(game.take().len() >= cap, "n = 6 at 8 per thread, cap {cap}");
+        }
+        par::set_max_threads(0);
     }
 
     proptest! {

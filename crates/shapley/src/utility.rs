@@ -13,9 +13,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+use numeric::par;
 
 use crate::coalition::Coalition;
+use crate::native::MIN_EVALS_PER_THREAD;
 
 /// A cooperative-game utility `u(S)` over coalitions of players.
 pub trait CoalitionUtility {
@@ -25,21 +28,35 @@ pub trait CoalitionUtility {
     /// Utility of a coalition (empty coalitions allowed).
     fn evaluate(&self, coalition: Coalition) -> f64;
 
+    /// Values a batch: slot `i` is `evaluate(coalitions[i])` to the bit,
+    /// whatever the batch's order, duplicates or length. A game whose
+    /// neighbouring coalitions share work overrides it
+    /// ([`crate::group::GroupModelGame`]); the default asks one at a
+    /// time. It runs on the calling thread: callers fan batches of at
+    /// most 2^12 (`MAX_BATCH`) out over [`numeric::par`], never the reverse.
+    fn evaluate_many(&self, coalitions: &[Coalition]) -> Vec<f64> {
+        coalitions.iter().map(|&c| self.evaluate(c)).collect()
+    }
+
     /// Hints that every coalition in `coalitions` is about to be
     /// evaluated, letting memoizing wrappers stream the evaluations
     /// into their cache ahead of the caller's combine pass.
     ///
     /// The default is a no-op, so plain utilities pay nothing.
-    /// [`CachedUtility`] overrides it to fan the *unique* coalitions
-    /// out one [`numeric::par`] slot each, inserting results as they
-    /// complete — later `evaluate` calls are then pure cache hits.
-    /// Because `evaluate` returns identical values with or without the
-    /// hint, prewarming never changes an estimator's output, only its
-    /// schedule.
+    /// [`CachedUtility`] overrides it to hand the *unique* uncached
+    /// coalitions to the inner game's [`Self::evaluate_many`], a
+    /// contiguous run per thread — later `evaluate` calls are then pure
+    /// cache hits. Because `evaluate` returns identical values with or
+    /// without the hint, prewarming never changes an estimator's output,
+    /// only its schedule.
     fn prewarm(&self, coalitions: &[Coalition]) {
         let _ = coalitions;
     }
 }
+
+/// Most coalitions a caller puts into one
+/// [`CoalitionUtility::evaluate_many`] batch.
+pub(crate) const MAX_BATCH: usize = 1 << 12;
 
 /// Utility of a *model*, `u(W)`, plus the value assigned to the empty
 /// coalition (no model at all — the paper's implicit `u(∅)`, e.g. the
@@ -58,6 +75,19 @@ pub trait CoalitionUtility {
 /// identity view (`scores(w) = w`, `of_scores = of_model`), so closures
 /// and every utility without linear structure behave as if the view did
 /// not exist.
+///
+/// # The additive view
+///
+/// The game builds those means a cache-sized tile at a time, reusing
+/// partial sums between coalitions, so a whole mean vector exists only
+/// if the utility needs one. A utility that is a sum over pieces of the
+/// vector — accuracy is hits per row, summed — names the piece size as
+/// [`ModelUtility::granule`] and scores a tile with
+/// [`ModelUtility::tally`]. Contract: over any cut of `v` into blocks at
+/// multiples of the granule, `of_scores(v) == of_tally(Σ tally(at,
+/// block))`, summed in order from the first tally (not from `0.0`). The
+/// defaults are again the identity: no granule, `v` is the only block,
+/// `tally = of_scores`, `of_tally` passes it through.
 pub trait ModelUtility {
     /// Utility of the model with flat weights `w`.
     fn of_model(&self, weights: &[f64]) -> f64;
@@ -74,6 +104,24 @@ pub trait ModelUtility {
     /// Utility of a model given the mean of its members' `scores`.
     fn of_scores(&self, mean_scores: &[f64]) -> f64 {
         self.of_model(mean_scores)
+    }
+
+    /// The positive element count at whose multiples a mean score vector
+    /// may be cut for [`Self::tally`]; `None`: it is scored whole.
+    fn granule(&self) -> Option<usize> {
+        None
+    }
+
+    /// Partial score of `mean_block`, the elements of a mean score
+    /// vector from `at` (a multiple of the granule) on.
+    fn tally(&self, at: usize, mean_block: &[f64]) -> f64 {
+        let _ = at;
+        self.of_scores(mean_block)
+    }
+
+    /// Utility from the sum of a vector's tallies.
+    fn of_tally(&self, total: f64) -> f64 {
+        total
     }
 }
 
@@ -203,6 +251,12 @@ impl<'a, U: CoalitionUtility + ?Sized> CachedUtility<'a, U> {
             misses: self.misses.load(Ordering::Relaxed),
         }
     }
+
+    /// The locked stripe `coalition` lives in.
+    fn stripe(&self, coalition: Coalition) -> MutexGuard<'_, HashMap<Coalition, f64>> {
+        let stripe = &self.stripes[stripe_of(coalition)];
+        stripe.lock().expect("utility cache poisoned")
+    }
 }
 
 impl<U: CoalitionUtility + Sync + ?Sized> CoalitionUtility for CachedUtility<'_, U> {
@@ -211,39 +265,39 @@ impl<U: CoalitionUtility + Sync + ?Sized> CoalitionUtility for CachedUtility<'_,
     }
 
     fn evaluate(&self, coalition: Coalition) -> f64 {
-        let stripe = &self.stripes[stripe_of(coalition)];
-        if let Some(&v) = stripe
-            .lock()
-            .expect("utility cache poisoned")
-            .get(&coalition)
-        {
+        if let Some(&v) = self.stripe(coalition).get(&coalition) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let v = self.inner.evaluate(coalition);
-        stripe
-            .lock()
-            .expect("utility cache poisoned")
-            .insert(coalition, v);
+        self.stripe(coalition).insert(coalition, v);
         v
     }
 
-    /// Streams the unique coalitions into the cache, one
-    /// [`numeric::par`] slot per coalition: each slot evaluates the
-    /// inner utility and inserts its stripe as it completes — no
-    /// per-batch barrier on the way in, so a caller combining from the
-    /// cache afterwards sees pure hits. The deduplicated fan-out also
-    /// makes the miss counter deterministic here: exactly one miss per
-    /// distinct uncached coalition.
+    /// Streams the unique coalitions the cache lacks into it through the
+    /// inner game's batch call: the list in member-trie pre-order
+    /// (`reverse_bits`, see [`crate::group`]; neighbours share member
+    /// prefixes), cut into equal contiguous runs — one per thread it can
+    /// keep busy, which also balances a game that retrains per
+    /// coalition, none longer than `MAX_BATCH` — each a
+    /// [`numeric::par`] slot. A caller combining from the cache
+    /// afterwards sees pure hits, and the miss counter is deterministic
+    /// here: one miss per distinct uncached coalition.
     fn prewarm(&self, coalitions: &[Coalition]) {
-        let mut unique: Vec<Coalition> = coalitions.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        // One slot per coalition; inner evaluations are the expensive
-        // unit (a model accuracy pass or a retrain), so granularity 1.
-        numeric::par::par_map_indices(unique.len(), 1, |idx| {
-            self.evaluate(unique[idx]);
+        let mut todo: Vec<Coalition> = coalitions.to_vec();
+        todo.sort_unstable_by_key(|c| c.0.reverse_bits());
+        todo.dedup();
+        todo.retain(|c| !self.stripe(*c).contains_key(c));
+        let runs = (todo.len() / MIN_EVALS_PER_THREAD)
+            .min(par::max_threads())
+            .max(todo.len().div_ceil(MAX_BATCH));
+        par::par_map_indices(runs, 1, |r| {
+            let run = &todo[r * todo.len() / runs..(r + 1) * todo.len() / runs];
+            self.misses.fetch_add(run.len(), Ordering::Relaxed);
+            for (&coalition, v) in run.iter().zip(self.inner.evaluate_many(run)) {
+                self.stripe(coalition).insert(coalition, v);
+            }
         });
     }
 }
@@ -289,6 +343,17 @@ impl<'a, U: CoalitionUtility + ?Sized> RestrictedGame<'a, U> {
     pub fn players(&self) -> &[usize] {
         &self.players
     }
+
+    /// The inner-game coalition of a restricted one.
+    fn lift(&self, coalition: Coalition) -> Coalition {
+        let mut inner = Coalition::EMPTY;
+        for (k, &p) in self.players.iter().enumerate() {
+            if coalition.contains(k) {
+                inner = inner.with(p);
+            }
+        }
+        inner
+    }
 }
 
 impl<U: CoalitionUtility + ?Sized> CoalitionUtility for RestrictedGame<'_, U> {
@@ -297,13 +362,14 @@ impl<U: CoalitionUtility + ?Sized> CoalitionUtility for RestrictedGame<'_, U> {
     }
 
     fn evaluate(&self, coalition: Coalition) -> f64 {
-        let mut inner = Coalition::EMPTY;
-        for (k, &p) in self.players.iter().enumerate() {
-            if coalition.contains(k) {
-                inner = inner.with(p);
-            }
-        }
-        self.inner.evaluate(inner)
+        self.inner.evaluate(self.lift(coalition))
+    }
+
+    /// Forwards the lifted batch: `players` ascends, so a batch in
+    /// member-trie pre-order still is one after the lift.
+    fn evaluate_many(&self, coalitions: &[Coalition]) -> Vec<f64> {
+        let lifted: Vec<Coalition> = coalitions.iter().map(|&c| self.lift(c)).collect();
+        self.inner.evaluate_many(&lifted)
     }
 }
 
@@ -348,6 +414,45 @@ pub(crate) mod games {
             let lefts = coalition.members().filter(|&i| i < self.left).count();
             let rights = coalition.len() - lefts;
             lefts.min(rights) as f64
+        }
+    }
+
+    /// Serialises the tests that set the process-wide thread cap.
+    pub static THREAD_CAP: Mutex<()> = Mutex::new(());
+
+    /// Logs every batch the wrapped game is handed; an `evaluate` call
+    /// logs a batch of one.
+    pub struct Recording<U> {
+        inner: U,
+        batches: Mutex<Vec<Vec<Coalition>>>,
+    }
+
+    impl<U> Recording<U> {
+        pub fn new(inner: U) -> Self {
+            let batches = Mutex::new(Vec::new());
+            Self { inner, batches }
+        }
+
+        /// The batches logged since the last call, in arrival order.
+        pub fn take(&self) -> Vec<Vec<Coalition>> {
+            std::mem::take(&mut self.batches.lock().expect("log poisoned"))
+        }
+    }
+
+    impl<U: CoalitionUtility> CoalitionUtility for Recording<U> {
+        fn num_players(&self) -> usize {
+            self.inner.num_players()
+        }
+
+        fn evaluate(&self, coalition: Coalition) -> f64 {
+            self.evaluate_many(&[coalition])[0]
+        }
+
+        fn evaluate_many(&self, coalitions: &[Coalition]) -> Vec<f64> {
+            let mut log = self.batches.lock().expect("log poisoned");
+            log.push(coalitions.to_vec());
+            drop(log);
+            coalitions.iter().map(|&c| self.inner.evaluate(c)).collect()
         }
     }
 
@@ -512,6 +617,63 @@ mod tests {
                 misses: 1 << 8
             }
         );
+    }
+
+    #[test]
+    fn prewarm_batches_exactly_what_the_cache_lacks() {
+        use super::games::{Recording, THREAD_CAP};
+        let _cap = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
+        for cap in [1usize, 2, 3, 8] {
+            par::set_max_threads(cap);
+            let game = Recording::new(AdditiveGame {
+                values: (0..13).map(|i| (i as f64).exp()).collect(),
+            });
+            let cached = CachedUtility::new(&game);
+            let early = [Coalition(5), Coalition::EMPTY, Coalition::grand(13)];
+            for c in early {
+                cached.evaluate(c);
+            }
+            assert_eq!(game.take().len(), 3);
+
+            // 2^13 coalitions, twice over and back to front: two full
+            // batches at the least, the three cached ones left out.
+            let mut hint: Vec<Coalition> = Coalition::powerset(13).collect();
+            hint.extend(Coalition::powerset(13));
+            hint.reverse();
+            cached.prewarm(&hint);
+            let batches = game.take();
+            assert!(batches.len() >= cap.max(2), "cap {cap}: {}", batches.len());
+            assert!(batches.iter().all(|b| b.len() <= MAX_BATCH));
+            for batch in &batches {
+                assert!(batch.is_sorted_by_key(|c| c.0.reverse_bits()));
+            }
+            let mut asked: Vec<Coalition> = batches.concat();
+            asked.sort_unstable();
+            let wanted: Vec<Coalition> = Coalition::powerset(13)
+                .filter(|c| !early.contains(c))
+                .collect();
+            assert_eq!(asked, wanted, "cap {cap}: every uncached coalition once");
+            assert_eq!(cached.stats().misses, 1 << 13);
+            for c in Coalition::powerset(13) {
+                assert_eq!(cached.evaluate(c), game.evaluate(c));
+            }
+            game.take();
+
+            // Nothing is missing any more: nothing is asked.
+            cached.prewarm(&hint);
+            assert_eq!(game.take(), Vec::<Vec<Coalition>>::new());
+            assert_eq!(cached.stats().misses, 1 << 13);
+
+            // Fifteen new coalitions are one inline run whatever the cap.
+            let wider = Recording::new(AdditiveGame {
+                values: vec![1.0; 20],
+            });
+            let cached = CachedUtility::new(&wider);
+            let few: Vec<Coalition> = (1..=15).map(|i| Coalition(i << 14)).collect();
+            cached.prewarm(&few);
+            assert_eq!(wider.take().len(), 1);
+        }
+        par::set_max_threads(0);
     }
 
     #[test]

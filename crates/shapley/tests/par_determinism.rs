@@ -276,6 +276,48 @@ fn accuracy_game_is_schedule_invariant_through_both_backings() {
     par::set_max_threads(0);
 }
 
+#[test]
+fn benchmark_shaped_games_are_schedule_invariant() {
+    // The two games the federation benchmark spends its evaluation time
+    // in, through the batch kernel: the subtrees `Exact` hands out and
+    // the runs `prewarm` cuts both move with the thread cap, the values
+    // may not. `table1_sv`: 2^9 coalitions over 1 124 x 10 logits;
+    // `sharded_1k`'s second level: `Stratified{2}` over 32 cohorts and
+    // 410 x 4 logits, cached and restricted as the contract wraps it
+    // (three cohorts dropped here, so the restriction lifts masks).
+    use fedchain::contract_fl::AccuracyUtility;
+    use fl_ml::dataset::SyntheticDigits;
+    use shapley::utility::CachedUtility;
+
+    let digits = |instances, features, classes| {
+        let data = SyntheticDigits {
+            instances,
+            features,
+            classes,
+            ..SyntheticDigits::default()
+        };
+        AccuracyUtility::new(&data.generate(3), features, classes)
+    };
+
+    let utility = digits(1_124, 64, 10);
+    let models = synthetic_models(9, 650);
+    assert_schedule_invariant(|| Exact.estimate(&GroupModelGame::new(&models, &utility)));
+
+    let utility = digits(410, 16, 4);
+    let models = synthetic_models(32, 68);
+    let stratified = Stratified {
+        config: StratifiedConfig {
+            samples_per_stratum: 2,
+            seed: 29,
+        },
+    };
+    assert_schedule_invariant(|| {
+        let full = GroupModelGame::new(&models, &utility);
+        let alive = RestrictedGame::new(&full, (0..32).filter(|c| c % 11 != 5).collect());
+        stratified.estimate(&CachedUtility::new(&alive))
+    });
+}
+
 /// The survivor-only round evaluation, end to end through the FL
 /// contract: real pairwise masks, on-chain key escrow, dropout
 /// declaration, share-verified recovery, survivor-restricted estimation.

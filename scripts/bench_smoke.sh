@@ -7,11 +7,15 @@
 # so the loop is an equivalence gate, not a timing one. Stops at the
 # first bench that fails.
 #
-# One timing gate follows it, a ratio inside one run because absolute
-# ns drift ±15 % on the CI box: a 4-cohort pipelined chain at thread cap
-# 2 may not cost more than 1.75 × the sequential chain at cap 1 (≈ 1.0
-# with the numeric::par thread budget; ≈ 2.3 – 2.5 when every nested
-# region spawned its own threads onto two cores).
+# Two timing gates follow it, each a ratio inside one run because
+# absolute ns drift ±15 % on the CI box. A 4-cohort pipelined chain at
+# thread cap 2 may not cost more than 1.75 × the sequential chain at cap
+# 1 (≈ 1.0 with the numeric::par thread budget; ≈ 2.3 – 2.5 when every
+# nested region spawned its own threads onto two cores). And the exact
+# m = 9 game at the Table I test-set size, valued through the batch
+# kernel, may not cost more than 0.75 × the same game asked one
+# coalition at a time (≈ 0.5; 1.0 is a kernel that stopped sharing
+# member-prefix sums).
 #
 # usage: scripts/bench_smoke.sh [artefact.jsonl]
 set -euo pipefail
@@ -28,6 +32,7 @@ done <<'BENCHES'
 chain_throughput
 sv_runtime sv_estimator
 sv_runtime group_sv
+sv_runtime coalition_walk
 sv_runtime secure_agg_recovery
 ml_training
 chain_durability
@@ -43,19 +48,31 @@ BENCHES
 
 cat "$out"
 
+# median <artefact> <benchmark id>
+median() {
+    sed -n "s|.*\"$2\", \"median_ns\": \([0-9.]*\).*|\1|p" "$1"
+}
+
+# gate <artefact> <numerator id> <denominator id> <limit>
+gate() {
+    awk -v num="$(median "$1" "$2")" -v den="$(median "$1" "$3")" -v limit="$4" \
+        -v name="$2 / $3" 'BEGIN {
+        if (num + 0 == 0 || den + 0 == 0) { print "ratio gate: entry missing from the run"; exit 1 }
+        printf "ratio gate: %s = %.2f (limit %s)\n", name, num / den, limit
+        exit !(num / den <= limit)
+    }'
+}
+
+ratio_out="$out.ratio"
+rm -f "$ratio_out"
+export CRITERION_SAMPLE_SIZE=9 CRITERION_JSON="$ratio_out"
+
 if [ "$(nproc)" -lt 2 ]; then
     echo "ratio gate skipped: nproc is 1, round_pipeline samples no cap-2 entry"
 else
-    ratio_out="$out.ratio"
-    rm -f "$ratio_out"
-    CRITERION_SAMPLE_SIZE=9 CRITERION_JSON="$ratio_out" \
-        cargo bench --bench round_pipeline -- /4/cap
-    median() {
-        sed -n "s|.*\"round_pipeline/$1\", \"median_ns\": \([0-9.]*\).*|\1|p" "$ratio_out"
-    }
-    awk -v pipe="$(median pipelined/4/cap2)" -v seq="$(median sequential/4/cap1)" 'BEGIN {
-        if (pipe + 0 == 0 || seq + 0 == 0) { print "ratio gate: entry missing from the run"; exit 1 }
-        printf "ratio gate: pipelined/4/cap2 / sequential/4/cap1 = %.2f (limit 1.75)\n", pipe / seq
-        exit !(pipe / seq <= 1.75)
-    }'
+    cargo bench --bench round_pipeline -- /4/cap
+    gate "$ratio_out" round_pipeline/pipelined/4/cap2 round_pipeline/sequential/4/cap1 1.75
 fi
+
+cargo bench --bench sv_runtime -- coalition_walk/
+gate "$ratio_out" coalition_walk/batch/table1_sv coalition_walk/single/table1_sv 0.75
