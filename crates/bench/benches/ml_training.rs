@@ -25,6 +25,7 @@ use fedchain::world::World;
 use fl_ml::dataset::{Dataset, SyntheticDigits};
 use fl_ml::logreg::{train_model, Design, LogisticModel, TrainConfig};
 use fl_ml::metrics::model_accuracy_design;
+use numeric::par;
 use numeric::stats::argmax;
 use numeric::Matrix;
 use shapley::coalition::Coalition;
@@ -252,8 +253,52 @@ fn bench_utility_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The trainer's two products alone, at the Table I owner-shard shape
+/// (500 × 65 × 10) and the test-set shape `AccuracyUtility` scores
+/// (1 124 rows), at thread caps 1 and 2: `logits` is `X · W`,
+/// `gradient` is `Xᵀ · (P − Y)` over the transpose `train_design` takes
+/// once per call. A top-level product reaches `numeric::par` with the
+/// whole budget free, so the cap-2 entries read what `PAR_MIN_FLOPS`
+/// decides — they may not be slower than their cap-1 neighbours.
+fn bench_gemm_train_shape(c: &mut Criterion) {
+    let dense = |rows: usize, cols: usize, salt: f64| {
+        let data = (0..rows * cols).map(|i| (i as f64 * salt).sin()).collect();
+        Matrix::from_vec(rows, cols, data)
+    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut group = c.benchmark_group("gemm_train_shape");
+    for rows in [500usize, 1124] {
+        let x = dense(rows, 65, 0.37);
+        let w = dense(65, 10, 0.11);
+        let residual = dense(rows, 10, 0.73);
+        let xt = x.transpose();
+        assert_eq!(x.matmul(&w), seed_matmul(&x, &w));
+        assert_eq!(xt.matmul(&residual), seed_t_matmul(&x, &residual));
+        let mut logits = Matrix::zeros(rows, 10);
+        let mut grad = Matrix::zeros(65, 10);
+        for cap in [1usize, 2] {
+            if cap > cores {
+                println!("gemm_train_shape: cap {cap} skipped, {cores} core available");
+                continue;
+            }
+            par::set_max_threads(cap);
+            let id =
+                |product: &str| BenchmarkId::new(format!("{product}/{rows}"), format!("cap{cap}"));
+            group.bench_function(id("logits"), |b| {
+                b.iter(|| black_box(&x).matmul_into(&w, &mut logits))
+            });
+            group.bench_function(id("gradient"), |b| {
+                b.iter(|| black_box(&xt).matmul_into(&residual, &mut grad))
+            });
+        }
+    }
+    par::set_max_threads(0);
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_gemm_train_shape,
     bench_logreg_train,
     bench_coalition_retrain,
     bench_utility_evaluation

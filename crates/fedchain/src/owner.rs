@@ -15,7 +15,7 @@ use fl_crypto::secure_agg::{KeyDirectory, PairSecretCache, PartyState, SecureAgg
 use fl_crypto::shamir::{Shamir, Share};
 use fl_crypto::ChaChaPrg;
 use fl_ml::dataset::Dataset;
-use fl_ml::logreg::{LogisticModel, TrainConfig};
+use fl_ml::logreg::{Design, LogisticModel, TrainConfig};
 use fl_ml::rng::Xoshiro256;
 use numeric::{FixedCodec, U256};
 
@@ -115,9 +115,14 @@ impl DataOwner {
         num_features: usize,
         num_classes: usize,
     ) -> Vec<f64> {
-        let mut model = LogisticModel::from_flat(global_model, num_features, num_classes);
-        model.train(&self.shard, &self.train);
-        let mut update = model.to_flat();
+        assert_eq!(
+            (num_features, num_classes),
+            (self.shard.num_features(), self.shard.num_classes),
+            "global model shape does not match owner {}'s shard",
+            self.id
+        );
+        let design = Design::new(&self.shard);
+        let mut update = LogisticModel::train_from(global_model, &design, &self.train).to_flat();
         if let Some(kind) = &self.adversary {
             corrupt_update(kind, &mut update, &mut self.adversary_rng);
         }

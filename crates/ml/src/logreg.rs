@@ -11,14 +11,17 @@
 //!
 //! Training and evaluation run over a [`Design`] — the input features
 //! conditioned (fixed 1/16 scale) and bias-extended **once**, in a single
-//! gather pass, instead of per call. The epoch loop is three batched
-//! kernels with no per-row temporaries: one logits GEMM into a reused
-//! buffer ([`Matrix::matmul_into`]), one fused softmax+residual pass in
-//! place, and one gradient GEMM ([`Matrix::t_matmul_into`]). Every kernel
-//! keeps the `numeric::linalg` determinism contract, so trained weights
-//! are bit-identical for any thread count — and bit-identical to the
-//! original unfused loop, whose operation order the fused pass preserves
-//! exactly.
+//! gather pass, instead of per call. A training call transposes the
+//! design once (`Xᵀ` lives for the call, not in the [`Design`], so a
+//! design kept for scoring costs what it did); the epoch loop is then
+//! three batched kernels with no per-row temporaries: the logits GEMM
+//! `X · W` into a reused buffer, one fused softmax+residual pass in
+//! place, and the gradient `Xᵀ · (P − Y)` through the same
+//! [`Matrix::matmul_into`]. That kernel keeps the `numeric::linalg`
+//! determinism contract — the gradient folds the examples in ascending
+//! order from a `0.0` seed — so trained weights are bit-identical for
+//! any thread count, and bit-identical to the original unfused loop,
+//! whose operation order the fused pass preserves exactly.
 
 use numeric::stats::argmax;
 use numeric::Matrix;
@@ -275,10 +278,11 @@ impl LogisticModel {
     /// Trains in place over a prepared design — the batched epoch loop
     /// every trainer entry point funnels through.
     ///
-    /// Per epoch: one logits GEMM into a reused buffer, one fused
-    /// softmax+residual pass in place (`P − Y` without materializing the
-    /// one-hot labels), one gradient GEMM into a reused buffer, then the
-    /// L2 and step AXPYs. No per-row or per-epoch allocations.
+    /// `Xᵀ` is taken once, up front. Per epoch: one logits GEMM into a
+    /// reused buffer, one fused softmax+residual pass in place (`P − Y`
+    /// without materializing the one-hot labels), one gradient GEMM
+    /// `Xᵀ · (P − Y)` into a reused buffer, then the L2 and step AXPYs.
+    /// No per-row or per-epoch allocations.
     ///
     /// # Panics
     ///
@@ -294,6 +298,7 @@ impl LogisticModel {
             design.num_features()
         );
         let x = &design.x;
+        let xt = x.transpose();
         let n = design.len() as f64;
         let mut logits = Matrix::zeros(design.len(), self.num_classes);
         let mut grad = Matrix::zeros(self.num_features + 1, self.num_classes);
@@ -301,7 +306,7 @@ impl LogisticModel {
         for _ in 0..config.epochs {
             x.matmul_into(&self.weights, &mut logits);
             softmax_residual_in_place(&mut logits, &design.labels); // P − Y
-            x.t_matmul_into(&logits, &mut grad);
+            xt.matmul_into(&logits, &mut grad);
             grad.scale(1.0 / n);
             if config.l2 > 0.0 {
                 grad.axpy(config.l2, &self.weights);
@@ -604,6 +609,59 @@ mod tests {
             },
         );
         assert_eq!(warm, long_hand);
+    }
+
+    #[test]
+    fn train_design_equals_the_spelled_out_epoch_loop_at_every_cap() {
+        // The naive i-k-j product and the naive transposed product (rows
+        // folded in ascending order), as in `numeric::linalg`'s tests.
+        fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(a.rows(), b.cols());
+            for i in 0..a.rows() {
+                for k in 0..a.cols() {
+                    let v = a[(i, k)];
+                    for (o, &w) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                        *o += v * w;
+                    }
+                }
+            }
+            out
+        }
+        fn naive_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(a.cols(), b.cols());
+            for r in 0..a.rows() {
+                for i in 0..a.cols() {
+                    let v = a[(r, i)];
+                    for (o, &w) in out.row_mut(i).iter_mut().zip(b.row(r)) {
+                        *o += v * w;
+                    }
+                }
+            }
+            out
+        }
+
+        // 600 examples: the gradient's reduction crosses two k-tile cuts.
+        let ds = SyntheticDigits::small().generate(13);
+        let design = Design::new(&ds);
+        let config = TrainConfig {
+            epochs: 6,
+            ..quick_config()
+        };
+        let mut weights = Matrix::zeros(ds.num_features() + 1, ds.num_classes);
+        for _ in 0..config.epochs {
+            let mut residual = naive_matmul(&design.x, &weights);
+            softmax_residual_in_place(&mut residual, &design.labels);
+            let mut grad = naive_t_matmul(&design.x, &residual);
+            grad.scale(1.0 / design.len() as f64);
+            grad.axpy(config.l2, &weights);
+            weights.axpy(-config.learning_rate, &grad);
+        }
+        for cap in [1usize, 2, 3, 8] {
+            numeric::par::set_max_threads(cap);
+            let trained = train_model_design(&design, &config);
+            assert_eq!(trained.weights(), &weights, "thread cap {cap}");
+        }
+        numeric::par::set_max_threads(0);
     }
 
     #[test]

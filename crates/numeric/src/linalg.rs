@@ -1,19 +1,21 @@
 //! Dense row-major linear algebra.
 //!
 //! The logistic-regression trainer in `fl-ml` needs a small set of matrix
-//! kernels: matrix–matrix product, transpose-product, row-wise softmax
-//! support, AXPY updates and flattening to/from the weight vectors that
-//! travel through secure aggregation. There is no BLAS in the offline
-//! dependency set, so the products are implemented here as cache-blocked
-//! GEMM kernels driven by the deterministic fork-join layer in
-//! [`crate::par`].
+//! kernels: matrix–matrix product, transpose, row-wise softmax support,
+//! AXPY updates and flattening to/from the weight vectors that travel
+//! through secure aggregation. There is no BLAS in the offline
+//! dependency set, so the product is implemented here as one
+//! cache-blocked GEMM kernel driven by the deterministic fork-join layer
+//! in [`crate::par`]. The transpose-product the gradient needs is that
+//! same kernel over [`Matrix::transpose`], which the trainer takes once
+//! per training call.
 //!
 //! # Determinism contract
 //!
 //! Every coalition retraining is re-executed by miners on arbitrary
-//! hardware, so [`Matrix::matmul`] and [`Matrix::t_matmul`] must be
-//! **bit-identical for any thread count** — and they additionally pin
-//! themselves to the naive reference loop:
+//! hardware, so [`Matrix::matmul`] must be **bit-identical for any
+//! thread count** — and it additionally pins itself to the naive
+//! reference loop:
 //!
 //! * Output element `(i, j)` accumulates its products `a[i][k]·b[k][j]`
 //!   **strictly in ascending `k` order**: k-tiles are visited in ascending
@@ -32,10 +34,6 @@
 //!   [`crate::par::par_fill_rows`]: each output row is a pure function of
 //!   its global row index, so panel boundaries move with the thread count
 //!   but row contents never do.
-//! * [`Matrix::t_matmul`] never materializes the transpose: each reduction
-//!   tile of the left operand is packed into a transposed panel and fed
-//!   through the same micro-kernel, with the reduction index (the left
-//!   operand's row index) still folded in ascending order.
 //!
 //! The property tests in `shapley/tests/par_determinism.rs` pin the
 //! thread-count half of the contract; the proptests at the bottom of this
@@ -205,54 +203,6 @@ impl Matrix {
         );
     }
 
-    /// Product of the transpose of `self` with `rhs`: `selfᵀ * rhs`.
-    ///
-    /// Used for the gradient `Xᵀ·(P − Y)` without materializing `Xᵀ`:
-    /// reduction tiles of `self` are packed into transposed panels and
-    /// driven through the same blocked kernel as [`Matrix::matmul`],
-    /// folding the reduction index in ascending order (module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics on row-count mismatch.
-    pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.t_matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// Like [`Matrix::t_matmul`], writing into a caller-owned output
-    /// matrix (overwritten, not accumulated).
-    ///
-    /// # Panics
-    ///
-    /// Panics on row-count mismatch or if `out` is not
-    /// `self.cols × rhs.cols`.
-    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows,
-            rhs.rows,
-            "t_matmul shape mismatch: {:?}ᵀ x {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        assert_eq!(
-            out.shape(),
-            (self.cols, rhs.cols),
-            "t_matmul output shape mismatch: got {:?}, need {:?}",
-            out.shape(),
-            (self.cols, rhs.cols)
-        );
-        gemm::t_gemm_into(
-            self.rows,
-            self.cols,
-            rhs.cols,
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-        );
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -365,7 +315,7 @@ fn checked_len(rows: usize, cols: usize) -> usize {
         .unwrap_or_else(|| panic!("matrix shape {rows}x{cols} overflows usize"))
 }
 
-/// Cache-blocked GEMM kernels on [`crate::par`].
+/// The cache-blocked GEMM kernel on [`crate::par`].
 ///
 /// Layout of the computation (see the module docs for the determinism
 /// contract these loops implement):
@@ -377,9 +327,10 @@ fn checked_len(rows: usize, cols: usize) -> usize {
 ///   accumulators from the current output values and writes them back
 ///   after the tile, so each output element folds its products strictly
 ///   in ascending reduction order;
-/// * micro-tiles cover 2 output rows × [`NR`] columns: the rhs row
-///   segment is loaded once and reused for both rows, and the
-///   accumulators live in registers across the whole k-tile.
+/// * micro-tiles cover 2 output rows × [`NR`] columns, the last one of a
+///   row up to [`NR_LAST`]: the rhs row segment is loaded once and
+///   reused for both rows, and the accumulators live in registers
+///   across the whole k-tile.
 mod gemm {
     use crate::par;
 
@@ -388,21 +339,16 @@ mod gemm {
     const KC: usize = 256;
     /// Micro-kernel width (output columns per register tile).
     const NR: usize = 8;
-    /// Reduction tile for the transposed product — sized so the packed
-    /// panel of a 64-ish-column operand (`cols × KT × 8` bytes ≈ 25 KiB)
-    /// stays L1-resident while the kernel sweeps it once per rhs column
-    /// tile.
-    const KT: usize = 48;
+    /// Widest last tile of a row, so that a 9- or 10-column product (the
+    /// 10-class trainer) is one tile and not 8 plus a sliver. Two rows ×
+    /// 10 columns are ten 2-lane accumulators; with the two lhs
+    /// broadcasts, one rhs load and one product they fit the sixteen
+    /// SSE2 registers. 11 would not.
+    const NR_LAST: usize = 10;
     /// Minimum flops worth shipping to another thread: below this a
     /// panel stays on the calling thread (scoped-thread spawn costs tens
     /// of microseconds; determinism does not depend on the threshold).
     const PAR_MIN_FLOPS: usize = 1 << 18;
-
-    /// Rows per thread for an output of `rows` rows costing
-    /// `flops_per_row` each.
-    fn min_rows_per_thread(flops_per_row: usize) -> usize {
-        (PAR_MIN_FLOPS / flops_per_row.max(1)).max(1)
-    }
 
     /// `out = a(m×k) · b(k×n)`; every output element is fully written
     /// (the first k-tile seeds the accumulators with zero), so stale
@@ -413,201 +359,110 @@ mod gemm {
             out.fill(0.0);
             return;
         }
-        let min_rows = min_rows_per_thread(2 * k * n);
+        let min_rows = (PAR_MIN_FLOPS / (2 * k * n)).max(1);
         par::par_fill_rows(out, n, min_rows, |row0, panel| {
-            let rows = panel.len() / n;
-            let a_panel = &a[row0 * k..(row0 + rows) * k];
+            let a_panel = &a[row0 * k..][..panel.len() / n * k];
             for kt in (0..k).step_by(KC) {
-                let kc = KC.min(k - kt);
-                block_kernel(a_panel, k, kt, rows, kc, b, n, kt, kt == 0, panel);
-            }
-        });
-    }
-
-    /// `out = aᵀ · b` where `a` is `m×ac` and `b` is `m×n`; `out` is
-    /// `ac×n` and fully written (first reduction tile seeds zero).
-    /// Reduction runs over the `m` rows in ascending order via packed
-    /// transposed panels.
-    pub(super) fn t_gemm_into(
-        m: usize,
-        ac: usize,
-        n: usize,
-        a: &[f64],
-        b: &[f64],
-        out: &mut [f64],
-    ) {
-        if m == 0 || ac == 0 || n == 0 {
-            // An empty reduction is a sum over zero terms.
-            out.fill(0.0);
-            return;
-        }
-        let min_rows = min_rows_per_thread(2 * m * n);
-        par::par_fill_rows(out, n, min_rows, |c0, panel| {
-            let cs = panel.len() / n;
-            // Packed transposed panel: row `c` holds a[rt..rt+rc][c0+c].
-            let mut packed = vec![0.0f64; cs * KT.min(m)];
-            for rt in (0..m).step_by(KT) {
-                let rc = KT.min(m - rt);
-                for rr in 0..rc {
-                    let a_row = &a[(rt + rr) * ac + c0..(rt + rr) * ac + c0 + cs];
-                    for (c, &v) in a_row.iter().enumerate() {
-                        packed[c * rc + rr] = v;
-                    }
-                }
-                block_kernel(&packed, rc, 0, cs, rc, b, n, rt, rt == 0, panel);
+                block_kernel(a_panel, k, kt, KC.min(k - kt), b, n, panel);
             }
         });
     }
 
     /// One k-tile over a whole row panel:
-    /// `out[i][j] += Σ_{kk<kc} a[i*lda + a_col0 + kk] · b[(bk0+kk)*n + j]`
-    /// for `i < mi`, accumulated per element in ascending `kk` on top of
-    /// the current output value. On the `first` tile the accumulators
-    /// are seeded with `0.0` instead of loading the output, which lets
-    /// callers skip a zero-fill pass — bit-identical, since the seed
-    /// value is exactly what the fill would have stored.
-    #[allow(clippy::too_many_arguments)]
+    /// `out[i][j] += Σ_{kk<kc} a[i*k + kt + kk] · b[(kt+kk)*n + j]` for
+    /// every row `i` of `out`, accumulated per element in ascending `kk`
+    /// on top of the current output value. On the first tile (`kt == 0`)
+    /// the accumulators are seeded with `0.0` instead of loading the
+    /// output, which lets callers skip a zero-fill pass — bit-identical,
+    /// since the seed value is exactly what the fill would have stored.
     fn block_kernel(
         a: &[f64],
-        lda: usize,
-        a_col0: usize,
-        mi: usize,
+        k: usize,
+        kt: usize,
         kc: usize,
         b: &[f64],
         n: usize,
-        bk0: usize,
-        first: bool,
         out: &mut [f64],
     ) {
-        let b_tile = &b[bk0 * n..(bk0 + kc) * n];
+        let b_tile = &b[kt * n..(kt + kc) * n];
+        let first = kt == 0;
+        let a_row = |i: usize| &a[i * k + kt..][..kc];
+        let mut pairs = out.chunks_exact_mut(2 * n);
         let mut i = 0;
-        while i + 1 < mi {
-            let a0 = &a[i * lda + a_col0..i * lda + a_col0 + kc];
-            let a1 = &a[(i + 1) * lda + a_col0..(i + 1) * lda + a_col0 + kc];
-            let (row0, rest) = out[i * n..].split_at_mut(n);
-            let row1 = &mut rest[..n];
-            let mut j = 0;
-            while n - j >= NR {
-                pair_tile::<NR>(a0, a1, b_tile, n, j, first, row0, row1);
-                j += NR;
-            }
-            dispatch_pair_tail(n - j, a0, a1, b_tile, n, j, first, row0, row1);
+        for pair in &mut pairs {
+            let (row0, row1) = pair.split_at_mut(n);
+            row_tiles([a_row(i), a_row(i + 1)], b_tile, first, [row0, row1]);
             i += 2;
         }
-        if i < mi {
-            let a0 = &a[i * lda + a_col0..i * lda + a_col0 + kc];
-            let row0 = &mut out[i * n..(i + 1) * n];
-            let mut j = 0;
-            while n - j >= NR {
-                single_tile::<NR>(a0, b_tile, n, j, first, row0);
-                j += NR;
-            }
-            dispatch_single_tail(n - j, a0, b_tile, n, j, first, row0);
+        let last = pairs.into_remainder();
+        if !last.is_empty() {
+            row_tiles([a_row(i)], b_tile, first, [last]);
         }
     }
 
-    /// Two output rows × `W` columns: rhs segments are loaded once per
-    /// reduction step and reused for both rows; accumulators are seeded
-    /// from the output (or `0.0` on the first tile) and written back, so
-    /// the per-element fold stays in ascending reduction order.
-    #[allow(clippy::too_many_arguments)]
+    /// `R` output rows against one k-tile: full [`NR`] tiles while more
+    /// than [`NR_LAST`] columns remain, then one last tile of what is
+    /// left, monomorphized per width.
     #[inline(always)]
-    fn pair_tile<const W: usize>(
-        a0: &[f64],
-        a1: &[f64],
+    fn row_tiles<const R: usize>(
+        a: [&[f64]; R],
         b_tile: &[f64],
-        n: usize,
-        j: usize,
         first: bool,
-        row0: &mut [f64],
-        row1: &mut [f64],
+        mut out: [&mut [f64]; R],
     ) {
-        let mut acc0 = [0.0f64; W];
-        let mut acc1 = [0.0f64; W];
-        if !first {
-            acc0.copy_from_slice(&row0[j..j + W]);
-            acc1.copy_from_slice(&row1[j..j + W]);
+        let n = out[0].len();
+        let mut j = 0;
+        while n - j > NR_LAST {
+            tile::<R, NR>(a, b_tile, n, j, first, &mut out);
+            j += NR;
         }
-        for (seg_row, (&x0, &x1)) in b_tile.chunks_exact(n).zip(a0.iter().zip(a1)) {
-            let seg = &seg_row[j..j + W];
-            for t in 0..W {
-                acc0[t] += x0 * seg[t];
-                acc1[t] += x1 * seg[t];
-            }
+        match n - j {
+            1 => tile::<R, 1>(a, b_tile, n, j, first, &mut out),
+            2 => tile::<R, 2>(a, b_tile, n, j, first, &mut out),
+            3 => tile::<R, 3>(a, b_tile, n, j, first, &mut out),
+            4 => tile::<R, 4>(a, b_tile, n, j, first, &mut out),
+            5 => tile::<R, 5>(a, b_tile, n, j, first, &mut out),
+            6 => tile::<R, 6>(a, b_tile, n, j, first, &mut out),
+            7 => tile::<R, 7>(a, b_tile, n, j, first, &mut out),
+            8 => tile::<R, 8>(a, b_tile, n, j, first, &mut out),
+            9 => tile::<R, 9>(a, b_tile, n, j, first, &mut out),
+            10 => tile::<R, 10>(a, b_tile, n, j, first, &mut out),
+            rem => unreachable!("last tile width {rem} outside 1..={NR_LAST}"),
         }
-        row0[j..j + W].copy_from_slice(&acc0);
-        row1[j..j + W].copy_from_slice(&acc1);
     }
 
-    /// One output row × `W` columns (row-count tail).
+    /// `R` output rows × `W` columns starting at column `j`: each rhs
+    /// segment is loaded once per reduction step and reused for every
+    /// row; accumulators are seeded from the output (or `0.0` on the
+    /// first tile) and written back, so the per-element fold stays in
+    /// ascending reduction order. The rhs is walked by its row stride
+    /// `n` (a `chunks_exact(n)` here costs a 64-bit division per call).
     #[inline(always)]
-    fn single_tile<const W: usize>(
-        a0: &[f64],
+    fn tile<const R: usize, const W: usize>(
+        a: [&[f64]; R],
         b_tile: &[f64],
         n: usize,
         j: usize,
         first: bool,
-        row0: &mut [f64],
+        out: &mut [&mut [f64]; R],
     ) {
-        let mut acc = [0.0f64; W];
+        let mut acc = [[0.0f64; W]; R];
         if !first {
-            acc.copy_from_slice(&row0[j..j + W]);
-        }
-        for (seg_row, &x0) in b_tile.chunks_exact(n).zip(a0) {
-            let seg = &seg_row[j..j + W];
-            for t in 0..W {
-                acc[t] += x0 * seg[t];
+            for r in 0..R {
+                acc[r].copy_from_slice(&out[r][j..j + W]);
             }
         }
-        row0[j..j + W].copy_from_slice(&acc);
-    }
-
-    /// Column-tail dispatch (`rem < NR`) to monomorphized tile widths.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_pair_tail(
-        rem: usize,
-        a0: &[f64],
-        a1: &[f64],
-        b_tile: &[f64],
-        n: usize,
-        j: usize,
-        first: bool,
-        row0: &mut [f64],
-        row1: &mut [f64],
-    ) {
-        match rem {
-            0 => {}
-            1 => pair_tile::<1>(a0, a1, b_tile, n, j, first, row0, row1),
-            2 => pair_tile::<2>(a0, a1, b_tile, n, j, first, row0, row1),
-            3 => pair_tile::<3>(a0, a1, b_tile, n, j, first, row0, row1),
-            4 => pair_tile::<4>(a0, a1, b_tile, n, j, first, row0, row1),
-            5 => pair_tile::<5>(a0, a1, b_tile, n, j, first, row0, row1),
-            6 => pair_tile::<6>(a0, a1, b_tile, n, j, first, row0, row1),
-            7 => pair_tile::<7>(a0, a1, b_tile, n, j, first, row0, row1),
-            _ => unreachable!("tail width {rem} >= NR"),
+        for kk in 0..a[0].len() {
+            let seg = &b_tile[kk * n + j..][..W];
+            for r in 0..R {
+                let x = a[r][kk];
+                for t in 0..W {
+                    acc[r][t] += x * seg[t];
+                }
+            }
         }
-    }
-
-    /// Column-tail dispatch for the single-row kernel.
-    fn dispatch_single_tail(
-        rem: usize,
-        a0: &[f64],
-        b_tile: &[f64],
-        n: usize,
-        j: usize,
-        first: bool,
-        row0: &mut [f64],
-    ) {
-        match rem {
-            0 => {}
-            1 => single_tile::<1>(a0, b_tile, n, j, first, row0),
-            2 => single_tile::<2>(a0, b_tile, n, j, first, row0),
-            3 => single_tile::<3>(a0, b_tile, n, j, first, row0),
-            4 => single_tile::<4>(a0, b_tile, n, j, first, row0),
-            5 => single_tile::<5>(a0, b_tile, n, j, first, row0),
-            6 => single_tile::<6>(a0, b_tile, n, j, first, row0),
-            7 => single_tile::<7>(a0, b_tile, n, j, first, row0),
-            _ => unreachable!("tail width {rem} >= NR"),
+        for r in 0..R {
+            out[r][j..j + W].copy_from_slice(&acc[r]);
         }
     }
 }
@@ -701,7 +556,7 @@ mod tests {
     fn t_matmul_equals_explicit_transpose() {
         let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.0, 1.0, 3.0]);
-        assert_eq!(a.t_matmul(&b), a.transpose().matmul(&b));
+        assert_eq!(naive_t_matmul(&a, &b), a.transpose().matmul(&b));
     }
 
     #[test]
@@ -823,30 +678,33 @@ mod tests {
 
     #[test]
     fn blocked_matmul_bit_identical_at_tile_boundaries() {
-        // Shapes straddling the k-tile (KC = 256), the 2-row micro-tile
-        // and the NR = 8 column tile, including every tail width.
-        for (m, k, n) in [
-            (1, 1, 1),
-            (2, 255, 8),
-            (3, 256, 9),
-            (5, 257, 10),
-            (4, 300, 7),
-            (2, 513, 16),
-            (7, 64, 13),
-        ] {
-            let a = dense_matrix(m, k, 11);
-            let b = dense_matrix(k, n, 23);
-            assert_eq!(
-                a.matmul(&b),
-                naive_matmul(&a, &b),
-                "matmul {m}x{k}x{n} must be bit-identical to the naive loop"
-            );
-            let at = dense_matrix(k, m, 31);
-            assert_eq!(
-                at.t_matmul(&b),
-                naive_t_matmul(&at, &b),
-                "t_matmul {k}x{m}ᵀx{n} must be bit-identical to the naive loop"
-            );
+        // Shapes straddling the k-tile (KC = 256, first and later tiles)
+        // and the 2-row micro-tile, at every column split: one last tile
+        // of 1..=10, 8 + 3 … 8 + 10, 8 + 8 + 3 … 8 + 8 + 8.
+        for n in 1..=24 {
+            for (m, k) in [
+                (1, 1),
+                (2, 255),
+                (3, 256),
+                (5, 257),
+                (4, 300),
+                (2, 513),
+                (7, 64),
+            ] {
+                let a = dense_matrix(m, k, 11);
+                let b = dense_matrix(k, n, 23);
+                assert_eq!(
+                    a.matmul(&b),
+                    naive_matmul(&a, &b),
+                    "matmul {m}x{k}x{n} must be bit-identical to the naive loop"
+                );
+                let at = dense_matrix(k, m, 31);
+                assert_eq!(
+                    at.transpose().matmul(&b),
+                    naive_t_matmul(&at, &b),
+                    "{k}x{m}ᵀx{n} must be bit-identical to the naive transposed loop"
+                );
+            }
         }
     }
 
@@ -857,23 +715,23 @@ mod tests {
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 4);
         assert_eq!(a.matmul(&b), Matrix::zeros(3, 4));
-        assert_eq!(a.t_matmul(&Matrix::zeros(3, 2)), Matrix::zeros(0, 2));
+        assert_eq!(
+            a.transpose().matmul(&Matrix::zeros(3, 2)),
+            Matrix::zeros(0, 2)
+        );
         // Zero outer dimensions give empty results of the right shape.
         let e = Matrix::zeros(0, 5);
         assert_eq!(e.matmul(&Matrix::zeros(5, 2)).shape(), (0, 2));
-        assert_eq!(e.t_matmul(&Matrix::zeros(0, 3)).shape(), (5, 3));
+        assert_eq!(
+            e.transpose().matmul(&Matrix::zeros(0, 3)),
+            Matrix::zeros(5, 3)
+        );
     }
 
     #[test]
     #[should_panic(expected = "matmul shape mismatch")]
     fn matmul_inner_dim_mismatch_panics() {
         let _ = Matrix::zeros(2, 3).matmul(&Matrix::zeros(4, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "t_matmul shape mismatch")]
-    fn t_matmul_row_mismatch_panics() {
-        let _ = Matrix::zeros(2, 3).t_matmul(&Matrix::zeros(3, 3));
     }
 
     #[test]
@@ -886,15 +744,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "t_matmul output shape mismatch")]
-    fn t_matmul_into_wrong_output_shape_panics() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 4);
-        let mut out = Matrix::zeros(4, 3);
-        a.t_matmul_into(&b, &mut out);
-    }
-
-    #[test]
     fn matmul_into_overwrites_stale_contents() {
         let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         let b = Matrix::from_vec(2, 1, vec![3.0, 4.0]);
@@ -902,7 +751,8 @@ mod tests {
         a.matmul_into(&b, &mut out);
         assert_eq!(out.as_slice(), &[11.0]);
         let mut tout = Matrix::from_vec(2, 1, vec![7.0, 7.0]);
-        a.t_matmul_into(&Matrix::from_vec(1, 1, vec![2.0]), &mut tout);
+        a.transpose()
+            .matmul_into(&Matrix::from_vec(1, 1, vec![2.0]), &mut tout);
         assert_eq!(tout.as_slice(), &[2.0, 4.0]);
     }
 
@@ -953,29 +803,34 @@ mod tests {
         fn prop_blocked_matmul_equals_naive_reference(
             m in 1usize..=9,
             k in 1usize..=300,
-            n in 1usize..=17,
+            n in 1usize..=24,
             seed in any::<u64>(),
         ) {
             // The oracle is the seed's naive loop kept verbatim above;
             // equality is exact (bit-identical), not approximate. `k`
-            // ranges past KC = 256 so the tile fold is exercised.
+            // ranges past KC = 256 so the tile fold is exercised, `n`
+            // over every last-tile width behind zero, one and two
+            // full tiles.
             let a = dense_matrix(m, k, seed);
             let b = dense_matrix(k, n, seed ^ 0xabcd);
             prop_assert_eq!(a.matmul(&b), naive_matmul(&a, &b));
         }
 
         #[test]
-        fn prop_blocked_t_matmul_equals_naive_reference(
-            rows in 1usize..=300,
+        fn prop_transposed_matmul_equals_naive_t_reference(
+            rows in 1usize..=600,
             ac in 1usize..=9,
             n in 1usize..=17,
             seed in any::<u64>(),
         ) {
-            // `rows` (the reduction dimension) ranges past KT = 48 so
-            // the packed-panel fold is exercised across several tiles.
+            // The gradient's spelling, `Xᵀ` materialized and sent
+            // through the one GEMM, held to the naive transposed loop:
+            // `rows` (the reduction dimension, an owner shard's
+            // examples) folds in ascending order across up to three
+            // k-tiles.
             let a = dense_matrix(rows, ac, seed);
             let b = dense_matrix(rows, n, seed ^ 0x1234);
-            prop_assert_eq!(a.t_matmul(&b), naive_t_matmul(&a, &b));
+            prop_assert_eq!(a.transpose().matmul(&b), naive_t_matmul(&a, &b));
         }
 
         #[test]

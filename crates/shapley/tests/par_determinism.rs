@@ -692,7 +692,7 @@ fn blocked_gemm_is_schedule_invariant() {
             n,
             (0..k * n).map(|i| ((i as f64) * 0.23).cos()).collect(),
         );
-        assert_schedule_invariant(|| at.t_matmul(&bt));
+        assert_schedule_invariant(|| at.transpose().matmul(&bt));
     }
 }
 
