@@ -15,6 +15,14 @@
 //!
 //! Both pipelines are asserted bit-identical before measuring, so the
 //! speedup is pure engineering, not numerical drift.
+//!
+//! `gemm_train_shape` samples the trainer's two products on their own,
+//! at thread caps 1 and 2, each held to the naive loops first.
+//!
+//! Committed medians live in `BENCH_ml_training.json`; regenerate with
+//! `CRITERION_JSON=out.jsonl cargo bench --bench ml_training`.
+//! `scripts/bench_smoke.sh` gates `logreg_train/opt/650` against
+//! `logreg_train/seed/650` of one run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -20,7 +20,11 @@
 //! blockchain's verification-by-re-execution protocol (paper Sect. III)
 //! only works if every miner computes identical results.
 
-#![forbid(unsafe_code)]
+// `deny` instead of `forbid`: `linalg`'s GEMM kernel is compiled a second
+// time for AVX, and calling that instantiation is one `unsafe` block,
+// reached only after runtime feature detection. It carries the only
+// `#[allow(unsafe_code)]` in this crate, with the safety argument inline.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fixed;

@@ -14,8 +14,8 @@
 //!
 //! Every coalition retraining is re-executed by miners on arbitrary
 //! hardware, so [`Matrix::matmul`] must be **bit-identical for any
-//! thread count** — and it additionally pins itself to the naive
-//! reference loop:
+//! thread count and any CPU** — and it additionally pins itself to the
+//! naive reference loop:
 //!
 //! * Output element `(i, j)` accumulates its products `a[i][k]·b[k][j]`
 //!   **strictly in ascending `k` order**: k-tiles are visited in ascending
@@ -37,7 +37,29 @@
 //!
 //! The property tests in `shapley/tests/par_determinism.rs` pin the
 //! thread-count half of the contract; the proptests at the bottom of this
-//! file pin the naive-reference half.
+//! file pin the naive-reference half, for every instantiation below.
+//!
+//! # Instantiations
+//!
+//! The kernel is one source compiled twice on x86-64: for the baseline
+//! (SSE2) and again with AVX enabled; a product picks the AVX one when
+//! `is_x86_feature_detected!("avx")` says the CPU has it. That is a
+//! platform selection the code observes, not an option — nothing sets it
+//! and nothing can: `vmulpd` / `vaddpd` round each 64-bit lane exactly as
+//! `mulpd` / `addpd` and scalar `mulsd` / `addsd` do (IEEE 754 binary64,
+//! round to nearest even), lanes never interact, and which lanes share a
+//! register decides no element's operation order, so the wider
+//! instantiation cannot change a bit. FMA is never enabled, and the
+//! source has no `mul_add`: a fused multiply-add rounds once where the
+//! naive loop rounds twice, which *would* change bits. Other targets
+//! compile the baseline instantiation only.
+//!
+//! The last column tile of a row may be up to 10 wide (a 10-class
+//! product is one tile, not 8 + 2). The bound is the SSE2 register file:
+//! two rows × 10 columns are ten 2-lane accumulators, plus two lhs
+//! broadcasts, one rhs segment and one product — 14 of 16 registers,
+//! and the disassembly shows no spill; a wider tile would leave none to
+//! spare.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -194,6 +216,7 @@ impl Matrix {
             (self.rows, rhs.cols)
         );
         gemm::gemm_into(
+            gemm::Isa::detect(),
             self.rows,
             self.cols,
             rhs.cols,
@@ -340,20 +363,70 @@ mod gemm {
     /// Micro-kernel width (output columns per register tile).
     const NR: usize = 8;
     /// Widest last tile of a row, so that a 9- or 10-column product (the
-    /// 10-class trainer) is one tile and not 8 plus a sliver. Two rows ×
-    /// 10 columns are ten 2-lane accumulators; with the two lhs
-    /// broadcasts, one rhs load and one product they fit the sixteen
-    /// SSE2 registers. 11 would not.
+    /// 10-class trainer) is one tile and not 8 plus a sliver; bounded by
+    /// the SSE2 register file (module docs, "Instantiations").
     const NR_LAST: usize = 10;
     /// Minimum flops worth shipping to another thread: below this a
-    /// panel stays on the calling thread (scoped-thread spawn costs tens
-    /// of microseconds; determinism does not depend on the threshold).
-    const PAR_MIN_FLOPS: usize = 1 << 18;
+    /// panel stays on the calling thread. A scoped-thread lease measures
+    /// 40–90 µs on the 2-core CI box and the AVX kernel runs ≈ 25 flop/ns,
+    /// so a panel must be worth ≈ 2.5 Mflop to pay for its spawn; with
+    /// this value a 65-column × 10-class product first splits at ≈ 6 500
+    /// rows, where cap 2 reads 0.75–1.05 × cap 1 (at 2¹⁸ the 500-row
+    /// trainer shape split and read 3–4 × cap 1). Determinism does not
+    /// depend on the threshold.
+    const PAR_MIN_FLOPS: usize = 1 << 22;
+
+    /// Which instantiation of [`panel_kernel`] a product runs (module
+    /// docs, "Instantiations"). The field is private to this module and
+    /// only [`Isa::detect`] ever sets it — what the one `unsafe` call in
+    /// [`Isa::panel_kernel`] relies on.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub(super) struct Isa {
+        avx: bool,
+    }
+
+    impl Isa {
+        /// The baseline instantiation, compiled for the target's default
+        /// features (SSE2 on x86-64); the only one off x86-64.
+        pub(super) const PORTABLE: Isa = Isa { avx: false };
+
+        /// The widest instantiation this CPU runs.
+        pub(super) fn detect() -> Isa {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx") {
+                return Isa { avx: true };
+            }
+            Isa::PORTABLE
+        }
+
+        fn panel_kernel(self, a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+            #[cfg(target_arch = "x86_64")]
+            if self.avx {
+                // SAFETY: `avx` is set by `Isa::detect` alone, after
+                // `is_x86_feature_detected!("avx")` held on this CPU;
+                // AVX is the only feature `panel_kernel_avx` enables.
+                #[allow(unsafe_code)]
+                unsafe {
+                    panel_kernel_avx(a, k, b, n, out)
+                };
+                return;
+            }
+            panel_kernel(a, k, b, n, out);
+        }
+    }
 
     /// `out = a(m×k) · b(k×n)`; every output element is fully written
     /// (the first k-tile seeds the accumulators with zero), so stale
     /// buffer contents never leak through.
-    pub(super) fn gemm_into(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+    pub(super) fn gemm_into(
+        isa: Isa,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+    ) {
         if m == 0 || k == 0 || n == 0 {
             // An empty reduction is a sum over zero terms.
             out.fill(0.0);
@@ -362,10 +435,29 @@ mod gemm {
         let min_rows = (PAR_MIN_FLOPS / (2 * k * n)).max(1);
         par::par_fill_rows(out, n, min_rows, |row0, panel| {
             let a_panel = &a[row0 * k..][..panel.len() / n * k];
-            for kt in (0..k).step_by(KC) {
-                block_kernel(a_panel, k, kt, KC.min(k - kt), b, n, panel);
-            }
+            isa.panel_kernel(a_panel, k, b, n, panel);
         });
+    }
+
+    /// [`panel_kernel`] compiled a second time with AVX enabled: the
+    /// same source, 4-lane `vmulpd` / `vaddpd` where the baseline has
+    /// 2-lane `mulpd` / `addpd`. Never `fma`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    fn panel_kernel_avx(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+        panel_kernel(a, k, b, n, out);
+    }
+
+    /// One row panel `out = a(rows×k) · b(k×n)`, its k-tiles in ascending
+    /// order.
+    ///
+    /// Inlined, with everything below it, into each caller: the body is
+    /// compiled once per instantiation, with that caller's features.
+    #[inline(always)]
+    fn panel_kernel(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+        for kt in (0..k).step_by(KC) {
+            block_kernel(a, k, kt, KC.min(k - kt), b, n, out);
+        }
     }
 
     /// One k-tile over a whole row panel:
@@ -375,6 +467,7 @@ mod gemm {
     /// the accumulators are seeded with `0.0` instead of loading the
     /// output, which lets callers skip a zero-fill pass — bit-identical,
     /// since the seed value is exactly what the fill would have stored.
+    #[inline(always)]
     fn block_kernel(
         a: &[f64],
         k: usize,
@@ -669,6 +762,17 @@ mod tests {
         out
     }
 
+    /// `a · b` through every instantiation of the kernel this CPU can
+    /// run: the portable one and what [`gemm::Isa::detect`] picks (the
+    /// AVX one where there is AVX, the portable one again elsewhere).
+    fn matmul_each_isa(a: &Matrix, b: &Matrix) -> [Matrix; 2] {
+        [gemm::Isa::PORTABLE, gemm::Isa::detect()].map(|isa| {
+            let mut out = Matrix::zeros(a.rows, b.cols);
+            gemm::gemm_into(isa, a.rows, a.cols, b.cols, &a.data, &b.data, &mut out.data);
+            out
+        })
+    }
+
     fn dense_matrix(rows: usize, cols: usize, salt: u64) -> Matrix {
         let data: Vec<f64> = (0..rows * cols)
             .map(|i| ((i as u64).wrapping_mul(0x9e37_79b9).wrapping_add(salt) as f64 * 1e-9).sin())
@@ -693,17 +797,21 @@ mod tests {
             ] {
                 let a = dense_matrix(m, k, 11);
                 let b = dense_matrix(k, n, 23);
-                assert_eq!(
-                    a.matmul(&b),
-                    naive_matmul(&a, &b),
-                    "matmul {m}x{k}x{n} must be bit-identical to the naive loop"
-                );
+                let naive = naive_matmul(&a, &b);
                 let at = dense_matrix(k, m, 31);
-                assert_eq!(
-                    at.transpose().matmul(&b),
-                    naive_t_matmul(&at, &b),
-                    "{k}x{m}ᵀx{n} must be bit-identical to the naive transposed loop"
-                );
+                let naive_t = naive_t_matmul(&at, &b);
+                for out in matmul_each_isa(&a, &b) {
+                    assert_eq!(
+                        out, naive,
+                        "matmul {m}x{k}x{n} must be bit-identical to the naive loop"
+                    );
+                }
+                for out in matmul_each_isa(&at.transpose(), &b) {
+                    assert_eq!(
+                        out, naive_t,
+                        "{k}x{m}ᵀx{n} must be bit-identical to the naive transposed loop"
+                    );
+                }
             }
         }
     }
@@ -813,7 +921,10 @@ mod tests {
             // full tiles.
             let a = dense_matrix(m, k, seed);
             let b = dense_matrix(k, n, seed ^ 0xabcd);
-            prop_assert_eq!(a.matmul(&b), naive_matmul(&a, &b));
+            let naive = naive_matmul(&a, &b);
+            for out in matmul_each_isa(&a, &b) {
+                prop_assert_eq!(&out, &naive);
+            }
         }
 
         #[test]
@@ -830,7 +941,10 @@ mod tests {
             // k-tiles.
             let a = dense_matrix(rows, ac, seed);
             let b = dense_matrix(rows, n, seed ^ 0x1234);
-            prop_assert_eq!(a.transpose().matmul(&b), naive_t_matmul(&a, &b));
+            let naive = naive_t_matmul(&a, &b);
+            for out in matmul_each_isa(&a.transpose(), &b) {
+                prop_assert_eq!(&out, &naive);
+            }
         }
 
         #[test]

@@ -666,11 +666,18 @@ fn warm_pair_cache_round_digest_matches_cold() {
 
 #[test]
 fn blocked_gemm_is_schedule_invariant() {
-    // The training engine's GEMM kernels fan out over output row panels;
+    // The training engine's GEMM kernel fans out over output row panels;
     // panel boundaries move with the thread count, bits must not. Shapes
-    // straddle the k-tile (KC = 256) and the micro-tile tails.
+    // straddle the k-tile (KC = 256) and the micro-tile tails; the last
+    // one is large enough (13 Mflop) that the kernel does split it, three
+    // ways from cap 3 up, with an odd row count so panels cut mid-pair.
     use numeric::Matrix;
-    for (m, k, n) in [(5usize, 64usize, 10usize), (33, 300, 13), (2, 257, 8)] {
+    for (m, k, n) in [
+        (5usize, 64usize, 10usize),
+        (33, 300, 13),
+        (2, 257, 8),
+        (10_001, 65, 10),
+    ] {
         let a = Matrix::from_vec(
             m,
             k,
