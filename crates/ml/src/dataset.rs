@@ -267,14 +267,14 @@ impl SyntheticDigits {
             })
             .collect();
 
-        let mut data = Vec::with_capacity(self.instances * self.features);
-        let mut labels = Vec::with_capacity(self.instances);
-        for i in 0..self.instances {
-            let class = i % self.classes;
-            labels.push(class);
-            for &centre in &centroids[class] {
-                let v = centre + rng.next_gaussian_with(0.0, self.within_class_std);
-                data.push(v.clamp(lo, hi));
+        // One batched Box–Muller fill, row-major, then centre and clip in
+        // place: the draws a per-feature `next_gaussian_with` loop makes.
+        let mut data = vec![0.0; self.instances * self.features];
+        rng.fill_gaussian(&mut data);
+        let labels: Vec<usize> = (0..self.instances).map(|i| i % self.classes).collect();
+        for (row, &class) in data.chunks_exact_mut(self.features).zip(&labels) {
+            for (v, &centre) in row.iter_mut().zip(&centroids[class]) {
+                *v = (centre + self.within_class_std * *v).clamp(lo, hi);
             }
         }
 
@@ -307,6 +307,51 @@ mod tests {
         let cfg = SyntheticDigits::small();
         assert_eq!(cfg.generate(1), cfg.generate(1));
         assert_ne!(cfg.generate(1), cfg.generate(2));
+    }
+
+    #[test]
+    fn generation_equals_the_spelled_out_per_element_loop_at_every_cap() {
+        // The generator as a loop over `next_gaussian_with`, one draw per
+        // feature in row-major order, rows shuffled afterwards.
+        let cfg = SyntheticDigits {
+            instances: 321,
+            features: 7,
+            classes: 3,
+            ..SyntheticDigits::default()
+        };
+        let seed = 17;
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let centroids: Vec<Vec<f64>> = (0..cfg.classes)
+            .map(|_| {
+                (0..cfg.features)
+                    .map(|_| 8.0 + cfg.centroid_spread * (rng.next_f64() - 0.5) * 2.0)
+                    .collect()
+            })
+            .collect();
+        let mut rows = Vec::new();
+        for i in 0..cfg.instances {
+            let class = i % cfg.classes;
+            let row: Vec<f64> = centroids[class]
+                .iter()
+                .map(|c| (c + rng.next_gaussian_with(0.0, cfg.within_class_std)).clamp(0.0, 16.0))
+                .collect();
+            rows.push((row, class));
+        }
+        let mut order: Vec<usize> = (0..cfg.instances).collect();
+        rng.shuffle(&mut order);
+
+        for cap in [1usize, 2, 3, 8] {
+            numeric::par::set_max_threads(cap);
+            let ds = cfg.generate(seed);
+            assert_eq!(ds.len(), cfg.instances);
+            for (r, &from) in order.iter().enumerate() {
+                let (row, class) = &rows[from];
+                assert_eq!(ds.labels[r], *class, "cap {cap} row {r}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(ds.features.row(r)), bits(row), "cap {cap} row {r}");
+            }
+        }
+        numeric::par::set_max_threads(0);
     }
 
     #[test]

@@ -19,12 +19,14 @@
 //! place, and the gradient `Xᵀ · (P − Y)` through the same
 //! [`Matrix::matmul_into`]. That kernel keeps the `numeric::linalg`
 //! determinism contract — the gradient folds the examples in ascending
-//! order from a `0.0` seed — so trained weights are bit-identical for
-//! any thread count, and bit-identical to the original unfused loop,
-//! whose operation order the fused pass preserves exactly.
+//! order from a `0.0` seed — and the softmax's `exp` is
+//! [`numeric::math`]'s, the same bits in every lane on every platform,
+//! so trained weights are bit-identical for any thread count and any
+//! host, and bit-identical to the original unfused loop spelled over
+//! that `exp`, whose operation order the fused pass preserves exactly.
 
 use numeric::stats::argmax;
-use numeric::Matrix;
+use numeric::{math, Matrix};
 
 use crate::dataset::{Dataset, DatasetView};
 
@@ -333,7 +335,7 @@ impl LogisticModel {
             .labels
             .iter()
             .enumerate()
-            .map(|(i, &l)| -(proba[(i, l)].max(eps)).ln())
+            .map(|(i, &l)| -math::ln(proba[(i, l)].max(eps)))
             .sum();
         total / data.len() as f64
     }
@@ -367,18 +369,28 @@ pub(crate) fn argmax_rows(scores: &Matrix) -> Vec<usize> {
         .collect()
 }
 
-/// Row-wise numerically-stable softmax, in place, no temporaries.
+/// Row-wise numerically-stable softmax, in place, no temporaries, as
+/// three passes over the whole block: subtract each row's maximum, one
+/// [`math::exp_slice`] over all rows × classes, then divide each row by
+/// its sum.
 ///
-/// Operation order per element matches the original out-of-place
-/// version — `(v − max).exp()`, then a division by the row sum — so the
-/// probabilities are bit-identical to the unfused pipeline.
+/// Operation order per element matches the unfused pipeline — `exp` of
+/// `v − max` through [`math::exp`], a row sum folded in ascending column
+/// order, one division — so the probabilities are bit-identical to that
+/// pipeline spelled out per element.
 fn softmax_rows_in_place(logits: &mut Matrix) {
     for r in 0..logits.rows() {
         let row = logits.row_mut(r);
         let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
+            *v -= max;
+        }
+    }
+    math::exp_slice(logits.as_mut_slice());
+    for r in 0..logits.rows() {
+        let row = logits.row_mut(r);
+        let mut sum = 0.0;
+        for v in row.iter() {
             sum += *v;
         }
         for v in row.iter_mut() {
@@ -640,6 +652,22 @@ mod tests {
             out
         }
 
+        // The softmax residual per row over the scalar `exp`: subtract
+        // the row maximum, exponentiate, fold the sum in column order,
+        // divide, subtract the one-hot label.
+        fn naive_softmax_residual(logits: &mut Matrix, labels: &[usize]) {
+            for (r, &label) in labels.iter().enumerate() {
+                let row = logits.row_mut(r);
+                let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let exp: Vec<f64> = row.iter().map(|&v| math::exp(v - max)).collect();
+                let sum: f64 = exp.iter().fold(0.0, |acc, e| acc + e);
+                for (v, e) in row.iter_mut().zip(&exp) {
+                    *v = e / sum;
+                }
+                row[label] -= 1.0;
+            }
+        }
+
         // 600 examples: the gradient's reduction crosses two k-tile cuts.
         let ds = SyntheticDigits::small().generate(13);
         let design = Design::new(&ds);
@@ -650,7 +678,7 @@ mod tests {
         let mut weights = Matrix::zeros(ds.num_features() + 1, ds.num_classes);
         for _ in 0..config.epochs {
             let mut residual = naive_matmul(&design.x, &weights);
-            softmax_residual_in_place(&mut residual, &design.labels);
+            naive_softmax_residual(&mut residual, &design.labels);
             let mut grad = naive_t_matmul(&design.x, &residual);
             grad.scale(1.0 / design.len() as f64);
             grad.axpy(config.l2, &weights);

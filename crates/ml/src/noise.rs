@@ -18,8 +18,14 @@ pub fn add_gaussian_noise(dataset: &mut Dataset, std_dev: f64, rng: &mut Xoshiro
     if std_dev == 0.0 {
         return;
     }
-    for v in dataset.features.as_mut_slice() {
-        *v += rng.next_gaussian_with(0.0, std_dev);
+    // A block of samples at a time: batched draws, nothing on the heap.
+    let mut noise = [0.0; 256];
+    for block in dataset.features.as_mut_slice().chunks_mut(noise.len()) {
+        let noise = &mut noise[..block.len()];
+        rng.fill_gaussian(noise);
+        for (v, &g) in block.iter_mut().zip(&*noise) {
+            *v += std_dev * g;
+        }
     }
 }
 
@@ -102,6 +108,31 @@ mod tests {
         let mut c = shards(3);
         apply_quality_schedule(&mut c, 1.5, 12);
         assert_ne!(a[1], c[1]);
+    }
+
+    #[test]
+    fn schedule_equals_the_spelled_out_per_element_loop_at_every_cap() {
+        let clean = shards(4);
+        let (sigma, seed) = (0.75, 5);
+        let mut expected = clean.clone();
+        for (i, shard) in expected.iter_mut().enumerate().skip(1) {
+            let mut rng = Xoshiro256::seed_from_u64(seed ^ (0x9e37_79b9 + i as u64));
+            for v in shard.features.as_mut_slice() {
+                *v += rng.next_gaussian_with(0.0, sigma * i as f64);
+            }
+        }
+        for cap in [1usize, 2, 3, 8] {
+            numeric::par::set_max_threads(cap);
+            let mut noisy = clean.clone();
+            apply_quality_schedule(&mut noisy, sigma, seed);
+            for (got, want) in noisy.iter().zip(&expected) {
+                let bits = |d: &Dataset| -> Vec<u64> {
+                    d.features.as_slice().iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(got), bits(want), "cap {cap}");
+            }
+        }
+        numeric::par::set_max_threads(0);
     }
 
     #[test]

@@ -7,8 +7,16 @@
 //! break the golden values in the experiment suite; the ML layer therefore
 //! owns its generator.
 //!
+//! "On any platform" covers the Gaussian samples too, and only because
+//! Box–Muller's `ln` and `cos` are [`numeric::math`]'s: integer draws and
+//! the `[0, 1)` conversion were always exact, but while the two
+//! transcendental calls were the host libm's, a data set was pinned to
+//! that libm's last-place rounding, not to this file.
+//!
 //! This generator is for *simulation randomness* (data, shuffles, noise).
 //! Cryptographic masks use `fl-crypto`'s ChaCha20 instead.
+
+use numeric::math;
 
 /// xoshiro256** pseudorandom generator.
 #[derive(Debug, Clone)]
@@ -66,12 +74,41 @@ impl Xoshiro256 {
         }
     }
 
-    /// Standard normal sample via Box–Muller.
-    pub fn next_gaussian(&mut self) -> f64 {
-        // Avoid ln(0) by nudging u1 away from zero.
+    /// The two uniforms one Box–Muller sample consumes, `u1 ∈ (0, 1)`
+    /// first (nudged away from zero, where `ln` has its pole), then
+    /// `u2 ∈ [0, 1)`.
+    fn box_muller_uniforms(&mut self) -> (f64, f64) {
         let u1 = self.next_f64().max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        (u1, self.next_f64())
+    }
+
+    /// Fills `out` with standard normal samples via Box–Muller.
+    ///
+    /// Element `i` consumes its two uniforms in element order — the
+    /// stream [`Xoshiro256::next_gaussian`] called `out.len()` times
+    /// consumes, and the same samples bit for bit. The uniforms are drawn
+    /// a block at a time into two stack buffers and each block goes
+    /// through one [`numeric::math::box_muller`] pass.
+    pub fn fill_gaussian(&mut self, out: &mut [f64]) {
+        const BLOCK: usize = 256;
+        let mut u1 = [0.0; BLOCK];
+        let mut u2 = [0.0; BLOCK];
+        for block in out.chunks_mut(BLOCK) {
+            let (u1, u2) = (&mut u1[..block.len()], &mut u2[..block.len()]);
+            for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
+                (*a, *b) = self.box_muller_uniforms();
+            }
+            math::box_muller(u1, u2, block);
+        }
+    }
+
+    /// Standard normal sample via Box–Muller: the pass
+    /// [`Xoshiro256::fill_gaussian`] runs, over one element.
+    pub fn next_gaussian(&mut self) -> f64 {
+        let (u1, u2) = self.box_muller_uniforms();
+        let mut sample = [0.0];
+        math::box_muller(&[u1], &[u2], &mut sample);
+        sample[0]
     }
 
     /// Normal sample with the given mean and standard deviation.
@@ -153,6 +190,39 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean} too far from 0");
         assert!((var - 1.0).abs() < 0.1, "variance {var} too far from 1");
+    }
+
+    #[test]
+    fn fill_gaussian_equals_repeated_next_gaussian_and_leaves_the_same_state() {
+        // Lengths on both sides of the 256-sample block and its vector
+        // tails, at every thread cap (no draw may depend on it).
+        for cap in [1usize, 2, 3, 8] {
+            numeric::par::set_max_threads(cap);
+            for len in 0..=600 {
+                let mut batch = Xoshiro256::seed_from_u64(len as u64);
+                let mut single = batch.clone();
+                let mut filled = vec![0.0; len];
+                batch.fill_gaussian(&mut filled);
+                for (i, g) in filled.iter().enumerate() {
+                    let want = single.next_gaussian();
+                    assert_eq!(g.to_bits(), want.to_bits(), "cap {cap} len {len} [{i}]");
+                }
+                assert_eq!(batch.s, single.s, "cap {cap} len {len}: generator state");
+            }
+        }
+        numeric::par::set_max_threads(0);
+    }
+
+    #[test]
+    fn next_gaussian_is_box_muller_over_the_owned_functions() {
+        let mut r = Xoshiro256::seed_from_u64(21);
+        let mut uniforms = r.clone();
+        for _ in 0..1000 {
+            let u1 = uniforms.next_f64().max(f64::MIN_POSITIVE);
+            let u2 = uniforms.next_f64();
+            let want = (-2.0 * math::ln(u1)).sqrt() * math::cos_2pi(u2);
+            assert_eq!(r.next_gaussian().to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Numeric foundations for the transparent-fl workspace.
 //!
-//! This crate provides the three numeric substrates the paper's system is
+//! This crate provides the six numeric substrates the paper's system is
 //! built on:
 //!
 //! * [`uint`] — fixed-width unsigned big integers with modular arithmetic,
@@ -11,24 +11,34 @@
 //!   encoding cannot guarantee.
 //! * [`linalg`] — dense row-major matrices and vector kernels backing the
 //!   logistic-regression trainer in `fl-ml`.
+//! * [`math`] — `exp`, `ln` and `cos 2πu` in IEEE-exact operations only,
+//!   scalar and as slice passes: the softmax and Box–Muller of `fl-ml`
+//!   compute the same bits on every host instead of the host libm's.
 //! * [`stats`] — the statistical helpers the evaluation needs (cosine
 //!   similarity for Fig. 2, summaries for the reports).
 //! * [`par`] — deterministic fork-join parallelism over index ranges; the
 //!   execution layer behind the SV and secure-aggregation hot paths.
 //!
+//! A crate-private `isa` module picks, per call, which instantiation of
+//! a lane-compiled kernel runs (`linalg`'s GEMM panel, `math`'s slice
+//! passes): the baseline one or, where the CPU has it, the same source
+//! compiled with AVX.
+//!
 //! Everything here is deterministic and dependency-free by design: the
 //! blockchain's verification-by-re-execution protocol (paper Sect. III)
 //! only works if every miner computes identical results.
 
-// `deny` instead of `forbid`: `linalg`'s GEMM kernel is compiled a second
-// time for AVX, and calling that instantiation is one `unsafe` block,
-// reached only after runtime feature detection. It carries the only
-// `#[allow(unsafe_code)]` in this crate, with the safety argument inline.
+// `deny` instead of `forbid`: calling a kernel's AVX instantiation is one
+// `unsafe` block, in `isa`, reached only after runtime feature detection.
+// It carries the only `#[allow(unsafe_code)]` in this crate, with the
+// safety argument inline.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fixed;
+mod isa;
 pub mod linalg;
+pub mod math;
 pub mod par;
 pub mod stats;
 pub mod uint;

@@ -41,18 +41,12 @@
 //!
 //! # Instantiations
 //!
-//! The kernel is one source compiled twice on x86-64: for the baseline
-//! (SSE2) and again with AVX enabled; a product picks the AVX one when
-//! `is_x86_feature_detected!("avx")` says the CPU has it. That is a
-//! platform selection the code observes, not an option — nothing sets it
-//! and nothing can: `vmulpd` / `vaddpd` round each 64-bit lane exactly as
-//! `mulpd` / `addpd` and scalar `mulsd` / `addsd` do (IEEE 754 binary64,
-//! round to nearest even), lanes never interact, and which lanes share a
-//! register decides no element's operation order, so the wider
-//! instantiation cannot change a bit. FMA is never enabled, and the
-//! source has no `mul_add`: a fused multiply-add rounds once where the
-//! naive loop rounds twice, which *would* change bits. Other targets
-//! compile the baseline instantiation only.
+//! The kernel is one source compiled twice on x86-64 — for the baseline
+//! (SSE2) and again with AVX enabled, never FMA — and a product runs the
+//! AVX instantiation where the CPU has it. That is a platform selection
+//! the code observes, not an option: the crate-private `isa` module
+//! holds the dispatch, shared with [`crate::math`]'s slice passes, and
+//! the argument why wider lanes cannot change a bit.
 //!
 //! The last column tile of a row may be up to 10 wide (a 10-class
 //! product is one tile, not 8 + 2). The bound is the SSE2 register file:
@@ -63,6 +57,8 @@
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
+
+use crate::isa::Isa;
 
 /// A dense, row-major `f64` matrix.
 #[derive(Clone, PartialEq)]
@@ -216,7 +212,7 @@ impl Matrix {
             (self.rows, rhs.cols)
         );
         gemm::gemm_into(
-            gemm::Isa::detect(),
+            Isa::detect(),
             self.rows,
             self.cols,
             rhs.cols,
@@ -355,6 +351,7 @@ fn checked_len(rows: usize, cols: usize) -> usize {
 ///   reused for both rows, and the accumulators live in registers
 ///   across the whole k-tile.
 mod gemm {
+    use crate::isa::{Isa, Kernel};
     use crate::par;
 
     /// Reduction-tile length: a `KC × NR` rhs slab (16 KiB) stays
@@ -376,42 +373,20 @@ mod gemm {
     /// depend on the threshold.
     const PAR_MIN_FLOPS: usize = 1 << 22;
 
-    /// Which instantiation of [`panel_kernel`] a product runs (module
-    /// docs, "Instantiations"). The field is private to this module and
-    /// only [`Isa::detect`] ever sets it — what the one `unsafe` call in
-    /// [`Isa::panel_kernel`] relies on.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    pub(super) struct Isa {
-        avx: bool,
+    /// One row panel of a product, as the [`Kernel`] [`Isa::run`]
+    /// instantiates.
+    struct Panel<'a> {
+        a: &'a [f64],
+        k: usize,
+        b: &'a [f64],
+        n: usize,
+        out: &'a mut [f64],
     }
 
-    impl Isa {
-        /// The baseline instantiation, compiled for the target's default
-        /// features (SSE2 on x86-64); the only one off x86-64.
-        pub(super) const PORTABLE: Isa = Isa { avx: false };
-
-        /// The widest instantiation this CPU runs.
-        pub(super) fn detect() -> Isa {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx") {
-                return Isa { avx: true };
-            }
-            Isa::PORTABLE
-        }
-
-        fn panel_kernel(self, a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-            #[cfg(target_arch = "x86_64")]
-            if self.avx {
-                // SAFETY: `avx` is set by `Isa::detect` alone, after
-                // `is_x86_feature_detected!("avx")` held on this CPU;
-                // AVX is the only feature `panel_kernel_avx` enables.
-                #[allow(unsafe_code)]
-                unsafe {
-                    panel_kernel_avx(a, k, b, n, out)
-                };
-                return;
-            }
-            panel_kernel(a, k, b, n, out);
+    impl Kernel for Panel<'_> {
+        #[inline(always)]
+        fn run(self) {
+            panel_kernel(self.a, self.k, self.b, self.n, self.out);
         }
     }
 
@@ -434,25 +409,22 @@ mod gemm {
         }
         let min_rows = (PAR_MIN_FLOPS / (2 * k * n)).max(1);
         par::par_fill_rows(out, n, min_rows, |row0, panel| {
-            let a_panel = &a[row0 * k..][..panel.len() / n * k];
-            isa.panel_kernel(a_panel, k, b, n, panel);
+            let a = &a[row0 * k..][..panel.len() / n * k];
+            isa.run(Panel {
+                a,
+                k,
+                b,
+                n,
+                out: panel,
+            });
         });
-    }
-
-    /// [`panel_kernel`] compiled a second time with AVX enabled: the
-    /// same source, 4-lane `vmulpd` / `vaddpd` where the baseline has
-    /// 2-lane `mulpd` / `addpd`. Never `fma`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    fn panel_kernel_avx(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-        panel_kernel(a, k, b, n, out);
     }
 
     /// One row panel `out = a(rows×k) · b(k×n)`, its k-tiles in ascending
     /// order.
     ///
-    /// Inlined, with everything below it, into each caller: the body is
-    /// compiled once per instantiation, with that caller's features.
+    /// Inlined, with everything below it, into [`Panel::run`]: the body
+    /// is compiled once per instantiation (see [`crate::isa`]).
     #[inline(always)]
     fn panel_kernel(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
         for kt in (0..k).step_by(KC) {
@@ -763,10 +735,10 @@ mod tests {
     }
 
     /// `a · b` through every instantiation of the kernel this CPU can
-    /// run: the portable one and what [`gemm::Isa::detect`] picks (the
+    /// run: the portable one and what [`Isa::detect`] picks (the
     /// AVX one where there is AVX, the portable one again elsewhere).
     fn matmul_each_isa(a: &Matrix, b: &Matrix) -> [Matrix; 2] {
-        [gemm::Isa::PORTABLE, gemm::Isa::detect()].map(|isa| {
+        [Isa::PORTABLE, Isa::detect()].map(|isa| {
             let mut out = Matrix::zeros(a.rows, b.cols);
             gemm::gemm_into(isa, a.rows, a.cols, b.cols, &a.data, &b.data, &mut out.data);
             out
