@@ -14,15 +14,35 @@
 //!   prepared-design path of `RetrainUtility`.
 //!
 //! Both pipelines are asserted bit-identical before measuring, so the
-//! speedup is pure engineering, not numerical drift.
+//! speedup is pure engineering, not numerical drift. The seed softmax
+//! calls the scalar `numeric::math::exp` per element in its naive
+//! layout: the transcendental functions are the repository's, one
+//! implementation, so the oracle differs from the library in layout
+//! only.
 //!
 //! `gemm_train_shape` samples the trainer's two products on their own,
 //! at thread caps 1 and 2, each held to the naive loops first.
 //!
+//! Two groups measure `numeric::math`'s slice passes against the host
+//! libm loops they replaced, kept below as `libm_softmax_rows` and
+//! `seed_gaussian`:
+//!
+//! * `softmax_rows` — the trainer's softmax over a logits block at the
+//!   Table I shard shape and at the two small shapes of `stream_churn`
+//!   (the block passes must not read slower than the per-row loop there
+//!   either). `opt` is asserted bit-identical to `seed_softmax_rows`.
+//! * `gaussian_fill` — one data set's worth of Box–Muller samples
+//!   (5 620 × 64): `Xoshiro256::fill_gaussian` against a per-sample loop
+//!   over libm's `ln` and `cos`. The two agree to the rounding of libm's
+//!   argument `2π·u₂`, which is asserted; they cannot agree to the ulp
+//!   everywhere, because `cos_2pi` reduces `u₂` exactly and libm sees
+//!   `fl(2π·u₂)`.
+//!
 //! Committed medians live in `BENCH_ml_training.json`; regenerate with
 //! `CRITERION_JSON=out.jsonl cargo bench --bench ml_training`.
 //! `scripts/bench_smoke.sh` gates `logreg_train/opt/650` against
-//! `logreg_train/seed/650` of one run.
+//! `logreg_train/seed/650` and `gaussian_fill/opt` against
+//! `gaussian_fill/seed`, each inside one run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -31,11 +51,11 @@ use fedchain::config::FlConfig;
 use fedchain::ground_truth::RetrainUtility;
 use fedchain::world::World;
 use fl_ml::dataset::{Dataset, SyntheticDigits};
-use fl_ml::logreg::{train_model, Design, LogisticModel, TrainConfig};
+use fl_ml::logreg::{softmax_rows_in_place, train_model, Design, LogisticModel, TrainConfig};
 use fl_ml::metrics::model_accuracy_design;
-use numeric::par;
+use fl_ml::rng::Xoshiro256;
 use numeric::stats::argmax;
-use numeric::Matrix;
+use numeric::{math, par, Matrix};
 use shapley::coalition::Coalition;
 use shapley::utility::CoalitionUtility;
 
@@ -98,7 +118,7 @@ fn seed_softmax_rows(logits: &Matrix) -> Matrix {
     for r in 0..logits.rows() {
         let row = logits.row(r);
         let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exp: Vec<f64> = row.iter().map(|&v| (v - max).exp()).collect();
+        let exp: Vec<f64> = row.iter().map(|&v| math::exp(v - max)).collect();
         let sum: f64 = exp.iter().sum();
         let out_row = out.row_mut(r);
         for (o, e) in out_row.iter_mut().zip(&exp) {
@@ -106,6 +126,31 @@ fn seed_softmax_rows(logits: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// The softmax pass as it stood while `exp` was the host libm's: per
+/// row, `exp` and the running sum interleaved, then the division.
+fn libm_softmax_rows(logits: &mut Matrix) {
+    for r in 0..logits.rows() {
+        let row = logits.row_mut(r);
+        let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut sum = 0.0;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
+}
+
+/// Box–Muller as it stood while `ln` and `cos` were the host libm's, one
+/// sample per call.
+fn seed_gaussian(rng: &mut Xoshiro256) -> f64 {
+    let u1 = rng.next_f64().max(f64::MIN_POSITIVE);
+    let u2 = rng.next_f64();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// The seed trainer: full-batch GD with the naive kernels, returning the
@@ -304,9 +349,104 @@ fn bench_gemm_train_shape(c: &mut Criterion) {
     group.finish();
 }
 
+/// The softmax pass alone over a logits block: the Table I shard shape
+/// (500 × 10) and the two shapes `stream_churn`'s owners train on
+/// (30 × 4, 2 × 4), where a per-call dispatch and three passes must not
+/// cost more than the per-row libm loop did.
+fn bench_softmax_rows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("softmax_rows");
+    for (rows, classes) in [(500usize, 10usize), (30, 4), (2, 4)] {
+        let data = (0..rows * classes)
+            .map(|i| 9.0 * (i as f64 * 0.37).sin())
+            .collect();
+        let logits = Matrix::from_vec(rows, classes, data);
+        let mut opt = logits.clone();
+        softmax_rows_in_place(&mut opt);
+        assert_eq!(
+            opt,
+            seed_softmax_rows(&logits),
+            "block softmax diverged from the per-element pipeline at {rows}x{classes}"
+        );
+        let mut libm = logits.clone();
+        libm_softmax_rows(&mut libm);
+        for (o, l) in opt.as_slice().iter().zip(libm.as_slice()) {
+            assert!(
+                (o - l).abs() <= 4.0 * f64::EPSILON,
+                "softmax left libm's: {o} vs {l}"
+            );
+        }
+        let shape = format!("{rows}x{classes}");
+        let mut buffer = logits.clone();
+        group.bench_function(BenchmarkId::new("libm", &shape), |b| {
+            b.iter(|| {
+                buffer.as_mut_slice().copy_from_slice(logits.as_slice());
+                libm_softmax_rows(black_box(&mut buffer));
+            })
+        });
+        group.bench_function(BenchmarkId::new("opt", &shape), |b| {
+            b.iter(|| {
+                buffer.as_mut_slice().copy_from_slice(logits.as_slice());
+                softmax_rows_in_place(black_box(&mut buffer));
+            })
+        });
+    }
+    group.finish();
+}
+
+/// One Table I data set's worth of standard normal samples (5 620 × 64):
+/// the batched fill against the per-sample libm loop it replaced.
+fn bench_gaussian_fill(c: &mut Criterion) {
+    const SAMPLES: usize = 5620 * 64;
+    let mut filled = vec![0.0; SAMPLES];
+    let mut opt_rng = Xoshiro256::seed_from_u64(1);
+    opt_rng.fill_gaussian(&mut filled);
+    // Same uniforms, so sample for sample the two differ by what libm's
+    // cosine inherits from rounding its argument 2π·u₂ — at most
+    // 2π·1.5·2⁻⁵³ of a radian, times a radius ≤ 8.6, under 2⁻⁴⁶ (2⁻⁴⁸·⁵
+    // measured) — plus last places: half the samples agree to the last
+    // place or two, the rest sit where the cosine is small.
+    let mut seed_rng = Xoshiro256::seed_from_u64(1);
+    let mut to_the_last_place = 0usize;
+    for &own in &filled {
+        let seed = seed_gaussian(&mut seed_rng);
+        let apart = (own - seed).abs();
+        assert!(
+            apart <= 2f64.powi(-46),
+            "batched Gaussian left the libm expression: {own} vs {seed}"
+        );
+        to_the_last_place += usize::from(apart <= f64::EPSILON * seed.abs());
+    }
+    assert!(
+        to_the_last_place * 2 >= SAMPLES,
+        "only {to_the_last_place} of {SAMPLES} samples agree with the libm expression to the last place"
+    );
+    assert_eq!(
+        opt_rng.next_u64(),
+        seed_rng.next_u64(),
+        "the two fills consumed different streams"
+    );
+
+    let mut group = c.benchmark_group("gaussian_fill");
+    group.sample_size(10);
+    group.bench_function("seed", |b| {
+        b.iter(|| {
+            let mut rng = Xoshiro256::seed_from_u64(black_box(1));
+            for v in filled.iter_mut() {
+                *v = seed_gaussian(&mut rng);
+            }
+        })
+    });
+    group.bench_function("opt", |b| {
+        b.iter(|| Xoshiro256::seed_from_u64(black_box(1)).fill_gaussian(&mut filled))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gemm_train_shape,
+    bench_softmax_rows,
+    bench_gaussian_fill,
     bench_logreg_train,
     bench_coalition_retrain,
     bench_utility_evaluation

@@ -378,7 +378,7 @@ pub(crate) fn argmax_rows(scores: &Matrix) -> Vec<usize> {
 /// `v − max` through [`math::exp`], a row sum folded in ascending column
 /// order, one division — so the probabilities are bit-identical to that
 /// pipeline spelled out per element.
-fn softmax_rows_in_place(logits: &mut Matrix) {
+pub fn softmax_rows_in_place(logits: &mut Matrix) {
     for r in 0..logits.rows() {
         let row = logits.row_mut(r);
         let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

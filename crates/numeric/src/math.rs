@@ -122,6 +122,13 @@ fn exp_lane(x: f64) -> f64 {
     y * f64::from_bits(t1.to_bits() << 52) * f64::from_bits(t2.to_bits() << 52)
 }
 
+/// Elements per block of [`exp_slice`]: two 4-lane AVX vectors, four
+/// 2-lane baseline ones. The pass walks whole blocks and runs what is
+/// left through one more block, padded on the stack, so that every
+/// element goes through the vector code — a 2 × 4 logits matrix is one
+/// block, not eight scalar calls.
+const BLOCK: usize = 8;
+
 /// `eˣ` over a slice, in place; every element equals [`exp`] bit for bit.
 pub fn exp_slice(xs: &mut [f64]) {
     exp_slice_on(Isa::detect(), xs);
@@ -132,8 +139,19 @@ fn exp_slice_on(isa: Isa, xs: &mut [f64]) {
     impl Kernel for ExpSlice<'_> {
         #[inline(always)]
         fn run(self) {
-            for x in self.0 {
-                *x = exp_lane(*x);
+            let (blocks, tail) = self.0.as_chunks_mut::<BLOCK>();
+            for block in blocks {
+                for x in block {
+                    *x = exp_lane(*x);
+                }
+            }
+            if !tail.is_empty() {
+                let mut padded = [0.0; BLOCK];
+                padded[..tail.len()].copy_from_slice(tail);
+                for x in &mut padded {
+                    *x = exp_lane(*x);
+                }
+                tail.copy_from_slice(&padded[..tail.len()]);
             }
         }
     }

@@ -7,7 +7,7 @@
 # so the loop is an equivalence gate, not a timing one. Stops at the
 # first bench that fails.
 #
-# Three timing gates follow it, each a ratio inside one run because
+# Four timing gates follow it, each a ratio inside one run because
 # absolute ns drift ±15 % on the CI box. A 4-cohort pipelined chain at
 # thread cap 2 may not cost more than 1.75 × the sequential chain at cap
 # 1 (≈ 1.0 with the numeric::par thread budget; ≈ 2.3 – 2.5 when every
@@ -16,10 +16,14 @@
 # kernel, may not cost more than 0.75 × the same game asked one
 # coalition at a time (≈ 0.5; 1.0 is a kernel that stopped sharing
 # member-prefix sums). And one dim-650 local training through the
-# library, at thread cap 1, may not cost more than 0.27 × the retained
-# naive pipeline (≈ 0.17 – 0.19 where the GEMM kernel's AVX instantiation
-# runs, ≈ 0.24 on its SSE2 baseline alone; 0.25 – 0.29 was the trainer
-# that re-packed Xᵀ every epoch and split ten columns 8 + 2).
+# library, at thread cap 1, may not cost more than 0.20 × the retained
+# naive pipeline (measured 0.127 and 0.136 in two 9-sample runs where the
+# AVX instantiations run, 0.176 on the SSE2 baseline alone; 0.17 – 0.19
+# and 0.24 were the same two while the softmax called libm's exp per
+# element). And one data set's worth of Gaussian samples through
+# Xoshiro256::fill_gaussian may not cost more than 0.5 × the per-sample
+# loop over libm's ln and cos (0.24 – 0.33 with AVX; the SSE2 baseline
+# alone reads 0.49, so a host without AVX sits on this limit).
 #
 # usage: scripts/bench_smoke.sh [artefact.jsonl]
 set -euo pipefail
@@ -82,4 +86,7 @@ cargo bench --bench sv_runtime -- coalition_walk/
 gate "$ratio_out" coalition_walk/batch/table1_sv coalition_walk/single/table1_sv 0.75
 
 FL_PAR_THREADS=1 cargo bench --bench ml_training -- logreg_train/
-gate "$ratio_out" logreg_train/opt/650 logreg_train/seed/650 0.27
+gate "$ratio_out" logreg_train/opt/650 logreg_train/seed/650 0.20
+
+FL_PAR_THREADS=1 cargo bench --bench ml_training -- gaussian_fill/
+gate "$ratio_out" gaussian_fill/opt gaussian_fill/seed 0.5
