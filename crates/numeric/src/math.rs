@@ -24,8 +24,8 @@
 //!   as two exact power-of-two factors, so results round once, subnormal
 //!   ones included. [`ln`] splits `x = 2^k·m`, `m ∈ [√½, √2)`, by integer
 //!   arithmetic on the bits (subnormals scaled up by `2⁵⁴` first) and
-//!   evaluates fdlibm's degree-14 odd series in `s = f / (2 + f)`,
-//!   `f = m − 1`, even and odd halves separately. [`cos_2pi`] takes
+//!   evaluates fdlibm's degree-7 polynomial in `s²`, `s = f / (2 + f)`,
+//!   `f = m − 1`, even and odd powers separately. [`cos_2pi`] takes
 //!   `q = round(4u)` and `r = u − q/4` — exact, so there is no large-
 //!   argument path to get wrong — evaluates fdlibm's sine and cosine
 //!   kernels on `a = 2π·r ∈ [−π/4, π/4]`, and picks one and its sign from
@@ -40,13 +40,13 @@
 //! * **No data-dependent branch.** Range ends (`exp` overflow and
 //!   underflow, `ln` of zero, negatives, subnormals, infinities, NaN)
 //!   are clamps and selects on the straight path, so a slice pass
-//!   compiles to full-width vector code with no scalar fallback.
+//!   compiles to full-width vector code.
 //!
 //! # Accuracy
 //!
-//! [`exp`] and [`ln`] are within 1 ulp of the correctly rounded result
-//! (fdlibm's bounds), and the sine and cosine kernels are within 1 ulp
-//! on the reduced argument. The unit tests hold each to the platform's
+//! [`exp`] and [`ln`] are within 1 ulp of the true value (fdlibm's
+//! bounds), and the sine and cosine kernels are within 1 ulp on the
+//! reduced argument. The unit tests hold each to the platform's
 //! `f64` method at that tolerance over generated inputs and across every
 //! reduction boundary — the only tolerance oracle in the workspace, so
 //! it is doubled by a bit pin: `numeric/tests/math_vectors.rs` holds a
@@ -185,7 +185,7 @@ const LG7: f64 = f64::from_bits(0x3fc2_f112_df3e_5244);
 /// Natural logarithm.
 ///
 /// Within 1 ulp; `ln(1) = 0` exactly; `ln(±0) = −∞`, `ln(x < 0)` is NaN,
-/// `ln(+∞) = +∞`, subnormal arguments are exact to the same bound; NaN
+/// `ln(+∞) = +∞`, subnormal arguments are held to the same bound; NaN
 /// in, NaN out.
 pub fn ln(x: f64) -> f64 {
     ln_lane(x)
@@ -267,8 +267,9 @@ fn cos_kernel(a: f64) -> f64 {
 /// the reduction, and `cos(a + q·π/2)` is `cos a`, `−sin a`, `−cos a` or
 /// `sin a` by `q mod 4`. Consequently `cos_2pi(0) = 1`,
 /// `cos_2pi(u + ½) = −cos_2pi(u)` and `cos_2pi(1 − u) = cos_2pi(u)` hold
-/// bit for bit wherever `u + ½` and `1 − u` are exact. The function is
-/// periodic as written for any `|u| < 2⁴⁹`; NaN and ±∞ give NaN.
+/// bit for bit wherever `u + ½` and `1 − u` are exact (the zeros at the
+/// quarter turns may differ in sign). The function is periodic as
+/// written for any `|u| < 2⁴⁹`; NaN and ±∞ give NaN.
 pub fn cos_2pi(u: f64) -> f64 {
     cos_2pi_lane(u)
 }
