@@ -248,8 +248,9 @@ pub enum FlError {
         /// Escrow threshold.
         need: usize,
     },
-    /// Reconstruction of a dropped owner's key failed (the pooled shares
-    /// do not reproduce the advertised public key).
+    /// Reconstruction of a dropped owner's key failed: the pooled shares
+    /// do not reproduce the advertised public key, or the state lacks the
+    /// shares, the key or an owner entry for a provider.
     RecoveryFailed {
         /// The dropped owner.
         owner: AccountId,

@@ -178,26 +178,31 @@ impl FlContract {
         let mut evidence: Vec<RecoveryEvidence> = Vec::with_capacity(dropped_pos.len());
         for &pos in dropped_pos {
             let id = self.params().owners[pos];
+            let failed = |reason: String| FlError::RecoveryFailed { owner: id, reason };
             let provided = self
                 .recovery_shares
                 .get(&id)
-                .expect("threshold checked before finish_round");
+                .ok_or_else(|| failed("no recovery shares on record".into()))?;
             let providers: Vec<AccountId> = provided.keys().copied().take(threshold).collect();
             let shares: Vec<Share> = providers.iter().map(|p| provided[p].clone()).collect();
-            let advertised =
-                U256::from_be_bytes(self.keys.get(&id).expect("dropped owner advertised"));
+            let advertised = self
+                .keys
+                .get(&id)
+                .ok_or_else(|| failed("no advertised public key".into()))?;
+            let advertised = U256::from_be_bytes(advertised);
             let private = reconstruct_private_key(&shamir, dh, &shares, threshold, &advertised)
-                .map_err(|e| FlError::RecoveryFailed {
-                    owner: id,
-                    reason: e.to_string(),
-                })?;
+                .map_err(|e| failed(e.to_string()))?;
+            let providers = providers
+                .iter()
+                .map(|p| {
+                    self.owner_index(*p)
+                        .map_err(|e| failed(format!("share provider: {e}")))
+                })
+                .collect::<Result<_, _>>()?;
             recovered.insert(id, private);
             evidence.push(RecoveryEvidence {
                 dropped: pos,
-                providers: providers
-                    .iter()
-                    .map(|p| self.owner_index(*p).expect("provider is an owner"))
-                    .collect(),
+                providers,
             });
         }
         Ok((recovered, evidence))

@@ -632,6 +632,19 @@ mod dropout_lifecycle {
         party.masked_update(&codec, round, &w.weights[i])
     }
 
+    /// Round-0 masked submissions from `owners`, each accepted.
+    fn submit_round0(w: &mut MaskedWorld, owners: &[usize]) {
+        for &i in owners {
+            let masked = masked_submission(w, i, 0);
+            w.contract
+                .execute(
+                    &ctx(i as u32),
+                    &FlCall::SubmitMaskedUpdate { round: 0, masked },
+                )
+                .unwrap();
+        }
+    }
+
     pub(super) fn recovery_share_call(w: &MaskedWorld, dropped: usize, provider: usize) -> FlCall {
         let share = &w.escrowed[dropped][provider];
         FlCall::SubmitRecoveryShare {
@@ -688,15 +701,7 @@ mod dropout_lifecycle {
         // vanishes after masking. Threshold = 3.
         let mut w = masked_world(4, 1);
         let dropped = 2usize;
-        for i in [0usize, 1, 3] {
-            let masked = masked_submission(&w, i, 0);
-            w.contract
-                .execute(
-                    &ctx(i as u32),
-                    &FlCall::SubmitMaskedUpdate { round: 0, masked },
-                )
-                .unwrap();
-        }
+        submit_round0(&mut w, &[0, 1, 3]);
 
         // Evaluation with a missing owner opens recovery.
         let out = w
@@ -833,15 +838,7 @@ mod dropout_lifecycle {
         // digest, so replicas cannot silently disagree on phase.
         let build = || {
             let mut w = masked_world(4, 1);
-            for i in [0usize, 1, 3] {
-                let masked = masked_submission(&w, i, 0);
-                w.contract
-                    .execute(
-                        &ctx(i as u32),
-                        &FlCall::SubmitMaskedUpdate { round: 0, masked },
-                    )
-                    .unwrap();
-            }
+            submit_round0(&mut w, &[0, 1, 3]);
             w
         };
         let mut a = build();
@@ -864,6 +861,57 @@ mod dropout_lifecycle {
             before_share,
             "every accepted share must move the state root"
         );
+    }
+
+    #[test]
+    fn recovery_over_inconsistent_state_is_a_typed_error() {
+        // `EvaluateRound` only reaches `finish_round` once every dropped
+        // owner has its threshold of verified shares, so the states
+        // below take a doctored snapshot or a bug elsewhere to reach. A
+        // replica must still answer each with `RecoveryFailed` and an
+        // untouched root — never a panic.
+        let mut w = masked_world(4, 1);
+        submit_round0(&mut w, &[0, 1, 3]);
+        w.contract
+            .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+            .unwrap();
+        for provider in [0usize, 1, 3] {
+            w.contract
+                .execute(&ctx(provider as u32), &recovery_share_call(&w, 2, provider))
+                .unwrap();
+        }
+
+        let assert_fails = |mut c: FlContract, needle: &str| {
+            let root = c.state_digest();
+            match c.finish_round(0, &[2]) {
+                Err(FlError::RecoveryFailed { owner: 2, reason }) => {
+                    assert!(reason.contains(needle), "{reason}")
+                }
+                other => panic!("expected RecoveryFailed, got {other:?}"),
+            }
+            assert_eq!(c.state_digest(), root);
+            assert_eq!(c.current_round(), 0);
+        };
+
+        let mut no_shares = w.contract.clone();
+        no_shares.recovery_shares.clear();
+        assert_fails(no_shares, "no recovery shares");
+
+        let mut no_key = w.contract.clone();
+        no_key.keys.remove(&2);
+        assert_fails(no_key, "no advertised public key");
+
+        // Owner 3's (genuine) share filed under an account that owns
+        // nothing: the key reconstructs, the evidence cannot name it.
+        let mut stranger = w.contract.clone();
+        let shares = stranger.recovery_shares.get_mut(&2).unwrap();
+        let share = shares.remove(&3).unwrap();
+        shares.insert(99, share);
+        assert_fails(stranger, "account 99 is not a data owner");
+
+        // The untouched state still completes.
+        w.contract.finish_round(0, &[2]).unwrap();
+        assert_eq!(w.contract.current_round(), 1);
     }
 
     #[test]

@@ -688,9 +688,11 @@ impl FlProtocol {
         // Key escrow (setup stage of the dropout extension): every owner
         // Shamir-shares its DH private key across the cohort, seeded
         // from the world seed so every rebuild derives identical shares.
-        // With no scheduled dropouts the O(n²) share computation (and
-        // the n escrow transactions) is pure overhead, so it is skipped
-        // — at 10³+ owners this dominates setup cost.
+        // One owner's split is n · threshold field multiplications at
+        // ≈ 39 ns each on the DH group's Montgomery context: 21 µs at
+        // `stream_churn`'s 32 × 17, 20 ms at 1 024 × 513. With no
+        // scheduled dropouts that (n times over) and the n escrow
+        // transactions are pure overhead, so they are skipped.
         let n = config.num_owners;
         let shamir = Shamir::default();
         let threshold = config.escrow_threshold();

@@ -21,7 +21,10 @@
 //!   stack arrays plus fixed-window (w = 4) exponentiation, bit-identical
 //!   to the retained [`Uint::mod_pow_naive`] oracle. Build the context
 //!   once per modulus; `Uint::mod_pow` remains as the one-shot
-//!   convenience that pays setup per call.
+//!   convenience that pays setup per call. The same engine carries the
+//!   field operations Shamir key escrow runs on (difference, plain ×
+//!   resident product, batch inversion); [`Uint::mod_mul`] is left as
+//!   what the oracles stand on.
 //! * Arithmetic is *not* constant time. This is a research simulation of
 //!   the paper's protocol, not a hardened TLS stack; the crate-level docs
 //!   of `fl-crypto` repeat this warning.
@@ -381,7 +384,12 @@ impl<const LIMBS: usize> Uint<LIMBS> {
         }
     }
 
-    /// Modular multiplication: `(self * rhs) mod modulus`.
+    /// Modular multiplication: `(self * rhs) mod modulus` — a heap
+    /// double-width product through the bit-serial `reduce_slice`.
+    ///
+    /// Oracle duty only: [`Uint::mod_pow_naive`] and the test / bench
+    /// references stand on it. Everything that runs per round multiplies
+    /// through a resident [`MontgomeryCtx`].
     pub fn mod_mul(&self, rhs: &Self, modulus: &Self) -> Self {
         assert!(!modulus.is_zero(), "division by zero modulus");
         let wide = self.widening_mul(rhs);
@@ -451,7 +459,10 @@ impl<const LIMBS: usize> Uint<LIMBS> {
     }
 
     /// Modular inverse via Fermat's little theorem (`modulus` must be
-    /// prime and `self` nonzero mod it).
+    /// prime and `self` nonzero mod it). One-shot: pays a context setup
+    /// per call, so it is the reference [`MontgomeryCtx::batch_inv`] and
+    /// the retained plain Shamir ladder (tests, `crypto_primitives`
+    /// bench) are held to, not a production path.
     pub fn mod_inv_prime(&self, modulus: &Self) -> Option<Self> {
         let reduced = self.reduce(modulus);
         if reduced.is_zero() {
@@ -509,8 +520,9 @@ fn reduce_slice<const LIMBS: usize>(value: &[u64], modulus: &Uint<LIMBS>) -> Uin
 /// created them: all arithmetic goes through the context's methods
 /// ([`MontgomeryCtx::mul`], [`MontgomeryCtx::pow`]), and
 /// [`MontgomeryCtx::retrieve`] converts back to a plain integer. Keeping
-/// long-lived values (a DH generator, advertised public keys) in this form
-/// skips the to-Montgomery conversion on every exponentiation.
+/// long-lived values (a DH generator, advertised public keys, a Shamir
+/// evaluation point) in this form skips the to-Montgomery conversion on
+/// every multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MontyElem<const LIMBS: usize> {
     hat: Uint<LIMBS>,
@@ -538,6 +550,12 @@ impl<const LIMBS: usize> MontyElem<LIMBS> {
 /// modulus** and reuse it for every multiplication and exponentiation;
 /// `fl-crypto`'s `DhGroupW` does exactly this, holding the context (and
 /// the group generator in Montgomery form) for the lifetime of the group.
+/// Its second tenant is `fl-crypto`'s `Shamir`: the key-escrow field is
+/// the DH group's prime field, so the scheme copies the group's context
+/// instead of deriving its own, and runs on the field operations below —
+/// [`MontgomeryCtx::sub`], the mixed product [`MontgomeryCtx::mul_plain`]
+/// and [`MontgomeryCtx::batch_inv`] (the last one alone needs the modulus
+/// prime; everything else works for any odd one).
 ///
 /// # Determinism contract
 ///
@@ -638,16 +656,21 @@ impl<const LIMBS: usize> MontgomeryCtx<LIMBS> {
         result
     }
 
-    /// Converts a plain integer into Montgomery form (reducing first if
-    /// necessary).
-    pub fn to_elem(&self, value: &Uint<LIMBS>) -> MontyElem<LIMBS> {
-        let reduced = if value < &self.modulus {
+    /// `value mod m`; a value already below the modulus (every resident
+    /// caller's case) costs one comparison.
+    fn reduced(&self, value: &Uint<LIMBS>) -> Uint<LIMBS> {
+        if value < &self.modulus {
             *value
         } else {
             value.reduce(&self.modulus)
-        };
+        }
+    }
+
+    /// Converts a plain integer into Montgomery form (reducing first if
+    /// necessary).
+    pub fn to_elem(&self, value: &Uint<LIMBS>) -> MontyElem<LIMBS> {
         MontyElem {
-            hat: self.mont_mul(&reduced, &self.r2),
+            hat: self.mont_mul(&self.reduced(value), &self.r2),
         }
     }
 
@@ -666,6 +689,59 @@ impl<const LIMBS: usize> MontgomeryCtx<LIMBS> {
         MontyElem {
             hat: self.mont_mul(&a.hat, &b.hat),
         }
+    }
+
+    /// Montgomery-form difference `a − b`. The form is linear
+    /// (`(a − b)·R = a·R − b·R mod m`), so this is [`Uint::mod_sub`] on
+    /// the representatives.
+    pub fn sub(&self, a: &MontyElem<LIMBS>, b: &MontyElem<LIMBS>) -> MontyElem<LIMBS> {
+        MontyElem {
+            hat: a.hat.mod_sub(&b.hat, &self.modulus),
+        }
+    }
+
+    /// The mixed product: plain residue × Montgomery element = plain
+    /// residue. One `mont_mul` — `a · (b·R) · R⁻¹ = a·b mod m` — so a
+    /// running value that is read out after every step (a Horner
+    /// accumulator, a share value) never needs converting in or out; only
+    /// the factor it is repeatedly multiplied by is resident. `a` is
+    /// reduced first if necessary.
+    pub fn mul_plain(&self, a: &Uint<LIMBS>, b: &MontyElem<LIMBS>) -> Uint<LIMBS> {
+        self.mont_mul(&self.reduced(a), &b.hat)
+    }
+
+    /// Fermat inverse `a^(m−2)` of a Montgomery-form element — the modulus
+    /// must be prime. `None` for zero, which has no inverse.
+    fn inv(&self, a: &MontyElem<LIMBS>) -> Option<MontyElem<LIMBS>> {
+        if a.hat.is_zero() {
+            return None;
+        }
+        let exp = self.modulus.wrapping_sub(&Uint::from_u64(2));
+        Some(self.pow(a, &exp))
+    }
+
+    /// Inverts every element of `elems` with **one** exponentiation
+    /// (Montgomery's trick): prefix products forward, one Fermat inverse
+    /// of the total, then a walk back that peels one factor per step —
+    /// `3n` multiplications beside the single `pow`, against `n` `pow`s
+    /// element-wise. The modulus must be prime. `None` if any
+    /// element is zero (the total product is, and it would otherwise
+    /// poison every slot at once).
+    pub fn batch_inv(&self, elems: &[MontyElem<LIMBS>]) -> Option<Vec<MontyElem<LIMBS>>> {
+        // out[i] = e_0 ⋯ e_{i−1}, acc = e_0 ⋯ e_{n−1}.
+        let mut out = Vec::with_capacity(elems.len());
+        let mut acc = self.one_elem();
+        for e in elems {
+            out.push(acc);
+            acc = self.mul(&acc, e);
+        }
+        // Walking back, `inv` is (e_0 ⋯ e_i)⁻¹ on entry to step i.
+        let mut inv = self.inv(&acc)?;
+        for (slot, e) in out.iter_mut().zip(elems).rev() {
+            *slot = self.mul(slot, &inv);
+            inv = self.mul(&inv, e);
+        }
+        Some(out)
     }
 
     /// Fixed-window (w = 4) exponentiation of a Montgomery-form base.
@@ -992,7 +1068,151 @@ mod tests {
         assert_eq!(ctx.mod_pow(&base, &exp), base.mod_pow_naive(&exp, &m));
     }
 
+    fn from_vec<const L: usize>(v: &[u64]) -> Uint<L> {
+        let mut limbs = [0u64; L];
+        limbs.copy_from_slice(v);
+        Uint::from_limbs(limbs)
+    }
+
+    /// `2^bits − 1`.
+    fn mersenne<const L: usize>(bits: u32) -> Uint<L> {
+        Uint::<L>::ONE
+            .overflowing_shl(bits)
+            .0
+            .wrapping_sub(&Uint::ONE)
+    }
+
+    /// The prime `2^255 − 19`.
+    fn p25519() -> U256 {
+        mersenne::<4>(255).wrapping_sub(&u256(18))
+    }
+
+    /// `sub` and the mixed product against the plain ladder, for one odd
+    /// modulus and two operands of any size.
+    fn check_field_ops<const L: usize>(m: Uint<L>, a: Uint<L>, b: Uint<L>) {
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        let (ra, rb) = (a.reduce(&m), b.reduce(&m));
+        let (ea, eb) = (ctx.to_elem(&a), ctx.to_elem(&b));
+        assert_eq!(ctx.retrieve(&ctx.sub(&ea, &eb)), ra.mod_sub(&rb, &m));
+        assert_eq!(ctx.retrieve(&ctx.sub(&eb, &ea)), rb.mod_sub(&ra, &m));
+        assert_eq!(ctx.retrieve(&ctx.sub(&ea, &ea)), Uint::ZERO);
+        // The plain operand goes in as given: reduced inside if need be.
+        assert_eq!(ctx.mul_plain(&a, &eb), ra.mod_mul(&rb, &m));
+        assert_eq!(ctx.mul_plain(&ra, &eb), ra.mod_mul(&rb, &m));
+        assert_eq!(ctx.mul_plain(&a, &ctx.one_elem()), ra);
+    }
+
+    /// `inv` element by element against `mod_inv_prime` (a zero residue is
+    /// `None` on both sides), and `batch_inv` of the list against the
+    /// element-wise inverses — `None` as soon as one of them is.
+    fn check_inverses<const L: usize>(p: Uint<L>, values: &[Uint<L>]) {
+        let ctx = MontgomeryCtx::new(&p).unwrap();
+        let elems: Vec<MontyElem<L>> = values.iter().map(|v| ctx.to_elem(v)).collect();
+        let singles: Vec<Option<MontyElem<L>>> = elems.iter().map(|e| ctx.inv(e)).collect();
+        for (v, inv) in values.iter().zip(&singles) {
+            assert_eq!(inv.map(|i| ctx.retrieve(&i)), v.mod_inv_prime(&p), "{v:?}");
+        }
+        assert_eq!(
+            ctx.batch_inv(&elems),
+            singles.into_iter().collect::<Option<Vec<_>>>()
+        );
+    }
+
+    #[test]
+    fn field_ops_edge_rows_match_plain_ladder() {
+        let p = p25519();
+        let p_minus_1 = p.wrapping_sub(&U256::ONE);
+        for (a, b) in [
+            (U256::ZERO, U256::ZERO),
+            (U256::ZERO, p_minus_1),
+            (p_minus_1, p_minus_1),
+            (U256::ONE, p_minus_1),
+            (p, U256::MAX), // both reduce first
+            (U256::MAX, u256(2)),
+        ] {
+            check_field_ops(p, a, b);
+        }
+        // A modulus with the top bit set, so sums of representatives carry.
+        check_field_ops(
+            U256::MAX,
+            U256::MAX.wrapping_sub(&U256::ONE),
+            U256::MAX.shr(1),
+        );
+        check_field_ops(
+            U2048::MAX,
+            U2048::MAX.wrapping_sub(&U2048::ONE),
+            U2048::MAX.shr(3),
+        );
+    }
+
+    #[test]
+    fn inverses_match_fermat_oracle() {
+        let p = p25519();
+        let p_minus_1 = p.wrapping_sub(&U256::ONE);
+        let some = [
+            U256::ONE,
+            u256(2),
+            p_minus_1,
+            U256::MAX,
+            u256(0xdead_beef),
+            p.shr(1),
+        ];
+        check_inverses(p, &some);
+        check_inverses(p, &some[..1]);
+        check_inverses(p, &[]);
+        // A zero anywhere — given as 0 or as p — turns the batch to `None`.
+        check_inverses(p, &[U256::ZERO]);
+        check_inverses(p, &[u256(5), U256::ZERO, u256(7)]);
+        check_inverses(p, &[u256(5), u256(7), p]);
+        let ctx = MontgomeryCtx::new(&p).unwrap();
+        assert_eq!(ctx.inv(&ctx.to_elem(&U256::ZERO)), None);
+
+        let wide = mersenne::<32>(1279); // a Mersenne prime, 20 limbs
+        check_inverses(
+            wide,
+            &[
+                U2048::ONE,
+                U2048::MAX,
+                wide.wrapping_sub(&U2048::ONE),
+                U2048::from_u128(0x1234_5678_9abc_def0_1122_3344_5566_7788),
+            ],
+        );
+        check_inverses(wide, &[U2048::from_u64(3), wide]);
+    }
+
     proptest! {
+        #[test]
+        fn prop_field_ops_match_plain_ladder_4_limbs(
+            m in proptest::collection::vec(any::<u64>(), 4),
+            a in proptest::collection::vec(any::<u64>(), 4),
+            b in proptest::collection::vec(any::<u64>(), 4),
+        ) {
+            let mut m = from_vec::<4>(&m);
+            m.limbs[0] |= 1; // odd
+            check_field_ops(m, from_vec(&a), from_vec(&b));
+        }
+
+        #[test]
+        fn prop_field_ops_match_plain_ladder_32_limbs(
+            m in proptest::collection::vec(any::<u64>(), 32),
+            a in proptest::collection::vec(any::<u64>(), 32),
+            b in proptest::collection::vec(any::<u64>(), 32),
+        ) {
+            let mut m = from_vec::<32>(&m);
+            m.limbs[0] |= 1; // odd
+            check_field_ops(m, from_vec(&a), from_vec(&b));
+        }
+
+        #[test]
+        fn prop_batch_inverse_matches_elementwise_4_limbs(
+            values in proptest::collection::vec(
+                proptest::collection::vec(any::<u64>(), 4), 0..12),
+        ) {
+            let p = p25519();
+            let values: Vec<U256> = values.iter().map(|v| from_vec(v)).collect();
+            check_inverses(p, &values);
+        }
+
         #[test]
         fn prop_montgomery_matches_naive(
             base in any::<u64>(), exp in 0u64..10_000, m in any::<u64>()

@@ -7,7 +7,7 @@
 # so the loop is an equivalence gate, not a timing one. Stops at the
 # first bench that fails.
 #
-# Four timing gates follow it, each a ratio inside one run because
+# Five timing gates follow it, each a ratio inside one run because
 # absolute ns drift ±15 % on the CI box. A 4-cohort pipelined chain at
 # thread cap 2 may not cost more than 1.75 × the sequential chain at cap
 # 1 (≈ 1.0 with the numeric::par thread budget; ≈ 2.3 – 2.5 when every
@@ -23,7 +23,11 @@
 # element). And one data set's worth of Gaussian samples through
 # Xoshiro256::fill_gaussian may not cost more than 0.5 × the per-sample
 # loop over libm's ln and cos (0.24 – 0.33 with AVX; the SSE2 baseline
-# alone reads 0.49, so a host without AVX sits on this limit).
+# alone reads 0.49, so a host without AVX sits on this limit). And one
+# owner's key escrow at the stream_churn shape (32 shares, threshold 17)
+# through the Montgomery-resident Shamir::split may not cost more than
+# 0.2 × the retained plain-U256 Horner ladder (≈ 0.04; a split that went
+# back to one bit-serial reduction per step reads 1.0).
 #
 # usage: scripts/bench_smoke.sh [artefact.jsonl]
 set -euo pipefail
@@ -47,6 +51,7 @@ chain_durability
 crypto_primitives dh_agreement
 crypto_primitives dh_keygen
 crypto_primitives dh_batch_setup
+crypto_primitives shamir_escrow
 cohort_scaling cohort_round/flat/100
 cohort_scaling cohort_round/sharded/128
 cohort_scaling cohort_commit_stream
@@ -90,3 +95,6 @@ gate "$ratio_out" logreg_train/opt/650 logreg_train/seed/650 0.20
 
 FL_PAR_THREADS=1 cargo bench --bench ml_training -- gaussian_fill/
 gate "$ratio_out" gaussian_fill/opt gaussian_fill/seed 0.5
+
+cargo bench --bench crypto_primitives -- shamir_escrow/
+gate "$ratio_out" shamir_escrow/opt/split/32/17 shamir_escrow/seed/split/32/17 0.2
