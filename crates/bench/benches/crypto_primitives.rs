@@ -3,7 +3,9 @@
 //!
 //! Every `seed` / `opt` group asserts the library equal to the reference
 //! kept in this file before it samples: the DH groups against the naive
-//! square-and-multiply ladder, `mask_expand` against per-word PRG draws,
+//! square-and-multiply ladder, `sha256` and `hkdf_derive` against the
+//! scalar one-block-at-a-time rounds, `mask_expand` against per-word PRG
+//! draws,
 //! `shamir_escrow` (shares and reconstructed key) against the plain-`U256`
 //! scheme over `Uint::mod_mul` / `mod_inv_prime`.
 
@@ -18,15 +20,158 @@ use fl_crypto::ChaChaPrg;
 use numeric::uint::Uint;
 use numeric::U256;
 
+/// The seed SHA-256, kept verbatim as the regression baseline: the scalar
+/// FIPS 180-4 rounds one block at a time, the padding spelled out on a
+/// copy of the message. `sha256/seed/<bytes>` vs `sha256/opt/<bytes>` is
+/// this function against the library's dispatched compression.
+fn seed_sha256(data: &[u8]) -> [u8; 32] {
+    const K: [u32; 64] = [
+        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+        0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+        0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+        0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+        0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+        0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+        0xc67178f2,
+    ];
+    let mut state: [u32; 8] = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    let mut message = data.to_vec();
+    message.push(0x80);
+    while message.len() % 64 != 56 {
+        message.push(0);
+    }
+    message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    for block in message.chunks_exact(64) {
+        let mut w = [0u32; 64];
+        for i in 0..16 {
+            w[i] = u32::from_be_bytes([
+                block[4 * i],
+                block[4 * i + 1],
+                block[4 * i + 2],
+                block[4 * i + 3],
+            ]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+fn seed_hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
+    let mut key_block = [0u8; 64];
+    if key.len() > 64 {
+        key_block[..32].copy_from_slice(&seed_sha256(key));
+    } else {
+        key_block[..key.len()].copy_from_slice(key);
+    }
+    let mut inner = key_block.map(|b| b ^ 0x36).to_vec();
+    inner.extend_from_slice(message);
+    let mut outer = key_block.map(|b| b ^ 0x5c).to_vec();
+    outer.extend_from_slice(&seed_sha256(&inner));
+    seed_sha256(&outer)
+}
+
+/// The seed HKDF over [`seed_sha256`]: every HMAC message assembled as
+/// `prev.clone() + info + counter` before it is hashed.
+fn seed_hkdf_derive(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
+    let prk = seed_hmac_sha256(salt, ikm);
+    let mut okm = Vec::with_capacity(len);
+    let mut prev: Vec<u8> = Vec::new();
+    let mut counter = 1u8;
+    while okm.len() < len {
+        let mut msg = prev.clone();
+        msg.extend_from_slice(info);
+        msg.push(counter);
+        let block = seed_hmac_sha256(&prk, &msg);
+        prev = block.to_vec();
+        okm.extend_from_slice(&block);
+        counter += 1;
+    }
+    okm.truncate(len);
+    okm
+}
+
 fn bench_sha256(c: &mut Criterion) {
+    // A Merkle node's worth, 1 KiB, one dim-650 masked update (a
+    // submission's payload: 650 ring elements), a 64 KiB stream.
     let mut group = c.benchmark_group("sha256");
-    for size in [64usize, 1024, 65536] {
-        let data = vec![0xabu8; size];
+    for size in [64usize, 1024, 5200, 65536] {
+        let data: Vec<u8> = (0..size).map(|i| (i * 131 + 7) as u8).collect();
+        assert_eq!(
+            seed_sha256(&data),
+            sha256(&data),
+            "opt path must be bit-identical to the seed oracle before sampling"
+        );
         group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, data| {
+        group.bench_with_input(BenchmarkId::new("seed", size), &data, |b, data| {
+            b.iter(|| seed_sha256(black_box(data)))
+        });
+        group.bench_with_input(BenchmarkId::new("opt", size), &data, |b, data| {
             b.iter(|| sha256(black_box(data)))
         });
     }
+    group.finish();
+}
+
+fn bench_hkdf_derive(c: &mut Criterion) {
+    // The mask-seed shape — one of the two derivations every pair pays per
+    // round (the pair key's differs by an empty info): 24-byte salt,
+    // 32-byte key, 16-byte info, one 32-byte block out; 8 compressions.
+    let mut group = c.benchmark_group("hkdf_derive");
+    let salt = b"transparent-fl/mask-seed";
+    let pair_key = [9u8; 32];
+    let info = *b"round/v1\0\0\0\0\0\0\0\x03";
+    assert_eq!(
+        seed_hkdf_derive(salt, &pair_key, &info, 32),
+        fl_crypto::hkdf::derive(salt, &pair_key, &info, 32),
+        "opt path must be bit-identical to the seed oracle before sampling"
+    );
+    group.bench_function(BenchmarkId::new("seed", "mask_seed"), |b| {
+        b.iter(|| seed_hkdf_derive(salt, black_box(&pair_key), &info, 32))
+    });
+    group.bench_function(BenchmarkId::new("opt", "mask_seed"), |b| {
+        b.iter(|| fl_crypto::hkdf::derive(salt, black_box(&pair_key), &info, 32))
+    });
     group.finish();
 }
 
@@ -380,6 +525,7 @@ fn bench_shamir_escrow(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha256,
+    bench_hkdf_derive,
     bench_chacha_keystream,
     bench_dh_exchange,
     bench_dh_agreement,

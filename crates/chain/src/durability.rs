@@ -57,7 +57,9 @@ use std::sync::Arc;
 use crate::block::Block;
 use crate::codec::{Decode, DecodeError, Encode};
 use crate::hash::Hash32;
-use crate::log::{crc32, LogConfig, LogError, SegmentedLog, TornTail, RECORD_HEADER_BYTES};
+use crate::log::{
+    crc32, split_frame_header, LogConfig, LogError, SegmentedLog, TornTail, RECORD_HEADER_BYTES,
+};
 use crate::store::{ChainStore, StoreError};
 
 const SNAPSHOT_PREFIX: &str = "snap-";
@@ -462,16 +464,8 @@ fn load_best_snapshot<C: Encode + Clone>(
 /// it names. Any failure makes the snapshot unusable (torn or stale),
 /// never fatal — the log can always rebuild from genesis.
 fn validate_snapshot<C: Encode + Clone>(bytes: &[u8], store: &ChainStore<C>) -> Option<Snapshot> {
-    if bytes.len() < RECORD_HEADER_BYTES {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if bytes.len() != RECORD_HEADER_BYTES + len {
-        return None;
-    }
-    let payload = &bytes[RECORD_HEADER_BYTES..];
-    if crc32(payload) != crc {
+    let (len, crc, payload) = split_frame_header(bytes)?;
+    if payload.len() != len || crc32(payload) != crc {
         return None;
     }
     let (height, tip_digest, state) = <(u64, Hash32, Vec<u8>)>::decode(payload).ok()?;
@@ -681,6 +675,30 @@ mod tests {
         let snap = report.snapshot.expect("older snapshot survives");
         assert_eq!(snap.state, b"state-1");
         assert_eq!(report.snapshots_rejected, 1);
+    }
+
+    #[test]
+    fn snapshot_cut_inside_its_header_falls_back_to_older() {
+        let dir = TestDir::new("dur-snap-short");
+        let (mut durable, _) = open(&dir);
+        for i in 0..2u64 {
+            let block = next_block(durable.store(), &[i]);
+            durable.append(block).unwrap();
+            durable
+                .write_snapshot(format!("state-{}", i + 1).as_bytes())
+                .unwrap();
+        }
+        drop(durable);
+        // Empty, inside the length field, inside the CRC, header only.
+        let path = snapshot_path(dir.path(), 2);
+        let bytes = fs::read(&path).unwrap();
+        for keep in [0, 3, 6, RECORD_HEADER_BYTES] {
+            fs::write(&path, &bytes[..keep]).unwrap();
+            let (_, report) = open(&dir);
+            let snap = report.snapshot.expect("older snapshot survives");
+            assert_eq!(snap.state, b"state-1", "cut at {keep}");
+            assert_eq!(report.snapshots_rejected, 1, "cut at {keep}");
+        }
     }
 
     #[test]

@@ -31,10 +31,10 @@ impl Hash32 {
 
     /// Combines two digests (Merkle interior node).
     pub fn combine(left: &Hash32, right: &Hash32) -> Self {
-        let mut buf = Vec::with_capacity(65);
-        buf.push(0x01); // interior-node tag, defeats second-preimage tricks
-        buf.extend_from_slice(&left.0);
-        buf.extend_from_slice(&right.0);
+        let mut buf = [0u8; 65];
+        buf[0] = 0x01; // interior-node tag, defeats second-preimage tricks
+        buf[1..33].copy_from_slice(&left.0);
+        buf[33..].copy_from_slice(&right.0);
         Self(sha256(&buf))
     }
 
@@ -100,6 +100,18 @@ mod tests {
         let a = Hash32::of_bytes(b"a");
         let b = Hash32::of_bytes(b"b");
         assert_ne!(Hash32::combine(&a, &b), Hash32::combine(&b, &a));
+    }
+
+    #[test]
+    fn combine_is_the_tagged_hash_of_both_children() {
+        // SHA-256(0x01 ‖ SHA-256("a") ‖ SHA-256("b")), computed outside
+        // this repository: the node preimage cannot reorder a byte.
+        let a = Hash32::of_bytes(b"a");
+        let b = Hash32::of_bytes(b"b");
+        assert_eq!(
+            Hash32::combine(&a, &b).to_hex(),
+            "1fdf7b651907a893865fdf1866cf251d60d527dfafa10a663514f4f9ee34ab22"
+        );
     }
 
     #[test]

@@ -403,6 +403,19 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("{SEGMENT_PREFIX}{id:08}{SEGMENT_SUFFIX}"))
 }
 
+/// Splits the `len: u32 LE ‖ crc32: u32 LE` framing off the front of
+/// `bytes`: the payload length, its CRC and everything after the header.
+/// `None` when fewer than [`RECORD_HEADER_BYTES`] bytes are there.
+pub(crate) fn split_frame_header(bytes: &[u8]) -> Option<(usize, u32, &[u8])> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let (crc, body) = rest.split_first_chunk::<4>()?;
+    Some((
+        u32::from_le_bytes(*len) as usize,
+        u32::from_le_bytes(*crc),
+        body,
+    ))
+}
+
 /// One parsed segment: valid records plus an optional torn tail.
 struct ParsedSegment<'a> {
     /// `(offset, payload)` of every valid record.
@@ -415,22 +428,18 @@ fn parse_segment(bytes: &[u8]) -> ParsedSegment<'_> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < RECORD_HEADER_BYTES {
+        let Some((len, crc, body)) = split_frame_header(&bytes[pos..]) else {
             return ParsedSegment {
                 records,
                 torn: Some((pos as u64, TornReason::PartialHeader)),
             };
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if remaining - RECORD_HEADER_BYTES < len {
+        };
+        let Some(payload) = body.get(..len) else {
             return ParsedSegment {
                 records,
                 torn: Some((pos as u64, TornReason::PartialPayload)),
             };
-        }
-        let payload = &bytes[pos + RECORD_HEADER_BYTES..pos + RECORD_HEADER_BYTES + len];
+        };
         if crc32(payload) != crc {
             return ParsedSegment {
                 records,
@@ -561,16 +570,20 @@ mod tests {
 
     #[test]
     fn torn_header_detected() {
-        let dir = TestDir::new("torn-header");
-        let (mut log, _) = SegmentedLog::open(dir.path(), LogConfig::default()).unwrap();
-        log.append(b"keep").unwrap();
-        log.flush().unwrap();
-        log.append(b"lost").unwrap();
-        log.crash_torn(3).unwrap(); // 3 bytes: not even a full length field
+        // 3 bytes: not even a full length field; 6: the length but half
+        // a CRC.
+        for keep in [3, 6] {
+            let dir = TestDir::new("torn-header");
+            let (mut log, _) = SegmentedLog::open(dir.path(), LogConfig::default()).unwrap();
+            log.append(b"keep").unwrap();
+            log.flush().unwrap();
+            log.append(b"lost").unwrap();
+            log.crash_torn(keep).unwrap();
 
-        let (_, rec) = SegmentedLog::open(dir.path(), LogConfig::default()).unwrap();
-        assert_eq!(rec.records, vec![b"keep".to_vec()]);
-        assert_eq!(rec.truncated.unwrap().reason, TornReason::PartialHeader);
+            let (_, rec) = SegmentedLog::open(dir.path(), LogConfig::default()).unwrap();
+            assert_eq!(rec.records, vec![b"keep".to_vec()]);
+            assert_eq!(rec.truncated.unwrap().reason, TornReason::PartialHeader);
+        }
     }
 
     #[test]

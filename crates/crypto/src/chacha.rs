@@ -466,9 +466,9 @@ mod simd {
     /// Explicit-SIMD backends. The auto-vectorizer refuses the 4-lane
     /// array form of the round loop (64 live `u32`s spill through the
     /// sixteen general-purpose registers), so the rounds are written
-    /// with `core::arch` intrinsics — the only `unsafe` in the
-    /// workspace, scoped to this module and pinned byte-for-byte against
-    /// the scalar path by the keystream tests.
+    /// with `core::arch` intrinsics — the `unsafe` that takes is scoped
+    /// to this module and pinned byte-for-byte against the scalar path
+    /// by the keystream tests.
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
     mod x86 {

@@ -272,13 +272,7 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
 /// HKDF expansion of a shared group element into a uniform 32-byte pair
 /// key.
 fn derive_pair_key<const LIMBS: usize>(element: &Uint<LIMBS>) -> [u8; 32] {
-    let okm = hkdf::derive(
-        b"transparent-fl/dh-pair-key",
-        &element.to_be_bytes(),
-        b"",
-        32,
-    );
-    okm.try_into().expect("HKDF returned 32 bytes")
+    hkdf::derive_key(b"transparent-fl/dh-pair-key", &element.to_be_bytes(), b"")
 }
 
 /// A Diffie–Hellman keypair, generic over limb width.

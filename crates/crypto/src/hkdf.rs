@@ -5,7 +5,7 @@
 //! masking layer derive an independent seed per `(pair, round)` via the
 //! `info` parameter.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, hmac_sha256_parts};
 use crate::sha256::DIGEST_LEN;
 
 /// `HKDF-Extract(salt, ikm)` → pseudorandom key.
@@ -20,25 +20,36 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 /// Panics if `len > 255 * 32` (RFC 5869 limit).
 pub fn expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * DIGEST_LEN, "HKDF output too long: {len}");
-    let mut okm = Vec::with_capacity(len);
-    let mut prev: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while okm.len() < len {
-        let mut msg = prev.clone();
-        msg.extend_from_slice(info);
-        msg.push(counter);
-        let block = hmac_sha256(prk, &msg);
-        prev = block.to_vec();
-        okm.extend_from_slice(&block);
-        counter = counter.checked_add(1).expect("HKDF counter overflow");
-    }
-    okm.truncate(len);
+    let mut okm = vec![0u8; len];
+    expand_into(prk, info, &mut okm);
     okm
+}
+
+/// Fills `okm` with `T(1) ‖ T(2) ‖ …`, `T(n) = HMAC(prk, T(n-1) ‖ info ‖
+/// n)`. `okm` is at most `255 * 32` bytes: [`expand`] checks, the
+/// fixed-width [`derive_key`] is one block.
+fn expand_into(prk: &[u8; DIGEST_LEN], info: &[u8], okm: &mut [u8]) {
+    let mut prev = [0u8; DIGEST_LEN];
+    let mut prev_len = 0;
+    for (counter, chunk) in (1u8..=255).zip(okm.chunks_mut(DIGEST_LEN)) {
+        prev = hmac_sha256_parts(prk, &[&prev[..prev_len], info, &[counter]]);
+        prev_len = DIGEST_LEN;
+        chunk.copy_from_slice(&prev[..chunk.len()]);
+    }
 }
 
 /// One-shot `HKDF(salt, ikm, info, len)`.
 pub fn derive(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
     expand(&extract(salt, ikm), info, len)
+}
+
+/// One-shot `HKDF(salt, ikm, info, 32)` as the fixed-width key the pair
+/// key and the mask seed are — [`derive`] at `len = 32` without the
+/// `Vec`.
+pub(crate) fn derive_key(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut key = [0u8; DIGEST_LEN];
+    expand_into(&extract(salt, ikm), info, &mut key);
+    key
 }
 
 #[cfg(test)]
@@ -75,6 +86,29 @@ mod tests {
             to_hex(&okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
         );
+    }
+
+    #[test]
+    fn mask_seed_shape_is_pinned() {
+        // The shape `PairwiseMasker::mask_for_round` derives at — 24-byte
+        // salt, 32-byte key, 16-byte info, one output block — against a
+        // value computed outside this repository, through the `Vec` and
+        // the fixed-width entry.
+        let salt = b"transparent-fl/mask-seed";
+        let info = *b"round/v1\0\0\0\0\0\0\0\x03";
+        let expected = "f1e40879315155a2bad095eca8e0055ceb186984fc3e90ed8305d6b63e96f1c8";
+        assert_eq!(to_hex(&derive(salt, &[9u8; 32], &info, 32)), expected);
+        assert_eq!(to_hex(&derive_key(salt, &[9u8; 32], &info)), expected);
+    }
+
+    #[test]
+    fn the_rfc_limit_itself_is_reachable() {
+        // 255 blocks use counters 1..=255; nothing may step past the
+        // last one.
+        let prk = extract(b"s", b"k");
+        let okm = expand(&prk, b"i", 255 * 32);
+        assert_eq!(okm[..96], expand(&prk, b"i", 96)[..]);
+        assert_ne!(okm[254 * 32..], [0u8; 32]);
     }
 
     #[test]

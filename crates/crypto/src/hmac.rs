@@ -9,6 +9,13 @@ const BLOCK_LEN: usize = 64;
 
 /// Computes `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+    hmac_sha256_parts(key, &[message])
+}
+
+/// `HMAC-SHA256(key, parts[0] ‖ parts[1] ‖ …)`: each part goes straight
+/// into the inner hash, so a caller with a message in pieces (HKDF's
+/// `T(n-1) ‖ info ‖ n`) assembles nothing.
+pub(crate) fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
     // Keys longer than the block size are hashed first.
     let mut key_block = [0u8; BLOCK_LEN];
     if key.len() > BLOCK_LEN {
@@ -17,20 +24,15 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
         key_block[..key.len()].copy_from_slice(key);
     }
 
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-
     let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
+    inner.update(&key_block.map(|b| b ^ 0x36));
+    for part in parts {
+        inner.update(part);
+    }
     let inner_digest = inner.finalize();
 
     let mut outer = Sha256::new();
-    outer.update(&opad);
+    outer.update(&key_block.map(|b| b ^ 0x5c));
     outer.update(&inner_digest);
     outer.finalize()
 }

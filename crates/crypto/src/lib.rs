@@ -27,11 +27,12 @@
 //! default DH group is only 256 bits, and no side-channel hardening is
 //! attempted. Do not reuse it as a production cryptography library.
 
-// `deny` instead of `forbid`: the ChaCha20 block function has an
-// explicit-SIMD backend (`chacha::simd::x86`) that needs `core::arch`
-// intrinsics. That module carries the only `#[allow(unsafe_code)]` in the
-// workspace, with the safety argument documented inline and the output
-// pinned byte-for-byte against the scalar path by tests.
+// `deny` instead of `forbid`: two primitives have a backend written on
+// `core::arch` intrinsics — the ChaCha20 block function (`chacha::simd`,
+// explicit SIMD) and the SHA-256 compression (`sha256::x86`, the CPU's SHA
+// extensions behind runtime detection). Those modules carry the crate's
+// only `#[allow(unsafe_code)]`s, each with its safety argument inline and
+// its output pinned word for word against the scalar path by tests.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

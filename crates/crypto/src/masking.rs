@@ -31,12 +31,12 @@ impl PairwiseMasker {
     /// possession of the pair key — which miners are *not*) compute the
     /// same vector.
     pub fn mask_for_round(&self, round: u64, dim: usize) -> Vec<u64> {
-        let mut seed = [0u8; 32];
-        let info = round_info(round);
-        let okm = hkdf::derive(b"transparent-fl/mask-seed", &self.pair_key, &info, 32);
-        seed.copy_from_slice(&okm);
-        let mut prg = ChaChaPrg::from_seed(&seed);
-        prg.gen_u64_vec(dim)
+        let seed = hkdf::derive_key(
+            b"transparent-fl/mask-seed",
+            &self.pair_key,
+            &round_info(round),
+        );
+        ChaChaPrg::from_seed(&seed).gen_u64_vec(dim)
     }
 
     /// Applies the pair `(me, other)`'s mask for `round` to `update` in

@@ -4,6 +4,9 @@
 //! compression core of [`crate::hmac`]. Implemented from scratch because
 //! the offline dependency set carries no hash crate; validated against the
 //! official NIST test vectors in the unit tests below.
+//!
+//! Every digest goes through one block-run entry, `compress`, which
+//! picks its backend from what the CPU reports — no option selects it.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -67,17 +70,13 @@ impl Sha256 {
             if self.buffer_len < 64 {
                 return;
             }
-            let block = self.buffer;
-            self.compress(&block);
+            compress(&mut self.state, std::slice::from_ref(&self.buffer));
             self.buffer_len = 0;
         }
-        // Full blocks are compressed straight from the input; only the
-        // tail is staged.
-        let mut blocks = input.chunks_exact(64);
-        for block in &mut blocks {
-            self.compress(block.try_into().expect("chunks_exact yields 64 bytes"));
-        }
-        let tail = blocks.remainder();
+        // Every whole block of the call is compressed straight from the
+        // input as one run; only the tail is staged.
+        let (blocks, tail) = input.as_chunks::<64>();
+        compress(&mut self.state, blocks);
         self.buffer[..tail.len()].copy_from_slice(tail);
         self.buffer_len = tail.len();
     }
@@ -87,32 +86,47 @@ impl Sha256 {
         let bit_len = self.total_len * 8;
         // Padding in one step: 0x80, zeros to 56 mod 64, the 64-bit
         // length — one block when the tail leaves room for the length
-        // (at most 55 buffered bytes), two otherwise.
-        let mut block = [0u8; 64];
-        block[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
-        block[self.buffer_len] = 0x80;
-        if self.buffer_len >= 56 {
-            self.compress(&block);
-            block = [0u8; 64];
-        }
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        // (at most 55 buffered bytes), two otherwise, compressed as one
+        // run.
+        let mut pad = [[0u8; 64]; 2];
+        pad[0][..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        pad[0][self.buffer_len] = 0x80;
+        let blocks = if self.buffer_len < 56 { 1 } else { 2 };
+        pad[blocks - 1][56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &pad[..blocks]);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Folds a run of whole blocks into `state` — the one compression entry
+/// under every digest. The backend is chosen once per run from what the
+/// CPU reports: the SHA extensions where `x86::compress` finds them,
+/// the scalar rounds everywhere else. Both compute FIPS 180-4 §6.2.2 and
+/// the tests pin them to each other word for word, so the choice can
+/// never move a digest.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    // An `update` that only staged bytes has no run; skip the dispatch
+    // and the state's trip through the backend's registers.
+    if blocks.is_empty() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress(state, blocks) {
+        return;
+    }
+    compress_scalar(state, blocks);
+}
+
+/// The portable rounds, and the oracle for `x86::compress`.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -123,7 +137,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -145,14 +159,147 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The rounds on the x86 SHA extensions (`sha256rnds2` / `sha256msg1` /
+/// `sha256msg2`): two rounds an instruction, the message schedule four
+/// words an instruction, the state resident in two registers across a
+/// whole run of blocks. The second `#[allow(unsafe_code)]` module of the
+/// crate, beside `chacha::simd` — `core::arch` has no safe spelling for
+/// calling a `#[target_feature]` function or for an unaligned vector
+/// load.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86 {
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+    use std::sync::OnceLock;
+
+    use super::K;
+
+    /// True when the CPU reports the SHA extensions and the SSSE3 /
+    /// SSE4.1 shuffles the state layout needs.
+    pub(super) fn available() -> bool {
+        static SHA: OnceLock<bool> = OnceLock::new();
+        *SHA.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("sha")
+                && std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        })
+    }
+
+    /// Folds `blocks` into `state` and returns `true`, or returns `false`
+    /// with `state` untouched when the extensions are not [`available`].
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: `available` verified SHA, SSSE3 and SSE4.1 at runtime
+        // (SSE2 is part of the x86-64 baseline), which is everything
+        // `compress_sha_ni` enables.
+        unsafe { compress_sha_ni(state, blocks) };
+        true
+    }
+
+    /// Unaligned load of `bytes[at..at + 16]`.
+    #[inline]
+    fn load_bytes(bytes: &[u8], at: usize) -> __m128i {
+        let from = &bytes[at..at + 16];
+        // SAFETY: the range index proved 16 readable bytes at `from`, and
+        // `_mm_loadu_si128` has no alignment requirement; SSE2 is part of
+        // the x86-64 baseline.
+        unsafe { _mm_loadu_si128(from.as_ptr().cast::<__m128i>()) }
+    }
+
+    /// Unaligned load of `words[at..at + 4]`, the first in the lowest
+    /// lane.
+    #[inline]
+    fn load_words(words: &[u32], at: usize) -> __m128i {
+        let from = &words[at..at + 4];
+        // SAFETY: as `load_bytes` — the range index proved 16 readable
+        // bytes, no alignment requirement, baseline SSE2.
+        unsafe { _mm_loadu_si128(from.as_ptr().cast::<__m128i>()) }
+    }
+
+    /// Unaligned store to `words[at..at + 4]`, the lowest lane first.
+    #[inline]
+    fn store_words(words: &mut [u32], at: usize, v: __m128i) {
+        let to = &mut words[at..at + 4];
+        // SAFETY: the range index proved 16 writable bytes at `to`, and
+        // `_mm_storeu_si128` has no alignment requirement; baseline SSE2.
+        unsafe { _mm_storeu_si128(to.as_mut_ptr().cast::<__m128i>(), v) }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support every feature enabled below. Memory is only
+    /// touched through the three helpers above; everything else is
+    /// register-to-register.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn compress_sha_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Big-endian words out of the message bytes.
+        let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+        // [a b c d] [e f g h] → the ABEF / CDGH halves `sha256rnds2`
+        // works on (lanes listed high to low).
+        let cdab = _mm_shuffle_epi32::<0xB1>(load_words(state, 0));
+        let efgh = _mm_shuffle_epi32::<0x1B>(load_words(state, 4));
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xF0>(efgh, cdab);
+
+        // Rounds 4 i .. 4 i + 4 over schedule words 4 i .. 4 i + 4.
+        macro_rules! rounds4 {
+            ($w:expr, $i:expr) => {
+                let wk = _mm_add_epi32($w, load_words(&K, 4 * $i));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            };
+        }
+        // The next four schedule words over the four before them,
+        // oldest first, written over the oldest.
+        macro_rules! schedule {
+            ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {
+                let sigma0 = _mm_sha256msg1_epu32($w0, $w1);
+                let with_w7 = _mm_add_epi32(sigma0, _mm_alignr_epi8::<4>($w3, $w2));
+                $w0 = _mm_sha256msg2_epu32(with_w7, $w3);
+            };
+        }
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = _mm_shuffle_epi8(load_bytes(block, 0), byte_swap);
+            rounds4!(w0, 0);
+            let mut w1 = _mm_shuffle_epi8(load_bytes(block, 16), byte_swap);
+            rounds4!(w1, 1);
+            let mut w2 = _mm_shuffle_epi8(load_bytes(block, 32), byte_swap);
+            rounds4!(w2, 2);
+            let mut w3 = _mm_shuffle_epi8(load_bytes(block, 48), byte_swap);
+            rounds4!(w3, 3);
+            for i in [4, 8, 12] {
+                schedule!(w0, w1, w2, w3);
+                rounds4!(w0, i);
+                schedule!(w1, w2, w3, w0);
+                rounds4!(w1, i + 1);
+                schedule!(w2, w3, w0, w1);
+                rounds4!(w2, i + 2);
+                schedule!(w3, w0, w1, w2);
+                rounds4!(w3, i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32::<0x1B>(abef);
+        let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
+        store_words(state, 0, _mm_blend_epi16::<0xF0>(feba, dchg)); // DCBA
+        store_words(state, 4, _mm_alignr_epi8::<8>(dchg, feba)); // HGFE
     }
 }
 
@@ -231,22 +378,46 @@ mod tests {
         assert_eq!(hex(&sha256(b"x")).len(), 64);
     }
 
+    #[test]
+    fn nist_vector_896_bits() {
+        // FIPS 180-4's two-block message: 112 bytes, so the second
+        // padding block rides in the same run as the tail — the
+        // register-resident multi-block path against a constant.
+        assert_eq!(
+            hex(&sha256(
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+            )),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        );
+    }
+
     /// FIPS 180-4 §5.1.1 padding spelled out on a copy of the message,
-    /// then block-by-block compression: the oracle for the one-step
-    /// padding in `finalize` and the unstaged block path in `update`.
-    fn padded_reference(data: &[u8]) -> Digest {
+    /// then the whole padded message handed to `backend` as one run: the
+    /// oracle for the one-step padding in `finalize` and the unstaged
+    /// block path in `update`.
+    fn padded_reference(data: &[u8], backend: fn(&mut [u32; 8], &[[u8; 64]])) -> Digest {
         let mut message = data.to_vec();
         message.push(0x80);
         while message.len() % 64 != 56 {
             message.push(0);
         }
         message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
-        let mut h = Sha256::new();
-        for block in message.chunks_exact(64) {
-            h.compress(block.try_into().unwrap());
-        }
-        let words: Vec<u8> = h.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+        let mut state = H0;
+        backend(&mut state, message.as_chunks::<64>().0);
+        let words: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
         words.try_into().unwrap()
+    }
+
+    /// Whether [`compress`] dispatches away from the scalar rounds on
+    /// this host. The tests below drive both either way; where this is
+    /// `false` they compare the scalar rounds with themselves, and the
+    /// backend-equality test says so.
+    fn extensions_detected() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return x86::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        false
     }
 
     #[test]
@@ -256,9 +427,15 @@ mod tests {
         // three times.
         let data: Vec<u8> = (0u8..=200).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
         for len in 0..=data.len() {
+            let digest = sha256(&data[..len]);
             assert_eq!(
-                sha256(&data[..len]),
-                padded_reference(&data[..len]),
+                digest,
+                padded_reference(&data[..len], compress_scalar),
+                "len {len}"
+            );
+            assert_eq!(
+                digest,
+                padded_reference(&data[..len], compress),
                 "len {len}"
             );
         }
@@ -276,7 +453,25 @@ mod tests {
             h.update(&data[..a]);
             h.update(&data[a..b]);
             h.update(&data[b..]);
-            prop_assert_eq!(h.finalize(), padded_reference(&data));
+            prop_assert_eq!(h.finalize(), padded_reference(&data, compress_scalar));
+        }
+
+        #[test]
+        fn prop_dispatched_backend_equals_the_scalar_rounds(
+            start in proptest::collection::vec(any::<u32>(), 8),
+            bytes in proptest::collection::vec(any::<u8>(), 8 * 64),
+            run in 1usize..=8,
+        ) {
+            if !extensions_detected() {
+                println!("SHA extensions not detected: the dispatched entry is the scalar rounds");
+                return;
+            }
+            let blocks = &bytes.as_chunks::<64>().0[..run];
+            let mut scalar: [u32; 8] = start.try_into().unwrap();
+            let mut dispatched = scalar;
+            compress_scalar(&mut scalar, blocks);
+            compress(&mut dispatched, blocks);
+            prop_assert_eq!(scalar, dispatched);
         }
 
         #[test]
