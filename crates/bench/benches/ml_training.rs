@@ -312,7 +312,7 @@ fn bench_utility_evaluation(c: &mut Criterion) {
 /// (1 124 rows), at thread caps 1 and 2: `logits` is `X · W`,
 /// `gradient` is `Xᵀ · (P − Y)` over the transpose `train_design` takes
 /// once per call. A top-level product reaches `numeric::par` with the
-/// whole budget free, so the cap-2 entries read what `PAR_MIN_FLOPS`
+/// whole budget free, so the cap-2 entries read what `par::LEASE_FLOPS`
 /// decides — they may not be slower than their cap-1 neighbours.
 fn bench_gemm_train_shape(c: &mut Criterion) {
     let dense = |rows: usize, cols: usize, salt: f64| {

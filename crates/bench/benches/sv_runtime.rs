@@ -263,6 +263,10 @@ impl<G: CoalitionUtility> CoalitionUtility for OneAtATime<'_, G> {
     fn evaluate(&self, coalition: Coalition) -> f64 {
         self.0.evaluate(coalition)
     }
+
+    fn eval_flops(&self) -> usize {
+        self.0.eval_flops()
+    }
 }
 
 /// The contract's estimator dispatch at the benchmark's two SV-bound

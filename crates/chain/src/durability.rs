@@ -150,6 +150,9 @@ pub enum DurabilityError {
         /// Rendered operation, path, and OS error.
         context: String,
     },
+    /// A snapshot was asked for before any block was appended: there is
+    /// no tip to bind it to. Nothing was written.
+    EmptyChainSnapshot,
     /// The handle was killed by an injected crash; reopen to recover.
     Crashed,
 }
@@ -166,6 +169,7 @@ impl std::fmt::Display for DurabilityError {
             }
             Self::Rejected(e) => write!(f, "append rejected: {e}"),
             Self::SnapshotIo { context } => write!(f, "snapshot I/O: {context}"),
+            Self::EmptyChainSnapshot => write!(f, "cannot snapshot an empty chain"),
             Self::Crashed => write!(f, "durable store crashed (injected fault)"),
         }
     }
@@ -365,7 +369,9 @@ impl<C: Encode + Decode + Clone> DurableStore<C> {
     pub fn write_snapshot(&mut self, state: &[u8]) -> Result<(), DurabilityError> {
         self.check_alive()?;
         let height = self.store.height();
-        assert!(height > 0, "cannot snapshot an empty chain");
+        if height == 0 {
+            return Err(DurabilityError::EmptyChainSnapshot);
+        }
         let tip_digest = self.store.tip_digest();
         let payload = (height, tip_digest, state.to_vec()).encode();
         let mut framed = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
@@ -633,6 +639,28 @@ mod tests {
         assert_eq!(snap.height, 3);
         assert_eq!(snap.tip_digest, tip);
         assert_eq!(snap.state, b"contract-state-at-3");
+        assert_eq!(report.snapshots_rejected, 0);
+    }
+
+    #[test]
+    fn snapshot_of_an_empty_chain_is_a_typed_error_and_writes_nothing() {
+        let dir = TestDir::new("dur-snap-empty");
+        let (mut durable, _) = open(&dir);
+        let files = || std::fs::read_dir(dir.path()).unwrap().count();
+        let before = files();
+        assert_eq!(
+            durable.write_snapshot(b"state-of-nothing"),
+            Err(DurabilityError::EmptyChainSnapshot)
+        );
+        assert_eq!(files(), before);
+        // The handle is unharmed: the first block and its snapshot go through.
+        assert!(!durable.crashed());
+        let block = next_block(durable.store(), &[1]);
+        durable.append(block).unwrap();
+        durable.write_snapshot(b"state-at-1").unwrap();
+        drop(durable);
+        let (_, report) = open(&dir);
+        assert_eq!(report.snapshot.unwrap().state, b"state-at-1");
         assert_eq!(report.snapshots_rejected, 0);
     }
 

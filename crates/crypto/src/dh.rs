@@ -136,6 +136,12 @@ impl DhGroup2048 {
 }
 
 impl<const LIMBS: usize> DhGroupW<LIMBS> {
+    /// What one agreement costs in the flop-equivalents
+    /// [`par::items_per_lease`] takes: a modexp of `64·LIMBS` squarings
+    /// at `LIMBS²` limb products each — ≈ 2¹⁵ (≈ 9 µs) in the 256-bit
+    /// group, so 128 agreements make up a lease.
+    const MODEXP_FLOPS: usize = 512 * LIMBS * LIMBS * LIMBS;
+
     /// Builds a group over the odd prime `p` with generator `g`,
     /// constructing the resident Montgomery engine once.
     ///
@@ -246,9 +252,11 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
         for pk in peer_publics {
             self.validate_public_key(pk)?;
         }
-        Ok(par::par_map(peer_publics, 1, |_, pk| {
-            derive_pair_key(&self.shared_element(my_private, pk))
-        }))
+        Ok(par::par_map(
+            peer_publics,
+            par::items_per_lease(Self::MODEXP_FLOPS),
+            |_, pk| derive_pair_key(&self.shared_element(my_private, pk)),
+        ))
     }
 
     /// Batched key agreement over explicit `(private, public)` pairs —
@@ -263,9 +271,11 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
         for (_, pk) in pairs {
             self.validate_public_key(pk)?;
         }
-        Ok(par::par_map(pairs, 1, |_, (private, public)| {
-            derive_pair_key(&self.shared_element(private, public))
-        }))
+        Ok(par::par_map(
+            pairs,
+            par::items_per_lease(Self::MODEXP_FLOPS),
+            |_, (private, public)| derive_pair_key(&self.shared_element(private, public)),
+        ))
     }
 }
 

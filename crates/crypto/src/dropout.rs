@@ -166,7 +166,8 @@ pub fn strip_dropped_set_masks(
     // consumes them in index order regardless of the schedule, so the
     // corrected sum is schedule-invariant.
     let dim = partial_sum.len();
-    let masks = par::par_map(&pair_keys, 1, |_, pair_key| {
+    let per_lease = par::items_per_lease(masking::mask_flops(dim));
+    let masks = par::par_map(&pair_keys, per_lease, |_, pair_key| {
         PairwiseMasker::new(*pair_key).mask_for_round(round, dim)
     });
     for ((d, s), mask) in ids.iter().zip(&masks) {

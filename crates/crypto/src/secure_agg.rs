@@ -24,15 +24,8 @@ use std::fmt;
 use numeric::{par, FixedCodec};
 
 use crate::dh::{DhGroup, DhKeyPair};
-use crate::masking::{PairwiseMasker, PartyId};
+use crate::masking::{mask_flops, PairwiseMasker, PartyId};
 use crate::sha256::sha256;
-
-/// Minimum ring elements per worker thread when expanding mask
-/// vectors. ChaCha expansion costs a few ns per element, so below
-/// this the thread hand-off dominates; one paper-scale pair mask
-/// (dim ≈ 650) stays inline while multi-pair and high-dimensional work
-/// fans out.
-const MIN_RING_ELEMS_PER_THREAD: usize = 2048;
 
 /// Errors from building a [`KeyDirectory`] or deriving a [`PartyState`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -308,8 +301,12 @@ impl PartyState {
     /// commutative (wrapping `u64`), so the masked vector is bit-identical
     /// to the sequential fold for any thread count.
     pub fn mask_ring_vector(&self, round: u64, mut update: Vec<u64>) -> Vec<u64> {
+        // ChaCha expansion costs a few ns per element: a group's worth of
+        // paper-scale pair masks (dim ≈ 650) stays inline, hundreds of
+        // pairs or high-dimensional work fan out.
         let dim = update.len();
-        if self.maskers.len() * dim < 2 * MIN_RING_ELEMS_PER_THREAD {
+        let per_lease = par::items_per_lease(mask_flops(dim));
+        if self.maskers.len() < 2 * per_lease {
             for (&other, masker) in &self.maskers {
                 masker.apply(self.id, other, round, &mut update);
             }
@@ -317,7 +314,7 @@ impl PartyState {
         }
         let peers: Vec<(PartyId, &PairwiseMasker)> =
             self.maskers.iter().map(|(&other, m)| (other, m)).collect();
-        let masks = par::par_map(&peers, 1, |_, (_, masker)| {
+        let masks = par::par_map(&peers, per_lease, |_, (_, masker)| {
             masker.mask_for_round(round, dim)
         });
         for ((other, _), mask) in peers.iter().zip(&masks) {

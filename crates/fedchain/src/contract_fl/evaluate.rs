@@ -14,7 +14,7 @@ use fl_ml::dataset::Dataset;
 use fl_ml::LogisticModel;
 use numeric::linalg::mean_vectors;
 use numeric::stats::is_argmax;
-use numeric::{FixedCodec, U256};
+use numeric::{par, FixedCodec, U256};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimate, SvEstimator};
 use shapley::group::GroupModelGame;
 use shapley::hierarchy::{compose, RoundPlan};
@@ -157,6 +157,17 @@ impl ModelUtility for AccuracyUtility {
 
     fn of_tally(&self, hits: f64) -> f64 {
         hits / self.test_design.len() as f64
+    }
+}
+
+/// Utility evaluations `method` asks of an `m`-player game.
+fn evaluations(method: SvMethod, m: usize) -> usize {
+    match method {
+        SvMethod::GroupExact => 1 << m,
+        SvMethod::MonteCarlo { permutations } => permutations as usize * m,
+        SvMethod::Stratified {
+            samples_per_stratum,
+        } => 2 * m * m * samples_per_stratum as usize,
     }
 }
 
@@ -343,9 +354,23 @@ impl FlContract {
         // derives the same sampling seed from the cohort's public seed
         // stream and the round number, so sampling estimators
         // re-execute bit-identically.
+        //
+        // A cohort costs the ring sum of its members' submissions, one
+        // test-set product per group model and the estimator's coalition
+        // means over those scores: `stream_churn`'s four 8-owner cohorts
+        // together are a ninth of a lease, `sharded_1k`'s thirty-two
+        // are five.
+        let test_rows = utility.test_design.len();
+        let score_len = test_rows * self.params().num_classes;
+        let model_dim = self.params().model_dim;
+        let cohort_flops = n.div_ceil(k) * model_dim
+            + m * test_rows * model_dim * 2
+            + evaluations(method, m) * score_len * (m / 2 + 2);
         let this: &Self = self;
-        let per_cohort: Vec<CohortOutcome> =
-            numeric::par::par_map(plan.groups(), 1, |c, groups_c| {
+        let per_cohort: Vec<CohortOutcome> = par::par_map(
+            plan.groups(),
+            par::items_per_lease(cohort_flops),
+            |c, groups_c| {
                 let (group_models, surviving_groups) = this.aggregate_group_models(
                     groups_c,
                     &dropped_set,
@@ -368,7 +393,8 @@ impl FlContract {
                     utility_evaluations,
                     samples,
                 }
-            });
+            },
+        );
 
         let survivor_means: Vec<Vec<Vec<f64>>> = per_cohort
             .iter()

@@ -141,6 +141,12 @@ impl CoalitionUtility for AggregateUtility<'_> {
         let model = LogisticModel::from_flat(&avg, self.num_features, self.num_classes);
         model_accuracy_design(&model, &self.test_design)
     }
+
+    /// One test-set product (the member average is a rounding error
+    /// beside it).
+    fn eval_flops(&self) -> usize {
+        2 * self.test_design.len() * (self.num_features + 1) * self.num_classes
+    }
 }
 
 #[cfg(test)]

@@ -43,16 +43,34 @@ impl DataOwner {
         frac_bits: u32,
         seed: u64,
     ) -> Self {
-        let group = DhGroup::simulation_256();
+        let keypair = Self::keypair(id, seed);
+        Self::with_keypair(id, shard, keypair, train, frac_bits, seed)
+    }
+
+    /// Owner `id`'s keypair under `seed` — one fixed-base modexp, a pure
+    /// function of the two, so a driver may compute many at once.
+    pub(crate) fn keypair(id: AccountId, seed: u64) -> DhKeyPair {
         let mut seed_bytes = [0u8; 32];
         seed_bytes[..8].copy_from_slice(&seed.to_le_bytes());
         seed_bytes[8..16].copy_from_slice(&u64::from(id).to_le_bytes());
-        let keypair = group.keypair_from_seed(&seed_bytes);
+        DhGroup::simulation_256().keypair_from_seed(&seed_bytes)
+    }
+
+    /// [`Self::new`] around a keypair [`Self::keypair`] already derived
+    /// for `(id, seed)`.
+    pub(crate) fn with_keypair(
+        id: AccountId,
+        shard: Dataset,
+        keypair: DhKeyPair,
+        train: TrainConfig,
+        frac_bits: u32,
+        seed: u64,
+    ) -> Self {
         Self {
             id,
             shard,
             keypair,
-            group,
+            group: DhGroup::simulation_256(),
             train,
             codec: FixedCodec::new(frac_bits),
             adversary: None,

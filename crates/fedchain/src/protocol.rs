@@ -36,10 +36,11 @@
 //! # Pipeline contract
 //!
 //! [`FlProtocol::run`] executes the round loop as a two-stage software
-//! pipeline on [`par::par_overlap`]: while round `r`'s on-chain tail
-//! (block commit, SV evaluation, dropout recovery) executes, round
-//! `r+1`'s off-chain half (local training, masking, transaction
-//! assembly) runs concurrently. Overlap cannot change a state root
+//! pipeline on [`par::par_claim_mut`]: round `r`'s on-chain tail (block
+//! commit, SV evaluation, dropout recovery) is the side task of the
+//! region in which round `r+1`'s owners train and mask, so the two run
+//! concurrently and whichever ends first, its thread moves on to the
+//! owners that remain. Overlap cannot change a state root
 //! because every cross-stage input is digest-fixed before the stage
 //! that consumes it starts:
 //!
@@ -275,6 +276,17 @@ struct PreparedRound {
     assemble_secs: f64,
 }
 
+/// One owner's round output — the masked submission and its plaintext
+/// ring encoding; `None` for an owner scheduled to drop.
+type MaskedAndPlain = (Vec<u64>, Vec<u64>);
+type Trained = Option<Result<MaskedAndPlain, fl_crypto::secure_agg::SecureAggError>>;
+
+/// A 256-bit modular exponentiation — a keypair, a key agreement — in
+/// the flop-equivalents [`par::items_per_lease`] takes (≈ 9 µs).
+const MODEXP_FLOPS: usize = 1 << 15;
+/// Expanding and adding one ring element of a pair mask, likewise.
+const MASK_FLOPS_PER_ELEM: usize = 16;
+
 /// The off-chain half of the round pipeline: owners, their escrow
 /// shares, and the phase-0 key snapshot. Borrows are disjoint from
 /// `OnChainStage` so the two halves can run concurrently.
@@ -293,12 +305,16 @@ struct OffChainStage<'a> {
 impl OffChainStage<'_> {
     /// Prepares one round entirely off-chain: local training against
     /// `global_model`, masking, call assembly, and the next-model
-    /// prediction. Touches neither the mempool nor the engine.
-    fn prepare_round(
+    /// prediction. Touches neither the mempool nor the engine — `beside`
+    /// may: it is the side task of the owners' region (the previous
+    /// round's on-chain tail when pipelined), run on the calling thread
+    /// and returned first.
+    fn prepare_round<S>(
         &mut self,
         round: u64,
         global_model: &[f64],
-    ) -> Result<PreparedRound, ProtocolError> {
+        beside: Option<impl FnOnce() -> S>,
+    ) -> (Option<S>, Result<PreparedRound, ProtocolError>) {
         let n = self.owners.len();
         let dropped = self.config.dropped_in_round(round);
         let is_dropped = |idx: usize| dropped.binary_search(&idx).is_ok();
@@ -342,16 +358,23 @@ impl OffChainStage<'_> {
         // the updates are bit-identical to a sequential pass. Owners
         // scheduled to drop vanish before producing anything visible. The
         // plaintext ring encoding rides along for the handoff prediction.
-        let train_start = Instant::now();
-        type MaskedAndPlain = (Vec<u64>, Vec<u64>);
-        let outputs: Vec<Option<Result<MaskedAndPlain, fl_crypto::secure_agg::SecureAggError>>> =
-            par::par_map_mut(&mut *self.owners, 1, |idx, owner| {
-                if is_dropped(idx) {
-                    return None;
-                }
-                let update = owner.local_update(global_model, num_features, num_classes);
-                let plain = codec.encode_vec(&update);
-                Some(
+        //
+        // An owner costs its epochs — two products over its shard each —
+        // and a key agreement plus a mask expansion per group peer.
+        let dim = (num_features + 1) * num_classes;
+        let shard_rows = self.owners.iter().map(DataOwner::shard_len).sum::<usize>() / n;
+        let peers = n / group_directories.len();
+        let owner_flops = self.config.train.epochs * shard_rows * dim * 4
+            + peers * (MODEXP_FLOPS + dim * MASK_FLOPS_PER_ELEM);
+        let (beside, outputs): (_, Vec<(Instant, Instant, Trained)>) = par::par_claim_mut(
+            &mut *self.owners,
+            par::items_per_lease(owner_flops),
+            beside,
+            |idx, owner| {
+                let started = Instant::now();
+                let trained = (!is_dropped(idx)).then(|| {
+                    let update = owner.local_update(global_model, num_features, num_classes);
+                    let plain = codec.encode_vec(&update);
                     owner
                         .mask_update_cached(
                             &update,
@@ -359,10 +382,42 @@ impl OffChainStage<'_> {
                             &group_directories[group_of[idx]],
                             epoch,
                         )
-                        .map(|masked| (masked, plain)),
-                )
-            });
-        let train_mask_secs = train_start.elapsed().as_secs_f64();
+                        .map(|masked| (masked, plain))
+                });
+                (started, Instant::now(), trained)
+            },
+        );
+        // The stage's wall clock runs from the first owner claimed to the
+        // last one done — the side task is another stage's time.
+        let first = outputs.iter().map(|(started, _, _)| *started).min();
+        let last = outputs.iter().map(|(_, finished, _)| *finished).max();
+        let train_mask_secs = first
+            .zip(last)
+            .map_or(0.0, |(first, last)| (last - first).as_secs_f64());
+        let assembled = self.assemble_round(
+            round,
+            &plan,
+            outputs.into_iter().map(|(_, _, trained)| trained).collect(),
+            train_mask_secs,
+        );
+        (beside, assembled)
+    }
+
+    /// The second half of [`Self::prepare_round`]: the round's calls in
+    /// consensus order, the next-model prediction and the recovery block,
+    /// from what the owners produced.
+    fn assemble_round(
+        &self,
+        round: u64,
+        plan: &RoundPlan,
+        outputs: Vec<Trained>,
+        train_mask_secs: f64,
+    ) -> Result<PreparedRound, ProtocolError> {
+        let n = self.owners.len();
+        let dropped = self.config.dropped_in_round(round);
+        let is_dropped = |idx: usize| dropped.binary_search(&idx).is_ok();
+        let codec = FixedCodec::new(self.config.frac_bits);
+        let dim = (self.config.data.features + 1) * self.config.data.classes;
 
         let assemble_start = Instant::now();
         let encoded: Vec<Option<MaskedAndPlain>> = outputs
@@ -424,7 +479,6 @@ impl OffChainStage<'_> {
         // the owners that produced an encoding); the contract's own
         // `reduce_models` then folds the group means into the model the
         // round will commit.
-        let dim = (num_features + 1) * num_classes;
         let survivor_means: Vec<Vec<Vec<f64>>> = plan
             .groups()
             .iter()
@@ -670,17 +724,25 @@ impl FlProtocol {
         // World generation: dataset → 8:2 split → owner shards → noise.
         let world = World::generate(&config)?;
 
+        // An owner's keypair is one fixed-base modexp, a pure function of
+        // `(seed, id)`: the keys fan out, the shards move in behind them.
         let owner_ids: Vec<AccountId> = (0..config.num_owners as u32).collect();
+        let key_seed = config.sub_seed("dh-keys");
+        let keypairs = par::par_map(&owner_ids, par::items_per_lease(MODEXP_FLOPS), |_, &id| {
+            DataOwner::keypair(id, key_seed)
+        });
         let owners: Vec<DataOwner> = owner_ids
             .iter()
             .zip(world.shards)
-            .map(|(&id, shard)| {
-                DataOwner::new(
+            .zip(keypairs)
+            .map(|((&id, shard), keypair)| {
+                DataOwner::with_keypair(
                     id,
                     shard,
+                    keypair,
                     config.train,
                     config.frac_bits,
-                    config.sub_seed("dh-keys"),
+                    key_seed,
                 )
             })
             .collect();
@@ -941,23 +1003,23 @@ impl FlProtocol {
             };
 
             let model0 = on.engine.honest_contract().global_model().to_vec();
-            let mut prepared = off.prepare_round(0, &model0)?;
+            let mut prepared = off.prepare_round(0, &model0, None::<fn()>).1?;
             stages.train_mask += prepared.train_mask_secs;
             stages.assemble += prepared.assemble_secs;
             for round in 0..config.rounds {
                 if round + 1 < config.rounds {
                     let next = if pipelined {
-                        // Round r's on-chain tail and round r+1's
-                        // off-chain half overlap; r+1 trains against the
+                        // Round r+1 is prepared with round r's on-chain
+                        // tail beside it; r+1 trains against the
                         // predicted (digest-fixed) model.
                         let next_model = prepared.predicted_model.clone();
-                        let (commit_res, prep_res) = par::par_overlap(
-                            || on.commit_round(prepared),
-                            || off.prepare_round(round + 1, &next_model),
-                        );
-                        let (reports, t) = commit_res?;
-                        commits.extend(reports);
-                        stages.accumulate(&t);
+                        let tail = || on.commit_round(prepared);
+                        let (commit_res, prep_res) =
+                            off.prepare_round(round + 1, &next_model, Some(tail));
+                        if let Some((reports, t)) = commit_res.transpose()? {
+                            commits.extend(reports);
+                            stages.accumulate(&t);
+                        }
                         prep_res?
                     } else {
                         let (reports, t) = on.commit_round(prepared)?;
@@ -967,7 +1029,7 @@ impl FlProtocol {
                         // model (the seed's loop verbatim); commit_round
                         // just pinned it equal to the prediction.
                         let live = on.engine.honest_contract().global_model().to_vec();
-                        off.prepare_round(round + 1, &live)?
+                        off.prepare_round(round + 1, &live, None::<fn()>).1?
                     };
                     stages.train_mask += next.train_mask_secs;
                     stages.assemble += next.assemble_secs;

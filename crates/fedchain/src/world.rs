@@ -11,6 +11,7 @@ use fl_ml::dataset::Dataset;
 use fl_ml::logreg::LogisticModel;
 use fl_ml::noise::apply_quality_schedule;
 use fl_ml::split::{shard_for_owners, train_test_split};
+use numeric::par;
 
 use crate::config::{ConfigError, FlConfig};
 
@@ -59,10 +60,18 @@ impl World {
     /// themselves bit-identical across thread counts, so the update
     /// vector is too.
     pub fn local_updates_from(&self, config: &FlConfig, global: &[f64]) -> Vec<Vec<f64>> {
-        numeric::par::par_map(&self.shards, 1, |_, shard| {
-            let design = fl_ml::Design::new(shard);
-            LogisticModel::train_from(global, &design, &config.train).to_flat()
-        })
+        // An owner costs its epochs, two products over its shard each.
+        let dim = global.len();
+        let rows = self.shards.iter().map(Dataset::len).sum::<usize>() / self.shards.len().max(1);
+        let owner_flops = config.train.epochs * rows * dim * 4;
+        par::par_map(
+            &self.shards,
+            par::items_per_lease(owner_flops),
+            |_, shard| {
+                let design = fl_ml::Design::new(shard);
+                LogisticModel::train_from(global, &design, &config.train).to_flat()
+            },
+        )
     }
 
     /// Accuracy of the zero model on the test set (the `u(∅)` baseline).

@@ -363,16 +363,6 @@ mod gemm {
     /// 10-class trainer) is one tile and not 8 plus a sliver; bounded by
     /// the SSE2 register file (module docs, "Instantiations").
     const NR_LAST: usize = 10;
-    /// Minimum flops worth shipping to another thread: below this a
-    /// panel stays on the calling thread. A scoped-thread lease measures
-    /// 40–90 µs on the 2-core CI box and the AVX kernel runs ≈ 25 flop/ns,
-    /// so a panel must be worth ≈ 2.5 Mflop to pay for its spawn; with
-    /// this value a 65-column × 10-class product first splits at ≈ 6 500
-    /// rows, where cap 2 reads 0.75–1.05 × cap 1 (at 2¹⁸ the 500-row
-    /// trainer shape split and read 3–4 × cap 1). Determinism does not
-    /// depend on the threshold.
-    const PAR_MIN_FLOPS: usize = 1 << 22;
-
     /// One row panel of a product, as the [`Kernel`] [`Isa::run`]
     /// instantiates.
     struct Panel<'a> {
@@ -407,7 +397,11 @@ mod gemm {
             out.fill(0.0);
             return;
         }
-        let min_rows = (PAR_MIN_FLOPS / (2 * k * n)).max(1);
+        // A row is `2·k·n` flops: with [`par::LEASE_FLOPS`] a 65-column ×
+        // 10-class product first splits at ≈ 6 500 rows, where cap 2 reads
+        // 0.75–1.05 × cap 1 (at 2¹⁸ the 500-row trainer shape split and
+        // read 3–4 × cap 1).
+        let min_rows = par::items_per_lease(2 * k * n);
         par::par_fill_rows(out, n, min_rows, |row0, panel| {
             let a = &a[row0 * k..][..panel.len() / n * k];
             isa.run(Panel {

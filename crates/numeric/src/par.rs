@@ -41,11 +41,16 @@
 //!   sequential fallback without recompiling).
 //! * Every helper takes `min_per_thread`, the smallest number of items
 //!   worth shipping to another thread; below `2 * min_per_thread` items
-//!   the call stays sequential. It only matters where a region can be
-//!   outermost: a nested one finds the budget taken and never spawns.
+//!   the call stays on its caller. A call site does not pick that number:
+//!   it states what one item costs, in flop-equivalents, from dimensions
+//!   it already holds, and [`items_per_lease`] turns the cost into the
+//!   count — so a region leases a thread only for [`LEASE_FLOPS`] of
+//!   work, whatever its item count. (The consensus engine's per-miner
+//!   slot passes `1`: a replica is the paper's unit of parallelism and
+//!   the engine cannot price a contract call.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Global thread cap: 0 = automatic (one per core).
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -82,6 +87,19 @@ pub fn max_threads() -> usize {
     })
 }
 
+/// Work worth a thread of its own, in flop-equivalents (one ≈ 0.25 ns of
+/// this workspace's GEMM; a 256-bit modexp is ≈ 2¹⁵ of them). A
+/// scoped-thread lease measures 40–90 µs to spawn and join, and the
+/// leased thread may first have to be woken: 2²² ≈ 1 ms keeps that
+/// under a tenth of what the thread is handed.
+pub const LEASE_FLOPS: usize = 1 << 22;
+
+/// The `min_per_thread` of a region whose items cost `flops_per_item`
+/// each: as many items as make up [`LEASE_FLOPS`], at least one.
+pub fn items_per_lease(flops_per_item: usize) -> usize {
+    (LEASE_FLOPS / flops_per_item.max(1)).max(1)
+}
+
 /// Extra par threads alive process-wide, leased up to `max_threads() - 1`.
 static EXTRAS_ALIVE: AtomicUsize = AtomicUsize::new(0);
 
@@ -116,25 +134,6 @@ fn lease_threads(n: usize, min_per_thread: usize) -> (usize, Lease) {
 fn join<R>(worker: std::thread::ScopedJoinHandle<'_, R>) -> R {
     let joined = worker.join();
     joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-}
-
-/// Splits `slice` into `threads` contiguous chunks whose lengths differ by
-/// at most one, returning `(start_index, chunk)` pairs.
-fn balanced_chunks<T>(slice: &mut [T], threads: usize) -> Vec<(usize, &mut [T])> {
-    let n = slice.len();
-    let base = n / threads;
-    let extra = n % threads;
-    let mut out = Vec::with_capacity(threads);
-    let mut rest = slice;
-    let mut start = 0;
-    for t in 0..threads {
-        let len = base + usize::from(t < extra);
-        let (head, tail) = rest.split_at_mut(len);
-        out.push((start, head));
-        start += len;
-        rest = tail;
-    }
-    out
 }
 
 /// Fills every slot of `out` with a value computed from its global index:
@@ -213,50 +212,6 @@ where
     });
 }
 
-/// Runs two independent pipeline stages, overlapping them on two
-/// threads when the budget has one free, and returns `(a(), b())`.
-///
-/// This is the stage-overlap primitive of the streaming round pipeline:
-/// stage `a` is round `r`'s on-chain tail (evaluation + commit), stage
-/// `b` is round `r + 1`'s off-chain work (training, masking, assembly).
-/// The determinism contract of this module extends to it unchanged —
-/// each stage must be a pure function of its *inputs*, and the two
-/// stages must touch disjoint state (the caller hands each closure its
-/// own `&mut` world). Under those conditions the overlapped schedule
-/// produces exactly the values of the sequential `let ra = a(); let rb
-/// = b();` order for any thread count:
-///
-/// * results land in fixed positions — `a`'s in `.0`, `b`'s in `.1` —
-///   never in completion order;
-/// * nothing is reduced across the stages; the caller combines the two
-///   results itself, after both have finished;
-/// * with no thread to lease (cap 1, or the budget is held elsewhere)
-///   the stages run sequentially (`a` first) on the calling thread, and
-///   the overlapped schedule must be bit-identical to that order.
-///
-/// Stage `b` runs on the spawned thread and `a` on the caller, so a
-/// panic in either propagates to the caller once both stages have
-/// stopped (scoped threads join before unwinding continues).
-pub fn par_overlap<RA, RB, A, B>(a: A, b: B) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-{
-    let (threads, _lease) = lease_threads(2, 1);
-    if threads <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(b);
-        let ra = a();
-        (ra, join(handle))
-    })
-}
-
 /// `(0..n).map(f).collect()`, computed on up to [`max_threads`] threads.
 ///
 /// `f` must be a pure function of the index for the determinism contract
@@ -311,56 +266,85 @@ where
     par_map_indices(items.len(), min_per_thread, |i| f(i, &items[i]))
 }
 
-/// Like [`par_map`] over mutable items: each element is visited exactly
-/// once with exclusive access, results collected in index order.
-pub fn par_map_mut<T, R, F>(items: &mut [T], min_per_thread: usize, f: F) -> Vec<R>
+/// Like [`par_map`] over mutable items, with an optional side task beside
+/// them: returns `(side(), [f(0, &mut items[0]), f(1, &mut items[1]), …])`.
+///
+/// Items are *claimed* one at a time from a shared cursor, not split into
+/// halves up front, and the caller runs `side` first and then joins the
+/// claiming — so whichever of the side task and the items finishes first,
+/// every thread of the region stays on the items that remain and none
+/// waits at the join while there is work. This is the round pipeline's
+/// primitive: the items are round `r + 1`'s owners (train, mask), the
+/// side task is round `r`'s on-chain tail, which only the caller may run
+/// (it need not be `Send`).
+///
+/// The determinism contract carries over unchanged: which thread claims
+/// item `i` depends on the schedule, slot `i` of the result never does —
+/// `f` must be a pure function of `(i, items[i])`, the side task must
+/// touch nothing the items do, and nothing is reduced across them. With
+/// no thread to lease the side task runs first, then the items in index
+/// order, all on the caller.
+///
+/// Without a side task the region leases as [`par_map`] does. A side
+/// task is work nothing here can price — in the pipeline, a replica's
+/// contract calls — and it keeps the caller busy, so beside one the
+/// items are worth a worker whatever they cost, and further workers by
+/// their cost. A panic in the side task or in an item continues on the
+/// caller with its own payload once every thread of the region has
+/// stopped.
+pub fn par_claim_mut<T, R, S, F, G>(
+    items: &mut [T],
+    min_per_thread: usize,
+    side: Option<G>,
+    f: F,
+) -> (Option<S>, Vec<R>)
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
+    G: FnOnce() -> S,
 {
-    let n = items.len();
-    let (threads, _lease) = lease_threads(n, min_per_thread);
+    let min = min_per_thread.max(1);
+    let asked = match (&side, items.len()) {
+        (_, 0) => 0,
+        (None, n) => n,
+        (Some(_), n) => (n + min).max(2 * min),
+    };
+    let (threads, _lease) = lease_threads(asked, min);
     if threads <= 1 {
-        return items
+        let side = side.map(|side| side());
+        let results = items
             .iter_mut()
             .enumerate()
             .map(|(i, item)| f(i, item))
             .collect();
+        return (side, results);
     }
-    let mut chunks = balanced_chunks(items, threads);
-    let (first_start, first_chunk) = chunks.remove(0);
-    let f = &f;
-    let mut results: Vec<Vec<R>> = std::thread::scope(|scope| {
-        // Spawn workers for all but the first chunk; the calling thread
-        // works its own chunk instead of idling at the join.
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|(start, chunk)| {
-                scope.spawn(move || {
-                    chunk
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(k, item)| f(start + k, item))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        let first: Vec<R> = first_chunk
-            .iter_mut()
-            .enumerate()
-            .map(|(k, item)| f(first_start + k, item))
-            .collect();
-        let mut results = Vec::with_capacity(threads);
-        results.push(first);
-        results.extend(handles.into_iter().map(join));
-        results
+    let cursor = Mutex::new(items.iter_mut().enumerate());
+    let claim_all = || {
+        let mut claimed = Vec::new();
+        loop {
+            // The guard drops with this statement, so no item runs under
+            // the lock; an iterator is valid after any `next`, so a
+            // poisoned lock (another item panicked) is simply taken.
+            let next = cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else {
+                return claimed;
+            };
+            claimed.push((i, f(i, item)));
+        }
+    };
+    let (side, mut claimed) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads).map(|_| scope.spawn(claim_all)).collect();
+        let side = side.map(|side| side());
+        let mut claimed = claim_all();
+        for worker in workers {
+            claimed.append(&mut join(worker));
+        }
+        (side, claimed)
     });
-    let mut out = Vec::with_capacity(n);
-    for part in &mut results {
-        out.append(part);
-    }
-    out
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    (side, claimed.into_iter().map(|(_, r)| r).collect())
 }
 
 #[cfg(test)]
@@ -399,7 +383,7 @@ mod tests {
     fn map_mut_visits_every_item_once() {
         set_max_threads(3);
         let mut items: Vec<u32> = (0..50).collect();
-        let doubled = par_map_mut(&mut items, 1, |i, item| {
+        let (_, doubled) = par_claim_mut(&mut items, 1, None::<fn()>, |i, item| {
             *item += 1;
             (i as u32, *item * 2)
         });
@@ -468,62 +452,52 @@ mod tests {
     }
 
     #[test]
-    fn overlap_matches_sequential_for_any_thread_cap() {
-        // Two stages over disjoint state: the overlapped schedule must
-        // produce exactly the sequential results, in fixed positions.
-        let expected_a: u64 = (0..1000u64).map(|i| i.wrapping_mul(0x9e37_79b9)).sum();
-        let expected_b: Vec<u64> = (0..64u64).map(|i| i * i).collect();
-        for cap in [1usize, 2, 8] {
+    fn claiming_beside_a_side_task_matches_sequential_for_any_thread_cap() {
+        // Side task and items over disjoint state: the claimed schedule
+        // must produce exactly the sequential results, in fixed positions.
+        let expected_side: u64 = (0..1000u64).map(|i| i.wrapping_mul(0x9e37_79b9)).sum();
+        let expected_items: Vec<u64> = (0..64u64).map(|i| i * i).collect();
+        for cap in [1usize, 2, 3, 8] {
             set_max_threads(cap);
-            let (a, b) = par_overlap(
-                || {
+            let mut items: Vec<u64> = (0..64).collect();
+            let (side, squares) = par_claim_mut(
+                &mut items,
+                1,
+                Some(|| {
                     (0..1000u64)
                         .map(|i| i.wrapping_mul(0x9e37_79b9))
                         .sum::<u64>()
+                }),
+                |i, item| {
+                    *item += 1;
+                    (i * i) as u64
                 },
-                || (0..64u64).map(|i| i * i).collect::<Vec<u64>>(),
             );
-            assert_eq!(a, expected_a, "cap={cap}");
-            assert_eq!(b, expected_b, "cap={cap}");
+            assert_eq!(side, Some(expected_side), "cap={cap}");
+            assert_eq!(squares, expected_items, "cap={cap}");
+            assert_eq!(items, (1..=64).collect::<Vec<u64>>(), "cap={cap}");
         }
         set_max_threads(0);
     }
 
     #[test]
-    fn overlap_stage_a_completion_is_visible_to_the_caller_combine() {
-        // Whichever schedule runs, both stages have fully completed by
-        // the time par_overlap returns: the caller's combine step reads
-        // a's side effects through b's result only after the join.
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let a_done = Arc::new(AtomicBool::new(false));
-        let fa = a_done.clone();
+    fn side_task_owns_its_state_and_has_finished_when_the_map_returns() {
+        // An `FnOnce` side task that is not `Send`: the round pipeline's
+        // commit owns the chain side and runs on the caller only.
+        use std::rc::Rc;
         for cap in [1usize, 2] {
             set_max_threads(cap);
-            fa.store(false, Ordering::SeqCst);
-            let fa2 = fa.clone();
-            let ((), sum) = par_overlap(
-                move || fa2.store(true, Ordering::SeqCst),
-                || (0..100u32).sum::<u32>(),
+            let chain: Rc<Vec<u64>> = Rc::new((0..10).collect());
+            let mut owners: Vec<u64> = (10..20).collect();
+            let (tip, doubled) = par_claim_mut(
+                &mut owners,
+                1,
+                Some(move || chain.iter().sum::<u64>()),
+                |_, x| *x * 2,
             );
-            assert!(a_done.load(Ordering::SeqCst), "cap={cap}");
-            assert_eq!(sum, 4950, "cap={cap}");
+            assert_eq!(tip, Some(45), "cap={cap}");
+            assert_eq!(doubled, (10..20u64).map(|x| x * 2).collect::<Vec<u64>>());
         }
         set_max_threads(0);
-    }
-
-    #[test]
-    fn overlap_moves_owned_state_into_each_stage() {
-        // FnOnce closures: each stage owns its world — the pattern the
-        // round pipeline relies on (commit owns the chain side, prepare
-        // owns the owners).
-        let chain: Vec<u64> = (0..10).collect();
-        let owners: Vec<u64> = (10..20).collect();
-        let (a, b) = par_overlap(
-            move || chain.iter().sum::<u64>(),
-            move || owners.iter().map(|x| x * 2).collect::<Vec<u64>>(),
-        );
-        assert_eq!(a, 45);
-        assert_eq!(b, (10..20u64).map(|x| x * 2).collect::<Vec<u64>>());
     }
 }

@@ -10,6 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use numeric::par;
 
@@ -64,19 +65,22 @@ fn leaf(i: usize, j: usize, stage: usize) -> f64 {
     (0..2_000).fold(seed, |acc, k| (acc + k as f64).sin() + seed)
 }
 
-/// Three regions deep: `par_map` → `par_map_indices` → `par_overlap`,
-/// every closure body probed. Returns the bit patterns of all leaves.
-fn nested(probe: &Probe, outer: usize, inner: usize) -> Vec<Vec<(u64, u64)>> {
+/// Three regions deep: `par_map` → `par_map_indices` → `par_claim_mut`
+/// (one item beside a side task), every closure body probed. Returns the
+/// bit patterns of all leaves.
+fn nested(probe: &Probe, outer: usize, inner: usize) -> Vec<Vec<(Option<u64>, u64)>> {
     let items: Vec<usize> = (0..outer).collect();
     par::par_map(&items, 1, |_, &i| {
         probe.enter(|| {
             par::par_map_indices(inner, 1, |j| {
                 probe.enter(|| {
-                    let (a, b) = par::par_overlap(
-                        || probe.enter(|| leaf(i, j, 0)),
-                        || probe.enter(|| leaf(i, j, 1)),
+                    let (a, b) = par::par_claim_mut(
+                        &mut [1usize],
+                        1,
+                        Some(|| probe.enter(|| leaf(i, j, 0))),
+                        |_, &mut stage| probe.enter(|| leaf(i, j, stage)),
                     );
-                    (a.to_bits(), b.to_bits())
+                    (a.map(f64::to_bits), b[0].to_bits())
                 })
             })
         })
@@ -169,7 +173,7 @@ fn every_helper_re_raises_the_payload_of_its_second_chunk() {
     par::set_max_threads(2);
     // Two items at one per thread: item 1 is the spawned worker's.
     let second = |i: usize| assert!(i != 1, "chunk of item {i} gave up");
-    let regions: [(&str, &dyn Fn()); 5] = [
+    let regions: [(&str, &dyn Fn()); 4] = [
         ("par_fill_with", &|| {
             par::par_fill_with(&mut [0u8; 2], 1, |start, _| second(start))
         }),
@@ -179,11 +183,8 @@ fn every_helper_re_raises_the_payload_of_its_second_chunk() {
         ("par_map_indices", &|| {
             par::par_map_indices(2, 1, second);
         }),
-        ("par_map_mut", &|| {
-            par::par_map_mut(&mut [0u8; 2], 1, |i, _| second(i));
-        }),
-        ("par_overlap", &|| {
-            par::par_overlap(|| second(0), || second(1));
+        ("par_claim_mut", &|| {
+            par::par_claim_mut(&mut [0u8; 2], 1, None::<fn()>, |i, _| second(i));
         }),
     ];
     for (helper, region) in regions {
@@ -201,4 +202,122 @@ fn should_panic_sees_the_workers_own_message_at_cap_two() {
     // Items 5..10 are the spawned worker's chunk. (The cap stays at 2:
     // every test here sets its own.)
     par::par_map_indices(10, 1, |i| assert!(i != 7, "item {i} is the second chunk's"));
+}
+
+#[test]
+fn a_region_leases_for_work_not_for_items() {
+    let _serial = serial();
+    // Eight items make up a lease: a thread is worth leasing once each
+    // side of the split has one — sixteen items, whatever the cap.
+    let per_lease = par::items_per_lease(par::LEASE_FLOPS / 8);
+    assert_eq!(per_lease, 8);
+    assert_eq!(par::items_per_lease(0), par::LEASE_FLOPS);
+    assert_eq!(par::items_per_lease(usize::MAX), 1);
+    for cap in [2usize, 3, 8] {
+        par::set_max_threads(cap);
+        for (items, threads) in [(7usize, 1usize), (15, 1), (16, 2)] {
+            let probe = Probe::default();
+            par::par_map_indices(items, per_lease, |_| probe.enter(|| ()));
+            assert_eq!(probe.threads_seen(), threads, "cap {cap}, {items} items");
+        }
+        // The claiming map alone follows the same rule; beside a side
+        // task — unpriced work that keeps the caller busy — four items
+        // are worth a worker.
+        let probe = Probe::default();
+        par::par_claim_mut(&mut [0u8; 15], per_lease, None::<fn()>, |_, _| {
+            probe.enter(|| ())
+        });
+        assert_eq!(probe.threads_seen(), 1, "cap {cap}, no side task");
+        let (probe, arrived) = (Probe::default(), AtomicUsize::new(0));
+        par::par_claim_mut(&mut [0u8; 4], per_lease, Some(|| ()), |_, _| {
+            probe.enter(|| meet(&arrived))
+        });
+        assert_eq!(probe.threads_seen(), 2, "cap {cap}, beside a side task");
+    }
+    par::set_max_threads(0);
+}
+
+/// Holds the first two arrivals until both are there (or five seconds
+/// have passed), so two threads that can both claim must both be seen.
+fn meet(arrived: &AtomicUsize) {
+    if arrived.fetch_add(1, Ordering::SeqCst) < 2 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+}
+
+#[test]
+fn claiming_visits_every_item_once_and_the_caller_joins_after_its_side_task() {
+    let _serial = serial();
+    for cap in [1usize, 2, 3, 8] {
+        par::set_max_threads(cap);
+        let probe = Probe::default();
+        let arrived = AtomicUsize::new(0);
+        let mut visits = vec![0u32; 40];
+        let (side, slots) =
+            par::par_claim_mut(&mut visits, 1, Some(|| "side task done"), |i, visit| {
+                probe.enter(|| {
+                    if cap > 1 {
+                        meet(&arrived);
+                    }
+                    *visit += 1;
+                    i * i
+                })
+            });
+        assert_eq!(side, Some("side task done"));
+        assert_eq!(
+            slots,
+            (0..40).map(|i| i * i).collect::<Vec<_>>(),
+            "cap {cap}"
+        );
+        assert_eq!(visits, vec![1; 40], "cap {cap}");
+        let high_water = probe.high_water.load(Ordering::SeqCst);
+        assert!(
+            high_water <= cap,
+            "cap {cap}: {high_water} threads in items"
+        );
+        if cap == 2 {
+            // The worker and the caller, whose side task ended early.
+            assert_eq!(probe.threads_seen(), 2);
+        }
+    }
+    par::set_max_threads(0);
+}
+
+#[test]
+fn claiming_re_raises_the_side_tasks_and_a_workers_own_payload() {
+    let _serial = serial();
+    par::set_max_threads(2);
+    let caller = std::thread::current().id();
+
+    let side = catch_unwind(AssertUnwindSafe(|| {
+        par::par_claim_mut(
+            &mut [0u8; 8],
+            1,
+            Some(|| panic!("the side task gave up")),
+            |i, _| i,
+        );
+    }));
+    assert_eq!(message(side.expect_err("side")), "the side task gave up");
+    assert_eq!(threads_granted_to_three_items(), 2, "lease returned");
+
+    // The side task holds the caller back until the worker is inside an
+    // item, so the panic is the worker's and crosses the join.
+    let worker_in = AtomicUsize::new(0);
+    let worker = catch_unwind(AssertUnwindSafe(|| {
+        par::par_claim_mut(&mut [0u8; 8], 1, Some(|| meet(&worker_in)), |i, _| {
+            if std::thread::current().id() != caller {
+                meet(&worker_in);
+                panic!("the worker gave up on item {i}");
+            }
+        });
+    }));
+    assert_eq!(
+        message(worker.expect_err("worker")),
+        "the worker gave up on item 0"
+    );
+    assert_eq!(threads_granted_to_three_items(), 2, "lease returned");
+    par::set_max_threads(0);
 }

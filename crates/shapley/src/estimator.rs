@@ -177,6 +177,10 @@ impl<U: CoalitionUtility> CoalitionUtility for GroupedGame<'_, U> {
         }
         self.inner.evaluate(union)
     }
+
+    fn eval_flops(&self) -> usize {
+        self.inner.eval_flops()
+    }
 }
 
 impl SvEstimator for GroupSv {

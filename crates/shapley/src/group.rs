@@ -54,15 +54,8 @@ use numeric::linalg::mean_vectors;
 use numeric::par;
 
 use crate::coalition::{Coalition, MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
-use crate::native::exact_shapley_core;
+use crate::native::exact_shapley;
 use crate::utility::{CoalitionUtility, ModelUtility};
-
-/// Minimum coalition-model evaluations per worker thread; below twice
-/// this the powerset is evaluated on the calling thread. Small `m`
-/// rounds (the paper's cross-silo demo uses `m = 2`) stay free of thread
-/// overhead while the `2^m` enumeration parallelizes as soon as it is
-/// the dominant cost.
-const MIN_EVALS_PER_THREAD: usize = 16;
 
 /// Configuration for one GroupSV evaluation round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -435,6 +428,12 @@ impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
         self.values_into(coalitions, &mut values);
         values
     }
+
+    /// A mean over about `m / 2` members' scores, its scaling and the
+    /// utility's pass over it.
+    fn eval_flops(&self) -> usize {
+        self.dim * (self.m / 2 + 2)
+    }
 }
 
 /// The members of `a` below the lowest player on whom `a` and `b`
@@ -469,7 +468,7 @@ pub fn shapley_over_group_models(
         "GroupSV enumerates 2^m coalitions; m={m} exceeds {MAX_PLAYERS}"
     );
     let game = GroupModelGame::new(group_models, utility);
-    let per_group = exact_shapley_core(&game, MIN_EVALS_PER_THREAD);
+    let per_group = exact_shapley(&game);
     (per_group, 1usize << m)
 }
 
@@ -515,19 +514,21 @@ pub fn group_shapley(
     // Line 3: group models (secure aggregation computes exactly this).
     // Accumulate members directly in listed order — same summation order
     // as `mean_vectors`, without cloning each member's update first.
-    let group_models: Vec<Vec<f64>> = par::par_map(&groups, 2, |_, g| {
-        let mut acc = vec![0.0f64; dim];
-        for &i in g {
-            for (a, w) in acc.iter_mut().zip(&local_weights[i]) {
-                *a += w;
+    let group_flops = n.div_ceil(m) * dim;
+    let group_models: Vec<Vec<f64>> =
+        par::par_map(&groups, par::items_per_lease(group_flops), |_, g| {
+            let mut acc = vec![0.0f64; dim];
+            for &i in g {
+                for (a, w) in acc.iter_mut().zip(&local_weights[i]) {
+                    *a += w;
+                }
             }
-        }
-        let inv = 1.0 / g.len() as f64;
-        for a in &mut acc {
-            *a *= inv;
-        }
-        acc
-    });
+            let inv = 1.0 / g.len() as f64;
+            for a in &mut acc {
+                *a *= inv;
+            }
+            acc
+        });
 
     // Lines 4–6: coalition models and exact SV over groups.
     let (per_group, evaluations) = shapley_over_group_models(&group_models, utility);
@@ -557,9 +558,23 @@ pub fn group_shapley(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::exact_shapley;
     use crate::utility::{model_utility_fn, utility_fn};
     use proptest::prelude::*;
+
+    #[test]
+    fn eval_flops_states_the_mean_and_forwards_through_the_contracts_wrappers() {
+        use crate::utility::{CachedUtility, RestrictedGame};
+        let utility = model_utility_fn(|w: &[f64]| w.iter().sum(), 0.0);
+        let models = vec![vec![0.5; 40]; 6];
+        let game = GroupModelGame::new(&models, &utility);
+        assert_eq!(game.eval_flops(), 40 * (6 / 2 + 2));
+        let alive = RestrictedGame::new(&game, vec![0, 2, 5]);
+        let cached = CachedUtility::new(&alive);
+        assert_eq!(cached.eval_flops(), game.eval_flops());
+        // A game that says nothing is priced as one that retrains.
+        let bare = utility_fn(3, |c: Coalition| c.len() as f64);
+        assert_eq!(bare.eval_flops(), par::LEASE_FLOPS);
+    }
 
     fn sum_utility() -> impl ModelUtility {
         // u(W) = Σ w — linear in the model, so group SV is analytically

@@ -425,19 +425,28 @@ pub fn hierarchical_shapley(
 
     // Within-cohort passes: one slot per cohort, each a pure function of
     // its cohort index (the fan-out the determinism suite pins).
-    let within: Vec<GroupSvResult> = par::par_map(plan.cohorts(), 1, |c, members| {
-        let cohort_weights: Vec<Vec<f64>> =
-            members.iter().map(|&i| local_weights[i].clone()).collect();
-        group_shapley(
-            &cohort_weights,
-            utility,
-            &GroupSvConfig {
-                num_groups: config.num_groups,
-                seed: cohort_stream(config.seed, c as u64),
-                round: config.round,
-            },
-        )
-    });
+    // A cohort averages its members' updates and values 2^m coalition
+    // means of them; a `ModelUtility` states no price for its own pass.
+    let dim = local_weights[0].len();
+    let m = config.num_groups;
+    let cohort_flops = dim * (n.div_ceil(k) + ((m / 2 + 2) << m));
+    let within: Vec<GroupSvResult> = par::par_map(
+        plan.cohorts(),
+        par::items_per_lease(cohort_flops),
+        |c, members| {
+            let cohort_weights: Vec<Vec<f64>> =
+                members.iter().map(|&i| local_weights[i].clone()).collect();
+            group_shapley(
+                &cohort_weights,
+                utility,
+                &GroupSvConfig {
+                    num_groups: config.num_groups,
+                    seed: cohort_stream(config.seed, c as u64),
+                    round: config.round,
+                },
+            )
+        },
+    );
 
     let cohort_models: Vec<Vec<f64>> = within.iter().map(|r| r.global_model.clone()).collect();
     let (per_cohort, second_level_evals) = shapley_over_group_models(&cohort_models, utility);

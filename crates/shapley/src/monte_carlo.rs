@@ -21,9 +21,6 @@ use crate::coalition::Coalition;
 use crate::rng::splitmix;
 use crate::utility::CoalitionUtility;
 
-/// Minimum permutation walks per worker thread.
-const MIN_PERMS_PER_THREAD: usize = 8;
-
 /// Monte-Carlo configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McConfig {
@@ -91,7 +88,9 @@ pub fn monte_carlo_shapley(
     let grand_value = utility.evaluate(Coalition::grand(n));
     let empty_value = utility.evaluate(Coalition::EMPTY);
 
-    let walks = par::par_map_indices(config.permutations, MIN_PERMS_PER_THREAD, |p| {
+    // A walk is at most `n` evaluations (fewer under truncation).
+    let walk_flops = n.saturating_mul(utility.eval_flops());
+    let walks = par::par_map_indices(config.permutations, par::items_per_lease(walk_flops), |p| {
         let mut state = stream_state(config.seed, p as u64);
         let mut next = move || crate::rng::stream_next(&mut state);
         // Fisher–Yates with the per-permutation splitmix64 stream.

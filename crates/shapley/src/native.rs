@@ -18,34 +18,25 @@ use numeric::par;
 use crate::coalition::{binomial, Coalition, MAX_PLAYERS};
 use crate::utility::{CoalitionUtility, MAX_BATCH};
 
-/// Minimum utility evaluations per worker thread (coalition utilities
-/// range from closure arithmetic to full model retraining; 8 keeps even
-/// the `n = 6` retraining bench parallel without shipping trivial games
-/// to threads).
-pub(crate) const MIN_EVALS_PER_THREAD: usize = 8;
-
-/// The shared exact-enumeration core: powerset utility cache plus
-/// weighted marginal assembly.
+/// Computes the exact Shapley value of every player: powerset utility
+/// cache plus weighted marginal assembly.
 ///
-/// Both public exact entry points — [`exact_shapley`] and the estimator
-/// layer's `Exact`/`GroupSv` (and [`crate::group`]'s Algorithm 1 lines
-/// 4–6) — funnel through this function, so the determinism contract is
+/// Every exact entry point — this one, the estimator layer's
+/// `Exact`/`GroupSv` and [`crate::group`]'s Algorithm 1 lines 4–6 —
+/// is this function, so the determinism contract is
 /// pinned once: the utilities are asked for in batches whose boundaries
 /// move with the thread cap ([`CoalitionUtility::evaluate_many`], a pure
 /// function of each mask), every value lands in its mask's cache slot,
 /// and each player's marginal sum is a pure function of its index on
-/// [`numeric::par`] — bit-identical for every thread count.
-/// `min_evals_per_thread` is the caller's granularity knob (cheap
-/// closure games want coarser chunks than full model retraining).
+/// [`numeric::par`] — bit-identical for every thread count. The game
+/// prices its own evaluations ([`CoalitionUtility::eval_flops`]): cheap
+/// arithmetic stays on the caller where model retraining fans out.
 ///
 /// # Panics
 ///
 /// Panics if the game has more than [`MAX_PLAYERS`] players (the `2^n`
 /// enumeration would be intractable).
-pub(crate) fn exact_shapley_core(
-    utility: &(impl CoalitionUtility + Sync),
-    min_evals_per_thread: usize,
-) -> Vec<f64> {
+pub fn exact_shapley(utility: &(impl CoalitionUtility + Sync)) -> Vec<f64> {
     let n = utility.num_players();
     assert!(
         n <= MAX_PLAYERS,
@@ -61,7 +52,8 @@ pub(crate) fn exact_shapley_core(
     // each where the game shares member-prefix sums. Four slots per
     // thread keep the contiguous split near even at thread counts that
     // are no power of two; one thread gets the powerset whole.
-    let threads = ((1usize << n) / min_evals_per_thread.max(1)).clamp(1, par::max_threads());
+    let per_lease = par::items_per_lease(utility.eval_flops());
+    let threads = ((1usize << n) / per_lease).clamp(1, par::max_threads());
     let slots: usize = if threads > 1 { 4 * threads } else { 1 };
     let low_bits = (slots.next_power_of_two().ilog2() as usize)
         .max(n.saturating_sub(MAX_BATCH.ilog2() as usize))
@@ -84,7 +76,8 @@ pub(crate) fn exact_shapley_core(
         .map(|s| 1.0 / (n as f64 * binomial(n - 1, s)))
         .collect();
 
-    par::par_map_indices(n, 4, |i| {
+    // A player's sum reads two cached values per subset of the others.
+    par::par_map_indices(n, par::items_per_lease(4 << (n - 1)), |i| {
         let others = Coalition::grand(n).without(i);
         let mut acc = 0.0;
         for s in others.subsets() {
@@ -94,16 +87,6 @@ pub(crate) fn exact_shapley_core(
         }
         acc
     })
-}
-
-/// Computes the exact Shapley value of every player.
-///
-/// # Panics
-///
-/// Panics if the game has more than [`MAX_PLAYERS`] players (the `2^n`
-/// enumeration would be intractable).
-pub fn exact_shapley(utility: &(impl CoalitionUtility + Sync)) -> Vec<f64> {
-    exact_shapley_core(utility, MIN_EVALS_PER_THREAD)
 }
 
 #[cfg(test)]
@@ -179,10 +162,14 @@ mod tests {
         use crate::utility::games::{Recording, THREAD_CAP};
         let _cap = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
         for n in 0usize..=14 {
-            let game = Recording::new(utility_fn(n, |c: Coalition| {
-                let s: f64 = c.members().map(|i| ((i * 37 + 11) as f64).sin()).sum();
-                s + 0.25 * s.abs().sqrt() * c.len() as f64
-            }));
+            // Sixteen evaluations make up a lease.
+            let game = Recording::priced(
+                utility_fn(n, |c: Coalition| {
+                    let s: f64 = c.members().map(|i| ((i * 37 + 11) as f64).sin()).sum();
+                    s + 0.25 * s.abs().sqrt() * c.len() as f64
+                }),
+                par::LEASE_FLOPS / 16,
+            );
             // Eq. 1 with every utility asked for on the spot: equal bits
             // mean every batched value landed in its own mask's slot.
             let by_definition: Vec<f64> = (0..n)
@@ -198,7 +185,7 @@ mod tests {
             game.take();
             for cap in [1usize, 2, 3, 8] {
                 par::set_max_threads(cap);
-                let values = exact_shapley_core(&game, 16);
+                let values = exact_shapley(&game);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&values), bits(&by_definition), "n = {n}, cap {cap}");
                 let batches = game.take();
@@ -226,12 +213,13 @@ mod tests {
                 }
             }
         }
-        // The retraining bench's shape must not lose its second thread.
+        // A game that states no price retrains per coalition: the
+        // retraining bench's shape must not lose its second thread.
         let game = Recording::new(MajorityGame { n: 6 });
         for cap in [1usize, 2, 3, 8] {
             par::set_max_threads(cap);
-            let _ = exact_shapley_core(&game, MIN_EVALS_PER_THREAD);
-            assert!(game.take().len() >= cap, "n = 6 at 8 per thread, cap {cap}");
+            let _ = exact_shapley(&game);
+            assert!(game.take().len() >= cap, "n = 6 unpriced, cap {cap}");
         }
         par::set_max_threads(0);
     }

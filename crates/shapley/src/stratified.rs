@@ -32,9 +32,10 @@ use crate::estimator::{SvDiagnostics, SvEstimate};
 use crate::rng::splitmix;
 use crate::utility::CoalitionUtility;
 
-/// Minimum strata per worker thread (each stratum performs
-/// `2 · samples_per_stratum` utility evaluations).
-const MIN_STRATA_PER_THREAD: usize = 2;
+/// Flop-equivalents of reading one value back from a warm
+/// [`CachedUtility`](crate::utility::CachedUtility): a stripe lock and a
+/// hashed lookup, ≈ 50 ns.
+const CACHE_READ_FLOPS: usize = 256;
 
 /// Stratified-sampling configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +110,14 @@ pub fn stratified_shapley(
     // the combine below sees the exact same values in the exact same
     // order as the single-pass form: the estimate is bit-identical, warm
     // or cold, for every thread count.
+    //
+    // Both passes are priced as what they are behind a cache — k partial
+    // shuffles of n players, 2k reads — so neither takes a thread below
+    // thousands of strata: the evaluations fan out inside the prewarm,
+    // priced by the game (one too dear for a thread goes in a cache).
     let strata = n * n;
-    let stratum_bases = par::par_map_indices(strata, MIN_STRATA_PER_THREAD, |t| {
+    let bases_per_lease = par::items_per_lease(k * 4 * n);
+    let stratum_bases = par::par_map_indices(strata, bases_per_lease, |t| {
         let i = t / n;
         let s = t % n;
         // The other n−1 players, from which s-subsets are drawn.
@@ -144,7 +151,8 @@ pub fn stratified_shapley(
     }
     utility.prewarm(&wanted);
 
-    let stratum_sums = par::par_map_indices(strata, MIN_STRATA_PER_THREAD, |t| {
+    let sums_per_lease = par::items_per_lease(2 * k * CACHE_READ_FLOPS);
+    let stratum_sums = par::par_map_indices(strata, sums_per_lease, |t| {
         let i = t / n;
         let mut sum = 0.0f64;
         for &coalition in &stratum_bases[t] {

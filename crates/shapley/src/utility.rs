@@ -18,7 +18,6 @@ use std::sync::{Mutex, MutexGuard};
 use numeric::par;
 
 use crate::coalition::Coalition;
-use crate::native::MIN_EVALS_PER_THREAD;
 
 /// A cooperative-game utility `u(S)` over coalitions of players.
 pub trait CoalitionUtility {
@@ -51,6 +50,14 @@ pub trait CoalitionUtility {
     /// only its schedule.
     fn prewarm(&self, coalitions: &[Coalition]) {
         let _ = coalitions;
+    }
+
+    /// What one [`Self::evaluate`] costs, in the flop-equivalents
+    /// [`numeric::par`] sizes regions by. The default is a lease's worth —
+    /// a game that retrains per coalition; a game that knows its
+    /// arithmetic states it, a wrapper forwards its inner game's.
+    fn eval_flops(&self) -> usize {
+        par::LEASE_FLOPS
     }
 }
 
@@ -278,27 +285,33 @@ impl<U: CoalitionUtility + Sync + ?Sized> CoalitionUtility for CachedUtility<'_,
     /// Streams the unique coalitions the cache lacks into it through the
     /// inner game's batch call: the list in member-trie pre-order
     /// (`reverse_bits`, see [`crate::group`]; neighbours share member
-    /// prefixes), cut into equal contiguous runs — one per thread it can
-    /// keep busy, which also balances a game that retrains per
-    /// coalition, none longer than `MAX_BATCH` — each a
-    /// [`numeric::par`] slot. A caller combining from the cache
-    /// afterwards sees pure hits, and the miss counter is deterministic
-    /// here: one miss per distinct uncached coalition.
+    /// prefixes), cut into equal contiguous runs — one per thread the
+    /// list is worth at the inner game's [`Self::eval_flops`], which also
+    /// balances a game that retrains per coalition, none longer than
+    /// `MAX_BATCH` — each a [`numeric::par`] slot. A caller combining
+    /// from the cache afterwards sees pure hits, and the miss counter is
+    /// deterministic here: one miss per distinct uncached coalition.
     fn prewarm(&self, coalitions: &[Coalition]) {
         let mut todo: Vec<Coalition> = coalitions.to_vec();
         todo.sort_unstable_by_key(|c| c.0.reverse_bits());
         todo.dedup();
         todo.retain(|c| !self.stripe(*c).contains_key(c));
-        let runs = (todo.len() / MIN_EVALS_PER_THREAD)
+        let flops = self.inner.eval_flops();
+        let runs = (todo.len() / par::items_per_lease(flops))
             .min(par::max_threads())
             .max(todo.len().div_ceil(MAX_BATCH));
-        par::par_map_indices(runs, 1, |r| {
+        let run_flops = (todo.len() / runs.max(1)).saturating_mul(flops);
+        par::par_map_indices(runs, par::items_per_lease(run_flops), |r| {
             let run = &todo[r * todo.len() / runs..(r + 1) * todo.len() / runs];
             self.misses.fetch_add(run.len(), Ordering::Relaxed);
             for (&coalition, v) in run.iter().zip(self.inner.evaluate_many(run)) {
                 self.stripe(coalition).insert(coalition, v);
             }
         });
+    }
+
+    fn eval_flops(&self) -> usize {
+        self.inner.eval_flops()
     }
 }
 
@@ -371,6 +384,10 @@ impl<U: CoalitionUtility + ?Sized> CoalitionUtility for RestrictedGame<'_, U> {
         let lifted: Vec<Coalition> = coalitions.iter().map(|&c| self.lift(c)).collect();
         self.inner.evaluate_many(&lifted)
     }
+
+    fn eval_flops(&self) -> usize {
+        self.inner.eval_flops()
+    }
 }
 
 #[cfg(test)]
@@ -424,13 +441,24 @@ pub(crate) mod games {
     /// logs a batch of one.
     pub struct Recording<U> {
         inner: U,
+        flops: usize,
         batches: Mutex<Vec<Vec<Coalition>>>,
     }
 
-    impl<U> Recording<U> {
+    impl<U: CoalitionUtility> Recording<U> {
         pub fn new(inner: U) -> Self {
+            let flops = inner.eval_flops();
+            Self::priced(inner, flops)
+        }
+
+        /// A game that states `flops` per evaluation.
+        pub fn priced(inner: U, flops: usize) -> Self {
             let batches = Mutex::new(Vec::new());
-            Self { inner, batches }
+            Self {
+                inner,
+                flops,
+                batches,
+            }
         }
 
         /// The batches logged since the last call, in arrival order.
@@ -453,6 +481,10 @@ pub(crate) mod games {
             log.push(coalitions.to_vec());
             drop(log);
             coalitions.iter().map(|&c| self.inner.evaluate(c)).collect()
+        }
+
+        fn eval_flops(&self) -> usize {
+            self.flops
         }
     }
 
@@ -664,10 +696,20 @@ mod tests {
             assert_eq!(game.take(), Vec::<Vec<Coalition>>::new());
             assert_eq!(cached.stats().misses, 1 << 13);
 
-            // Fifteen new coalitions are one inline run whatever the cap.
+            // Fifteen new coalitions of twenty adds each are one inline
+            // run whatever the cap; a lease's worth each, one run a thread.
             let wider = Recording::new(AdditiveGame {
                 values: vec![1.0; 20],
             });
+            let few: Vec<Coalition> = (1..=15).map(|i| Coalition(i << 14)).collect();
+            CachedUtility::new(&wider).prewarm(&few);
+            assert_eq!(wider.take().len(), cap.min(15));
+            let wider = Recording::priced(
+                AdditiveGame {
+                    values: vec![1.0; 20],
+                },
+                20,
+            );
             let cached = CachedUtility::new(&wider);
             let few: Vec<Coalition> = (1..=15).map(|i| Coalition(i << 14)).collect();
             cached.prewarm(&few);

@@ -318,6 +318,36 @@ fn benchmark_shaped_games_are_schedule_invariant() {
     });
 }
 
+#[test]
+fn stratified_over_a_cached_group_game_is_schedule_invariant_at_both_levels() {
+    // The two sizes a sharded round plays — a cohort's 4 groups, where
+    // no pass of the estimator is worth a thread, and the 32 cohorts of
+    // the second level, where the prewarm is — each sized by
+    // `GroupModelGame::eval_flops` through the cache.
+    use shapley::utility::{CachedUtility, CoalitionUtility};
+    let utility = model_utility_fn(|w: &[f64]| w.iter().map(|x| x.tanh()).sum(), 0.1);
+    for (m, dim) in [(4usize, 68usize), (32, 1640)] {
+        let models = synthetic_models(m, dim);
+        let stratified = Stratified {
+            config: StratifiedConfig {
+                samples_per_stratum: 2,
+                seed: 31,
+            },
+        };
+        assert_schedule_invariant(|| {
+            let game = GroupModelGame::new(&models, &utility);
+            let cached = CachedUtility::new(&game);
+            assert_eq!(cached.eval_flops(), dim * (m / 2 + 2));
+            let estimate = stratified.estimate(&cached);
+            (
+                estimate.values,
+                estimate.utility_evaluations,
+                cached.stats(),
+            )
+        });
+    }
+}
+
 /// The survivor-only round evaluation, end to end through the FL
 /// contract: real pairwise masks, on-chain key escrow, dropout
 /// declaration, share-verified recovery, survivor-restricted estimation.

@@ -7,7 +7,7 @@
 # so the loop is an equivalence gate, not a timing one. Stops at the
 # first bench that fails.
 #
-# Six timing gates follow it, each a ratio inside one run because
+# Eight timing gates follow it, each a ratio inside one run because
 # absolute ns drift ±15 % on the CI box. A 4-cohort pipelined chain at
 # thread cap 2 may not cost more than 1.75 × the sequential chain at cap
 # 1 (≈ 1.0 with the numeric::par thread budget; ≈ 2.3 – 2.5 when every
@@ -32,6 +32,14 @@
 # 64 KiB through the library may not cost more than 0.4 × the scalar
 # rounds kept in the bench file (≈ 0.16; 1.0 is a dispatch that stopped
 # finding the extensions); skipped, and said so, on a CPU without them.
+# And two more where there is a second core, both about numeric::par
+# leasing a thread only for work that pays for it: the cold audit of the
+# stream_churn chain at cap 2 may not cost more than 1.1 × the same audit
+# at cap 1 (≈ 0.95 – 1.05; 1.6 – 1.8 while each of its 80 small
+# evaluations leased a thread by item count), and the Table I chain
+# through the pipeline at cap 2 may not cost more than 1.05 × the
+# sequential chain at cap 2 (≈ 0.9 – 1.0; ≈ 1.4 while the pipeline's
+# second thread idled at the join for the on-chain tail).
 #
 # usage: scripts/bench_smoke.sh [artefact.jsonl]
 set -euo pipefail
@@ -86,12 +94,28 @@ ratio_out="$out.ratio"
 rm -f "$ratio_out"
 export CRITERION_SAMPLE_SIZE=9 CRITERION_JSON="$ratio_out"
 
+# cap2_gate <bench filter> <numerator id> <denominator id> <limit>: the
+# second vCPU of a shared box comes and goes in spells of seconds, and a
+# spell that lands on one of the two entries moves the ratio by half, so
+# a reading over the limit is sampled once more before it fails (a real
+# regression reads 1.4 – 2.3 on every try).
+cap2_gate() {
+    for _ in 1 2; do
+        rm -f "$ratio_out"
+        cargo bench --bench round_pipeline -- "$1"
+        if gate "$ratio_out" "$2" "$3" "$4"; then return 0; fi
+    done
+    return 1
+}
+
 if [ "$(nproc)" -lt 2 ]; then
-    echo "ratio gate skipped: nproc is 1, round_pipeline samples no cap-2 entry"
+    echo "ratio gates skipped: nproc is 1, round_pipeline samples no cap-2 entry (4-cohort chain, cold audit, Table I chain)"
 else
-    cargo bench --bench round_pipeline -- /4/cap
-    gate "$ratio_out" round_pipeline/pipelined/4/cap2 round_pipeline/sequential/4/cap1 1.75
+    cap2_gate /4/cap round_pipeline/pipelined/4/cap2 round_pipeline/sequential/4/cap1 1.75
+    cap2_gate cold_audit/stream_churn cold_audit/stream_churn/cap2 cold_audit/stream_churn/cap1 1.1
+    cap2_gate /table1/cap2 round_pipeline/pipelined/table1/cap2 round_pipeline/sequential/table1/cap2 1.05
 fi
+rm -f "$ratio_out"
 
 cargo bench --bench sv_runtime -- coalition_walk/
 gate "$ratio_out" coalition_walk/batch/table1_sv coalition_walk/single/table1_sv 0.75
