@@ -31,15 +31,24 @@
 //! (cap 2 ≤ cap 1), `sharded_128`'s second-level prewarm is worth one
 //! (cap 2 < cap 1).
 //!
+//! `{persisted,memory}/stream_churn/cap{1,2}` is the same chain through
+//! `run()` with and without a durable store: `persist_to` a fresh
+//! directory, then 26 flushed streams and 10 snapshots, which the run
+//! hands to its writer thread and waits for only before it returns —
+//! so the persisted run costs little more than the memory-only one.
+//!
 //! Committed medians live in `BENCH_round_pipeline.json`; regenerate
 //! with `CRITERION_JSON=out.jsonl cargo bench --bench round_pipeline`.
 //! `scripts/bench_smoke.sh` gates `pipelined/4/cap2` against
 //! `sequential/4/cap1`, `pipelined/table1/cap2` against
-//! `sequential/table1/cap2` and `cold_audit/stream_churn/cap2` against
-//! its `cap1` neighbour, each inside one run.
+//! `sequential/table1/cap2`, `cold_audit/stream_churn/cap2` against its
+//! `cap1` neighbour and `persisted/stream_churn/cap2` against
+//! `memory/stream_churn/cap2`, each inside one run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use fedchain::audit;
@@ -246,5 +255,57 @@ fn bench_cold_audit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline, bench_cold_audit);
+/// `stream_churn` through `run()` with a store attached (`persist_to` a
+/// fresh directory each iteration; the directories are removed after
+/// sampling, outside the timed loop) and without, at thread caps 1 and
+/// 2. The chains' tips are asserted equal, and equal to the reopened
+/// directory's, first.
+fn bench_persisted(c: &mut Criterion) {
+    let config = audit_config("stream_churn");
+    let run = |dir: Option<&Path>| {
+        let mut protocol = FlProtocol::new(config.clone()).expect("valid config");
+        if let Some(dir) = dir {
+            protocol
+                .persist_to(dir, DurabilityConfig::default())
+                .expect("fresh directory");
+        }
+        let report = protocol.run().expect("honest run");
+        assert_eq!(report.blocks, expected_blocks(&config));
+        protocol.engine().store_of(0).expect("miner 0").tip_digest()
+    };
+    // Every iteration's directory sits under one root, removed at the end.
+    let root = std::env::temp_dir().join(format!("fl-bench-persisted-{}", std::process::id()));
+    let next = AtomicU64::new(0);
+    let persisted = || {
+        run(Some(
+            &root.join(next.fetch_add(1, Ordering::Relaxed).to_string()),
+        ))
+    };
+
+    let tip = persisted();
+    let (durable, _) = DurableStore::<FlCall>::open(root.join("0"), DurabilityConfig::default())
+        .expect("the persisted chain opens");
+    assert_eq!(durable.store().tip_digest(), tip, "durable tip ≠ live tip");
+    drop(durable);
+    assert_eq!(run(None), tip, "persisted chain ≠ memory-only chain");
+
+    let mut group = c.benchmark_group("round_pipeline");
+    group.sample_size(10);
+    for cap in caps() {
+        par::set_max_threads(cap);
+        group.bench_function(
+            BenchmarkId::new("persisted/stream_churn", format!("cap{cap}")),
+            |b| b.iter(persisted),
+        );
+        group.bench_function(
+            BenchmarkId::new("memory/stream_churn", format!("cap{cap}")),
+            |b| b.iter(|| run(None)),
+        );
+    }
+    par::set_max_threads(0);
+    group.finish();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+criterion_group!(benches, bench_pipeline, bench_cold_audit, bench_persisted);
 criterion_main!(benches);

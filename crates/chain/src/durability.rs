@@ -71,9 +71,21 @@ pub struct DurabilityConfig {
     /// Segmented-log configuration.
     pub log: LogConfig,
     /// Suggested snapshot cadence in blocks, consulted by
-    /// [`DurableStore::snapshot_due`]. Snapshots are caller-driven (the
-    /// caller owns the state blob), so this is advisory.
+    /// [`Self::snapshot_due`]. Snapshots are caller-driven (the caller
+    /// owns the state blob), so this is advisory.
     pub snapshot_every: u64,
+}
+
+impl DurabilityConfig {
+    /// The snapshot cadence rule: a chain of `height` blocks whose newest
+    /// snapshot sits at `last_snapshot_height` (0 for none) is due for
+    /// one when it is non-empty and `snapshot_every` blocks past it.
+    /// [`DurableStore::snapshot_due`] asks it about the store itself; a
+    /// caller that queues writes ahead of the store asks it about the
+    /// heights it queued.
+    pub fn snapshot_due(&self, height: u64, last_snapshot_height: u64) -> bool {
+        height > 0 && height >= last_snapshot_height.saturating_add(self.snapshot_every)
+    }
 }
 
 impl Default for DurabilityConfig {
@@ -355,11 +367,23 @@ impl<C: Encode + Decode + Clone> DurableStore<C> {
         Ok(())
     }
 
-    /// True when the advisory snapshot cadence says the caller should
+    /// The configuration this store was opened with.
+    pub fn config(&self) -> DurabilityConfig {
+        self.config
+    }
+
+    /// Height of the newest snapshot written through this handle or
+    /// recovered at [`Self::open`]; 0 when there is none.
+    pub fn last_snapshot_height(&self) -> u64 {
+        self.last_snapshot_height
+    }
+
+    /// True when the advisory snapshot cadence
+    /// ([`DurabilityConfig::snapshot_due`]) says the caller should
     /// [`Self::write_snapshot`] now.
     pub fn snapshot_due(&self) -> bool {
-        let height = self.store.height();
-        height > 0 && height >= self.last_snapshot_height + self.config.snapshot_every
+        self.config
+            .snapshot_due(self.store.height(), self.last_snapshot_height)
     }
 
     /// Persists `state` as a snapshot bound to the current tip. The blob
@@ -372,12 +396,19 @@ impl<C: Encode + Decode + Clone> DurableStore<C> {
         if height == 0 {
             return Err(DurabilityError::EmptyChainSnapshot);
         }
-        let tip_digest = self.store.tip_digest();
-        let payload = (height, tip_digest, state.to_vec()).encode();
-        let mut framed = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
+        // The payload `(height, tip digest, state)` is encoded in place
+        // behind its frame header — one buffer the size of the file,
+        // 8 + 32 + 8 bytes of height, digest and length prefix before the
+        // state — with the state's bytes copied whole, as a byte slice
+        // encodes.
+        let mut framed = Vec::with_capacity(RECORD_HEADER_BYTES + 48 + state.len());
+        framed.resize(RECORD_HEADER_BYTES, 0);
+        (height, self.store.tip_digest(), state.len()).encode_to(&mut framed);
+        framed.extend_from_slice(state);
+        let (header, payload) = framed.split_at_mut(RECORD_HEADER_BYTES);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        let payload_len = payload.len();
 
         let fire = self
             .plan
@@ -388,7 +419,7 @@ impl<C: Encode + Decode + Clone> DurableStore<C> {
         // load-bearing, and the log — not the snapshot — is the source
         // of truth.
         let keep = if fire.is_some() {
-            RECORD_HEADER_BYTES + payload.len() / 2
+            RECORD_HEADER_BYTES + payload_len / 2
         } else {
             framed.len()
         };
@@ -634,6 +665,13 @@ mod tests {
         let tip = durable.store().tip_digest();
         drop(durable);
 
+        // The file is the frame of the encoded `(height, tip, state)`.
+        let payload = (3u64, tip, b"contract-state-at-3".to_vec()).encode();
+        let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(&crc32(&payload).to_le_bytes());
+        framed.extend_from_slice(&payload);
+        assert_eq!(fs::read(snapshot_path(dir.path(), 3)).unwrap(), framed);
+
         let (_, report) = open(&dir);
         let snap = report.snapshot.expect("snapshot must be recovered");
         assert_eq!(snap.height, 3);
@@ -779,6 +817,25 @@ mod tests {
         assert!(durable.snapshot_due());
         durable.write_snapshot(b"s").unwrap();
         assert!(!durable.snapshot_due(), "cadence resets after a snapshot");
+        assert_eq!(durable.last_snapshot_height(), 2);
+    }
+
+    #[test]
+    fn cadence_rule_over_heights() {
+        let every = |snapshot_every| DurabilityConfig {
+            snapshot_every,
+            ..DurabilityConfig::default()
+        };
+        assert!(!every(2).snapshot_due(0, 0), "empty chain never due");
+        assert!(every(1).snapshot_due(1, 0));
+        assert!(!every(2).snapshot_due(3, 2));
+        assert!(every(2).snapshot_due(4, 2));
+        assert!(
+            every(2).snapshot_due(5, 2),
+            "a stream may jump past the mark"
+        );
+        // No cadence: never due, and no overflow past a recovered snapshot.
+        assert!(!every(u64::MAX).snapshot_due(u64::MAX - 1, 7));
     }
 
     #[test]

@@ -121,12 +121,10 @@ fn replay_blocks(
 ) -> Result<(Vec<BlockAudit>, bool), AuditError> {
     let mut blocks = Vec::new();
     let mut clean = true;
-    for height in from..store.height() {
-        // Under the store's read guard: the auditor only reads the
-        // block, so nothing is cloned.
-        let audit = store
-            .with_block(height, |block| replay_block(contract, block))
-            .expect("height bounded by store")?;
+    // The blocks are shared with the store, not copied, and no guard is
+    // held while they replay.
+    for block in store.blocks_from(from) {
+        let audit = replay_block(contract, &block)?;
         clean &= audit.consistent;
         blocks.push(audit);
     }
@@ -190,6 +188,13 @@ pub enum FastSyncError {
     /// The snapshot blob did not decode as contract state. Its CRC and
     /// tip binding were valid, so this is tampering, not a crash.
     SnapshotUndecodable(DecodeError),
+    /// The snapshot names a height with no block in the recovered chain
+    /// to prove it against. Recovery only keeps snapshots bound to a
+    /// block it replayed, so this is a store that broke its contract.
+    SnapshotUnbound {
+        /// Snapshot height.
+        height: u64,
+    },
     /// The state restored from the snapshot does not hash to the state
     /// root committed at the snapshot height — a well-formed forgery.
     SnapshotStateMismatch {
@@ -208,6 +213,9 @@ impl std::fmt::Display for FastSyncError {
             Self::Durability(e) => write!(f, "durable store recovery: {e}"),
             Self::Audit(e) => write!(f, "{e}"),
             Self::SnapshotUndecodable(e) => write!(f, "snapshot state undecodable: {e}"),
+            Self::SnapshotUnbound { height } => {
+                write!(f, "snapshot at height {height} names no block of the chain")
+            }
             Self::SnapshotStateMismatch {
                 height,
                 committed,
@@ -282,9 +290,13 @@ pub fn fast_sync(
         Some(snap) => {
             let restored = FlContract::restore(params, test_set, &snap.state)
                 .map_err(FastSyncError::SnapshotUndecodable)?;
-            let committed = store
-                .with_block(snap.height - 1, |block| block.header.state_root)
-                .expect("snapshot height validated during recovery");
+            let committed = snap
+                .height
+                .checked_sub(1)
+                .and_then(|tip| store.with_block(tip, |block| block.header.state_root))
+                .ok_or(FastSyncError::SnapshotUnbound {
+                    height: snap.height,
+                })?;
             let digest = restored.state_digest();
             if digest != committed {
                 return Err(FastSyncError::SnapshotStateMismatch {

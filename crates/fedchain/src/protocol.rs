@@ -73,11 +73,29 @@
 //! bit-identical chain; the `par_determinism` suite pins pipelined ≡
 //! sequential across thread caps, dropout schedules, and cohort
 //! counts.
+//!
+//! **The durable tail is write-behind.** With a store attached
+//! ([`FlProtocol::persist_to`]) a run opens one scoped writer thread
+//! that owns the store from the setup block to the last round. The
+//! on-chain stage does not wait for the disk: at the end of each stream
+//! of bundles it queues the stream's blocks, plus the contract state
+//! captured at that height wherever the snapshot cadence fires, and
+//! moves on; the writer appends each stream as one flushed batch and
+//! writes each snapshot, in queue order, so the bytes on disk are those
+//! of a synchronous tail. The barrier is the end of the run: `run` and
+//! `run_sequential` join the writer before they return, on success and
+//! on every error, so every block committed is durable when they
+//! return. The writer is the one thread outside `numeric::par` — it
+//! holds no lease, and does no work but encoding, checksumming, writing
+//! and syncing.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread;
 use std::time::Instant;
 
+use fl_chain::block::Block;
 use fl_chain::consensus::engine::{
     CommitReport, ConsensusEngine, EngineConfig, EngineError, MinerBehavior,
 };
@@ -86,6 +104,7 @@ use fl_chain::durability::{DurabilityConfig, DurabilityError, DurableStore, Reco
 use fl_chain::gas::Gas;
 use fl_chain::hash::Hash32;
 use fl_chain::mempool::Mempool;
+use fl_chain::store::ChainStore;
 use fl_chain::tx::{AccountId, Transaction};
 use fl_crypto::shamir::{Shamir, Share};
 use fl_crypto::ChaChaPrg;
@@ -117,9 +136,12 @@ pub enum ProtocolError {
     /// for the round, so this signals a bug — never commit a truncated
     /// round block silently).
     Admission(fl_chain::mempool::MempoolError),
-    /// The attached durable store failed (log I/O, corrupt directory, or
-    /// an injected crash). The in-memory run is intact; persistence is
-    /// not.
+    /// The attached durable store failed (log I/O, corrupt directory, a
+    /// directory holding another chain, or an injected crash). The
+    /// in-memory run is intact; persistence is not. During a run the
+    /// writer stops at its first error and the run returns it once the
+    /// writer is joined, ahead of any protocol error met after the
+    /// failed write was queued.
     Durability(DurabilityError),
     /// An owner has no DH public key on-chain: the round machinery ran
     /// before the phase-0 setup block (a mis-sequenced caller).
@@ -212,7 +234,9 @@ pub struct StageTimings {
     pub commit: f64,
     /// Committing the `EvaluateRound`-bearing bundles — a round's last
     /// cohort bundle (SV evaluation) and, on churned rounds, the
-    /// recovery block — plus persisting the round's blocks.
+    /// recovery block — plus queueing the round's blocks (and any due
+    /// snapshot) for the durable writer. The writes themselves run
+    /// beside the stages; the run waits for them only before it returns.
     pub evaluate: f64,
 }
 
@@ -548,30 +572,97 @@ impl OffChainStage<'_> {
     }
 }
 
+/// The honest replica's chain — what the durable store tails.
+fn live_chain(engine: &ConsensusEngine<FlContract>) -> &ChainStore<FlCall> {
+    engine.store_of(0).expect("miner 0 always exists")
+}
+
+/// One write-behind job: a stream's blocks, appended as one flushed
+/// batch, then the contract state at the height they reach when the
+/// snapshot cadence fires there.
+type DurableJob = (Vec<Arc<Block<FlCall>>>, Option<Vec<u8>>);
+
+/// The committing side of the write-behind durable tail (module docs).
+/// The writer thread owns the store; this side tracks the height and
+/// the snapshot cadence the store will have once every queued job is
+/// written, so it decides what to queue without waiting for the disk.
+struct DurableTail<'w> {
+    jobs: mpsc::Sender<DurableJob>,
+    /// The writer's first error; it writes nothing after it.
+    failed: &'w OnceLock<DurabilityError>,
+    config: DurabilityConfig,
+    /// Height of the durable chain once every queued job is written.
+    queued: u64,
+    /// Height of the newest snapshot queued, or recovered at open.
+    last_snapshot: u64,
+}
+
+impl<'w> DurableTail<'w> {
+    /// Spawns the writer over `store` in `scope`. The writer applies the
+    /// jobs in queue order until the tail is dropped, and stops at its
+    /// first error, which it leaves in `failed`.
+    fn spawn<'scope>(
+        scope: &'scope thread::Scope<'scope, 'w>,
+        store: &'w mut DurableStore<FlCall>,
+        failed: &'w OnceLock<DurabilityError>,
+    ) -> Self {
+        let (jobs, queue) = mpsc::channel::<DurableJob>();
+        let tail = Self {
+            jobs,
+            failed,
+            config: store.config(),
+            queued: store.store().height(),
+            last_snapshot: store.last_snapshot_height(),
+        };
+        scope.spawn(move || {
+            for (blocks, snapshot) in queue {
+                let written = store.append_batch(blocks).and_then(|()| match snapshot {
+                    Some(state) => store.write_snapshot(&state),
+                    None => Ok(()),
+                });
+                if let Err(e) = written {
+                    failed.get_or_init(|| e);
+                    return;
+                }
+            }
+        });
+        tail
+    }
+}
+
 /// The on-chain half of the round pipeline: mempool, consensus engine,
-/// and the optional durable store.
+/// and the durable tail when a store is attached.
 struct OnChainStage<'a> {
     engine: &'a mut ConsensusEngine<FlContract>,
     pool: &'a mut Mempool<FlCall>,
-    durable: &'a mut Option<DurableStore<FlCall>>,
+    durable: Option<DurableTail<'a>>,
 }
 
 impl OnChainStage<'_> {
-    /// Tails the honest replica's chain into the durable store: appends
-    /// every block beyond the durable height as one batch (the blocks
-    /// themselves are shared with the replica, one flush makes them all
-    /// durable), then snapshots the contract state if the cadence says
-    /// so.
+    /// Queues the honest replica's chain past the queued height for the
+    /// durable writer as one batch (the blocks themselves are shared
+    /// with the replica), with a snapshot of the contract state if the
+    /// cadence fires at the height they reach. Fails with the writer's
+    /// error once it has stopped.
     fn sync_durable(&mut self) -> Result<(), ProtocolError> {
-        let Some(durable) = self.durable.as_mut() else {
+        let Some(tail) = self.durable.as_mut() else {
             return Ok(());
         };
-        let live = self.engine.store_of(0).expect("miner 0 always exists");
-        durable.append_batch(live.blocks_from(durable.store().height()))?;
-        if durable.snapshot_due() {
-            let state = self.engine.honest_contract().snapshot_state();
-            durable.write_snapshot(&state)?;
+        if let Some(e) = tail.failed.get() {
+            return Err(e.clone().into());
         }
+        let blocks = live_chain(self.engine).blocks_from(tail.queued);
+        tail.queued += blocks.len() as u64;
+        let snapshot = tail
+            .config
+            .snapshot_due(tail.queued, tail.last_snapshot)
+            .then(|| {
+                tail.last_snapshot = tail.queued;
+                self.engine.honest_contract().snapshot_state()
+            });
+        // A send fails only once the writer has stopped: the error it
+        // left is returned when the run joins it, a panic re-raised.
+        let _ = tail.jobs.send((blocks, snapshot));
         Ok(())
     }
 
@@ -830,36 +921,33 @@ impl FlProtocol {
         })
     }
 
-    /// The on-chain half of the pipeline, borrowing the engine, pool,
-    /// and durable store (disjoint from the off-chain borrows).
-    fn on_chain(&mut self) -> OnChainStage<'_> {
-        OnChainStage {
-            engine: &mut self.engine,
-            pool: &mut self.pool,
-            durable: &mut self.durable,
-        }
-    }
-
-    /// Attaches a durable store at `dir`: from now on, every committed
-    /// block is write-ahead logged to disk (and snapshotted at the
-    /// configured cadence) before the commit of its stream of bundles
-    /// returns, one flush per stream — blocks already committed are
-    /// logged immediately, so attaching mid-run is sound. Reopening the
-    /// directory later (or handing it to
+    /// Attaches a durable store at `dir`: blocks already committed are
+    /// logged before this returns, so attaching mid-run is sound, and
+    /// every block a later [`Self::run`] commits is write-ahead logged,
+    /// one flush per stream of bundles, with snapshots at the configured
+    /// cadence. The run hands the writes to a writer thread of its own
+    /// and joins it before returning: a block is durable when the `run`
+    /// that committed it returns, not when its stream commits. Reopening
+    /// the directory later (or handing it to
     /// [`crate::audit::fast_sync`]) reproduces the chain bit-identically.
     ///
     /// If `dir` already holds a prefix of this run's chain (a resumed
     /// run), logging continues after it; a directory holding a
     /// *different* chain fails with
-    /// [`DurabilityError::Rejected`] at the first divergent block.
+    /// [`DurabilityError::Rejected`] at the first divergent block —
+    /// here, or from the run that commits it. On an error here no store
+    /// is attached.
     pub fn persist_to(
         &mut self,
         dir: impl Into<PathBuf>,
         config: DurabilityConfig,
     ) -> Result<RecoveryReport, ProtocolError> {
-        let (durable, report) = DurableStore::open(dir, config)?;
+        let (mut durable, report) = DurableStore::open(dir, config)?;
+        durable.append_batch(live_chain(&self.engine).blocks_from(durable.store().height()))?;
+        if durable.snapshot_due() {
+            durable.write_snapshot(&self.engine.honest_contract().snapshot_state())?;
+        }
         self.durable = Some(durable);
-        self.on_chain().sync_durable()?;
         Ok(report)
     }
 
@@ -898,59 +986,12 @@ impl FlProtocol {
         &self.pool
     }
 
-    /// Commits the setup block (phase 0): every owner advertises its DH
-    /// public key and escrows hash commitments to the Shamir shares of
-    /// its private key — the on-chain half of the dropout extension.
-    fn advertise_keys(&mut self) -> Result<Vec<CommitReport>, ProtocolError> {
-        let mut calls: Vec<(AccountId, FlCall)> = self
-            .owners
-            .iter()
-            .map(|owner| {
-                let public_key = owner.public_key_bytes();
-                (owner.id(), FlCall::AdvertiseKey { public_key })
-            })
-            .collect();
-        // No escrows were generated when the run schedules no dropouts;
-        // the setup block is then keys-only.
-        for (owner, shares) in self.owners.iter().zip(&self.escrows) {
-            let id = owner.id();
-            let commitments: Vec<Hash32> = shares
-                .iter()
-                .map(|share| share_commitment(id, share))
-                .collect();
-            calls.push((id, FlCall::EscrowKeyShares { commitments }));
-        }
-        let size = calls.len();
-        self.on_chain()
-            .commit_stream(calls, &[size], &mut StageTimings::default())
-    }
-
-    /// Snapshots the phase-0 key directory: every owner's advertised DH
-    /// public key plus the pair-secret epoch digest over the full set.
-    /// Keys never change after phase 0, so the snapshot equals what any
-    /// round would read from the live contract.
-    fn snapshot_keys(&self) -> Result<(Vec<U256>, [u8; 32]), ProtocolError> {
-        let contract = self.engine.honest_contract();
-        let mut keys = Vec::with_capacity(self.owners.len());
-        let mut directory: Vec<(AccountId, U256)> = Vec::with_capacity(self.owners.len());
-        for owner in &self.owners {
-            let id = owner.id();
-            let bytes = contract
-                .public_key_of(id)
-                .ok_or(ProtocolError::MissingAdvertisedKey { owner: id })?;
-            let key = U256::from_be_bytes(bytes);
-            keys.push(key);
-            directory.push((id, key));
-        }
-        let epoch = fl_crypto::key_epoch(&directory);
-        Ok((keys, epoch))
-    }
-
     /// Runs the complete protocol — key exchange plus all `R` rounds —
     /// as a two-stage pipeline: round `r+1`'s off-chain work overlaps
     /// round `r`'s on-chain tail (see the module docs' pipeline
     /// contract). Produces a chain bit-identical to
-    /// [`Self::run_sequential`].
+    /// [`Self::run_sequential`]. With a store attached, every committed
+    /// block is durable when this returns.
     pub fn run(&mut self) -> Result<FlRunReport, ProtocolError> {
         self.run_with(true)
     }
@@ -959,89 +1000,31 @@ impl FlProtocol {
     /// paper's original loop): each round trains, commits, and
     /// evaluates before the next starts. The reference for the
     /// pipelined mode's bit-equality contract — and the baseline the
-    /// `round_pipeline` bench measures against.
+    /// `round_pipeline` bench measures against. Persists as
+    /// [`Self::run`] does.
     pub fn run_sequential(&mut self) -> Result<FlRunReport, ProtocolError> {
         self.run_with(false)
     }
 
     fn run_with(&mut self, pipelined: bool) -> Result<FlRunReport, ProtocolError> {
         let run_start = Instant::now();
-        let mut commits = Vec::new();
-        // Phase 0, unless keys are already on-chain (re-advertising
-        // would fail the block with `KeyAlreadyAdvertised` and wedge the
-        // protocol).
-        if self.contract().public_key_of(self.owners[0].id()).is_none() {
-            commits.extend(self.advertise_keys()?);
+        let mut store = self.durable.take();
+        let failed = OnceLock::new();
+        // The writer lives for the scope; the rounds drop their end of
+        // its queue when they return, and the scope joins it.
+        let rounds = thread::scope(|scope| {
+            let durable = store
+                .as_mut()
+                .map(|store| DurableTail::spawn(scope, store, &failed));
+            self.run_rounds(pipelined, durable)
+        });
+        self.durable = store;
+        // The writer's error comes first: the job it failed on was
+        // queued before anything the run met after it.
+        if let Some(e) = failed.into_inner() {
+            return Err(e.into());
         }
-        let (keys, epoch) = self.snapshot_keys()?;
-        let mut stages = StageTimings::default();
-
-        if self.config.rounds > 0 {
-            // Split borrows: the off-chain stage owns the owners and
-            // escrows, the on-chain stage the engine, pool, and durable
-            // store — disjoint, so the two halves may run concurrently.
-            let Self {
-                config,
-                owners,
-                engine,
-                pool,
-                escrows,
-                durable,
-                test_set: _,
-            } = self;
-            let mut off = OffChainStage {
-                config,
-                owners,
-                escrows,
-                keys: &keys,
-                epoch,
-            };
-            let mut on = OnChainStage {
-                engine,
-                pool,
-                durable,
-            };
-
-            let model0 = on.engine.honest_contract().global_model().to_vec();
-            let mut prepared = off.prepare_round(0, &model0, None::<fn()>).1?;
-            stages.train_mask += prepared.train_mask_secs;
-            stages.assemble += prepared.assemble_secs;
-            for round in 0..config.rounds {
-                if round + 1 < config.rounds {
-                    let next = if pipelined {
-                        // Round r+1 is prepared with round r's on-chain
-                        // tail beside it; r+1 trains against the
-                        // predicted (digest-fixed) model.
-                        let next_model = prepared.predicted_model.clone();
-                        let tail = || on.commit_round(prepared);
-                        let (commit_res, prep_res) =
-                            off.prepare_round(round + 1, &next_model, Some(tail));
-                        if let Some((reports, t)) = commit_res.transpose()? {
-                            commits.extend(reports);
-                            stages.accumulate(&t);
-                        }
-                        prep_res?
-                    } else {
-                        let (reports, t) = on.commit_round(prepared)?;
-                        commits.extend(reports);
-                        stages.accumulate(&t);
-                        // Sequential: train against the live committed
-                        // model (the seed's loop verbatim); commit_round
-                        // just pinned it equal to the prediction.
-                        let live = on.engine.honest_contract().global_model().to_vec();
-                        off.prepare_round(round + 1, &live, None::<fn()>).1?
-                    };
-                    stages.train_mask += next.train_mask_secs;
-                    stages.assemble += next.assemble_secs;
-                    prepared = next;
-                } else {
-                    let (reports, t) = on.commit_round(prepared)?;
-                    commits.extend(reports);
-                    stages.accumulate(&t);
-                    break;
-                }
-            }
-        }
+        let (commits, stages) = rounds?;
 
         let contract = self.engine.honest_contract();
         let per_owner_sv: Vec<f64> = contract
@@ -1074,6 +1057,144 @@ impl FlProtocol {
             wall_seconds: run_start.elapsed().as_secs_f64(),
         })
     }
+
+    /// The setup block and every round, committed through one on-chain
+    /// stage that owns the durable tail, if any: the stage is dropped on
+    /// return, and with it the writer's queue.
+    fn run_rounds(
+        &mut self,
+        pipelined: bool,
+        durable: Option<DurableTail<'_>>,
+    ) -> Result<(Vec<CommitReport>, StageTimings), ProtocolError> {
+        // Split borrows: the off-chain stage owns the owners and escrows,
+        // the on-chain stage the engine, pool, and durable tail —
+        // disjoint, so the two halves may run concurrently.
+        let Self {
+            config,
+            owners,
+            engine,
+            pool,
+            escrows,
+            durable: _,
+            test_set: _,
+        } = self;
+        let mut on = OnChainStage {
+            engine,
+            pool,
+            durable,
+        };
+        let mut commits = Vec::new();
+        // Phase 0, unless keys are already on-chain (re-advertising
+        // would fail the block with `KeyAlreadyAdvertised` and wedge the
+        // protocol).
+        if on
+            .engine
+            .honest_contract()
+            .public_key_of(owners[0].id())
+            .is_none()
+        {
+            let calls = setup_calls(owners, escrows);
+            let size = calls.len();
+            commits.extend(on.commit_stream(calls, &[size], &mut StageTimings::default())?);
+        }
+        let (keys, epoch) = snapshot_keys(on.engine.honest_contract(), owners)?;
+        let mut stages = StageTimings::default();
+        // `FlConfig::validate` holds `rounds ≥ 1`: round 0 is always run.
+        let mut off = OffChainStage {
+            config,
+            owners,
+            escrows,
+            keys: &keys,
+            epoch,
+        };
+        let model0 = on.engine.honest_contract().global_model().to_vec();
+        let mut prepared = off.prepare_round(0, &model0, None::<fn()>).1?;
+        stages.train_mask += prepared.train_mask_secs;
+        stages.assemble += prepared.assemble_secs;
+        for round in 0..config.rounds {
+            if round + 1 < config.rounds {
+                let next = if pipelined {
+                    // Round r+1 is prepared with round r's on-chain tail
+                    // beside it; r+1 trains against the predicted
+                    // (digest-fixed) model.
+                    let next_model = prepared.predicted_model.clone();
+                    let tail = || on.commit_round(prepared);
+                    let (commit_res, prep_res) =
+                        off.prepare_round(round + 1, &next_model, Some(tail));
+                    if let Some((reports, t)) = commit_res.transpose()? {
+                        commits.extend(reports);
+                        stages.accumulate(&t);
+                    }
+                    prep_res?
+                } else {
+                    let (reports, t) = on.commit_round(prepared)?;
+                    commits.extend(reports);
+                    stages.accumulate(&t);
+                    // Sequential: train against the live committed model
+                    // (the seed's loop verbatim); commit_round just
+                    // pinned it equal to the prediction.
+                    let live = on.engine.honest_contract().global_model().to_vec();
+                    off.prepare_round(round + 1, &live, None::<fn()>).1?
+                };
+                stages.train_mask += next.train_mask_secs;
+                stages.assemble += next.assemble_secs;
+                prepared = next;
+            } else {
+                let (reports, t) = on.commit_round(prepared)?;
+                commits.extend(reports);
+                stages.accumulate(&t);
+                break;
+            }
+        }
+        Ok((commits, stages))
+    }
+}
+
+/// The setup block's calls (phase 0): every owner advertises its DH
+/// public key and escrows hash commitments to the Shamir shares of its
+/// private key — the on-chain half of the dropout extension.
+fn setup_calls(owners: &[DataOwner], escrows: &[Vec<Share>]) -> Vec<(AccountId, FlCall)> {
+    let mut calls: Vec<(AccountId, FlCall)> = owners
+        .iter()
+        .map(|owner| {
+            let public_key = owner.public_key_bytes();
+            (owner.id(), FlCall::AdvertiseKey { public_key })
+        })
+        .collect();
+    // No escrows were generated when the run schedules no dropouts; the
+    // setup block is then keys-only.
+    for (owner, shares) in owners.iter().zip(escrows) {
+        let id = owner.id();
+        let commitments: Vec<Hash32> = shares
+            .iter()
+            .map(|share| share_commitment(id, share))
+            .collect();
+        calls.push((id, FlCall::EscrowKeyShares { commitments }));
+    }
+    calls
+}
+
+/// Snapshots the phase-0 key directory: every owner's advertised DH
+/// public key plus the pair-secret epoch digest over the full set. Keys
+/// never change after phase 0, so the snapshot equals what any round
+/// would read from the live contract.
+fn snapshot_keys(
+    contract: &FlContract,
+    owners: &[DataOwner],
+) -> Result<(Vec<U256>, [u8; 32]), ProtocolError> {
+    let mut keys = Vec::with_capacity(owners.len());
+    let mut directory: Vec<(AccountId, U256)> = Vec::with_capacity(owners.len());
+    for owner in owners {
+        let id = owner.id();
+        let bytes = contract
+            .public_key_of(id)
+            .ok_or(ProtocolError::MissingAdvertisedKey { owner: id })?;
+        let key = U256::from_be_bytes(bytes);
+        keys.push(key);
+        directory.push((id, key));
+    }
+    let epoch = fl_crypto::key_epoch(&directory);
+    Ok((keys, epoch))
 }
 
 #[cfg(test)]
@@ -1164,7 +1285,7 @@ mod tests {
         // Snapshotting keys before the phase-0 block is the
         // mis-sequenced-caller case that used to panic.
         let p = FlProtocol::new(quick()).unwrap();
-        match p.snapshot_keys() {
+        match snapshot_keys(p.contract(), &p.owners) {
             Err(ProtocolError::MissingAdvertisedKey { owner: 0 }) => {}
             other => panic!("expected MissingAdvertisedKey for owner 0, got {other:?}"),
         }

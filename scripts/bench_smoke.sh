@@ -7,7 +7,7 @@
 # so the loop is an equivalence gate, not a timing one. Stops at the
 # first bench that fails.
 #
-# Eight timing gates follow it, each a ratio inside one run because
+# Nine timing gates follow it, each a ratio inside one run because
 # absolute ns drift ±15 % on the CI box. A 4-cohort pipelined chain at
 # thread cap 2 may not cost more than 1.75 × the sequential chain at cap
 # 1 (≈ 1.0 with the numeric::par thread budget; ≈ 2.3 – 2.5 when every
@@ -39,7 +39,11 @@
 # evaluations leased a thread by item count), and the Table I chain
 # through the pipeline at cap 2 may not cost more than 1.05 × the
 # sequential chain at cap 2 (≈ 0.9 – 1.0; ≈ 1.4 while the pipeline's
-# second thread idled at the join for the on-chain tail).
+# second thread idled at the join for the on-chain tail). And, also at
+# cap 2, the stream_churn chain persisted to a fresh directory may not
+# cost more than 1.3 × the same chain kept in memory (≈ 1.15 – 1.3 with
+# the write-behind durable tail; 1.3 – 2.1 while every stream waited for
+# its own fsync on the committing thread).
 #
 # usage: scripts/bench_smoke.sh [artefact.jsonl]
 set -euo pipefail
@@ -109,11 +113,12 @@ cap2_gate() {
 }
 
 if [ "$(nproc)" -lt 2 ]; then
-    echo "ratio gates skipped: nproc is 1, round_pipeline samples no cap-2 entry (4-cohort chain, cold audit, Table I chain)"
+    echo "ratio gates skipped: nproc is 1, round_pipeline samples no cap-2 entry (4-cohort chain, cold audit, Table I chain, persisted chain)"
 else
     cap2_gate /4/cap round_pipeline/pipelined/4/cap2 round_pipeline/sequential/4/cap1 1.75
     cap2_gate cold_audit/stream_churn cold_audit/stream_churn/cap2 cold_audit/stream_churn/cap1 1.1
     cap2_gate /table1/cap2 round_pipeline/pipelined/table1/cap2 round_pipeline/sequential/table1/cap2 1.05
+    cap2_gate stream_churn/cap2 round_pipeline/persisted/stream_churn/cap2 round_pipeline/memory/stream_churn/cap2 1.3
 fi
 rm -f "$ratio_out"
 

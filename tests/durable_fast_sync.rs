@@ -6,12 +6,18 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use fedchain::audit::{fast_sync, FastSyncError};
 use fedchain::config::FlConfig;
-use fedchain::protocol::FlProtocol;
-use fl_chain::durability::DurabilityConfig;
+use fedchain::protocol::{FlProtocol, ProtocolError};
+use fedchain::FlCall;
+use fl_chain::durability::{DurabilityConfig, DurabilityError, DurableStore};
 use fl_chain::log::LogConfig;
+use numeric::par;
+
+/// The thread cap is process-global; tests that set it take turns.
+static THREAD_CAP: Mutex<()> = Mutex::new(());
 
 struct TestDir(PathBuf);
 
@@ -221,4 +227,148 @@ fn fast_sync_survives_a_torn_tail_and_recertifies_the_prefix() {
     assert!(report.truncated.is_some(), "the torn tail must be reported");
     assert_eq!(report.blocks, 2, "final record lost, prefix recovered");
     assert!(report.audit.clean, "the surviving prefix still verifies");
+}
+
+/// Every file of a chain directory, name and bytes, in name order.
+fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .map(|p| {
+            let name = p
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&p).expect("read file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The sharded config with owners dropping in rounds 0 and 2, three
+/// rounds: streams end at heights 1 (setup), 3, 4 (recovery), 6, 8 and
+/// 9 (recovery). A cohort block outgrows a 16 KiB segment, so every
+/// two-block stream rolls a segment inside its batch.
+fn churned_sharded_config() -> FlConfig {
+    let mut config = sharded_config();
+    config.rounds = 3;
+    config.dropout_schedule = vec![(0, vec![1]), (2, vec![2, 5])];
+    config
+}
+
+#[test]
+fn write_behind_tail_leaves_the_bytes_of_a_synchronous_one() {
+    let config = churned_sharded_config();
+    let durability = durability_config(2);
+    let persisted = |cap: usize, pipelined: bool| {
+        let dir = TestDir::new("write-behind");
+        par::set_max_threads(cap);
+        let mut protocol = FlProtocol::new(config.clone()).expect("valid config");
+        protocol
+            .persist_to(dir.path(), durability)
+            .expect("fresh dir attaches");
+        if pipelined {
+            protocol.run()
+        } else {
+            protocol.run_sequential()
+        }
+        .expect("honest run");
+        par::set_max_threads(0);
+        let live = protocol
+            .engine()
+            .store_of(0)
+            .expect("miner 0")
+            .blocks_from(0);
+        (dir_files(dir.path()), live)
+    };
+    let guard = THREAD_CAP.lock().unwrap_or_else(|e| e.into_inner());
+    let (files, live) = persisted(1, true);
+    assert_eq!(persisted(2, true).0, files, "run() at cap 2 ≠ cap 1");
+    assert_eq!(persisted(1, false).0, files, "run_sequential() ≠ run()");
+    drop(guard);
+
+    // The segments are those of a store fed the live chain block by block.
+    let singly = TestDir::new("write-behind-singly");
+    let (mut store, _) = DurableStore::<FlCall>::open(singly.path(), durability).expect("opens");
+    for block in &live {
+        store.append(block.clone()).expect("the live chain extends");
+    }
+    drop(store);
+    let segments = |files: &[(String, Vec<u8>)]| -> Vec<(String, Vec<u8>)> {
+        files
+            .iter()
+            .filter(|(name, _)| name.ends_with(".seg"))
+            .cloned()
+            .collect()
+    };
+    let wal = segments(&files);
+    assert!(wal.len() > live.len() / 2, "streams must roll segments");
+    assert_eq!(wal, segments(&dir_files(singly.path())));
+
+    // Snapshots sit exactly at the stream ends where the cadence fires:
+    // a stream ends after the setup block and after every block that
+    // carries an `EvaluateRound` (a round's last cohort, a recovery).
+    let stream_ends: Vec<u64> = std::iter::once(1)
+        .chain(live.iter().filter_map(|block| {
+            block
+                .txs
+                .iter()
+                .any(|tx| matches!(tx.call, FlCall::EvaluateRound { .. }))
+                .then_some(block.header.height + 1)
+        }))
+        .collect();
+    assert_eq!(stream_ends, [1, 3, 4, 6, 8, 9]);
+    let mut last = 0;
+    let mut expected = Vec::new();
+    for end in stream_ends {
+        if end >= last + durability.snapshot_every {
+            expected.push(format!("snap-{end:08}.bin"));
+            last = end;
+        }
+    }
+    let snapshots: Vec<String> = files
+        .iter()
+        .map(|(name, _)| name.clone())
+        .filter(|name| name.starts_with("snap-"))
+        .collect();
+    assert_eq!(snapshots, expected);
+}
+
+#[test]
+fn a_directory_holding_another_chain_stops_the_run() {
+    // Chain A: two blocks from one world.
+    let dir = TestDir::new("foreign-chain");
+    let mut first = FlProtocol::new(FlConfig::quick_demo()).expect("valid config");
+    first
+        .persist_to(dir.path(), durability_config(1))
+        .expect("fresh dir attaches");
+    first.run().expect("honest run");
+    let chain_a = first.engine().store_of(0).expect("miner 0").blocks_from(0);
+    let on_disk = dir_files(dir.path());
+
+    // Chain B, from another world, grows past A's height: its block 2
+    // does not extend A's tip.
+    let mut config = FlConfig::quick_demo();
+    config.world_seed += 1;
+    config.rounds = 3;
+    let mut second = FlProtocol::new(config).expect("valid config");
+    second
+        .persist_to(dir.path(), durability_config(1))
+        .expect("B's empty chain is a prefix of anything");
+    match second.run() {
+        Err(ProtocolError::Durability(DurabilityError::Rejected(_))) => {}
+        other => panic!("expected Durability(Rejected), got {other:?}"),
+    }
+
+    // The writer is joined and wrote nothing: the directory still holds A.
+    assert_eq!(dir_files(dir.path()), on_disk);
+    let (reopened, _) =
+        DurableStore::<FlCall>::open(dir.path(), durability_config(1)).expect("reopens");
+    assert_eq!(reopened.store().blocks_from(0), chain_a);
+    assert_eq!(
+        reopened.store().tip_digest(),
+        first.engine().store_of(0).expect("miner 0").tip_digest()
+    );
 }
