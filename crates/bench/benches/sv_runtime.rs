@@ -269,6 +269,41 @@ impl<G: CoalitionUtility> CoalitionUtility for OneAtATime<'_, G> {
     }
 }
 
+/// A utility stripped of its settled rows: `settled` is the trait
+/// default again, so the game scores every test row per coalition — how
+/// every coalition was valued before rows settled.
+struct EveryRow<'a, U>(&'a U);
+
+impl<U: ModelUtility> ModelUtility for EveryRow<'_, U> {
+    fn of_model(&self, weights: &[f64]) -> f64 {
+        self.0.of_model(weights)
+    }
+
+    fn of_empty(&self) -> f64 {
+        self.0.of_empty()
+    }
+
+    fn scores(&self, weights: &[f64]) -> Vec<f64> {
+        self.0.scores(weights)
+    }
+
+    fn of_scores(&self, mean_scores: &[f64]) -> f64 {
+        self.0.of_scores(mean_scores)
+    }
+
+    fn granule(&self) -> Option<usize> {
+        self.0.granule()
+    }
+
+    fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
+        self.0.tally(granules, mean_block)
+    }
+
+    fn of_tally(&self, total: f64) -> f64 {
+        self.0.of_tally(total)
+    }
+}
+
 /// The contract's estimator dispatch at the benchmark's two SV-bound
 /// shapes: exact enumeration, or `Stratified{2}` behind the cache.
 fn play(game: &(impl CoalitionUtility + Sync), exact: bool) -> Vec<f64> {
@@ -291,10 +326,23 @@ fn play(game: &(impl CoalitionUtility + Sync), exact: bool) -> Vec<f64> {
 /// `CachedUtility` ∘ `RestrictedGame` as the contract wraps it).
 /// `batch` lets the estimator hand the game whole subtrees / prewarm
 /// runs, `single` asks the same game one coalition at a time; the two
-/// estimates are asserted equal to the bit before sampling.
+/// estimates are asserted equal to the bit before sampling. Their group
+/// models are synthetic sine patterns: at `table1_sv`'s shape no test row
+/// settles, so that pair measures the walk itself, while most of
+/// `sharded_1k`'s rows do.
+///
+/// `settled/table1_sv` and `unsettled/table1_sv` play `Exact` over the
+/// nine group models trained from `World::generate` at `table1_sv`'s
+/// shape (Table I, m = n = 9, σ = 1), whose every test row settles:
+/// `settled` is the game as the contract builds it, `unsettled` the same
+/// game over a utility that settles nothing ([`EveryRow`]). The two are
+/// asserted equal to the bit before sampling.
+///
 /// `scripts/bench_smoke.sh` gates `batch/table1_sv` against
-/// `single/table1_sv` of one run.
+/// `single/table1_sv`, and `settled/table1_sv` against
+/// `unsettled/table1_sv`, each of one run.
 fn bench_coalition_walk(c: &mut Criterion) {
+    let bits = |values: Vec<f64>| values.into_iter().map(f64::to_bits).collect::<Vec<_>>();
     let mut group = c.benchmark_group("coalition_walk");
     group.sample_size(10);
     for (shape, m, rows, features, classes) in [
@@ -318,11 +366,8 @@ fn bench_coalition_walk(c: &mut Criterion) {
         let values = play(&game, exact);
         assert!(values.iter().any(|&v| v != 0.0), "{shape}: degenerate game");
         assert_eq!(
-            values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            play(&single, exact)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
+            bits(values),
+            bits(play(&single, exact)),
             "{shape}: batched and one-at-a-time estimates differ"
         );
         group.bench_function(BenchmarkId::new("batch", shape), |b| {
@@ -332,6 +377,34 @@ fn bench_coalition_walk(c: &mut Criterion) {
             b.iter(|| play(black_box(&single), exact))
         });
     }
+
+    let config = FlConfig {
+        num_groups: 9,
+        sigma: 1.0,
+        ..FlConfig::paper_setting()
+    };
+    let world = World::generate(&config).expect("valid config");
+    let models = world.local_updates(&config);
+    let utility = AccuracyUtility::new(&world.test, config.data.features, config.data.classes);
+    let every_row = EveryRow(&utility);
+    let settled = GroupModelGame::new(&models, &utility);
+    let unsettled = GroupModelGame::new(&models, &every_row);
+    let values = play(&settled, true);
+    assert!(
+        values.iter().any(|&v| v != 0.0),
+        "table1_sv: degenerate game"
+    );
+    assert_eq!(
+        bits(values),
+        bits(play(&unsettled, true)),
+        "table1_sv: settled and unsettled estimates differ"
+    );
+    group.bench_function(BenchmarkId::new("settled", "table1_sv"), |b| {
+        b.iter(|| play(black_box(&settled), true))
+    });
+    group.bench_function(BenchmarkId::new("unsettled", "table1_sv"), |b| {
+        b.iter(|| play(black_box(&unsettled), true))
+    });
     group.finish();
 }
 

@@ -5,6 +5,7 @@ use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
 use fl_chain::hash::Hash32;
 use fl_chain::tx::AccountId;
 use fl_crypto::shamir::Share;
+use shapley::hierarchy::HierarchyError;
 
 /// Contract calls.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,6 +258,15 @@ pub enum FlError {
         /// Underlying dropout-recovery error.
         reason: String,
     },
+    /// The state holds no masked update of an owner the round counts as
+    /// a survivor.
+    MissingSubmission(AccountId),
+    /// The state holds no advertised key of a survivor whose group's
+    /// residual masks need stripping.
+    MissingKey(AccountId),
+    /// The round's layout — cohort plan or composition of its two
+    /// levels — could not be built from the parameters.
+    Layout(HierarchyError),
 }
 
 impl std::fmt::Display for FlError {
@@ -353,6 +363,11 @@ impl std::fmt::Display for FlError {
             Self::RecoveryFailed { owner, reason } => {
                 write!(f, "key recovery for owner {owner} failed: {reason}")
             }
+            Self::MissingSubmission(id) => {
+                write!(f, "survivor {id} has no submission on record")
+            }
+            Self::MissingKey(id) => write!(f, "survivor {id} has no advertised key"),
+            Self::Layout(e) => write!(f, "round layout: {e}"),
         }
     }
 }

@@ -16,7 +16,7 @@ use numeric::linalg::mean_vectors;
 use numeric::stats::is_argmax;
 use numeric::{par, FixedCodec, U256};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimate, SvEstimator};
-use shapley::group::GroupModelGame;
+use shapley::group::{argmax_settled, GroupModelGame};
 use shapley::hierarchy::{compose, RoundPlan};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
@@ -83,9 +83,17 @@ pub(crate) fn reduce_models(survivor_means: &[Vec<Vec<f64>>]) -> (Vec<Option<Vec
 /// class index. Neither the softmax nor the
 /// `1/|S|` scale can reorder a row, so no `exp` is evaluated. Hits add
 /// up row by row, so there is an additive view too: the granule is one
-/// row's logits, [`ModelUtility::tally`] the hits in a block of rows.
-/// `of_scores` is the tally of all rows over the row count and
-/// `of_model` is `of_scores ∘ scores`: one scoring path.
+/// row's logits, [`ModelUtility::tally`] the hits in a block of rows
+/// (each checked against its own row's label). `of_scores` is the hits
+/// of all rows over the row count and `of_model` is `of_scores ∘
+/// scores`: one scoring path.
+///
+/// Hits are counts, so a row may be settled
+/// ([`ModelUtility::settled`]): given one row's logits under every
+/// group model, the utility answers `1` when every group classifies the
+/// row right and `0` when one wrong class beats the label under every
+/// group, each by the margin [`shapley::group::argmax_settled`] proves
+/// no coalition mean can erase; otherwise it answers nothing.
 ///
 /// Caveat: the logits of a mean model and the mean of the members'
 /// logits are equal as real numbers, not as floats, and softmax can
@@ -118,6 +126,16 @@ impl AccuracyUtility {
             num_classes,
         }
     }
+
+    /// Rows of `block` whose first-maximum logit is the label `labels`
+    /// yields for them.
+    fn hits(&self, block: &[f64], labels: impl Iterator<Item = usize>) -> f64 {
+        block
+            .chunks_exact(self.num_classes)
+            .zip(labels)
+            .filter(|(row, label)| is_argmax(row, *label))
+            .count() as f64
+    }
 }
 
 impl ModelUtility for AccuracyUtility {
@@ -137,22 +155,25 @@ impl ModelUtility for AccuracyUtility {
 
     fn of_scores(&self, mean_scores: &[f64]) -> f64 {
         debug_assert_eq!(mean_scores.len(), self.test_design.len() * self.num_classes);
-        self.of_tally(self.tally(0, mean_scores))
+        let labels = self.test_design.labels().iter().copied();
+        self.of_tally(self.hits(mean_scores, labels))
     }
 
     fn granule(&self) -> Option<usize> {
         Some(self.num_classes)
     }
 
-    /// Hits among the rows of `mean_block`, which starts at logit `at`;
-    /// counts, so a test set's tallies add up exactly.
-    fn tally(&self, at: usize, mean_block: &[f64]) -> f64 {
-        let labels = &self.test_design.labels()[at / self.num_classes..];
-        mean_block
-            .chunks_exact(self.num_classes)
-            .zip(labels)
-            .filter(|(row, &label)| is_argmax(row, label))
-            .count() as f64
+    /// Hits among the rows of `mean_block`, test rows `rows`; counts, so
+    /// a test set's tallies add up exactly.
+    fn tally(&self, rows: &[usize], mean_block: &[f64]) -> f64 {
+        let labels = self.test_design.labels();
+        self.hits(mean_block, rows.iter().map(|&row| labels[row]))
+    }
+
+    /// `1` for a settled hit, `0` for a settled miss
+    /// ([`argmax_settled`]).
+    fn settled(&self, row: usize, members: &[&[f64]]) -> Option<f64> {
+        argmax_settled(members, self.test_design.labels()[row]).map(f64::from)
     }
 
     fn of_tally(&self, hits: f64) -> f64 {
@@ -225,7 +246,8 @@ impl FlContract {
     /// and each dropped member's residual masks are stripped with its
     /// reconstructed key. A group whose members all dropped has no model
     /// (a zero placeholder keeps indices aligned) and leaves the game.
-    /// Returns the per-group models and the surviving group indices.
+    /// Returns the per-group models and the surviving group indices, or
+    /// the first survivor whose submission or key the state lacks.
     fn aggregate_group_models(
         &self,
         groups: &[Vec<usize>],
@@ -234,7 +256,7 @@ impl FlContract {
         dh: &DhGroup,
         codec: &FixedCodec,
         round: u64,
-    ) -> (Vec<Vec<f64>>, Vec<usize>) {
+    ) -> Result<(Vec<Vec<f64>>, Vec<usize>), FlError> {
         let is_dropped = |idx: usize| dropped_set.contains(&self.params().owners[idx]);
         let mut group_models: Vec<Vec<f64>> = Vec::with_capacity(groups.len());
         let mut surviving_groups: Vec<usize> = Vec::new();
@@ -251,7 +273,7 @@ impl FlContract {
                 let masked = self
                     .submissions
                     .get(&owner)
-                    .expect("survivors submitted by definition");
+                    .ok_or(FlError::MissingSubmission(owner))?;
                 FixedCodec::ring_add_assign(&mut acc, masked);
             }
             let mut group_dropped: Vec<(AccountId, U256)> = g
@@ -269,12 +291,10 @@ impl FlContract {
                     .iter()
                     .map(|&i| {
                         let id = self.params().owners[i];
-                        (
-                            id,
-                            U256::from_be_bytes(self.keys.get(&id).expect("keys complete")),
-                        )
+                        let key = self.keys.get(&id).ok_or(FlError::MissingKey(id))?;
+                        Ok((id, U256::from_be_bytes(key)))
                     })
-                    .collect();
+                    .collect::<Result<_, FlError>>()?;
                 strip_dropped_set_masks(dh, &mut acc, &group_dropped, &survivor_keys, round);
             }
             group_models.push(
@@ -283,7 +303,7 @@ impl FlContract {
                     .collect(),
             );
         }
-        (group_models, surviving_groups)
+        Ok((group_models, surviving_groups))
     }
 
     /// Completes a round on the survivor set — Algorithm 1 over the
@@ -311,6 +331,12 @@ impl FlContract {
     /// record, and its [`RoundRecord::cohorts`] stays empty — while a
     /// sharded round with one surviving cohort still plays its
     /// one-player second level.
+    ///
+    /// Everything that can fail runs before the first write: a failed
+    /// key recovery, a survivor without a submission or key on record
+    /// ([`FlError::MissingSubmission`], [`FlError::MissingKey`]; the
+    /// first in cohort order) and a layout the parameters cannot build
+    /// ([`FlError::Layout`]) return with the state untouched.
     pub(super) fn finish_round(
         &mut self,
         round: u64,
@@ -335,7 +361,7 @@ impl FlContract {
         // *full* owner set — the layout is fixed at round start;
         // dropping out does not reshuffle anyone.
         let plan = RoundPlan::new(self.params().permutation_seed, round, n, k, m)
-            .expect("layout parameters validated at genesis");
+            .map_err(FlError::Layout)?;
 
         let utility = &self.genesis.utility;
         let method = self.params().sv_method;
@@ -378,7 +404,7 @@ impl FlContract {
                     &dh,
                     &codec,
                     round,
-                );
+                )?;
                 let (per_group_sv, utility_evaluations, samples) = Self::estimate_alive(
                     method,
                     sampling_seed(plan.seeds()[c], round),
@@ -386,15 +412,17 @@ impl FlContract {
                     &surviving_groups,
                     utility,
                 );
-                CohortOutcome {
+                Ok(CohortOutcome {
                     group_models,
                     surviving_groups,
                     per_group_sv,
                     utility_evaluations,
                     samples,
-                }
+                })
             },
-        );
+        )
+        .into_iter()
+        .collect::<Result<_, FlError>>()?;
 
         let survivor_means: Vec<Vec<Vec<f64>>> = per_cohort
             .iter()
@@ -472,8 +500,7 @@ impl FlContract {
             within.push(vals);
             within_owners.push(owners_of);
         }
-        let composed =
-            compose(&within, &per_cohort_sv).expect("within/cohort lengths match by construction");
+        let composed = compose(&within, &per_cohort_sv).map_err(FlError::Layout)?;
 
         let mut per_owner_sv = vec![0.0f64; n];
         for (vals, owners_of) in composed.iter().zip(&within_owners) {

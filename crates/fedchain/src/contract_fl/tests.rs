@@ -832,6 +832,33 @@ mod dropout_lifecycle {
     }
 
     #[test]
+    fn a_survivor_missing_its_submission_fails_the_round_and_writes_nothing() {
+        // Owner 2 drops and its key is recovered; then survivor 1's
+        // submission is gone from the state before the round evaluates.
+        let mut w = masked_world(4, 1);
+        submit_round0(&mut w, &[0, 1, 3]);
+        let evaluate = FlCall::EvaluateRound { round: 0 };
+        w.contract.execute(&ctx(0), &evaluate).unwrap();
+        for provider in [0usize, 1, 3] {
+            let share = recovery_share_call(&w, 2, provider);
+            w.contract.execute(&ctx(provider as u32), &share).unwrap();
+        }
+        w.contract.submissions.remove(&1);
+        let (digest, snapshot) = (w.contract.state_digest(), w.contract.snapshot_state());
+        assert!(matches!(
+            w.contract.execute(&ctx(0), &evaluate),
+            Err(FlError::MissingSubmission(1))
+        ));
+        assert_eq!(w.contract.state_digest(), digest);
+        assert_eq!(w.contract.snapshot_state(), snapshot);
+        assert!(w.contract.history().is_empty());
+        assert_eq!(
+            w.contract.phase(),
+            &RoundPhase::Recovering { dropped: vec![2] }
+        );
+    }
+
+    #[test]
     fn recovery_state_is_part_of_the_digest() {
         // Two replicas agree while both track the same lifecycle;
         // declaring the dropout (and each accepted share) moves the
@@ -1331,6 +1358,200 @@ mod accuracy_utility {
         let without = GroupModelGame::new(&survivors, &utility);
         for coalition in Coalition::powerset(3) {
             assert_eq!(restricted.evaluate(coalition), without.evaluate(coalition));
+        }
+    }
+
+    /// The accuracy utility over models that are their own logits
+    /// (`scores` is the identity). Every method is forwarded; `settled`
+    /// only when `settle` holds, so the two wrappers play one game, rows
+    /// settled or all walked.
+    struct AsLogits<'a> {
+        utility: &'a AccuracyUtility,
+        settle: bool,
+    }
+
+    impl ModelUtility for AsLogits<'_> {
+        fn of_model(&self, logits: &[f64]) -> f64 {
+            self.utility.of_scores(logits)
+        }
+
+        fn of_empty(&self) -> f64 {
+            self.utility.of_empty()
+        }
+
+        fn granule(&self) -> Option<usize> {
+            self.utility.granule()
+        }
+
+        fn tally(&self, rows: &[usize], mean_block: &[f64]) -> f64 {
+            self.utility.tally(rows, mean_block)
+        }
+
+        fn of_tally(&self, hits: f64) -> f64 {
+            self.utility.of_tally(hits)
+        }
+
+        fn settled(&self, row: usize, members: &[&[f64]]) -> Option<f64> {
+            self.settle
+                .then(|| self.utility.settled(row, members))
+                .flatten()
+        }
+    }
+
+    /// `x` moved by `ulps` representable steps.
+    fn step(x: f64, ulps: i64) -> f64 {
+        (0..ulps.abs()).fold(x, |x, _| if ulps > 0 { x.next_up() } else { x.next_down() })
+    }
+
+    /// `rows` rows of `classes` logits under each of `m` members, drawn
+    /// around the settling margin (`shapley::group`, "Settled
+    /// granules"): per row a clear hit, the label a few ulps either side
+    /// of the margin over its top rival, or of a tie with it; a `±0.0`
+    /// pair; a NaN, an infinity or 2^1001 in one member; the same at
+    /// subnormal scale; or noise. Returns the labels and the logits.
+    fn near_tie_logits(
+        rng: &mut Xoshiro256,
+        m: usize,
+        rows: usize,
+        classes: usize,
+    ) -> (Vec<usize>, Vec<Vec<f64>>) {
+        let labels: Vec<usize> = (0..rows)
+            .map(|_| rng.next_below(classes as u64) as usize)
+            .collect();
+        let mut models = vec![vec![0.0; rows * classes]; m];
+        // 2^-40 and 2^-1000, the margin's two parts.
+        let relative = f64::from_bits((1023 - 40) << 52);
+        let absolute = f64::from_bits((1023 - 1000) << 52);
+        for (r, &label) in labels.iter().enumerate() {
+            let kind = rng.next_below(9);
+            let exponent = if kind == 7 {
+                -1060
+            } else {
+                rng.next_below(61) as i32 - 30
+            };
+            // Members of a row apart in magnitude round their partial sums.
+            let spread = [0, 19][rng.next_below(2) as usize];
+            let odd = rng.next_below(m as u64) as usize;
+            let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 2f64.powi(1001)]
+                [rng.next_below(4) as usize];
+            let rival = (label + 1) % classes;
+            for (j, model) in models.iter_mut().enumerate() {
+                let shift = rng.next_below(2 * spread + 1) as i32 - spread as i32;
+                let scale = (exponent + shift).max(-1074);
+                let scale = if scale < -1022 {
+                    f64::from_bits(1 << (1074 + scale))
+                } else {
+                    f64::from_bits(((1023 + scale) as u64) << 52)
+                };
+                let row = &mut model[r * classes..][..classes];
+                for x in row.iter_mut() {
+                    *x = (rng.next_f64() * 2.0 - 1.0) * scale;
+                }
+                let top = (0..classes)
+                    .filter(|&c| c != label)
+                    .map(|c| row[c])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let ulps = rng.next_below(9) as i64 - 4;
+                let clear = 3.0 * top.abs() + scale;
+                let margin = top + 2.0 * top.abs() * relative + absolute;
+                match kind {
+                    0..=2 => row[label] = clear,
+                    3 => row[label] = step(margin, ulps),
+                    4 => row[label] = step(top, ulps),
+                    5 => {
+                        (row[label], row[rival]) =
+                            if j % 2 == 0 { (0.0, -0.0) } else { (-0.0, 0.0) }
+                    }
+                    6 => {
+                        row[label] = clear;
+                        if j == odd {
+                            row[rng.next_below(classes as u64) as usize] = special;
+                        }
+                    }
+                    7 => row[label] = step(if ulps % 2 == 0 { top } else { margin }, ulps),
+                    _ => {}
+                }
+            }
+        }
+        (labels, models)
+    }
+
+    /// Both games value every coalition of `batch` to the bit.
+    fn assert_same_values(
+        a: &impl CoalitionUtility,
+        b: &impl CoalitionUtility,
+        batch: &[Coalition],
+    ) {
+        let bits = |values: Vec<f64>| values.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(a.evaluate_many(batch)), bits(b.evaluate_many(batch)));
+        for &coalition in batch.iter().take(16) {
+            assert_eq!(
+                a.evaluate(coalition).to_bits(),
+                b.evaluate(coalition).to_bits()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        #[test]
+        fn prop_settled_rows_leave_every_coalition_value_bit_identical(
+            seed in any::<u64>(),
+            classes in 2usize..=6,
+        ) {
+            use shapley::estimator::{Exact, Stratified, SvEstimator};
+            use shapley::stratified::StratifiedConfig;
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let (mut games, mut engaged) = (0usize, 0usize);
+            // m = 1..=12 exactly, on the subset-sum tables and past them
+            // (their 256 KiB budget over 2^⌊m/2⌋ + 2^⌈m/2⌉ vectors), whole
+            // and restricted; then 64 groups, sampled.
+            let mut shapes: Vec<(usize, usize)> = Vec::new();
+            for m in 1..=12usize {
+                let past_tables = (256 << 10) / 8 / ((1 << (m / 2)) + (1 << m.div_ceil(2)));
+                shapes.push((m, 6 + rng.next_below(15) as usize));
+                shapes.push((m, past_tables / classes + 1 + rng.next_below(4) as usize));
+            }
+            shapes.push((64, 4 + rng.next_below(4) as usize));
+            for (m, rows) in shapes {
+                let (labels, models) = near_tie_logits(&mut rng, m, rows, classes);
+                let accuracy = labelled(&labels, classes);
+                let settling = AsLogits { utility: &accuracy, settle: true };
+                let walking = AsLogits { utility: &accuracy, settle: false };
+                let game = GroupModelGame::new(&models, &settling);
+                let plain = GroupModelGame::new(&models, &walking);
+                games += 1;
+                engaged += usize::from(game.eval_flops() < plain.eval_flops());
+                if m == 64 {
+                    let batch: Vec<Coalition> =
+                        (0..64).map(|_| Coalition(rng.next_u64() >> rng.next_below(64))).collect();
+                    assert_same_values(&game, &plain, &batch);
+                    let stratified = Stratified {
+                        config: StratifiedConfig { samples_per_stratum: 1, seed },
+                    };
+                    prop_assert_eq!(
+                        bits(&stratified.estimate(&game).values),
+                        bits(&stratified.estimate(&plain).values)
+                    );
+                    continue;
+                }
+                assert_same_values(&game, &plain, &Coalition::powerset(m).collect::<Vec<_>>());
+                prop_assert_eq!(
+                    bits(&Exact.estimate(&game).values),
+                    bits(&Exact.estimate(&plain).values),
+                    "m = {}, {} rows", m, rows
+                );
+                let alive: Vec<usize> = (0..m).filter(|&j| j == 0 || rng.next_below(3) > 0).collect();
+                let restricted = RestrictedGame::new(&game, alive.clone());
+                let restricted_plain = RestrictedGame::new(&plain, alive.clone());
+                assert_same_values(
+                    &restricted,
+                    &restricted_plain,
+                    &Coalition::powerset(alive.len()).collect::<Vec<_>>(),
+                );
+            }
+            prop_assert!(engaged * 4 >= games * 3, "settled rows in {} of {} games", engaged, games);
         }
     }
 }

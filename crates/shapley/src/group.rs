@@ -47,6 +47,52 @@
 //! list. The walk runs once per tile of score elements; a tile's stack
 //! stays within `WALK_BYTES` when the utility scores means tile by tile
 //! ([`ModelUtility::tally`]) and is one whole-length tile when not.
+//!
+//! # Settled granules
+//!
+//! A value is a sum of per-granule tallies, and on a trained round most
+//! granules tally alike for every coalition: each group model classifies
+//! a test row right, or wrong, by a margin no average of them can erase.
+//! [`GroupModelGame::new`] asks the utility once per granule
+//! ([`ModelUtility::settled`]), folds the answered tallies into one
+//! constant per game and keeps only the other granules' scores,
+//! compacted, with their original indices; both backings walk those and
+//! hand [`ModelUtility::tally`] each tile's indices. The backing is
+//! chosen from the *full* length, so a coalition's fold order never
+//! depends on how many granules settled, and a utility answers only when
+//! its tallies add exactly (counts), so every value keeps its bits.
+//!
+//! [`argmax_settled`] decides a row for the rule of
+//! [`numeric::stats::is_argmax`]. Score `a` *beats* `b` when both are
+//! finite with magnitude ≤ 2^1000 and the computed `a − b > 2^-40·(|a| +
+//! |b|) + 2^-1000`. A row is a settled hit when in every member the
+//! label's score beats every other class, a settled miss when one fixed
+//! class beats the label's in every member. Why every coalition mean
+//! keeps that order (u = 2^-53, γₙ = nu / (1 − nu)):
+//!
+//! 1. *The check is conservative.* Rounding is monotone, so a computed
+//!    `a − b > 0` means `a > b`, and each of the check's four operations
+//!    rounds within a factor 1 ± u — except the product by 2^-40, which
+//!    may underflow by at most 2^-1075 — so a passing check implies the
+//!    real `a − b > ε·(|a| + |b|) + τ` with ε = 2^-41 and τ = 2^-1001.
+//! 2. *The sums.* Let a coalition hold k ≤ 64 members, `A = Σ a_j` and
+//!    `B = Σ b_j` exactly, `T = Σ (|a_j| + |b_j|)`. Any addition tree over
+//!    k leaves computes Â with |Â − A| ≤ γ_{k−1}·Σ|a_j|: a leaf passes at
+//!    most k − 1 roundings, a subnormal sum is exact, and no partial sum
+//!    comes near overflow below 64·2^1000. The walk's member order, the
+//!    tables' (low half) + (high half) and the `0.0` a level starts from
+//!    are all such trees. So Â − B̂ > (ε − γ₆₃)·T + kτ, where ε − γ₆₃ >
+//!    2^-42.
+//! 3. *The scale.* `s = fl(1/k)` has `s·k ≥ 1 − u`. A rounded product is
+//!    `z(1 + θ) + η` with |θ| ≤ u and |η| ≤ 2^-1075, the absolute floor
+//!    where `z` underflows, so fl(Â·s) − fl(B̂·s) ≥ (Â − B̂)·s −
+//!    u·s·(|Â| + |B̂|) − 2^-1074. With |Â| + |B̂| ≤ (1 + γ₆₃)·T this
+//!    exceeds s·T·(ε − γ₆₃ − u(1 + γ₆₃)) + s·k·τ − 2^-1074 ≥
+//!    (1 − u)·2^-1001 − 2^-1074 > 0.
+//!
+//! So each coalition's mean puts the beating score strictly above the
+//! beaten one, both finite: the label wins every comparison of a settled
+//! hit and loses one of a settled miss, exactly as in every member.
 
 use std::cell::RefCell;
 
@@ -247,15 +293,24 @@ impl CoalitionSums {
 /// their byte budget the subset-sum tables (`CoalitionSums`) make that
 /// mean `O(d)` per coalition; otherwise — `m` beyond [`MAX_PLAYERS`], or
 /// score vectors as long as a test set — the game holds only the `m`
-/// score vectors and walks the member trie (module docs). Either way a
-/// value is a pure function of the coalition bitmask, so every
-/// estimator built on [`numeric::par`] stays bit-identical across
-/// thread counts.
+/// score vectors and walks the member trie (module docs). Either way it
+/// holds only the granules that did not settle (module docs, "Settled
+/// granules"), and a value is a pure function of the coalition bitmask,
+/// so every estimator built on [`numeric::par`] stays bit-identical
+/// across thread counts.
 pub struct GroupModelGame<'a, U> {
     utility: &'a U,
     backing: Backing,
     m: usize,
+    /// Length of each kept score vector: the unsettled granules.
     dim: usize,
+    /// Elements per granule of the full score vectors.
+    granule: usize,
+    /// Index in the full score vectors of each kept granule, ascending.
+    kept: Vec<usize>,
+    /// The settled granules' tallies, summed in granule order; `None`
+    /// when no granule settled.
+    settled: Option<f64>,
 }
 
 enum Backing {
@@ -291,13 +346,19 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             m <= MAX_SAMPLED_PLAYERS,
             "coalition masks hold {MAX_SAMPLED_PLAYERS} groups, got {m}"
         );
-        let scores: Vec<Vec<f64>> = group_models.iter().map(|w| utility.scores(w)).collect();
-        let dim = scores[0].len();
+        let mut scores: Vec<Vec<f64>> = group_models.iter().map(|w| utility.scores(w)).collect();
+        let full = scores[0].len();
         assert!(
-            scores.iter().all(|s| s.len() == dim),
+            scores.iter().all(|s| s.len() == full),
             "all group models must share a dimension"
         );
-        let backing = if CoalitionSums::fits(m, dim) {
+        // Chosen before settling: a coalition's fold order is the same
+        // however many granules settle.
+        let tabulate = CoalitionSums::fits(m, full);
+        let granule = utility.granule().unwrap_or(full).max(1);
+        let (settled, kept) = settle(utility, &mut scores, granule);
+        let dim = scores[0].len();
+        let backing = if tabulate {
             Backing::Tabulated(CoalitionSums::new(&scores, dim))
         } else {
             Backing::Direct(scores)
@@ -307,6 +368,9 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             backing,
             m,
             dim,
+            granule,
+            kept,
+            settled,
         }
     }
 
@@ -322,7 +386,7 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
                 for (value, coalition) in out.iter_mut().zip(coalitions) {
                     if !coalition.is_empty() {
                         sums.mean_into(coalition.0 as usize, &mut scratch);
-                        *value = self.utility.tally(0, &scratch);
+                        *value = self.utility.tally(&self.kept, &scratch);
                     }
                 }
             }
@@ -333,7 +397,8 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             *value = if coalition.is_empty() {
                 self.utility.of_empty()
             } else {
-                self.utility.of_tally(*value)
+                self.utility
+                    .of_tally(self.settled.map_or(*value, |settled| settled + *value))
             };
         }
     }
@@ -357,7 +422,7 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
         }
         // The mean, then levels 0 (zeros) ..= deepest.
         let deepest = coalitions.iter().map(Coalition::len).max().unwrap_or(0);
-        let granule = self.utility.granule().unwrap_or(self.dim).max(1);
+        let granule = self.granule;
         let fit = WALK_BYTES / std::mem::size_of::<f64>() / (deepest + 2) / granule;
         let tile = (fit.max(1) * granule).min(self.dim.max(1));
         scratch.resize(scratch.len().max((deepest + 2) * tile), 0.0);
@@ -370,6 +435,7 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
         let empties = coalitions.iter().filter(|c| c.is_empty()).count();
         for first in (0..self.dim.max(1)).step_by(tile) {
             let len = tile.min(self.dim - first);
+            let granules = &self.kept[first / granule..(first + len).div_ceil(granule)];
             // The coalition whose member-prefix sums the levels hold.
             let mut stacked = 0u64;
             for k in empties..coalitions.len() {
@@ -403,7 +469,7 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
                 for (mean, sum) in mean[..len].iter_mut().zip(&levels[depth * tile..]) {
                     *mean = sum * inv;
                 }
-                let tally = self.utility.tally(first, &mean[..len]);
+                let tally = self.utility.tally(granules, &mean[..len]);
                 // Assigned, not added to 0.0: a `-0.0` utility survives.
                 let value = &mut out[slot(k)];
                 *value = if first == 0 { tally } else { *value + tally };
@@ -440,6 +506,83 @@ impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
 /// disagree: the member prefix — the trie path — the two share.
 fn shared_prefix(a: u64, b: u64) -> u64 {
     a & !u64::MAX.checked_shl((a ^ b).trailing_zeros()).unwrap_or(0)
+}
+
+/// Asks `utility` for each granule of `scores` (one vector per group)
+/// whether every coalition tallies it alike (module docs, "Settled
+/// granules"). Returns the answered tallies summed in granule order —
+/// `None` when there are none — and the indices of the other granules,
+/// whose elements are left compacted at the front of each vector.
+fn settle<U: ModelUtility>(
+    utility: &U,
+    scores: &mut [Vec<f64>],
+    granule: usize,
+) -> (Option<f64>, Vec<usize>) {
+    let full = scores[0].len();
+    let mut settled: Option<f64> = None;
+    let mut kept = Vec::new();
+    let mut members: Vec<&[f64]> = Vec::with_capacity(scores.len());
+    for (index, at) in (0..full).step_by(granule).enumerate() {
+        let end = (at + granule).min(full);
+        members.clear();
+        members.extend(scores.iter().map(|s| &s[at..end]));
+        match utility.settled(index, &members) {
+            Some(tally) => settled = Some(settled.map_or(tally, |sum| sum + tally)),
+            None => kept.push(index),
+        }
+    }
+    if settled.is_some() {
+        for s in scores.iter_mut() {
+            let mut len = 0;
+            for &index in &kept {
+                let at = index * granule;
+                let end = (at + granule).min(full);
+                s.copy_within(at..end, len);
+                len += end - at;
+            }
+            s.truncate(len);
+        }
+    }
+    (settled, kept)
+}
+
+/// Largest score magnitude [`argmax_settled`] reads: 2^1000, so no sum
+/// of 64 of them comes near overflow.
+const SETTLE_MAX: f64 = f64::from_bits((1023 + 1000) << 52);
+/// The relative part of a beating margin: 2^-40.
+const SETTLE_RELATIVE: f64 = f64::from_bits((1023 - 40) << 52);
+/// The absolute part of a beating margin: 2^-1000.
+const SETTLE_ABSOLUTE: f64 = f64::from_bits((1023 - 1000) << 52);
+
+/// Whether `a` leads `b` by the margin that no coalition mean can erase
+/// (module docs, "Settled granules").
+fn beats(a: f64, b: f64) -> bool {
+    a.abs() <= SETTLE_MAX
+        && b.abs() <= SETTLE_MAX
+        && a - b > (a.abs() + b.abs()) * SETTLE_RELATIVE + SETTLE_ABSOLUTE
+}
+
+/// What [`numeric::stats::is_argmax`] answers for `label` on the mean of
+/// every non-empty subset of `members` (one row of class scores per
+/// group, at most [`MAX_SAMPLED_PLAYERS`]), when it is the same for all
+/// of them by margins the module docs prove: `Some(true)` when the
+/// label's score beats every other class in every member, `Some(false)`
+/// when one class beats the label's in every member, `None` otherwise.
+pub fn argmax_settled(members: &[&[f64]], label: usize) -> Option<bool> {
+    let classes = members.first()?.len();
+    if label >= classes || members.len() > MAX_SAMPLED_PLAYERS {
+        return None;
+    }
+    let hit = |row: &&[f64]| {
+        row[label].abs() <= SETTLE_MAX
+            && (0..classes).all(|c| c == label || beats(row[label], row[c]))
+    };
+    if members.iter().all(hit) {
+        return Some(true);
+    }
+    (0..classes)
+        .any(|rival| rival != label && members.iter().all(|row| beats(row[rival], row[label])))
+        .then_some(false)
 }
 
 /// Lines 4–6 of Algorithm 1: exact Shapley values over *group models*.
@@ -849,7 +992,7 @@ mod tests {
     /// whole numbers so that any cut adds up exactly: a row counts
     /// `row + 1` when its first maximum is class `row % classes`, and
     /// every element counts the low bits of its mantissa. A tile handed
-    /// over with the wrong `at`, cut inside a row, or holding a mean
+    /// over with the wrong indices, cut inside a row, or holding a mean
     /// summed in another order changes the total.
     struct RowHits {
         classes: usize,
@@ -857,9 +1000,14 @@ mod tests {
         cut: bool,
     }
 
+    /// `0, 1, …` for each granule of a `len`-element vector.
+    fn every_granule(len: usize, granule: usize) -> Vec<usize> {
+        (0..len.div_ceil(granule)).collect()
+    }
+
     impl ModelUtility for RowHits {
         fn of_model(&self, weights: &[f64]) -> f64 {
-            self.of_tally(self.tally(0, weights))
+            self.of_tally(self.tally(&every_granule(weights.len(), self.classes), weights))
         }
 
         fn of_empty(&self) -> f64 {
@@ -870,11 +1018,14 @@ mod tests {
             self.cut.then_some(self.classes)
         }
 
-        fn tally(&self, at: usize, mean_block: &[f64]) -> f64 {
-            assert_eq!(at % self.classes, 0, "tile cut inside a row");
+        fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
+            if self.cut {
+                let rows = mean_block.len().div_ceil(self.classes);
+                assert_eq!(granules.len(), rows, "tile cut inside a row");
+            }
             let mut total = 0u64;
             for (r, row) in mean_block.chunks(self.classes).enumerate() {
-                let index = at / self.classes + r;
+                let index = if self.cut { granules[r] } else { r };
                 if numeric::stats::is_argmax(row, index % self.classes) {
                     total += index as u64 + 1;
                 }
@@ -897,7 +1048,8 @@ mod tests {
 
     impl ModelUtility for Nested<'_> {
         fn of_model(&self, weights: &[f64]) -> f64 {
-            self.of_tally(self.tally(0, weights))
+            let granules = every_granule(weights.len(), self.rows.classes);
+            self.of_tally(self.tally(&granules, weights))
         }
 
         fn of_empty(&self) -> f64 {
@@ -908,13 +1060,13 @@ mod tests {
             self.rows.granule()
         }
 
-        fn tally(&self, at: usize, mean_block: &[f64]) -> f64 {
+        fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
             let some = Coalition::from_members(&[0, 3, 25]);
             let asked = self.inner.evaluate(some);
             let both = self.inner.evaluate_many(&[Coalition::grand(26), some]);
             assert_eq!(asked.to_bits(), both[1].to_bits());
             let per_element = (asked.to_bits() % 1021 + both[0].to_bits() % 1021) as f64;
-            self.rows.tally(at, mean_block) + per_element * mean_block.len() as f64
+            self.rows.tally(granules, mean_block) + per_element * mean_block.len() as f64
         }
     }
 
@@ -936,7 +1088,7 @@ mod tests {
             self.cut.then_some(1)
         }
 
-        fn tally(&self, _: usize, _: &[f64]) -> f64 {
+        fn tally(&self, _: &[usize], _: &[f64]) -> f64 {
             -0.0
         }
     }
@@ -1046,6 +1198,320 @@ mod tests {
                 assert_eq!(got.to_bits(), want, "cut {cut}, dim {dim}");
                 assert_eq!(game.evaluate(coalition).to_bits(), want);
             }
+        }
+    }
+
+    /// Argmax hits against a label per row — the shape of the contract's
+    /// accuracy utility: counts, so it settles rows.
+    struct Hits {
+        classes: usize,
+        labels: Vec<usize>,
+    }
+
+    impl ModelUtility for Hits {
+        fn of_model(&self, weights: &[f64]) -> f64 {
+            self.tally(&every_granule(weights.len(), self.classes), weights)
+        }
+
+        fn of_empty(&self) -> f64 {
+            -1.0
+        }
+
+        fn granule(&self) -> Option<usize> {
+            Some(self.classes)
+        }
+
+        fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
+            assert_eq!(granules.len() * self.classes, mean_block.len());
+            let rows = mean_block.chunks_exact(self.classes).zip(granules);
+            rows.filter(|(row, &g)| numeric::stats::is_argmax(row, self.labels[g]))
+                .count() as f64
+        }
+
+        fn settled(&self, granule: usize, members: &[&[f64]]) -> Option<f64> {
+            argmax_settled(members, self.labels[granule]).map(f64::from)
+        }
+    }
+
+    /// The wrapped utility with every method but `settled` forwarded: the
+    /// same game, nothing settled.
+    struct Unsettled<'a, U>(&'a U);
+
+    impl<U: ModelUtility> ModelUtility for Unsettled<'_, U> {
+        fn of_model(&self, weights: &[f64]) -> f64 {
+            self.0.of_model(weights)
+        }
+
+        fn of_empty(&self) -> f64 {
+            self.0.of_empty()
+        }
+
+        fn scores(&self, weights: &[f64]) -> Vec<f64> {
+            self.0.scores(weights)
+        }
+
+        fn of_scores(&self, mean_scores: &[f64]) -> f64 {
+            self.0.of_scores(mean_scores)
+        }
+
+        fn granule(&self) -> Option<usize> {
+            self.0.granule()
+        }
+
+        fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
+            self.0.tally(granules, mean_block)
+        }
+
+        fn of_tally(&self, total: f64) -> f64 {
+            self.0.of_tally(total)
+        }
+    }
+
+    /// Floats as integers in the same order (`-0.0` just below `+0.0`).
+    fn ordered(x: f64) -> i64 {
+        let bits = x.to_bits() as i64;
+        bits ^ ((bits >> 63) as u64 >> 1) as i64
+    }
+
+    fn from_ordered(key: i64) -> f64 {
+        f64::from_bits((key ^ ((key >> 63) as u64 >> 1) as i64) as u64)
+    }
+
+    /// `x` moved by `ulps` representable steps.
+    fn step(x: f64, ulps: i64) -> f64 {
+        from_ordered(ordered(x) + ulps)
+    }
+
+    /// `2^e` for `e` in `-1074..=1023`, subnormals included.
+    fn pow2(e: i32) -> f64 {
+        if e >= -1022 {
+            f64::from_bits(((1023 + e) as u64) << 52)
+        } else {
+            f64::from_bits(1 << (1074 + e))
+        }
+    }
+
+    /// The least score that beats finite `b`, or `+∞` when none does.
+    fn edge(b: f64) -> f64 {
+        if !beats(SETTLE_MAX, b) {
+            return f64::INFINITY;
+        }
+        let (mut lo, mut hi) = (i128::from(ordered(b)), i128::from(ordered(SETTLE_MAX)));
+        while hi - lo > 1 {
+            let mid = (lo + hi).div_euclid(2);
+            if beats(from_ordered(mid as i64), b) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        from_ordered(hi as i64)
+    }
+
+    /// `m` score vectors of `rows` labelled rows of `classes` scores,
+    /// drawn to sit on the settling margin: per row, scores at a random
+    /// scale from subnormal to 2^999, then the label (or a rival) a few
+    /// ulps past the least score that beats the rest in every member, or
+    /// a few ulps either side of it; exact ties and a `±0.0` pair; a NaN,
+    /// an infinity or a magnitude past 2^1000 in one member; or nothing.
+    fn near_ties(m: usize, rows: usize, classes: usize, seed: u64) -> (Hits, Vec<Vec<f64>>) {
+        let mut state = seed;
+        let mut next = move || crate::rng::stream_next(&mut state);
+        let labels: Vec<usize> = (0..rows)
+            .map(|_| (next() % classes as u64) as usize)
+            .collect();
+        let mut models = vec![vec![0.0f64; rows * classes]; m];
+        for (r, &label) in labels.iter().enumerate() {
+            let kind = next() % 8;
+            let scale = [-1_070, -1_000, -30, 0, 30, 980][(next() % 6) as usize];
+            // Members a row apart in magnitude round their partial sums.
+            let spread = [0, 19][(next() % 2) as usize];
+            let rival = (label + 1 + (next() as usize % classes.max(2))) % classes;
+            let odd = (next() % m as u64) as usize;
+            let special = [f64::NAN, f64::INFINITY, -f64::INFINITY, step(SETTLE_MAX, 1)];
+            let special = special[(next() % 4) as usize];
+            for (j, model) in models.iter_mut().enumerate() {
+                let row = &mut model[r * classes..(r + 1) * classes];
+                let at = scale + (next() % (2 * spread + 1)) as i32 - spread as i32;
+                for s in row.iter_mut() {
+                    let unit = (next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+                    *s = unit * pow2(at.max(-1_074));
+                }
+                let top = (0..classes)
+                    .filter(|&c| c != label)
+                    .map(|c| row[c])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let ulps = (next() % 9) as i64 - 4;
+                match kind {
+                    // Hits past the margin, then straddling it.
+                    0 if top.is_finite() => row[label] = step(edge(top), ulps.abs()),
+                    1 if top.is_finite() => row[label] = step(edge(top), ulps),
+                    // Misses past the margin, then straddling it.
+                    2 if rival != label => row[rival] = step(edge(row[label]), ulps.abs()),
+                    3 if rival != label => row[rival] = step(edge(row[label]), ulps),
+                    // Ties, exact and signed-zero.
+                    4 if j == odd => row[rival] = row[label],
+                    5 => (row[label], row[rival]) = (0.0, -0.0),
+                    // A hit past the margin everywhere but one member.
+                    6 => {
+                        row[label] = step(edge(top), ulps.abs());
+                        if j == odd {
+                            row[(next() % classes as u64) as usize] = special;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        (Hits { classes, labels }, models)
+    }
+
+    /// Most elements per score vector a game over `m` groups tabulates.
+    fn table_dim(m: usize) -> usize {
+        TABLE_BYTE_BUDGET / std::mem::size_of::<f64>() / ((1 << (m / 2)) + (1 << m.div_ceil(2)))
+    }
+
+    /// Both games value every coalition of `batch` to the bit, batched
+    /// and one at a time.
+    fn assert_same_values(
+        a: &impl CoalitionUtility,
+        b: &impl CoalitionUtility,
+        batch: &[Coalition],
+    ) {
+        let bits = |values: Vec<f64>| values.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(a.evaluate_many(batch)), bits(b.evaluate_many(batch)));
+        for &coalition in batch.iter().take(24) {
+            assert_eq!(
+                a.evaluate(coalition).to_bits(),
+                b.evaluate(coalition).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn backing_is_chosen_from_the_full_length_not_the_kept_one() {
+        // Three groups over 700 rows of 10 scores: past the tables'
+        // budget. All but five rows settle, and those five would fit it;
+        // the game still sums every coalition in member order.
+        let (classes, rows) = (10usize, 700usize);
+        let labels: Vec<usize> = (0..rows).map(|r| r % classes).collect();
+        let models: Vec<Vec<f64>> = (0..3)
+            .map(|j| {
+                let mut scores = vec![0.0; rows * classes];
+                for (r, &label) in labels.iter().enumerate() {
+                    let row = &mut scores[r * classes..(r + 1) * classes];
+                    if r < 5 {
+                        row.fill(0.5);
+                        continue;
+                    }
+                    for (c, s) in row.iter_mut().enumerate() {
+                        *s = 0.1 * ((r + c + j) % 7) as f64;
+                    }
+                    row[label] = 1.0 + j as f64;
+                }
+                scores
+            })
+            .collect();
+        let utility = Hits { classes, labels };
+        let game = GroupModelGame::new(&models, &utility);
+        assert_eq!(game.kept, (0..5).collect::<Vec<_>>());
+        assert_eq!(game.settled, Some((rows - 5) as f64));
+        assert!(!CoalitionSums::fits(3, rows * classes));
+        assert!(CoalitionSums::fits(3, game.dim));
+        assert!(matches!(&game.backing, Backing::Direct(scores) if scores[0].len() == 50));
+        let bare = Unsettled(&utility);
+        let plain = GroupModelGame::new(&models, &bare);
+        assert_same_values(&game, &plain, &Coalition::powerset(3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_settled_game_prices_only_its_kept_scores() {
+        // Every group puts each row's label a whole unit ahead.
+        let labels: Vec<usize> = (0..30).map(|r| r * 7 % 3).collect();
+        let model: Vec<f64> = labels
+            .iter()
+            .flat_map(|&label| (0..3).map(move |c| f64::from(u8::from(c == label))))
+            .collect();
+        let models = vec![model; 4];
+        let utility = Hits { classes: 3, labels };
+        let game = GroupModelGame::new(&models, &utility);
+        assert_eq!((game.dim, game.settled), (0, Some(30.0)));
+        assert_eq!(game.eval_flops(), 0);
+        let bare = Unsettled(&utility);
+        let plain = GroupModelGame::new(&models, &bare);
+        assert_eq!(plain.eval_flops(), 90 * (4 / 2 + 2));
+        assert_same_values(&game, &plain, &Coalition::powerset(4).collect::<Vec<_>>());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+        #[test]
+        fn prop_settled_and_unsettled_games_agree_to_the_bit_on_near_ties(
+            classes_pick in 0usize..4,
+            seed in any::<u64>(),
+            draws in proptest::collection::vec(any::<u64>(), 1..24),
+        ) {
+            use crate::estimator::{Exact, Stratified, SvEstimator};
+            use crate::stratified::StratifiedConfig;
+            use crate::utility::RestrictedGame;
+            let classes = [1usize, 2, 3, 10][classes_pick];
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (mut games, mut engaged) = (0usize, 0usize);
+            for m in 1..=12usize {
+                // One game on the tables, one past them.
+                let fit = table_dim(m) / classes;
+                let pick = draws[m % draws.len()] as usize;
+                for rows in [4 + pick % (fit - 3).min(20), fit + 1 + pick % 5] {
+                    let (utility, models) = near_ties(m, rows, classes, seed ^ (m * rows) as u64);
+                    let game = GroupModelGame::new(&models, &utility);
+                    let bare = Unsettled(&utility);
+                    let plain = GroupModelGame::new(&models, &bare);
+                    prop_assert_eq!(
+                        matches!(game.backing, Backing::Tabulated(_)),
+                        rows <= fit,
+                        "m = {}, {} rows", m, rows
+                    );
+                    prop_assert_eq!(
+                        matches!(plain.backing, Backing::Tabulated(_)),
+                        rows <= fit
+                    );
+                    games += 1;
+                    engaged += usize::from(game.settled.is_some());
+                    assert_same_values(&game, &plain, &Coalition::powerset(m).collect::<Vec<_>>());
+                    prop_assert_eq!(
+                        bits(&Exact.estimate(&game).values),
+                        bits(&Exact.estimate(&plain).values)
+                    );
+                    let alive: Vec<usize> = (0..m).filter(|j| pick >> j & 1 == 1 || *j == 0).collect();
+                    let restricted = RestrictedGame::new(&game, alive.clone());
+                    let restricted_plain = RestrictedGame::new(&plain, alive.clone());
+                    assert_same_values(
+                        &restricted,
+                        &restricted_plain,
+                        &Coalition::powerset(alive.len()).collect::<Vec<_>>(),
+                    );
+                    prop_assert_eq!(
+                        bits(&Exact.estimate(&restricted).values),
+                        bits(&Exact.estimate(&restricted_plain).values)
+                    );
+                }
+            }
+            // Past the exact cap: 64 groups, sampled.
+            let (utility, models) = near_ties(64, 2 + (seed % 5) as usize, classes, !seed);
+            let game = GroupModelGame::new(&models, &utility);
+            let bare = Unsettled(&utility);
+            let plain = GroupModelGame::new(&models, &bare);
+            games += 1;
+            engaged += usize::from(game.settled.is_some());
+            assert_same_values(&game, &plain, &random_batch(64, &draws, false));
+            let stratified = Stratified {
+                config: StratifiedConfig { samples_per_stratum: 1, seed },
+            };
+            prop_assert_eq!(
+                bits(&stratified.estimate(&game).values),
+                bits(&stratified.estimate(&plain).values)
+            );
+            prop_assert!(engaged * 4 >= games * 3, "settling engaged in {} of {} games", engaged, games);
         }
     }
 

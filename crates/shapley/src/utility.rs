@@ -90,11 +90,24 @@ pub(crate) const MAX_BATCH: usize = 1 << 12;
 /// if the utility needs one. A utility that is a sum over pieces of the
 /// vector — accuracy is hits per row, summed — names the piece size as
 /// [`ModelUtility::granule`] and scores a tile with
-/// [`ModelUtility::tally`]. Contract: over any cut of `v` into blocks at
-/// multiples of the granule, `of_scores(v) == of_tally(Σ tally(at,
-/// block))`, summed in order from the first tally (not from `0.0`). The
-/// defaults are again the identity: no granule, `v` is the only block,
-/// `tally = of_scores`, `of_tally` passes it through.
+/// [`ModelUtility::tally`]. A tile is whole granules laid end to end,
+/// named by their indices in `v` (ascending, not necessarily adjacent).
+/// Contract: over any partition of `v`'s granules into tiles,
+/// `of_scores(v) == of_tally(Σ tally(granules, tile))`, summed in order
+/// from the first tally (not from `0.0`). The defaults are again the
+/// identity: no granule, `v` is the only tile (granule `0`), `tally =
+/// of_scores`, `of_tally` passes it through.
+///
+/// # Settled granules
+///
+/// Often a granule comes out the same for every coalition: each test row
+/// classified right, or wrong, by every group model with a margin no
+/// mean can erase. [`ModelUtility::settled`] names that tally, and the
+/// game adds it once instead of scoring the granule per coalition
+/// ([`crate::group`], "Settled granules"). A utility may answer only if
+/// its tallies add exactly — counts — because the settled tallies join
+/// the sum in another order than the tiles'. The default answers
+/// nothing.
 pub trait ModelUtility {
     /// Utility of the model with flat weights `w`.
     fn of_model(&self, weights: &[f64]) -> f64;
@@ -119,11 +132,20 @@ pub trait ModelUtility {
         None
     }
 
-    /// Partial score of `mean_block`, the elements of a mean score
-    /// vector from `at` (a multiple of the granule) on.
-    fn tally(&self, at: usize, mean_block: &[f64]) -> f64 {
-        let _ = at;
+    /// Partial score of `mean_block`: the granules of a mean score vector
+    /// whose indices `granules` lists, laid end to end.
+    fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
+        let _ = granules;
         self.of_scores(mean_block)
+    }
+
+    /// The tally of granule `granule` that the mean of *every* non-empty
+    /// subset of `members` — that granule of each group's scores — is
+    /// certain to get, whatever order the game sums it in; `None` when
+    /// some mean could tally otherwise.
+    fn settled(&self, granule: usize, members: &[&[f64]]) -> Option<f64> {
+        let _ = (granule, members);
+        None
     }
 
     /// Utility from the sum of a vector's tallies.

@@ -319,6 +319,68 @@ fn benchmark_shaped_games_are_schedule_invariant() {
 }
 
 #[test]
+fn settled_table1_games_are_schedule_invariant() {
+    // Table I's shape — nine trained group models over 64 features x 10
+    // classes, σ = 1 — on a world small enough that about half of its
+    // 300 test rows settle (the full 5 620-instance world settles all
+    // 1 124). Two cuts of the test set: the rows that settle, and as many
+    // of those as there are rows that do not, plus those. The first game
+    // walks no row per coalition and states no work, so its 2^9
+    // evaluations fit one lease; the second walks half its rows.
+    use fedchain::config::FlConfig;
+    use fedchain::contract_fl::AccuracyUtility;
+    use fedchain::world::World;
+    use shapley::utility::{CachedUtility, CoalitionUtility, ModelUtility};
+
+    let mut config = FlConfig::paper_setting();
+    config.num_groups = 9;
+    config.sigma = 1.0;
+    config.data.instances = 1_500;
+    let world = World::generate(&config).expect("valid config");
+    let models = world.local_updates(&config);
+    let (features, classes) = (config.data.features, config.data.classes);
+    let whole = AccuracyUtility::new(&world.test, features, classes);
+    let logits: Vec<Vec<f64>> = models.iter().map(|w| whole.scores(w)).collect();
+    let (settled, unsettled): (Vec<usize>, Vec<usize>) = (0..world.test.len()).partition(|&r| {
+        let rows: Vec<&[f64]> = logits
+            .iter()
+            .map(|l| &l[r * classes..(r + 1) * classes])
+            .collect();
+        whole.settled(r, &rows).is_some()
+    });
+    let pairs = settled.len().min(unsettled.len());
+    assert!(
+        pairs >= 20,
+        "{} settled, {} not",
+        settled.len(),
+        unsettled.len()
+    );
+    let mut half = [&settled[..pairs], &unsettled[..pairs]].concat();
+    half.sort_unstable();
+
+    let stratified = Stratified {
+        config: StratifiedConfig {
+            samples_per_stratum: 2,
+            seed: 37,
+        },
+    };
+    for (rows, walked) in [(&settled, 0), (&half, pairs)] {
+        let utility = AccuracyUtility::new(&world.test.subset(rows), features, classes);
+        let game = GroupModelGame::new(&models, &utility);
+        assert_eq!(game.eval_flops(), walked * classes * (9 / 2 + 2));
+        if walked == 0 {
+            assert!(par::items_per_lease(game.eval_flops()) >= 1 << 9);
+        }
+        assert_schedule_invariant(|| Exact.estimate(&GroupModelGame::new(&models, &utility)));
+        assert_schedule_invariant(|| {
+            let game = GroupModelGame::new(&models, &utility);
+            let cached = CachedUtility::new(&game);
+            (stratified.estimate(&cached), cached.stats())
+        });
+    }
+}
+
+#[test]
 fn stratified_over_a_cached_group_game_is_schedule_invariant_at_both_levels() {
     // The two sizes a sharded round plays — a cohort's 4 groups, where
     // no pass of the estimator is worth a thread, and the 32 cohorts of

@@ -7,7 +7,7 @@
 # so the loop is an equivalence gate, not a timing one. Stops at the
 # first bench that fails.
 #
-# Nine timing gates follow it, each a ratio inside one run because
+# Ten timing gates follow it, each a ratio inside one run because
 # absolute ns drift ±15 % on the CI box. A 4-cohort pipelined chain at
 # thread cap 2 may not cost more than 1.75 × the sequential chain at cap
 # 1 (≈ 1.0 with the numeric::par thread budget; ≈ 2.3 – 2.5 when every
@@ -15,14 +15,17 @@
 # m = 9 game at the Table I test-set size, valued through the batch
 # kernel, may not cost more than 0.75 × the same game asked one
 # coalition at a time (≈ 0.5; 1.0 is a kernel that stopped sharing
-# member-prefix sums). And one dim-650 local training through the
-# library, at thread cap 1, may not cost more than 0.20 × the retained
-# naive pipeline (measured 0.127 and 0.136 in two 9-sample runs where the
-# AVX instantiations run, 0.176 on the SSE2 baseline alone; 0.17 – 0.19
-# and 0.24 were the same two while the softmax called libm's exp per
-# element). And one data set's worth of Gaussian samples through
-# Xoshiro256::fill_gaussian may not cost more than 0.5 × the per-sample
-# loop over libm's ln and cos (0.24 – 0.33 with AVX; the SSE2 baseline
+# member-prefix sums). And the same game over Table I's nine trained
+# group models, whose every test row settles, may not cost more than
+# 0.3 × that game over a utility that settles no row (≈ 0.01; 1.0 is a
+# game that stopped settling rows). And one dim-650 local training
+# through the library, at thread cap 1, may not cost more than 0.20 ×
+# the retained naive pipeline (measured 0.127 and 0.136 in two 9-sample
+# runs where the AVX instantiations run, 0.176 on the SSE2 baseline
+# alone; 0.17 – 0.19 and 0.24 were the same two while the softmax called
+# libm's exp per element). And one data set's worth of Gaussian samples
+# through Xoshiro256::fill_gaussian may not cost more than 0.5 × the
+# per-sample loop over libm's ln and cos (0.24 – 0.33 with AVX; the SSE2 baseline
 # alone reads 0.49, so a host without AVX sits on this limit). And one
 # owner's key escrow at the stream_churn shape (32 shares, threshold 17)
 # through the Montgomery-resident Shamir::split may not cost more than
@@ -124,6 +127,7 @@ rm -f "$ratio_out"
 
 cargo bench --bench sv_runtime -- coalition_walk/
 gate "$ratio_out" coalition_walk/batch/table1_sv coalition_walk/single/table1_sv 0.75
+gate "$ratio_out" coalition_walk/settled/table1_sv coalition_walk/unsettled/table1_sv 0.3
 
 FL_PAR_THREADS=1 cargo bench --bench ml_training -- logreg_train/
 gate "$ratio_out" logreg_train/opt/650 logreg_train/seed/650 0.20
