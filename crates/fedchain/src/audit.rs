@@ -28,7 +28,7 @@ use fl_chain::log::TornTail;
 use fl_chain::store::ChainStore;
 use fl_ml::dataset::Dataset;
 
-use crate::contract_fl::{FlCall, FlContract, FlParams};
+use crate::contract_fl::{FlCall, FlContract, FlError, FlParams};
 
 /// Outcome of replaying one block.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,6 +59,9 @@ pub struct AuditReport {
 /// Errors from replaying a chain.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuditError {
+    /// The genesis parameters the auditor was handed fail
+    /// [`FlParams::validate`] against its test set; no replica was built.
+    InvalidParams(FlError),
     /// The hash chain itself is broken; the fault names the first
     /// divergent height and the failed check (parent link, height, or
     /// transaction root).
@@ -79,6 +82,7 @@ pub enum AuditError {
 impl std::fmt::Display for AuditError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Self::InvalidParams(e) => write!(f, "{e}"),
             Self::BrokenChain(fault) => {
                 write!(f, "hash chain failed structural verification: {fault}")
             }
@@ -100,11 +104,16 @@ impl std::error::Error for AuditError {}
 ///
 /// `params` and `test_set` are the public setup artefacts (on-chain at
 /// genesis in a deployment); everything else comes from the blocks.
+/// Parameters that fail [`FlParams::validate`] are
+/// [`AuditError::InvalidParams`], before anything else is read.
 pub fn replay_chain(
     store: &ChainStore<FlCall>,
     params: FlParams,
     test_set: Dataset,
 ) -> Result<AuditReport, AuditError> {
+    params
+        .validate(&test_set)
+        .map_err(AuditError::InvalidParams)?;
     store.verify_chain().map_err(AuditError::BrokenChain)?;
     let mut contract = FlContract::genesis(params, test_set);
     let (blocks, clean) = replay_blocks(&mut contract, store, 0)?;
@@ -275,11 +284,16 @@ pub struct FastSyncReport {
 /// before trusting it — or from genesis otherwise. Either way every
 /// block after the sync point is re-executed and checked against its
 /// committed state root, so a clean report certifies the whole chain.
+/// Parameters that fail [`FlParams::validate`] are
+/// [`AuditError::InvalidParams`], before the directory is opened.
 pub fn fast_sync(
     dir: &Path,
     params: FlParams,
     test_set: Dataset,
 ) -> Result<FastSyncReport, FastSyncError> {
+    params
+        .validate(&test_set)
+        .map_err(AuditError::InvalidParams)?;
     let (durable, recovery) = DurableStore::<FlCall>::open(dir, DurabilityConfig::default())?;
     let store = durable.store();
     store

@@ -267,6 +267,9 @@ pub enum FlError {
     /// The round's layout — cohort plan or composition of its two
     /// levels — could not be built from the parameters.
     Layout(HierarchyError),
+    /// The genesis parameters are inconsistent with each other or with
+    /// the test set ([`super::FlParams::validate`]).
+    InvalidParams(String),
 }
 
 impl std::fmt::Display for FlError {
@@ -368,6 +371,7 @@ impl std::fmt::Display for FlError {
             }
             Self::MissingKey(id) => write!(f, "survivor {id} has no advertised key"),
             Self::Layout(e) => write!(f, "round layout: {e}"),
+            Self::InvalidParams(reason) => write!(f, "invalid genesis parameters: {reason}"),
         }
     }
 }

@@ -62,7 +62,9 @@ use fl_chain::hash::Hash32;
 use fl_chain::tx::AccountId;
 use fl_crypto::dh::DhGroup;
 use fl_crypto::shamir::Share;
+use fl_ml::dataset::Dataset;
 use numeric::U256;
+use shapley::hierarchy::CohortPlan;
 
 use crate::config::SvMethod;
 
@@ -126,6 +128,77 @@ impl Encode for FlParams {
         (self.frac_bits as u64).encode_to(out);
         self.escrow_threshold.encode_to(out);
         self.num_cohorts.encode_to(out);
+    }
+}
+
+impl FlParams {
+    /// Checks the parameters against each other and against the public
+    /// test set — what [`FlContract::genesis`] requires of them. An
+    /// auditor handed parameters from outside calls this before it builds
+    /// a replica from them.
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::InvalidParams`] naming the first check that fails.
+    pub fn validate(&self, test_set: &Dataset) -> Result<(), FlError> {
+        let n = self.owners.len();
+        let fail = |reason: String| Err(FlError::InvalidParams(reason));
+        if n < 2 {
+            return fail(format!("need >= 2 owners, got {n}"));
+        }
+        if !(1..=n).contains(&self.num_groups) {
+            return fail(format!(
+                "num_groups out of range: {} outside 1..={n}",
+                self.num_groups
+            ));
+        }
+        if let Err(e) = self.sv_method.validate_groups(self.num_groups) {
+            return fail(format!("SV method must support the group count: {e}"));
+        }
+        let dim = self
+            .num_features
+            .checked_add(1)
+            .and_then(|f| f.checked_mul(self.num_classes));
+        if dim != Some(self.model_dim) {
+            return fail(format!(
+                "model_dim must equal (features+1)*classes: {} for {} features, {} classes",
+                self.model_dim, self.num_features, self.num_classes
+            ));
+        }
+        if test_set.num_features() != self.num_features {
+            return fail(format!(
+                "test set feature mismatch: {} features, params say {}",
+                test_set.num_features(),
+                self.num_features
+            ));
+        }
+        if !(1..=n).contains(&self.escrow_threshold) {
+            return fail(format!(
+                "escrow threshold out of range: {} outside 1..={n}",
+                self.escrow_threshold
+            ));
+        }
+        if !(1..=n).contains(&self.num_cohorts) {
+            return fail(format!(
+                "num_cohorts out of range: {} outside 1..={n}",
+                self.num_cohorts
+            ));
+        }
+        // The second-level game enumerates coalitions over the cohorts,
+        // and the within game needs every cohort to hold at least
+        // num_groups members (both vacuous for the one cohort of a flat
+        // round).
+        if let Err(e) = self.sv_method.validate_groups(self.num_cohorts) {
+            return fail(format!("SV method must support the cohort count: {e}"));
+        }
+        let smallest = CohortPlan::min_cohort_size(n, self.num_cohorts);
+        if self.num_groups > smallest {
+            return fail(format!(
+                "num_groups exceeds the smallest cohort: {} groups, {smallest} members",
+                self.num_groups
+            ));
+        }
+        Ok(())
     }
 }
 

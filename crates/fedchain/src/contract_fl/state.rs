@@ -13,7 +13,6 @@ use fl_chain::tx::AccountId;
 use fl_crypto::shamir::Share;
 use fl_ml::dataset::Dataset;
 use numeric::U256;
-use shapley::hierarchy::CohortPlan;
 
 use super::section::{tagged, Section};
 use super::{AccuracyUtility, FlCall, FlContract, FlError, FlParams, RoundPhase, RoundRecord};
@@ -23,48 +22,12 @@ impl FlContract {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are internally inconsistent.
+    /// Panics if [`FlParams::validate`] rejects the parameters; a caller
+    /// holding parameters it did not build calls that first.
     pub fn genesis(params: FlParams, test_set: Dataset) -> Self {
-        assert!(params.owners.len() >= 2, "need >= 2 owners");
-        assert!(
-            (1..=params.owners.len()).contains(&params.num_groups),
-            "num_groups out of range"
-        );
-        params
-            .sv_method
-            .validate_groups(params.num_groups)
-            .expect("SV method must support the group count");
-        assert_eq!(
-            params.model_dim,
-            (params.num_features + 1) * params.num_classes,
-            "model_dim must equal (features+1)*classes"
-        );
-        assert_eq!(
-            test_set.num_features(),
-            params.num_features,
-            "test set feature mismatch"
-        );
-        assert!(
-            (1..=params.owners.len()).contains(&params.escrow_threshold),
-            "escrow threshold out of range"
-        );
-        assert!(
-            (1..=params.owners.len()).contains(&params.num_cohorts),
-            "num_cohorts out of range"
-        );
-        // The second-level game enumerates coalitions over the cohorts,
-        // and the within game needs every cohort to hold at least
-        // num_groups members (both vacuous for the one cohort of a flat
-        // round).
-        params
-            .sv_method
-            .validate_groups(params.num_cohorts)
-            .expect("SV method must support the cohort count");
-        assert!(
-            params.num_groups
-                <= CohortPlan::min_cohort_size(params.owners.len(), params.num_cohorts),
-            "num_groups exceeds the smallest cohort"
-        );
+        if let Err(e) = params.validate(&test_set) {
+            panic!("{e}");
+        }
         let global_model = vec![0.0; params.model_dim];
         let contributions = params.owners.iter().map(|&o| (o, 0.0)).collect();
         let mut owner_positions = BTreeMap::new();
@@ -199,19 +162,15 @@ impl FlContract {
         }
     }
 
-    /// Rebuilds a contract from the genesis artefacts plus a
-    /// [`FlContract::snapshot_state`] blob.
+    /// Rebuilds a contract from the genesis artefacts — parameters that
+    /// pass [`FlParams::validate`], as for [`FlContract::genesis`] — plus
+    /// a [`FlContract::snapshot_state`] blob.
     ///
     /// Decoding is strict (truncated, malformed, or trailing bytes all
     /// `Err`), but a *well-formed forgery* cannot be detected here: the
     /// caller must check [`SmartContract::state_digest`] of the result
     /// against the state root committed at the snapshot height, as
     /// `fedchain::audit::fast_sync` does.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`FlContract::genesis`] does: on internally
-    /// inconsistent genesis parameters.
     pub fn restore(
         params: FlParams,
         test_set: Dataset,

@@ -1,22 +1,34 @@
 //! Which instantiation of a lane-compiled kernel runs.
 //!
 //! The hot loops of this crate — the GEMM panel in [`crate::linalg`], the
-//! slice passes in [`crate::math`] — are each one source compiled twice
-//! on x86-64: for the target's baseline (SSE2) and again with AVX
-//! enabled. A call picks the AVX one when
-//! `is_x86_feature_detected!("avx")` says the CPU has it. That is a
+//! slice passes in [`crate::math`] — are each one source compiled three
+//! times on x86-64: for the target's baseline (SSE2, 2 lanes), with AVX
+//! enabled (4 lanes) and with AVX-512F enabled (8 lanes). A call picks
+//! the widest one the CPU reports: `is_x86_feature_detected!("avx512f")`
+//! (which also checks that the OS saves the zmm state), else
+//! `is_x86_feature_detected!("avx")`, else the baseline. That is a
 //! platform selection the code observes, not an option — nothing sets it
-//! and nothing can: `vmulpd` / `vaddpd` / `vdivpd` / `vsqrtpd` round each
+//! and nothing can: `mulpd` / `addpd` / `divpd` / `sqrtpd` round each
 //! 64-bit lane exactly as their 2-lane and scalar forms do (IEEE 754
-//! binary64, round to nearest even), lanes never interact, and which
-//! lanes share a register decides no element's operation order, so the
-//! wider instantiation cannot change a bit. FMA is never enabled, and no
-//! kernel source has a `mul_add`: a fused multiply-add rounds once where
-//! the spelled-out code rounds twice, which *would* change bits. Other
-//! targets compile the baseline instantiation only.
+//! binary64, round to nearest even) at every width, lanes never interact,
+//! and which lanes share a register decides no element's operation
+//! order, so a wider instantiation cannot change a bit. Other targets
+//! compile the baseline instantiation only.
 //!
-//! Calling the AVX instantiation is the one `unsafe` block of this
-//! crate; every kernel goes through it.
+//! # No fused multiply-add
+//!
+//! A fused multiply-add rounds once where the spelled-out `a * b + c`
+//! rounds twice, which *would* change bits. The AVX instantiation does
+//! not enable FMA; the AVX-512F one cannot help it — in rustc `avx512f`
+//! implies the `fma` target feature. Two facts keep FMA out of every
+//! instantiation: no kernel source calls `mul_add`, and rustc never
+//! contracts a multiply and an add into one. `scripts/no_fma.sh` checks
+//! both: it greps the non-test source of `numeric` and `ml` for `mul_add`
+//! and disassembles a release binary for any `vfmadd` / `vfmsub` /
+//! `vfnmadd` / `vfnmsub`.
+//!
+//! Calling a wider instantiation is the one `unsafe` block of this crate;
+//! every kernel goes through it.
 
 /// A loop body that [`Isa::run`] compiles once per instantiation.
 ///
@@ -29,38 +41,88 @@ pub(crate) trait Kernel {
 }
 
 /// Which instantiation of a [`Kernel`] a call runs. The field is private
-/// to this module and only [`Isa::detect`] ever sets it — what the
-/// `unsafe` call in [`Isa::run`] relies on.
+/// to this module, and every `Isa` above the portable one is built from a
+/// tier [`Tier::reported`] held for on this CPU — what the `unsafe` call
+/// in [`Isa::run`] relies on.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Isa {
-    avx: bool,
+    tier: Tier,
+}
+
+/// The three instantiations.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tier {
+    /// The target's default features (SSE2 on x86-64).
+    Portable,
+    /// AVX: 4-lane `ymm` code.
+    Avx,
+    /// AVX-512F: 8-lane `zmm` code.
+    Avx512,
+}
+
+impl Tier {
+    /// Every tier, narrowest first.
+    const ALL: [Tier; 3] = [Tier::Portable, Tier::Avx, Tier::Avx512];
+
+    /// Whether this CPU reports the one feature the tier's instantiation
+    /// enables.
+    fn reported(self) -> bool {
+        match self {
+            Tier::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx => std::arch::is_x86_feature_detected!("avx"),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Avx | Tier::Avx512 => false,
+        }
+    }
 }
 
 impl Isa {
     /// The baseline instantiation, compiled for the target's default
     /// features (SSE2 on x86-64); the only one off x86-64.
-    pub(crate) const PORTABLE: Isa = Isa { avx: false };
+    pub(crate) const PORTABLE: Isa = Isa {
+        tier: Tier::Portable,
+    };
 
     /// The widest instantiation this CPU runs.
     pub(crate) fn detect() -> Isa {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            return Isa { avx: true };
-        }
-        Isa::PORTABLE
+        Tier::ALL
+            .into_iter()
+            .rfind(|t| t.reported())
+            .map_or(Isa::PORTABLE, |tier| Isa { tier })
+    }
+
+    /// Every instantiation this CPU runs, narrowest (the portable one)
+    /// first: what a test holds each instantiation to.
+    #[cfg(test)]
+    pub(crate) fn each() -> Vec<Isa> {
+        Tier::ALL
+            .into_iter()
+            .filter(|t| t.reported())
+            .map(|tier| Isa { tier })
+            .collect()
     }
 
     /// Runs `kernel` in this instantiation.
     #[inline]
     pub(crate) fn run<K: Kernel>(self, kernel: K) {
         #[cfg(target_arch = "x86_64")]
-        if self.avx {
-            // SAFETY: `avx` is set by `Isa::detect` alone, after
-            // `is_x86_feature_detected!("avx")` held on this CPU; AVX is
-            // the only feature `run_avx` enables.
+        if self.tier != Tier::Portable {
+            // SAFETY: this `Isa` came from `detect` or `each`, so
+            // `self.tier.reported()` held on this CPU:
+            // `is_x86_feature_detected!("avx512f")` for `Avx512`, `"avx"`
+            // for `Avx`. That is the one feature `run_avx512` / `run_avx`
+            // enables (with what rustc implies by it, which every CPU
+            // reporting that feature implements).
             #[allow(unsafe_code)]
             unsafe {
-                run_avx(kernel)
+                if self.tier == Tier::Avx512 {
+                    run_avx512(kernel)
+                } else {
+                    run_avx(kernel)
+                }
             };
             return;
         }
@@ -75,4 +137,26 @@ impl Isa {
 #[target_feature(enable = "avx")]
 fn run_avx<K: Kernel>(kernel: K) {
     kernel.run();
+}
+
+/// [`Kernel::run`] compiled a third time with AVX-512F enabled: the same
+/// source, 8-lane instructions. `avx512f` implies `fma`, so only the
+/// source (no `mul_add`) and rustc (no contraction) keep FMA out — the
+/// module docs, "No fused multiply-add".
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512<K: Kernel>(kernel: K) {
+    kernel.run();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn detect_is_the_widest_tier_of_each() {
+        let each = Isa::each();
+        assert_eq!(each[0], Isa::PORTABLE);
+        assert_eq!(each.last(), Some(&Isa::detect()));
+    }
 }

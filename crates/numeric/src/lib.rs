@@ -21,17 +21,19 @@
 //!
 //! A crate-private `isa` module picks, per call, which instantiation of
 //! a lane-compiled kernel runs (`linalg`'s GEMM panel, `math`'s slice
-//! passes): the baseline one or, where the CPU has it, the same source
-//! compiled with AVX.
+//! passes): the baseline one or the same source compiled with AVX or
+//! with AVX-512F, the widest the CPU has.
 //!
 //! Everything here is deterministic and dependency-free by design: the
 //! blockchain's verification-by-re-execution protocol (paper Sect. III)
 //! only works if every miner computes identical results.
 
-// `deny` instead of `forbid`: calling a kernel's AVX instantiation is one
-// `unsafe` block, in `isa`, reached only after runtime feature detection.
-// It carries the only `#[allow(unsafe_code)]` in this crate, with the
-// safety argument inline.
+// `deny` instead of `forbid`: calling a kernel's AVX or AVX-512F
+// instantiation is one `unsafe` block, in `isa`, reached only after
+// runtime feature detection. It carries the only `#[allow(unsafe_code)]`
+// in this crate, with the safety argument inline. `avx512f` implies
+// `fma` in rustc, so FMA is kept out by the source and the compiler, not
+// by the feature set: `isa`'s docs and `scripts/no_fma.sh`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

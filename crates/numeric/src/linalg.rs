@@ -41,12 +41,16 @@
 //!
 //! # Instantiations
 //!
-//! The kernel is one source compiled twice on x86-64 — for the baseline
-//! (SSE2) and again with AVX enabled, never FMA — and a product runs the
-//! AVX instantiation where the CPU has it. That is a platform selection
-//! the code observes, not an option: the crate-private `isa` module
-//! holds the dispatch, shared with [`crate::math`]'s slice passes, and
-//! the argument why wider lanes cannot change a bit.
+//! The kernel is one source compiled three times on x86-64 — for the
+//! baseline (SSE2), with AVX and with AVX-512F — and a product runs the
+//! widest instantiation the CPU has. That is a platform selection the
+//! code observes, not an option: the crate-private `isa` module holds
+//! the dispatch, shared with [`crate::math`]'s slice passes, and the
+//! argument why wider lanes cannot change a bit. None may fuse: the AVX
+//! one does not enable FMA, and in the AVX-512F one (where rustc's
+//! `avx512f` implies `fma`) only the unfused `acc += x * seg` spelling
+//! and rustc's refusal to contract it keep each product rounded before
+//! its add; `scripts/no_fma.sh` disassembles a release binary to check.
 //!
 //! The last column tile of a row may be up to 10 wide (a 10-class
 //! product is one tile, not 8 + 2). The bound is the SSE2 register file:
@@ -729,14 +733,17 @@ mod tests {
     }
 
     /// `a · b` through every instantiation of the kernel this CPU can
-    /// run: the portable one and what [`Isa::detect`] picks (the
-    /// AVX one where there is AVX, the portable one again elsewhere).
-    fn matmul_each_isa(a: &Matrix, b: &Matrix) -> [Matrix; 2] {
-        [Isa::PORTABLE, Isa::detect()].map(|isa| {
-            let mut out = Matrix::zeros(a.rows, b.cols);
-            gemm::gemm_into(isa, a.rows, a.cols, b.cols, &a.data, &b.data, &mut out.data);
-            out
-        })
+    /// run ([`Isa::each`]: the portable one, then AVX and AVX-512F where
+    /// the CPU has them).
+    fn matmul_each_isa(a: &Matrix, b: &Matrix) -> Vec<Matrix> {
+        Isa::each()
+            .into_iter()
+            .map(|isa| {
+                let mut out = Matrix::zeros(a.rows, b.cols);
+                gemm::gemm_into(isa, a.rows, a.cols, b.cols, &a.data, &b.data, &mut out.data);
+                out
+            })
+            .collect()
     }
 
     fn dense_matrix(rows: usize, cols: usize, salt: u64) -> Matrix {

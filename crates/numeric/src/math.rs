@@ -56,10 +56,14 @@
 //! # Slice passes
 //!
 //! [`exp_slice`] and [`box_muller`] run the same scalar bodies over whole
-//! slices, compiled a second time with AVX where the CPU has it (the
-//! crate-private `isa` dispatch, shared with the GEMM kernel in
-//! [`crate::linalg`]). Lanes never interact, so every element equals the
-//! scalar function bit for bit — pinned for every length and alignment.
+//! slices, compiled again with AVX and with AVX-512F, the widest the CPU
+//! has running (the crate-private `isa` dispatch, shared with the GEMM
+//! kernel in [`crate::linalg`]). Lanes never interact, so every element
+//! equals the scalar function bit for bit — pinned for every length and
+//! alignment in every instantiation. The AVX-512F one is compiled with
+//! `fma` implied; the bodies hold no `mul_add` and rustc does not
+//! contract, so it computes the same two-rounding expressions
+//! (`scripts/no_fma.sh` checks both).
 
 use crate::isa::{Isa, Kernel};
 
@@ -122,11 +126,13 @@ fn exp_lane(x: f64) -> f64 {
     y * f64::from_bits(t1.to_bits() << 52) * f64::from_bits(t2.to_bits() << 52)
 }
 
-/// Elements per block of [`exp_slice`]: two 4-lane AVX vectors, four
-/// 2-lane baseline ones. The pass walks whole blocks and runs what is
-/// left through one more block, padded on the stack, so that every
-/// element goes through the vector code — a 2 × 4 logits matrix is one
-/// block, not eight scalar calls.
+/// Elements per block of [`exp_slice`]: one 8-lane AVX-512F vector, two
+/// 4-lane AVX ones, four 2-lane baseline ones. The pass walks whole
+/// blocks and runs what is left through one more block, padded on the
+/// stack, so that every element goes through the vector code — a 2 × 4
+/// logits matrix is one block, not eight scalar calls. 16 read the same
+/// on a 500 × 10 softmax and slower on 2 × 4 (a second, padding-only
+/// vector).
 const BLOCK: usize = 8;
 
 /// `eˣ` over a slice, in place; every element equals [`exp`] bit for bit.
@@ -612,15 +618,9 @@ mod tests {
             .collect()
     }
 
-    /// The portable instantiation and what this CPU detects (the AVX one
-    /// where there is AVX).
-    fn each_isa() -> [Isa; 2] {
-        [Isa::PORTABLE, Isa::detect()]
-    }
-
     #[test]
     fn exp_slice_equals_exp_elementwise_at_every_length_and_alignment() {
-        for isa in each_isa() {
+        for isa in Isa::each() {
             for len in 0..=40 {
                 for offset in [0, 1] {
                     let xs = mixed_inputs(offset + len, 7 + len as u64);
@@ -637,7 +637,7 @@ mod tests {
 
     #[test]
     fn box_muller_equals_the_scalar_expression_at_every_length_and_alignment() {
-        for isa in each_isa() {
+        for isa in Isa::each() {
             for len in 0..=40 {
                 for offset in [0, 1] {
                     let u1 = mixed_inputs(offset + len, 11 + len as u64);

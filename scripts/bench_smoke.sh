@@ -25,8 +25,9 @@
 # alone; 0.17 – 0.19 and 0.24 were the same two while the softmax called
 # libm's exp per element). And one data set's worth of Gaussian samples
 # through Xoshiro256::fill_gaussian may not cost more than 0.5 × the
-# per-sample loop over libm's ln and cos (0.24 – 0.33 with AVX; the SSE2 baseline
-# alone reads 0.49, so a host without AVX sits on this limit). And one
+# per-sample loop over libm's ln and cos (0.22 – 0.24 with AVX-512F,
+# 0.24 – 0.33 with AVX; the SSE2 baseline alone reads 0.49, so a host
+# without AVX sits on this limit). And one
 # owner's key escrow at the stream_churn shape (32 shares, threshold 17)
 # through the Montgomery-resident Shamir::split may not cost more than
 # 0.2 × the retained plain-U256 Horner ladder (≈ 0.04; a split that went

@@ -8,12 +8,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use fedchain::audit::{fast_sync, FastSyncError};
+use fedchain::audit::{fast_sync, replay_chain, AuditError, FastSyncError};
 use fedchain::config::FlConfig;
 use fedchain::protocol::{FlProtocol, ProtocolError};
-use fedchain::FlCall;
+use fedchain::{FlCall, FlError, FlParams};
 use fl_chain::durability::{DurabilityConfig, DurabilityError, DurableStore};
 use fl_chain::log::LogConfig;
+use fl_ml::dataset::{Dataset, SyntheticDigits};
 use numeric::par;
 
 /// The thread cap is process-global; tests that set it take turns.
@@ -196,6 +197,76 @@ fn fast_sync_rejects_a_forged_snapshot_state() {
         Err(FastSyncError::SnapshotStateMismatch { height: 3, .. }) => {}
         other => panic!("forged snapshot must be rejected, got {other:?}"),
     }
+}
+
+#[test]
+fn hostile_genesis_params_are_a_typed_error_from_both_audit_entry_points() {
+    // An auditor is handed the parameters and test set from outside. Each
+    // hostile case below used to panic inside `FlContract::genesis` (or
+    // `restore`, on the snapshot path) instead of returning an error.
+    let dir = TestDir::new("hostile-params");
+    let mut protocol = FlProtocol::new(dropout_config()).expect("valid config");
+    protocol
+        .persist_to(dir.path(), durability_config(1))
+        .expect("fresh dir attaches");
+    protocol.run().expect("honest run");
+    let store = protocol.engine().store_of(0).expect("miner 0");
+    let params = protocol.contract().params().clone();
+    let test_set = protocol.test_set().clone();
+    let n = params.owners.len();
+
+    let hostile: [(&str, FlParams, Dataset); 4] = [
+        (
+            "num_groups = 0",
+            FlParams {
+                num_groups: 0,
+                ..params.clone()
+            },
+            test_set.clone(),
+        ),
+        (
+            "escrow_threshold = n + 1",
+            FlParams {
+                escrow_threshold: n + 1,
+                ..params.clone()
+            },
+            test_set.clone(),
+        ),
+        (
+            "mismatched model_dim",
+            FlParams {
+                model_dim: params.model_dim + 1,
+                ..params.clone()
+            },
+            test_set.clone(),
+        ),
+        (
+            "test set with the wrong feature count",
+            params.clone(),
+            SyntheticDigits {
+                features: params.num_features + 1,
+                ..SyntheticDigits::small()
+            }
+            .generate(7),
+        ),
+    ];
+    for (case, params, test_set) in hostile {
+        match replay_chain(store, params.clone(), test_set.clone()) {
+            Err(AuditError::InvalidParams(FlError::InvalidParams(_))) => {}
+            other => panic!("{case}: replay_chain gave {other:?}"),
+        }
+        match fast_sync(dir.path(), params, test_set) {
+            Err(FastSyncError::Audit(AuditError::InvalidParams(FlError::InvalidParams(_)))) => {}
+            other => panic!("{case}: fast_sync gave {other:?}"),
+        }
+    }
+    // The honest artefacts still certify the same directory.
+    assert!(
+        fast_sync(dir.path(), params, test_set)
+            .expect("certifies")
+            .audit
+            .clean
+    );
 }
 
 #[test]
