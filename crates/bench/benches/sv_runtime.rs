@@ -21,9 +21,7 @@ use shapley::exact_shapley;
 use shapley::group::{group_shapley, shapley_over_group_models, GroupModelGame, GroupSvConfig};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
-use shapley::utility::{
-    model_utility_fn, CachedUtility, CoalitionUtility, ModelUtility, RestrictedGame,
-};
+use shapley::utility::{model_utility_fn, CachedUtility, CoalitionUtility, ModelUtility};
 
 fn bench_config() -> FlConfig {
     let mut config = FlConfig::paper_setting();
@@ -47,9 +45,7 @@ fn bench_config() -> FlConfig {
 /// coalition pays a GEMM + softmax pass
 /// ([`model_accuracy_design_reference`], the retained oracle). Before
 /// any sampling every coalition's value — asked for alone and in one
-/// batch of all `2^m` — is asserted equal between the two, through both
-/// backings of the game (at this test-set size m = 9 is past the
-/// subset-sum tables' byte budget).
+/// batch of all `2^m` — is asserted equal between the two.
 fn bench_group_sv(c: &mut Criterion) {
     let config = bench_config();
     let world = World::generate(&config).expect("valid config");
@@ -200,9 +196,7 @@ fn bench_group_sv_models(c: &mut Criterion) {
 /// model dimensionality, across group counts the exact path cannot
 /// reach: `exact` runs only at m = 16 (the `2^m` wall), while the
 /// sampling estimators cover m = 16/32/48 — the workload behind the
-/// 64-group on-chain cap. Every m here plays on the game's direct
-/// member-summation backing: at 650 weights the subset-sum tables of
-/// m = 16 are past their byte budget, and m > 25 never tabulates.
+/// 64-group on-chain cap.
 fn bench_sv_estimator(c: &mut Criterion) {
     let dim = 650usize;
     let utility = model_utility_fn(
@@ -323,7 +317,7 @@ fn play(game: &(impl CoalitionUtility + Sync), exact: bool) -> Vec<f64> {
 /// spends its evaluation time in: `table1_sv` (`Exact`, m = 9 groups,
 /// 1 124 test rows × 10 classes) and the second level of `sharded_1k`
 /// (`Stratified{2}` over k = 32 cohorts, 410 rows × 4 classes, through
-/// `CachedUtility` ∘ `RestrictedGame` as the contract wraps it).
+/// `CachedUtility` as the contract wraps it).
 /// `batch` lets the estimator hand the game whole subtrees / prewarm
 /// runs, `single` asks the same game one coalition at a time; the two
 /// estimates are asserted equal to the bit before sampling. Their group
@@ -359,8 +353,7 @@ fn bench_coalition_walk(c: &mut Criterion) {
         let utility = AccuracyUtility::new(&test, features, classes);
         let dim = (features + 1) * classes;
         let models = synthetic_models(m, dim);
-        let full = GroupModelGame::new(&models, &utility);
-        let game = RestrictedGame::new(&full, (0..m).collect());
+        let game = GroupModelGame::new(&models, &utility);
         let single = OneAtATime(&game);
         let exact = m <= 9;
         let values = play(&game, exact);

@@ -20,7 +20,7 @@ use shapley::group::{argmax_settled, GroupModelGame};
 use shapley::hierarchy::{compose, RoundPlan};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
-use shapley::utility::{CachedUtility, ModelUtility, RestrictedGame};
+use shapley::utility::{CachedUtility, ModelUtility};
 
 use super::{CohortEvidence, FlContract, FlError, RecoveryEvidence, RoundPhase, RoundRecord};
 use crate::config::SvMethod;
@@ -245,9 +245,9 @@ impl FlContract {
     /// masked submissions; survivor-survivor masks cancel in the sum,
     /// and each dropped member's residual masks are stripped with its
     /// reconstructed key. A group whose members all dropped has no model
-    /// (a zero placeholder keeps indices aligned) and leaves the game.
-    /// Returns the per-group models and the surviving group indices, or
-    /// the first survivor whose submission or key the state lacks.
+    /// and leaves the game. Returns the surviving groups' models and
+    /// indices, both in group order, or the first survivor whose
+    /// submission or key the state lacks.
     fn aggregate_group_models(
         &self,
         groups: &[Vec<usize>],
@@ -263,7 +263,6 @@ impl FlContract {
         for (j, g) in groups.iter().enumerate() {
             let alive: Vec<usize> = g.iter().copied().filter(|&i| !is_dropped(i)).collect();
             if alive.is_empty() {
-                group_models.push(vec![0.0; self.params().model_dim]);
                 continue;
             }
             surviving_groups.push(j);
@@ -312,8 +311,8 @@ impl FlContract {
     ///
     /// Reconstructs the dropped keys (if any); then, per cohort of the
     /// plan, strips the residual masks per group and runs the configured
-    /// estimator over the group-model game restricted to the surviving
-    /// groups, on the cohort's own seed stream (one `numeric::par` slot
+    /// estimator over the group-model game of the surviving groups, on
+    /// the cohort's own seed stream (one `numeric::par` slot
     /// per cohort, index-pure so the fan-out is bit-identical across
     /// thread caps); [`reduce_models`] folds the group models into the
     /// cohort aggregates and the new global model.
@@ -322,8 +321,8 @@ impl FlContract {
     /// cohort aggregates prices the cohorts and the two levels compose
     /// into global per-owner contributions
     /// ([`shapley::hierarchy::compose`]); a cohort whose members all
-    /// dropped keeps a zero-model placeholder, leaves that game via
-    /// [`RestrictedGame`], and its members score exactly zero. The skip
+    /// dropped has no aggregate, stays out of that game, and its members
+    /// score exactly zero. The skip
     /// keys on the static `num_cohorts`, not on how many cohorts
     /// survived: a one-cohort round *is* the flat game — `compose`
     /// passes its within-cohort values through verbatim, playing a
@@ -367,6 +366,7 @@ impl FlContract {
         let method = self.params().sv_method;
 
         struct CohortOutcome {
+            /// The surviving groups' models, in group order.
             group_models: Vec<Vec<f64>>,
             surviving_groups: Vec<usize>,
             per_group_sv: Vec<f64>,
@@ -393,7 +393,7 @@ impl FlContract {
             + m * test_rows * model_dim * 2
             + evaluations(method, m) * score_len * (m / 2 + 2);
         let this: &Self = self;
-        let per_cohort: Vec<CohortOutcome> = par::par_map(
+        let mut per_cohort: Vec<CohortOutcome> = par::par_map(
             plan.groups(),
             par::items_per_lease(cohort_flops),
             |c, groups_c| {
@@ -408,8 +408,9 @@ impl FlContract {
                 let (per_group_sv, utility_evaluations, samples) = Self::estimate_alive(
                     method,
                     sampling_seed(plan.seeds()[c], round),
-                    &group_models,
+                    groups_c.len(),
                     &surviving_groups,
+                    &group_models,
                     utility,
                 );
                 Ok(CohortOutcome {
@@ -425,13 +426,8 @@ impl FlContract {
         .collect::<Result<_, FlError>>()?;
 
         let survivor_means: Vec<Vec<Vec<f64>>> = per_cohort
-            .iter()
-            .map(|out| {
-                out.surviving_groups
-                    .iter()
-                    .map(|&j| out.group_models[j].clone())
-                    .collect()
-            })
+            .iter_mut()
+            .map(|out| std::mem::take(&mut out.group_models))
             .collect();
         let (cohort_models, global_model) = reduce_models(&survivor_means);
 
@@ -446,17 +442,17 @@ impl FlContract {
         let mut total_evals = 0;
         let mut total_samples = 0;
         if k > 1 {
-            let alive_cohorts: Vec<usize> =
-                (0..k).filter(|&c| cohort_models[c].is_some()).collect();
-            let cohort_models: Vec<Vec<f64>> = cohort_models
+            let (alive_cohorts, alive_models): (Vec<usize>, Vec<Vec<f64>>) = cohort_models
                 .into_iter()
-                .map(|model| model.unwrap_or_else(|| vec![0.0; self.params().model_dim]))
-                .collect();
+                .enumerate()
+                .filter_map(|(c, model)| Some((c, model?)))
+                .unzip();
             (per_cohort_sv, total_evals, total_samples) = Self::estimate_alive(
                 method,
                 sampling_seed(self.params().permutation_seed, round),
-                &cohort_models,
+                k,
                 &alive_cohorts,
+                &alive_models,
                 utility,
             );
             for (c, out) in per_cohort.iter().enumerate() {
@@ -560,25 +556,30 @@ impl FlContract {
         Ok(ExecutionOutcome::event(event, gas))
     }
 
-    /// Plays the coalition game over `models` restricted to the `alive`
-    /// players ([`RestrictedGame`]) with the configured estimator and
-    /// returns `(values, utility evaluations, samples)`. The values sit
-    /// at the players' own positions: a player outside `alive` — its
-    /// model is a zero placeholder that only keeps indices aligned —
+    /// Plays the coalition game over the `alive` players' `models` (one
+    /// each, ascending) with the configured estimator and returns
+    /// `(values, utility evaluations, samples)` for all `players`. The
+    /// values sit at the players' own positions: a player outside `alive`
     /// scores `0.0`, and with nobody alive no game is played at all.
+    ///
+    /// The game holds the alive players only. A coalition sums its
+    /// members in ascending index, so it values every coalition as the
+    /// game over all `players` restricted to the alive ones would, bit
+    /// for bit — and no absent player's scores keep a test row from
+    /// settling.
     fn estimate_alive(
         method: SvMethod,
         seed: u64,
-        models: &[Vec<f64>],
+        players: usize,
         alive: &[usize],
+        models: &[Vec<f64>],
         utility: &AccuracyUtility,
     ) -> (Vec<f64>, usize, usize) {
-        let mut values = vec![0.0f64; models.len()];
+        let mut values = vec![0.0f64; players];
         if alive.is_empty() {
             return (values, 0, 0);
         }
-        let full_game = GroupModelGame::new(models, utility);
-        let game = RestrictedGame::new(&full_game, alive.to_vec());
+        let game = GroupModelGame::new(models, utility);
         let estimate = Self::dispatch_estimator(method, seed, &game);
         for (&player, &value) in alive.iter().zip(&estimate.values) {
             values[player] = value;

@@ -235,10 +235,9 @@ impl FlParams {
 ///   `EvaluateRound` (with ≥ threshold shares per dropped owner)
 ///   reconstructs every dropped key, verifies it against the advertised
 ///   DH public key, strips the residual pairwise masks from each group's
-///   partial aggregate, and evaluates the group-model game **restricted
-///   to survivors** ([`shapley::utility::RestrictedGame`]): dropped
-///   owners score exactly zero, groups whose members all dropped leave
-///   the game entirely.
+///   partial aggregate, and evaluates the group-model game **over the
+///   survivors' groups**: dropped owners score exactly zero, groups whose
+///   members all dropped are not players of the game at all.
 /// * **Evaluated** — terminal per round: the [`RoundRecord`] (survivor
 ///   set, dropout set, and recovery evidence included) is appended to
 ///   the history, the phase resets to *Submitting*, and the round

@@ -1273,9 +1273,8 @@ mod accuracy_utility {
             classes in 2usize..5,
             m in 1usize..6,
         ) {
-            // Long test sets (thousands of rows) push every subset-sum
-            // table over its byte budget, so both backings of the game
-            // are held to the oracle.
+            // Long test sets (thousands of rows) cut every walk into
+            // tiles, so a tally is held to the oracle across tile cuts.
             let rows = if long { 6_000 + rows } else { rows };
             let mut rng = Xoshiro256::seed_from_u64(seed);
             let test_set = random_test_set(&mut rng, rows, features, classes);
@@ -1340,24 +1339,38 @@ mod accuracy_utility {
 
     #[test]
     fn fully_dropped_placeholder_group_leaves_the_game() {
-        // A group whose members all dropped keeps a zero-model
-        // placeholder at its index; restricted away, the survivors play
-        // exactly the game they would play without it.
+        // The contract plays a round's game over the surviving groups
+        // only. That is, to the bit, the game with a zero-model
+        // placeholder at a fully dropped group's index restricted away —
+        // for random models (rows settle nowhere) and for three copies of
+        // one model (rows settle once the placeholder is gone).
         let test_set = SyntheticDigits::small().generate(99);
         let utility = AccuracyUtility::new(&test_set, 64, 10);
         let mut rng = Xoshiro256::seed_from_u64(11);
-        let survivors = random_models(&mut rng, 3, 650);
-        let with_placeholder = vec![
-            survivors[0].clone(),
-            vec![0.0; 650],
-            survivors[1].clone(),
-            survivors[2].clone(),
-        ];
-        let full = GroupModelGame::new(&with_placeholder, &utility);
-        let restricted = RestrictedGame::new(&full, vec![0, 2, 3]);
-        let without = GroupModelGame::new(&survivors, &utility);
-        for coalition in Coalition::powerset(3) {
-            assert_eq!(restricted.evaluate(coalition), without.evaluate(coalition));
+        let random = random_models(&mut rng, 3, 650);
+        let agreeing = vec![random[0].clone(); 3];
+        for survivors in [random, agreeing] {
+            let with_placeholder = vec![
+                survivors[0].clone(),
+                vec![0.0; 650],
+                survivors[1].clone(),
+                survivors[2].clone(),
+            ];
+            let full = GroupModelGame::new(&with_placeholder, &utility);
+            let restricted = RestrictedGame::new(&full, vec![0, 2, 3]);
+            let without = GroupModelGame::new(&survivors, &utility);
+            for coalition in Coalition::powerset(3) {
+                assert_eq!(
+                    restricted.evaluate(coalition).to_bits(),
+                    without.evaluate(coalition).to_bits()
+                );
+            }
+            let batch: Vec<Coalition> = Coalition::powerset(3).collect();
+            let bits = |values: Vec<f64>| values.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(restricted.evaluate_many(&batch)),
+                bits(without.evaluate_many(&batch))
+            );
         }
     }
 
@@ -1504,14 +1517,14 @@ mod accuracy_utility {
             let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let mut rng = Xoshiro256::seed_from_u64(seed);
             let (mut games, mut engaged) = (0usize, 0usize);
-            // m = 1..=12 exactly, on the subset-sum tables and past them
-            // (their 256 KiB budget over 2^⌊m/2⌋ + 2^⌈m/2⌉ vectors), whole
-            // and restricted; then 64 groups, sampled.
+            // m = 1..=12 exactly, inside one tile of the member-trie walk
+            // and past it (64 KiB over the m + 2 levels of the grand
+            // coalition), whole and restricted; then 64 groups, sampled.
             let mut shapes: Vec<(usize, usize)> = Vec::new();
             for m in 1..=12usize {
-                let past_tables = (256 << 10) / 8 / ((1 << (m / 2)) + (1 << m.div_ceil(2)));
+                let past_tile = (64 << 10) / 8 / (m + 2);
                 shapes.push((m, 6 + rng.next_below(15) as usize));
-                shapes.push((m, past_tables / classes + 1 + rng.next_below(4) as usize));
+                shapes.push((m, past_tile / classes + 1 + rng.next_below(4) as usize));
             }
             shapes.push((64, 4 + rng.next_below(4) as usize));
             for (m, rows) in shapes {

@@ -28,18 +28,19 @@
 //! instead of `2^m`.
 //!
 //! **Summation order.** Per element a coalition's mean is
-//! `(((0 + s_a) + s_b) + …) · 1/|S|` over its members in ascending index
-//! (the subset-sum tables, where they fit `TABLE_BYTE_BUDGET`, group it
-//! `(low half) + (high half)`): a pure function of the mask, never of
-//! the order or the batch coalitions are asked for in, so every thread
-//! count produces the same bits.
+//! `(((0 + s_a) + s_b) + …) · 1/|S|` over its members in ascending
+//! index: a pure function of the mask, never of the order or the batch
+//! coalitions are asked for in, so every thread count produces the same
+//! bits. It is also the order a game over the same members with other
+//! players around them uses, so a player no coalition holds can leave
+//! the game without moving a bit.
 //!
 //! **The member trie.** In that order `sum(S) = sum(S ∖ max S) +
 //! s[max S]`: coalitions are the nodes of a trie keyed by ascending
-//! member, each partial sum one vector add on its parent's. Past the
-//! tables a game values a *batch* ([`CoalitionUtility::evaluate_many`];
-//! `evaluate` is a batch of one) by walking that trie in pre-order: the
-//! batch sorted by `mask.reverse_bits()` — player 0 compares first — so
+//! member, each partial sum one vector add on its parent's. A game
+//! values a *batch* ([`CoalitionUtility::evaluate_many`]; `evaluate` is
+//! a batch of one) by walking that trie in pre-order: the batch sorted
+//! by `mask.reverse_bits()` — player 0 compares first — so
 //! the longest member prefix a coalition has in common with its
 //! predecessor is still on a stack of partial sums, a level per member,
 //! and only the members past it are added. That is one add per coalition
@@ -56,11 +57,10 @@
 //! [`GroupModelGame::new`] asks the utility once per granule
 //! ([`ModelUtility::settled`]), folds the answered tallies into one
 //! constant per game and keeps only the other granules' scores,
-//! compacted, with their original indices; both backings walk those and
-//! hand [`ModelUtility::tally`] each tile's indices. The backing is
-//! chosen from the *full* length, so a coalition's fold order never
-//! depends on how many granules settled, and a utility answers only when
-//! its tallies add exactly (counts), so every value keeps its bits.
+//! compacted, with their original indices; the walk sums those and hands
+//! [`ModelUtility::tally`] each tile's indices. An element's fold order
+//! is the member order whatever else settled, and a utility answers only
+//! when its tallies add exactly (counts), so every value keeps its bits.
 //!
 //! [`argmax_settled`] decides a row for the rule of
 //! [`numeric::stats::is_argmax`]. Score `a` *beats* `b` when both are
@@ -79,10 +79,9 @@
 //!    `B = Σ b_j` exactly, `T = Σ (|a_j| + |b_j|)`. Any addition tree over
 //!    k leaves computes Â with |Â − A| ≤ γ_{k−1}·Σ|a_j|: a leaf passes at
 //!    most k − 1 roundings, a subnormal sum is exact, and no partial sum
-//!    comes near overflow below 64·2^1000. The walk's member order, the
-//!    tables' (low half) + (high half) and the `0.0` a level starts from
-//!    are all such trees. So Â − B̂ > (ε − γ₆₃)·T + kτ, where ε − γ₆₃ >
-//!    2^-42.
+//!    comes near overflow below 64·2^1000. The walk's member order and
+//!    the `0.0` a level starts from make such a tree. So
+//!    Â − B̂ > (ε − γ₆₃)·T + kτ, where ε − γ₆₃ > 2^-42.
 //! 3. *The scale.* `s = fl(1/k)` has `s·k ≥ 1 − u`. A rounded product is
 //!    `z(1 + θ) + η` with |θ| ≤ u and |η| ≤ 2^-1075, the absolute floor
 //!    where `z` underflows, so fl(Â·s) − fl(B̂·s) ≥ (Â − B̂)·s −
@@ -169,113 +168,6 @@ pub fn grouping(pi: &[usize], m: usize) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Most bytes the subset-sum tables of one game may occupy; a game whose
-/// tables would be larger sums members directly. The tables hold
-/// `2^⌊m/2⌋ + 2^⌈m/2⌉` score vectors, and a score vector can be a whole
-/// test set of logits (11 240 `f64` at Table I against 650 weights):
-/// unbounded they would be 46 MB at `m = 16` and over 1 GiB at `m = 25`.
-/// A quarter MiB tabulates weight-sized vectors up to the paper's
-/// `m = 9` and never a Table-I-sized logit vector — at that length even
-/// the six table rows of `m = 3` showed up as +10 % peak RSS on a
-/// replica, for at most one vector add saved per coalition.
-const TABLE_BYTE_BUDGET: usize = 256 << 10;
-
-/// Precomputed partial coalition sums: every coalition's score-sum is
-/// one vector addition away.
-///
-/// The `2^m` coalition models are averages `W_S = (1/|S|) Σ_{j∈S} W_j`,
-/// and the game scores them through the utility's linear view
-/// ([`ModelUtility::scores`]): `scores(W_S) = (1/|S|) Σ_{j∈S} scores(W_j)`.
-/// What is tabulated is therefore the groups' *score* vectors — the
-/// weights themselves under the identity view, the test-set logits under
-/// an accuracy utility — computed once per group at construction.
-/// Building each sum naively costs `O(|S| · d)` — the dominant cost of
-/// the enumeration once the utility is cheap. Splitting the bitmask into
-/// its low `h` and high `m − h` halves and tabulating the subset-sums of
-/// each half (classic subset-DP, each table entry one vector add on a
-/// smaller entry) gets `Σ_S = lows[S_lo] + highs[S_hi]` in `O(d)` with
-/// `O(2^{m/2} · d)` memory instead of `O(2^m · d)` — memory that
-/// [`CoalitionSums::fits`] holds to [`TABLE_BYTE_BUDGET`].
-///
-/// Determinism: every table entry adds member scores in ascending group
-/// index, so the coalition mean is a pure function of `mask` — chunk
-/// boundaries of the parallel enumeration cannot influence a single bit
-/// of any coalition's scores. Note the floating-point *grouping* differs
-/// from a flat sequential fold: a coalition spanning both halves is
-/// summed as `(low half) + (high half)`, so its mean can differ from
-/// the seed implementation's `mean_vectors` fold in the final ULP.
-/// That changes nothing on-chain — every miner runs this same code —
-/// but exact-equality replays of chains recorded *before* this rewrite
-/// would have to use the old fold.
-struct CoalitionSums {
-    dim: usize,
-    low_bits: u32,
-    lows: Vec<Vec<f64>>,
-    highs: Vec<Vec<f64>>,
-}
-
-impl CoalitionSums {
-    /// Whether the tables over `m` vectors of `dim` scores stay within
-    /// [`TABLE_BYTE_BUDGET`] (and `m` within the exact-enumeration cap,
-    /// past which only sampling estimators play and `2^{m/2}` overflows
-    /// any budget anyway).
-    fn fits(m: usize, dim: usize) -> bool {
-        m <= MAX_PLAYERS
-            && ((1usize << (m / 2)) + (1usize << m.div_ceil(2)))
-                .saturating_mul(dim)
-                .saturating_mul(std::mem::size_of::<f64>())
-                <= TABLE_BYTE_BUDGET
-    }
-
-    fn new(scores: &[Vec<f64>], dim: usize) -> Self {
-        let m = scores.len();
-        let low_bits = (m / 2) as u32;
-        let lows = Self::half_table(&scores[..low_bits as usize], dim);
-        let highs = Self::half_table(&scores[low_bits as usize..], dim);
-        Self {
-            dim,
-            low_bits,
-            lows,
-            highs,
-        }
-    }
-
-    /// Subset-sum table over `scores` (one half of the groups). Entry
-    /// `x` holds `Σ_{bit j ∈ x} scores[j]`, built by adding the highest
-    /// member onto the already-computed remainder — so within a half,
-    /// members accumulate in ascending index order.
-    fn half_table(scores: &[Vec<f64>], dim: usize) -> Vec<Vec<f64>> {
-        let bits = scores.len();
-        let mut table = vec![vec![0.0f64; dim]; 1usize << bits];
-        for x in 1usize..(1usize << bits) {
-            let msb = usize::BITS - 1 - x.leading_zeros();
-            let rest = x & !(1usize << msb);
-            let (head, tail) = table.split_at_mut(x);
-            let entry = &mut tail[0];
-            entry.copy_from_slice(&head[rest]);
-            for (e, w) in entry.iter_mut().zip(&scores[msb as usize]) {
-                *e += w;
-            }
-        }
-        table
-    }
-
-    /// Writes the coalition *mean* for a non-empty `mask` into `out`
-    /// without allocating.
-    fn mean_into(&self, mask: usize, out: &mut [f64]) {
-        debug_assert_ne!(mask, 0);
-        debug_assert_eq!(out.len(), self.dim);
-        let low = mask & ((1usize << self.low_bits) - 1);
-        let high = mask >> self.low_bits;
-        let inv = 1.0 / mask.count_ones() as f64;
-        let lo = &self.lows[low];
-        let hi = &self.highs[high];
-        for ((o, l), h) in out.iter_mut().zip(lo).zip(hi) {
-            *o = (l + h) * inv;
-        }
-    }
-}
-
 /// The group-model coalition game: `u(S) = utility(mean_{j∈S} W_j)`.
 ///
 /// This is the game the smart contract plays on-chain — it receives the
@@ -289,19 +181,16 @@ impl CoalitionSums {
 /// Representation: construction takes each group model's
 /// [`ModelUtility::scores`] once (`m` test-set GEMMs for an accuracy
 /// utility, `m` copies for the identity view); a coalition is then
-/// valued by the utility on the mean of its members' scores. Within
-/// their byte budget the subset-sum tables (`CoalitionSums`) make that
-/// mean `O(d)` per coalition; otherwise — `m` beyond [`MAX_PLAYERS`], or
-/// score vectors as long as a test set — the game holds only the `m`
-/// score vectors and walks the member trie (module docs). Either way it
-/// holds only the granules that did not settle (module docs, "Settled
-/// granules"), and a value is a pure function of the coalition bitmask,
-/// so every estimator built on [`numeric::par`] stays bit-identical
-/// across thread counts.
+/// valued by the utility on the mean of its members' scores, which the
+/// game sums by walking the member trie (module docs) over the `m` score
+/// vectors it holds — only their granules that did not settle (module
+/// docs, "Settled granules"). A value is a pure function of the
+/// coalition bitmask, so every estimator built on [`numeric::par`] stays
+/// bit-identical across thread counts.
 pub struct GroupModelGame<'a, U> {
     utility: &'a U,
-    backing: Backing,
-    m: usize,
+    /// Each group's kept scores, `dim` long.
+    scores: Vec<Vec<f64>>,
     /// Length of each kept score vector: the unsettled granules.
     dim: usize,
     /// Elements per granule of the full score vectors.
@@ -311,13 +200,6 @@ pub struct GroupModelGame<'a, U> {
     /// The settled granules' tallies, summed in granule order; `None`
     /// when no granule settled.
     settled: Option<f64>,
-}
-
-enum Backing {
-    /// Subset-sum tables (within budget): coalition sum in one vector add.
-    Tabulated(CoalitionSums),
-    /// Direct member summation over the groups' score vectors.
-    Direct(Vec<Vec<f64>>),
 }
 
 /// Bytes of partial sums per tile of a walk — the zero level, a level per
@@ -352,21 +234,12 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             scores.iter().all(|s| s.len() == full),
             "all group models must share a dimension"
         );
-        // Chosen before settling: a coalition's fold order is the same
-        // however many granules settle.
-        let tabulate = CoalitionSums::fits(m, full);
         let granule = utility.granule().unwrap_or(full).max(1);
         let (settled, kept) = settle(utility, &mut scores, granule);
         let dim = scores[0].len();
-        let backing = if tabulate {
-            Backing::Tabulated(CoalitionSums::new(&scores, dim))
-        } else {
-            Backing::Direct(scores)
-        };
         Self {
             utility,
-            backing,
-            m,
+            scores,
             dim,
             granule,
             kept,
@@ -380,18 +253,7 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
         // calls: a utility that itself consults another game on this
         // thread starts from an empty buffer instead of a RefCell panic.
         let mut scratch = MEAN_SCRATCH.with(RefCell::take);
-        match &self.backing {
-            Backing::Tabulated(sums) => {
-                scratch.resize(self.dim, 0.0);
-                for (value, coalition) in out.iter_mut().zip(coalitions) {
-                    if !coalition.is_empty() {
-                        sums.mean_into(coalition.0 as usize, &mut scratch);
-                        *value = self.utility.tally(&self.kept, &scratch);
-                    }
-                }
-            }
-            Backing::Direct(scores) => self.walk(scores, coalitions, out, &mut scratch),
-        }
+        self.walk(coalitions, out, &mut scratch);
         MEAN_SCRATCH.with(|cell| cell.replace(scratch));
         for (value, coalition) in out.iter_mut().zip(coalitions) {
             *value = if coalition.is_empty() {
@@ -403,16 +265,10 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
         }
     }
 
-    /// The direct backing's kernel: one pre-order walk of the member
-    /// trie per tile of score elements (module docs), leaving in `out`
-    /// the tally totals of the non-empty coalitions.
-    fn walk(
-        &self,
-        scores: &[Vec<f64>],
-        coalitions: &[Coalition],
-        out: &mut [f64],
-        scratch: &mut Vec<f64>,
-    ) {
+    /// One pre-order walk of the member trie per tile of score elements
+    /// (module docs), leaving in `out` the tally totals of the non-empty
+    /// coalitions.
+    fn walk(&self, coalitions: &[Coalition], out: &mut [f64], scratch: &mut Vec<f64>) {
         // Trie pre-order; a batch that arrives in it (one coalition, an
         // exact subtree, a prewarm run) is walked as it stands.
         let mut order: Vec<usize> = Vec::new();
@@ -449,7 +305,7 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
                 let mut depth = shared.count_ones() as usize;
                 let mut rest = mask ^ shared;
                 while rest != 0 {
-                    let member = &scores[rest.trailing_zeros() as usize][first..first + len];
+                    let member = &self.scores[rest.trailing_zeros() as usize][first..first + len];
                     rest &= rest - 1;
                     let (below, above) = levels.split_at_mut((depth + 1) * tile);
                     if depth <= own {
@@ -480,7 +336,7 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
 
 impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
     fn num_players(&self) -> usize {
-        self.m
+        self.scores.len()
     }
 
     fn evaluate(&self, coalition: Coalition) -> f64 {
@@ -498,7 +354,7 @@ impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
     /// A mean over about `m / 2` members' scores, its scaling and the
     /// utility's pass over it.
     fn eval_flops(&self) -> usize {
-        self.dim * (self.m / 2 + 2)
+        self.dim * (self.scores.len() / 2 + 2)
     }
 }
 
@@ -945,47 +801,17 @@ mod tests {
     }
 
     #[test]
-    fn tables_are_bounded_by_bytes_not_only_by_m() {
-        // Weight-sized vectors tabulate at the paper's m = 9; test-set
-        // logits never do, whatever m; m beyond the exact cap never does.
-        assert!(CoalitionSums::fits(9, 650));
-        assert!(CoalitionSums::fits(MAX_PLAYERS, 1));
-        assert!(!CoalitionSums::fits(MAX_PLAYERS + 1, 1));
-        for m in [1usize, 3, 9, 16, MAX_PLAYERS] {
-            assert!(!CoalitionSums::fits(m, 11_240), "m = {m}");
-        }
-        assert!(!CoalitionSums::fits(2, usize::MAX));
-    }
-
-    #[test]
     fn table1_sized_game_at_m25_falls_back_to_member_order() {
-        // Unbounded, the two half-tables would be (2^12 + 2^13) × 11 240
-        // f64 — over a GiB. The game holds the 25 score vectors instead.
+        // Subset-sum tables over 25 Table-I-sized score vectors would be
+        // (2^12 + 2^13) × 11 240 f64 — over a GiB. The game holds the 25
+        // score vectors and nothing else.
         let utility = Stretched { len: 11_240 };
         let models: Vec<Vec<f64>> = (0..MAX_PLAYERS).map(|j| vec![j as f64]).collect();
         let game = GroupModelGame::new(&models, &utility);
-        assert!(matches!(&game.backing, Backing::Direct(scores) if scores.len() == MAX_PLAYERS));
+        assert_eq!(game.scores.len(), MAX_PLAYERS);
+        assert!(game.scores.iter().all(|s| s.len() == 11_240));
         assert_eq!(game.evaluate(Coalition::from_members(&[4, 24])), 14.0);
         assert_eq!(game.evaluate(Coalition::EMPTY), 0.0);
-    }
-
-    #[test]
-    fn both_backings_value_every_coalition_alike() {
-        // Integer weights: every sum is exact, so the table grouping and
-        // the member-order fold must agree to the bit.
-        let models: Vec<Vec<f64>> = (0..7).map(|j| vec![(j * j) as f64 - 3.0]).collect();
-        let short = Stretched { len: 600 };
-        let long = Stretched { len: 6_000 };
-        let tabulated = GroupModelGame::new(&models, &short);
-        let direct = GroupModelGame::new(&models, &long);
-        assert!(matches!(tabulated.backing, Backing::Tabulated(_)));
-        assert!(matches!(direct.backing, Backing::Direct(_)));
-        for coalition in Coalition::powerset(7).skip(1) {
-            let sum: f64 = coalition.members().map(|j| models[j][0]).sum();
-            let mean = sum * (1.0 / coalition.len() as f64);
-            assert_eq!(tabulated.evaluate(coalition), mean);
-            assert_eq!(direct.evaluate(coalition), mean);
-        }
     }
 
     /// A decomposable utility over rows of `classes` scores, valued in
@@ -1121,36 +947,19 @@ mod tests {
         let game = GroupModelGame::new(models, utility);
         let many = game.evaluate_many(batch);
         assert_eq!(many.len(), batch.len());
-        // Fresh vector, the chosen members in ascending order from 0.0.
-        let sum_of = |coalition: Coalition, chosen: &dyn Fn(usize) -> bool| {
-            let mut sum = vec![0.0f64; models[0].len()];
-            for j in coalition.members().filter(|&j| chosen(j)) {
-                for (acc, s) in sum.iter_mut().zip(&models[j]) {
-                    *acc += s;
-                }
-            }
-            sum
-        };
         for (&coalition, &got) in batch.iter().zip(&many) {
             let want = if coalition.is_empty() {
                 utility.of_empty()
             } else {
-                let inv = 1.0 / coalition.len() as f64;
-                let mean: Vec<f64> = match &game.backing {
-                    Backing::Direct(_) => sum_of(coalition, &|_| true)
-                        .iter()
-                        .map(|sum| sum * inv)
-                        .collect(),
-                    // The tables' grouping: (low half) + (high half).
-                    Backing::Tabulated(sums) => {
-                        let half = sums.low_bits as usize;
-                        sum_of(coalition, &|j| j < half)
-                            .iter()
-                            .zip(sum_of(coalition, &|j| j >= half))
-                            .map(|(low, high)| (low + high) * inv)
-                            .collect()
+                // Fresh vector, the members in ascending order from 0.0.
+                let mut sum = vec![0.0f64; models[0].len()];
+                for j in coalition.members() {
+                    for (acc, s) in sum.iter_mut().zip(&models[j]) {
+                        *acc += s;
                     }
-                };
+                }
+                let inv = 1.0 / coalition.len() as f64;
+                let mean: Vec<f64> = sum.iter().map(|sum| sum * inv).collect();
                 utility.of_scores(&mean)
             };
             assert_eq!(got.to_bits(), want.to_bits(), "batch, {coalition:?}");
@@ -1190,7 +999,6 @@ mod tests {
             let utility = NegativeZero { cut };
             let models = random_models(30, dim, 5);
             let game = GroupModelGame::new(&models, &utility);
-            assert!(matches!(game.backing, Backing::Direct(_)));
             let batch = [Coalition::grand(30), Coalition::EMPTY, Coalition(0b101)];
             let want = [(-0.0f64).to_bits(), 0.0f64.to_bits(), (-0.0f64).to_bits()];
             let many = game.evaluate_many(&batch);
@@ -1366,9 +1174,10 @@ mod tests {
         (Hits { classes, labels }, models)
     }
 
-    /// Most elements per score vector a game over `m` groups tabulates.
-    fn table_dim(m: usize) -> usize {
-        TABLE_BYTE_BUDGET / std::mem::size_of::<f64>() / ((1 << (m / 2)) + (1 << m.div_ceil(2)))
+    /// Most elements one walk tile holds when the deepest coalition has
+    /// `m` members.
+    fn tile_dim(m: usize) -> usize {
+        WALK_BYTES / std::mem::size_of::<f64>() / (m + 2)
     }
 
     /// Both games value every coalition of `batch` to the bit, batched
@@ -1386,42 +1195,6 @@ mod tests {
                 b.evaluate(coalition).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn backing_is_chosen_from_the_full_length_not_the_kept_one() {
-        // Three groups over 700 rows of 10 scores: past the tables'
-        // budget. All but five rows settle, and those five would fit it;
-        // the game still sums every coalition in member order.
-        let (classes, rows) = (10usize, 700usize);
-        let labels: Vec<usize> = (0..rows).map(|r| r % classes).collect();
-        let models: Vec<Vec<f64>> = (0..3)
-            .map(|j| {
-                let mut scores = vec![0.0; rows * classes];
-                for (r, &label) in labels.iter().enumerate() {
-                    let row = &mut scores[r * classes..(r + 1) * classes];
-                    if r < 5 {
-                        row.fill(0.5);
-                        continue;
-                    }
-                    for (c, s) in row.iter_mut().enumerate() {
-                        *s = 0.1 * ((r + c + j) % 7) as f64;
-                    }
-                    row[label] = 1.0 + j as f64;
-                }
-                scores
-            })
-            .collect();
-        let utility = Hits { classes, labels };
-        let game = GroupModelGame::new(&models, &utility);
-        assert_eq!(game.kept, (0..5).collect::<Vec<_>>());
-        assert_eq!(game.settled, Some((rows - 5) as f64));
-        assert!(!CoalitionSums::fits(3, rows * classes));
-        assert!(CoalitionSums::fits(3, game.dim));
-        assert!(matches!(&game.backing, Backing::Direct(scores) if scores[0].len() == 50));
-        let bare = Unsettled(&utility);
-        let plain = GroupModelGame::new(&models, &bare);
-        assert_same_values(&game, &plain, &Coalition::powerset(3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1458,23 +1231,14 @@ mod tests {
             let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let (mut games, mut engaged) = (0usize, 0usize);
             for m in 1..=12usize {
-                // One game on the tables, one past them.
-                let fit = table_dim(m) / classes;
+                // One game inside one walk tile, one past it.
+                let fit = tile_dim(m) / classes;
                 let pick = draws[m % draws.len()] as usize;
-                for rows in [4 + pick % (fit - 3).min(20), fit + 1 + pick % 5] {
+                for rows in [4 + pick % 20, fit + 1 + pick % 5] {
                     let (utility, models) = near_ties(m, rows, classes, seed ^ (m * rows) as u64);
                     let game = GroupModelGame::new(&models, &utility);
                     let bare = Unsettled(&utility);
                     let plain = GroupModelGame::new(&models, &bare);
-                    prop_assert_eq!(
-                        matches!(game.backing, Backing::Tabulated(_)),
-                        rows <= fit,
-                        "m = {}, {} rows", m, rows
-                    );
-                    prop_assert_eq!(
-                        matches!(plain.backing, Backing::Tabulated(_)),
-                        rows <= fit
-                    );
                     games += 1;
                     engaged += usize::from(game.settled.is_some());
                     assert_same_values(&game, &plain, &Coalition::powerset(m).collect::<Vec<_>>());
@@ -1541,12 +1305,11 @@ mod tests {
             seed in any::<u64>(),
             draws in proptest::collection::vec(any::<u64>(), 1..12),
         ) {
-            // Both games are past the tables: both walk, one inside the
-            // other's tally, on one thread-local scratch.
+            // One walk inside the other's tally, on one thread-local
+            // scratch.
             let inner_utility = RowHits { classes: 2, cut: seed.is_multiple_of(2) };
             let inner_models = random_models(26, 6, !seed);
             let inner = GroupModelGame::new(&inner_models, &inner_utility);
-            prop_assert!(matches!(inner.backing, Backing::Direct(_)));
             let nested = Nested {
                 rows: RowHits { classes: 10, cut: !seed.is_multiple_of(3) },
                 inner: &inner,

@@ -36,9 +36,9 @@
 //!
 //! **Dropped-cohort behavior**: a cohort whose members all dropped out
 //! of a round has no aggregate model, so it must be excluded from the
-//! second-level game — callers restrict the second-level game to the
-//! surviving cohorts (`utility::RestrictedGame`) and pass `V_c = 0.0`
-//! with zero within values for the dropped cohort; [`compose`] then
+//! second-level game — callers play the second-level game over the
+//! surviving cohorts only and pass `V_c = 0.0` with zero within values
+//! for the dropped cohort; [`compose`] then
 //! assigns every member of the dropped cohort exactly `0.0`. Dropping a
 //! cohort never shifts another cohort's members between the uniform and
 //! proportional branches.

@@ -374,11 +374,6 @@ impl<'a, U: CoalitionUtility + ?Sized> RestrictedGame<'a, U> {
         Self { inner, players }
     }
 
-    /// The inner-game positions this restriction keeps, ascending.
-    pub fn players(&self) -> &[usize] {
-        &self.players
-    }
-
     /// The inner-game coalition of a restricted one.
     fn lift(&self, coalition: Coalition) -> Coalition {
         let mut inner = Coalition::EMPTY;
@@ -555,7 +550,6 @@ mod tests {
         };
         let restricted = RestrictedGame::new(&game, vec![1, 3]);
         assert_eq!(restricted.num_players(), 2);
-        assert_eq!(restricted.players(), &[1, 3]);
         // Restricted player 0 is inner player 1, restricted 1 is inner 3.
         assert_eq!(restricted.evaluate(Coalition::from_members(&[0])), 2.0);
         assert_eq!(restricted.evaluate(Coalition::from_members(&[1])), 8.0);

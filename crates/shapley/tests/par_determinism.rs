@@ -240,12 +240,12 @@ fn restricted_game_is_schedule_invariant() {
 }
 
 #[test]
-fn accuracy_game_is_schedule_invariant_through_both_backings() {
+fn accuracy_game_is_schedule_invariant_in_one_walk_tile_and_many() {
     // The game the contract plays: test accuracy, scored in logit space.
-    // Forty test rows keep the subset-sum tables inside their byte
-    // budget; the full 600-row set, or more groups than the exact cap,
-    // falls back to member-order summation. Thread caps 1, 2 and 4 must
-    // agree to the bit on every path.
+    // At m = 8 forty test rows fit one tile of the member-trie walk;
+    // the full 600-row set takes several, and more groups than the
+    // exact cap are sampled. Thread caps 1, 2 and 4 must agree to the bit on every
+    // path.
     use fedchain::contract_fl::AccuracyUtility;
     use fl_ml::dataset::SyntheticDigits;
 

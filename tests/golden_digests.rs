@@ -1,4 +1,4 @@
-//! Golden digests: six fixed configurations whose tip block digest,
+//! Golden digests: eight fixed configurations whose tip block digest,
 //! final contract state digest and per-owner contribution bit patterns
 //! are pinned **across commits**. Every other suite compares a run
 //! against another run of the same build; this one compares against
@@ -19,6 +19,11 @@
 //! every block and tip digest. The contribution bit patterns were not
 //! touched by that change — what the contract computes did not move,
 //! only how its state is hashed.
+//!
+//! The two whole-group dropout configurations were recorded while a
+//! group whose members all dropped still sat in the coalition game as a
+//! zero-model placeholder, restricted away; they pin that playing the
+//! game over the surviving groups alone moved no bit.
 
 use std::sync::Mutex;
 
@@ -177,6 +182,50 @@ fn sharded_two_cohorts_two_rounds() {
             0x3fc6e7bf53896e7c,
             0x3fcf7ea712dcf7ec,
             0x3fc5d6ae42785d6a,
+        ],
+    );
+}
+
+#[test]
+fn flat_round_with_a_whole_group_dropped() {
+    // Round 0 groups the six owners [5, 2], [1, 3], [0, 4].
+    let mut config = flat();
+    config.num_owners = 6;
+    config.num_groups = 3;
+    config.dropout_schedule = vec![(0, vec![2, 5])];
+    assert_golden(
+        config,
+        "8d25ec6617b61496423da71bad27af0d3b6c373059180f5d9f6e01ca3caf309f",
+        "c02c6d94f165d480216f972fc20d30c34a3e922227ede539525ccac4134fdc25",
+        &[
+            0x3fd9777777777778,
+            0x3fd6444444444444,
+            0x3fc3333333333333,
+            0x3fd6444444444444,
+            0x3fd9777777777778,
+            0x3fc3333333333333,
+        ],
+    );
+}
+
+#[test]
+fn sharded_round_with_a_whole_group_dropped() {
+    // Round 1 puts [7, 4] in a group of cohort 0.
+    let mut config = sharded();
+    config.dropout_schedule = vec![(1, vec![4, 7])];
+    assert_golden(
+        config,
+        "27e2b4bb10b65a3ba644a0d881b630d2742642c119d8f86b8dc3703dad306eb4",
+        "3389f189b2682a99bdf887dbdcb08b562d91c113a144787502b84a495c5f54aa",
+        &[
+            0x3fd53fa42089cf32,
+            0x3fd459f5790fca68,
+            0x3fd0a2e1c2520a2f,
+            0x3fcf1e9235b2e858,
+            0x3fbe34a2b10bf66d,
+            0x3fc853d614f5853e,
+            0x3fd0a2e1c2520a2f,
+            0x3fb435e50d79435e,
         ],
     );
 }
