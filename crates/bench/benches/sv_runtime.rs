@@ -18,7 +18,7 @@ use numeric::linalg::mean_vectors;
 use shapley::coalition::{binomial, Coalition};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
 use shapley::exact_shapley;
-use shapley::group::{group_shapley, shapley_over_group_models, GroupModelGame, GroupSvConfig};
+use shapley::group::{group_shapley, GroupModelGame, GroupSvConfig};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
 use shapley::utility::{model_utility_fn, CachedUtility, CoalitionUtility, ModelUtility};
@@ -111,11 +111,12 @@ fn bench_native_sv(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seed implementation of `shapley_over_group_models`, kept verbatim
-/// as the regression baseline: per-coalition member clones +
-/// `mean_vectors`, sequential powerset walk. The `group_sv_models/seed/m`
-/// vs `group_sv_models/opt/m` pairs in `BENCH_sv_runtime.json` are this
-/// function against the library's incremental-sum parallel rewrite.
+/// The seed implementation of exact SV over group models (Algorithm 1
+/// lines 4–6), kept verbatim as the regression baseline: per-coalition
+/// member clones + `mean_vectors`, sequential powerset walk. The
+/// `group_sv_models/seed/m` vs `group_sv_models/opt/m` pairs in
+/// `BENCH_sv_runtime.json` are this function against what the contract
+/// runs: `Exact` over a `GroupModelGame`.
 fn seed_shapley_over_group_models(
     group_models: &[Vec<f64>],
     utility: &impl ModelUtility,
@@ -186,7 +187,7 @@ fn bench_group_sv_models(c: &mut Criterion) {
             b.iter(|| seed_shapley_over_group_models(black_box(models), &utility))
         });
         group.bench_with_input(BenchmarkId::new("opt", m), &models, |b, models| {
-            b.iter(|| shapley_over_group_models(black_box(models), &utility))
+            b.iter(|| Exact.estimate(&GroupModelGame::new(black_box(models), &utility)))
         });
     }
     group.finish();
@@ -234,7 +235,6 @@ fn bench_sv_estimator(c: &mut Criterion) {
                     config: McConfig {
                         permutations: 2 * m,
                         seed: 42,
-                        truncation_tolerance: None,
                     },
                 }
                 .estimate(black_box(&game))

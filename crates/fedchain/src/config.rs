@@ -9,7 +9,7 @@ use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
 use fl_ml::dataset::SyntheticDigits;
 use fl_ml::TrainConfig;
 use shapley::coalition::{MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
-use shapley::hierarchy::{CohortPlan, RoundPlan};
+use shapley::hierarchy::{HierarchyError, RoundPlan};
 
 /// The contribution-evaluation method for a protocol run — part of the
 /// on-chain agreement, exactly like the permutation seed and group
@@ -421,27 +421,16 @@ impl FlConfig {
             return Err(ConfigError::NegativeSigma(self.sigma));
         }
         self.sv_method.validate_groups(self.num_groups)?;
-        if self.num_cohorts == 0 || self.num_cohorts > self.num_owners {
-            return Err(ConfigError::BadCohortCount {
-                cohorts: self.num_cohorts,
-                owners: self.num_owners,
-            });
-        }
-        // The second-level game enumerates coalitions over the cohorts,
-        // and every cohort must hold at least `num_groups` members (both
-        // vacuous for the one cohort of a flat round).
+        // Cohorts in 1..=n, groups that fit the smallest cohort: the
+        // layout's own rules, which hold for every round if for one.
+        self.round_plan(0)?;
+        // The second-level game enumerates coalitions over the cohorts
+        // (vacuous for the one cohort of a flat round).
         if self.num_cohorts > self.sv_method.max_groups() {
             return Err(ConfigError::CohortCountExceedsMethodCap {
                 cohorts: self.num_cohorts,
                 cap: self.sv_method.max_groups(),
                 method: self.sv_method.name(),
-            });
-        }
-        let min_cohort = CohortPlan::min_cohort_size(self.num_owners, self.num_cohorts);
-        if self.num_groups > min_cohort {
-            return Err(ConfigError::GroupCountExceedsCohortSize {
-                groups: self.num_groups,
-                cohort_size: min_cohort,
             });
         }
         if self.miner_committee > self.num_owners {
@@ -479,14 +468,7 @@ impl FlConfig {
             // cohort is rejected here as a planning error; the contract
             // itself still tolerates one at runtime. (The one cohort of
             // a flat round can never be wiped: `max_dropouts < n`.)
-            let plan = RoundPlan::new(
-                self.permutation_seed,
-                *round,
-                self.num_owners,
-                self.num_cohorts,
-                self.num_groups,
-            )
-            .expect("cohort and group counts validated above");
+            let plan = self.round_plan(*round)?;
             for (c, cohort) in plan.cohorts().iter().enumerate() {
                 if cohort.iter().all(|m| dropped.binary_search(m).is_ok()) {
                     return Err(ConfigError::CohortFullyDropped {
@@ -498,6 +480,35 @@ impl FlConfig {
             }
         }
         Ok(())
+    }
+
+    /// The layout of `round`, its rejection mapped onto this type's
+    /// variants.
+    fn round_plan(&self, round: u64) -> Result<RoundPlan, ConfigError> {
+        RoundPlan::new(
+            self.permutation_seed,
+            round,
+            self.num_owners,
+            self.num_cohorts,
+            self.num_groups,
+        )
+        .map_err(|e| match e {
+            HierarchyError::GroupCountExceedsCohortSize {
+                groups,
+                cohort_size,
+            } => ConfigError::GroupCountExceedsCohortSize {
+                groups,
+                cohort_size,
+            },
+            // `LengthMismatch` is `compose`'s; a layout fails only on
+            // its counts.
+            HierarchyError::BadCohortCount { .. } | HierarchyError::LengthMismatch { .. } => {
+                ConfigError::BadCohortCount {
+                    cohorts: self.num_cohorts,
+                    owners: self.num_owners,
+                }
+            }
+        })
     }
 
     /// Shamir reconstruction threshold for the on-chain key escrow: a
@@ -778,7 +789,7 @@ mod tests {
         let mut c = FlConfig::paper_setting();
         c.num_cohorts = 3;
         c.validate().unwrap();
-        let plan = CohortPlan::new(c.permutation_seed, 0, 9, 3).unwrap();
+        let plan = RoundPlan::new(c.permutation_seed, 0, 9, 3, c.num_groups).unwrap();
         let victim: Vec<usize> = plan.cohorts()[1].clone();
         assert_eq!(victim.len(), 3);
         c.dropout_schedule = vec![(0, victim.clone())];

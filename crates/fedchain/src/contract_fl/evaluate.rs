@@ -622,7 +622,6 @@ impl FlContract {
                     config: McConfig {
                         permutations: permutations as usize,
                         seed,
-                        truncation_tolerance: None,
                     },
                 }
                 .estimate(&cached);

@@ -64,7 +64,7 @@ use fl_crypto::dh::DhGroup;
 use fl_crypto::shamir::Share;
 use fl_ml::dataset::Dataset;
 use numeric::U256;
-use shapley::hierarchy::CohortPlan;
+use shapley::hierarchy::RoundPlan;
 
 use crate::config::SvMethod;
 
@@ -178,25 +178,21 @@ impl FlParams {
                 self.escrow_threshold
             ));
         }
-        if !(1..=n).contains(&self.num_cohorts) {
-            return fail(format!(
-                "num_cohorts out of range: {} outside 1..={n}",
-                self.num_cohorts
-            ));
+        // Cohorts in 1..=n, groups that fit the smallest cohort: the
+        // layout's own rules, which hold for every round if for one.
+        if let Err(e) = RoundPlan::new(
+            self.permutation_seed,
+            0,
+            n,
+            self.num_cohorts,
+            self.num_groups,
+        ) {
+            return fail(format!("round layout: {e}"));
         }
-        // The second-level game enumerates coalitions over the cohorts,
-        // and the within game needs every cohort to hold at least
-        // num_groups members (both vacuous for the one cohort of a flat
-        // round).
+        // The second-level game enumerates coalitions over the cohorts
+        // (vacuous for the one cohort of a flat round).
         if let Err(e) = self.sv_method.validate_groups(self.num_cohorts) {
             return fail(format!("SV method must support the cohort count: {e}"));
-        }
-        let smallest = CohortPlan::min_cohort_size(n, self.num_cohorts);
-        if self.num_groups > smallest {
-            return fail(format!(
-                "num_groups exceeds the smallest cohort: {} groups, {smallest} members",
-                self.num_groups
-            ));
         }
         Ok(())
     }

@@ -386,6 +386,7 @@ fn sampling_replicas_stay_digest_identical() {
     assert_eq!(a.history()[0].per_owner_sv, b.history()[0].per_owner_sv);
 }
 
+/// Genesis panics through `FlParams::validate`, and only through it.
 #[test]
 #[should_panic(expected = "must support the group count")]
 fn genesis_rejects_method_that_cannot_cover_the_groups() {
@@ -466,35 +467,32 @@ fn flat_round_record_has_no_cohort_section() {
 }
 
 #[test]
-#[should_panic(expected = "num_cohorts out of range")]
-fn genesis_rejects_zero_cohorts() {
-    let mut params = test_params(4, 2);
-    params.num_cohorts = 0;
-    FlContract::genesis(params, SyntheticDigits::small().generate(99));
-}
-
-#[test]
-#[should_panic(expected = "num_cohorts out of range")]
-fn genesis_rejects_more_cohorts_than_owners() {
-    let mut params = test_params(4, 1);
-    params.num_cohorts = 5;
-    FlContract::genesis(params, SyntheticDigits::small().generate(99));
-}
-
-#[test]
-#[should_panic(expected = "num_groups exceeds the smallest cohort")]
-fn genesis_rejects_groups_wider_than_smallest_cohort() {
-    let mut params = test_params(4, 3);
-    params.num_cohorts = 2;
-    FlContract::genesis(params, SyntheticDigits::small().generate(99));
-}
-
-#[test]
-#[should_panic(expected = "SV method must support the cohort count")]
-fn genesis_rejects_method_incapable_of_cohort_count() {
-    let mut params = test_params(26, 1);
-    params.num_cohorts = 26;
-    FlContract::genesis(params, SyntheticDigits::small().generate(99));
+fn validate_rejects_every_bad_genesis_layout() {
+    // (owners, groups, cohorts, method, the check that fails): genesis'
+    // checks, stated by `FlParams::validate` as typed errors.
+    let cases = [
+        (
+            4,
+            2,
+            1,
+            SvMethod::MonteCarlo { permutations: 0 },
+            "group count",
+        ),
+        (4, 2, 0, SvMethod::GroupExact, "num_cohorts"),
+        (4, 1, 5, SvMethod::GroupExact, "num_cohorts"),
+        (4, 3, 2, SvMethod::GroupExact, "smallest cohort"),
+        (26, 1, 26, SvMethod::GroupExact, "cohort count"),
+    ];
+    let test_set = SyntheticDigits::small().generate(99);
+    for (n, m, k, method, check) in cases {
+        let mut params = test_params(n, m);
+        params.num_cohorts = k;
+        params.sv_method = method;
+        match params.validate(&test_set) {
+            Err(FlError::InvalidParams(reason)) if reason.contains(check) => {}
+            other => panic!("n={n} m={m} k={k} {method:?}: {other:?}"),
+        }
+    }
 }
 
 #[test]

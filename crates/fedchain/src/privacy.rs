@@ -16,7 +16,7 @@
 //!   evaluation can assign (`m` groups ⇒ at most `m` levels).
 
 use numeric::linalg::norm2;
-use shapley::group::{grouping, permutation};
+use shapley::hierarchy::RoundPlan;
 
 /// What an on-chain observer learns about one round.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +37,8 @@ pub struct PrivacyReport {
 /// Analyzes the privacy/resolution trade-off of one round's grouping.
 ///
 /// `local_updates[i]` is owner `i`'s private update; `seed`/`round`
-/// reproduce the on-chain grouping.
+/// reproduce the on-chain grouping of a flat round, read from its
+/// [`RoundPlan`].
 ///
 /// # Panics
 ///
@@ -50,18 +51,15 @@ pub fn analyze_round(
 ) -> PrivacyReport {
     let n = local_updates.len();
     assert!(n > 0, "no owners");
-    assert!(
-        (1..=n).contains(&num_groups),
-        "num_groups must be in 1..={n}"
-    );
+    let groups = match RoundPlan::new(seed, round, n, 1, num_groups) {
+        Ok(plan) => plan.groups()[0].clone(),
+        Err(e) => panic!("num_groups must be in 1..={n}: {e}"),
+    };
     let dim = local_updates[0].len();
     assert!(
         local_updates.iter().all(|u| u.len() == dim),
         "ragged updates"
     );
-
-    let pi = permutation(seed, round, n);
-    let groups = grouping(&pi, num_groups);
 
     let mut per_owner_leak = vec![0.0f64; n];
     let mut anonymity_sets = Vec::with_capacity(num_groups);
@@ -163,8 +161,8 @@ mod tests {
         // The analysis must reproduce the exact on-chain grouping.
         let u = updates(9, 1);
         let report = analyze_round(&u, 3, 42, 5);
-        let expected = grouping(&permutation(42, 5, 9), 3);
-        let sizes: Vec<usize> = expected.iter().map(Vec::len).collect();
+        let plan = RoundPlan::new(42, 5, 9, 1, 3).unwrap();
+        let sizes: Vec<usize> = plan.groups()[0].iter().map(Vec::len).collect();
         assert_eq!(report.anonymity_sets, sizes);
     }
 

@@ -12,11 +12,13 @@
 //! * [`SvEstimate`] — values plus the cost/diagnostic envelope
 //!   (utility-evaluation count, sampling diagnostics) that downstream
 //!   consumers (rewards, audit records, Table I) read uniformly.
-//! * Four estimators: [`Exact`] (Eq. 1 by full enumeration), [`GroupSv`]
-//!   (Algorithm 1's group-then-exact reduction, generalized to any
-//!   coalition game), [`MonteCarlo`] (permutation sampling), and
+//! * Three estimators, one per on-chain `SvMethod`: [`Exact`] (Eq. 1 by
+//!   full enumeration), [`MonteCarlo`] (permutation sampling), and
 //!   [`Stratified`] (per-(player, size) stratified subset sampling — the
-//!   estimator that lifts the 25-player exact cap to 64).
+//!   estimator that lifts the 25-player exact cap to 64). Algorithm 1's
+//!   grouping is not an estimator: the contract plays any of the three
+//!   over a [`GroupModelGame`](crate::group::GroupModelGame) built from
+//!   the groups of a [`RoundPlan`](crate::hierarchy::RoundPlan).
 //!
 //! Every estimator preserves the determinism contract of
 //! [`numeric::par`]: output slots are pure functions of global indices,
@@ -24,9 +26,8 @@
 //! keyed by `(seed, stratum/permutation, index)` — so an estimate is
 //! bit-identical for any thread count and any miner can re-execute it.
 
-use crate::coalition::{Coalition, MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
-use crate::group::{grouping, permutation};
-use crate::monte_carlo::{monte_carlo_shapley, McConfig, McResult};
+use crate::coalition::{MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
+use crate::monte_carlo::{monte_carlo_shapley, McConfig};
 use crate::native::exact_shapley;
 use crate::stratified::{stratified_shapley, StratifiedConfig};
 use crate::utility::CoalitionUtility;
@@ -44,8 +45,6 @@ pub struct SvDiagnostics {
     /// Strata covered (`(player, coalition size)` pairs); 0 when the
     /// estimator does not stratify.
     pub strata: usize,
-    /// Marginals skipped by truncation (TMC Monte-Carlo only).
-    pub truncated_marginals: usize,
     /// Utility evaluations answered from a
     /// [`CachedUtility`](crate::utility::CachedUtility) memo table; 0
     /// when the estimate ran against an uncached utility.
@@ -67,23 +66,6 @@ pub struct SvEstimate {
     pub utility_evaluations: usize,
     /// How the estimate was sampled.
     pub diagnostics: SvDiagnostics,
-}
-
-impl From<McResult> for SvEstimate {
-    fn from(r: McResult) -> Self {
-        let samples = r.permutations;
-        SvEstimate {
-            values: r.values,
-            utility_evaluations: r.utility_evaluations,
-            diagnostics: SvDiagnostics {
-                samples,
-                strata: 0,
-                truncated_marginals: r.truncated_marginals,
-                cache_hits: 0,
-                cache_misses: 0,
-            },
-        }
-    }
 }
 
 /// A Shapley-value estimator over coalition games.
@@ -133,110 +115,11 @@ impl SvEstimator for Exact {
     }
 }
 
-/// Algorithm 1's group-then-exact reduction, generalized to arbitrary
-/// coalition games.
-///
-/// Players are partitioned into `num_groups` groups by the public seeded
-/// permutation (`π ← permutation(seed, round, I)`); the **group game**
-/// `U(T) = u(∪_{j∈T} group_j)` is solved exactly over the `m` groups and
-/// each group's value is split uniformly among its members — the same
-/// resolution-for-cost trade the paper makes at the model level
-/// ([`crate::group::group_shapley`] is the model-averaging instance the
-/// contract runs; this estimator is the coalition-game counterpart usable
-/// with any utility). Cost drops from `2^n` to `2^m` evaluations, so
-/// games up to [`MAX_SAMPLED_PLAYERS`] players are feasible as long as
-/// `num_groups ≤` [`MAX_PLAYERS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupSv {
-    /// Number of groups `m` (the resolution knob).
-    pub num_groups: usize,
-    /// Public permutation seed.
-    pub seed: u64,
-    /// Round number, mixed into the permutation so each round
-    /// re-partitions.
-    pub round: u64,
-}
-
-/// The group-level game: coalition of groups → union of their members.
-struct GroupedGame<'a, U> {
-    inner: &'a U,
-    group_masks: Vec<Coalition>,
-}
-
-impl<U: CoalitionUtility> CoalitionUtility for GroupedGame<'_, U> {
-    fn num_players(&self) -> usize {
-        self.group_masks.len()
-    }
-
-    fn evaluate(&self, coalition: Coalition) -> f64 {
-        let mut union = Coalition::EMPTY;
-        for (j, mask) in self.group_masks.iter().enumerate() {
-            if coalition.contains(j) {
-                union = Coalition(union.0 | mask.0);
-            }
-        }
-        self.inner.evaluate(union)
-    }
-
-    fn eval_flops(&self) -> usize {
-        self.inner.eval_flops()
-    }
-}
-
-impl SvEstimator for GroupSv {
-    fn name(&self) -> &'static str {
-        "group_sv"
-    }
-
-    fn max_players(&self) -> usize {
-        MAX_SAMPLED_PLAYERS
-    }
-
-    fn estimate<U: CoalitionUtility + Sync>(&self, game: &U) -> SvEstimate {
-        let n = game.num_players();
-        assert!(n > 0, "empty game");
-        assert!(
-            n <= MAX_SAMPLED_PLAYERS,
-            "coalition masks hold {MAX_SAMPLED_PLAYERS} players, got {n}"
-        );
-        let m = self.num_groups;
-        assert!(
-            (1..=n).contains(&m),
-            "num_groups must be in 1..={n}, got {m}"
-        );
-        assert!(
-            m <= MAX_PLAYERS,
-            "GroupSV enumerates 2^m coalitions; m={m} exceeds {MAX_PLAYERS}"
-        );
-
-        let pi = permutation(self.seed, self.round, n);
-        let groups = grouping(&pi, m);
-        let grouped = GroupedGame {
-            inner: game,
-            group_masks: groups.iter().map(|g| Coalition::from_members(g)).collect(),
-        };
-        let per_group = exact_shapley(&grouped);
-
-        let mut values = vec![0.0f64; n];
-        for (j, group) in groups.iter().enumerate() {
-            let share = per_group[j] / group.len() as f64;
-            for &i in group {
-                values[i] = share;
-            }
-        }
-        SvEstimate {
-            values,
-            utility_evaluations: 1usize << m,
-            diagnostics: SvDiagnostics::default(),
-        }
-    }
-}
-
 /// Permutation-sampling Monte-Carlo estimation
 /// ([`crate::monte_carlo::monte_carlo_shapley`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MonteCarlo {
-    /// Sampling configuration (permutation count, seed, truncation).
+    /// Sampling configuration (permutation count, seed).
     pub config: McConfig,
 }
 
@@ -250,7 +133,7 @@ impl SvEstimator for MonteCarlo {
     }
 
     fn estimate<U: CoalitionUtility + Sync>(&self, game: &U) -> SvEstimate {
-        monte_carlo_shapley(game, &self.config).into()
+        monte_carlo_shapley(game, &self.config)
     }
 }
 
@@ -280,9 +163,28 @@ impl SvEstimator for Stratified {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::GroupModelGame;
+    use crate::hierarchy::RoundPlan;
     use crate::native::exact_shapley;
-    use crate::utility::games::{AdditiveGame, GloveGame};
-    use crate::utility::utility_fn;
+    use crate::utility::games::GloveGame;
+    use crate::utility::{model_utility_fn, ModelUtility};
+    use numeric::linalg::mean_vectors;
+
+    /// The group models of the flat round `RoundPlan` lays out for
+    /// `models`: each group's mean of its members.
+    fn flat_group_models(models: &[Vec<f64>], seed: u64, m: usize) -> Vec<Vec<f64>> {
+        let plan = RoundPlan::new(seed, 0, models.len(), 1, m).unwrap();
+        plan.groups()[0]
+            .iter()
+            .map(|g| mean_vectors(&g.iter().map(|&i| models[i].clone()).collect::<Vec<_>>()))
+            .collect()
+    }
+
+    fn user_models(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| vec![(i as f64 * 0.9).sin(), (i as f64 * 0.4).cos()])
+            .collect()
+    }
 
     #[test]
     fn exact_estimator_matches_exact_shapley() {
@@ -300,74 +202,46 @@ mod tests {
             config: McConfig {
                 permutations: 40,
                 seed: 3,
-                truncation_tolerance: None,
             },
         }
         .estimate(&game);
         assert_eq!(estimate.values.len(), 5);
         assert_eq!(estimate.diagnostics.samples, 40);
-        assert!(estimate.utility_evaluations > 0);
-    }
-
-    #[test]
-    fn group_sv_additive_game_is_exact() {
-        // Additive games are group-decomposable: each player's share of
-        // its group's value equals the group mean of the members' values.
-        let values = vec![4.0, 8.0, 6.0, 2.0];
-        let game = AdditiveGame {
-            values: values.clone(),
-        };
-        let estimate = GroupSv {
-            num_groups: 2,
-            seed: 7,
-            round: 0,
-        }
-        .estimate(&game);
-        assert_eq!(estimate.utility_evaluations, 4);
-        // Efficiency: shares sum to u(grand).
-        let total: f64 = estimate.values.iter().sum();
-        assert!((total - 20.0).abs() < 1e-12);
-        // Each player gets its group's mean value.
-        let pi = permutation(7, 0, 4);
-        let groups = grouping(&pi, 2);
-        for group in &groups {
-            let mean: f64 = group.iter().map(|&i| values[i]).sum::<f64>() / group.len() as f64;
-            for &i in group {
-                assert!((estimate.values[i] - mean).abs() < 1e-12);
-            }
-        }
+        assert_eq!(estimate.utility_evaluations, 2 + 5 * 40);
     }
 
     #[test]
     fn group_sv_m_equals_n_is_exact_sv() {
-        let game = GloveGame { left: 2, n: 5 };
-        let estimate = GroupSv {
-            num_groups: 5,
-            seed: 11,
-            round: 2,
-        }
-        .estimate(&game);
-        let exact = exact_shapley(&game);
-        for (got, expect) in estimate.values.iter().zip(&exact) {
-            assert!((got - expect).abs() < 1e-12);
+        // m = n puts one owner in each group, so the group game is the
+        // per-owner game with its players permuted.
+        let utility = model_utility_fn(|w: &[f64]| w.iter().map(|x| x.tanh()).sum(), 0.0);
+        let models = user_models(5);
+        let plan = RoundPlan::new(11, 0, 5, 1, 5).unwrap();
+        let per_group = Exact
+            .estimate(&GroupModelGame::new(
+                &flat_group_models(&models, 11, 5),
+                &utility,
+            ))
+            .values;
+        let per_owner = Exact
+            .estimate(&GroupModelGame::new(&models, &utility))
+            .values;
+        for (group, got) in plan.groups()[0].iter().zip(&per_group) {
+            assert!((got - per_owner[group[0]]).abs() < 1e-12);
         }
     }
 
     #[test]
     fn group_sv_handles_games_beyond_the_exact_cap() {
-        // 40 players is far beyond MAX_PLAYERS, but m = 8 groups keep the
+        // 40 owners are far beyond MAX_PLAYERS, but m = 8 groups keep the
         // enumeration at 2^8.
-        let n = 40usize;
-        let game = utility_fn(n, |c: Coalition| c.len() as f64);
-        let estimate = GroupSv {
-            num_groups: 8,
-            seed: 1,
-            round: 0,
-        }
-        .estimate(&game);
+        let utility = model_utility_fn(|w: &[f64]| w.iter().map(|x| x.tanh()).sum(), 0.0);
+        let groups = flat_group_models(&user_models(40), 1, 8);
+        let estimate = Exact.estimate(&GroupModelGame::new(&groups, &utility));
         assert_eq!(estimate.utility_evaluations, 256);
         let total: f64 = estimate.values.iter().sum();
-        assert!((total - n as f64).abs() < 1e-9);
+        let grand = utility.of_model(&mean_vectors(&groups)) - utility.of_empty();
+        assert!((total - grand).abs() < 1e-9);
     }
 
     #[test]
@@ -377,24 +251,14 @@ mod tests {
         assert_eq!(Stratified::default().name(), "stratified");
         assert_eq!(Stratified::default().max_players(), MAX_SAMPLED_PLAYERS);
         assert_eq!(MonteCarlo::default().name(), "monte_carlo");
-        let g = GroupSv {
-            num_groups: 2,
-            seed: 0,
-            round: 0,
-        };
-        assert_eq!(g.name(), "group_sv");
-        assert_eq!(g.max_players(), MAX_SAMPLED_PLAYERS);
+        assert_eq!(MonteCarlo::default().max_players(), MAX_SAMPLED_PLAYERS);
     }
 
     #[test]
     #[should_panic(expected = "exceeds")]
     fn group_sv_rejects_too_many_groups() {
-        let game = utility_fn(30, |c: Coalition| c.len() as f64);
-        let _ = GroupSv {
-            num_groups: 30,
-            seed: 0,
-            round: 0,
-        }
-        .estimate(&game);
+        let utility = model_utility_fn(|w: &[f64]| w[0], 0.0);
+        let groups = flat_group_models(&user_models(30), 0, 30);
+        let _ = Exact.estimate(&GroupModelGame::new(&groups, &utility));
     }
 }

@@ -99,7 +99,8 @@ use numeric::linalg::mean_vectors;
 use numeric::par;
 
 use crate::coalition::{Coalition, MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
-use crate::native::exact_shapley;
+use crate::estimator::{Exact, SvEstimator};
+use crate::hierarchy::RoundPlan;
 use crate::utility::{CoalitionUtility, ModelUtility};
 
 /// Configuration for one GroupSV evaluation round.
@@ -134,8 +135,9 @@ pub struct GroupSvResult {
 /// The deterministic permutation `π ← permutation(e, r, I)`.
 ///
 /// splitmix64-seeded Fisher–Yates over `0..n`; public and reproducible so
-/// every re-executing miner derives the identical grouping.
-pub fn permutation(seed: u64, round: u64, n: usize) -> Vec<usize> {
+/// every re-executing miner derives the identical grouping. Only
+/// [`RoundPlan::new`] calls it: every caller reads its groups from there.
+pub(crate) fn permutation(seed: u64, round: u64, n: usize) -> Vec<usize> {
     // Mix e and r into one 64-bit state (splitmix64 stream).
     let mut state = seed ^ round.wrapping_mul(crate::rng::GOLDEN);
     let mut next = move || crate::rng::stream_next(&mut state);
@@ -151,7 +153,7 @@ pub fn permutation(seed: u64, round: u64, n: usize) -> Vec<usize> {
 
 /// `grouping(π, m)`: chops the permutation into `m` consecutive chunks;
 /// the first `n mod m` groups take one extra member.
-pub fn grouping(pi: &[usize], m: usize) -> Vec<Vec<usize>> {
+pub(crate) fn grouping(pi: &[usize], m: usize) -> Vec<Vec<usize>> {
     assert!(m > 0, "need at least one group");
     assert!(m <= pi.len(), "more groups ({m}) than users ({})", pi.len());
     let n = pi.len();
@@ -441,43 +443,16 @@ pub fn argmax_settled(members: &[&[f64]], label: usize) -> Option<bool> {
         .then_some(false)
 }
 
-/// Lines 4–6 of Algorithm 1: exact Shapley values over *group models*.
-///
-/// The historical entry point the contract and benches call; since the
-/// estimator refactor it is a thin wrapper — build the
-/// [`GroupModelGame`] and run the shared exact-enumeration core
-/// (the same engine behind [`crate::estimator::Exact`]). The `2^m`
-/// utility evaluations run on the deterministic fork-join layer
-/// ([`numeric::par`]); because each cache slot is a pure function of its
-/// coalition bitmask, the result is bit-identical for every thread
-/// count.
-///
-/// Returns `(per_group_sv, utility_evaluations)`.
-///
-/// # Panics
-///
-/// Panics on empty/ragged input or more than [`MAX_PLAYERS`] groups.
-pub fn shapley_over_group_models(
-    group_models: &[Vec<f64>],
-    utility: &(impl ModelUtility + Sync),
-) -> (Vec<f64>, usize) {
-    let m = group_models.len();
-    assert!(
-        m <= MAX_PLAYERS,
-        "GroupSV enumerates 2^m coalitions; m={m} exceeds {MAX_PLAYERS}"
-    );
-    let game = GroupModelGame::new(group_models, utility);
-    let per_group = exact_shapley(&game);
-    (per_group, 1usize << m)
-}
-
 /// Runs Algorithm 1 over the users' local weight updates.
 ///
 /// `local_weights[i]` is user `i`'s flat update for this round. In the
 /// deployed protocol these arrive as *secure aggregates per group*; this
 /// function accepts the raw updates and performs the same averaging, so
 /// its outputs are bit-comparable with the on-chain contract (which the
-/// integration tests assert).
+/// integration tests assert). It is the off-chain oracle of the
+/// contract's flat round, built from the same pieces: the groups of
+/// [`RoundPlan::new`]`(seed, round, n, 1, m)` and [`Exact`] over a
+/// [`GroupModelGame`].
 ///
 /// # Panics
 ///
@@ -492,10 +467,11 @@ pub fn group_shapley(
     let n = local_weights.len();
     assert!(n > 0, "no users");
     let m = config.num_groups;
-    assert!(
-        (1..=n).contains(&m),
-        "num_groups must be in 1..={n}, got {m}"
-    );
+    // Lines 1–2: permutation and grouping — the flat round's layout.
+    let groups = match RoundPlan::new(config.seed, config.round, n, 1, m) {
+        Ok(plan) => plan.groups()[0].clone(),
+        Err(e) => panic!("num_groups must be in 1..={n}, got {m}: {e}"),
+    };
     assert!(
         m <= MAX_PLAYERS,
         "GroupSV enumerates 2^m coalitions; m={m} exceeds {MAX_PLAYERS}"
@@ -505,10 +481,6 @@ pub fn group_shapley(
         local_weights.iter().all(|w| w.len() == dim),
         "all updates must share a dimension"
     );
-
-    // Lines 1–2: permutation and grouping.
-    let pi = permutation(config.seed, config.round, n);
-    let groups = grouping(&pi, m);
 
     // Line 3: group models (secure aggregation computes exactly this).
     // Accumulate members directly in listed order — same summation order
@@ -530,7 +502,8 @@ pub fn group_shapley(
         });
 
     // Lines 4–6: coalition models and exact SV over groups.
-    let (per_group, evaluations) = shapley_over_group_models(&group_models, utility);
+    let estimate = Exact.estimate(&GroupModelGame::new(&group_models, utility));
+    let per_group = estimate.values;
 
     // Line 7: split group value uniformly among members.
     let mut per_user = vec![0.0f64; n];
@@ -550,13 +523,14 @@ pub fn group_shapley(
         groups,
         group_models,
         global_model,
-        utility_evaluations: evaluations,
+        utility_evaluations: estimate.utility_evaluations,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::native::exact_shapley;
     use crate::utility::{model_utility_fn, utility_fn};
     use proptest::prelude::*;
 

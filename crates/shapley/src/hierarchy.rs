@@ -1,13 +1,16 @@
 //! Two-level Shapley composition over cohorts — the group-model
 //! reduction of the paper's Algorithm 1 applied **recursively**.
 //!
-//! One flat round caps out at [`MAX_SAMPLED_PLAYERS`] players for the
-//! sampling estimators ([`MAX_PLAYERS`] for exact enumeration). The
+//! One flat round caps out at
+//! [`MAX_SAMPLED_PLAYERS`](crate::coalition::MAX_SAMPLED_PLAYERS) players
+//! for the sampling estimators
+//! ([`MAX_PLAYERS`](crate::coalition::MAX_PLAYERS) for exact
+//! enumeration). The
 //! hierarchy lifts that: owners are deterministically partitioned into
-//! cohorts (a [`CohortPlan`]), each cohort plays the *within-cohort*
-//! group game over its own members, and a *second-level* coalition game
-//! over the cohort aggregate models prices each cohort as a whole. The
-//! two levels compose into per-owner global contributions.
+//! cohorts (the cohorts of a [`RoundPlan`]), each cohort plays the
+//! *within-cohort* group game over its own members, and a *second-level*
+//! coalition game over the cohort aggregate models prices each cohort as
+//! a whole. The two levels compose into per-owner global contributions.
 //!
 //! # Module contract
 //!
@@ -29,10 +32,11 @@
 //!
 //! **Single-cohort degeneration**: with exactly one cohort the hierarchy
 //! *is* the flat game, so [`compose`] returns the within-cohort values
-//! verbatim (bit-identical, no scaling applied) and
-//! [`hierarchical_shapley`] delegates to [`group_shapley`] outright.
-//! The flat path and the one-cohort hierarchical path therefore agree
-//! bit-for-bit, which the property tests pin.
+//! verbatim (bit-identical, no scaling applied). A flat round is the
+//! `k = 1` case of the same [`RoundPlan`] and the same contract path, and
+//! the off-chain oracle [`group_shapley`](crate::group::group_shapley)
+//! reads its groups from that plan, so the property tests pin the
+//! oracle and the composed path to each other bit for bit.
 //!
 //! **Dropped-cohort behavior**: a cohort whose members all dropped out
 //! of a round has no aggregate model, so it must be excluded from the
@@ -43,33 +47,24 @@
 //! cohort never shifts another cohort's members between the uniform and
 //! proportional branches.
 //!
-//! **Determinism**: the [`CohortPlan`] is a pure function of
-//! `(seed, round, n, num_cohorts)` — the same splitmix64 Fisher–Yates
-//! stream as the within-round grouping, domain-separated by
-//! [`COHORT_STREAM`] — and the per-cohort fan-out runs on
-//! [`numeric::par`]'s index-pure contract, so results are bit-identical
-//! for every thread count and the plan is digest-bound wherever those
-//! four inputs are (the on-chain round record binds all of them).
-//!
 //! **One round layout** ([`RoundPlan`]): the cohorts, the within-cohort
 //! secure-aggregation groups and the per-cohort seed streams of a round
-//! are derived in exactly one place from `(seed, round, n, k, m)`. The
-//! on-chain contract, the off-chain protocol driver and configuration
-//! validation all read the same plan, and the flat round of the paper's
-//! Algorithm 1 is its `k = 1` case rather than a second code path.
+//! are derived in exactly one place from `(seed, round, n, k, m)` — the
+//! same splitmix64 Fisher–Yates stream for cohorts and groups,
+//! domain-separated between the two — so every thread count and every
+//! replica derives the same layout, and it is digest-bound wherever
+//! those inputs are (the on-chain round record binds all of them). The
+//! on-chain contract, the off-chain protocol driver, configuration
+//! validation, the privacy analysis and the off-chain Algorithm 1 oracle
+//! all read the same plan, and the flat round of the paper's Algorithm 1
+//! is its `k = 1` case rather than a second code path.
 
-use numeric::linalg::mean_vectors;
-use numeric::par;
-
-use crate::coalition::{Coalition, CoalitionError, MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
-use crate::group::{group_shapley, grouping, permutation, shapley_over_group_models};
-use crate::group::{GroupSvConfig, GroupSvResult};
-use crate::utility::ModelUtility;
+use crate::group::{grouping, permutation};
 
 /// Domain-separation constant XOR-ed into the seed for the cohort
 /// partition so the cohort plan and the within-cohort groupings draw
 /// from distinct splitmix64 streams of the same public seed.
-pub const COHORT_STREAM: u64 = 0xc0_7a_57_1e_5e_ed_5a_7b;
+const COHORT_STREAM: u64 = 0xc0_7a_57_1e_5e_ed_5a_7b;
 
 /// Per-cohort sub-seed for within-cohort grouping and sampling: distinct
 /// cohorts of equal size must not share a permutation stream.
@@ -77,12 +72,8 @@ pub fn cohort_stream(seed: u64, cohort: u64) -> u64 {
     seed ^ (cohort + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Typed rejection from the hierarchy layer.
-///
-/// Oversized configurations (too many cohorts for the second-level
-/// coalition mask, more groups than a cohort holds) surface here instead
-/// of panicking deep inside a constructor — the satellite fix for the
-/// old hard `MAX_SAMPLED_PLAYERS` assumption leaking into callers.
+/// Typed rejection from the hierarchy layer: a layout
+/// [`RoundPlan::new`] cannot build, or [`compose`] inputs that disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HierarchyError {
     /// `num_cohorts` outside `1..=num_owners`.
@@ -92,10 +83,6 @@ pub enum HierarchyError {
         /// Owner count being partitioned.
         owners: usize,
     },
-    /// The second-level game cannot represent this many cohorts — a
-    /// configuration error, surfaced through the validated
-    /// [`Coalition`] constructors rather than a panic.
-    Coalition(CoalitionError),
     /// More within-cohort groups requested than the smallest cohort has
     /// members.
     GroupCountExceedsCohortSize {
@@ -119,7 +106,6 @@ impl std::fmt::Display for HierarchyError {
             Self::BadCohortCount { cohorts, owners } => {
                 write!(f, "num_cohorts must be in 1..={owners}, got {cohorts}")
             }
-            Self::Coalition(e) => write!(f, "second-level game: {e}"),
             Self::GroupCountExceedsCohortSize {
                 groups,
                 cohort_size,
@@ -137,88 +123,27 @@ impl std::fmt::Display for HierarchyError {
 
 impl std::error::Error for HierarchyError {}
 
-impl From<CoalitionError> for HierarchyError {
-    fn from(e: CoalitionError) -> Self {
-        Self::Coalition(e)
-    }
-}
-
-/// The deterministic owner→cohort partition for one round.
-///
-/// Built from the same public `(seed, round)` pair as the within-round
-/// grouping (domain-separated by [`COHORT_STREAM`]): a splitmix64
-/// Fisher–Yates permutation chopped into `num_cohorts` balanced
-/// consecutive chunks (the first `n mod k` cohorts take one extra
-/// member). Every re-executing miner and auditor derives the identical
-/// plan, and because all four inputs live in the on-chain parameters and
-/// round number, a tampered partition diverges at the first state root.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CohortPlan {
-    cohorts: Vec<Vec<usize>>,
-    num_owners: usize,
-}
-
-impl CohortPlan {
-    /// Derives the plan for `num_owners` owners split into
-    /// `num_cohorts` cohorts.
-    pub fn new(
-        seed: u64,
-        round: u64,
-        num_owners: usize,
-        num_cohorts: usize,
-    ) -> Result<Self, HierarchyError> {
-        if num_cohorts == 0 || num_cohorts > num_owners {
-            return Err(HierarchyError::BadCohortCount {
-                cohorts: num_cohorts,
-                owners: num_owners,
-            });
-        }
-        let pi = permutation(seed ^ COHORT_STREAM, round, num_owners);
-        Ok(Self {
-            cohorts: grouping(&pi, num_cohorts),
-            num_owners,
-        })
-    }
-
-    /// Cohort memberships: `cohorts()[c]` lists owner indices in cohort
-    /// `c`.
-    pub fn cohorts(&self) -> &[Vec<usize>] {
-        &self.cohorts
-    }
-
-    /// Number of cohorts.
-    pub fn num_cohorts(&self) -> usize {
-        self.cohorts.len()
-    }
-
-    /// Number of owners partitioned.
-    pub fn num_owners(&self) -> usize {
-        self.num_owners
-    }
-
-    /// Size of the smallest cohort a balanced partition of `owners`
-    /// into `cohorts` produces (`floor(owners / cohorts)`).
-    pub fn min_cohort_size(owners: usize, cohorts: usize) -> usize {
-        owners.checked_div(cohorts).unwrap_or(0)
-    }
-}
-
 /// The complete public layout of one round: cohorts, the
 /// secure-aggregation groups within each cohort, and the seed stream
 /// each cohort draws on.
 ///
 /// A pure function of the digest-bound `(seed, round, n, k, m)`, so every
 /// owner masking an update, every miner aggregating and every auditor
-/// replaying derives the identical layout. For `k > 1` the cohorts are
-/// the round's [`CohortPlan`] and cohort `c` groups its members on the
-/// [`cohort_stream`]`(seed, c)` sub-seed.
+/// replaying derives the identical layout, and a tampered one diverges
+/// at the first state root.
 ///
-/// **`k = 1` is the flat round**: a single cohort holding `0..n` in
+/// **`k > 1`, the sharded round**: the owners are a splitmix64
+/// Fisher–Yates permutation of `0..n` on a domain-separated copy of the
+/// seed, chopped into `k` balanced consecutive cohorts (the first
+/// `n mod k` take one extra member). Cohort `c` groups its members on
+/// the [`cohort_stream`]`(seed, c)` sub-seed.
+///
+/// **`k = 1`, the flat round**: a single cohort holding `0..n` in
 /// identity order, drawn on the *un-streamed* seed. Its grouping is
 /// therefore exactly `grouping(permutation(seed, round, n), m)` — lines
 /// 1–2 of the paper's Algorithm 1 — and its one entry of
-/// [`RoundPlan::seeds`] is `seed` itself. This is the only rule that distinguishes the flat
-/// round from the sharded one.
+/// [`RoundPlan::seeds`] is `seed` itself. This is the only rule that
+/// distinguishes the flat round from the sharded one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundPlan {
     cohorts: Vec<Vec<usize>>,
@@ -229,6 +154,13 @@ pub struct RoundPlan {
 impl RoundPlan {
     /// Derives the round's layout: `num_owners` owners in `num_cohorts`
     /// cohorts of `num_groups` groups each.
+    ///
+    /// # Errors
+    ///
+    /// [`HierarchyError::BadCohortCount`] unless `1 ≤ k ≤ n`, and
+    /// [`HierarchyError::GroupCountExceedsCohortSize`] unless `1 ≤ m ≤
+    /// ⌊n / k⌋`, the smallest cohort. These are the only layout rules;
+    /// configuration and genesis validation ask this constructor.
     pub fn new(
         seed: u64,
         round: u64,
@@ -242,22 +174,22 @@ impl RoundPlan {
                 owners: num_owners,
             });
         }
-        let (cohorts, seeds) = if num_cohorts == 1 {
-            (vec![(0..num_owners).collect()], vec![seed])
-        } else {
-            let plan = CohortPlan::new(seed, round, num_owners, num_cohorts)?;
-            let seeds = (0..num_cohorts as u64)
-                .map(|c| cohort_stream(seed, c))
-                .collect();
-            (plan.cohorts, seeds)
-        };
-        let min_cohort = CohortPlan::min_cohort_size(num_owners, num_cohorts);
+        let min_cohort = num_owners / num_cohorts;
         if num_groups == 0 || num_groups > min_cohort {
             return Err(HierarchyError::GroupCountExceedsCohortSize {
                 groups: num_groups,
                 cohort_size: min_cohort,
             });
         }
+        let (cohorts, seeds) = if num_cohorts == 1 {
+            (vec![(0..num_owners).collect()], vec![seed])
+        } else {
+            let pi = permutation(seed ^ COHORT_STREAM, round, num_owners);
+            let seeds = (0..num_cohorts as u64)
+                .map(|c| cohort_stream(seed, c))
+                .collect();
+            (grouping(&pi, num_cohorts), seeds)
+        };
         let groups = cohorts
             .iter()
             .zip(&seeds)
@@ -334,161 +266,92 @@ pub fn compose(
     Ok(composed)
 }
 
-/// Configuration for one hierarchical evaluation round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchyConfig {
-    /// Number of cohorts the owners are partitioned into.
-    pub num_cohorts: usize,
-    /// GroupSV group count *within each cohort* (must not exceed the
-    /// smallest cohort's size).
-    pub num_groups: usize,
-    /// Public permutation seed agreed at setup.
-    pub seed: u64,
-    /// Round number; re-partitions cohorts and groups each round.
-    pub round: u64,
-}
-
-/// Output of [`hierarchical_shapley`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HierarchyResult {
-    /// Composed per-owner global values (indexed by owner).
-    pub per_user: Vec<f64>,
-    /// Second-level Shapley values, one per cohort.
-    pub per_cohort: Vec<f64>,
-    /// Cohort memberships (owner indices per cohort).
-    pub cohorts: Vec<Vec<usize>>,
-    /// Cohort aggregate models (each the cohort's flat-round global
-    /// model).
-    pub cohort_models: Vec<Vec<f64>>,
-    /// The global model: average of the cohort aggregate models.
-    pub global_model: Vec<f64>,
-    /// Total utility evaluations across both levels.
-    pub utility_evaluations: usize,
-}
-
-/// Runs the full two-level evaluation over raw local updates.
-///
-/// Partition owners with a [`CohortPlan`], run the flat
-/// [`group_shapley`] *within each cohort* (fanned out one cohort per
-/// slot on [`numeric::par`], each cohort on its own
-/// [`cohort_stream`]-derived seed), play the exact second-level game
-/// over the cohort aggregate models, and [`compose`] the two levels.
-///
-/// With `num_cohorts == 1` this delegates to [`group_shapley`] and is
-/// bit-identical to the flat path.
-pub fn hierarchical_shapley(
-    local_weights: &[Vec<f64>],
-    utility: &(impl ModelUtility + Sync),
-    config: &HierarchyConfig,
-) -> Result<HierarchyResult, HierarchyError> {
-    let n = local_weights.len();
-    let k = config.num_cohorts;
-    if k == 0 || k > n {
-        return Err(HierarchyError::BadCohortCount {
-            cohorts: k,
-            owners: n,
-        });
-    }
-    if k == 1 {
-        let flat = group_shapley(
-            local_weights,
-            utility,
-            &GroupSvConfig {
-                num_groups: config.num_groups,
-                seed: config.seed,
-                round: config.round,
-            },
-        );
-        let per_cohort = vec![flat.per_group.iter().sum()];
-        return Ok(HierarchyResult {
-            per_user: flat.per_user,
-            per_cohort,
-            cohorts: vec![(0..n).collect()],
-            cohort_models: vec![flat.global_model.clone()],
-            global_model: flat.global_model,
-            utility_evaluations: flat.utility_evaluations,
-        });
-    }
-    // The second level enumerates 2^k coalitions over the cohort mask;
-    // both caps surface as typed errors, not panics.
-    Coalition::check_player_count(k, MAX_SAMPLED_PLAYERS)?;
-    Coalition::check_player_count(k, MAX_PLAYERS)?;
-    let min_cohort = CohortPlan::min_cohort_size(n, k);
-    if config.num_groups == 0 || config.num_groups > min_cohort {
-        return Err(HierarchyError::GroupCountExceedsCohortSize {
-            groups: config.num_groups,
-            cohort_size: min_cohort,
-        });
-    }
-
-    let plan = CohortPlan::new(config.seed, config.round, n, k)?;
-
-    // Within-cohort passes: one slot per cohort, each a pure function of
-    // its cohort index (the fan-out the determinism suite pins).
-    // A cohort averages its members' updates and values 2^m coalition
-    // means of them; a `ModelUtility` states no price for its own pass.
-    let dim = local_weights[0].len();
-    let m = config.num_groups;
-    let cohort_flops = dim * (n.div_ceil(k) + ((m / 2 + 2) << m));
-    let within: Vec<GroupSvResult> = par::par_map(
-        plan.cohorts(),
-        par::items_per_lease(cohort_flops),
-        |c, members| {
-            let cohort_weights: Vec<Vec<f64>> =
-                members.iter().map(|&i| local_weights[i].clone()).collect();
-            group_shapley(
-                &cohort_weights,
-                utility,
-                &GroupSvConfig {
-                    num_groups: config.num_groups,
-                    seed: cohort_stream(config.seed, c as u64),
-                    round: config.round,
-                },
-            )
-        },
-    );
-
-    let cohort_models: Vec<Vec<f64>> = within.iter().map(|r| r.global_model.clone()).collect();
-    let (per_cohort, second_level_evals) = shapley_over_group_models(&cohort_models, utility);
-
-    let within_values: Vec<Vec<f64>> = within.iter().map(|r| r.per_user.clone()).collect();
-    let composed = compose(&within_values, &per_cohort)?;
-
-    let mut per_user = vec![0.0f64; n];
-    for (cohort, values) in plan.cohorts().iter().zip(&composed) {
-        for (&owner, &v) in cohort.iter().zip(values) {
-            per_user[owner] = v;
-        }
-    }
-    let utility_evaluations =
-        within.iter().map(|r| r.utility_evaluations).sum::<usize>() + second_level_evals;
-
-    Ok(HierarchyResult {
-        per_user,
-        per_cohort,
-        cohorts: plan.cohorts().to_vec(),
-        cohort_models: cohort_models.clone(),
-        global_model: mean_vectors(&cohort_models),
-        utility_evaluations,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::utility::model_utility_fn;
+    use crate::estimator::{Exact, SvEstimator};
+    use crate::group::{group_shapley, GroupModelGame, GroupSvConfig};
+    use crate::utility::{model_utility_fn, ModelUtility};
+    use numeric::linalg::mean_vectors;
     use proptest::prelude::*;
 
     fn sum_utility() -> impl ModelUtility + Sync {
         model_utility_fn(|w: &[f64]| w.iter().sum(), 0.0)
     }
 
+    /// A round with no dropouts, played by the pieces the contract's
+    /// `finish_round` calls: the plan's groups, [`Exact`] over each
+    /// cohort's [`GroupModelGame`] with every group's value split among
+    /// its members, [`Exact`] over the cohort models (sharded rounds
+    /// only), then [`compose`].
+    struct TwoLevel {
+        plan: RoundPlan,
+        per_owner: Vec<f64>,
+        per_cohort: Vec<f64>,
+        global_model: Vec<f64>,
+        utility_evaluations: usize,
+    }
+
+    fn two_level(
+        weights: &[Vec<f64>],
+        utility: &(impl ModelUtility + Sync),
+        seed: u64,
+        round: u64,
+        k: usize,
+        m: usize,
+    ) -> TwoLevel {
+        let plan = RoundPlan::new(seed, round, weights.len(), k, m).unwrap();
+        let mut evals = 0;
+        let mut within = Vec::new();
+        let mut cohort_models = Vec::new();
+        for groups in plan.groups() {
+            let models: Vec<Vec<f64>> = groups
+                .iter()
+                .map(|g| mean_vectors(&g.iter().map(|&i| weights[i].clone()).collect::<Vec<_>>()))
+                .collect();
+            let estimate = Exact.estimate(&GroupModelGame::new(&models, utility));
+            evals += estimate.utility_evaluations;
+            within.push(
+                groups
+                    .iter()
+                    .zip(&estimate.values)
+                    .flat_map(|(g, v)| vec![v / g.len() as f64; g.len()])
+                    .collect::<Vec<f64>>(),
+            );
+            cohort_models.push(mean_vectors(&models));
+        }
+        let per_cohort = if k > 1 {
+            let estimate = Exact.estimate(&GroupModelGame::new(&cohort_models, utility));
+            evals += estimate.utility_evaluations;
+            estimate.values
+        } else {
+            vec![0.0]
+        };
+        let composed = compose(&within, &per_cohort).unwrap();
+        let mut per_owner = vec![0.0; weights.len()];
+        for (groups, values) in plan.groups().iter().zip(&composed) {
+            for (&owner, &v) in groups.iter().flatten().zip(values) {
+                per_owner[owner] = v;
+            }
+        }
+        let global_model = match cohort_models.as_slice() {
+            [only] => only.clone(),
+            all => mean_vectors(all),
+        };
+        TwoLevel {
+            plan,
+            per_owner,
+            per_cohort,
+            global_model,
+            utility_evaluations: evals,
+        }
+    }
+
     #[test]
     fn plan_is_a_deterministic_partition() {
-        let plan = CohortPlan::new(42, 3, 10, 4).unwrap();
-        assert_eq!(plan, CohortPlan::new(42, 3, 10, 4).unwrap());
-        assert_eq!(plan.num_cohorts(), 4);
-        assert_eq!(plan.num_owners(), 10);
+        let plan = RoundPlan::new(42, 3, 10, 4, 1).unwrap();
+        assert_eq!(plan, RoundPlan::new(42, 3, 10, 4, 1).unwrap());
+        assert_eq!(plan.cohorts().len(), 4);
         let mut seen = [false; 10];
         for cohort in plan.cohorts() {
             for &i in cohort {
@@ -501,8 +364,8 @@ mod tests {
         let sizes: Vec<usize> = plan.cohorts().iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![3, 3, 2, 2]);
         assert_ne!(
-            plan,
-            CohortPlan::new(42, 4, 10, 4).unwrap(),
+            plan.cohorts(),
+            RoundPlan::new(42, 4, 10, 4, 1).unwrap().cohorts(),
             "round re-partitions"
         );
         assert_ne!(
@@ -514,20 +377,12 @@ mod tests {
 
     #[test]
     fn plan_rejects_bad_cohort_counts() {
-        assert_eq!(
-            CohortPlan::new(1, 0, 5, 0),
-            Err(HierarchyError::BadCohortCount {
-                cohorts: 0,
-                owners: 5
-            })
-        );
-        assert_eq!(
-            CohortPlan::new(1, 0, 5, 6),
-            Err(HierarchyError::BadCohortCount {
-                cohorts: 6,
-                owners: 5
-            })
-        );
+        for (owners, cohorts) in [(5, 0), (5, 6), (0, 1)] {
+            assert_eq!(
+                RoundPlan::new(1, 0, owners, cohorts, 1),
+                Err(HierarchyError::BadCohortCount { cohorts, owners })
+            );
+        }
     }
 
     #[test]
@@ -620,21 +475,15 @@ mod tests {
             .iter()
             .map(|&w| vec![w])
             .collect();
-        let config = HierarchyConfig {
-            num_cohorts: 2,
-            num_groups: 3,
-            seed: 77,
-            round: 1,
-        };
-        let result = hierarchical_shapley(&weights, &sum_utility(), &config).unwrap();
+        let result = two_level(&weights, &sum_utility(), 77, 1, 2, 3);
 
         // Reference within-cohort values: game u(S) = mean of members'
         // scalars (singleton groups make group models the raw scalars;
-        // within-cohort grouping permutes members, but the game over
-        // singleton means is symmetric under that relabeling).
+        // the exact SV of a member over the mean game does not depend on
+        // where the grouping puts it).
         let mut expect_within = Vec::new();
         let mut cohort_scalars = Vec::new();
-        for cohort in &result.cohorts {
+        for cohort in result.plan.cohorts() {
             let w: Vec<f64> = cohort.iter().map(|&i| weights[i][0]).collect();
             let w2 = w.clone();
             let game = move |s: &[usize]| {
@@ -644,10 +493,6 @@ mod tests {
                     s.iter().map(|&j| w2[j]).sum::<f64>() / s.len() as f64
                 }
             };
-            // Map the crate's within-cohort ordering back onto ours: the
-            // crate groups by a permuted order, but exact SV over the
-            // mean game depends only on the multiset, attributed per
-            // player — so SV of member j is position-independent.
             expect_within.push(reference_sv(&game, cohort.len()));
             cohort_scalars.push(w.iter().sum::<f64>() / w.len() as f64);
         }
@@ -668,12 +513,12 @@ mod tests {
 
         // Reference composition, then compare per owner.
         let composed = compose(&expect_within, &expect_cohort).unwrap();
-        for (cohort, vals) in result.cohorts.iter().zip(&composed) {
+        for (cohort, vals) in result.plan.cohorts().iter().zip(&composed) {
             for (&owner, &want) in cohort.iter().zip(vals) {
                 assert!(
-                    (result.per_user[owner] - want).abs() < 1e-12,
+                    (result.per_owner[owner] - want).abs() < 1e-12,
                     "owner {owner}: {} vs {want}",
-                    result.per_user[owner]
+                    result.per_owner[owner]
                 );
             }
         }
@@ -684,14 +529,8 @@ mod tests {
         let weights: Vec<Vec<f64>> = (0..12)
             .map(|i| vec![(i as f64).sin(), (i as f64 * 0.7).cos()])
             .collect();
-        let config = HierarchyConfig {
-            num_cohorts: 3,
-            num_groups: 2,
-            seed: 5,
-            round: 2,
-        };
-        let result = hierarchical_shapley(&weights, &sum_utility(), &config).unwrap();
-        let total: f64 = result.per_user.iter().sum();
+        let result = two_level(&weights, &sum_utility(), 5, 2, 3, 2);
+        let total: f64 = result.per_owner.iter().sum();
         let cohort_total: f64 = result.per_cohort.iter().sum();
         assert!((total - cohort_total).abs() < 1e-9);
         let u = sum_utility();
@@ -704,38 +543,24 @@ mod tests {
 
     #[test]
     fn oversized_hierarchies_are_typed_errors_not_panics() {
-        let weights: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
-        let mut config = HierarchyConfig {
-            num_cohorts: 31,
-            num_groups: 1,
-            seed: 0,
-            round: 0,
-        };
         assert_eq!(
-            hierarchical_shapley(&weights, &sum_utility(), &config).unwrap_err(),
-            HierarchyError::BadCohortCount {
+            RoundPlan::new(0, 0, 30, 31, 1),
+            Err(HierarchyError::BadCohortCount {
                 cohorts: 31,
                 owners: 30
-            }
-        );
-        // 26 cohorts fit the mask but exceed the exact-enumeration cap:
-        // the validated Coalition constructor turns this into an error.
-        config.num_cohorts = 26;
-        assert_eq!(
-            hierarchical_shapley(&weights, &sum_utility(), &config).unwrap_err(),
-            HierarchyError::Coalition(CoalitionError::TooManyPlayers {
-                n: 26,
-                max: MAX_PLAYERS
             })
         );
-        config.num_cohorts = 4;
-        config.num_groups = 8; // smallest cohort has 7 members
+        // 26 cohorts exceed the exact-enumeration cap, but the layout has
+        // no player cap of its own: the validates check the configured
+        // SV method against the cohort count.
+        assert!(RoundPlan::new(0, 0, 30, 26, 1).is_ok());
+        // The smallest of 4 cohorts of 30 owners has 7 members.
         assert_eq!(
-            hierarchical_shapley(&weights, &sum_utility(), &config).unwrap_err(),
-            HierarchyError::GroupCountExceedsCohortSize {
+            RoundPlan::new(0, 0, 30, 4, 8),
+            Err(HierarchyError::GroupCountExceedsCohortSize {
                 groups: 8,
                 cohort_size: 7
-            }
+            })
         );
     }
 
@@ -803,11 +628,12 @@ mod tests {
                 prop_assert_eq!(plan.groups(), &[grouping(&permutation(seed, round, n), m)][..]);
                 prop_assert_eq!(plan.seeds(), &[seed][..]);
             } else {
-                // The sharded round: the cohort plan, each cohort
-                // grouped on its own cohort stream.
-                let cohorts = CohortPlan::new(seed, round, n, k).unwrap();
-                prop_assert_eq!(plan.cohorts(), cohorts.cohorts());
-                for (c, members) in cohorts.cohorts().iter().enumerate() {
+                // The sharded round: a domain-separated permutation in
+                // k balanced chunks, each cohort grouped on its own
+                // cohort stream.
+                let cohorts = grouping(&permutation(seed ^ COHORT_STREAM, round, n), k);
+                prop_assert_eq!(plan.cohorts(), cohorts.as_slice());
+                for (c, members) in cohorts.iter().enumerate() {
                     let stream = cohort_stream(seed, c as u64);
                     prop_assert_eq!(plan.seeds()[c], stream);
                     let expect: Vec<Vec<usize>> =
@@ -829,6 +655,7 @@ mod tests {
             seed in any::<u64>(),
             round in 0u64..5,
         ) {
+            // The off-chain oracle and the contract's pieces at k = 1.
             let weights: Vec<Vec<f64>> = (0..n)
                 .map(|i| vec![(i as f64 + 0.3).sin(), (i as f64).cos()])
                 .collect();
@@ -838,17 +665,14 @@ mod tests {
                     &sum_utility(),
                     &GroupSvConfig { num_groups: m, seed, round },
                 );
-                let hier = hierarchical_shapley(
-                    &weights,
-                    &sum_utility(),
-                    &HierarchyConfig { num_cohorts: 1, num_groups: m, seed, round },
-                ).unwrap();
-                for (a, b) in hier.per_user.iter().zip(&flat.per_user) {
+                let hier = two_level(&weights, &sum_utility(), seed, round, 1, m);
+                for (a, b) in hier.per_owner.iter().zip(&flat.per_user) {
                     prop_assert_eq!(a.to_bits(), b.to_bits(), "per-user values must be bit-identical");
                 }
                 for (a, b) in hier.global_model.iter().zip(&flat.global_model) {
                     prop_assert_eq!(a.to_bits(), b.to_bits(), "global model must be bit-identical");
                 }
+                prop_assert_eq!(hier.plan.groups(), &[flat.groups][..]);
                 prop_assert_eq!(hier.utility_evaluations, flat.utility_evaluations);
             }
         }

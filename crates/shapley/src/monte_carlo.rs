@@ -3,10 +3,9 @@
 //! The related-work baseline (Ghorbani & Zou's TMC-Shapley, Jia et al.):
 //! sample random permutations of the players, walk each permutation
 //! accumulating marginal contributions, and average. Unbiased for any
-//! sample count; the optional truncation cuts a permutation short once
-//! the running coalition's utility is within `tolerance` of the grand
-//! coalition's (late marginals are ~0, so skipping them trades a tiny
-//! bias for large savings when utility evaluation is expensive).
+//! sample count. Every permutation is walked to its end: the truncated
+//! variant (TMC) skips late marginals and with them the exact
+//! telescoping sum, and no on-chain method selects it.
 //!
 //! Every permutation draws from its **own splitmix64 stream** derived
 //! from `(seed, permutation index)`, so permutation `p` shuffles
@@ -18,6 +17,7 @@
 use numeric::par;
 
 use crate::coalition::Coalition;
+use crate::estimator::{SvDiagnostics, SvEstimate};
 use crate::rng::splitmix;
 use crate::utility::CoalitionUtility;
 
@@ -28,8 +28,6 @@ pub struct McConfig {
     pub permutations: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Truncation tolerance (TMC): `None` disables truncation.
-    pub truncation_tolerance: Option<f64>,
 }
 
 impl Default for McConfig {
@@ -37,31 +35,8 @@ impl Default for McConfig {
         Self {
             permutations: 200,
             seed: 0,
-            truncation_tolerance: None,
         }
     }
-}
-
-/// Result with diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct McResult {
-    /// Estimated Shapley values.
-    pub values: Vec<f64>,
-    /// Utility evaluations performed (the cost driver).
-    pub utility_evaluations: usize,
-    /// Permutations sampled (echoes the configuration, so the result is
-    /// self-describing when converted into an estimator-layer
-    /// [`crate::estimator::SvEstimate`]).
-    pub permutations: usize,
-    /// Marginals skipped by truncation.
-    pub truncated_marginals: usize,
-}
-
-/// One permutation's walk: marginal contributions plus diagnostics.
-struct PermWalk {
-    marginals: Vec<f64>,
-    evaluations: usize,
-    truncated: usize,
 }
 
 /// The independent stream state for permutation `index` under `seed`.
@@ -74,21 +49,26 @@ fn stream_state(seed: u64, index: u64) -> u64 {
 
 /// Estimates Shapley values by permutation sampling.
 ///
+/// The estimate counts `2 + n · permutations` utility evaluations: one
+/// per walk step, plus `u(∅)` and `u(N)` up front. Nothing reads `u(N)`
+/// any more, but it stays evaluated because round records commit the
+/// count; behind the contract's memo table every walk's last step finds
+/// it there.
+///
 /// # Panics
 ///
 /// Panics if `permutations == 0` or the game is empty.
 pub fn monte_carlo_shapley(
     utility: &(impl CoalitionUtility + Sync),
     config: &McConfig,
-) -> McResult {
+) -> SvEstimate {
     let n = utility.num_players();
     assert!(n > 0, "empty game");
     assert!(config.permutations > 0, "need at least one permutation");
 
-    let grand_value = utility.evaluate(Coalition::grand(n));
+    utility.evaluate(Coalition::grand(n));
     let empty_value = utility.evaluate(Coalition::EMPTY);
 
-    // A walk is at most `n` evaluations (fewer under truncation).
     let walk_flops = n.saturating_mul(utility.eval_flops());
     let walks = par::par_map_indices(config.permutations, par::items_per_lease(walk_flops), |p| {
         let mut state = stream_state(config.seed, p as u64);
@@ -99,52 +79,38 @@ pub fn monte_carlo_shapley(
             let j = (next() % (i as u64 + 1)) as usize;
             order.swap(i, j);
         }
-        let mut walk = PermWalk {
-            marginals: vec![0.0f64; n],
-            evaluations: 0,
-            truncated: 0,
-        };
+        let mut marginals = vec![0.0f64; n];
         let mut coalition = Coalition::EMPTY;
         let mut prev_value = empty_value;
         for &player in &order {
-            if let Some(tol) = config.truncation_tolerance {
-                if (grand_value - prev_value).abs() <= tol {
-                    // Remaining marginals treated as zero.
-                    walk.truncated += 1;
-                    continue;
-                }
-            }
             coalition = coalition.with(player);
             let value = utility.evaluate(coalition);
-            walk.evaluations += 1;
-            walk.marginals[player] += value - prev_value;
+            marginals[player] += value - prev_value;
             prev_value = value;
         }
-        walk
+        marginals
     });
 
     // Reduce in permutation order: the floating-point sum is independent
     // of the parallel schedule.
     let mut acc = vec![0.0f64; n];
-    let mut evaluations = 2usize;
-    let mut truncated = 0usize;
-    for walk in &walks {
-        for (a, m) in acc.iter_mut().zip(&walk.marginals) {
+    for marginals in &walks {
+        for (a, m) in acc.iter_mut().zip(marginals) {
             *a += m;
         }
-        evaluations += walk.evaluations;
-        truncated += walk.truncated;
     }
 
     let scale = 1.0 / config.permutations as f64;
     for v in &mut acc {
         *v *= scale;
     }
-    McResult {
+    SvEstimate {
         values: acc,
-        utility_evaluations: evaluations,
-        permutations: config.permutations,
-        truncated_marginals: truncated,
+        utility_evaluations: 2 + n * config.permutations,
+        diagnostics: SvDiagnostics {
+            samples: config.permutations,
+            ..SvDiagnostics::default()
+        },
     }
 }
 
@@ -153,7 +119,6 @@ mod tests {
     use super::*;
     use crate::native::exact_shapley;
     use crate::utility::games::{AdditiveGame, GloveGame};
-    use crate::utility::CachedUtility;
 
     #[test]
     fn additive_game_exact_in_every_sample() {
@@ -167,7 +132,6 @@ mod tests {
             &McConfig {
                 permutations: 1,
                 seed: 3,
-                truncation_tolerance: None,
             },
         );
         for (mc, exact) in result.values.iter().zip(&game.values) {
@@ -184,7 +148,6 @@ mod tests {
             &McConfig {
                 permutations: 4000,
                 seed: 1,
-                truncation_tolerance: None,
             },
         );
         for (mc, ex) in result.values.iter().zip(&exact) {
@@ -195,14 +158,13 @@ mod tests {
     #[test]
     fn efficiency_holds_per_sample_family() {
         // Permutation sampling preserves efficiency exactly (telescoping
-        // sum per permutation) when no truncation is applied.
+        // sum per permutation).
         let game = GloveGame { left: 3, n: 6 };
         let result = monte_carlo_shapley(
             &game,
             &McConfig {
                 permutations: 50,
                 seed: 9,
-                truncation_tolerance: None,
             },
         );
         let total: f64 = result.values.iter().sum();
@@ -216,7 +178,6 @@ mod tests {
         let cfg = McConfig {
             permutations: 10,
             seed: 42,
-            truncation_tolerance: None,
         };
         assert_eq!(
             monte_carlo_shapley(&game, &cfg),
@@ -224,34 +185,6 @@ mod tests {
         );
         let other = monte_carlo_shapley(&game, &McConfig { seed: 43, ..cfg });
         assert_ne!(monte_carlo_shapley(&game, &cfg).values, other.values);
-    }
-
-    #[test]
-    fn truncation_reduces_evaluations() {
-        let game = AdditiveGame {
-            values: vec![5.0, 0.0, 0.0, 0.0, 0.0],
-        };
-        let cached_full = CachedUtility::new(&game);
-        let full = monte_carlo_shapley(
-            &cached_full,
-            &McConfig {
-                permutations: 50,
-                seed: 7,
-                truncation_tolerance: None,
-            },
-        );
-        let truncated = monte_carlo_shapley(
-            &game,
-            &McConfig {
-                permutations: 50,
-                seed: 7,
-                truncation_tolerance: Some(0.01),
-            },
-        );
-        assert!(truncated.truncated_marginals > 0);
-        assert!(truncated.utility_evaluations < full.utility_evaluations);
-        // Player 0 still gets ~all the value.
-        assert!((truncated.values[0] - 5.0).abs() < 0.5);
     }
 
     #[test]

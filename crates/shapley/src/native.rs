@@ -21,9 +21,9 @@ use crate::utility::{CoalitionUtility, MAX_BATCH};
 /// Computes the exact Shapley value of every player: powerset utility
 /// cache plus weighted marginal assembly.
 ///
-/// Every exact entry point — this one, the estimator layer's
-/// `Exact`/`GroupSv` and [`crate::group`]'s Algorithm 1 lines 4–6 —
-/// is this function, so the determinism contract is
+/// Every exact entry point — this one, the estimator layer's `Exact`,
+/// and through it the off-chain Algorithm 1 oracle
+/// [`crate::group::group_shapley`] — is this function, so the determinism contract is
 /// pinned once: the utilities are asked for in batches whose boundaries
 /// move with the thread cap ([`CoalitionUtility::evaluate_many`], a pure
 /// function of each mask), every value lands in its mask's cache slot,

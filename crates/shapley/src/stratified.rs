@@ -177,7 +177,6 @@ pub fn stratified_shapley(
         diagnostics: SvDiagnostics {
             samples: strata * k,
             strata,
-            truncated_marginals: 0,
             cache_hits: 0,
             cache_misses: 0,
         },

@@ -58,7 +58,6 @@ fn main() {
         &McConfig {
             permutations: 300,
             seed: 7,
-            truncation_tolerance: None,
         },
     );
     let max_err = sv
