@@ -134,9 +134,10 @@ pub struct GroupSvResult {
 
 /// The deterministic permutation `π ← permutation(e, r, I)`.
 ///
-/// splitmix64-seeded Fisher–Yates over `0..n`; public and reproducible so
-/// every re-executing miner derives the identical grouping. Only
-/// [`RoundPlan::new`] calls it: every caller reads its groups from there.
+/// splitmix64-seeded Fisher–Yates over `0..n`, reproducible from public
+/// inputs so every re-executing miner derives the identical grouping.
+/// Only [`RoundPlan::new`] calls it: every caller reads its groups from
+/// there.
 pub(crate) fn permutation(seed: u64, round: u64, n: usize) -> Vec<usize> {
     // Mix e and r into one 64-bit state (splitmix64 stream).
     let mut state = seed ^ round.wrapping_mul(crate::rng::GOLDEN);
