@@ -467,6 +467,38 @@ fn flat_round_record_has_no_cohort_section() {
 }
 
 #[test]
+#[should_panic(expected = "num_cohorts must be in 1..=4")]
+fn genesis_rejects_zero_cohorts() {
+    let mut params = test_params(4, 2);
+    params.num_cohorts = 0;
+    FlContract::genesis(params, SyntheticDigits::small().generate(99));
+}
+
+#[test]
+#[should_panic(expected = "num_cohorts must be in 1..=4")]
+fn genesis_rejects_more_cohorts_than_owners() {
+    let mut params = test_params(4, 1);
+    params.num_cohorts = 5;
+    FlContract::genesis(params, SyntheticDigits::small().generate(99));
+}
+
+#[test]
+#[should_panic(expected = "exceed the smallest cohort")]
+fn genesis_rejects_groups_wider_than_smallest_cohort() {
+    let mut params = test_params(4, 3);
+    params.num_cohorts = 2;
+    FlContract::genesis(params, SyntheticDigits::small().generate(99));
+}
+
+#[test]
+#[should_panic(expected = "SV method must support the cohort count")]
+fn genesis_rejects_method_incapable_of_cohort_count() {
+    let mut params = test_params(26, 1);
+    params.num_cohorts = 26;
+    FlContract::genesis(params, SyntheticDigits::small().generate(99));
+}
+
+#[test]
 fn validate_rejects_every_bad_genesis_layout() {
     // (owners, groups, cohorts, method, the check that fails): genesis'
     // checks, stated by `FlParams::validate` as typed errors.
