@@ -15,7 +15,7 @@ use std::hint::black_box;
 use fl_crypto::dh::{DhGroup, DhGroup2048, DhGroupW, DhKeyPairW};
 use fl_crypto::masking::PairwiseMasker;
 use fl_crypto::sha256::sha256;
-use fl_crypto::shamir::{Shamir, Share};
+use fl_crypto::shamir::{plain, Shamir};
 use fl_crypto::ChaChaPrg;
 use numeric::uint::Uint;
 use numeric::U256;
@@ -410,72 +410,6 @@ fn bench_mask_expansion(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seed Shamir split, kept verbatim as the regression baseline: plain
-/// `U256` Horner steps, each a heap `widening_mul` through the bit-serial
-/// reduction plus a second reduction of a coefficient already `< p`. The
-/// PRG stream is shared with the library, so the coefficients — and so the
-/// shares — are identical.
-fn seed_shamir_split(
-    p: &U256,
-    secret: &U256,
-    threshold: usize,
-    n: usize,
-    prg: &mut ChaChaPrg,
-) -> Vec<Share> {
-    let mut coeffs = Vec::with_capacity(threshold);
-    coeffs.push(*secret);
-    for _ in 1..threshold {
-        coeffs.push(loop {
-            let mut bytes = [0u8; 32];
-            prg.fill_bytes(&mut bytes);
-            let candidate = U256::from_be_bytes(&bytes);
-            if &candidate < p {
-                break candidate;
-            }
-        });
-    }
-    (1..=n as u64)
-        .map(|x| {
-            // Horner's rule in GF(p).
-            let xf = U256::from_u64(x).reduce(p);
-            let mut acc = U256::ZERO;
-            for c in coeffs.iter().rev() {
-                acc = acc.mod_mul(&xf, p).mod_add(&c.reduce(p), p);
-            }
-            Share { x, y: acc }
-        })
-        .collect()
-}
-
-/// The seed Lagrange interpolation at zero over the first `threshold`
-/// shares: plain `mod_mul`s and one Fermat modexp — behind a fresh
-/// Montgomery context — per share.
-fn seed_shamir_reconstruct(p: &U256, shares: &[Share], threshold: usize) -> U256 {
-    let used = &shares[..threshold];
-    let mut secret = U256::ZERO;
-    for (j, sj) in used.iter().enumerate() {
-        // L_j(0) = Π_{k≠j} x_k / (x_k - x_j)
-        let mut num = U256::ONE;
-        let mut den = U256::ONE;
-        let xj = U256::from_u64(sj.x).reduce(p);
-        for (k, sk) in used.iter().enumerate() {
-            if k == j {
-                continue;
-            }
-            let xk = U256::from_u64(sk.x).reduce(p);
-            num = num.mod_mul(&xk, p);
-            den = den.mod_mul(&xk.mod_sub(&xj, p), p);
-        }
-        let lj = num.mod_mul(
-            &den.mod_inv_prime(p)
-                .expect("den nonzero for distinct points"),
-            p,
-        );
-        secret = secret.mod_add(&sj.y.mod_mul(&lj, p), p);
-    }
-    secret
-}
-
 fn bench_shamir_escrow(c: &mut Criterion) {
     // One owner's key escrow at the `stream_churn` shape — 32 shares,
     // majority threshold 17 — and one recovered key from the last 17 of
@@ -491,19 +425,19 @@ fn bench_shamir_escrow(c: &mut Criterion) {
         .split(&secret, t, n, &mut ChaChaPrg::from_seed(&seed))
         .unwrap();
     assert_eq!(
-        seed_shamir_split(&dh.p, &secret, t, n, &mut ChaChaPrg::from_seed(&seed)),
+        plain::split(&dh.p, &secret, t, n, &mut ChaChaPrg::from_seed(&seed)).unwrap(),
         shares,
         "shares must be bit-identical to the seed oracle before sampling"
     );
     let pooled = &shares[n - t..];
-    assert_eq!(seed_shamir_reconstruct(&dh.p, pooled, t), secret);
+    assert_eq!(plain::reconstruct(&dh.p, pooled, t).unwrap(), secret);
     assert_eq!(shamir.reconstruct(pooled, t).unwrap(), secret);
 
     let split_id = format!("split/{n}/{t}");
     group.bench_function(BenchmarkId::new("seed", &split_id), |b| {
         b.iter(|| {
             let mut prg = ChaChaPrg::from_seed(&seed);
-            seed_shamir_split(&dh.p, black_box(&secret), t, n, &mut prg)
+            plain::split(&dh.p, black_box(&secret), t, n, &mut prg).unwrap()
         })
     });
     group.bench_function(BenchmarkId::new("opt", &split_id), |b| {
@@ -514,7 +448,7 @@ fn bench_shamir_escrow(c: &mut Criterion) {
     });
     let reconstruct_id = format!("reconstruct/{t}");
     group.bench_function(BenchmarkId::new("seed", &reconstruct_id), |b| {
-        b.iter(|| seed_shamir_reconstruct(&dh.p, black_box(pooled), t))
+        b.iter(|| plain::reconstruct(&dh.p, black_box(pooled), t).unwrap())
     });
     group.bench_function(BenchmarkId::new("opt", &reconstruct_id), |b| {
         b.iter(|| shamir.reconstruct(black_box(pooled), t).unwrap())

@@ -17,7 +17,6 @@ use fl_ml::{Design, LogisticModel, TrainConfig};
 use numeric::linalg::mean_vectors;
 use shapley::coalition::{binomial, Coalition};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
-use shapley::exact_shapley;
 use shapley::group::{group_shapley, GroupModelGame, GroupSvConfig};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
@@ -105,7 +104,7 @@ fn bench_native_sv(c: &mut Criterion) {
         b.iter(|| {
             let utility = RetrainUtility::new(&world.shards, &world.test, config.train);
             let cached = CachedUtility::new(&utility);
-            exact_shapley(black_box(&cached))
+            Exact.estimate(black_box(&cached))
         })
     });
     group.finish();

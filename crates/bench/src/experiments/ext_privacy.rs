@@ -10,7 +10,7 @@ use fedchain::ground_truth::AggregateUtility;
 use fedchain::privacy::analyze_round;
 use fedchain::world::World;
 use numeric::stats::{cosine_similarity, mean};
-use shapley::exact_shapley;
+use shapley::estimator::{Exact, SvEstimator};
 use shapley::group::{group_shapley, GroupSvConfig};
 
 use crate::report::{f4, Table};
@@ -51,7 +51,7 @@ pub fn run(scale: Scale) -> Vec<PrivacyRow> {
             config.data.features,
             config.data.classes,
         );
-        exact_shapley(&utility)
+        Exact.estimate(&utility).values
     };
 
     let utility = AccuracyUtility::new(&world.test, config.data.features, config.data.classes);

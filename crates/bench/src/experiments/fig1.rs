@@ -8,7 +8,7 @@
 
 use fedchain::ground_truth::RetrainUtility;
 use fedchain::world::World;
-use shapley::exact_shapley;
+use shapley::estimator::{Exact, SvEstimator};
 use shapley::utility::CachedUtility;
 
 use crate::report::{f4, Table};
@@ -33,7 +33,7 @@ pub fn ground_truth_for_sigma(scale: Scale, sigma: f64) -> Fig1Row {
     let world = World::generate(&config).expect("scale configs are valid");
     let utility = RetrainUtility::new(&world.shards, &world.test, config.train);
     let cached = CachedUtility::new(&utility);
-    let sv = exact_shapley(&cached);
+    let sv = Exact.estimate(&cached).values;
     Fig1Row {
         sigma,
         sv,

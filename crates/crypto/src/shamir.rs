@@ -34,7 +34,7 @@
 //! Every output is the canonical residue in `[0, p)`, so shares, their
 //! on-chain commitment hashes and reconstructed keys are bit-identical to
 //! the plain shift-subtract ladder this replaced. That ladder is kept
-//! verbatim as the `#[cfg(test)]` oracle below (`tests::plain`), and
+//! verbatim as the oracle module [`plain`], and
 //! `prop_reconstruct_any_subset` / `edge_rows_equal_plain_ladder` hold
 //! both entry points to it — `split` share for share, `reconstruct` over
 //! shuffled subsets — for full-width secrets at the sizes the chain uses.
@@ -240,6 +240,126 @@ impl Shamir {
     }
 }
 
+/// The plain-`U256` scheme this module ran on before it moved into the
+/// Montgomery context, bodies verbatim: every Horner step a heap
+/// `widening_mul` through the bit-serial reduction, one Fermat modexp
+/// per share.
+///
+/// Oracle duty only, the way [`numeric::uint::Uint::mod_pow_naive`] is
+/// kept for the exponentiation ladder: this module's property tests pin
+/// [`Shamir::split`] and [`Shamir::reconstruct`] to it, and the
+/// `crypto_primitives` bench times it as the seed baseline. Nothing on a
+/// production path calls it.
+pub mod plain {
+    use numeric::U256;
+
+    use super::{ShamirError, Share};
+    use crate::chacha::ChaChaPrg;
+
+    /// [`Shamir::split`](super::Shamir::split) over field prime `p`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Shamir::split`](super::Shamir::split).
+    pub fn split(
+        p: &U256,
+        secret: &U256,
+        threshold: usize,
+        n: usize,
+        prg: &mut ChaChaPrg,
+    ) -> Result<Vec<Share>, ShamirError> {
+        if threshold == 0 || threshold > n {
+            return Err(ShamirError::BadThreshold {
+                threshold,
+                shares: n,
+            });
+        }
+        if secret >= p {
+            return Err(ShamirError::SecretOutOfField);
+        }
+        let mut coeffs = Vec::with_capacity(threshold);
+        coeffs.push(*secret);
+        for _ in 1..threshold {
+            coeffs.push(random_element(p, prg));
+        }
+        let shares = (1..=n as u64)
+            .map(|x| Share {
+                x,
+                y: eval_poly(p, &coeffs, x),
+            })
+            .collect();
+        Ok(shares)
+    }
+
+    /// [`Shamir::reconstruct`](super::Shamir::reconstruct) over field
+    /// prime `p`, from the first `threshold` shares.
+    ///
+    /// # Errors
+    ///
+    /// As [`Shamir::reconstruct`](super::Shamir::reconstruct).
+    pub fn reconstruct(p: &U256, shares: &[Share], threshold: usize) -> Result<U256, ShamirError> {
+        if shares.len() < threshold {
+            return Err(ShamirError::NotEnoughShares {
+                got: shares.len(),
+                need: threshold,
+            });
+        }
+        let used = &shares[..threshold];
+        for (i, s) in used.iter().enumerate() {
+            if s.x == 0 {
+                return Err(ShamirError::ZeroPoint);
+            }
+            if used[..i].iter().any(|o| o.x == s.x) {
+                return Err(ShamirError::DuplicatePoint(s.x));
+            }
+        }
+        let mut secret = U256::ZERO;
+        for (j, sj) in used.iter().enumerate() {
+            // L_j(0) = Π_{k≠j} x_k / (x_k - x_j)
+            let mut num = U256::ONE;
+            let mut den = U256::ONE;
+            let xj = U256::from_u64(sj.x).reduce(p);
+            for (k, sk) in used.iter().enumerate() {
+                if k == j {
+                    continue;
+                }
+                let xk = U256::from_u64(sk.x).reduce(p);
+                num = num.mod_mul(&xk, p);
+                den = den.mod_mul(&xk.mod_sub(&xj, p), p);
+            }
+            let lj = num.mod_mul(
+                &den.mod_inv_prime(p)
+                    .expect("den nonzero for distinct points"),
+                p,
+            );
+            secret = secret.mod_add(&sj.y.mod_mul(&lj, p), p);
+        }
+        Ok(secret)
+    }
+
+    /// `P(x)` for the coefficients `coeffs` (constant term first), by
+    /// Horner's rule in `GF(p)`.
+    pub fn eval_poly(p: &U256, coeffs: &[U256], x: u64) -> U256 {
+        let xf = U256::from_u64(x).reduce(p);
+        let mut acc = U256::ZERO;
+        for c in coeffs.iter().rev() {
+            acc = acc.mod_mul(&xf, p).mod_add(&c.reduce(p), p);
+        }
+        acc
+    }
+
+    fn random_element(p: &U256, prg: &mut ChaChaPrg) -> U256 {
+        loop {
+            let mut bytes = [0u8; 32];
+            prg.fill_bytes(&mut bytes);
+            let candidate = U256::from_be_bytes(&bytes);
+            if &candidate < p {
+                return candidate;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,110 +367,6 @@ mod tests {
 
     fn prg(tag: u8) -> ChaChaPrg {
         ChaChaPrg::from_seed(&[tag; 32])
-    }
-
-    /// The plain-`U256` scheme this module ran on before it moved into the
-    /// Montgomery context, bodies verbatim: every Horner step a heap
-    /// `widening_mul` through the bit-serial reduction, one Fermat modexp
-    /// per share. Kept as the oracle the resident paths are pinned to, the
-    /// way `Uint::mod_pow_naive` is kept for the exponentiation ladder.
-    mod plain {
-        use super::*;
-
-        pub fn split(
-            p: &U256,
-            secret: &U256,
-            threshold: usize,
-            n: usize,
-            prg: &mut ChaChaPrg,
-        ) -> Result<Vec<Share>, ShamirError> {
-            if threshold == 0 || threshold > n {
-                return Err(ShamirError::BadThreshold {
-                    threshold,
-                    shares: n,
-                });
-            }
-            if secret >= p {
-                return Err(ShamirError::SecretOutOfField);
-            }
-            let mut coeffs = Vec::with_capacity(threshold);
-            coeffs.push(*secret);
-            for _ in 1..threshold {
-                coeffs.push(random_element(p, prg));
-            }
-            let shares = (1..=n as u64)
-                .map(|x| Share {
-                    x,
-                    y: eval_poly(p, &coeffs, x),
-                })
-                .collect();
-            Ok(shares)
-        }
-
-        pub fn reconstruct(
-            p: &U256,
-            shares: &[Share],
-            threshold: usize,
-        ) -> Result<U256, ShamirError> {
-            if shares.len() < threshold {
-                return Err(ShamirError::NotEnoughShares {
-                    got: shares.len(),
-                    need: threshold,
-                });
-            }
-            let used = &shares[..threshold];
-            for (i, s) in used.iter().enumerate() {
-                if s.x == 0 {
-                    return Err(ShamirError::ZeroPoint);
-                }
-                if used[..i].iter().any(|o| o.x == s.x) {
-                    return Err(ShamirError::DuplicatePoint(s.x));
-                }
-            }
-            let mut secret = U256::ZERO;
-            for (j, sj) in used.iter().enumerate() {
-                // L_j(0) = Π_{k≠j} x_k / (x_k - x_j)
-                let mut num = U256::ONE;
-                let mut den = U256::ONE;
-                let xj = U256::from_u64(sj.x).reduce(p);
-                for (k, sk) in used.iter().enumerate() {
-                    if k == j {
-                        continue;
-                    }
-                    let xk = U256::from_u64(sk.x).reduce(p);
-                    num = num.mod_mul(&xk, p);
-                    den = den.mod_mul(&xk.mod_sub(&xj, p), p);
-                }
-                let lj = num.mod_mul(
-                    &den.mod_inv_prime(p)
-                        .expect("den nonzero for distinct points"),
-                    p,
-                );
-                secret = secret.mod_add(&sj.y.mod_mul(&lj, p), p);
-            }
-            Ok(secret)
-        }
-
-        pub fn eval_poly(p: &U256, coeffs: &[U256], x: u64) -> U256 {
-            // Horner's rule in GF(p).
-            let xf = U256::from_u64(x).reduce(p);
-            let mut acc = U256::ZERO;
-            for c in coeffs.iter().rev() {
-                acc = acc.mod_mul(&xf, p).mod_add(&c.reduce(p), p);
-            }
-            acc
-        }
-
-        fn random_element(p: &U256, prg: &mut ChaChaPrg) -> U256 {
-            loop {
-                let mut bytes = [0u8; 32];
-                prg.fill_bytes(&mut bytes);
-                let candidate = U256::from_be_bytes(&bytes);
-                if &candidate < p {
-                    return candidate;
-                }
-            }
-        }
     }
 
     /// Both entry points against the oracle on one input: `split` share for

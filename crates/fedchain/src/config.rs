@@ -44,8 +44,9 @@ pub enum SvMethod {
 }
 
 impl SvMethod {
-    /// Stable method name (matches the estimator layer's naming; shown
-    /// in round events and reports).
+    /// Stable method name, shown in round events, reports and
+    /// validation errors. Nothing is derived from it: the contract
+    /// dispatches on the variant itself.
     pub fn name(&self) -> &'static str {
         match self {
             Self::GroupExact => "group_exact",

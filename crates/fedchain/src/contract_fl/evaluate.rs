@@ -15,7 +15,7 @@ use fl_ml::LogisticModel;
 use numeric::linalg::mean_vectors;
 use numeric::stats::is_argmax;
 use numeric::{par, FixedCodec, U256};
-use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimate, SvEstimator};
+use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
 use shapley::group::{argmax_settled, GroupModelGame};
 use shapley::hierarchy::{compose, RoundPlan};
 use shapley::monte_carlo::McConfig;
@@ -567,6 +567,16 @@ impl FlContract {
     /// game over all `players` restricted to the alive ones would, bit
     /// for bit — and no absent player's scores keep a test row from
     /// settling.
+    ///
+    /// The method is on-chain configuration, and this is the single
+    /// point where it meets the estimator layer, so every miner — and
+    /// every later auditor replaying the chain — resolves the identical
+    /// estimator with the identical seed. The sampling estimators
+    /// revisit coalitions (e.g. every size-0 stratum draws the same
+    /// singleton), so their game is wrapped in [`CachedUtility`]: each
+    /// distinct coalition model pays for one accuracy pass, with
+    /// bit-identical values. The exact path visits each coalition exactly
+    /// once and skips the cache.
     fn estimate_alive(
         method: SvMethod,
         seed: u64,
@@ -580,7 +590,25 @@ impl FlContract {
             return (values, 0, 0);
         }
         let game = GroupModelGame::new(models, utility);
-        let estimate = Self::dispatch_estimator(method, seed, &game);
+        let estimate = match method {
+            SvMethod::GroupExact => Exact.estimate(&game),
+            SvMethod::MonteCarlo { permutations } => MonteCarlo {
+                config: McConfig {
+                    permutations: permutations as usize,
+                    seed,
+                },
+            }
+            .estimate(&CachedUtility::new(&game)),
+            SvMethod::Stratified {
+                samples_per_stratum,
+            } => Stratified {
+                config: StratifiedConfig {
+                    samples_per_stratum: samples_per_stratum as usize,
+                    seed,
+                },
+            }
+            .estimate(&CachedUtility::new(&game)),
+        };
         for (&player, &value) in alive.iter().zip(&estimate.values) {
             values[player] = value;
         }
@@ -589,63 +617,5 @@ impl FlContract {
             estimate.utility_evaluations,
             estimate.diagnostics.samples,
         )
-    }
-
-    /// Runs the configured estimator over the round's group game.
-    ///
-    /// The method is on-chain configuration; the dispatch is the single
-    /// point where that configuration meets the estimator layer, so
-    /// every miner — and every later auditor replaying the chain —
-    /// resolves the identical estimator with the identical seed.
-    ///
-    /// The sampling estimators revisit coalitions (e.g. every size-0
-    /// stratum draws the same singleton), so their game is wrapped in
-    /// [`CachedUtility`] — each distinct coalition model pays for one
-    /// accuracy pass, with bit-identical values. The exact path visits
-    /// each coalition exactly once and skips the cache.
-    ///
-    /// The cache's hit/miss counters are copied into the estimate's
-    /// diagnostics afterwards so the streaming-evaluation behaviour is
-    /// auditable; they stay out of [`RoundRecord`] and every consensus
-    /// digest because the counters are scheduling observability, not
-    /// protocol state.
-    fn dispatch_estimator(
-        method: SvMethod,
-        seed: u64,
-        game: &(impl shapley::utility::CoalitionUtility + Sync),
-    ) -> SvEstimate {
-        match method {
-            SvMethod::GroupExact => Exact.estimate(game),
-            SvMethod::MonteCarlo { permutations } => {
-                let cached = CachedUtility::new(game);
-                let mut estimate = MonteCarlo {
-                    config: McConfig {
-                        permutations: permutations as usize,
-                        seed,
-                    },
-                }
-                .estimate(&cached);
-                let stats = cached.stats();
-                estimate.diagnostics.cache_hits = stats.hits;
-                estimate.diagnostics.cache_misses = stats.misses;
-                estimate
-            }
-            SvMethod::Stratified {
-                samples_per_stratum,
-            } => {
-                let cached = CachedUtility::new(game);
-                let mut estimate = Stratified {
-                    config: StratifiedConfig {
-                        samples_per_stratum: samples_per_stratum as usize,
-                        seed,
-                    },
-                }
-                .estimate(&cached);
-                let stats = cached.stats();
-                estimate.diagnostics.cache_hits = stats.hits;
-                estimate.diagnostics.cache_misses = stats.misses;
-                estimate
-            }
-        }
     }
 }

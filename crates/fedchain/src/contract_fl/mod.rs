@@ -52,7 +52,7 @@
 //! digests memoised until their section is next borrowed mutably — a
 //! block pays for what it changed (layout: `state_digest` below).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 use fl_chain::codec::Encode;
@@ -145,6 +145,12 @@ impl FlParams {
         let fail = |reason: String| Err(FlError::InvalidParams(reason));
         if n < 2 {
             return fail(format!("need >= 2 owners, got {n}"));
+        }
+        // A repeated id is one key slot for two positions: its second
+        // key never lands and no round gets past `KeysIncomplete`.
+        let mut seen = BTreeSet::new();
+        if let Some(id) = self.owners.iter().find(|&&id| !seen.insert(id)) {
+            return fail(format!("duplicate owner id {id}"));
         }
         if !(1..=n).contains(&self.num_groups) {
             return fail(format!(

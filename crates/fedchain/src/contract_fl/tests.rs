@@ -528,6 +528,26 @@ fn validate_rejects_every_bad_genesis_layout() {
 }
 
 #[test]
+fn duplicate_owner_ids_are_rejected_before_genesis() {
+    // Two positions sharing id 0 would leave one key slot for two
+    // owners, and the round would wait on `KeysIncomplete` forever.
+    let test_set = SyntheticDigits::small().generate(99);
+    let params = FlParams {
+        owners: vec![0, 0, 1],
+        escrow_threshold: 2,
+        ..test_params(3, 1)
+    };
+    match params.validate(&test_set) {
+        Err(FlError::InvalidParams(reason)) if reason.contains("duplicate owner id 0") => {}
+        other => panic!("owners [0, 0, 1]: {other:?}"),
+    }
+    match crate::audit::replay_chain(&fl_chain::store::ChainStore::new(), params, test_set) {
+        Err(crate::audit::AuditError::InvalidParams(FlError::InvalidParams(_))) => {}
+        other => panic!("replay_chain: {other:?}"),
+    }
+}
+
+#[test]
 fn sharded_history_snapshot_roundtrip() {
     // CohortEvidence must survive the snapshot/restore cycle and
     // land on the identical state digest.

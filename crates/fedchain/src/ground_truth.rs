@@ -157,7 +157,7 @@ mod tests {
     use fl_ml::metrics::model_accuracy;
     use numeric::linalg::mean_vectors;
     use shapley::axioms::check_efficiency;
-    use shapley::exact_shapley;
+    use shapley::estimator::{Exact, SvEstimator};
     use shapley::utility::CachedUtility;
 
     fn tiny_config() -> FlConfig {
@@ -213,7 +213,7 @@ mod tests {
         let world = World::generate(&config).unwrap();
         let base = RetrainUtility::new(&world.shards, &world.test, config.train);
         let cached = CachedUtility::new(&base);
-        let sv = exact_shapley(&cached);
+        let sv = Exact.estimate(&cached).values;
         assert!(check_efficiency(&cached, &sv));
         assert_eq!(cached.unique_evaluations(), 8, "2^3 coalitions");
     }
@@ -231,7 +231,7 @@ mod tests {
         );
         // All 2^n coalition evaluations are averages — no training.
         let cached = CachedUtility::new(&u);
-        let sv = exact_shapley(&cached);
+        let sv = Exact.estimate(&cached).values;
         assert!(check_efficiency(&cached, &sv));
     }
 

@@ -625,33 +625,6 @@ mod tests {
 
     #[test]
     fn train_design_equals_the_spelled_out_epoch_loop_at_every_cap() {
-        // The naive i-k-j product and the naive transposed product (rows
-        // folded in ascending order), as in `numeric::linalg`'s tests.
-        fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-            let mut out = Matrix::zeros(a.rows(), b.cols());
-            for i in 0..a.rows() {
-                for k in 0..a.cols() {
-                    let v = a[(i, k)];
-                    for (o, &w) in out.row_mut(i).iter_mut().zip(b.row(k)) {
-                        *o += v * w;
-                    }
-                }
-            }
-            out
-        }
-        fn naive_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-            let mut out = Matrix::zeros(a.cols(), b.cols());
-            for r in 0..a.rows() {
-                for i in 0..a.cols() {
-                    let v = a[(r, i)];
-                    for (o, &w) in out.row_mut(i).iter_mut().zip(b.row(r)) {
-                        *o += v * w;
-                    }
-                }
-            }
-            out
-        }
-
         // The softmax residual per row over the scalar `exp`: subtract
         // the row maximum, exponentiate, fold the sum in column order,
         // divide, subtract the one-hot label.
@@ -677,9 +650,11 @@ mod tests {
         };
         let mut weights = Matrix::zeros(ds.num_features() + 1, ds.num_classes);
         for _ in 0..config.epochs {
-            let mut residual = naive_matmul(&design.x, &weights);
+            // The naive i-k-j product and the naive transposed product
+            // (rows folded in ascending order): `numeric::linalg`'s oracles.
+            let mut residual = design.x.matmul_naive(&weights);
             naive_softmax_residual(&mut residual, &design.labels);
-            let mut grad = naive_t_matmul(&design.x, &residual);
+            let mut grad = design.x.t_matmul_naive(&residual);
             grad.scale(1.0 / design.len() as f64);
             grad.axpy(config.l2, &weights);
             weights.axpy(-config.learning_rate, &grad);

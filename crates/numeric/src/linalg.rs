@@ -24,7 +24,7 @@
 //!   ever combines partial sums in a tree or uses fused multiply-add. For
 //!   **finite** operands the result is therefore bit-identical to the
 //!   textbook `for i { for k { for j { out[i][j] += a[i][k] * b[k][j] } } }`
-//!   loop (kept verbatim as the oracle in this module's property tests) —
+//!   loop ([`Matrix::matmul_naive`], the property tests' oracle) —
 //!   including that loop's skip of exact-zero lhs entries, which for
 //!   finite rhs values only ever adds `±0.0` terms that cannot change a
 //!   running sum's bits. With `Inf`/`NaN` operands the skip is
@@ -224,6 +224,64 @@ impl Matrix {
             &rhs.data,
             &mut out.data,
         );
+    }
+
+    /// The textbook `i-k-j` product `self · rhs`, skipping exact-zero lhs
+    /// entries — the seed implementation's loop.
+    ///
+    /// Oracle duty only: this module's property tests hold
+    /// [`Matrix::matmul`] to it bit for bit (module docs, "Determinism
+    /// contract"), and `fl-ml`'s trainer test spells its epoch loop with
+    /// it. Nothing on a production path calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inner-dimension mismatch.
+    pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.cols, rhs.rows, "oracle shape mismatch");
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let v = self.data[i * self.cols + k];
+                if v == 0.0 {
+                    continue;
+                }
+                let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
+                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
+                for (o, &w) in out_row.iter_mut().zip(rhs_row) {
+                    *o += v * w;
+                }
+            }
+        }
+        out
+    }
+
+    /// The transposed product `selfᵀ · rhs` as the seed folded it: rows
+    /// in ascending order, exact-zero lhs entries skipped. For finite
+    /// operands it equals `self.transpose().matmul(rhs)` bit for bit.
+    ///
+    /// Oracle duty only, like [`Matrix::matmul_naive`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two row counts differ.
+    pub fn t_matmul_naive(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.rows, rhs.rows, "oracle shape mismatch");
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        for r in 0..self.rows {
+            let left = &self.data[r * self.cols..(r + 1) * self.cols];
+            let right = &rhs.data[r * rhs.cols..(r + 1) * rhs.cols];
+            for (i, &v) in left.iter().enumerate() {
+                if v == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
+                for (o, &w) in out_row.iter_mut().zip(right) {
+                    *o += v * w;
+                }
+            }
+        }
+        out
     }
 
     /// Transposed copy.
@@ -619,7 +677,7 @@ mod tests {
     fn t_matmul_equals_explicit_transpose() {
         let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.0, 1.0, 3.0]);
-        assert_eq!(naive_t_matmul(&a, &b), a.transpose().matmul(&b));
+        assert_eq!(a.t_matmul_naive(&b), a.transpose().matmul(&b));
     }
 
     #[test]
@@ -689,49 +747,6 @@ mod tests {
         assert!(s.len() < 2000, "debug output must stay bounded");
     }
 
-    // ------------------------------------------------------------------
-    // Blocked-GEMM oracle: the naive i-k-j loops the seed implementation
-    // used, kept verbatim as the reference the blocked kernels must match
-    // bit-for-bit (module docs, "Determinism contract").
-
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols, b.rows, "oracle shape mismatch");
-        let mut out = Matrix::zeros(a.rows, b.cols);
-        for i in 0..a.rows {
-            for k in 0..a.cols {
-                let v = a.data[i * a.cols + k];
-                if v == 0.0 {
-                    continue;
-                }
-                let rhs_row = &b.data[k * b.cols..(k + 1) * b.cols];
-                let out_row = &mut out.data[i * b.cols..(i + 1) * b.cols];
-                for (o, &w) in out_row.iter_mut().zip(rhs_row) {
-                    *o += v * w;
-                }
-            }
-        }
-        out
-    }
-
-    fn naive_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.rows, b.rows, "oracle shape mismatch");
-        let mut out = Matrix::zeros(a.cols, b.cols);
-        for r in 0..a.rows {
-            let left = &a.data[r * a.cols..(r + 1) * a.cols];
-            let right = &b.data[r * b.cols..(r + 1) * b.cols];
-            for (i, &v) in left.iter().enumerate() {
-                if v == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * b.cols..(i + 1) * b.cols];
-                for (o, &w) in out_row.iter_mut().zip(right) {
-                    *o += v * w;
-                }
-            }
-        }
-        out
-    }
-
     /// `a · b` through every instantiation of the kernel this CPU can
     /// run ([`Isa::each`]: the portable one, then AVX and AVX-512F where
     /// the CPU has them).
@@ -770,9 +785,9 @@ mod tests {
             ] {
                 let a = dense_matrix(m, k, 11);
                 let b = dense_matrix(k, n, 23);
-                let naive = naive_matmul(&a, &b);
+                let naive = a.matmul_naive(&b);
                 let at = dense_matrix(k, m, 31);
-                let naive_t = naive_t_matmul(&at, &b);
+                let naive_t = at.t_matmul_naive(&b);
                 for out in matmul_each_isa(&a, &b) {
                     assert_eq!(
                         out, naive,
@@ -887,14 +902,14 @@ mod tests {
             n in 1usize..=24,
             seed in any::<u64>(),
         ) {
-            // The oracle is the seed's naive loop kept verbatim above;
+            // The oracle is the seed's naive loop, `Matrix::matmul_naive`;
             // equality is exact (bit-identical), not approximate. `k`
             // ranges past KC = 256 so the tile fold is exercised, `n`
             // over every last-tile width behind zero, one and two
             // full tiles.
             let a = dense_matrix(m, k, seed);
             let b = dense_matrix(k, n, seed ^ 0xabcd);
-            let naive = naive_matmul(&a, &b);
+            let naive = a.matmul_naive(&b);
             for out in matmul_each_isa(&a, &b) {
                 prop_assert_eq!(&out, &naive);
             }
@@ -914,7 +929,7 @@ mod tests {
             // k-tiles.
             let a = dense_matrix(rows, ac, seed);
             let b = dense_matrix(rows, n, seed ^ 0x1234);
-            let naive = naive_t_matmul(&a, &b);
+            let naive = a.t_matmul_naive(&b);
             for out in matmul_each_isa(&a.transpose(), &b) {
                 prop_assert_eq!(&out, &naive);
             }

@@ -66,20 +66,20 @@ pub fn check_null_player(utility: &impl CoalitionUtility, values: &[f64]) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::exact_shapley;
+    use crate::estimator::{Exact, SvEstimator};
     use crate::utility::games::{AdditiveGame, GloveGame, MajorityGame};
     use crate::utility::utility_fn;
 
     #[test]
     fn exact_sv_passes_all_axioms_on_classic_games() {
         let glove = GloveGame { left: 2, n: 4 };
-        let sv = exact_shapley(&glove);
+        let sv = Exact.estimate(&glove).values;
         assert!(check_efficiency(&glove, &sv));
         assert!(check_symmetry(&glove, &sv));
         assert!(check_null_player(&glove, &sv));
 
         let majority = MajorityGame { n: 5 };
-        let sv = exact_shapley(&majority);
+        let sv = Exact.estimate(&majority).values;
         assert!(check_efficiency(&majority, &sv));
         assert!(check_symmetry(&majority, &sv));
     }
@@ -121,7 +121,7 @@ mod tests {
     fn efficiency_respects_nonzero_empty_value() {
         // u(∅) = 10: SV must sum to u(N) − u(∅).
         let u = utility_fn(2, |c: Coalition| 10.0 + c.len() as f64);
-        let sv = exact_shapley(&u);
+        let sv = Exact.estimate(&u).values;
         assert!(check_efficiency(&u, &sv));
         let total: f64 = sv.iter().sum();
         assert!((total - 2.0).abs() < 1e-12);

@@ -7,8 +7,8 @@
 //! reward-driven smart-contract designs). This module defines that
 //! choice surface:
 //!
-//! * [`SvEstimator`] — the trait every engine implements:
-//!   `estimate(&game) -> SvEstimate`.
+//! * [`SvEstimator`] — the trait every engine implements, and the only
+//!   way to run one: `estimate(&game) -> SvEstimate`.
 //! * [`SvEstimate`] — values plus the cost/diagnostic envelope
 //!   (utility-evaluation count, sampling diagnostics) that downstream
 //!   consumers (rewards, audit records, Table I) read uniformly.
@@ -26,10 +26,8 @@
 //! keyed by `(seed, stratum/permutation, index)` — so an estimate is
 //! bit-identical for any thread count and any miner can re-execute it.
 
-use crate::coalition::{MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
-use crate::monte_carlo::{monte_carlo_shapley, McConfig};
-use crate::native::exact_shapley;
-use crate::stratified::{stratified_shapley, StratifiedConfig};
+use crate::monte_carlo::McConfig;
+use crate::stratified::StratifiedConfig;
 use crate::utility::CoalitionUtility;
 
 /// Sampling diagnostics attached to every estimate.
@@ -46,13 +44,13 @@ pub struct SvDiagnostics {
     /// estimator does not stratify.
     pub strata: usize,
     /// Utility evaluations answered from a
-    /// [`CachedUtility`](crate::utility::CachedUtility) memo table; 0
-    /// when the estimate ran against an uncached utility.
-    /// Observability only — cache counters never feed consensus
-    /// digests (see [`crate::utility::CacheStats`]).
+    /// [`CachedUtility`](crate::utility::CachedUtility) memo table. No
+    /// estimator fills it: a caller that runs one behind a cache may copy
+    /// the cache's [`CacheStats`](crate::utility::CacheStats) here.
+    /// Observability only — cache counters never feed consensus digests.
     pub cache_hits: usize,
     /// Utility evaluations that missed the memo table and ran the
-    /// underlying game; 0 when uncached.
+    /// underlying game; filled like [`Self::cache_hits`].
     pub cache_misses: usize,
 }
 
@@ -72,22 +70,21 @@ pub struct SvEstimate {
 ///
 /// Implementations must be deterministic given their configuration and
 /// schedule-invariant (bit-identical for every thread count) — the
-/// consensus layer relies on both.
+/// consensus layer relies on both. Each engine module holds its
+/// estimator's one implementation: [`Exact`] in [`crate::native`],
+/// [`MonteCarlo`] in [`crate::monte_carlo`], [`Stratified`] in
+/// [`crate::stratified`].
 pub trait SvEstimator {
-    /// Stable method name, recorded in audit trails and bench reports.
-    fn name(&self) -> &'static str;
-
-    /// Largest player count this estimator accepts
-    /// ([`MAX_PLAYERS`] for exhaustive enumeration,
-    /// [`MAX_SAMPLED_PLAYERS`] for sampling).
-    fn max_players(&self) -> usize;
-
     /// Estimates every player's Shapley value.
     ///
     /// # Panics
     ///
-    /// Panics if the game exceeds [`Self::max_players`] or the
-    /// estimator's configuration is unusable (e.g. zero samples).
+    /// Panics if the game has more players than the estimator can
+    /// address — [`MAX_PLAYERS`](crate::coalition::MAX_PLAYERS) for
+    /// [`Exact`]'s `2^n` enumeration,
+    /// [`MAX_SAMPLED_PLAYERS`](crate::coalition::MAX_SAMPLED_PLAYERS) for
+    /// the samplers' coalition masks — or if its configuration is
+    /// unusable (e.g. zero samples).
     fn estimate<U: CoalitionUtility + Sync>(&self, game: &U) -> SvEstimate;
 }
 
@@ -95,69 +92,19 @@ pub trait SvEstimator {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Exact;
 
-impl SvEstimator for Exact {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn max_players(&self) -> usize {
-        MAX_PLAYERS
-    }
-
-    fn estimate<U: CoalitionUtility + Sync>(&self, game: &U) -> SvEstimate {
-        let n = game.num_players();
-        let values = exact_shapley(game);
-        SvEstimate {
-            values,
-            utility_evaluations: if n == 0 { 0 } else { 1usize << n },
-            diagnostics: SvDiagnostics::default(),
-        }
-    }
-}
-
-/// Permutation-sampling Monte-Carlo estimation
-/// ([`crate::monte_carlo::monte_carlo_shapley`]).
+/// Permutation-sampling Monte-Carlo estimation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MonteCarlo {
     /// Sampling configuration (permutation count, seed).
     pub config: McConfig,
 }
 
-impl SvEstimator for MonteCarlo {
-    fn name(&self) -> &'static str {
-        "monte_carlo"
-    }
-
-    fn max_players(&self) -> usize {
-        MAX_SAMPLED_PLAYERS
-    }
-
-    fn estimate<U: CoalitionUtility + Sync>(&self, game: &U) -> SvEstimate {
-        monte_carlo_shapley(game, &self.config)
-    }
-}
-
-/// Stratified subset sampling
-/// ([`crate::stratified::stratified_shapley`]) — the estimator that
-/// lifts the exact-enumeration player cap.
+/// Stratified subset sampling — the estimator that lifts the
+/// exact-enumeration player cap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stratified {
     /// Sampling configuration (samples per stratum, seed).
     pub config: StratifiedConfig,
-}
-
-impl SvEstimator for Stratified {
-    fn name(&self) -> &'static str {
-        "stratified"
-    }
-
-    fn max_players(&self) -> usize {
-        MAX_SAMPLED_PLAYERS
-    }
-
-    fn estimate<U: CoalitionUtility + Sync>(&self, game: &U) -> SvEstimate {
-        stratified_shapley(game, &self.config)
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +112,6 @@ mod tests {
     use super::*;
     use crate::group::GroupModelGame;
     use crate::hierarchy::RoundPlan;
-    use crate::native::exact_shapley;
     use crate::utility::games::GloveGame;
     use crate::utility::{model_utility_fn, ModelUtility};
     use numeric::linalg::mean_vectors;
@@ -187,10 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn exact_estimator_matches_exact_shapley() {
+    fn exact_estimator_counts_every_coalition() {
         let game = GloveGame { left: 2, n: 5 };
         let estimate = Exact.estimate(&game);
-        assert_eq!(estimate.values, exact_shapley(&game));
         assert_eq!(estimate.utility_evaluations, 32);
         assert_eq!(estimate.diagnostics, SvDiagnostics::default());
     }
@@ -242,16 +187,6 @@ mod tests {
         let total: f64 = estimate.values.iter().sum();
         let grand = utility.of_model(&mean_vectors(&groups)) - utility.of_empty();
         assert!((total - grand).abs() < 1e-9);
-    }
-
-    #[test]
-    fn names_and_caps() {
-        assert_eq!(Exact.name(), "exact");
-        assert_eq!(Exact.max_players(), MAX_PLAYERS);
-        assert_eq!(Stratified::default().name(), "stratified");
-        assert_eq!(Stratified::default().max_players(), MAX_SAMPLED_PLAYERS);
-        assert_eq!(MonteCarlo::default().name(), "monte_carlo");
-        assert_eq!(MonteCarlo::default().max_players(), MAX_SAMPLED_PLAYERS);
     }
 
     #[test]

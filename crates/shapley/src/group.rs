@@ -531,7 +531,6 @@ pub fn group_shapley(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::exact_shapley;
     use crate::utility::{model_utility_fn, utility_fn};
     use proptest::prelude::*;
 
@@ -635,7 +634,7 @@ mod tests {
                 .collect();
             mean_vectors(&members).iter().sum()
         });
-        let native = exact_shapley(&game);
+        let native = Exact.estimate(&game).values;
         for (j, group) in result.groups.iter().enumerate() {
             let user = group[0];
             assert!(

@@ -1,23 +1,23 @@
 //! Shapley-value contribution evaluation.
 //!
-//! Three engines behind one pluggable interface ([`estimator`]), one per
-//! on-chain evaluation method:
+//! Three engines, one per on-chain evaluation method, and one way to run
+//! each: the [`estimator::SvEstimator`] trait, whose `estimate` returns a
+//! uniform [`estimator::SvEstimate`] (values + evaluation counts +
+//! sampling diagnostics), so the on-chain contract can treat the
+//! evaluation method as auditable round configuration. The estimator
+//! structs live in [`estimator`]; each engine module holds its one
+//! implementation:
 //!
-//! * [`native`] — the exact Shapley value (the paper's Eq. 1), computed
-//!   over all `2^n` coalitions. This is the ground truth of Fig. 1 and
-//!   the slow baseline of Table I.
-//! * [`monte_carlo`] — permutation sampling (Ghorbani & Zou's Monte-Carlo
-//!   Shapley, without truncation), the standard scalability baseline
-//!   from the related work.
-//! * [`stratified`] — stratified subset sampling over `(player, size)`
-//!   strata: polynomial cost, deterministic per-(seed, stratum, index)
-//!   streams, and the engine that lifts the 25-player exact cap to
-//!   [`coalition::MAX_SAMPLED_PLAYERS`].
-//!
-//! The [`estimator`] module wraps them in the [`estimator::SvEstimator`]
-//! trait returning a uniform [`estimator::SvEstimate`] (values +
-//! evaluation counts + sampling diagnostics), so the on-chain contract
-//! can treat the evaluation method as auditable round configuration.
+//! * [`native`] — [`estimator::Exact`], the exact Shapley value (the
+//!   paper's Eq. 1) over all `2^n` coalitions. This is the ground truth
+//!   of Fig. 1 and the slow baseline of Table I.
+//! * [`monte_carlo`] — [`estimator::MonteCarlo`], permutation sampling
+//!   (Ghorbani & Zou's Monte-Carlo Shapley, without truncation), the
+//!   standard scalability baseline from the related work.
+//! * [`stratified`] — [`estimator::Stratified`], subset sampling over
+//!   `(player, size)` strata: polynomial cost, deterministic per-(seed,
+//!   stratum, index) streams, and the engine that lifts the 25-player
+//!   exact cap to [`coalition::MAX_SAMPLED_PLAYERS`].
 //!
 //! The game they play is **GroupSV, the paper's Algorithm 1**
 //! ([`group`]): users are partitioned into `m` groups by a seeded
@@ -53,7 +53,6 @@ pub use coalition::CoalitionError;
 pub use estimator::{SvDiagnostics, SvEstimate, SvEstimator};
 pub use group::{group_shapley, GroupModelGame, GroupSvConfig, GroupSvResult};
 pub use hierarchy::{compose, HierarchyError, RoundPlan};
-pub use monte_carlo::{monte_carlo_shapley, McConfig};
-pub use native::exact_shapley;
-pub use stratified::{stratified_shapley, StratifiedConfig};
+pub use monte_carlo::McConfig;
+pub use stratified::StratifiedConfig;
 pub use utility::{CachedUtility, CoalitionUtility, ModelUtility};

@@ -1,4 +1,5 @@
-//! Monte-Carlo Shapley approximation (permutation sampling).
+//! Monte-Carlo Shapley approximation (permutation sampling): the
+//! [`MonteCarlo`] estimator.
 //!
 //! The related-work baseline (Ghorbani & Zou's TMC-Shapley, Jia et al.):
 //! sample random permutations of the players, walk each permutation
@@ -17,7 +18,7 @@
 use numeric::par;
 
 use crate::coalition::Coalition;
-use crate::estimator::{SvDiagnostics, SvEstimate};
+use crate::estimator::{MonteCarlo, SvDiagnostics, SvEstimate, SvEstimator};
 use crate::rng::splitmix;
 use crate::utility::CoalitionUtility;
 
@@ -47,7 +48,7 @@ fn stream_state(seed: u64, index: u64) -> u64 {
     splitmix(seed ^ splitmix(index.wrapping_mul(crate::rng::GOLDEN).wrapping_add(1)))
 }
 
-/// Estimates Shapley values by permutation sampling.
+/// Shapley values by permutation sampling.
 ///
 /// The estimate counts `2 + n · permutations` utility evaluations: one
 /// per walk step, plus `u(∅)` and `u(N)` up front. Nothing reads `u(N)`
@@ -55,69 +56,68 @@ fn stream_state(seed: u64, index: u64) -> u64 {
 /// count; behind the contract's memo table every walk's last step finds
 /// it there.
 ///
-/// # Panics
-///
 /// Panics if `permutations == 0` or the game is empty.
-pub fn monte_carlo_shapley(
-    utility: &(impl CoalitionUtility + Sync),
-    config: &McConfig,
-) -> SvEstimate {
-    let n = utility.num_players();
-    assert!(n > 0, "empty game");
-    assert!(config.permutations > 0, "need at least one permutation");
+impl SvEstimator for MonteCarlo {
+    fn estimate<U: CoalitionUtility + Sync>(&self, utility: &U) -> SvEstimate {
+        let config = &self.config;
+        let n = utility.num_players();
+        assert!(n > 0, "empty game");
+        assert!(config.permutations > 0, "need at least one permutation");
 
-    utility.evaluate(Coalition::grand(n));
-    let empty_value = utility.evaluate(Coalition::EMPTY);
+        utility.evaluate(Coalition::grand(n));
+        let empty_value = utility.evaluate(Coalition::EMPTY);
 
-    let walk_flops = n.saturating_mul(utility.eval_flops());
-    let walks = par::par_map_indices(config.permutations, par::items_per_lease(walk_flops), |p| {
-        let mut state = stream_state(config.seed, p as u64);
-        let mut next = move || crate::rng::stream_next(&mut state);
-        // Fisher–Yates with the per-permutation splitmix64 stream.
-        let mut order: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            order.swap(i, j);
+        let walk_flops = n.saturating_mul(utility.eval_flops());
+        let walks =
+            par::par_map_indices(config.permutations, par::items_per_lease(walk_flops), |p| {
+                let mut state = stream_state(config.seed, p as u64);
+                let mut next = move || crate::rng::stream_next(&mut state);
+                // Fisher–Yates with the per-permutation splitmix64 stream.
+                let mut order: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    let j = (next() % (i as u64 + 1)) as usize;
+                    order.swap(i, j);
+                }
+                let mut marginals = vec![0.0f64; n];
+                let mut coalition = Coalition::EMPTY;
+                let mut prev_value = empty_value;
+                for &player in &order {
+                    coalition = coalition.with(player);
+                    let value = utility.evaluate(coalition);
+                    marginals[player] += value - prev_value;
+                    prev_value = value;
+                }
+                marginals
+            });
+
+        // Reduce in permutation order: the floating-point sum is independent
+        // of the parallel schedule.
+        let mut acc = vec![0.0f64; n];
+        for marginals in &walks {
+            for (a, m) in acc.iter_mut().zip(marginals) {
+                *a += m;
+            }
         }
-        let mut marginals = vec![0.0f64; n];
-        let mut coalition = Coalition::EMPTY;
-        let mut prev_value = empty_value;
-        for &player in &order {
-            coalition = coalition.with(player);
-            let value = utility.evaluate(coalition);
-            marginals[player] += value - prev_value;
-            prev_value = value;
-        }
-        marginals
-    });
 
-    // Reduce in permutation order: the floating-point sum is independent
-    // of the parallel schedule.
-    let mut acc = vec![0.0f64; n];
-    for marginals in &walks {
-        for (a, m) in acc.iter_mut().zip(marginals) {
-            *a += m;
+        let scale = 1.0 / config.permutations as f64;
+        for v in &mut acc {
+            *v *= scale;
         }
-    }
-
-    let scale = 1.0 / config.permutations as f64;
-    for v in &mut acc {
-        *v *= scale;
-    }
-    SvEstimate {
-        values: acc,
-        utility_evaluations: 2 + n * config.permutations,
-        diagnostics: SvDiagnostics {
-            samples: config.permutations,
-            ..SvDiagnostics::default()
-        },
+        SvEstimate {
+            values: acc,
+            utility_evaluations: 2 + n * config.permutations,
+            diagnostics: SvDiagnostics {
+                samples: config.permutations,
+                ..SvDiagnostics::default()
+            },
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::exact_shapley;
+    use crate::estimator::Exact;
     use crate::utility::games::{AdditiveGame, GloveGame};
 
     #[test]
@@ -127,13 +127,13 @@ mod tests {
         let game = AdditiveGame {
             values: vec![1.0, -2.0, 3.0],
         };
-        let result = monte_carlo_shapley(
-            &game,
-            &McConfig {
+        let result = MonteCarlo {
+            config: McConfig {
                 permutations: 1,
                 seed: 3,
             },
-        );
+        }
+        .estimate(&game);
         for (mc, exact) in result.values.iter().zip(&game.values) {
             assert!((mc - exact).abs() < 1e-12);
         }
@@ -142,14 +142,14 @@ mod tests {
     #[test]
     fn converges_to_exact_on_glove_game() {
         let game = GloveGame { left: 2, n: 5 };
-        let exact = exact_shapley(&game);
-        let result = monte_carlo_shapley(
-            &game,
-            &McConfig {
+        let exact = Exact.estimate(&game).values;
+        let result = MonteCarlo {
+            config: McConfig {
                 permutations: 4000,
                 seed: 1,
             },
-        );
+        }
+        .estimate(&game);
         for (mc, ex) in result.values.iter().zip(&exact) {
             assert!((mc - ex).abs() < 0.05, "MC {mc} too far from exact {ex}");
         }
@@ -160,13 +160,13 @@ mod tests {
         // Permutation sampling preserves efficiency exactly (telescoping
         // sum per permutation).
         let game = GloveGame { left: 3, n: 6 };
-        let result = monte_carlo_shapley(
-            &game,
-            &McConfig {
+        let result = MonteCarlo {
+            config: McConfig {
                 permutations: 50,
                 seed: 9,
             },
-        );
+        }
+        .estimate(&game);
         let total: f64 = result.values.iter().sum();
         let grand = game.evaluate(Coalition::grand(6));
         assert!((total - grand).abs() < 1e-9);
@@ -179,24 +179,25 @@ mod tests {
             permutations: 10,
             seed: 42,
         };
-        assert_eq!(
-            monte_carlo_shapley(&game, &cfg),
-            monte_carlo_shapley(&game, &cfg)
-        );
-        let other = monte_carlo_shapley(&game, &McConfig { seed: 43, ..cfg });
-        assert_ne!(monte_carlo_shapley(&game, &cfg).values, other.values);
+        let estimator = MonteCarlo { config: cfg };
+        assert_eq!(estimator.estimate(&game), estimator.estimate(&game));
+        let other = MonteCarlo {
+            config: McConfig { seed: 43, ..cfg },
+        }
+        .estimate(&game);
+        assert_ne!(estimator.estimate(&game).values, other.values);
     }
 
     #[test]
     #[should_panic(expected = "at least one permutation")]
     fn zero_permutations_panics() {
         let game = AdditiveGame { values: vec![1.0] };
-        let _ = monte_carlo_shapley(
-            &game,
-            &McConfig {
+        let _ = MonteCarlo {
+            config: McConfig {
                 permutations: 0,
                 ..Default::default()
             },
-        );
+        }
+        .estimate(&game);
     }
 }

@@ -1,4 +1,5 @@
-//! The native (exact) Shapley value — the paper's Eq. 1.
+//! The native (exact) Shapley value — the paper's Eq. 1 — as the [`Exact`]
+//! estimator.
 //!
 //! ```text
 //! v_i = (1/n) Σ_{S ⊆ I\{i}}  [u(S ∪ {i}) − u(S)] / C(n−1, |S|)
@@ -16,77 +17,87 @@
 use numeric::par;
 
 use crate::coalition::{binomial, Coalition, MAX_PLAYERS};
+use crate::estimator::{Exact, SvDiagnostics, SvEstimate, SvEstimator};
 use crate::utility::{CoalitionUtility, MAX_BATCH};
 
-/// Computes the exact Shapley value of every player: powerset utility
-/// cache plus weighted marginal assembly.
+/// The exact Shapley value of every player: powerset utility cache plus
+/// weighted marginal assembly, `2^n` evaluations and no diagnostics.
 ///
-/// Every exact entry point — this one, the estimator layer's `Exact`,
-/// and through it the off-chain Algorithm 1 oracle
-/// [`crate::group::group_shapley`] — is this function, so the determinism contract is
-/// pinned once: the utilities are asked for in batches whose boundaries
-/// move with the thread cap ([`CoalitionUtility::evaluate_many`], a pure
-/// function of each mask), every value lands in its mask's cache slot,
-/// and each player's marginal sum is a pure function of its index on
+/// Every exact entry point — the contract's `GroupExact` rounds and the
+/// off-chain Algorithm 1 oracle [`crate::group::group_shapley`] — is
+/// this estimator, so the determinism contract is pinned once: the
+/// utilities are asked for in batches whose boundaries move with the
+/// thread cap ([`CoalitionUtility::evaluate_many`], a pure function of
+/// each mask), every value lands in its mask's cache slot, and each
+/// player's marginal sum is a pure function of its index on
 /// [`numeric::par`] — bit-identical for every thread count. The game
 /// prices its own evaluations ([`CoalitionUtility::eval_flops`]): cheap
 /// arithmetic stays on the caller where model retraining fans out.
 ///
-/// # Panics
-///
 /// Panics if the game has more than [`MAX_PLAYERS`] players (the `2^n`
 /// enumeration would be intractable).
-pub fn exact_shapley(utility: &(impl CoalitionUtility + Sync)) -> Vec<f64> {
-    let n = utility.num_players();
-    assert!(
-        n <= MAX_PLAYERS,
-        "exact SV enumerates 2^n coalitions; {n} players exceeds {MAX_PLAYERS}"
-    );
-    if n == 0 {
-        return Vec::new();
-    }
+impl SvEstimator for Exact {
+    fn estimate<U: CoalitionUtility + Sync>(&self, utility: &U) -> SvEstimate {
+        let n = utility.num_players();
+        assert!(
+            n <= MAX_PLAYERS,
+            "exact SV enumerates 2^n coalitions; {n} players exceeds {MAX_PLAYERS}"
+        );
+        if n == 0 {
+            return SvEstimate {
+                values: Vec::new(),
+                utility_evaluations: 0,
+                diagnostics: SvDiagnostics::default(),
+            };
+        }
 
-    // One pass over the powerset, cache[mask] = u(mask), a subtree of
-    // the member trie per slot: its index fixes the low players, every
-    // coalition of the high ones above them is one batch — a vector add
-    // each where the game shares member-prefix sums. Four slots per
-    // thread keep the contiguous split near even at thread counts that
-    // are no power of two; one thread gets the powerset whole.
-    let per_lease = par::items_per_lease(utility.eval_flops());
-    let threads = ((1usize << n) / per_lease).clamp(1, par::max_threads());
-    let slots: usize = if threads > 1 { 4 * threads } else { 1 };
-    let low_bits = (slots.next_power_of_two().ilog2() as usize)
-        .max(n.saturating_sub(MAX_BATCH.ilog2() as usize))
-        .min(n);
-    let subtrees = par::par_map_indices(1 << low_bits, (1 << low_bits) / threads, |low| {
-        let batch: Vec<Coalition> = (0..1u64 << (n - low_bits))
-            .map(|high| Coalition(high << low_bits | low as u64))
+        // One pass over the powerset, cache[mask] = u(mask), a subtree of
+        // the member trie per slot: its index fixes the low players, every
+        // coalition of the high ones above them is one batch — a vector add
+        // each where the game shares member-prefix sums. Four slots per
+        // thread keep the contiguous split near even at thread counts that
+        // are no power of two; one thread gets the powerset whole.
+        let per_lease = par::items_per_lease(utility.eval_flops());
+        let threads = ((1usize << n) / per_lease).clamp(1, par::max_threads());
+        let slots: usize = if threads > 1 { 4 * threads } else { 1 };
+        let low_bits = (slots.next_power_of_two().ilog2() as usize)
+            .max(n.saturating_sub(MAX_BATCH.ilog2() as usize))
+            .min(n);
+        let subtrees = par::par_map_indices(1 << low_bits, (1 << low_bits) / threads, |low| {
+            let batch: Vec<Coalition> = (0..1u64 << (n - low_bits))
+                .map(|high| Coalition(high << low_bits | low as u64))
+                .collect();
+            utility.evaluate_many(&batch)
+        });
+        let mut cache = vec![0.0f64; 1usize << n];
+        for (low, values) in subtrees.iter().enumerate() {
+            for (high, &value) in values.iter().enumerate() {
+                cache[high << low_bits | low] = value;
+            }
+        }
+
+        // Precompute the per-size weights 1 / (n · C(n−1, s)).
+        let weights: Vec<f64> = (0..n)
+            .map(|s| 1.0 / (n as f64 * binomial(n - 1, s)))
             .collect();
-        utility.evaluate_many(&batch)
-    });
-    let mut cache = vec![0.0f64; 1usize << n];
-    for (low, values) in subtrees.iter().enumerate() {
-        for (high, &value) in values.iter().enumerate() {
-            cache[high << low_bits | low] = value;
+
+        // A player's sum reads two cached values per subset of the others.
+        let values = par::par_map_indices(n, par::items_per_lease(4 << (n - 1)), |i| {
+            let others = Coalition::grand(n).without(i);
+            let mut acc = 0.0;
+            for s in others.subsets() {
+                let with_i = s.with(i);
+                let marginal = cache[with_i.0 as usize] - cache[s.0 as usize];
+                acc += weights[s.len()] * marginal;
+            }
+            acc
+        });
+        SvEstimate {
+            values,
+            utility_evaluations: 1 << n,
+            diagnostics: SvDiagnostics::default(),
         }
     }
-
-    // Precompute the per-size weights 1 / (n · C(n−1, s)).
-    let weights: Vec<f64> = (0..n)
-        .map(|s| 1.0 / (n as f64 * binomial(n - 1, s)))
-        .collect();
-
-    // A player's sum reads two cached values per subset of the others.
-    par::par_map_indices(n, par::items_per_lease(4 << (n - 1)), |i| {
-        let others = Coalition::grand(n).without(i);
-        let mut acc = 0.0;
-        for s in others.subsets() {
-            let with_i = s.with(i);
-            let marginal = cache[with_i.0 as usize] - cache[s.0 as usize];
-            acc += weights[s.len()] * marginal;
-        }
-        acc
-    })
 }
 
 #[cfg(test)]
@@ -99,13 +110,13 @@ mod tests {
     #[test]
     fn empty_game() {
         let u = utility_fn(0, |_| 0.0);
-        assert!(exact_shapley(&u).is_empty());
+        assert!(Exact.estimate(&u).values.is_empty());
     }
 
     #[test]
     fn single_player_gets_everything() {
         let u = utility_fn(1, |c: Coalition| if c.is_empty() { 0.0 } else { 5.0 });
-        assert_eq!(exact_shapley(&u), vec![5.0]);
+        assert_eq!(Exact.estimate(&u).values, vec![5.0]);
     }
 
     #[test]
@@ -113,7 +124,7 @@ mod tests {
         let game = AdditiveGame {
             values: vec![3.0, -1.0, 0.5, 2.0],
         };
-        let sv = exact_shapley(&game);
+        let sv = Exact.estimate(&game).values;
         for (v, expect) in sv.iter().zip(&game.values) {
             assert!((v - expect).abs() < 1e-12);
         }
@@ -123,7 +134,7 @@ mod tests {
     fn glove_game_two_left_one_right() {
         // Classic result: with L={0,1}, R={2}, SV = (1/6, 1/6, 4/6).
         let game = GloveGame { left: 2, n: 3 };
-        let sv = exact_shapley(&game);
+        let sv = Exact.estimate(&game).values;
         assert!((sv[0] - 1.0 / 6.0).abs() < 1e-12);
         assert!((sv[1] - 1.0 / 6.0).abs() < 1e-12);
         assert!((sv[2] - 4.0 / 6.0).abs() < 1e-12);
@@ -132,7 +143,7 @@ mod tests {
     #[test]
     fn majority_game_symmetric() {
         let game = MajorityGame { n: 5 };
-        let sv = exact_shapley(&game);
+        let sv = Exact.estimate(&game).values;
         for v in &sv {
             assert!((v - 0.2).abs() < 1e-12, "5 symmetric voters split 1.0");
         }
@@ -144,7 +155,7 @@ mod tests {
         let u = utility_fn(3, |c: Coalition| {
             (c.contains(0) as u8 + c.contains(1) as u8) as f64
         });
-        let sv = exact_shapley(&u);
+        let sv = Exact.estimate(&u).values;
         assert!((sv[2]).abs() < 1e-12);
         assert!((sv[0] - 1.0).abs() < 1e-12);
     }
@@ -153,7 +164,7 @@ mod tests {
     fn cache_sees_every_coalition_exactly_once() {
         let game = MajorityGame { n: 6 };
         let cached = CachedUtility::new(&game);
-        let _ = exact_shapley(&cached);
+        let _ = Exact.estimate(&cached);
         assert_eq!(cached.unique_evaluations(), 64);
     }
 
@@ -185,7 +196,7 @@ mod tests {
             game.take();
             for cap in [1usize, 2, 3, 8] {
                 par::set_max_threads(cap);
-                let values = exact_shapley(&game);
+                let values = Exact.estimate(&game).values;
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&values), bits(&by_definition), "n = {n}, cap {cap}");
                 let batches = game.take();
@@ -218,7 +229,7 @@ mod tests {
         let game = Recording::new(MajorityGame { n: 6 });
         for cap in [1usize, 2, 3, 8] {
             par::set_max_threads(cap);
-            let _ = exact_shapley(&game);
+            let _ = Exact.estimate(&game);
             assert!(game.take().len() >= cap, "n = 6 unpriced, cap {cap}");
         }
         par::set_max_threads(0);
@@ -235,7 +246,7 @@ mod tests {
                 let s: f64 = c.members().map(|i| vals[i]).sum();
                 s + 0.5 * (s.abs()).sqrt() * c.len() as f64
             });
-            let sv = exact_shapley(&u);
+            let sv = Exact.estimate(&u).values;
             let total: f64 = sv.iter().sum();
             let grand = u.evaluate(Coalition::grand(n));
             let empty = u.evaluate(Coalition::EMPTY);
@@ -246,7 +257,7 @@ mod tests {
         fn prop_symmetry(v in -5.0f64..5.0, n in 2usize..7) {
             // All players identical ⇒ identical SVs.
             let u = utility_fn(n, move |c: Coalition| v * (c.len() as f64).powi(2));
-            let sv = exact_shapley(&u);
+            let sv = Exact.estimate(&u).values;
             for w in sv.windows(2) {
                 prop_assert!((w[0] - w[1]).abs() < 1e-9);
             }
@@ -270,9 +281,9 @@ mod tests {
                 c.members().map(|i| a3[i]).sum::<f64>().sin()
                     + c.members().map(|i| b3[i]).sum::<f64>().cos()
             });
-            let sv1 = exact_shapley(&u1);
-            let sv2 = exact_shapley(&u2);
-            let sv_sum = exact_shapley(&sum_game);
+            let sv1 = Exact.estimate(&u1).values;
+            let sv2 = Exact.estimate(&u2).values;
+            let sv_sum = Exact.estimate(&sum_game).values;
             for i in 0..4 {
                 prop_assert!((sv_sum[i] - (sv1[i] + sv2[i])).abs() < 1e-9);
             }

@@ -527,6 +527,7 @@ mod tests {
     use super::games::AdditiveGame;
     use super::*;
     use crate::coalition::Coalition;
+    use crate::estimator::{Exact, SvEstimator};
 
     #[test]
     fn utility_fn_adapts_closures() {
@@ -565,7 +566,7 @@ mod tests {
             values: vec![3.0, -1.0, 5.0, 2.0, 7.0],
         };
         let restricted = RestrictedGame::new(&game, vec![0, 2, 4]);
-        let sv = crate::native::exact_shapley(&restricted);
+        let sv = Exact.estimate(&restricted).values;
         for (got, want) in sv.iter().zip([3.0, 5.0, 7.0]) {
             assert!((got - want).abs() < 1e-12, "got {got}, want {want}");
         }

@@ -17,9 +17,8 @@ use proptest::prelude::*;
 use shapley::coalition::Coalition;
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
 use shapley::group::{group_shapley, GroupModelGame, GroupSvConfig};
-use shapley::monte_carlo::{monte_carlo_shapley, McConfig};
-use shapley::native::exact_shapley;
-use shapley::stratified::{stratified_shapley, StratifiedConfig};
+use shapley::monte_carlo::McConfig;
+use shapley::stratified::StratifiedConfig;
 use shapley::utility::{model_utility_fn, utility_fn, CachedUtility, RestrictedGame};
 
 static THREAD_CAP: Mutex<()> = Mutex::new(());
@@ -63,10 +62,10 @@ fn synthetic_models(m: usize, dim: usize) -> Vec<Vec<f64>> {
 }
 
 #[test]
-fn exact_shapley_is_schedule_invariant() {
+fn exact_is_schedule_invariant() {
     for n in [1usize, 3, 7, 12] {
         let game = nonlinear_game(n);
-        assert_schedule_invariant(|| exact_shapley(&game));
+        assert_schedule_invariant(|| Exact.estimate(&game));
     }
 }
 
@@ -110,11 +109,13 @@ fn group_shapley_end_to_end_is_schedule_invariant() {
 fn monte_carlo_is_schedule_invariant() {
     let game = nonlinear_game(9);
     for permutations in [1usize, 7, 200] {
-        let cfg = McConfig {
-            permutations,
-            seed: 1234,
+        let estimator = MonteCarlo {
+            config: McConfig {
+                permutations,
+                seed: 1234,
+            },
         };
-        assert_schedule_invariant(|| monte_carlo_shapley(&game, &cfg));
+        assert_schedule_invariant(|| estimator.estimate(&game));
     }
 }
 
@@ -124,11 +125,13 @@ fn stratified_is_schedule_invariant() {
     // engine, including at the player counts only it can reach.
     for n in [1usize, 5, 12, 30] {
         let game = nonlinear_game(n);
-        let cfg = StratifiedConfig {
-            samples_per_stratum: 4,
-            seed: 2024,
+        let estimator = Stratified {
+            config: StratifiedConfig {
+                samples_per_stratum: 4,
+                seed: 2024,
+            },
         };
-        assert_schedule_invariant(|| stratified_shapley(&game, &cfg));
+        assert_schedule_invariant(|| estimator.estimate(&game));
     }
 }
 
@@ -138,12 +141,14 @@ fn stratified_48_players_is_schedule_invariant() {
     // engines (2^48 coalitions) — runs and is bit-identical for thread
     // caps 1, 2, 3 and 8.
     let game = nonlinear_game(48);
-    let cfg = StratifiedConfig {
-        samples_per_stratum: 2,
-        seed: 7,
+    let estimator = Stratified {
+        config: StratifiedConfig {
+            samples_per_stratum: 2,
+            seed: 7,
+        },
     };
     assert_schedule_invariant(|| {
-        let estimate = stratified_shapley(&game, &cfg);
+        let estimate = estimator.estimate(&game);
         assert_eq!(estimate.values.len(), 48);
         (
             estimate.values,
@@ -155,10 +160,8 @@ fn stratified_48_players_is_schedule_invariant() {
 
 #[test]
 fn estimator_layer_is_schedule_invariant() {
-    // Dispatch through the estimators the contract uses, not the free
-    // functions, so the estimator layer itself is pinned — the sampling
-    // ones behind `CachedUtility`, as the contract's dispatch runs them.
-    // (Its hit/miss counters are observability and may race.)
+    // The sampling estimators behind `CachedUtility`, as the contract
+    // runs them: the memo table must not move a bit at any cap.
     let game = nonlinear_game(10);
     assert_schedule_invariant(|| Exact.estimate(&game));
     assert_schedule_invariant(|| {
@@ -913,20 +916,20 @@ fn monte_carlo_streams_are_per_permutation() {
     // k-permutation run (scaled), because each permutation's RNG is
     // derived from its index, not from a shared evolving stream.
     let game = nonlinear_game(6);
-    let short = monte_carlo_shapley(
-        &game,
-        &McConfig {
+    let short = MonteCarlo {
+        config: McConfig {
             permutations: 50,
             seed: 5,
         },
-    );
-    let long = monte_carlo_shapley(
-        &game,
-        &McConfig {
+    }
+    .estimate(&game);
+    let long = MonteCarlo {
+        config: McConfig {
             permutations: 100,
             seed: 5,
         },
-    );
+    }
+    .estimate(&game);
     // Both estimates converge on the same exact values, and neither run
     // may depend on the other's length; sanity-check agreement loosely.
     for (a, b) in short.values.iter().zip(&long.values) {

@@ -14,8 +14,8 @@ use fedchain::ground_truth::AggregateUtility;
 use fedchain::world::World;
 use shapley::axioms::{check_efficiency, check_null_player, check_symmetry};
 use shapley::coalition::Coalition;
-use shapley::exact_shapley;
-use shapley::monte_carlo::{monte_carlo_shapley, McConfig};
+use shapley::estimator::{Exact, MonteCarlo, SvEstimator};
+use shapley::monte_carlo::McConfig;
 use shapley::utility::CoalitionUtility;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     );
 
     println!("game: 5 owners, FL-aggregation utility, σ = 2.0\n");
-    let sv = exact_shapley(&utility);
+    let sv = Exact.estimate(&utility).values;
     for (owner, value) in sv.iter().enumerate() {
         println!("  owner {owner}: v = {value:+.4}");
     }
@@ -53,13 +53,13 @@ fn main() {
 
     // Monte-Carlo cross-check: permutation sampling converges to the
     // exact values (the related-work baseline of Ghorbani & Zou).
-    let mc = monte_carlo_shapley(
-        &utility,
-        &McConfig {
+    let mc = MonteCarlo {
+        config: McConfig {
             permutations: 300,
             seed: 7,
         },
-    );
+    }
+    .estimate(&utility);
     let max_err = sv
         .iter()
         .zip(&mc.values)

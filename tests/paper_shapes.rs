@@ -10,7 +10,7 @@ use fedchain::privacy::analyze_round;
 use fedchain::protocol::FlProtocol;
 use fedchain::world::World;
 use numeric::stats::cosine_similarity;
-use shapley::exact_shapley;
+use shapley::estimator::{Exact, SvEstimator};
 use shapley::group::{group_shapley, GroupSvConfig};
 
 fn world_config(sigma: f64) -> FlConfig {
@@ -47,7 +47,7 @@ fn group_sv_at_m_equals_n_recovers_per_user_sv() {
         config.data.features,
         config.data.classes,
     );
-    let native = exact_shapley(&reference);
+    let native = Exact.estimate(&reference).values;
 
     // Same multiset of values, matched per user: the grouping permutes
     // users into singleton groups, so per_user already re-indexes.
@@ -72,7 +72,7 @@ fn noisy_owner_scores_below_clean_mean() {
         config.data.features,
         config.data.classes,
     );
-    let sv = exact_shapley(&utility);
+    let sv = Exact.estimate(&utility).values;
     let noisiest = sv[config.num_owners - 1];
     let clean_mean: f64 = sv[..3].iter().sum::<f64>() / 3.0;
     assert!(
