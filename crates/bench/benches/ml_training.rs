@@ -21,7 +21,9 @@
 //! only.
 //!
 //! `gemm_train_shape` samples the trainer's two products on their own,
-//! at thread caps 1 and 2, each held to the naive loops first.
+//! at thread caps 1 and 2, each held to the naive loops first: the
+//! class-major pair the trainer runs and, beside it, the row-major pair
+//! it ran before (and the test-set scoring still runs).
 //!
 //! Two groups measure `numeric::math`'s slice passes against the host
 //! libm loops they replaced, kept below as `libm_softmax_rows` and
@@ -31,7 +33,8 @@
 //!   Table I shard shape and at the two small shapes of `stream_churn`
 //!   (where one dispatch and three passes are weighed against a handful
 //!   of libm calls: 30 × 4 reads faster, 2 × 4 at parity). `opt` is
-//!   asserted bit-identical to `seed_softmax_rows`.
+//!   asserted bit-identical to `seed_softmax_rows`, and `opt_t`, the
+//!   trainer's class-major pass over the transposed block, to `opt`.
 //! * `gaussian_fill` — one data set's worth of Box–Muller samples
 //!   (5 620 × 64): `Xoshiro256::fill_gaussian` against a per-sample loop
 //!   over libm's `ln` and `cos`. The two agree to the rounding of libm's
@@ -42,8 +45,10 @@
 //! Committed medians live in `BENCH_ml_training.json`; regenerate with
 //! `CRITERION_JSON=out.jsonl cargo bench --bench ml_training`.
 //! `scripts/bench_smoke.sh` gates `logreg_train/opt/650` against
-//! `logreg_train/seed/650` and `gaussian_fill/opt` against
-//! `gaussian_fill/seed`, each inside one run.
+//! `logreg_train/seed/650`, `gaussian_fill/opt` against
+//! `gaussian_fill/seed` and, where the CPU has AVX-512F,
+//! `gemm_train_shape/logits_t/500/cap1` against
+//! `gemm_train_shape/logits/500/cap1`, each inside one run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -310,10 +315,13 @@ fn bench_utility_evaluation(c: &mut Criterion) {
 /// The trainer's two products alone, at the Table I owner-shard shape
 /// (500 × 65 × 10) and the test-set shape `AccuracyUtility` scores
 /// (1 124 rows), at thread caps 1 and 2: `logits` is `X · W`,
-/// `gradient` is `Xᵀ · (P − Y)` over the transpose `train_design` takes
-/// once per call. A top-level product reaches `numeric::par` with the
-/// whole budget free, so the cap-2 entries read what `par::LEASE_FLOPS`
-/// decides — they may not be slower than their cap-1 neighbours.
+/// `gradient` is `Xᵀ · (P − Y)` over the transpose taken once per call.
+/// At the shard shape, `logits_t` and `gradient_t` are the class-major
+/// pair `train_design` runs — `Wᵀ · Xᵀ` and `(P − Y)ᵀ · X` — each held to
+/// the naive loop of its row-major twin, transposed, first. A top-level
+/// product reaches `numeric::par` with the whole budget free, so the
+/// cap-2 entries read what `par::LEASE_FLOPS` decides — they may not be
+/// slower than their cap-1 neighbours.
 fn bench_gemm_train_shape(c: &mut Criterion) {
     let dense = |rows: usize, cols: usize, salt: f64| {
         let data = (0..rows * cols).map(|i| (i as f64 * salt).sin()).collect();
@@ -326,10 +334,21 @@ fn bench_gemm_train_shape(c: &mut Criterion) {
         let w = dense(65, 10, 0.11);
         let residual = dense(rows, 10, 0.73);
         let xt = x.transpose();
+        let (wt, residual_t) = (w.transpose(), residual.transpose());
         assert_eq!(x.matmul(&w), seed_matmul(&x, &w));
         assert_eq!(xt.matmul(&residual), seed_t_matmul(&x, &residual));
+        let class_major = rows == 500;
+        if class_major {
+            assert_eq!(wt.matmul(&xt), seed_matmul(&x, &w).transpose());
+            assert_eq!(
+                residual_t.matmul(&x),
+                seed_t_matmul(&x, &residual).transpose()
+            );
+        }
         let mut logits = Matrix::zeros(rows, 10);
         let mut grad = Matrix::zeros(65, 10);
+        let mut logits_t = Matrix::zeros(10, rows);
+        let mut grad_t = Matrix::zeros(10, 65);
         for cap in [1usize, 2] {
             if cap > cores {
                 println!("gemm_train_shape: cap {cap} skipped, {cores} core available");
@@ -344,6 +363,14 @@ fn bench_gemm_train_shape(c: &mut Criterion) {
             group.bench_function(id("gradient"), |b| {
                 b.iter(|| black_box(&xt).matmul_into(&residual, &mut grad))
             });
+            if class_major {
+                group.bench_function(id("logits_t"), |b| {
+                    b.iter(|| black_box(&wt).matmul_into(&xt, &mut logits_t))
+                });
+                group.bench_function(id("gradient_t"), |b| {
+                    b.iter(|| black_box(&residual_t).matmul_into(&x, &mut grad_t))
+                });
+            }
         }
     }
     par::set_max_threads(0);
@@ -353,7 +380,9 @@ fn bench_gemm_train_shape(c: &mut Criterion) {
 /// The softmax pass alone over a logits block: the Table I shard shape
 /// (500 × 10) and the two shapes `stream_churn`'s owners train on
 /// (30 × 4, 2 × 4), where a per-call dispatch and three passes are
-/// weighed against a handful of libm calls.
+/// weighed against a handful of libm calls. `opt` is the row-major pass
+/// the scoring paths run, `opt_t` the class-major one the trainer runs
+/// over the transposed block (`numeric::math::softmax_columns`).
 fn bench_softmax_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("softmax_rows");
     for (rows, classes) in [(500usize, 10usize), (30, 4), (2, 4)] {
@@ -367,6 +396,14 @@ fn bench_softmax_rows(c: &mut Criterion) {
             opt,
             seed_softmax_rows(&logits),
             "block softmax diverged from the per-element pipeline at {rows}x{classes}"
+        );
+        let logits_t = logits.transpose();
+        let mut opt_t = logits_t.clone();
+        math::softmax_columns(opt_t.as_mut_slice(), rows);
+        assert_eq!(
+            opt_t,
+            opt.transpose(),
+            "class-major softmax diverged from the row-major one at {rows}x{classes}"
         );
         let mut libm = logits.clone();
         libm_softmax_rows(&mut libm);
@@ -388,6 +425,13 @@ fn bench_softmax_rows(c: &mut Criterion) {
             b.iter(|| {
                 buffer.as_mut_slice().copy_from_slice(logits.as_slice());
                 softmax_rows_in_place(black_box(&mut buffer));
+            })
+        });
+        let mut buffer_t = logits_t.clone();
+        group.bench_function(BenchmarkId::new("opt_t", &shape), |b| {
+            b.iter(|| {
+                buffer_t.as_mut_slice().copy_from_slice(logits_t.as_slice());
+                math::softmax_columns(black_box(buffer_t.as_mut_slice()), rows);
             })
         });
     }

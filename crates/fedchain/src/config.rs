@@ -7,7 +7,9 @@
 
 use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
 use fl_ml::dataset::SyntheticDigits;
+use fl_ml::split::train_len;
 use fl_ml::TrainConfig;
+use numeric::FixedCodec;
 use shapley::coalition::{MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
 use shapley::hierarchy::{HierarchyError, RoundPlan};
 
@@ -189,8 +191,29 @@ pub enum ConfigError {
     NoRounds,
     /// Train fraction outside `(0, 1)`.
     BadTrainFraction(f64),
-    /// Negative sigma.
+    /// Negative (or NaN) sigma.
     NegativeSigma(f64),
+    /// Fixed-point fractional bits outside [`FixedCodec::FRAC_BITS`].
+    BadFracBits(u32),
+    /// Fewer than two classes: softmax regression has nothing to tell
+    /// apart.
+    TooFewClasses(usize),
+    /// Zero features per example.
+    NoFeatures,
+    /// The train/test split of `instances` leaves one side empty.
+    EmptySplitSide {
+        /// Generated instances.
+        instances: usize,
+        /// Instances the split sends to training.
+        train: usize,
+    },
+    /// More owners than training examples: some shard would be empty.
+    MoreOwnersThanExamples {
+        /// Owner count.
+        owners: usize,
+        /// Training examples after the split.
+        examples: usize,
+    },
     /// The chosen SV method cannot evaluate this many groups.
     GroupCountExceedsMethodCap {
         /// Requested groups.
@@ -283,6 +306,19 @@ impl std::fmt::Display for ConfigError {
             Self::NoRounds => write!(f, "need at least one round"),
             Self::BadTrainFraction(v) => write!(f, "train fraction {v} outside (0,1)"),
             Self::NegativeSigma(v) => write!(f, "sigma {v} must be non-negative"),
+            Self::BadFracBits(bits) => write!(f, "frac_bits {bits} outside 1..=52"),
+            Self::TooFewClasses(c) => write!(f, "need >= 2 classes, got {c}"),
+            Self::NoFeatures => write!(f, "need at least one feature"),
+            Self::EmptySplitSide { instances, train } => write!(
+                f,
+                "splitting {instances} instances sends {train} to training, leaving a side empty"
+            ),
+            Self::MoreOwnersThanExamples { owners, examples } => {
+                write!(
+                    f,
+                    "more owners ({owners}) than training examples ({examples})"
+                )
+            }
             Self::GroupCountExceedsMethodCap {
                 groups,
                 cap,
@@ -418,8 +454,31 @@ impl FlConfig {
         if !(self.train_fraction > 0.0 && self.train_fraction < 1.0) {
             return Err(ConfigError::BadTrainFraction(self.train_fraction));
         }
-        if self.sigma < 0.0 {
+        // NaN fails this too, where `sigma < 0.0` would let it through
+        // to the quality schedule's assert.
+        if self.sigma < 0.0 || self.sigma.is_nan() {
             return Err(ConfigError::NegativeSigma(self.sigma));
+        }
+        if !FixedCodec::FRAC_BITS.contains(&self.frac_bits) {
+            return Err(ConfigError::BadFracBits(self.frac_bits));
+        }
+        if self.data.classes < 2 {
+            return Err(ConfigError::TooFewClasses(self.data.classes));
+        }
+        if self.data.features == 0 {
+            return Err(ConfigError::NoFeatures);
+        }
+        // What `World::generate` will split and shard.
+        let instances = self.data.instances;
+        let train = train_len(instances, self.train_fraction);
+        if train == 0 || train >= instances {
+            return Err(ConfigError::EmptySplitSide { instances, train });
+        }
+        if self.num_owners > train {
+            return Err(ConfigError::MoreOwnersThanExamples {
+                owners: self.num_owners,
+                examples: train,
+            });
         }
         self.sv_method.validate_groups(self.num_groups)?;
         // Cohorts in 1..=n, groups that fit the smallest cohort: the
@@ -547,6 +606,8 @@ impl FlConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{FlProtocol, ProtocolError};
+    use crate::world::World;
 
     #[test]
     fn paper_setting_is_valid_and_matches_paper() {
@@ -597,6 +658,90 @@ mod tests {
         let mut c = base();
         c.sigma = -0.1;
         assert!(matches!(c.validate(), Err(ConfigError::NegativeSigma(_))));
+    }
+
+    #[test]
+    fn configs_that_panicked_world_generation_are_typed_errors() {
+        // quick_demo: 600 instances, 480 of them training examples. Each
+        // case passed `validate` and then panicked inside
+        // `World::generate` or `FlProtocol::new`.
+        let base = FlConfig::quick_demo;
+        let cases: Vec<(FlConfig, ConfigError)> = vec![
+            (
+                FlConfig {
+                    num_owners: 481,
+                    num_groups: 1,
+                    ..base()
+                },
+                ConfigError::MoreOwnersThanExamples {
+                    owners: 481,
+                    examples: 480,
+                },
+            ),
+            (
+                FlConfig {
+                    data: SyntheticDigits {
+                        instances: 1,
+                        ..base().data
+                    },
+                    ..base()
+                },
+                ConfigError::EmptySplitSide {
+                    instances: 1,
+                    train: 1,
+                },
+            ),
+            (
+                FlConfig {
+                    data: SyntheticDigits {
+                        classes: 1,
+                        ..base().data
+                    },
+                    ..base()
+                },
+                ConfigError::TooFewClasses(1),
+            ),
+            (
+                FlConfig {
+                    data: SyntheticDigits {
+                        features: 0,
+                        ..base().data
+                    },
+                    ..base()
+                },
+                ConfigError::NoFeatures,
+            ),
+            (
+                FlConfig {
+                    frac_bits: 80,
+                    ..base()
+                },
+                ConfigError::BadFracBits(80),
+            ),
+        ];
+        for (config, expected) in cases {
+            assert_eq!(config.validate(), Err(expected.clone()));
+            assert_eq!(World::generate(&config).err(), Some(expected.clone()));
+            match FlProtocol::new(config) {
+                Err(ProtocolError::Config(e)) => assert_eq!(e, expected),
+                Err(other) => panic!("{expected}: FlProtocol::new gave {other}"),
+                Ok(_) => panic!("{expected}: FlProtocol::new accepted the config"),
+            }
+        }
+        // NaN is no sigma either (`PartialEq` cannot compare the payload).
+        let nan = FlConfig {
+            sigma: f64::NAN,
+            ..base()
+        };
+        assert!(matches!(nan.validate(), Err(ConfigError::NegativeSigma(s)) if s.is_nan()));
+        assert!(matches!(
+            World::generate(&nan),
+            Err(ConfigError::NegativeSigma(_))
+        ));
+        assert!(matches!(
+            FlProtocol::new(nan),
+            Err(ProtocolError::Config(ConfigError::NegativeSigma(_)))
+        ));
     }
 
     #[test]

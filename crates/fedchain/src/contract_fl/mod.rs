@@ -63,7 +63,7 @@ use fl_chain::tx::AccountId;
 use fl_crypto::dh::DhGroup;
 use fl_crypto::shamir::Share;
 use fl_ml::dataset::Dataset;
-use numeric::U256;
+use numeric::{FixedCodec, U256};
 use shapley::hierarchy::RoundPlan;
 
 use crate::config::SvMethod;
@@ -177,6 +177,10 @@ impl FlParams {
                 test_set.num_features(),
                 self.num_features
             ));
+        }
+        // `finish_round` decodes the aggregate with this codec.
+        if !FixedCodec::FRAC_BITS.contains(&self.frac_bits) {
+            return fail(format!("frac_bits {} outside 1..=52", self.frac_bits));
         }
         if !(1..=n).contains(&self.escrow_threshold) {
             return fail(format!(

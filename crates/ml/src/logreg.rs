@@ -11,19 +11,33 @@
 //!
 //! Training and evaluation run over a [`Design`] — the input features
 //! conditioned (fixed 1/16 scale) and bias-extended **once**, in a single
-//! gather pass, instead of per call. A training call transposes the
-//! design once (`Xᵀ` lives for the call, not in the [`Design`], so a
-//! design kept for scoring costs what it did); the epoch loop is then
+//! gather pass, instead of per call. Scoring is row-major, `X · W`, one
+//! row of logits per example.
+//!
+//! Training runs **class-major**: a call transposes the design and the
+//! weights once (`Xᵀ` and `Wᵀ` live for the call, not in the [`Design`],
+//! so a design kept for scoring costs what it did), and each epoch is
 //! three batched kernels with no per-row temporaries: the logits GEMM
-//! `X · W` into a reused buffer, one fused softmax+residual pass in
-//! place, and the gradient `Xᵀ · (P − Y)` through the same
-//! [`Matrix::matmul_into`]. That kernel keeps the `numeric::linalg`
-//! determinism contract — the gradient folds the examples in ascending
-//! order from a `0.0` seed — and the softmax's `exp` is
-//! [`numeric::math`]'s, the same bits in every lane on every platform,
-//! so trained weights are bit-identical for any thread count and any
-//! host, and bit-identical to the original unfused loop spelled over
-//! that `exp`, whose operation order the fused pass preserves exactly.
+//! `Lᵀ = Wᵀ · Xᵀ` (classes × examples) into a reused buffer, one softmax
+//! down its columns in place with `−1.0` at each label
+//! ([`math::softmax_columns`]), and the gradient
+//! `Gᵀ = (P − Y)ᵀ · X` (classes × features+1) through the same
+//! [`Matrix::matmul_into`]; `Wᵀ` is transposed back when the call ends.
+//! Both products have a few rows and hundreds of columns, the shape
+//! `numeric::linalg`'s wide register tiles are built for; row-major,
+//! each had ten output columns (`X · W`, and `Xᵀ · (P − Y)`) and ran
+//! latency-bound at about half the speed.
+//!
+//! The layout changes no bit. Each element of `Lᵀ` and `Gᵀ` is the
+//! element of `L` / `G` it transposes, folded from `0.0` over the same
+//! products in the same ascending order (the `numeric::linalg`
+//! determinism contract; `a · b` and `b · a` round alike), and each
+//! example's softmax runs the operations of its row — the maximum and
+//! the sum folded in class order, `exp` of `v − max`, one division — in
+//! the same order. The `exp` is [`numeric::math`]'s, the same bits in
+//! every lane on every platform. So trained weights are bit-identical
+//! for any thread count and any host, and bit-identical to the original
+//! row-major loop spelled out over that `exp`.
 
 use numeric::stats::argmax;
 use numeric::{math, Matrix};
@@ -280,11 +294,14 @@ impl LogisticModel {
     /// Trains in place over a prepared design — the batched epoch loop
     /// every trainer entry point funnels through.
     ///
-    /// `Xᵀ` is taken once, up front. Per epoch: one logits GEMM into a
-    /// reused buffer, one fused softmax+residual pass in place (`P − Y`
-    /// without materializing the one-hot labels), one gradient GEMM
-    /// `Xᵀ · (P − Y)` into a reused buffer, then the L2 and step AXPYs.
-    /// No per-row or per-epoch allocations.
+    /// The loop runs class-major (module docs, "Batched execution"): `Xᵀ`
+    /// and `Wᵀ` are taken once, up front. Per epoch: one logits GEMM
+    /// `Lᵀ = Wᵀ · Xᵀ` into a reused buffer, one softmax down its columns
+    /// in place and `−1.0` at each label (`(P − Y)ᵀ` without
+    /// materializing the one-hot labels), one gradient GEMM
+    /// `Gᵀ = (P − Y)ᵀ · X` into a reused buffer, then the L2 and step
+    /// AXPYs; `W` is `Wᵀ` transposed back at the end. No per-row or
+    /// per-epoch allocations.
     ///
     /// # Panics
     ///
@@ -302,19 +319,24 @@ impl LogisticModel {
         let x = &design.x;
         let xt = x.transpose();
         let n = design.len() as f64;
-        let mut logits = Matrix::zeros(design.len(), self.num_classes);
-        let mut grad = Matrix::zeros(self.num_features + 1, self.num_classes);
+        let mut wt = self.weights.transpose();
+        let mut residual_t = Matrix::zeros(self.num_classes, design.len());
+        let mut grad_t = Matrix::zeros(self.num_classes, self.num_features + 1);
 
         for _ in 0..config.epochs {
-            x.matmul_into(&self.weights, &mut logits);
-            softmax_residual_in_place(&mut logits, &design.labels); // P − Y
-            xt.matmul_into(&logits, &mut grad);
-            grad.scale(1.0 / n);
-            if config.l2 > 0.0 {
-                grad.axpy(config.l2, &self.weights);
+            wt.matmul_into(&xt, &mut residual_t);
+            math::softmax_columns(residual_t.as_mut_slice(), design.len());
+            for (r, &label) in design.labels.iter().enumerate() {
+                residual_t[(label, r)] -= 1.0; // (P − Y)ᵀ
             }
-            self.weights.axpy(-config.learning_rate, &grad);
+            residual_t.matmul_into(x, &mut grad_t);
+            grad_t.scale(1.0 / n);
+            if config.l2 > 0.0 {
+                grad_t.axpy(config.l2, &wt);
+            }
+            wt.axpy(-config.learning_rate, &grad_t);
         }
+        self.weights = wt.transpose();
     }
 
     /// Warm start: builds a model from the flat `global` weights and
@@ -396,17 +418,6 @@ pub fn softmax_rows_in_place(logits: &mut Matrix) {
         for v in row.iter_mut() {
             *v /= sum;
         }
-    }
-}
-
-/// Fused softmax + residual: turns a logits matrix into `P − Y` in one
-/// pass, subtracting the one-hot label directly instead of materializing
-/// `Y` and AXPY-ing it (`p − 1.0` is the identical float operation).
-fn softmax_residual_in_place(logits: &mut Matrix, labels: &[usize]) {
-    debug_assert_eq!(logits.rows(), labels.len());
-    softmax_rows_in_place(logits);
-    for (r, &label) in labels.iter().enumerate() {
-        logits.row_mut(r)[label] -= 1.0;
     }
 }
 
@@ -641,28 +652,59 @@ mod tests {
             }
         }
 
-        // 600 examples: the gradient's reduction crosses two k-tile cuts.
-        let ds = SyntheticDigits::small().generate(13);
-        let design = Design::new(&ds);
-        let config = TrainConfig {
-            epochs: 6,
-            ..quick_config()
-        };
-        let mut weights = Matrix::zeros(ds.num_features() + 1, ds.num_classes);
-        for _ in 0..config.epochs {
-            // The naive i-k-j product and the naive transposed product
-            // (rows folded in ascending order): `numeric::linalg`'s oracles.
-            let mut residual = design.x.matmul_naive(&weights);
-            naive_softmax_residual(&mut residual, &design.labels);
-            let mut grad = design.x.t_matmul_naive(&residual);
-            grad.scale(1.0 / design.len() as f64);
-            grad.axpy(config.l2, &weights);
-            weights.axpy(-config.learning_rate, &grad);
-        }
-        for cap in [1usize, 2, 3, 8] {
-            numeric::par::set_max_threads(cap);
-            let trained = train_model_design(&design, &config);
-            assert_eq!(trained.weights(), &weights, "thread cap {cap}");
+        // The three shapes the workloads train at — a Table I shard
+        // (500 × 65 × 10), a `stream_churn` owner (30 × 17 × 4) and the
+        // one- and two-example shards of `sharded_1k` — and 600 examples,
+        // where the gradient's reduction crosses two k-tile cuts.
+        for (instances, features, classes) in [
+            (500, 64, 10),
+            (30, 16, 4),
+            (1, 16, 4),
+            (2, 16, 4),
+            (600, 64, 10),
+        ] {
+            let ds = SyntheticDigits {
+                instances,
+                features,
+                classes,
+                ..SyntheticDigits::small()
+            }
+            .generate(13);
+            let design = Design::new(&ds);
+            // A warm start off zero, as every round after the first.
+            let dim = (features + 1) * classes;
+            let global: Vec<f64> = (0..dim).map(|i| 0.05 * (i as f64 * 0.61).sin()).collect();
+            for l2 in [0.0, 1e-4] {
+                let config = TrainConfig {
+                    epochs: 6,
+                    l2,
+                    ..quick_config()
+                };
+                let mut weights = Matrix::from_vec(features + 1, classes, global.clone());
+                for _ in 0..config.epochs {
+                    // The naive i-k-j product and the naive transposed
+                    // product (rows folded in ascending order):
+                    // `numeric::linalg`'s oracles.
+                    let mut residual = design.x.matmul_naive(&weights);
+                    naive_softmax_residual(&mut residual, &design.labels);
+                    let mut grad = design.x.t_matmul_naive(&residual);
+                    grad.scale(1.0 / design.len() as f64);
+                    if config.l2 > 0.0 {
+                        grad.axpy(config.l2, &weights);
+                    }
+                    weights.axpy(-config.learning_rate, &grad);
+                }
+                for cap in [1usize, 2, 3, 8] {
+                    numeric::par::set_max_threads(cap);
+                    let trained = LogisticModel::train_from(&global, &design, &config);
+                    assert_eq!(
+                        trained.weights(),
+                        &weights,
+                        "{instances}x{}x{classes}, l2 {l2}, thread cap {cap}",
+                        features + 1
+                    );
+                }
+            }
         }
         numeric::par::set_max_threads(0);
     }

@@ -28,7 +28,7 @@ pub fn train_test_split(dataset: &Dataset, train_fraction: f64, seed: u64) -> Tr
         "train_fraction must be in (0, 1), got {train_fraction}"
     );
     let n = dataset.len();
-    let n_train = ((n as f64) * train_fraction).round() as usize;
+    let n_train = train_len(n, train_fraction);
     assert!(
         n_train > 0 && n_train < n,
         "split produced an empty side (n={n}, train={n_train})"
@@ -40,6 +40,13 @@ pub fn train_test_split(dataset: &Dataset, train_fraction: f64, seed: u64) -> Tr
         train: dataset.subset(&order[..n_train]),
         test: dataset.subset(&order[n_train..]),
     }
+}
+
+/// Examples [`train_test_split`] sends to training out of `n`: `n ·
+/// train_fraction`, rounded. A configuration checks its split against
+/// this before it generates anything.
+pub fn train_len(n: usize, train_fraction: f64) -> usize {
+    ((n as f64) * train_fraction).round() as usize
 }
 
 /// Splits `dataset` into `owners` near-equal shards after a seeded

@@ -40,6 +40,10 @@ impl Default for FixedCodec {
 }
 
 impl FixedCodec {
+    /// The fractional-bit counts a codec accepts: beyond 52 the `f64`
+    /// mantissa can no longer provide new fractional information.
+    pub const FRAC_BITS: std::ops::RangeInclusive<u32> = 1..=52;
+
     /// Creates a codec with `frac_bits` fractional bits.
     ///
     /// # Panics
@@ -48,7 +52,7 @@ impl FixedCodec {
     /// can no longer provide new fractional information).
     pub fn new(frac_bits: u32) -> Self {
         assert!(
-            (1..=52).contains(&frac_bits),
+            Self::FRAC_BITS.contains(&frac_bits),
             "frac_bits must be in 1..=52, got {frac_bits}"
         );
         Self { frac_bits }

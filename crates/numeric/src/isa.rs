@@ -36,8 +36,13 @@
 /// it, so the body is compiled with the features of the function it is
 /// inlined into.
 pub(crate) trait Kernel {
-    /// Runs the kernel over the slices it holds.
-    fn run(self);
+    /// Runs the kernel over the slices it holds, compiled for vector
+    /// registers of `LANES` `f64` lanes: 2 in the portable instantiation
+    /// (16 `xmm` registers on x86-64), 4 with AVX (16 `ymm`), 8 with
+    /// AVX-512F (32 `zmm`). A kernel whose blocking depends on the
+    /// register file — the GEMM micro-tile — picks it from `LANES`; the
+    /// others ignore it.
+    fn run<const LANES: usize>(self);
 }
 
 /// Which instantiation of a [`Kernel`] a call runs. The field is private
@@ -126,7 +131,7 @@ impl Isa {
             };
             return;
         }
-        kernel.run();
+        kernel.run::<2>();
     }
 }
 
@@ -136,7 +141,7 @@ impl Isa {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 fn run_avx<K: Kernel>(kernel: K) {
-    kernel.run();
+    kernel.run::<4>();
 }
 
 /// [`Kernel::run`] compiled a third time with AVX-512F enabled: the same
@@ -146,7 +151,7 @@ fn run_avx<K: Kernel>(kernel: K) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn run_avx512<K: Kernel>(kernel: K) {
-    kernel.run();
+    kernel.run::<8>();
 }
 
 #[cfg(test)]

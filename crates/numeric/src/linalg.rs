@@ -6,9 +6,9 @@
 //! through secure aggregation. There is no BLAS in the offline
 //! dependency set, so the product is implemented here as one
 //! cache-blocked GEMM kernel driven by the deterministic fork-join layer
-//! in [`crate::par`]. The transpose-product the gradient needs is that
-//! same kernel over [`Matrix::transpose`], which the trainer takes once
-//! per training call.
+//! in [`crate::par`]. The trainer runs its two products class-major
+//! through that same kernel, over the [`Matrix::transpose`]s it takes
+//! once per training call.
 //!
 //! # Determinism contract
 //!
@@ -52,12 +52,28 @@
 //! and rustc's refusal to contract it keep each product rounded before
 //! its add; `scripts/no_fma.sh` disassembles a release binary to check.
 //!
+//! The micro-tile — output rows × columns held in registers across a
+//! k-tile — is per instantiation too, the widest the register file
+//! holds without spilling, chosen with the ISA and no more an option
+//! than it is: AVX-512F runs 5 rows × 32 columns (20 `zmm` accumulators
+//! plus four rhs vectors and a broadcast, of 32), AVX 3 × 12 (nine `ymm`
+//! accumulators and three broadcasts, of 16; 4 × 12 spilled three
+//! accumulators), the SSE2 baseline 2 × 10 (ten `xmm` accumulators). The shape decides no element's operation order —
+//! each element still folds its own products in ascending `k` — so it
+//! cannot change a bit either. It matters for the trainer's class-major
+//! products, ten rows by hundreds of columns: a 2-row tile leaves two
+//! accumulator chains per row there and the product latency-bound,
+//! while 5 × 32 keeps both `zmm` pipes busy (about half the time at
+//! 10 × 65 × 500).
+//!
 //! The last column tile of a row may be up to 10 wide (a 10-class
-//! product is one tile, not 8 + 2). The bound is the SSE2 register file:
-//! two rows × 10 columns are ten 2-lane accumulators, plus two lhs
-//! broadcasts, one rhs segment and one product — 14 of 16 registers,
-//! and the disassembly shows no spill; a wider tile would leave none to
-//! spare.
+//! row-major product, the test-set scoring, is one tile, not 8 + 2).
+//! That bound is the SSE2 register file's and binds SSE2 alone: two rows
+//! × 10 columns are ten 2-lane accumulators, plus two lhs broadcasts,
+//! one rhs segment and one product — 14 of 16 registers, and the
+//! disassembly shows no spill. The wider files hold that last tile over
+//! their taller row groups (5 × 10 is five `zmm` and five `xmm`
+//! accumulators).
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -408,22 +424,26 @@ fn checked_len(rows: usize, cols: usize) -> usize {
 ///   accumulators from the current output values and writes them back
 ///   after the tile, so each output element folds its products strictly
 ///   in ascending reduction order;
-/// * micro-tiles cover 2 output rows × [`NR`] columns, the last one of a
-///   row up to [`NR_LAST`]: the rhs row segment is loaded once and
-///   reused for both rows, and the accumulators live in registers
-///   across the whole k-tile.
+/// * micro-tiles cover `MR` output rows × `NR` columns, the shape the
+///   instantiation's register file holds (module docs, "Instantiations");
+///   the rows left below `MR` go two and then one at a time, the columns
+///   left below `NR` in [`NR_MID`]-wide tiles and one last tile of up to
+///   [`NR_LAST`]. Each rhs row segment is loaded once per reduction step
+///   and reused for every row of the tile, and the accumulators live in
+///   registers across the whole k-tile.
 mod gemm {
     use crate::isa::{Isa, Kernel};
     use crate::par;
 
-    /// Reduction-tile length: a `KC × NR` rhs slab (16 KiB) stays
-    /// L1-resident across a whole row panel.
+    /// Reduction-tile length: a `KC`-row rhs slab stays cache-resident
+    /// across a whole row panel.
     const KC: usize = 256;
-    /// Micro-kernel width (output columns per register tile).
-    const NR: usize = 8;
+    /// Width of the column tiles between the last full `NR` tile and the
+    /// last tile of a row.
+    const NR_MID: usize = 8;
     /// Widest last tile of a row, so that a 9- or 10-column product (the
-    /// 10-class trainer) is one tile and not 8 plus a sliver; bounded by
-    /// the SSE2 register file (module docs, "Instantiations").
+    /// 10-class test-set scoring) is one tile and not 8 plus a sliver;
+    /// bounded by the SSE2 register file (module docs, "Instantiations").
     const NR_LAST: usize = 10;
     /// One row panel of a product, as the [`Kernel`] [`Isa::run`]
     /// instantiates.
@@ -437,8 +457,16 @@ mod gemm {
 
     impl Kernel for Panel<'_> {
         #[inline(always)]
-        fn run(self) {
-            panel_kernel(self.a, self.k, self.b, self.n, self.out);
+        fn run<const LANES: usize>(self) {
+            let Panel { a, k, b, n, out } = self;
+            // The micro-tile (rows × columns) of each instantiation
+            // (module docs, "Instantiations"); `LANES` is a constant of
+            // the instantiation, so each compiles one arm.
+            match LANES {
+                8 => panel_kernel::<5, 32>(a, k, b, n, out),
+                4 => panel_kernel::<3, 12>(a, k, b, n, out),
+                _ => panel_kernel::<2, 10>(a, k, b, n, out),
+            }
         }
     }
 
@@ -477,67 +505,85 @@ mod gemm {
     }
 
     /// One row panel `out = a(rows×k) · b(k×n)`, its k-tiles in ascending
-    /// order.
+    /// order, through `MR × NR` micro-tiles.
     ///
     /// Inlined, with everything below it, into [`Panel::run`]: the body
     /// is compiled once per instantiation (see [`crate::isa`]).
     #[inline(always)]
-    fn panel_kernel(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-        for kt in (0..k).step_by(KC) {
-            block_kernel(a, k, kt, KC.min(k - kt), b, n, out);
-        }
-    }
-
-    /// One k-tile over a whole row panel:
-    /// `out[i][j] += Σ_{kk<kc} a[i*k + kt + kk] · b[(kt+kk)*n + j]` for
-    /// every row `i` of `out`, accumulated per element in ascending `kk`
-    /// on top of the current output value. On the first tile (`kt == 0`)
-    /// the accumulators are seeded with `0.0` instead of loading the
-    /// output, which lets callers skip a zero-fill pass — bit-identical,
-    /// since the seed value is exactly what the fill would have stored.
-    #[inline(always)]
-    fn block_kernel(
+    fn panel_kernel<const MR: usize, const NR: usize>(
         a: &[f64],
         k: usize,
-        kt: usize,
-        kc: usize,
         b: &[f64],
         n: usize,
         out: &mut [f64],
     ) {
-        let b_tile = &b[kt * n..(kt + kc) * n];
-        let first = kt == 0;
-        let a_row = |i: usize| &a[i * k + kt..][..kc];
-        let mut pairs = out.chunks_exact_mut(2 * n);
-        let mut i = 0;
-        for pair in &mut pairs {
-            let (row0, row1) = pair.split_at_mut(n);
-            row_tiles([a_row(i), a_row(i + 1)], b_tile, first, [row0, row1]);
-            i += 2;
-        }
-        let last = pairs.into_remainder();
-        if !last.is_empty() {
-            row_tiles([a_row(i)], b_tile, first, [last]);
+        for kt in (0..k).step_by(KC) {
+            let kc = KC.min(k - kt);
+            let b_tile = &b[kt * n..(kt + kc) * n];
+            let first = kt == 0;
+            // `MR` rows at a time, then pairs, then a last single row.
+            // (Indexing `out` afresh for each group, rather than walking
+            // `split_at_mut` remainders, keeps the rows' common stride
+            // visible to the optimizer: the walked form reloaded every
+            // lhs row pointer each reduction step and read 1.7 × slower.)
+            let m = out.len() / n;
+            let mut i = 0;
+            while m - i >= MR {
+                let rows = &mut out[i * n..(i + MR) * n];
+                row_tiles::<MR, NR>(a, k, kt, kc, i, b_tile, first, n, rows);
+                i += MR;
+            }
+            while m - i >= 2 {
+                let rows = &mut out[i * n..(i + 2) * n];
+                row_tiles::<2, NR>(a, k, kt, kc, i, b_tile, first, n, rows);
+                i += 2;
+            }
+            if m > i {
+                row_tiles::<1, NR>(a, k, kt, kc, i, b_tile, first, n, &mut out[i * n..]);
+            }
         }
     }
 
-    /// `R` output rows against one k-tile: full [`NR`] tiles while more
-    /// than [`NR_LAST`] columns remain, then one last tile of what is
-    /// left, monomorphized per width.
+    /// `R` output rows (`rows`, `n` wide, from row `i` of the panel) against
+    /// one k-tile `kt..kt + kc`: `out[r][j] += Σ_{kk<kc} a[(i+r)*k + kt +
+    /// kk] · b_tile[kk*n + j]`, accumulated per element in ascending `kk`
+    /// on top of the current output value. On the first tile (`first`)
+    /// the accumulators are seeded with `0.0` instead of loading the
+    /// output, which lets callers skip a zero-fill pass — bit-identical,
+    /// since the seed value is exactly what the fill would have stored.
+    ///
+    /// Full `NR` tiles while at least `NR` and more than [`NR_LAST`]
+    /// columns remain, [`NR_MID`] tiles while more than [`NR_LAST`]
+    /// remain, then one last tile of what is left (none after a whole
+    /// number of `NR` tiles), monomorphized per width.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn row_tiles<const R: usize>(
-        a: [&[f64]; R],
+    fn row_tiles<const R: usize, const NR: usize>(
+        a: &[f64],
+        k: usize,
+        kt: usize,
+        kc: usize,
+        i: usize,
         b_tile: &[f64],
         first: bool,
-        mut out: [&mut [f64]; R],
+        n: usize,
+        rows: &mut [f64],
     ) {
-        let n = out[0].len();
+        let a: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * k + kt..][..kc]);
+        let mut rows = rows.chunks_exact_mut(n);
+        let mut out: [&mut [f64]; R] =
+            std::array::from_fn(|_| rows.next().expect("R rows of n columns"));
         let mut j = 0;
-        while n - j > NR_LAST {
+        while n - j >= NR && n - j > NR_LAST {
             tile::<R, NR>(a, b_tile, n, j, first, &mut out);
             j += NR;
         }
+        while n - j > NR_LAST {
+            tile::<R, NR_MID>(a, b_tile, n, j, first, &mut out);
+            j += NR_MID;
+        }
         match n - j {
+            0 => {}
             1 => tile::<R, 1>(a, b_tile, n, j, first, &mut out),
             2 => tile::<R, 2>(a, b_tile, n, j, first, &mut out),
             3 => tile::<R, 3>(a, b_tile, n, j, first, &mut out),
@@ -771,8 +817,8 @@ mod tests {
     #[test]
     fn blocked_matmul_bit_identical_at_tile_boundaries() {
         // Shapes straddling the k-tile (KC = 256, first and later tiles)
-        // and the 2-row micro-tile, at every column split: one last tile
-        // of 1..=10, 8 + 3 … 8 + 10, 8 + 8 + 3 … 8 + 8 + 8.
+        // and the 2-row pair, at every column split of the narrow tiles:
+        // one last tile of 1..=10, 8 + 3 … 8 + 10, 8 + 8 + 3 … 8 + 8 + 8.
         for n in 1..=24 {
             for (m, k) in [
                 (1, 1),
@@ -799,6 +845,38 @@ mod tests {
                         out, naive_t,
                         "{k}x{m}ᵀx{n} must be bit-identical to the naive transposed loop"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_major_epoch_products_bit_identical_across_wide_tiles() {
+        // The trainer's two class-major products, `m` classes by `n`
+        // columns over a `k`-long reduction, in every instantiation: `m`
+        // on both sides of the 3- and 5-row tiles and of the pairs below
+        // them, `n` on both sides of one and two 32-column tiles (and of
+        // the 12- and 10-column ones) and at a Table I shard, `k` across
+        // the k-tile cut.
+        for m in [1, 4, 5, 6, 9, 10, 11] {
+            for n in [31, 32, 33, 63, 64, 65, 500] {
+                for k in [255, 256, 257, 500] {
+                    // Logits: `Wᵀ · Xᵀ` against `(X · W)ᵀ`, `X` being
+                    // `n × k` and `W` `k × m`.
+                    let x = dense_matrix(n, k, 41);
+                    let w = dense_matrix(k, m, 43);
+                    let naive = x.matmul_naive(&w).transpose();
+                    for out in matmul_each_isa(&w.transpose(), &x.transpose()) {
+                        assert_eq!(out, naive, "Wᵀ·Xᵀ at {m}x{k}x{n}");
+                    }
+                    // Gradient: `Rᵀ · X` against `(Xᵀ · R)ᵀ`, the
+                    // reduction running over `k` examples.
+                    let x = dense_matrix(k, n, 47);
+                    let r = dense_matrix(k, m, 53);
+                    let naive = x.t_matmul_naive(&r).transpose();
+                    for out in matmul_each_isa(&r.transpose(), &x) {
+                        assert_eq!(out, naive, "Rᵀ·X at {m}x{k}x{n}");
+                    }
                 }
             }
         }

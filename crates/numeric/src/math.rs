@@ -55,10 +55,10 @@
 //!
 //! # Slice passes
 //!
-//! [`exp_slice`] and [`box_muller`] run the same scalar bodies over whole
-//! slices, compiled again with AVX and with AVX-512F, the widest the CPU
-//! has running (the crate-private `isa` dispatch, shared with the GEMM
-//! kernel in [`crate::linalg`]). Lanes never interact, so every element
+//! [`exp_slice`], [`softmax_columns`] and [`box_muller`] run the same
+//! scalar bodies over whole slices, compiled again with AVX and with
+//! AVX-512F, the widest the CPU has running (the crate-private `isa`
+//! dispatch, shared with the GEMM kernel in [`crate::linalg`]). Lanes never interact, so every element
 //! equals the scalar function bit for bit — pinned for every length and
 //! alignment in every instantiation. The AVX-512F one is compiled with
 //! `fma` implied; the bodies hold no `mul_add` and rustc does not
@@ -126,8 +126,9 @@ fn exp_lane(x: f64) -> f64 {
     y * f64::from_bits(t1.to_bits() << 52) * f64::from_bits(t2.to_bits() << 52)
 }
 
-/// Elements per block of [`exp_slice`]: one 8-lane AVX-512F vector, two
-/// 4-lane AVX ones, four 2-lane baseline ones. The pass walks whole
+/// Elements per block of [`exp_slice`] (and columns per block of
+/// [`softmax_columns`]): one 8-lane AVX-512F vector, two 4-lane AVX
+/// ones, four 2-lane baseline ones. The pass walks whole
 /// blocks and runs what is left through one more block, padded on the
 /// stack, so that every element goes through the vector code — a 2 × 4
 /// logits matrix is one block, not eight scalar calls. 16 read the same
@@ -144,7 +145,7 @@ fn exp_slice_on(isa: Isa, xs: &mut [f64]) {
     struct ExpSlice<'a>(&'a mut [f64]);
     impl Kernel for ExpSlice<'_> {
         #[inline(always)]
-        fn run(self) {
+        fn run<const LANES: usize>(self) {
             let (blocks, tail) = self.0.as_chunks_mut::<BLOCK>();
             for block in blocks {
                 for x in block {
@@ -311,7 +312,7 @@ fn box_muller_on(isa: Isa, u1: &[f64], u2: &[f64], out: &mut [f64]) {
     struct BoxMuller<'a>(&'a [f64], &'a [f64], &'a mut [f64]);
     impl Kernel for BoxMuller<'_> {
         #[inline(always)]
-        fn run(self) {
+        fn run<const LANES: usize>(self) {
             for ((o, &u1), &u2) in self.2.iter_mut().zip(self.0).zip(self.1) {
                 *o = (-2.0 * ln_lane(u1)).sqrt() * cos_2pi_lane(u2);
             }
@@ -325,6 +326,99 @@ fn box_muller_on(isa: Isa, u1: &[f64], u2: &[f64], out: &mut [f64]) {
         out.len()
     );
     isa.run(BoxMuller(u1, u2, out));
+}
+
+/// Softmax down the columns of a row-major `rows × cols` block, in
+/// place: column `j` becomes `exp(v − max) / sum`, its maximum folded
+/// from `−∞` and its sum of exponentials from `0.0`, both in row order
+/// — every element equals that expression over [`exp`], spelled out one
+/// column at a time, bit for bit. The class-major trainer's softmax:
+/// one row per class, one column per example.
+///
+/// The columns go eight at a time — the last block padded on the
+/// stack, as in [`exp_slice`] — through three passes over the block's
+/// rows (maximum; exponential and sum; division), so each column's fold
+/// is one lane of vector code and a block's rows stay in L1.
+///
+/// # Panics
+///
+/// Panics unless the block is `rows × cols` for some `rows` (an empty
+/// block is any width).
+pub fn softmax_columns(block: &mut [f64], cols: usize) {
+    softmax_columns_on(Isa::detect(), block, cols);
+}
+
+fn softmax_columns_on(isa: Isa, block: &mut [f64], cols: usize) {
+    struct SoftmaxColumns<'a> {
+        block: &'a mut [f64],
+        cols: usize,
+    }
+    impl Kernel for SoftmaxColumns<'_> {
+        #[inline(always)]
+        fn run<const LANES: usize>(self) {
+            let SoftmaxColumns { block, cols } = self;
+            let full = cols / BLOCK * BLOCK;
+            for j in (0..full).step_by(BLOCK) {
+                softmax_column_block(block, cols, j, BLOCK);
+            }
+            if full < cols {
+                softmax_column_block(block, cols, full, cols - full);
+            }
+        }
+    }
+    if block.is_empty() {
+        return;
+    }
+    assert!(
+        block.len().is_multiple_of(cols),
+        "softmax_columns: {} elements are no whole rows of {cols}",
+        block.len()
+    );
+    isa.run(SoftmaxColumns { block, cols });
+}
+
+/// Columns `j..j + w` (`w ≤ BLOCK`) of [`softmax_columns`]: each row's
+/// segment is staged through a `BLOCK`-wide array, padded with `0.0`
+/// past `w`, whose lanes never reach the block.
+#[inline(always)]
+fn softmax_column_block(block: &mut [f64], cols: usize, j: usize, w: usize) {
+    let rows = block.len() / cols;
+    let segment = |r: usize| r * cols + j..r * cols + j + w;
+    let load = |block: &[f64], r: usize| {
+        let segment = &block[segment(r)];
+        let lanes: [f64; BLOCK] = std::array::from_fn(|t| segment.get(t).copied().unwrap_or(0.0));
+        lanes
+    };
+    // Lane by lane: a `copy_from_slice` of `w` elements compiles to a
+    // `memcpy` call, which made a 2 × 4 block three times slower.
+    let store = |block: &mut [f64], r: usize, lanes: [f64; BLOCK]| {
+        for (v, lane) in block[segment(r)].iter_mut().zip(lanes) {
+            *v = lane;
+        }
+    };
+    let mut max = [f64::NEG_INFINITY; BLOCK];
+    for r in 0..rows {
+        let lanes = load(block, r);
+        for t in 0..BLOCK {
+            max[t] = max[t].max(lanes[t]);
+        }
+    }
+    let mut sum = [0.0; BLOCK];
+    for r in 0..rows {
+        let mut lanes = load(block, r);
+        for t in 0..BLOCK {
+            lanes[t] = exp_lane(lanes[t] - max[t]);
+            sum[t] += lanes[t];
+        }
+        store(block, r, lanes);
+    }
+    for r in 0..rows {
+        let mut lanes = load(block, r);
+        for t in 0..BLOCK {
+            lanes[t] /= sum[t];
+        }
+        store(block, r, lanes);
+    }
 }
 
 #[cfg(test)]
@@ -656,6 +750,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn softmax_columns_equals_the_per_column_expression_in_every_instantiation() {
+        // Every tail width (cols 0..=40 crosses five blocks) at one row
+        // (a lone maximum: every element `exp(0) / 1`) up to eleven.
+        for isa in Isa::each() {
+            for rows in [1, 2, 4, 10, 11] {
+                for cols in 0..=40 {
+                    let mut s = Stream(rows as u64 * 64 + cols as u64);
+                    let block: Vec<f64> = (0..rows * cols)
+                        .map(|i| match i % 7 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            2 => s.between(-700.0, 700.0),
+                            _ => s.between(-20.0, 20.0),
+                        })
+                        .collect();
+                    let mut got = block.clone();
+                    softmax_columns_on(isa, &mut got, cols);
+                    for j in 0..cols {
+                        let column: Vec<f64> = (0..rows).map(|r| block[r * cols + j]).collect();
+                        let max = column.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+                        let exps: Vec<f64> = column.iter().map(|&v| exp(v - max)).collect();
+                        let sum = exps.iter().fold(0.0, |acc, e| acc + e);
+                        for (r, e) in exps.iter().enumerate() {
+                            let (g, want) = (got[r * cols + j], e / sum);
+                            assert!(
+                                same(g, want),
+                                "{isa:?} {rows}x{cols} [{r}][{j}]: {g:e} vs {want:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no whole rows")]
+    fn softmax_columns_ragged_block_panics() {
+        softmax_columns(&mut [0.0; 5], 2);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Fails if a fused multiply-add can reach the lane-compiled kernels of
-# `numeric` (the GEMM panel, `exp_slice`, `box_muller`) or the trainer in
-# `ml`. A fused multiply-add rounds once where `a * b + c` rounds twice,
-# so it changes bits. `numeric::isa` compiles each kernel a third time
-# with `avx512f` enabled, and in rustc `avx512f` implies the `fma` target
-# feature: from there on only the source and the compiler keep FMA out.
+# `numeric` (the GEMM panel, `exp_slice`, `softmax_columns`,
+# `box_muller`) or the trainer in `ml`. A fused multiply-add rounds once
+# where `a * b + c` rounds twice, so it changes bits. `numeric::isa`
+# compiles each kernel a third time with `avx512f` enabled, and in rustc
+# `avx512f` implies the `fma` target feature: from there on only the
+# source and the compiler keep FMA out.
 # The script checks both:
 #
 #   1. no `mul_add` in non-test code of `numeric` and `ml` (each file read

@@ -215,7 +215,7 @@ fn hostile_genesis_params_are_a_typed_error_from_both_audit_entry_points() {
     let test_set = protocol.test_set().clone();
     let n = params.owners.len();
 
-    let hostile: [(&str, FlParams, Dataset); 4] = [
+    let hostile: [(&str, FlParams, Dataset); 5] = [
         (
             "num_groups = 0",
             FlParams {
@@ -236,6 +236,15 @@ fn hostile_genesis_params_are_a_typed_error_from_both_audit_entry_points() {
             "mismatched model_dim",
             FlParams {
                 model_dim: params.model_dim + 1,
+                ..params.clone()
+            },
+            test_set.clone(),
+        ),
+        (
+            // Genesis took it; the first evaluation's codec asserted.
+            "frac_bits = 80",
+            FlParams {
+                frac_bits: 80,
                 ..params.clone()
             },
             test_set.clone(),
