@@ -42,6 +42,12 @@
 //!   everywhere, because `cos_2pi` reduces `u₂` exactly and libm sees
 //!   `fl(2π·u₂)`.
 //!
+//! `world_generate` builds the Table I world through `World::generate`,
+//! which composes the data set's, the split's and the shards' row
+//! shuffles and copies every row once, against the four-step pipeline
+//! it replaced (kept below as `seed_world`: three copies of the data,
+//! then the noise); the two are asserted bit-identical first.
+//!
 //! Committed medians live in `BENCH_ml_training.json`; regenerate with
 //! `CRITERION_JSON=out.jsonl cargo bench --bench ml_training`.
 //! `scripts/bench_smoke.sh` gates `logreg_train/opt/650` against
@@ -59,6 +65,7 @@ use fedchain::world::World;
 use fl_ml::dataset::{Dataset, SyntheticDigits};
 use fl_ml::logreg::{softmax_rows_in_place, train_model, Design, LogisticModel, TrainConfig};
 use fl_ml::metrics::model_accuracy_design;
+use fl_ml::noise::apply_quality_schedule;
 use fl_ml::rng::Xoshiro256;
 use numeric::stats::argmax;
 use numeric::{math, par, Matrix};
@@ -222,6 +229,74 @@ fn opt_retrain_sweep(utility: &RetrainUtility<'_>, n: usize) -> Vec<f64> {
     Coalition::powerset(n)
         .map(|coalition| utility.evaluate(coalition))
         .collect()
+}
+
+/// World generation as four copying steps — the shuffled data set, the
+/// 8:2 split, the deal into shards, then the quality noise — as
+/// `World::generate` ran it before it composed the three row shuffles
+/// into one gather.
+fn seed_world(config: &FlConfig) -> World {
+    let shuffled = |n: usize, seed: u64| {
+        let mut order: Vec<usize> = (0..n).collect();
+        Xoshiro256::seed_from_u64(seed).shuffle(&mut order);
+        order
+    };
+    let dataset = config.data.generate(config.sub_seed("dataset"));
+    let n = dataset.len();
+    let n_train = ((n as f64) * config.train_fraction).round() as usize;
+    let order = shuffled(n, config.sub_seed("split"));
+    let train = dataset.subset(&order[..n_train]);
+    let test = dataset.subset(&order[n_train..]);
+    let order = shuffled(n_train, config.sub_seed("shards"));
+    let (owners, mut offset) = (config.num_owners, 0);
+    let mut shards = Vec::new();
+    for i in 0..owners {
+        let size = n_train / owners + usize::from(i < n_train % owners);
+        shards.push(train.subset(&order[offset..offset + size]));
+        offset += size;
+    }
+    apply_quality_schedule(&mut shards, config.sigma, config.sub_seed("noise"));
+    World { shards, test }
+}
+
+/// The Table I world (5 620 × 64, nine owners, σ = 1) through
+/// `World::generate` against the four-step pipeline it replaced, asserted
+/// bit-identical first, at thread cap 1.
+fn bench_world_generate(c: &mut Criterion) {
+    let config = FlConfig {
+        num_groups: 9,
+        sigma: 1.0,
+        ..FlConfig::paper_setting()
+    };
+    let bits = |d: &Dataset| -> (Vec<usize>, Vec<u64>) {
+        let features = d.features.as_slice().iter().map(|v| v.to_bits()).collect();
+        (d.labels.clone(), features)
+    };
+    let world = World::generate(&config).expect("valid config");
+    let seed = seed_world(&config);
+    assert_eq!(world.shards.len(), seed.shards.len());
+    for (opt, seed) in world.shards.iter().zip(&seed.shards) {
+        assert!(
+            bits(opt) == bits(seed),
+            "a shard left the four-step pipeline"
+        );
+    }
+    assert!(
+        bits(&world.test) == bits(&seed.test),
+        "the test set left the four-step pipeline"
+    );
+
+    par::set_max_threads(1);
+    let mut group = c.benchmark_group("world_generate");
+    group.sample_size(10);
+    group.bench_function("seed/table1/cap1", |b| {
+        b.iter(|| seed_world(black_box(&config)))
+    });
+    group.bench_function("opt/table1/cap1", |b| {
+        b.iter(|| World::generate(black_box(&config)).expect("valid config"))
+    });
+    group.finish();
+    par::set_max_threads(0);
 }
 
 /// One local training over a (features × classes) grid — model dims 650,
@@ -492,6 +567,7 @@ criterion_group!(
     bench_gemm_train_shape,
     bench_softmax_rows,
     bench_gaussian_fill,
+    bench_world_generate,
     bench_logreg_train,
     bench_coalition_retrain,
     bench_utility_evaluation

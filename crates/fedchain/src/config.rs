@@ -200,6 +200,17 @@ pub enum ConfigError {
     TooFewClasses(usize),
     /// Zero features per example.
     NoFeatures,
+    /// A feature clip range that is not finite with `lo < hi`.
+    BadClipRange {
+        /// Lower end.
+        lo: f64,
+        /// Upper end.
+        hi: f64,
+    },
+    /// A non-finite or negative within-class standard deviation.
+    BadWithinClassStd(f64),
+    /// A non-finite centroid spread.
+    BadCentroidSpread(f64),
     /// The train/test split of `instances` leaves one side empty.
     EmptySplitSide {
         /// Generated instances.
@@ -309,6 +320,13 @@ impl std::fmt::Display for ConfigError {
             Self::BadFracBits(bits) => write!(f, "frac_bits {bits} outside 1..=52"),
             Self::TooFewClasses(c) => write!(f, "need >= 2 classes, got {c}"),
             Self::NoFeatures => write!(f, "need at least one feature"),
+            Self::BadClipRange { lo, hi } => {
+                write!(f, "clip range ({lo}, {hi}) must be finite with lo < hi")
+            }
+            Self::BadWithinClassStd(v) => {
+                write!(f, "within-class std {v} must be finite and non-negative")
+            }
+            Self::BadCentroidSpread(v) => write!(f, "centroid spread {v} must be finite"),
             Self::EmptySplitSide { instances, train } => write!(
                 f,
                 "splitting {instances} instances sends {train} to training, leaving a side empty"
@@ -467,6 +485,20 @@ impl FlConfig {
         }
         if self.data.features == 0 {
             return Err(ConfigError::NoFeatures);
+        }
+        // The generator's other numbers: each feature is clamped to the
+        // clip range (which panics on `lo > hi` or a NaN end), and a
+        // non-finite std or spread turns the data into NaN or ∞.
+        let (lo, hi) = self.data.clip;
+        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+            return Err(ConfigError::BadClipRange { lo, hi });
+        }
+        let std = self.data.within_class_std;
+        if !(std.is_finite() && std >= 0.0) {
+            return Err(ConfigError::BadWithinClassStd(std));
+        }
+        if !self.data.centroid_spread.is_finite() {
+            return Err(ConfigError::BadCentroidSpread(self.data.centroid_spread));
         }
         // What `World::generate` will split and shard.
         let instances = self.data.instances;
@@ -666,7 +698,7 @@ mod tests {
         // case passed `validate` and then panicked inside
         // `World::generate` or `FlProtocol::new`.
         let base = FlConfig::quick_demo;
-        let cases: Vec<(FlConfig, ConfigError)> = vec![
+        let mut cases: Vec<(FlConfig, ConfigError)> = vec![
             (
                 FlConfig {
                     num_owners: 481,
@@ -718,30 +750,84 @@ mod tests {
                 },
                 ConfigError::BadFracBits(80),
             ),
+            // NaN is no sigma either.
+            (
+                FlConfig {
+                    sigma: f64::NAN,
+                    ..base()
+                },
+                ConfigError::NegativeSigma(f64::NAN),
+            ),
         ];
+        // The generator's numbers: a clip range `f64::clamp` panics on,
+        // and numbers that made every feature NaN or ∞ (such a run
+        // committed with final accuracy 0.0).
+        let with_data = |data: SyntheticDigits| FlConfig { data, ..base() };
+        let clip = |lo: f64, hi: f64| {
+            (
+                with_data(SyntheticDigits {
+                    clip: (lo, hi),
+                    ..base().data
+                }),
+                ConfigError::BadClipRange { lo, hi },
+            )
+        };
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        cases.extend([
+            clip(16.0, 0.0),
+            clip(nan, 16.0),
+            clip(0.0, inf),
+            clip(-inf, 16.0),
+            clip(8.0, 8.0),
+        ]);
+        for std in [nan, inf, -1.0] {
+            cases.push((
+                with_data(SyntheticDigits {
+                    within_class_std: std,
+                    ..base().data
+                }),
+                ConfigError::BadWithinClassStd(std),
+            ));
+        }
+        for spread in [nan, -inf] {
+            cases.push((
+                with_data(SyntheticDigits {
+                    centroid_spread: spread,
+                    ..base().data
+                }),
+                ConfigError::BadCentroidSpread(spread),
+            ));
+        }
+        // `PartialEq` cannot compare a NaN payload; `Debug` prints it.
+        let same =
+            |got: &ConfigError, want: &ConfigError| format!("{got:?}") == format!("{want:?}");
         for (config, expected) in cases {
-            assert_eq!(config.validate(), Err(expected.clone()));
-            assert_eq!(World::generate(&config).err(), Some(expected.clone()));
+            let got = config.validate().expect_err("validate accepted the config");
+            assert!(same(&got, &expected), "{expected}: validate gave {got}");
+            let got = World::generate(&config).expect_err("World::generate accepted the config");
+            assert!(
+                same(&got, &expected),
+                "{expected}: World::generate gave {got}"
+            );
             match FlProtocol::new(config) {
-                Err(ProtocolError::Config(e)) => assert_eq!(e, expected),
+                Err(ProtocolError::Config(e)) => assert!(same(&e, &expected), "{expected}: {e}"),
                 Err(other) => panic!("{expected}: FlProtocol::new gave {other}"),
                 Ok(_) => panic!("{expected}: FlProtocol::new accepted the config"),
             }
         }
-        // NaN is no sigma either (`PartialEq` cannot compare the payload).
-        let nan = FlConfig {
-            sigma: f64::NAN,
-            ..base()
-        };
-        assert!(matches!(nan.validate(), Err(ConfigError::NegativeSigma(s)) if s.is_nan()));
-        assert!(matches!(
-            World::generate(&nan),
-            Err(ConfigError::NegativeSigma(_))
-        ));
-        assert!(matches!(
-            FlProtocol::new(nan),
-            Err(ProtocolError::Config(ConfigError::NegativeSigma(_)))
-        ));
+        // The edges stay valid: a zero std, a negative spread.
+        for data in [
+            SyntheticDigits {
+                within_class_std: 0.0,
+                ..base().data
+            },
+            SyntheticDigits {
+                centroid_spread: -4.0,
+                ..base().data
+            },
+        ] {
+            assert_eq!(FlConfig { data, ..base() }.validate(), Ok(()));
+        }
     }
 
     #[test]

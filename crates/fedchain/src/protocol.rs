@@ -1,7 +1,7 @@
 //! End-to-end protocol orchestration.
 //!
 //! [`FlProtocol`] wires the whole paper together: it builds the world
-//! (dataset → split → shards → quality noise), instantiates the data
+//! (data set, 8:2 split, owner shards, quality noise), instantiates the data
 //! owners and the consensus engine (every owner is also a miner,
 //! Sect. III), and drives the rounds:
 //!
@@ -812,7 +812,9 @@ impl FlProtocol {
         config: FlConfig,
         behaviors: &BTreeMap<AccountId, MinerBehavior>,
     ) -> Result<Self, ProtocolError> {
-        // World generation: dataset → 8:2 split → owner shards → noise.
+        // World generation: the data set's, the 8:2 split's and the
+        // shards' row shuffles composed, each row copied once into its
+        // owner's shard or the test set, then the quality noise.
         let world = World::generate(&config)?;
 
         // An owner's keypair is one fixed-base modexp, a pure function of

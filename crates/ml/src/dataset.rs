@@ -9,6 +9,12 @@
 //! only rely on (a) the data being separable enough for logistic
 //! regression to learn, and (b) per-owner Gaussian noise degrading owner
 //! quality monotonically — both hold by construction.
+//!
+//! [`SyntheticDigits::generate_in_order`] hands out the generated rows
+//! before their shuffle, together with the shuffle, so that a caller
+//! splitting and sharding the data can copy every row once, straight to
+//! where it ends up; [`SyntheticDigits::generate`] applies the shuffle
+//! itself.
 
 use numeric::Matrix;
 
@@ -246,13 +252,27 @@ impl SyntheticDigits {
         }
     }
 
-    /// Generates the dataset deterministically from `seed`.
+    /// Generates the dataset deterministically from `seed`: the rows of
+    /// [`SyntheticDigits::generate_in_order`], shuffled by its order.
+    pub fn generate(&self, seed: u64) -> Dataset {
+        let (rows, order) = self.generate_in_order(seed);
+        rows.subset(&order)
+    }
+
+    /// The rows of [`SyntheticDigits::generate`] in generation order,
+    /// and the row shuffle that orders them: row `k` of the generated
+    /// dataset is generation row `order[k]`, whose label is `order[k] %
+    /// classes`.
     ///
     /// Class centroids sit at `8 + spread·(uniform − 0.5)` per feature;
     /// examples are centroid + within-class Gaussian noise, clipped to the
     /// bitmap range. Classes are assigned round-robin so the histogram is
-    /// balanced like the UCI file.
-    pub fn generate(&self, seed: u64) -> Dataset {
+    /// balanced like the UCI file. The shuffle is drawn from the same
+    /// generator *after* the Gaussian fill, so handing it out unapplied
+    /// moves no sample: a caller that deals rows out further
+    /// (`fedchain::world`) composes `order` into its own plan and copies
+    /// each row once.
+    pub fn generate_in_order(&self, seed: u64) -> (Dataset, Vec<usize>) {
         assert!(self.classes >= 2, "need at least two classes");
         assert!(self.features >= 1, "need at least one feature");
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -277,16 +297,14 @@ impl SyntheticDigits {
                 *v = (centre + self.within_class_std * *v).clamp(lo, hi);
             }
         }
-
-        // Shuffle rows so consecutive examples are not class-ordered.
-        let mut order: Vec<usize> = (0..self.instances).collect();
-        rng.shuffle(&mut order);
-        let staged = Dataset::new(
+        let rows = Dataset::new(
             Matrix::from_vec(self.instances, self.features, data),
             labels,
             self.classes,
         );
-        staged.subset(&order)
+
+        // Shuffle rows so consecutive examples are not class-ordered.
+        (rows, rng.permutation(self.instances))
     }
 }
 
@@ -352,6 +370,20 @@ mod tests {
             }
         }
         numeric::par::set_max_threads(0);
+    }
+
+    #[test]
+    fn in_order_rows_carry_round_robin_labels_and_a_permutation() {
+        let cfg = SyntheticDigits::small();
+        let (rows, order) = cfg.generate_in_order(9);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..cfg.instances).collect::<Vec<_>>());
+        assert!(rows
+            .labels
+            .iter()
+            .enumerate()
+            .all(|(g, &l)| l == g % cfg.classes));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   digits data (the substitution argument is in [`dataset`]'s docs).
 //! * [`noise`] — the paper's data-quality degradation:
 //!   `d_i = d_i + N(0, σ·i)` for owner `i`.
-//! * [`split`] — train/test split and per-owner sharding.
+//! * [`split`] — train/test split and per-owner sharding, as row plans
+//!   that compose.
 //! * [`logreg`] — multinomial (softmax) logistic regression trained with
 //!   full-batch gradient descent, the paper's local trainer.
 //! * [`fedavg`] — FedAvg over flat weight vectors.

@@ -434,7 +434,7 @@ mod tests {
     use super::*;
     use crate::dataset::SyntheticDigits;
     use crate::metrics::accuracy;
-    use crate::split::train_test_split;
+    use crate::split::split_rows;
 
     fn quick_config() -> TrainConfig {
         TrainConfig {
@@ -506,10 +506,11 @@ mod tests {
     #[test]
     fn learns_separable_digits() {
         let ds = SyntheticDigits::small().generate(2);
-        let split = train_test_split(&ds, 0.8, 3);
-        let model = train_model(&split.train, &quick_config());
-        let preds = model.predict(&split.test.features);
-        let acc = accuracy(&preds, &split.test.labels);
+        let (train, test) = split_rows(&(0..ds.len()).collect::<Vec<_>>(), 0.8, 3);
+        let (train, test) = (ds.subset(&train), ds.subset(&test));
+        let model = train_model(&train, &quick_config());
+        let preds = model.predict(&test.features);
+        let acc = accuracy(&preds, &test.labels);
         assert!(acc > 0.9, "synthetic digits should be learnable, got {acc}");
     }
 

@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# Fails if a consensus-visible source file holds more panic sites than
+# the baseline below. A replica re-executing a block, or an auditor
+# replaying a chain, must turn bad input into a typed error; every
+# `assert!` / `.expect(` / `.unwrap()` / `panic!` / `unreachable!` left
+# on those paths is one a hostile input might reach. The baseline may
+# only go down: lower a count when a site goes, never raise one.
+#
+# Counts lines, per file, up to its first `#[cfg(test)]`, comment lines
+# skipped and `debug_assert!` (gone from release builds) excepted.
+#
+# usage: scripts/panic_sites.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Sites allowed today; a file not listed is allowed none.
+#   state.rs    `genesis` panics through `FlParams::validate`, on purpose
+#   evaluate.rs "initialized at genesis"
+#   engine.rs   e.g. "replicas advance in lockstep"
+#   protocol.rs e.g. "validated: survivors exist"
+baseline() {
+    case "$1" in
+    crates/fedchain/src/contract_fl/evaluate.rs) echo 1 ;;
+    crates/fedchain/src/contract_fl/state.rs) echo 1 ;;
+    crates/chain/src/consensus/engine.rs) echo 5 ;;
+    crates/fedchain/src/protocol.rs) echo 5 ;;
+    *) echo 0 ;;
+    esac
+}
+
+files=()
+for f in crates/fedchain/src/contract_fl/*.rs; do
+    [ "$(basename "$f")" = tests.rs ] || files+=("$f")
+done
+files+=(
+    crates/chain/src/consensus/engine.rs
+    crates/fedchain/src/protocol.rs
+    crates/fedchain/src/config.rs
+    crates/fedchain/src/world.rs
+    crates/fedchain/src/audit.rs
+    crates/chain/src/durability.rs
+    crates/chain/src/log.rs
+)
+
+failed=0
+for f in "${files[@]}"; do
+    sites=$(awk '
+        /#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        { line = $0; gsub(/debug_assert[a-z_]*!/, "", line) }
+        line ~ /(assert(_eq|_ne)?!|\.expect\(|\.unwrap\(\)|panic!|unreachable!)/ {
+            print FILENAME ":" FNR ": " $0
+        }
+    ' "$f")
+    count=$(printf '%s' "$sites" | grep -c . || true)
+    allowed=$(baseline "$f")
+    if [ "$count" -gt "$allowed" ]; then
+        echo "$f: $count panic sites, baseline $allowed:"
+        echo "$sites"
+        failed=1
+    else
+        echo "$f: $count (baseline $allowed)"
+    fi
+done
+exit "$failed"
