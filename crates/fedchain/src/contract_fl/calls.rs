@@ -251,7 +251,7 @@ pub enum FlError {
     },
     /// Reconstruction of a dropped owner's key failed: the pooled shares
     /// do not reproduce the advertised public key, or the state lacks the
-    /// shares, the key or an owner entry for a provider.
+    /// shares or the key.
     RecoveryFailed {
         /// The dropped owner.
         owner: AccountId,

@@ -2,7 +2,6 @@
 //! per-group aggregation, the model reductions, estimator dispatch —
 //! and the test-accuracy utility it scores models with.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use fl_chain::contract::ExecutionOutcome;
@@ -22,7 +21,9 @@ use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
 use shapley::utility::{CachedUtility, ModelUtility};
 
-use super::{CohortEvidence, FlContract, FlError, RecoveryEvidence, RoundPhase, RoundRecord};
+use super::{
+    CohortEvidence, FlContract, FlError, RecoveryEvidence, RoundPhase, RoundRecord, Section, Table,
+};
 use crate::config::SvMethod;
 
 /// Derives the round's public sampling seed from the permutation seed.
@@ -194,44 +195,36 @@ fn evaluations(method: SvMethod, m: usize) -> usize {
 
 impl FlContract {
     /// Reconstructs every dropped key from the first threshold-many
-    /// verified shares (providers ascending — a pure function of the
-    /// on-chain share set) and checks it against the advertised public
-    /// key. All fallible work happens before any state mutation, so a
-    /// failed recovery leaves the round intact.
-    #[allow(clippy::type_complexity)]
+    /// verified shares (providers in ascending id — a pure function of the
+    /// on-chain share set), checks it against the advertised public key and
+    /// files it at its position. All fallible work happens before any
+    /// state mutation, so a failed recovery leaves the round intact.
     fn recover_dropped_keys(
         &self,
         dh: &DhGroup,
-        dropped_pos: &[usize],
-    ) -> Result<(BTreeMap<AccountId, U256>, Vec<RecoveryEvidence>), FlError> {
+        dropped: &[usize],
+    ) -> Result<(Vec<Option<U256>>, Vec<RecoveryEvidence>), FlError> {
         let threshold = self.params().escrow_threshold;
         let shamir = Shamir::default();
-        let mut recovered: BTreeMap<AccountId, U256> = BTreeMap::new();
-        let mut evidence: Vec<RecoveryEvidence> = Vec::with_capacity(dropped_pos.len());
-        for &pos in dropped_pos {
+        let mut recovered: Vec<Option<U256>> = vec![None; self.params().owners.len()];
+        let mut evidence: Vec<RecoveryEvidence> = Vec::with_capacity(dropped.len());
+        for &pos in dropped {
             let id = self.params().owners[pos];
             let failed = |reason: String| FlError::RecoveryFailed { owner: id, reason };
-            let provided = self
-                .recovery_shares
-                .get(&id)
+            let provided = self.recovery_shares.slots[pos]
+                .as_ref()
                 .ok_or_else(|| failed("no recovery shares on record".into()))?;
-            let providers: Vec<AccountId> = provided.keys().copied().take(threshold).collect();
-            let shares: Vec<Share> = providers.iter().map(|p| provided[p].clone()).collect();
-            let advertised = self
-                .keys
-                .get(&id)
+            let (providers, shares): (Vec<usize>, Vec<Share>) = (self.genesis.by_id.iter())
+                .filter_map(|&p| Some((p, provided.slots[p].clone()?)))
+                .take(threshold)
+                .unzip();
+            let advertised = self.keys.slots[pos]
+                .as_ref()
                 .ok_or_else(|| failed("no advertised public key".into()))?;
             let advertised = U256::from_be_bytes(advertised);
             let private = reconstruct_private_key(&shamir, dh, &shares, threshold, &advertised)
                 .map_err(|e| failed(e.to_string()))?;
-            let providers = providers
-                .iter()
-                .map(|p| {
-                    self.owner_index(*p)
-                        .map_err(|e| failed(format!("share provider: {e}")))
-                })
-                .collect::<Result<_, _>>()?;
-            recovered.insert(id, private);
+            recovered[pos] = Some(private);
             evidence.push(RecoveryEvidence {
                 dropped: pos,
                 providers,
@@ -251,13 +244,13 @@ impl FlContract {
     fn aggregate_group_models(
         &self,
         groups: &[Vec<usize>],
-        dropped_set: &BTreeSet<AccountId>,
-        recovered: &BTreeMap<AccountId, U256>,
+        recovered: &[Option<U256>],
         dh: &DhGroup,
         codec: &FixedCodec,
         round: u64,
     ) -> Result<(Vec<Vec<f64>>, Vec<usize>), FlError> {
-        let is_dropped = |idx: usize| dropped_set.contains(&self.params().owners[idx]);
+        let owners = &self.params().owners;
+        let is_dropped = |i: usize| recovered[i].is_some();
         let mut group_models: Vec<Vec<f64>> = Vec::with_capacity(groups.len());
         let mut surviving_groups: Vec<usize> = Vec::new();
         for (j, g) in groups.iter().enumerate() {
@@ -267,31 +260,25 @@ impl FlContract {
             }
             surviving_groups.push(j);
             let mut acc = vec![0u64; self.params().model_dim];
-            for &idx in &alive {
-                let owner = self.params().owners[idx];
-                let masked = self
-                    .submissions
-                    .get(&owner)
-                    .ok_or(FlError::MissingSubmission(owner))?;
+            for &i in &alive {
+                let masked = self.submissions.slots[i]
+                    .as_ref()
+                    .ok_or(FlError::MissingSubmission(owners[i]))?;
                 FixedCodec::ring_add_assign(&mut acc, masked);
             }
             let mut group_dropped: Vec<(AccountId, U256)> = g
                 .iter()
-                .copied()
-                .filter(|&i| is_dropped(i))
-                .map(|i| {
-                    let id = self.params().owners[i];
-                    (id, recovered[&id])
-                })
+                .filter_map(|&i| Some((owners[i], recovered[i]?)))
                 .collect();
             if !group_dropped.is_empty() {
                 group_dropped.sort_unstable_by_key(|(id, _)| *id);
                 let survivor_keys: Vec<(AccountId, U256)> = alive
                     .iter()
                     .map(|&i| {
-                        let id = self.params().owners[i];
-                        let key = self.keys.get(&id).ok_or(FlError::MissingKey(id))?;
-                        Ok((id, U256::from_be_bytes(key)))
+                        let key = self.keys.slots[i]
+                            .as_ref()
+                            .ok_or(FlError::MissingKey(owners[i]))?;
+                        Ok((owners[i], U256::from_be_bytes(key)))
                     })
                     .collect::<Result<_, FlError>>()?;
                 strip_dropped_set_masks(dh, &mut acc, &group_dropped, &survivor_keys, round);
@@ -307,7 +294,7 @@ impl FlContract {
 
     /// Completes a round on the survivor set — Algorithm 1 over the
     /// round's [`RoundPlan`], the full-cohort round being the special
-    /// case `dropped_ids = []`.
+    /// case `dropped = []` (positions, ascending).
     ///
     /// Reconstructs the dropped keys (if any); then, per cohort of the
     /// plan, strips the residual masks per group and runs the configured
@@ -339,20 +326,18 @@ impl FlContract {
     pub(super) fn finish_round(
         &mut self,
         round: u64,
-        dropped_ids: &[AccountId],
+        dropped: &[usize],
     ) -> Result<ExecutionOutcome, FlError> {
         let n = self.params().owners.len();
         let m = self.params().num_groups;
         let k = self.params().num_cohorts;
         let codec = FixedCodec::new(self.params().frac_bits);
 
-        let dropped_set: BTreeSet<AccountId> = dropped_ids.iter().copied().collect();
-        let is_dropped = |idx: usize| dropped_set.contains(&self.params().owners[idx]);
+        let dh = DhGroup::simulation_256();
+        let (recovered, evidence) = self.recover_dropped_keys(&dh, dropped)?;
+        let is_dropped = |i: usize| recovered[i].is_some();
         let dropped_pos: Vec<usize> = (0..n).filter(|&i| is_dropped(i)).collect();
         let survivor_pos: Vec<usize> = (0..n).filter(|&i| !is_dropped(i)).collect();
-
-        let dh = DhGroup::simulation_256();
-        let (recovered, evidence) = self.recover_dropped_keys(&dh, &dropped_pos)?;
 
         // Lines 1–2 of Algorithm 1: the public layout of the round, a
         // pure function of digest-bound parameters, so every miner and
@@ -397,14 +382,8 @@ impl FlContract {
             plan.groups(),
             par::items_per_lease(cohort_flops),
             |c, groups_c| {
-                let (group_models, surviving_groups) = this.aggregate_group_models(
-                    groups_c,
-                    &dropped_set,
-                    &recovered,
-                    &dh,
-                    &codec,
-                    round,
-                )?;
+                let (group_models, surviving_groups) =
+                    this.aggregate_group_models(groups_c, &recovered, &dh, &codec, round)?;
                 let (per_group_sv, utility_evaluations, samples) = Self::estimate_alive(
                     method,
                     sampling_seed(plan.seeds()[c], round),
@@ -502,12 +481,11 @@ impl FlContract {
         for (vals, owners_of) in composed.iter().zip(&within_owners) {
             for (&v, &idx) in vals.iter().zip(owners_of) {
                 per_owner_sv[idx] = v;
-                let owner = self.params().owners[idx];
-                *self
-                    .contributions
-                    .get_mut(&owner)
-                    .expect("initialized at genesis") += v;
             }
+        }
+        // Id order on both sides; a dropped owner's `0.0` keeps its total (never `-0.0`).
+        for (total, &p) in self.contributions.values_mut().zip(&self.genesis.by_id) {
+            *total += per_owner_sv[p];
         }
 
         let global_accuracy = utility.of_model(&global_model);
@@ -548,8 +526,8 @@ impl FlContract {
             cohorts: cohort_evidence,
         }));
         self.history_leaves.push(Default::default());
-        self.submissions.clear();
-        self.recovery_shares.clear();
+        self.submissions = Section::new(Table::new(n));
+        self.recovery_shares = Table::new(n);
         self.phase = RoundPhase::Submitting;
         self.current_round += 1;
 

@@ -257,16 +257,16 @@ impl FlParams {
 pub struct FlContract {
     genesis: Arc<Genesis>,
     gas: GasSchedule,
-    keys: Section<BTreeMap<AccountId, Vec<u8>>>,
+    keys: Section<Table<Vec<u8>>>,
     /// Escrow commitments per owner: entry `j` commits the Shamir share
     /// of the owner's DH private key destined for owner position `j`.
-    escrows: Section<BTreeMap<AccountId, Vec<Hash32>>>,
+    escrows: Section<Table<Vec<Hash32>>>,
     current_round: u64,
     phase: RoundPhase,
     /// Each masked update memoises its own leaf digest.
-    submissions: Section<BTreeMap<AccountId, Section<Vec<u64>>>>,
+    submissions: Section<Table<Section<Vec<u64>>>>,
     /// Verified recovery shares: dropped owner → (provider → share).
-    recovery_shares: BTreeMap<AccountId, BTreeMap<AccountId, Share>>,
+    recovery_shares: Table<Table<Share>>,
     contributions: Section<BTreeMap<AccountId, f64>>,
     global_model: Section<Vec<f64>>,
     /// Shared record by record: a replica clone copies one pointer per
@@ -280,9 +280,8 @@ pub struct FlContract {
 #[derive(Debug)]
 struct Genesis {
     params: FlParams,
-    /// Position of each owner in `params.owners` (the first, should an
-    /// id repeat).
-    owner_positions: BTreeMap<AccountId, usize>,
+    /// Owner positions in ascending id: where an id becomes a position.
+    by_id: Vec<usize>,
     /// The `/params` row of the state digest.
     params_digest: Hash32,
     /// The utility function over the public test set (agreed at setup;
@@ -292,52 +291,83 @@ struct Genesis {
     utility: AccuracyUtility,
 }
 
+/// Per-owner state: a slot per genesis position, and how many are filled.
+#[derive(Debug, Clone)]
+struct Table<T> {
+    slots: Vec<Option<T>>,
+    filled: usize,
+}
+
+impl<T: Clone> Table<T> {
+    fn new(n: usize) -> Self {
+        let slots = vec![None; n];
+        Self { slots, filled: 0 }
+    }
+
+    /// The value in slot `p`, put there by `make` if the slot is empty.
+    fn fill(&mut self, p: usize, make: impl FnOnce() -> T) -> &mut T {
+        self.filled += usize::from(self.slots[p].is_none());
+        self.slots[p].get_or_insert_with(make)
+    }
+}
+
+impl Genesis {
+    fn position(&self, id: AccountId) -> Result<usize, FlError> {
+        let owners = &self.params.owners;
+        let rank = self.by_id.binary_search_by_key(&id, |&p| owners[p]);
+        Ok(self.by_id[rank.map_err(|_| FlError::NotAnOwner(id))?])
+    }
+}
+
+/// Checks a key as [`FlCall::AdvertiseKey`] and [`FlContract::restore`]
+/// accept it: 32 bytes, so no later `U256::from_be_bytes` can panic, and
+/// a group element the DH layer accepts — not degenerate (0, 1, p−1: a
+/// predictable pair mask) nor non-canonical (>= p: a wedged round).
+fn check_key(owner: AccountId, key: &[u8]) -> Result<(), FlError> {
+    if key.len() != 32 {
+        return Err(FlError::BadKeyEncoding {
+            expected: 32,
+            got: key.len(),
+        });
+    }
+    let element = U256::from_be_bytes(key);
+    let checked = DhGroup::simulation_256().validate_public_key(&element);
+    checked.map_err(|reason| FlError::InvalidKeyElement {
+        owner,
+        reason: reason.to_string(),
+    })
+}
+
 impl FlContract {
-    fn owner_index(&self, id: AccountId) -> Result<usize, FlError> {
-        self.genesis
-            .owner_positions
-            .get(&id)
-            .copied()
-            .ok_or(FlError::NotAnOwner(id))
+    fn check_round(&self, round: u64) -> Result<(), FlError> {
+        if self.finished() {
+            return Err(FlError::ProtocolFinished);
+        }
+        if round != self.current_round {
+            return Err(FlError::WrongRound {
+                expected: self.current_round,
+                got: round,
+            });
+        }
+        Ok(())
     }
 
     fn advertise_key(
         &mut self,
-        sender: AccountId,
+        sender: usize,
         public_key: &[u8],
     ) -> Result<ExecutionOutcome, FlError> {
-        self.owner_index(sender)?;
-        if self.keys.contains_key(&sender) {
-            return Err(FlError::KeyAlreadyAdvertised(sender));
+        let id = self.params().owners[sender];
+        if self.keys.slots[sender].is_some() {
+            return Err(FlError::KeyAlreadyAdvertised(id));
         }
-        // Keys are full-width 256-bit group elements. Rejecting other
-        // lengths here keeps every later parse (`U256::from_be_bytes` in
-        // the recovery path) infallible — an oversized key must never be
-        // able to panic a re-executing replica mid-round.
-        if public_key.len() != 32 {
-            return Err(FlError::BadKeyEncoding {
-                expected: 32,
-                got: public_key.len(),
-            });
-        }
-        // A length-valid key must also be a *usable* group element. The DH
-        // layer rejects degenerate (0, 1, p−1) and non-canonical (>= p)
-        // keys — a malicious owner could otherwise force a predictable
-        // pair mask — and the contract surfaces that rejection here, at
-        // advertise time, so a round can never wedge at derive time.
-        let element = U256::from_be_bytes(public_key);
-        if let Err(reason) = DhGroup::simulation_256().validate_public_key(&element) {
-            return Err(FlError::InvalidKeyElement {
-                owner: sender,
-                reason: reason.to_string(),
-            });
-        }
-        self.keys.insert(sender, public_key.to_vec());
+        check_key(id, public_key)?;
+        self.keys.fill(sender, || public_key.to_vec());
         let gas = self.gas.charge(public_key.len().div_ceil(8), 0);
         Ok(ExecutionOutcome::event(
             format!(
-                "key: owner {sender} advertised ({}/{})",
-                self.keys.len(),
+                "key: owner {id} advertised ({}/{})",
+                self.keys.filled,
                 self.params().owners.len()
             ),
             gas,
@@ -346,34 +376,25 @@ impl FlContract {
 
     fn submit_update(
         &mut self,
-        sender: AccountId,
+        sender: usize,
         round: u64,
         masked: &[u64],
     ) -> Result<ExecutionOutcome, FlError> {
-        self.owner_index(sender)?;
-        if self.finished() {
-            return Err(FlError::ProtocolFinished);
+        let id = self.params().owners[sender];
+        let n = self.params().owners.len();
+        let have = self.keys.filled;
+        if have != n {
+            return Err(FlError::KeysIncomplete { have, need: n });
         }
-        if self.keys.len() != self.params().owners.len() {
-            return Err(FlError::KeysIncomplete {
-                have: self.keys.len(),
-                need: self.params().owners.len(),
-            });
-        }
-        if round != self.current_round {
-            return Err(FlError::WrongRound {
-                expected: self.current_round,
-                got: round,
-            });
-        }
+        self.check_round(round)?;
         if matches!(self.phase, RoundPhase::Recovering { .. }) {
             // The sender was declared dropped when recovery opened; a
             // late submission would change the survivor set after the
             // fact and is rejected deterministically.
             return Err(FlError::RoundInRecovery(round));
         }
-        if self.submissions.contains_key(&sender) {
-            return Err(FlError::DuplicateSubmission(sender));
+        if self.submissions.slots[sender].is_some() {
+            return Err(FlError::DuplicateSubmission(id));
         }
         if masked.len() != self.params().model_dim {
             return Err(FlError::DimMismatch {
@@ -382,13 +403,12 @@ impl FlContract {
             });
         }
         self.submissions
-            .insert(sender, Section::new(masked.to_vec()));
+            .fill(sender, || Section::new(masked.to_vec()));
         let gas = self.gas.charge(masked.len(), masked.len());
         Ok(ExecutionOutcome::event(
             format!(
-                "submit: owner {sender} round {round} ({}/{})",
-                self.submissions.len(),
-                self.params().owners.len()
+                "submit: owner {id} round {round} ({}/{n})",
+                self.submissions.filled
             ),
             gas,
         ))
@@ -396,20 +416,20 @@ impl FlContract {
 
     fn escrow_key_shares(
         &mut self,
-        sender: AccountId,
+        sender: usize,
         commitments: &[Hash32],
     ) -> Result<ExecutionOutcome, FlError> {
-        self.owner_index(sender)?;
+        let id = self.params().owners[sender];
         if self.finished() {
             return Err(FlError::ProtocolFinished);
         }
-        if !self.keys.contains_key(&sender) {
+        if self.keys.slots[sender].is_none() {
             // The escrow secret-shares the advertised key; without the
             // key there is nothing for recovery to verify against.
-            return Err(FlError::EscrowWithoutKey(sender));
+            return Err(FlError::EscrowWithoutKey(id));
         }
-        if self.escrows.contains_key(&sender) {
-            return Err(FlError::EscrowAlreadyCommitted(sender));
+        if self.escrows.slots[sender].is_some() {
+            return Err(FlError::EscrowAlreadyCommitted(id));
         }
         let n = self.params().owners.len();
         if commitments.len() != n {
@@ -418,13 +438,12 @@ impl FlContract {
                 got: commitments.len(),
             });
         }
-        self.escrows.insert(sender, commitments.to_vec());
+        self.escrows.fill(sender, || commitments.to_vec());
         let gas = self.gas.charge(commitments.len() * 4, 0);
         Ok(ExecutionOutcome::event(
             format!(
-                "escrow: owner {sender} committed {n} share commitments ({}/{})",
-                self.escrows.len(),
-                n
+                "escrow: owner {id} committed {n} share commitments ({}/{n})",
+                self.escrows.filled
             ),
             gas,
         ))
@@ -432,32 +451,25 @@ impl FlContract {
 
     fn submit_recovery_share(
         &mut self,
-        sender: AccountId,
+        sender: usize,
         round: u64,
         dropped: AccountId,
         share_x: u64,
         share_y: &[u8],
     ) -> Result<ExecutionOutcome, FlError> {
-        let provider_pos = self.owner_index(sender)?;
-        if self.finished() {
-            return Err(FlError::ProtocolFinished);
-        }
-        if round != self.current_round {
-            return Err(FlError::WrongRound {
-                expected: self.current_round,
-                got: round,
-            });
-        }
+        let provider = self.params().owners[sender];
+        self.check_round(round)?;
         let RoundPhase::Recovering { dropped: ref set } = self.phase else {
             return Err(FlError::NotRecovering(round));
         };
         if !set.contains(&dropped) {
             return Err(FlError::NotDropped(dropped));
         }
-        if !self.submissions.contains_key(&sender) {
-            return Err(FlError::NotASurvivor(sender));
+        let d = self.genesis.position(dropped)?;
+        if self.submissions.slots[sender].is_none() {
+            return Err(FlError::NotASurvivor(provider));
         }
-        let expected_x = provider_pos as u64 + 1;
+        let expected_x = sender as u64 + 1;
         if share_x != expected_x {
             return Err(FlError::BadRecoveryShare {
                 expected_x,
@@ -477,51 +489,38 @@ impl FlContract {
             x: share_x,
             y: U256::from_be_bytes(share_y),
         };
-        let committed = self
-            .escrows
-            .get(&dropped)
-            .expect("recovery only opens for escrowed owners")[provider_pos];
-        if share_commitment(dropped, &share) != committed {
-            return Err(FlError::ShareCommitmentMismatch {
-                dropped,
-                provider: sender,
-            });
+        // Recovery opens for escrowed owners; a snapshot may still lack one.
+        let Some(escrow) = &self.escrows.slots[d] else {
+            return Err(FlError::EscrowMissing(dropped));
+        };
+        if share_commitment(dropped, &share) != escrow[sender] {
+            return Err(FlError::ShareCommitmentMismatch { dropped, provider });
         }
-        let entry = self.recovery_shares.entry(dropped).or_default();
-        if entry.contains_key(&sender) {
-            return Err(FlError::DuplicateRecoveryShare {
-                dropped,
-                provider: sender,
-            });
+        let n = self.params().owners.len();
+        let shares = self.recovery_shares.fill(d, || Table::new(n));
+        if shares.slots[sender].is_some() {
+            return Err(FlError::DuplicateRecoveryShare { dropped, provider });
         }
-        entry.insert(sender, share);
-        let have = self.recovery_shares[&dropped].len();
+        shares.fill(sender, || share);
+        let have = shares.filled;
         let need = self.params().escrow_threshold;
         let gas = self.gas.charge(4, 0);
         Ok(ExecutionOutcome::event(
-            format!("recover: owner {sender} revealed share for dropped {dropped} ({have}/{need})"),
+            format!(
+                "recover: owner {provider} revealed share for dropped {dropped} ({have}/{need})"
+            ),
             gas,
         ))
     }
 
     fn evaluate_round(&mut self, round: u64) -> Result<ExecutionOutcome, FlError> {
-        if self.finished() {
-            return Err(FlError::ProtocolFinished);
-        }
-        if round != self.current_round {
-            return Err(FlError::WrongRound {
-                expected: self.current_round,
-                got: round,
-            });
-        }
-        match self.phase.clone() {
+        self.check_round(round)?;
+        let need = self.params().escrow_threshold;
+        let owners = &self.genesis.params.owners;
+        match &self.phase {
             RoundPhase::Submitting => {
-                let missing: Vec<AccountId> = self
-                    .params()
-                    .owners
-                    .iter()
-                    .copied()
-                    .filter(|o| !self.submissions.contains_key(o))
+                let missing: Vec<usize> = (0..owners.len())
+                    .filter(|&p| self.submissions.slots[p].is_none())
                     .collect();
                 if missing.is_empty() {
                     return self.finish_round(round, &[]);
@@ -530,35 +529,34 @@ impl FlContract {
                 // actually recoverable: the survivors must be able to
                 // reach the escrow threshold, and every missing owner
                 // must have escrowed its shares.
-                let survivors = self.params().owners.len() - missing.len();
-                let need = self.params().escrow_threshold;
+                let survivors = owners.len() - missing.len();
                 if survivors < need {
                     return Err(FlError::InsufficientSurvivors { survivors, need });
                 }
-                for &d in &missing {
-                    if !self.escrows.contains_key(&d) {
-                        return Err(FlError::EscrowMissing(d));
-                    }
+                if let Some(&d) = missing.iter().find(|&&d| self.escrows.slots[d].is_none()) {
+                    return Err(FlError::EscrowMissing(owners[d]));
                 }
-                self.phase = RoundPhase::Recovering {
-                    dropped: missing.clone(),
-                };
+                let dropped: Vec<AccountId> = missing.iter().map(|&d| owners[d]).collect();
                 let gas = self.gas.charge(missing.len() * 2, 0);
-                Ok(ExecutionOutcome::event(
-                    format!(
-                        "recover: round {round} entered recovery, dropped {missing:?}, \
-                         {survivors} survivors"
-                    ),
-                    gas,
-                ))
+                let event = format!(
+                    "recover: round {round} entered recovery, dropped {dropped:?}, \
+                     {survivors} survivors"
+                );
+                self.phase = RoundPhase::Recovering { dropped };
+                Ok(ExecutionOutcome::event(event, gas))
             }
             RoundPhase::Recovering { dropped } => {
-                let need = self.params().escrow_threshold;
+                let dropped = dropped
+                    .iter()
+                    .map(|&d| self.genesis.position(d))
+                    .collect::<Result<Vec<usize>, FlError>>()?;
                 for &d in &dropped {
-                    let have = self.recovery_shares.get(&d).map_or(0, BTreeMap::len);
+                    let have = self.recovery_shares.slots[d]
+                        .as_ref()
+                        .map_or(0, |s| s.filled);
                     if have < need {
                         return Err(FlError::RecoveryIncomplete {
-                            dropped: d,
+                            dropped: owners[d],
                             have,
                             need,
                         });

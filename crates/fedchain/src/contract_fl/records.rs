@@ -18,7 +18,7 @@ pub enum RoundPhase {
     /// Submissions are closed with owners missing; collecting recovery
     /// shares for the declared dropout set.
     Recovering {
-        /// Owners declared dropped, ascending by account id.
+        /// Owners declared dropped, in owner-list order.
         dropped: Vec<AccountId>,
     },
 }

@@ -3,7 +3,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
-use fl_chain::codec::{Decode, DecodeError, Encode, Reader};
+use fl_chain::codec::Encode;
 use fl_chain::hash::Hash32;
 
 /// A value and the memo of its digest. Reads go through `Deref`; every
@@ -11,10 +11,10 @@ use fl_chain::hash::Hash32;
 /// so a section whose value changed can never answer with a stale
 /// digest. `Clone` shares the value and copies the memo: a scratch
 /// replica starts warm and costs a pointer per section, and the first
-/// mutable borrow of a shared value copies it — one level deep, so a map
-/// of sections copies its pointers, not what they point to. Encoding
-/// and decoding see the value only, so a memo never reaches a snapshot
-/// and a restored section starts cold.
+/// mutable borrow of a shared value copies it — one level deep, so a table
+/// of sections copies its pointers, not what they point to. A snapshot
+/// holds the value only, so a memo never reaches it and a restored
+/// section starts cold.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Section<T> {
     value: Arc<T>,
@@ -73,17 +73,5 @@ impl<T: Clone> DerefMut for Section<T> {
     fn deref_mut(&mut self) -> &mut T {
         self.memo.take();
         Arc::make_mut(&mut self.value)
-    }
-}
-
-impl<T: Encode> Encode for Section<T> {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        self.value.encode_to(out);
-    }
-}
-
-impl<T: Decode> Decode for Section<T> {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        T::decode_from(r).map(Self::new)
     }
 }

@@ -15,7 +15,49 @@ use fl_ml::dataset::Dataset;
 use numeric::U256;
 
 use super::section::{tagged, Section};
-use super::{AccuracyUtility, FlCall, FlContract, FlError, FlParams, RoundPhase, RoundRecord};
+use super::{
+    AccuracyUtility, FlCall, FlContract, FlError, FlParams, RoundPhase, RoundRecord, Table,
+};
+
+/// What `restore` answers for a well-formed entry no call writes.
+fn refused(type_name: &'static str) -> DecodeError {
+    DecodeError::BadTag {
+        type_name,
+        tag: 0xff,
+    }
+}
+
+impl super::Genesis {
+    /// `len ‖ (id ‖ value)*` in ascending id: the map the table stands for.
+    fn encode_table<T>(
+        &self,
+        table: &Table<T>,
+        out: &mut Vec<u8>,
+        value: impl Fn(&T, &mut Vec<u8>),
+    ) {
+        (table.filled as u64).encode_to(out);
+        for &p in &self.by_id {
+            if let Some(v) = &table.slots[p] {
+                self.params.owners[p].encode_to(out);
+                value(v, out);
+            }
+        }
+    }
+
+    /// The table a map stands for; `None` for a stranger or a refused value.
+    fn table_from<D, T: Clone>(
+        &self,
+        map: BTreeMap<AccountId, D>,
+        value: impl Fn(AccountId, D) -> Option<T>,
+    ) -> Option<Table<T>> {
+        let mut table = Table::new(self.params.owners.len());
+        for (id, v) in map {
+            let v = value(id, v)?;
+            table.fill(self.position(id).ok()?, || v);
+        }
+        Some(table)
+    }
+}
 
 impl FlContract {
     /// Creates the genesis contract state.
@@ -28,26 +70,25 @@ impl FlContract {
         if let Err(e) = params.validate(&test_set) {
             panic!("{e}");
         }
+        let n = params.owners.len();
         let global_model = vec![0.0; params.model_dim];
         let contributions = params.owners.iter().map(|&o| (o, 0.0)).collect();
-        let mut owner_positions = BTreeMap::new();
-        for (position, &owner) in params.owners.iter().enumerate() {
-            owner_positions.entry(owner).or_insert(position);
-        }
+        let mut by_id: Vec<usize> = (0..n).collect();
+        by_id.sort_unstable_by_key(|&p| params.owners[p]);
         Self {
             genesis: Arc::new(super::Genesis {
-                owner_positions,
+                by_id,
                 utility: AccuracyUtility::new(&test_set, params.num_features, params.num_classes),
                 params_digest: tagged("/params", |buf| params.encode_to(buf)),
                 params,
             }),
             gas: GasSchedule::default(),
-            keys: Section::default(),
-            escrows: Section::default(),
+            keys: Section::new(Table::new(n)),
+            escrows: Section::new(Table::new(n)),
             current_round: 0,
             phase: RoundPhase::Submitting,
-            submissions: Section::default(),
-            recovery_shares: BTreeMap::new(),
+            submissions: Section::new(Table::new(n)),
+            recovery_shares: Table::new(n),
             contributions: Section::new(contributions),
             global_model: Section::new(global_model),
             history: Vec::new(),
@@ -96,23 +137,12 @@ impl FlContract {
 
     /// Advertised public key of an owner.
     pub fn public_key_of(&self, owner: AccountId) -> Option<&[u8]> {
-        self.keys.get(&owner).map(Vec::as_slice)
+        self.keys.slots[self.genesis.position(owner).ok()?].as_deref()
     }
 
     /// Current lifecycle phase of the round under assembly.
     pub fn phase(&self) -> &RoundPhase {
         &self.phase
-    }
-
-    /// The escrow commitments an owner committed, if any.
-    pub fn escrow_of(&self, owner: AccountId) -> Option<&[Hash32]> {
-        self.escrows.get(&owner).map(Vec::as_slice)
-    }
-
-    /// What a chain observer sees for `owner` this round: the masked
-    /// submission (used by the privacy analysis).
-    pub fn observed_submission(&self, owner: AccountId) -> Option<&[u64]> {
-        self.submissions.get(&owner).map(|update| update.as_slice())
     }
 }
 
@@ -132,13 +162,16 @@ impl FlContract {
         // Sized for the escrows and the masked updates, the bulk of a
         // mid-round state.
         let (n, dim) = (self.params().owners.len(), self.params().model_dim);
-        let bulk = (48 + 32 * n) * self.escrows.len() + (16 + 8 * dim) * self.submissions.len();
+        let bulk = (48 + 32 * n) * self.escrows.filled + (16 + 8 * dim) * self.submissions.filled;
         let mut out = Vec::with_capacity(bulk + 64 * n + 8 * dim);
+        let g = &self.genesis;
         self.current_round.encode_to(&mut out);
         self.phase.encode_to(&mut out);
-        self.keys.encode_to(&mut out);
-        self.escrows.encode_to(&mut out);
-        self.submissions.encode_to(&mut out);
+        g.encode_table(&self.keys, &mut out, Vec::encode_to);
+        g.encode_table(&self.escrows, &mut out, Vec::encode_to);
+        g.encode_table(&self.submissions, &mut out, |update, out| {
+            update.encode_to(out)
+        });
         self.encode_recovery_shares(&mut out);
         self.contributions.encode_to(&mut out);
         self.global_model.encode_to(&mut out);
@@ -150,63 +183,62 @@ impl FlContract {
     /// recovery shares as the snapshot stores them and as the state
     /// digest binds them.
     fn encode_recovery_shares(&self, out: &mut Vec<u8>) {
-        (self.recovery_shares.len() as u64).encode_to(out);
-        for (dropped, providers) in &self.recovery_shares {
-            dropped.encode_to(out);
-            (providers.len() as u64).encode_to(out);
-            for (provider, share) in providers {
-                provider.encode_to(out);
+        let g = &self.genesis;
+        g.encode_table(&self.recovery_shares, out, |shares, out| {
+            g.encode_table(shares, out, |share, out| {
                 share.x.encode_to(out);
                 share.y.to_be_bytes().encode_to(out);
-            }
-        }
+            })
+        });
     }
 
     /// Rebuilds a contract from the genesis artefacts — parameters that
     /// pass [`FlParams::validate`], as for [`FlContract::genesis`] — plus
     /// a [`FlContract::snapshot_state`] blob.
     ///
-    /// Decoding is strict (truncated, malformed, or trailing bytes all
-    /// `Err`), but a *well-formed forgery* cannot be detected here: the
-    /// caller must check [`SmartContract::state_digest`] of the result
-    /// against the state root committed at the snapshot height, as
-    /// `fedchain::audit::fast_sync` does.
+    /// Decoding is strict (truncated, malformed, trailing bytes, a
+    /// stranger's entry or one no call writes all `Err`), but a
+    /// *well-formed forgery* cannot be detected here: the caller must check
+    /// [`SmartContract::state_digest`] of the result against the state root
+    /// committed at the snapshot height, as `fedchain::audit::fast_sync` does.
     pub fn restore(
         params: FlParams,
         test_set: Dataset,
         snapshot: &[u8],
     ) -> Result<Self, DecodeError> {
         let mut c = Self::genesis(params, test_set);
+        let g = Arc::clone(&c.genesis);
         let mut r = Reader::new(snapshot);
         c.current_round = u64::decode_from(&mut r)?;
         c.phase = RoundPhase::decode_from(&mut r)?;
-        c.keys = Section::decode_from(&mut r)?;
-        c.escrows = Section::decode_from(&mut r)?;
-        c.submissions = Section::decode_from(&mut r)?;
-        let dropped_count = u64::decode_from(&mut r)?;
-        for _ in 0..dropped_count {
-            let dropped = AccountId::decode_from(&mut r)?;
-            let provider_count = u64::decode_from(&mut r)?;
-            let mut providers = BTreeMap::new();
-            for _ in 0..provider_count {
-                let provider = AccountId::decode_from(&mut r)?;
-                let x = u64::decode_from(&mut r)?;
-                // `snapshot_state` writes `y` as a `Vec` of 32 bytes;
-                // `U256::from_be_bytes` panics on more.
-                let y_len = r.take_len(1)?;
-                if y_len != 32 {
-                    return Err(DecodeError::Truncated {
-                        needed: 32,
-                        remaining: y_len,
-                    });
-                }
-                let y = U256::from_be_bytes(r.take(32)?);
-                providers.insert(provider, Share { x, y });
-            }
-            c.recovery_shares.insert(dropped, providers);
+        let keys = g.table_from(Decode::decode_from(&mut r)?, |id, key: Vec<u8>| {
+            super::check_key(id, &key).ok()?;
+            Some(key)
+        });
+        c.keys = Section::new(keys.ok_or(refused("FlContract keys"))?);
+        let escrows = g.table_from(Decode::decode_from(&mut r)?, |_, escrow: Vec<Hash32>| {
+            (escrow.len() == g.params.owners.len()).then_some(escrow)
+        });
+        c.escrows = Section::new(escrows.ok_or(refused("FlContract escrows"))?);
+        let updates = g.table_from(Decode::decode_from(&mut r)?, |_, update: Vec<u64>| {
+            (update.len() == g.params.model_dim).then(|| Section::new(update))
+        });
+        c.submissions = Section::new(updates.ok_or(refused("FlContract updates"))?);
+        let shares = g.table_from(Decode::decode_from(&mut r)?, |_, shares| {
+            g.table_from(shares, |_, (x, y): (u64, Vec<u8>)| {
+                // `U256::from_be_bytes` panics on more than 32 bytes.
+                let y = (y.len() == 32).then(|| U256::from_be_bytes(&y))?;
+                Some(Share { x, y })
+            })
+        });
+        c.recovery_shares = shares.ok_or(refused("FlContract recovery shares"))?;
+        c.contributions = Section::new(Decode::decode_from(&mut r)?);
+        // `finish_round` walks the totals in this order.
+        let owners_by_id = g.by_id.iter().map(|&p| g.params.owners[p]);
+        if !c.contributions.keys().copied().eq(owners_by_id) {
+            return Err(refused("FlContract contributions"));
         }
-        c.contributions = Section::decode_from(&mut r)?;
-        c.global_model = Section::decode_from(&mut r)?;
+        c.global_model = Section::new(Decode::decode_from(&mut r)?);
         c.history = Vec::decode_from(&mut r)?;
         *c.history_leaves = vec![OnceLock::new(); c.history.len()];
         if !r.is_empty() {
@@ -222,22 +254,22 @@ impl SmartContract for FlContract {
     type Call = FlCall;
     type Error = FlError;
 
+    /// The sender of an owner's call becomes a position here.
     fn execute(&mut self, ctx: &TxContext, call: &FlCall) -> Result<ExecutionOutcome, FlError> {
+        let sender = self.genesis.position(ctx.sender);
         match call {
-            FlCall::AdvertiseKey { public_key } => self.advertise_key(ctx.sender, public_key),
+            FlCall::AdvertiseKey { public_key } => self.advertise_key(sender?, public_key),
             FlCall::SubmitMaskedUpdate { round, masked } => {
-                self.submit_update(ctx.sender, *round, masked)
+                self.submit_update(sender?, *round, masked)
             }
             FlCall::EvaluateRound { round } => self.evaluate_round(*round),
-            FlCall::EscrowKeyShares { commitments } => {
-                self.escrow_key_shares(ctx.sender, commitments)
-            }
+            FlCall::EscrowKeyShares { commitments } => self.escrow_key_shares(sender?, commitments),
             FlCall::SubmitRecoveryShare {
                 round,
                 dropped,
                 share_x,
                 share_y,
-            } => self.submit_recovery_share(ctx.sender, *round, *dropped, *share_x, share_y),
+            } => self.submit_recovery_share(sender?, *round, *dropped, *share_x, share_y),
         }
     }
 
@@ -255,10 +287,10 @@ impl SmartContract for FlContract {
     /// |---|---|---|---|
     /// | params | `/params` | [`FlParams`] | never: fixed at genesis |
     /// | round, phase | — | `u64`, [`RoundPhase`] | every root |
-    /// | keys | `/keys` | map owner → key bytes | `AdvertiseKey` |
-    /// | escrows | `/escrows` | map owner → commitments | `EscrowKeyShares` |
-    /// | submissions | `/submissions` | `len ‖ (owner ‖ H("/update", masked words))*` | `SubmitMaskedUpdate` (the new leaf once, then the list), round end |
-    /// | recovery shares | — | `len ‖ (dropped ‖ len ‖ (provider ‖ x ‖ y)*)*` | every root |
+    /// | keys | `/keys` | table as map owner → key bytes | `AdvertiseKey` |
+    /// | escrows | `/escrows` | table as map owner → commitments | `EscrowKeyShares` |
+    /// | submissions | `/submissions` | table as `len ‖ (owner ‖ H("/update", masked words))*` | `SubmitMaskedUpdate` (the new leaf once, then the list), round end |
+    /// | recovery shares | — | tables as `len ‖ (dropped ‖ len ‖ (provider ‖ x ‖ y)*)*` | every root |
     /// | contributions | `/contributions` | map owner → `f64` | round end |
     /// | global model | `/model` | `Vec<f64>` | round end |
     /// | history | `/history` | `len ‖ H("/record", `[`RoundRecord`]`)*` | round end (the new leaf once, then the list) |
@@ -268,14 +300,17 @@ impl SmartContract for FlContract {
     /// writes to it), and absent from a snapshot: a restored replica
     /// computes every digest from the values it read.
     fn state_digest(&self) -> Hash32 {
-        let keys = self.keys.digest("/keys", BTreeMap::encode_to);
-        let escrows = self.escrows.digest("/escrows", BTreeMap::encode_to);
+        let g = &self.genesis;
+        let keys = self.keys.digest("/keys", |keys, buf| {
+            g.encode_table(keys, buf, Vec::encode_to)
+        });
+        let escrows = self.escrows.digest("/escrows", |escrows, buf| {
+            g.encode_table(escrows, buf, Vec::encode_to)
+        });
         let submissions = self.submissions.digest("/submissions", |updates, buf| {
-            (updates.len() as u64).encode_to(buf);
-            for (owner, update) in updates {
-                owner.encode_to(buf);
-                update.digest("/update", Vec::encode_to).encode_to(buf);
-            }
+            g.encode_table(updates, buf, |update, buf| {
+                update.digest("/update", Vec::encode_to).encode_to(buf)
+            })
         });
         let contributions = self
             .contributions

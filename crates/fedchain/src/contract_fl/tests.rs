@@ -1,5 +1,5 @@
 use super::*;
-use fl_chain::codec::Decode;
+use fl_chain::codec::{Decode, DecodeError};
 use fl_chain::contract::{SmartContract, TxContext};
 use fl_crypto::shamir::Shamir;
 use fl_ml::dataset::SyntheticDigits;
@@ -48,6 +48,14 @@ fn advertise_all(c: &mut FlContract, n: usize) {
     }
 }
 
+/// Empties slot `p` of a per-owner table, as only a doctored snapshot
+/// can.
+fn clear<T>(table: &mut Table<T>, p: usize) {
+    if table.slots[p].take().is_some() {
+        table.filled -= 1;
+    }
+}
+
 /// Unmasked "masked" updates: with no pairwise masks (sum of zero
 /// masks), the ring math still holds — the contract cannot tell.
 fn plain_update(c: &FlContract, value: f64) -> Vec<u64> {
@@ -60,12 +68,16 @@ fn owner_positions_follow_the_owner_list_not_the_ids() {
     let mut params = test_params(3, 2);
     params.owners = vec![9, 2, 5];
     let mut c = FlContract::genesis(params, SyntheticDigits::small().generate(99));
-    assert_eq!(c.owner_index(9), Ok(0));
-    assert_eq!(c.owner_index(2), Ok(1));
-    assert_eq!(c.owner_index(5), Ok(2));
+    assert_eq!(c.genesis.by_id, vec![1, 2, 0]);
+    assert_eq!(c.genesis.position(9), Ok(0));
+    assert_eq!(c.genesis.position(2), Ok(1));
+    assert_eq!(c.genesis.position(5), Ok(2));
     // An id between two owner ids is no owner, before or after them.
     for stranger in [0, 4, 7, 10] {
-        assert_eq!(c.owner_index(stranger), Err(FlError::NotAnOwner(stranger)));
+        assert_eq!(
+            c.genesis.position(stranger),
+            Err(FlError::NotAnOwner(stranger))
+        );
     }
     let public_key = vec![1; 32];
     assert!(matches!(
@@ -289,7 +301,7 @@ fn full_round_evaluates_and_advances() {
     let total: usize = record.groups.iter().map(Vec::len).sum();
     assert_eq!(total, 4);
     // Submissions cleared for the next round.
-    assert!(c.observed_submission(0).is_none());
+    assert_eq!(c.submissions.filled, 0);
 }
 
 fn contract_with_method(n: usize, m: usize, method: SvMethod) -> FlContract {
@@ -589,6 +601,8 @@ mod dropout_lifecycle {
 
     pub(super) struct MaskedWorld {
         pub contract: FlContract,
+        /// `ids[i]`: the account id at owner position `i`.
+        pub ids: Vec<AccountId>,
         pub keypairs: Vec<DhKeyPair>,
         /// `escrowed[i][j]`: share of owner i's key held by owner j.
         pub escrowed: Vec<Vec<Share>>,
@@ -612,8 +626,20 @@ mod dropout_lifecycle {
         masked_world_from(FlContract::genesis(params, test_set))
     }
 
+    /// Like [`masked_world`] over the owner list `ids`, which need
+    /// not ascend with the positions.
+    pub(super) fn masked_world_with_ids(ids: &[AccountId], m: usize) -> MaskedWorld {
+        let mut params = test_params(ids.len(), m);
+        params.owners = ids.to_vec();
+        masked_world_from(FlContract::genesis(
+            params,
+            SyntheticDigits::small().generate(99),
+        ))
+    }
+
     fn masked_world_from(contract: FlContract) -> MaskedWorld {
-        let n = contract.params().owners.len();
+        let ids = contract.params().owners.clone();
+        let n = ids.len();
         let m = contract.params().num_groups;
         let k = contract.params().num_cohorts;
         let dh = DhGroup::simulation_256();
@@ -623,9 +649,9 @@ mod dropout_lifecycle {
             .map(|i| dh.keypair_from_seed(&[i as u8 + 1; 32]))
             .collect();
         let mut c = contract;
-        for (i, kp) in keypairs.iter().enumerate() {
+        for (&id, kp) in ids.iter().zip(&keypairs) {
             c.execute(
-                &ctx(i as u32),
+                &ctx(id),
                 &FlCall::AdvertiseKey {
                     public_key: kp.public.to_be_bytes(),
                 },
@@ -640,12 +666,9 @@ mod dropout_lifecycle {
                 escrow_private_key(&shamir, kp, threshold, n, &mut prg).unwrap()
             })
             .collect();
-        for (i, shares) in escrowed.iter().enumerate() {
-            let commitments: Vec<Hash32> = shares
-                .iter()
-                .map(|s| share_commitment(i as u32, s))
-                .collect();
-            c.execute(&ctx(i as u32), &FlCall::EscrowKeyShares { commitments })
+        for (&id, shares) in ids.iter().zip(&escrowed) {
+            let commitments: Vec<Hash32> = shares.iter().map(|s| share_commitment(id, s)).collect();
+            c.execute(&ctx(id), &FlCall::EscrowKeyShares { commitments })
                 .unwrap();
         }
         let groups: Vec<Vec<usize>> = RoundPlan::new(c.params().permutation_seed, 0, n, k, m)
@@ -656,6 +679,7 @@ mod dropout_lifecycle {
         let weights: Vec<Vec<f64>> = (0..n).map(|i| vec![0.1 * (i as f64 + 1.0); dim]).collect();
         MaskedWorld {
             contract: c,
+            ids,
             keypairs,
             escrowed,
             groups,
@@ -676,9 +700,9 @@ mod dropout_lifecycle {
         let dh = DhGroup::simulation_256();
         let mut dir = KeyDirectory::new();
         for &j in group {
-            dir.advertise(j as u32, w.keypairs[j].public).unwrap();
+            dir.advertise(w.ids[j], w.keypairs[j].public).unwrap();
         }
-        let party = PartyState::derive(&dh, i as u32, &w.keypairs[i], &dir).unwrap();
+        let party = PartyState::derive(&dh, w.ids[i], &w.keypairs[i], &dir).unwrap();
         party.masked_update(&codec, round, &w.weights[i])
     }
 
@@ -688,20 +712,201 @@ mod dropout_lifecycle {
             let masked = masked_submission(w, i, 0);
             w.contract
                 .execute(
-                    &ctx(i as u32),
+                    &ctx(w.ids[i]),
                     &FlCall::SubmitMaskedUpdate { round: 0, masked },
                 )
                 .unwrap();
         }
     }
 
-    pub(super) fn recovery_share_call(w: &MaskedWorld, dropped: usize, provider: usize) -> FlCall {
+    /// Position `provider`'s escrowed share of position `dropped`'s key.
+    pub(super) fn recovery_share(
+        w: &MaskedWorld,
+        round: u64,
+        dropped: usize,
+        provider: usize,
+    ) -> FlCall {
         let share = &w.escrowed[dropped][provider];
         FlCall::SubmitRecoveryShare {
-            round: 0,
-            dropped: dropped as u32,
+            round,
+            dropped: w.ids[dropped],
             share_x: share.x,
             share_y: share.y.to_be_bytes(),
+        }
+    }
+
+    /// Owner ids that do not ascend with their positions, driven call
+    /// by call through setup, a round with one dropout recovered from
+    /// more survivors than the threshold, and a clean round. After each
+    /// call the state digest and the SHA-256 of the snapshot are pinned:
+    /// both are consensus formats. Every `FlProtocol` run uses ids
+    /// `0..n`, where id order and position order coincide; this is the
+    /// test that tells them apart.
+    #[test]
+    fn unordered_owner_ids_pin_every_state_and_snapshot() {
+        const PINS: [(&str, &str); 26] = [
+            (
+                "c300da355fc1c247f046d9649f917db1b6c29dce16c73b775cb4ba8ddfb7070a",
+                "111a6169624f60e352af6a2b91a80ef3fb54161ac1e6cb85a74d4fce49f1d29b",
+            ),
+            (
+                "9961421150c7c7d6c35f4f36463ccfefc2d63b178386cc7577383b43c0a9fb81",
+                "4ee6e7fc7ef8babb7285c0a40bfb94fa299f000119dcef7671e83212261611bd",
+            ),
+            (
+                "52d821fbcf4437587dcfed555da43e057e92e4f9de88681474e07bddba20226c",
+                "a3ebead85e2ffd067b0213d879698f4b34173f9ddf171e68d5722703c2a59930",
+            ),
+            (
+                "1d97c32c2c290a582d4f512d38da27acf30b3f4fece6a7f354c7aa5d643ad6f3",
+                "b33643ce6b39d845b28fb4af52b2d05fff9d7df5b038819c984d0f60d13f7bbe",
+            ),
+            (
+                "5032539012f1ea5408a015e51f12205e040e3fe679a2a32013e597861109fec6",
+                "1251a014fbb3279e584a2acb8070ea2ea233fb8b2eab02739f696fc4458543fa",
+            ),
+            (
+                "3607eef01f74c2ff9e999ed175866fcbe82589f6321767edad3027fea52318b0",
+                "f67bcb45f0323ecd4dc6974add74dfde77a2a0a35c53738d5a70b5451f8eed85",
+            ),
+            (
+                "75af48af3cef815e41901daa9443375e0a146b13301e718ec33b07f9a9dca2eb",
+                "97d91f16a2807d86e28b1ffcdc2093f07a43dd58eddec220a1d9b4fa22e68ffb",
+            ),
+            (
+                "a21df61a55127bb90cc8466a3603eb7d57021058f5bfb5462c0228d04fe13c9e",
+                "66957fff97a7747ec6b3420d2b6b466ae670e28f7abddcb9e012ad0f4557201f",
+            ),
+            (
+                "9c02c5ea6741c6596e416880597702636a4984cfe1153e2f8d673364ce44188a",
+                "c3e47eb76173662b150664d73a3ae00ef6c493851294c58adfb51a39682e1aec",
+            ),
+            (
+                "d26462da86f74f8fcd3526ac367b1b4ee49b384e8771e0089443c52ac63b7ca0",
+                "2fd571fc34e3989f67e57784545f16ef1bd27398055af771b0783ea77d81f925",
+            ),
+            (
+                "10f3a4713e4f029fbde27646aef3f91172e1cc79419c6574493569190e436d4e",
+                "ff9ce13a95bf7923968fb0c40dcbd7bfb33e491319a0e094dc75a17ebe102ceb",
+            ),
+            (
+                "4785e18bb8c330a1d50757e43ce4ec22c198291299b05419411ddb605a144f0d",
+                "5e4c56756c890452c7035394da10ee90781a5c2539a0544cd92e5149ef5b921c",
+            ),
+            (
+                "176a3b3097b1bbf6c49161277155a959a1b9ec74abea5c679819e4016351cbcf",
+                "3e4df4d0b421b23261c6623d645100eeb6dd27ad561e3fac72ad9f9da25a59fd",
+            ),
+            (
+                "de9dd39118c004e47405a02fc0fd63e8269e61436b034c094f741ecd3a131cb2",
+                "8b0d5644232db0b42296ce1537559e88e5115ae2d9c2f75a61d1bb09cf30df16",
+            ),
+            (
+                "62f6364e3268127ca430b18885a71923743e323ee9cc2605a5eda98b6b63fd41",
+                "2a8ac5ce51c29b7852b5b98a66122ebb1ca0147505bd04433231397a407094eb",
+            ),
+            (
+                "2447992e23248ac442b7b28789fbcdf6dc1c902a414596c5f8826bcde703548f",
+                "e5815e1c9b14611d49d7e1936b525b11d78f60fd200d8da1d34eca9b44c562da",
+            ),
+            (
+                "afb05e55e520fc06756e432215fa1f52c01d4b2ffd434b6dcb7e4e34f764af2e",
+                "8b8b465170e134fb73e9eb384cc298b7691f65c16c40db514b301ec18602898e",
+            ),
+            (
+                "cc8160ec5d7ed19fe5c030aaf3bc2b19c01e23720536e084f39a0a339752cb46",
+                "f015a4a950c2af2424f8f91d8431e91a87f693125665396ce37dc7473ebfd594",
+            ),
+            (
+                "45c467d25ab53732f518ca5a686905fa89ad0543f3c01f959280fe184de9e5e6",
+                "63127c8c01fc33e2928b9722dbf2e91794585a7573a2df6b94045012ad6ca1f2",
+            ),
+            (
+                "a19828def8d9698161d47d2ea89adacef24a334bf2b45356b4080e8f0deefc32",
+                "c4a79102d71bf93fd19acb5aa1dc5a220028a825ef833bff36c8a301b1e0f8a7",
+            ),
+            (
+                "32a70579c780962306eb64e06c15cfb85e2489b8856fb97ce1a336da75adf45c",
+                "ab41001609eab5ef34a42c944c08627fd591ef43cf65dd88d0bef86ad9ef3153",
+            ),
+            (
+                "2957b1b0a7b7a83503ff348c61e8ec464ce56a89cc93cc7ccd12785fe158a92b",
+                "67a5960cdd63d81ec95d04cbd8b77210b6bf4fe50673bd091bc199bced7ad876",
+            ),
+            (
+                "6bfeab37b65f88b342b03e5d9db1e7f252cf8117ea98e94449076492d30243b7",
+                "fdca634311e96971596b778bc5f769eaf731a846c269525c9954bbb7cd494414",
+            ),
+            (
+                "df2fc6f94eb758192e5221d7f85c9824d334c92b451b385cd119899a0b728db0",
+                "f8ea4ac408b69152c36a4da2150bea7a518078077018766ef973ccacea38a2a1",
+            ),
+            (
+                "5317c6d80f172ecf796a8f65025f0798f4ddf617025db388c82f5875566b3a6a",
+                "8e7b30c924fe03b694a016806a67f0e9da369815bdf12e60a01b116dc9e3ab12",
+            ),
+            (
+                "0566c06c0ae1e049153469f27c6e08dfef9d82b4da5c925bfdeeca58a73ae102",
+                "5d2551707234aee933a368efce0a7a43669ead33261117f77018bc499e9d78e1",
+            ),
+        ];
+        let ids: [AccountId; 5] = [9, 2, 5, 7, 0];
+        let (m, dropped) = (2, 2);
+        let mut w = masked_world_with_ids(&ids, m);
+        let params = w.contract.params().clone();
+        let (n, threshold) = (ids.len(), params.escrow_threshold);
+        // The world ran setup on its own contract; replay it call by
+        // call on a fresh one.
+        let mut c = FlContract::genesis(params.clone(), SyntheticDigits::small().generate(99));
+        let mut observed: Vec<(String, String)> = Vec::new();
+        let mut run = |c: &mut FlContract, position: usize, call: FlCall| {
+            c.execute(&ctx(ids[position]), &call)
+                .unwrap_or_else(|e| panic!("{call:?}: {e}"));
+            let snapshot = Hash32::of_bytes(&c.snapshot_state());
+            observed.push((c.state_digest().to_hex(), snapshot.to_hex()));
+        };
+        for i in 0..n {
+            let public_key = w.keypairs[i].public.to_be_bytes();
+            run(&mut c, i, FlCall::AdvertiseKey { public_key });
+        }
+        for (i, shares) in w.escrowed.iter().enumerate() {
+            let commitments = shares.iter().map(|s| share_commitment(ids[i], s)).collect();
+            run(&mut c, i, FlCall::EscrowKeyShares { commitments });
+        }
+        let survivors: Vec<usize> = (0..n).filter(|&i| i != dropped).collect();
+        assert!(survivors.len() > threshold);
+        for &i in &survivors {
+            let masked = masked_submission(&w, i, 0);
+            run(&mut c, i, FlCall::SubmitMaskedUpdate { round: 0, masked });
+        }
+        run(&mut c, 0, FlCall::EvaluateRound { round: 0 });
+        for &p in &survivors {
+            run(&mut c, p, recovery_share(&w, 0, dropped, p));
+        }
+        run(&mut c, 0, FlCall::EvaluateRound { round: 0 });
+        // Recovery takes the first threshold providers in ascending id
+        // (0, 2, 7), not in ascending position (9, 2, 7).
+        let record = &c.history()[0];
+        assert_eq!(record.dropped, vec![dropped]);
+        assert_eq!(record.recovery[0].providers, vec![4, 1, 3]);
+        w.groups = RoundPlan::new(params.permutation_seed, 1, n, 1, m)
+            .unwrap()
+            .groups()
+            .concat();
+        for i in 0..n {
+            let masked = masked_submission(&w, i, 1);
+            run(&mut c, i, FlCall::SubmitMaskedUpdate { round: 1, masked });
+        }
+        run(&mut c, 0, FlCall::EvaluateRound { round: 1 });
+        assert!(c.finished());
+
+        let pinned = PINS.map(|(digest, snapshot)| (digest.to_string(), snapshot.to_string()));
+        if observed != pinned {
+            let rows: Vec<String> = observed
+                .iter()
+                .map(|(digest, snapshot)| format!("(\"{digest}\", \"{snapshot}\"),"))
+                .collect();
+            panic!("pinned states moved; observed:\n{}", rows.join("\n"));
         }
     }
 
@@ -738,7 +943,7 @@ mod dropout_lifecycle {
             },
         )
         .unwrap();
-        assert_eq!(c.escrow_of(0), Some(&commitments[..]));
+        assert_eq!(c.escrows.slots[0], Some(commitments.clone()));
         assert!(matches!(
             c.execute(&ctx(0), &FlCall::EscrowKeyShares { commitments }),
             Err(FlError::EscrowAlreadyCommitted(0))
@@ -784,15 +989,15 @@ mod dropout_lifecycle {
         // Recovery-share validation: wrong target, dead sender,
         // foreign evaluation point, tampered value, early evaluate.
         assert!(matches!(
-            w.contract.execute(&ctx(0), &recovery_share_call(&w, 1, 0)),
+            w.contract.execute(&ctx(0), &recovery_share(&w, 0, 1, 0)),
             Err(FlError::NotDropped(1))
         ));
         assert!(matches!(
-            w.contract.execute(&ctx(2), &recovery_share_call(&w, 2, 2)),
+            w.contract.execute(&ctx(2), &recovery_share(&w, 0, 2, 2)),
             Err(FlError::NotASurvivor(2))
         ));
         assert!(matches!(
-            w.contract.execute(&ctx(0), &recovery_share_call(&w, 2, 1)),
+            w.contract.execute(&ctx(0), &recovery_share(&w, 0, 2, 1)),
             Err(FlError::BadRecoveryShare {
                 expected_x: 1,
                 got: 2
@@ -842,13 +1047,13 @@ mod dropout_lifecycle {
             w.contract
                 .execute(
                     &ctx(provider as u32),
-                    &recovery_share_call(&w, dropped, provider),
+                    &recovery_share(&w, 0, dropped, provider),
                 )
                 .unwrap();
         }
         assert!(matches!(
             w.contract
-                .execute(&ctx(0), &recovery_share_call(&w, dropped, 0)),
+                .execute(&ctx(0), &recovery_share(&w, 0, dropped, 0)),
             Err(FlError::DuplicateRecoveryShare {
                 dropped: 2,
                 provider: 0
@@ -890,10 +1095,10 @@ mod dropout_lifecycle {
         let evaluate = FlCall::EvaluateRound { round: 0 };
         w.contract.execute(&ctx(0), &evaluate).unwrap();
         for provider in [0usize, 1, 3] {
-            let share = recovery_share_call(&w, 2, provider);
+            let share = recovery_share(&w, 0, 2, provider);
             w.contract.execute(&ctx(provider as u32), &share).unwrap();
         }
-        w.contract.submissions.remove(&1);
+        clear(&mut w.contract.submissions, 1);
         let (digest, snapshot) = (w.contract.state_digest(), w.contract.snapshot_state());
         assert!(matches!(
             w.contract.execute(&ctx(0), &evaluate),
@@ -906,6 +1111,210 @@ mod dropout_lifecycle {
             w.contract.phase(),
             &RoundPhase::Recovering { dropped: vec![2] }
         );
+    }
+
+    #[test]
+    fn a_restored_recovery_missing_the_dropped_escrow_is_a_typed_error() {
+        // Recovery opens only for escrowed owners, so no call sequence
+        // loses the escrow of a dropped owner; a snapshot handed to
+        // `restore` can. Its absence is a typed error at the next share,
+        // and a shortened escrow never gets past `restore`.
+        let mut w = masked_world(4, 1);
+        submit_round0(&mut w, &[0, 1, 3]);
+        w.contract
+            .execute(&ctx(0), &FlCall::EvaluateRound { round: 0 })
+            .unwrap();
+        let share = recovery_share(&w, 0, 2, 0);
+        let restore = |c: &FlContract| {
+            let test_set = SyntheticDigits::small().generate(99);
+            FlContract::restore(c.params().clone(), test_set, &c.snapshot_state())
+        };
+
+        let mut removed = w.contract.clone();
+        clear(&mut removed.escrows, 2);
+        let mut restored = restore(&removed).expect("a missing escrow is well-formed");
+        let digest = restored.state_digest();
+        assert_eq!(digest, removed.state_digest());
+        assert!(matches!(
+            restored.execute(&ctx(0), &share),
+            Err(FlError::EscrowMissing(2))
+        ));
+        assert_eq!(restored.state_digest(), digest);
+
+        let mut cut = w.contract.clone();
+        cut.escrows.slots[2].as_mut().unwrap().truncate(1);
+        let digest = cut.state_digest();
+        assert!(matches!(
+            restore(&cut),
+            Err(DecodeError::BadTag {
+                type_name: "FlContract escrows",
+                ..
+            })
+        ));
+        assert_eq!(cut.state_digest(), digest);
+
+        w.contract.execute(&ctx(0), &share).unwrap();
+    }
+
+    /// A snapshot spelled as the id-keyed maps the contract kept before
+    /// its per-owner tables, written by the codec's own `BTreeMap`
+    /// encoding.
+    #[derive(Clone)]
+    struct MapSnapshot {
+        round_and_phase: Vec<u8>,
+        keys: BTreeMap<AccountId, Vec<u8>>,
+        escrows: BTreeMap<AccountId, Vec<Hash32>>,
+        submissions: BTreeMap<AccountId, Vec<u64>>,
+        /// dropped → provider → (x, y bytes).
+        shares: BTreeMap<AccountId, BTreeMap<AccountId, (u64, Vec<u8>)>>,
+        contributions: BTreeMap<AccountId, f64>,
+        model_and_history: Vec<u8>,
+    }
+
+    impl MapSnapshot {
+        fn of(c: &FlContract) -> Self {
+            let ids = &c.params().owners;
+            let mut round_and_phase = Vec::new();
+            c.current_round().encode_to(&mut round_and_phase);
+            c.phase().encode_to(&mut round_and_phase);
+            let mut model_and_history = Vec::new();
+            c.global_model().encode_to(&mut model_and_history);
+            c.history().encode_to(&mut model_and_history);
+            // A table as the id-keyed map it stands for.
+            fn map<T, V>(
+                ids: &[AccountId],
+                table: &Table<T>,
+                value: impl Fn(&T) -> V,
+            ) -> BTreeMap<AccountId, V> {
+                let slots = ids.iter().zip(&table.slots);
+                slots
+                    .filter_map(|(&id, v)| Some((id, value(v.as_ref()?))))
+                    .collect()
+            }
+            Self {
+                round_and_phase,
+                keys: map(ids, &c.keys, Vec::clone),
+                escrows: map(ids, &c.escrows, Vec::clone),
+                submissions: map(ids, &c.submissions, |update| update.to_vec()),
+                shares: map(ids, &c.recovery_shares, |shares| {
+                    map(ids, shares, |s| (s.x, s.y.to_be_bytes()))
+                }),
+                contributions: c.contributions().clone(),
+                model_and_history,
+            }
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let mut out = self.round_and_phase.clone();
+            self.keys.encode_to(&mut out);
+            self.escrows.encode_to(&mut out);
+            self.submissions.encode_to(&mut out);
+            self.shares.encode_to(&mut out);
+            self.contributions.encode_to(&mut out);
+            out.extend_from_slice(&self.model_and_history);
+            out
+        }
+    }
+
+    #[test]
+    fn restore_refuses_what_no_call_could_have_written() {
+        // Owner ids that do not ascend with positions; round 0 evaluated,
+        // round 1 in recovery for id 5 with two shares in: every
+        // per-owner section is populated.
+        let ids = [9, 2, 5, 7, 0];
+        let mut w = masked_world_with_ids(&ids, 2);
+        let run = |w: &mut MaskedWorld, position: usize, call: FlCall| {
+            w.contract.execute(&ctx(ids[position]), &call).unwrap();
+        };
+        for i in 0..5 {
+            let masked = masked_submission(&w, i, 0);
+            run(&mut w, i, FlCall::SubmitMaskedUpdate { round: 0, masked });
+        }
+        run(&mut w, 0, FlCall::EvaluateRound { round: 0 });
+        w.groups = RoundPlan::new(w.contract.params().permutation_seed, 1, 5, 1, 2)
+            .unwrap()
+            .groups()
+            .concat();
+        for i in [0, 1, 3, 4] {
+            let masked = masked_submission(&w, i, 1);
+            run(&mut w, i, FlCall::SubmitMaskedUpdate { round: 1, masked });
+        }
+        run(&mut w, 0, FlCall::EvaluateRound { round: 1 });
+        for p in [3, 4] {
+            let share = recovery_share(&w, 1, 2, p);
+            run(&mut w, p, share);
+        }
+
+        // The tables encode as the maps they stand for, and restore
+        // from them.
+        let c = &w.contract;
+        let maps = MapSnapshot::of(c);
+        assert_eq!(maps.encode(), c.snapshot_state());
+        let test_set = SyntheticDigits::small().generate(99);
+        let restore = |maps: &MapSnapshot| {
+            FlContract::restore(c.params().clone(), test_set.clone(), &maps.encode())
+        };
+        assert_eq!(restore(&maps).unwrap().state_digest(), c.state_digest());
+
+        // Account 4 sits between two owner ids.
+        type Forgery = fn(&mut MapSnapshot);
+        let forgeries: [(&str, &str, Forgery); 11] = [
+            ("a key of a stranger", "FlContract keys", |s| {
+                s.keys.insert(4, s.keys[&9].clone());
+            }),
+            ("an escrow of a stranger", "FlContract escrows", |s| {
+                s.escrows.insert(4, s.escrows[&9].clone());
+            }),
+            ("an update of a stranger", "FlContract updates", |s| {
+                s.submissions.insert(4, s.submissions[&9].clone());
+            }),
+            ("shares for a stranger", "FlContract recovery shares", |s| {
+                s.shares.insert(4, s.shares[&5].clone());
+            }),
+            (
+                "a share from a stranger",
+                "FlContract recovery shares",
+                |s| {
+                    let shares = s.shares.get_mut(&5).unwrap();
+                    let (_, share) = shares.pop_first().unwrap();
+                    shares.insert(4, share);
+                },
+            ),
+            (
+                "an escrow cut to one commitment",
+                "FlContract escrows",
+                |s| {
+                    s.escrows.get_mut(&5).unwrap().truncate(1);
+                },
+            ),
+            ("a 31-byte key", "FlContract keys", |s| {
+                s.keys.get_mut(&2).unwrap().pop();
+            }),
+            ("a degenerate key", "FlContract keys", |s| {
+                s.keys.insert(2, vec![0; 32]);
+            }),
+            ("a short update", "FlContract updates", |s| {
+                s.submissions.get_mut(&2).unwrap().pop();
+            }),
+            (
+                "a contribution of a stranger",
+                "FlContract contributions",
+                |s| {
+                    s.contributions.insert(4, 0.0);
+                },
+            ),
+            ("a lost contribution", "FlContract contributions", |s| {
+                s.contributions.remove(&9);
+            }),
+        ];
+        for (what, refused, forge) in forgeries {
+            let mut forged = maps.clone();
+            forge(&mut forged);
+            match restore(&forged) {
+                Err(DecodeError::BadTag { type_name, .. }) if type_name == refused => {}
+                other => panic!("{what}: {:?}", other.map(|c| c.state_digest())),
+            }
+        }
     }
 
     #[test]
@@ -931,7 +1340,7 @@ mod dropout_lifecycle {
         );
         let before_share = a.contract.state_digest();
         a.contract
-            .execute(&ctx(0), &recovery_share_call(&a, 2, 0))
+            .execute(&ctx(0), &recovery_share(&a, 0, 2, 0))
             .unwrap();
         assert_ne!(
             a.contract.state_digest(),
@@ -954,7 +1363,7 @@ mod dropout_lifecycle {
             .unwrap();
         for provider in [0usize, 1, 3] {
             w.contract
-                .execute(&ctx(provider as u32), &recovery_share_call(&w, 2, provider))
+                .execute(&ctx(provider as u32), &recovery_share(&w, 0, 2, provider))
                 .unwrap();
         }
 
@@ -971,20 +1380,16 @@ mod dropout_lifecycle {
         };
 
         let mut no_shares = w.contract.clone();
-        no_shares.recovery_shares.clear();
+        no_shares.recovery_shares = Table::new(4);
         assert_fails(no_shares, "no recovery shares");
 
         let mut no_key = w.contract.clone();
-        no_key.keys.remove(&2);
+        clear(&mut no_key.keys, 2);
         assert_fails(no_key, "no advertised public key");
 
-        // Owner 3's (genuine) share filed under an account that owns
-        // nothing: the key reconstructs, the evidence cannot name it.
-        let mut stranger = w.contract.clone();
-        let shares = stranger.recovery_shares.get_mut(&2).unwrap();
-        let share = shares.remove(&3).unwrap();
-        shares.insert(99, share);
-        assert_fails(stranger, "account 99 is not a data owner");
+        // A share filed under an account that owns nothing has no slot
+        // in memory; `restore` refuses it in a snapshot
+        // (`restore_refuses_what_no_call_could_have_written`).
 
         // The untouched state still completes.
         w.contract.finish_round(0, &[2]).unwrap();
@@ -1104,7 +1509,7 @@ mod dropout_lifecycle {
         for &d in &dead {
             for &p in survivors.iter().take(threshold) {
                 w.contract
-                    .execute(&ctx(p as u32), &recovery_share_call(&w, d, p))
+                    .execute(&ctx(p as u32), &recovery_share(&w, 0, d, p))
                     .unwrap();
             }
         }
@@ -1623,7 +2028,7 @@ mod accuracy_utility {
 
 mod state_root {
     use super::dropout_lifecycle::{
-        masked_submission, masked_world, masked_world_sharded, MaskedWorld,
+        masked_submission, masked_world, masked_world_sharded, recovery_share, MaskedWorld,
     };
     use super::*;
     use fl_ml::dataset::Dataset;
@@ -1640,16 +2045,6 @@ mod state_root {
     /// The root of [`cold`]: every section is hashed afresh.
     fn cold_root(c: &FlContract, test_set: &Dataset) -> Hash32 {
         cold(c, test_set).state_digest()
-    }
-
-    fn recovery_share(w: &MaskedWorld, round: u64, dropped: usize, provider: usize) -> FlCall {
-        let share = &w.escrowed[dropped][provider];
-        FlCall::SubmitRecoveryShare {
-            round,
-            dropped: dropped as u32,
-            share_x: share.x,
-            share_y: share.y.to_be_bytes(),
-        }
     }
 
     /// A submission writes to the submissions map and to nothing else:
@@ -1674,9 +2069,16 @@ mod state_root {
             assert!(Arc::ptr_eq(copied, record));
         }
         assert!(!scratch.submissions.shares_value_with(&original.submissions));
-        assert_eq!(scratch.submissions.len(), original.submissions.len() + 1);
-        for (owner, update) in original.submissions.iter() {
-            assert!(scratch.submissions[owner].shares_value_with(update));
+        assert_eq!(scratch.submissions.filled, original.submissions.filled + 1);
+        for (copied, update) in scratch
+            .submissions
+            .slots
+            .iter()
+            .zip(&original.submissions.slots)
+        {
+            if let Some(update) = update {
+                assert!(copied.as_ref().unwrap().shares_value_with(update));
+            }
         }
     }
 
@@ -1921,16 +2323,16 @@ mod state_root {
 
         type Forgery = fn(&mut FlContract);
         let forgeries: [(&str, Forgery); 9] = [
-            ("a key byte", |c| c.keys.get_mut(&3).unwrap()[31] ^= 1),
+            ("a key byte", |c| c.keys.slots[3].as_mut().unwrap()[31] ^= 1),
             ("one escrow commitment", |c| {
-                c.escrows.get_mut(&1).unwrap()[2].0[0] ^= 1
+                c.escrows.slots[1].as_mut().unwrap()[2].0[0] ^= 1
             }),
             ("one masked word", |c| {
-                c.submissions.get_mut(&3).unwrap()[649] ^= 1
+                c.submissions.slots[3].as_mut().unwrap()[649] ^= 1
             }),
             ("a recovery share", |c| {
-                let share = c.recovery_shares.get_mut(&2).unwrap().get_mut(&0).unwrap();
-                share.y = U256::from_be_bytes(&[7; 32]);
+                let shares = c.recovery_shares.slots[2].as_mut().unwrap();
+                shares.slots[0].as_mut().unwrap().y = U256::from_be_bytes(&[7; 32]);
             }),
             ("one contribution", |c| {
                 *c.contributions.get_mut(&0).unwrap() += 1e-9
