@@ -322,7 +322,11 @@ fn play(game: &(impl CoalitionUtility + Sync), exact: bool) -> Vec<f64> {
 /// estimates are asserted equal to the bit before sampling. Their group
 /// models are synthetic sine patterns: at `table1_sv`'s shape no test row
 /// settles, so that pair measures the walk itself, while most of
-/// `sharded_1k`'s rows do.
+/// `sharded_1k`'s rows do — unlike the benchmark's real second-level
+/// game, whose 32 cohort aggregates settle none of the 410 rows.
+/// `unsettled/sharded_1k` is that workload's shape: the same game over a
+/// utility that settles nothing ([`EveryRow`]), every row walked per
+/// coalition, asserted equal to `batch/sharded_1k` to the bit first.
 ///
 /// `settled/table1_sv` and `unsettled/table1_sv` play `Exact` over the
 /// nine group models trained from `World::generate` at `table1_sv`'s
@@ -368,6 +372,18 @@ fn bench_coalition_walk(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("single", shape), |b| {
             b.iter(|| play(black_box(&single), exact))
         });
+        if !exact {
+            let every_row = EveryRow(&utility);
+            let unsettled = GroupModelGame::new(&models, &every_row);
+            assert_eq!(
+                bits(play(&game, exact)),
+                bits(play(&unsettled, exact)),
+                "{shape}: settled and unsettled estimates differ"
+            );
+            group.bench_function(BenchmarkId::new("unsettled", shape), |b| {
+                b.iter(|| play(black_box(&unsettled), exact))
+            });
+        }
     }
 
     let config = FlConfig {

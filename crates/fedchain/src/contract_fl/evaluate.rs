@@ -12,7 +12,7 @@ use fl_crypto::shamir::{Shamir, Share};
 use fl_ml::dataset::Dataset;
 use fl_ml::LogisticModel;
 use numeric::linalg::mean_vectors;
-use numeric::stats::is_argmax;
+use numeric::stats::{block_hits, is_argmax, BLOCK_ROWS};
 use numeric::{par, FixedCodec, U256};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
 use shapley::group::{argmax_settled, GroupModelGame};
@@ -84,10 +84,12 @@ pub(crate) fn reduce_models(survivor_means: &[Vec<Vec<f64>>]) -> (Vec<Option<Vec
 /// class index. Neither the softmax nor the
 /// `1/|S|` scale can reorder a row, so no `exp` is evaluated. Hits add
 /// up row by row, so there is an additive view too: the granule is one
-/// row's logits, [`ModelUtility::tally`] the hits in a block of rows
-/// (each checked against its own row's label). `of_scores` is the hits
-/// of all rows over the row count and `of_model` is `of_scores ∘
-/// scores`: one scoring path.
+/// row's logits, [`ModelUtility::tally`] the hits in a tile of lane
+/// blocks (each row checked against its own label by
+/// [`numeric::stats::block_hits`], eight rows a vector; the game compiles
+/// it into its walk's instantiations). `of_scores` is the hits of all
+/// rows, row-major, over the row count — [`is_argmax`] row by row, the
+/// lane count's oracle — and `of_model` is `of_scores ∘ scores`.
 ///
 /// Hits are counts, so a row may be settled
 /// ([`ModelUtility::settled`]): given one row's logits under every
@@ -108,6 +110,8 @@ pub(crate) fn reduce_models(survivor_means: &[Vec<Vec<f64>>]) -> (Vec<Option<Vec
 #[derive(Debug, Clone)]
 pub struct AccuracyUtility {
     test_design: fl_ml::Design,
+    /// Each test row's label as `f64`: a lane of a block's labels.
+    lane_labels: Vec<f64>,
     num_features: usize,
     num_classes: usize,
     /// `u(∅)`: the zero model's logits all tie, so it predicts class 0 —
@@ -122,20 +126,11 @@ impl AccuracyUtility {
         let zeros = test_design.labels().iter().filter(|&&l| l == 0).count();
         Self {
             empty: zeros as f64 / test_design.len() as f64,
+            lane_labels: test_design.labels().iter().map(|&l| l as f64).collect(),
             test_design,
             num_features,
             num_classes,
         }
-    }
-
-    /// Rows of `block` whose first-maximum logit is the label `labels`
-    /// yields for them.
-    fn hits(&self, block: &[f64], labels: impl Iterator<Item = usize>) -> f64 {
-        block
-            .chunks_exact(self.num_classes)
-            .zip(labels)
-            .filter(|(row, label)| is_argmax(row, *label))
-            .count() as f64
     }
 }
 
@@ -156,19 +151,31 @@ impl ModelUtility for AccuracyUtility {
 
     fn of_scores(&self, mean_scores: &[f64]) -> f64 {
         debug_assert_eq!(mean_scores.len(), self.test_design.len() * self.num_classes);
-        let labels = self.test_design.labels().iter().copied();
-        self.of_tally(self.hits(mean_scores, labels))
+        let rows = mean_scores.chunks_exact(self.num_classes);
+        let rows = rows.zip(self.test_design.labels());
+        let hits = rows.filter(|(row, &label)| is_argmax(row, label)).count();
+        self.of_tally(hits as f64)
     }
 
     fn granule(&self) -> Option<usize> {
         Some(self.num_classes)
     }
 
-    /// Hits among the rows of `mean_block`, test rows `rows`; counts, so
-    /// a test set's tallies add up exactly.
+    /// Hits among the rows of `mean_block`, lane blocks of test rows
+    /// `rows`; counts, so a test set's tallies add up exactly. A padding
+    /// lane gets the label `-1.0`, which is no class.
+    #[inline(always)]
     fn tally(&self, rows: &[usize], mean_block: &[f64]) -> f64 {
-        let labels = self.test_design.labels();
-        self.hits(mean_block, rows.iter().map(|&row| labels[row]))
+        let labels = &self.lane_labels;
+        let hits = block_hits(mean_block, self.num_classes, |b| {
+            std::array::from_fn(|lane| {
+                let label = rows
+                    .get(b * BLOCK_ROWS + lane)
+                    .and_then(|&row| labels.get(row));
+                label.copied().unwrap_or(-1.0)
+            })
+        });
+        hits as f64
     }
 
     /// `1` for a settled hit, `0` for a settled miss

@@ -1682,7 +1682,9 @@ mod accuracy_utility {
     use fl_ml::metrics::model_accuracy_design_reference;
     use fl_ml::rng::Xoshiro256;
     use fl_ml::{Design, LogisticModel};
+    use numeric::isa::{Isa, Kernel};
     use numeric::linalg::mean_vectors;
+    use numeric::stats::{is_argmax, BLOCK_ROWS};
     use numeric::Matrix;
     use proptest::prelude::*;
     use shapley::coalition::Coalition;
@@ -1958,6 +1960,160 @@ mod accuracy_utility {
                 b.evaluate(coalition).to_bits()
             );
         }
+    }
+
+    /// Rows `rows` of row-major `logits` as the coalition walk hands
+    /// them to `tally`: blocks of eight rows, class-major within a block,
+    /// the last one padded with `0.0`.
+    fn lane_blocks(logits: &[f64], rows: &[usize], classes: usize) -> Vec<f64> {
+        let stride = BLOCK_ROWS * classes;
+        let mut blocks = vec![0.0; rows.len().div_ceil(BLOCK_ROWS) * stride];
+        for (k, &r) in rows.iter().enumerate() {
+            for c in 0..classes {
+                blocks[k / BLOCK_ROWS * stride + c * BLOCK_ROWS + k % BLOCK_ROWS] =
+                    logits[r * classes + c];
+            }
+        }
+        blocks
+    }
+
+    /// `utility.tally` compiled into `isa`'s instantiation, as the walk
+    /// inlines it.
+    fn tally_on(isa: Isa, utility: &AccuracyUtility, rows: &[usize], blocks: &[f64]) -> f64 {
+        struct Tally<'a> {
+            utility: &'a AccuracyUtility,
+            rows: &'a [usize],
+            blocks: &'a [f64],
+            hits: &'a mut f64,
+        }
+        impl Kernel for Tally<'_> {
+            #[inline(always)]
+            fn run<const LANES: usize>(self) {
+                *self.hits = self.utility.tally(self.rows, self.blocks);
+            }
+        }
+        let mut hits = -1.0;
+        isa.run(Tally {
+            utility,
+            rows,
+            blocks,
+            hits: &mut hits,
+        });
+        hits
+    }
+
+    #[test]
+    fn tally_over_lane_blocks_equals_is_argmax_row_by_row_in_every_instantiation() {
+        // 2..=16 classes run the lane fold, 17 the row-by-row fallback;
+        // the logits hold near ties, exact ties, `±0.0`, NaN and `±∞`.
+        for classes in 2..=17usize {
+            let mut rng = Xoshiro256::seed_from_u64(classes as u64);
+            let (labels, models) = near_tie_logits(&mut rng, 1, 203, classes);
+            let utility = labelled(&labels, classes);
+            let logits = &models[0];
+            let hit = |r: usize| is_argmax(&logits[r * classes..][..classes], labels[r]);
+            // Consecutive runs and rows with gaps (settled rows left
+            // out), ending in every last-block width.
+            let mut cuts: Vec<Vec<usize>> = (1..=17).map(|len| (0..len).collect()).collect();
+            cuts.extend((1..=17).map(|len| (5..5 + len).collect()));
+            cuts.extend((1..=17).map(|len| (0..len).map(|k| 3 * k + k / 5).collect()));
+            cuts.push((0..203).collect());
+            cuts.push((0..203).filter(|r| r % 7 != 3).collect());
+            for isa in Isa::each() {
+                for r in 0..203 {
+                    let got = tally_on(isa, &utility, &[r], &lane_blocks(logits, &[r], classes));
+                    assert_eq!(
+                        got,
+                        f64::from(u8::from(hit(r))),
+                        "{isa:?}, {classes} classes, row {r}"
+                    );
+                }
+                for rows in &cuts {
+                    let want = rows.iter().filter(|&&r| hit(r)).count() as f64;
+                    let got = tally_on(isa, &utility, rows, &lane_blocks(logits, rows, classes));
+                    assert_eq!(got, want, "{isa:?}, {classes} classes, rows {rows:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partly_settled_table1_game_equals_the_spelled_out_oracle_at_caps_1_and_2() {
+        // Table I's shape on a world small enough that about half of its
+        // 300 test rows settle: every coalition's value is the members'
+        // logits summed in ascending order from `0.0`, scaled by `1/|S|`,
+        // `is_argmax` on each row that does not settle plus the settled
+        // rows' tallies, over the row count.
+        use crate::config::FlConfig;
+        use crate::world::World;
+        use shapley::estimator::{Exact, SvEstimator};
+        use shapley::utility::utility_fn;
+        let mut config = FlConfig::paper_setting();
+        config.num_groups = 9;
+        config.sigma = 1.0;
+        config.data.instances = 1_500;
+        let world = World::generate(&config).expect("valid config");
+        let models = world.local_updates(&config);
+        let classes = config.data.classes;
+        let utility = AccuracyUtility::new(&world.test, config.data.features, classes);
+        let logits: Vec<Vec<f64>> = models.iter().map(|w| utility.scores(w)).collect();
+        let rows = world.test.len();
+        let settled: Vec<Option<f64>> = (0..rows)
+            .map(|r| {
+                let members: Vec<&[f64]> = logits
+                    .iter()
+                    .map(|l| &l[r * classes..][..classes])
+                    .collect();
+                utility.settled(r, &members)
+            })
+            .collect();
+        let walked = settled.iter().filter(|s| s.is_none()).count();
+        assert!(
+            walked >= 20 && rows - walked >= 20,
+            "{walked} of {rows} rows walked"
+        );
+        let oracle = |coalition: Coalition| {
+            if coalition.is_empty() {
+                return utility.of_empty();
+            }
+            let mut sum = vec![0.0f64; rows * classes];
+            for j in coalition.members() {
+                for (acc, s) in sum.iter_mut().zip(&logits[j]) {
+                    *acc += s;
+                }
+            }
+            let inv = 1.0 / coalition.len() as f64;
+            let mean: Vec<f64> = sum.iter().map(|sum| sum * inv).collect();
+            let labels = world.test.labels.iter();
+            let rows = mean.chunks_exact(classes).zip(labels).zip(&settled);
+            let hits: f64 = rows
+                .map(|((row, &label), settled)| {
+                    settled.unwrap_or(f64::from(u8::from(is_argmax(row, label))))
+                })
+                .sum();
+            utility.of_tally(hits)
+        };
+        let batch: Vec<Coalition> = Coalition::powerset(9).collect();
+        let want: Vec<u64> = batch.iter().map(|&c| oracle(c).to_bits()).collect();
+        let want_sv = Exact.estimate(&utility_fn(9, oracle)).values;
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for cap in [1usize, 2] {
+            numeric::par::set_max_threads(cap);
+            let game = GroupModelGame::new(&models, &utility);
+            assert_eq!(bits(&game.evaluate_many(&batch)), want, "cap {cap}");
+            for &coalition in batch.iter().step_by(37) {
+                assert_eq!(
+                    game.evaluate(coalition).to_bits(),
+                    oracle(coalition).to_bits()
+                );
+            }
+            assert_eq!(
+                bits(&Exact.estimate(&game).values),
+                bits(&want_sv),
+                "cap {cap}"
+            );
+        }
+        numeric::par::set_max_threads(0);
     }
 
     proptest! {

@@ -1,9 +1,8 @@
 //! Which instantiation of a lane-compiled kernel runs.
 //!
-//! The hot loops of this crate — the GEMM panel in [`crate::linalg`], the
-//! slice passes in [`crate::math`] — are each one source compiled three
-//! times on x86-64: for the target's baseline (SSE2, 2 lanes), with AVX
-//! enabled (4 lanes) and with AVX-512F enabled (8 lanes). A call picks
+//! The hot loops of the evaluation pipeline are each one source compiled
+//! three times on x86-64: for the target's baseline (SSE2, 2 lanes), with
+//! AVX enabled (4 lanes) and with AVX-512F enabled (8 lanes). A call picks
 //! the widest one the CPU reports: `is_x86_feature_detected!("avx512f")`
 //! (which also checks that the OS saves the zmm state), else
 //! `is_x86_feature_detected!("avx")`, else the baseline. That is a
@@ -15,6 +14,18 @@
 //! order, so a wider instantiation cannot change a bit. Other targets
 //! compile the baseline instantiation only.
 //!
+//! # Who implements [`Kernel`]
+//!
+//! In this crate: the GEMM panel in [`crate::linalg`] and the slice
+//! passes of [`crate::math`] (`exp_slice`, `box_muller`,
+//! `softmax_columns`). Outside it, `shapley::group`'s coalition walk —
+//! the member-trie adds, the `1/|S|` scale and the utility's tally, which
+//! for the contract's accuracy utility is [`crate::stats::block_hits`] —
+//! so that crates which forbid `unsafe` code reach the wider
+//! instantiations through [`Isa::run`] alone. A kernel from any crate is
+//! sound to run: the only `unsafe` step is entering an instantiation, and
+//! an [`Isa`] names one only after the CPU reported its feature.
+//!
 //! # No fused multiply-add
 //!
 //! A fused multiply-add rounds once where the spelled-out `a * b + c`
@@ -23,9 +34,9 @@
 //! implies the `fma` target feature. Two facts keep FMA out of every
 //! instantiation: no kernel source calls `mul_add`, and rustc never
 //! contracts a multiply and an add into one. `scripts/no_fma.sh` checks
-//! both: it greps the non-test source of `numeric` and `ml` for `mul_add`
-//! and disassembles a release binary for any `vfmadd` / `vfmsub` /
-//! `vfnmadd` / `vfnmsub`.
+//! both: it greps the non-test source of `numeric`, `ml`, `shapley` and
+//! `fedchain` for `mul_add` and disassembles a release binary for any
+//! `vfmadd` / `vfmsub` / `vfnmadd` / `vfnmsub`.
 //!
 //! Calling a wider instantiation is the one `unsafe` block of this crate;
 //! every kernel goes through it.
@@ -33,9 +44,10 @@
 /// A loop body that [`Isa::run`] compiles once per instantiation.
 ///
 /// Implementations mark `run` `#[inline(always)]`, with everything below
-/// it, so the body is compiled with the features of the function it is
-/// inlined into.
-pub(crate) trait Kernel {
+/// it — a generic caller's trait methods included — so the body is
+/// compiled with the features of the function it is inlined into; what is
+/// not inlined runs as the baseline build of it.
+pub trait Kernel {
     /// Runs the kernel over the slices it holds, compiled for vector
     /// registers of `LANES` `f64` lanes: 2 in the portable instantiation
     /// (16 `xmm` registers on x86-64), 4 with AVX (16 `ymm`), 8 with
@@ -47,10 +59,11 @@ pub(crate) trait Kernel {
 
 /// Which instantiation of a [`Kernel`] a call runs. The field is private
 /// to this module, and every `Isa` above the portable one is built from a
-/// tier [`Tier::reported`] held for on this CPU — what the `unsafe` call
-/// in [`Isa::run`] relies on.
+/// tier whose feature this CPU reported — what the `unsafe` call in
+/// [`Isa::run`] relies on. Only [`Isa::detect`] and [`Isa::each`] make
+/// one.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct Isa {
+pub struct Isa {
     tier: Tier,
 }
 
@@ -92,7 +105,7 @@ impl Isa {
     };
 
     /// The widest instantiation this CPU runs.
-    pub(crate) fn detect() -> Isa {
+    pub fn detect() -> Isa {
         Tier::ALL
             .into_iter()
             .rfind(|t| t.reported())
@@ -101,8 +114,7 @@ impl Isa {
 
     /// Every instantiation this CPU runs, narrowest (the portable one)
     /// first: what a test holds each instantiation to.
-    #[cfg(test)]
-    pub(crate) fn each() -> Vec<Isa> {
+    pub fn each() -> Vec<Isa> {
         Tier::ALL
             .into_iter()
             .filter(|t| t.reported())
@@ -112,7 +124,7 @@ impl Isa {
 
     /// Runs `kernel` in this instantiation.
     #[inline]
-    pub(crate) fn run<K: Kernel>(self, kernel: K) {
+    pub fn run<K: Kernel>(self, kernel: K) {
         #[cfg(target_arch = "x86_64")]
         if self.tier != Tier::Portable {
             // SAFETY: this `Isa` came from `detect` or `each`, so

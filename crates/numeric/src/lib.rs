@@ -19,10 +19,10 @@
 //! * [`par`] — deterministic fork-join parallelism over index ranges; the
 //!   execution layer behind the SV and secure-aggregation hot paths.
 //!
-//! A crate-private `isa` module picks, per call, which instantiation of
-//! a lane-compiled kernel runs (`linalg`'s GEMM panel, `math`'s slice
-//! passes): the baseline one or the same source compiled with AVX or
-//! with AVX-512F, the widest the CPU has.
+//! [`isa`] picks, per call, which instantiation of a lane-compiled
+//! kernel runs (`linalg`'s GEMM panel, `math`'s slice passes,
+//! `shapley`'s coalition walk): the baseline one or the same source
+//! compiled with AVX or with AVX-512F, the widest the CPU has.
 //!
 //! Everything here is deterministic and dependency-free by design: the
 //! blockchain's verification-by-re-execution protocol (paper Sect. III)
@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod fixed;
-mod isa;
+pub mod isa;
 pub mod linalg;
 pub mod math;
 pub mod par;

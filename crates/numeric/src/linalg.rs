@@ -44,7 +44,7 @@
 //! The kernel is one source compiled three times on x86-64 — for the
 //! baseline (SSE2), with AVX and with AVX-512F — and a product runs the
 //! widest instantiation the CPU has. That is a platform selection the
-//! code observes, not an option: the crate-private `isa` module holds
+//! code observes, not an option: the [`crate::isa`] module holds
 //! the dispatch, shared with [`crate::math`]'s slice passes, and the
 //! argument why wider lanes cannot change a bit. None may fuse: the AVX
 //! one does not enable FMA, and in the AVX-512F one (where rustc's

@@ -57,7 +57,7 @@
 //!
 //! [`exp_slice`], [`softmax_columns`] and [`box_muller`] run the same
 //! scalar bodies over whole slices, compiled again with AVX and with
-//! AVX-512F, the widest the CPU has running (the crate-private `isa`
+//! AVX-512F, the widest the CPU has running (the [`crate::isa`]
 //! dispatch, shared with the GEMM kernel in [`crate::linalg`]). Lanes never interact, so every element
 //! equals the scalar function bit for bit — pinned for every length and
 //! alignment in every instantiation. The AVX-512F one is compiled with

@@ -49,6 +49,36 @@
 //! stays within `WALK_BYTES` when the utility scores means tile by tile
 //! ([`ModelUtility::tally`]) and is one whole-length tile when not.
 //!
+//! # Lane blocks
+//!
+//! A utility that scores tile by tile gets its granules — an accuracy
+//! utility's test rows — in interleaved blocks of [`BLOCK_ROWS`] (8):
+//! within a block the scores are class-major, element `c · 8 + lane` is
+//! score `c` of the block's granule `lane`, so one vector of the widest
+//! instantiation holds one score of eight rows and the utility's tally
+//! folds eight rows a step ([`numeric::stats::block_hits`]).
+//! [`GroupModelGame::new`] lays every kept granule out that way in the
+//! same pass that drops the settled ones, one group's vector at a time,
+//! so no second copy of the scores stays alive. The last block is padded
+//! with `0.0`. Padding lanes never count: a tally is handed the indices
+//! of the real granules only, so a utility knows which lanes hold one
+//! (the accuracy utility gives a padding lane the label `-1`, which no
+//! first maximum matches), and a tile is whole blocks. A utility without
+//! a granule, or whose granule does not divide the score vectors, is
+//! handed the vector as it came, whole.
+//!
+//! The walk — the member adds, the `1/|S|` scale and the tally — is a
+//! [`numeric::isa::Kernel`], compiled for the baseline, for AVX and for
+//! AVX-512F; a batch runs the widest the CPU has. None of that can move
+//! a bit. The layout moves elements, never what they are added to: every
+//! element of a coalition's sum is still its members' scores in ascending
+//! order from `0.0`, then one product with `1/|S|`, and each element is
+//! one lane of its own — `addpd` and `mulpd` round a lane alike at every
+//! width, lanes never interact, and rustc neither fuses a multiply into
+//! an add nor reorders a sum. A tally is a count of rows, exact in any
+//! order. The padding lanes add and scale zeros beside the real ones and
+//! are then ignored.
+//!
 //! # Settled granules
 //!
 //! A value is a sum of per-granule tallies, and on a trained round most
@@ -56,8 +86,8 @@
 //! a test row right, or wrong, by a margin no average of them can erase.
 //! [`GroupModelGame::new`] asks the utility once per granule
 //! ([`ModelUtility::settled`]), folds the answered tallies into one
-//! constant per game and keeps only the other granules' scores,
-//! compacted, with their original indices; the walk sums those and hands
+//! constant per game and keeps only the other granules' scores, in lane
+//! blocks, with their original indices; the walk sums those and hands
 //! [`ModelUtility::tally`] each tile's indices. An element's fold order
 //! is the member order whatever else settled, and a utility answers only
 //! when its tallies add exactly (counts), so every value keeps its bits.
@@ -95,8 +125,10 @@
 
 use std::cell::RefCell;
 
+use numeric::isa::{Isa, Kernel};
 use numeric::linalg::mean_vectors;
 use numeric::par;
+use numeric::stats::BLOCK_ROWS;
 
 use crate::coalition::{Coalition, MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
 use crate::estimator::{Exact, SvEstimator};
@@ -192,12 +224,18 @@ pub(crate) fn grouping(pi: &[usize], m: usize) -> Vec<Vec<usize>> {
 /// bit-identical across thread counts.
 pub struct GroupModelGame<'a, U> {
     utility: &'a U,
-    /// Each group's kept scores, `dim` long.
+    /// Each group's kept scores, `len` long: lane blocks of
+    /// [`BLOCK_ROWS`] granules (module docs, "Lane blocks"), or the whole
+    /// vector as it came when the utility scores it whole.
     scores: Vec<Vec<f64>>,
-    /// Length of each kept score vector: the unsettled granules.
+    /// Length of each laid-out score vector: whole blocks.
+    len: usize,
+    /// Kept elements, padding not counted: the unsettled granules.
     dim: usize,
-    /// Elements per granule of the full score vectors.
-    granule: usize,
+    /// Elements per block.
+    block: usize,
+    /// Granules per block: [`BLOCK_ROWS`], or one vector scored whole.
+    block_granules: usize,
     /// Index in the full score vectors of each kept granule, ascending.
     kept: Vec<usize>,
     /// The settled granules' tallies, summed in granule order; `None`
@@ -237,14 +275,26 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             scores.iter().all(|s| s.len() == full),
             "all group models must share a dimension"
         );
-        let granule = utility.granule().unwrap_or(full).max(1);
-        let (settled, kept) = settle(utility, &mut scores, granule);
-        let dim = scores[0].len();
+        // A granule that does not divide the vectors is no granule: the
+        // vector is scored whole, as one granule and one block.
+        let (settled, kept, granule, block_granules) = match utility.granule() {
+            Some(granule) if granule > 0 && full.is_multiple_of(granule) => {
+                let (settled, kept) = settle(utility, &mut scores, granule);
+                (settled, kept, granule, BLOCK_ROWS)
+            }
+            _ => {
+                let kept = if full > 0 { vec![0] } else { Vec::new() };
+                (None, kept, full, 1)
+            }
+        };
+        let block = (block_granules * granule).max(1);
         Self {
             utility,
+            len: scores[0].len(),
             scores,
-            dim,
-            granule,
+            dim: kept.len() * granule,
+            block,
+            block_granules,
             kept,
             settled,
         }
@@ -252,11 +302,21 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
 
     /// `out[i] = u(coalitions[i])`; allocates only to grow the scratch.
     fn values_into(&self, coalitions: &[Coalition], out: &mut [f64]) {
+        self.values_on(Isa::detect(), coalitions, out);
+    }
+
+    /// [`Self::values_into`] with the walk compiled for `isa`.
+    fn values_on(&self, isa: Isa, coalitions: &[Coalition], out: &mut [f64]) {
         // Taken out of the cell, not borrowed across the utility's
         // calls: a utility that itself consults another game on this
         // thread starts from an empty buffer instead of a RefCell panic.
         let mut scratch = MEAN_SCRATCH.with(RefCell::take);
-        self.walk(coalitions, out, &mut scratch);
+        isa.run(Walk {
+            game: self,
+            coalitions,
+            out: &mut *out,
+            scratch: &mut scratch,
+        });
         MEAN_SCRATCH.with(|cell| cell.replace(scratch));
         for (value, coalition) in out.iter_mut().zip(coalitions) {
             *value = if coalition.is_empty() {
@@ -270,7 +330,9 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
 
     /// One pre-order walk of the member trie per tile of score elements
     /// (module docs), leaving in `out` the tally totals of the non-empty
-    /// coalitions.
+    /// coalitions. Inlined into [`Walk`]'s instantiations, the utility's
+    /// tally with it.
+    #[inline(always)]
     fn walk(&self, coalitions: &[Coalition], out: &mut [f64], scratch: &mut Vec<f64>) {
         // Trie pre-order; a batch that arrives in it (one coalition, an
         // exact subtree, a prewarm run) is walked as it stands.
@@ -279,11 +341,11 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             order = (0..coalitions.len()).collect();
             order.sort_unstable_by_key(|&i| coalitions[i].0.reverse_bits());
         }
-        // The mean, then levels 0 (zeros) ..= deepest.
+        // The mean, then levels 0 (zeros) ..= deepest; whole blocks.
         let deepest = coalitions.iter().map(Coalition::len).max().unwrap_or(0);
-        let granule = self.granule;
-        let fit = WALK_BYTES / std::mem::size_of::<f64>() / (deepest + 2) / granule;
-        let tile = (fit.max(1) * granule).min(self.dim.max(1));
+        let block = self.block;
+        let fit = WALK_BYTES / std::mem::size_of::<f64>() / (deepest + 2) / block;
+        let tile = (fit.max(1) * block).min(self.len.max(1));
         scratch.resize(scratch.len().max((deepest + 2) * tile), 0.0);
         let (mean, levels) = scratch.split_at_mut(tile);
         levels[..tile].fill(0.0);
@@ -292,9 +354,11 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
         let mask_at = |k: usize| coalitions.get(slot(k)).map_or(0, |c| c.0);
         // Pre-order puts the empty coalitions first; they have no mean.
         let empties = coalitions.iter().filter(|c| c.is_empty()).count();
-        for first in (0..self.dim.max(1)).step_by(tile) {
-            let len = tile.min(self.dim - first);
-            let granules = &self.kept[first / granule..(first + len).div_ceil(granule)];
+        for first in (0..self.len.max(1)).step_by(tile) {
+            let len = tile.min(self.len - first);
+            // The tile's granules; the last block's padding names none.
+            let granules = &self.kept[first / block * self.block_granules
+                ..((first + len) / block * self.block_granules).min(self.kept.len())];
             // The coalition whose member-prefix sums the levels hold.
             let mut stacked = 0u64;
             for k in empties..coalitions.len() {
@@ -337,6 +401,23 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
     }
 }
 
+/// A batch's walk as a [`Kernel`]: [`numeric::isa`] compiles it once per
+/// instantiation, so the adds, the scale and the utility's tally run in
+/// the CPU's widest vectors.
+struct Walk<'w, 'a, U> {
+    game: &'w GroupModelGame<'a, U>,
+    coalitions: &'w [Coalition],
+    out: &'w mut [f64],
+    scratch: &'w mut Vec<f64>,
+}
+
+impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
+    #[inline(always)]
+    fn run<const LANES: usize>(self) {
+        self.game.walk(self.coalitions, self.out, self.scratch);
+    }
+}
+
 impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
     fn num_players(&self) -> usize {
         self.scores.len()
@@ -355,7 +436,7 @@ impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
     }
 
     /// A mean over about `m / 2` members' scores, its scaling and the
-    /// utility's pass over it.
+    /// utility's pass over it, in kept elements (padding lanes are free).
     fn eval_flops(&self) -> usize {
         self.dim * (self.scores.len() / 2 + 2)
     }
@@ -369,9 +450,10 @@ fn shared_prefix(a: u64, b: u64) -> u64 {
 
 /// Asks `utility` for each granule of `scores` (one vector per group)
 /// whether every coalition tallies it alike (module docs, "Settled
-/// granules"). Returns the answered tallies summed in granule order —
-/// `None` when there are none — and the indices of the other granules,
-/// whose elements are left compacted at the front of each vector.
+/// granules"), then lays each vector's other granules out in lane blocks
+/// (module docs, "Lane blocks"), one vector at a time. Returns the
+/// answered tallies summed in granule order — `None` when there are none
+/// — and the indices of the kept granules, ascending.
 fn settle<U: ModelUtility>(
     utility: &U,
     scores: &mut [Vec<f64>],
@@ -382,25 +464,24 @@ fn settle<U: ModelUtility>(
     let mut kept = Vec::new();
     let mut members: Vec<&[f64]> = Vec::with_capacity(scores.len());
     for (index, at) in (0..full).step_by(granule).enumerate() {
-        let end = (at + granule).min(full);
         members.clear();
-        members.extend(scores.iter().map(|s| &s[at..end]));
+        members.extend(scores.iter().map(|s| &s[at..at + granule]));
         match utility.settled(index, &members) {
             Some(tally) => settled = Some(settled.map_or(tally, |sum| sum + tally)),
             None => kept.push(index),
         }
     }
-    if settled.is_some() {
-        for s in scores.iter_mut() {
-            let mut len = 0;
-            for &index in &kept {
-                let at = index * granule;
-                let end = (at + granule).min(full);
-                s.copy_within(at..end, len);
-                len += end - at;
+    let stride = BLOCK_ROWS * granule;
+    for s in scores.iter_mut() {
+        let mut blocks = vec![0.0; kept.len().div_ceil(BLOCK_ROWS) * stride];
+        for (k, &index) in kept.iter().enumerate() {
+            let row = &s[index * granule..(index + 1) * granule];
+            let lanes = &mut blocks[k / BLOCK_ROWS * stride + k % BLOCK_ROWS..];
+            for (c, &score) in row.iter().enumerate() {
+                lanes[c * BLOCK_ROWS] = score;
             }
-            s.truncate(len);
         }
+        *s = blocks;
     }
     (settled, kept)
 }
@@ -792,22 +873,72 @@ mod tests {
     /// whole numbers so that any cut adds up exactly: a row counts
     /// `row + 1` when its first maximum is class `row % classes`, and
     /// every element counts the low bits of its mantissa. A tile handed
-    /// over with the wrong indices, cut inside a row, or holding a mean
-    /// summed in another order changes the total.
+    /// over with the wrong indices, cut inside a block, laid out in other
+    /// lanes or holding a mean summed in another order changes the total.
     struct RowHits {
         classes: usize,
         /// `false`: no granule, the vector is scored whole.
         cut: bool,
     }
 
-    /// `0, 1, …` for each granule of a `len`-element vector.
-    fn every_granule(len: usize, granule: usize) -> Vec<usize> {
-        (0..len.div_ceil(granule)).collect()
+    /// A row-major vector's rows (the last may be short), numbered.
+    fn row_major(v: &[f64], classes: usize) -> Vec<(usize, Vec<f64>)> {
+        v.chunks(classes).map(<[f64]>::to_vec).enumerate().collect()
+    }
+
+    /// The rows of a tile of lane blocks (module docs, "Lane blocks"),
+    /// each with its granule index; the padding lanes must hold `0.0`.
+    fn lane_rows(granules: &[usize], classes: usize, tile: &[f64]) -> Vec<(usize, Vec<f64>)> {
+        let stride = BLOCK_ROWS * classes;
+        assert_eq!(
+            tile.len(),
+            granules.len().div_ceil(BLOCK_ROWS) * stride,
+            "tile cut inside a block"
+        );
+        let at =
+            |k: usize, c: usize| tile[k / BLOCK_ROWS * stride + c * BLOCK_ROWS + k % BLOCK_ROWS];
+        for k in granules.len()..tile.len() / classes.max(1) {
+            assert!(
+                (0..classes).all(|c| at(k, c).to_bits() == 0),
+                "padding lane {k} holds a score"
+            );
+        }
+        let row = |k: usize| (0..classes).map(|c| at(k, c)).collect::<Vec<_>>();
+        granules
+            .iter()
+            .enumerate()
+            .map(|(k, &g)| (g, row(k)))
+            .collect()
+    }
+
+    impl RowHits {
+        fn total(&self, rows: &[(usize, Vec<f64>)]) -> u64 {
+            let mut total = 0u64;
+            for (index, row) in rows {
+                if numeric::stats::is_argmax(row, index % self.classes) {
+                    total += *index as u64 + 1;
+                }
+                total += row.iter().map(|s| s.to_bits() % 1021).sum::<u64>();
+            }
+            total
+        }
+
+        /// The rows of a tile: lane blocks when the utility cuts, the
+        /// vector whole otherwise — or when its granule does not divide
+        /// the vector, which the game then scores whole.
+        fn rows(&self, granules: &[usize], tile: &[f64]) -> Vec<(usize, Vec<f64>)> {
+            if self.cut && tile.len().is_multiple_of(self.classes) {
+                lane_rows(granules, self.classes, tile)
+            } else {
+                assert_eq!(granules, [0]);
+                row_major(tile, self.classes)
+            }
+        }
     }
 
     impl ModelUtility for RowHits {
         fn of_model(&self, weights: &[f64]) -> f64 {
-            self.of_tally(self.tally(&every_granule(weights.len(), self.classes), weights))
+            self.of_tally(self.total(&row_major(weights, self.classes)) as f64)
         }
 
         fn of_empty(&self) -> f64 {
@@ -819,19 +950,7 @@ mod tests {
         }
 
         fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-            if self.cut {
-                let rows = mean_block.len().div_ceil(self.classes);
-                assert_eq!(granules.len(), rows, "tile cut inside a row");
-            }
-            let mut total = 0u64;
-            for (r, row) in mean_block.chunks(self.classes).enumerate() {
-                let index = if self.cut { granules[r] } else { r };
-                if numeric::stats::is_argmax(row, index % self.classes) {
-                    total += index as u64 + 1;
-                }
-                total += row.iter().map(|s| s.to_bits() % 1021).sum::<u64>();
-            }
-            total as f64
+            self.total(&self.rows(granules, mean_block)) as f64
         }
 
         fn of_tally(&self, total: f64) -> f64 {
@@ -846,10 +965,21 @@ mod tests {
         inner: &'a GroupModelGame<'a, RowHits>,
     }
 
+    impl Nested<'_> {
+        fn count(&self, rows: &[(usize, Vec<f64>)]) -> f64 {
+            let some = Coalition::from_members(&[0, 3, 25]);
+            let asked = self.inner.evaluate(some);
+            let both = self.inner.evaluate_many(&[Coalition::grand(26), some]);
+            assert_eq!(asked.to_bits(), both[1].to_bits());
+            let per_element = asked.to_bits() % 1021 + both[0].to_bits() % 1021;
+            let elements: usize = rows.iter().map(|(_, row)| row.len()).sum();
+            (self.rows.total(rows) + per_element * elements as u64) as f64
+        }
+    }
+
     impl ModelUtility for Nested<'_> {
         fn of_model(&self, weights: &[f64]) -> f64 {
-            let granules = every_granule(weights.len(), self.rows.classes);
-            self.of_tally(self.tally(&granules, weights))
+            self.of_tally(self.count(&row_major(weights, self.rows.classes)))
         }
 
         fn of_empty(&self) -> f64 {
@@ -861,12 +991,7 @@ mod tests {
         }
 
         fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-            let some = Coalition::from_members(&[0, 3, 25]);
-            let asked = self.inner.evaluate(some);
-            let both = self.inner.evaluate_many(&[Coalition::grand(26), some]);
-            assert_eq!(asked.to_bits(), both[1].to_bits());
-            let per_element = (asked.to_bits() % 1021 + both[0].to_bits() % 1021) as f64;
-            self.rows.tally(granules, mean_block) + per_element * mean_block.len() as f64
+            self.count(&self.rows.rows(granules, mean_block))
         }
     }
 
@@ -984,7 +1109,9 @@ mod tests {
     }
 
     /// Argmax hits against a label per row — the shape of the contract's
-    /// accuracy utility: counts, so it settles rows.
+    /// accuracy utility: counts, so it settles rows, and its tally is the
+    /// contract's lane count ([`numeric::stats::block_hits`]) while
+    /// `of_model` checks row by row.
     struct Hits {
         classes: usize,
         labels: Vec<usize>,
@@ -992,7 +1119,9 @@ mod tests {
 
     impl ModelUtility for Hits {
         fn of_model(&self, weights: &[f64]) -> f64 {
-            self.tally(&every_granule(weights.len(), self.classes), weights)
+            let rows = weights.chunks_exact(self.classes).zip(&self.labels);
+            rows.filter(|(row, &label)| numeric::stats::is_argmax(row, label))
+                .count() as f64
         }
 
         fn of_empty(&self) -> f64 {
@@ -1003,11 +1132,20 @@ mod tests {
             Some(self.classes)
         }
 
+        #[inline(always)]
         fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-            assert_eq!(granules.len() * self.classes, mean_block.len());
-            let rows = mean_block.chunks_exact(self.classes).zip(granules);
-            rows.filter(|(row, &g)| numeric::stats::is_argmax(row, self.labels[g]))
-                .count() as f64
+            let stride = BLOCK_ROWS * self.classes;
+            assert_eq!(
+                granules.len().div_ceil(BLOCK_ROWS) * stride,
+                mean_block.len()
+            );
+            let hits = numeric::stats::block_hits(mean_block, self.classes, |b| {
+                std::array::from_fn(|lane| {
+                    let row = granules.get(b * BLOCK_ROWS + lane);
+                    row.map_or(-1.0, |&g| self.labels[g] as f64)
+                })
+            });
+            hits as f64
         }
 
         fn settled(&self, granule: usize, members: &[&[f64]]) -> Option<f64> {
@@ -1188,6 +1326,123 @@ mod tests {
         let plain = GroupModelGame::new(&models, &bare);
         assert_eq!(plain.eval_flops(), 90 * (4 / 2 + 2));
         assert_same_values(&game, &plain, &Coalition::powerset(4).collect::<Vec<_>>());
+    }
+
+    /// The settled tally of each row of a [`Hits`] game, or `None`.
+    fn settled_rows(utility: &Hits, models: &[Vec<f64>]) -> Vec<Option<f64>> {
+        let classes = utility.classes;
+        (0..utility.labels.len())
+            .map(|r| {
+                let members: Vec<&[f64]> = models
+                    .iter()
+                    .map(|m| &m[r * classes..][..classes])
+                    .collect();
+                utility.settled(r, &members)
+            })
+            .collect()
+    }
+
+    /// What a [`Hits`] game values `coalition` at, spelled out: each
+    /// member's scores added in ascending member order to a vector of
+    /// `0.0`, scaled by `1/|S|`, then per row its settled tally (from
+    /// [`settled_rows`]) when the row settles and
+    /// [`numeric::stats::is_argmax`] on the mean when it does not.
+    fn hits_oracle(
+        utility: &Hits,
+        models: &[Vec<f64>],
+        settled: &[Option<f64>],
+        coalition: Coalition,
+    ) -> f64 {
+        if coalition.is_empty() {
+            return utility.of_empty();
+        }
+        let mut sum = vec![0.0f64; models[0].len()];
+        for j in coalition.members() {
+            for (acc, s) in sum.iter_mut().zip(&models[j]) {
+                *acc += s;
+            }
+        }
+        let inv = 1.0 / coalition.len() as f64;
+        let mean: Vec<f64> = sum.iter().map(|sum| sum * inv).collect();
+        let mut total = 0.0;
+        for (r, row) in mean.chunks_exact(utility.classes).enumerate() {
+            total += settled[r].unwrap_or_else(|| {
+                f64::from(u8::from(numeric::stats::is_argmax(row, utility.labels[r])))
+            });
+        }
+        utility.of_tally(total)
+    }
+
+    #[test]
+    fn walk_equals_the_spelled_out_oracle_in_every_instantiation_at_caps_1_and_2() {
+        use crate::estimator::{Exact, Stratified, SvEstimator};
+        use crate::stratified::StratifiedConfig;
+        use crate::utility::games::THREAD_CAP;
+        use crate::utility::utility_fn;
+        let _cap = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut games, mut partly) = (0usize, 0usize);
+        for m in [1usize, 4, 9, 32] {
+            for rows in [1usize, 7, 8, 9, 410] {
+                // The second level of a sharded round is 32 × 410 × 4.
+                for classes in [4usize, 10].into_iter().take(if m < 32 { 2 } else { 1 }) {
+                    let seed = (m * 1_000 + rows * 10 + classes) as u64;
+                    let (utility, models) = near_ties(m, rows, classes, seed);
+                    let game = GroupModelGame::new(&models, &utility);
+                    games += 1;
+                    partly += usize::from(game.settled.is_some() && game.dim > 0);
+                    let batch: Vec<Coalition> = if m <= 9 {
+                        Coalition::powerset(m).collect()
+                    } else {
+                        let draws: Vec<u64> = (0..300u64)
+                            .map(|i| seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                            .collect();
+                        random_batch(m, &draws, false)
+                    };
+                    let settled = settled_rows(&utility, &models);
+                    let oracle = |c: Coalition| hits_oracle(&utility, &models, &settled, c);
+                    let want: Vec<f64> = batch.iter().map(|&c| oracle(c)).collect();
+                    for isa in Isa::each() {
+                        let mut got = vec![0.0; batch.len()];
+                        game.values_on(isa, &batch, &mut got);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{isa:?}: m {m}, {rows} rows x {classes}"
+                        );
+                        for (&coalition, want) in batch.iter().zip(&want).take(16) {
+                            let mut one = [0.0];
+                            game.values_on(isa, &[coalition], &mut one);
+                            assert_eq!(one[0].to_bits(), want.to_bits(), "{isa:?}: {coalition:?}");
+                        }
+                    }
+                    // The estimators over the game and over the oracle.
+                    let oracle = utility_fn(m, oracle);
+                    for cap in [1usize, 2] {
+                        par::set_max_threads(cap);
+                        if m <= 9 {
+                            let (got, want) = (Exact.estimate(&game), Exact.estimate(&oracle));
+                            assert_eq!(bits(&got.values), bits(&want.values), "cap {cap}, m {m}");
+                        } else {
+                            let stratified = Stratified {
+                                config: StratifiedConfig {
+                                    samples_per_stratum: 1,
+                                    seed,
+                                },
+                            };
+                            let got = stratified.estimate(&game);
+                            let want = stratified.estimate(&oracle);
+                            assert_eq!(bits(&got.values), bits(&want.values), "cap {cap}, m {m}");
+                        }
+                    }
+                }
+            }
+        }
+        par::set_max_threads(0);
+        assert!(
+            partly * 2 >= games,
+            "{partly} of {games} games partly settled"
+        );
     }
 
     proptest! {

@@ -90,13 +90,20 @@ pub(crate) const MAX_BATCH: usize = 1 << 12;
 /// if the utility needs one. A utility that is a sum over pieces of the
 /// vector — accuracy is hits per row, summed — names the piece size as
 /// [`ModelUtility::granule`] and scores a tile with
-/// [`ModelUtility::tally`]. A tile is whole granules laid end to end,
-/// named by their indices in `v` (ascending, not necessarily adjacent).
-/// Contract: over any partition of `v`'s granules into tiles,
-/// `of_scores(v) == of_tally(Σ tally(granules, tile))`, summed in order
-/// from the first tally (not from `0.0`). The defaults are again the
-/// identity: no granule, `v` is the only tile (granule `0`), `tally =
-/// of_scores`, `of_tally` passes it through.
+/// [`ModelUtility::tally`]. A tile is granules named by their indices in
+/// `v` (ascending, not necessarily adjacent), arriving **interleaved**
+/// in lane blocks of [`numeric::stats::BLOCK_ROWS`] granules: within a
+/// block, element `e · BLOCK_ROWS + lane` is element `e` of the block's
+/// granule `lane` ([`crate::group`], "Lane blocks"). Every block but the
+/// tile's last is full; the last one's lanes past the named granules are
+/// padding, `0.0`, and must not count. Contract: over any partition of
+/// `v`'s granules into tiles, `of_scores(v) == of_tally(Σ tally(granules,
+/// tile))`, summed in order from the first tally (not from `0.0`), where
+/// `v` is row-major as `scores` returns it. A granule must divide the
+/// length of the score vectors; one that does not counts as none. The
+/// defaults are again the identity: no granule, `v` is the only tile
+/// (granule `0`, not interleaved), `tally = of_scores`, `of_tally` passes
+/// it through.
 ///
 /// # Settled granules
 ///
@@ -127,13 +134,18 @@ pub trait ModelUtility {
     }
 
     /// The positive element count at whose multiples a mean score vector
-    /// may be cut for [`Self::tally`]; `None`: it is scored whole.
+    /// may be cut for [`Self::tally`], dividing its length; `None`: it is
+    /// scored whole.
     fn granule(&self) -> Option<usize> {
         None
     }
 
     /// Partial score of `mean_block`: the granules of a mean score vector
-    /// whose indices `granules` lists, laid end to end.
+    /// whose indices `granules` lists, in interleaved lane blocks (trait
+    /// docs, "The additive view"); the whole vector when there is no
+    /// granule. The game runs it inside its lane-compiled walk: an
+    /// implementation marked `#[inline(always)]` is compiled for the
+    /// CPU's widest vectors with it.
     fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
         let _ = granules;
         self.of_scores(mean_block)

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Fails if a fused multiply-add can reach the lane-compiled kernels of
 # `numeric` (the GEMM panel, `exp_slice`, `softmax_columns`,
-# `box_muller`) or the trainer in `ml`. A fused multiply-add rounds once
+# `box_muller`), the trainer in `ml`, or the coalition walk of `shapley`
+# with the `fedchain` accuracy tally it inlines. A fused multiply-add rounds once
 # where `a * b + c` rounds twice, so it changes bits. `numeric::isa`
 # compiles each kernel a third time with `avx512f` enabled, and in rustc
 # `avx512f` implies the `fma` target feature: from there on only the
 # source and the compiler keep FMA out.
 # The script checks both:
 #
-#   1. no `mul_add` in non-test code of `numeric` and `ml` (each file read
-#      up to its first `#[cfg(test)]`, comment lines skipped);
+#   1. no `mul_add` in non-test code of `numeric`, `ml`, `shapley` and
+#      `fedchain` (each file read up to its first `#[cfg(test)]`, comment
+#      lines skipped, test-module files named `tests.rs` left out);
 #   2. no `vfmadd` / `vfmsub` / `vfnmadd` / `vfnmsub` in the disassembly
 #      of a release binary that runs every kernel (the `quickstart`
 #      example: data generation, training, scoring), which must hold the
@@ -19,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-found=$(find crates/{numeric,ml}/src -name '*.rs' -print0 |
+found=$(find crates/{numeric,ml,shapley,fedchain}/src -name '*.rs' ! -name tests.rs -print0 |
     xargs -0 awk '
         FNR == 1 { in_tests = 0 }
         /#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -31,7 +33,7 @@ if [ -n "$found" ]; then
     echo "$found"
     exit 1
 fi
-echo "no mul_add in non-test code of numeric and ml"
+echo "no mul_add in non-test code of numeric, ml, shapley and fedchain"
 
 bin=$(cargo build --release --example quickstart --message-format=json-render-diagnostics |
     sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -n 1)

@@ -20,11 +20,15 @@ cd "$(dirname "$0")/.."
 #   state.rs    `genesis` panics through `FlParams::validate`, on purpose
 #   engine.rs   e.g. "replicas advance in lockstep"
 #   protocol.rs e.g. "validated: survivors exist"
+#   group.rs    `GroupModelGame::new`'s shape checks and the off-chain
+#               `group_shapley` / `grouping`; the walk every replica
+#               runs holds none
 baseline() {
     case "$1" in
     crates/fedchain/src/contract_fl/state.rs) echo 1 ;;
     crates/chain/src/consensus/engine.rs) echo 5 ;;
     crates/fedchain/src/protocol.rs) echo 5 ;;
+    crates/shapley/src/group.rs) echo 9 ;;
     *) echo 0 ;;
     esac
 }
@@ -41,6 +45,7 @@ files+=(
     crates/fedchain/src/audit.rs
     crates/chain/src/durability.rs
     crates/chain/src/log.rs
+    crates/shapley/src/group.rs
 )
 
 failed=0
