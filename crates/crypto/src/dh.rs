@@ -22,9 +22,22 @@
 //! allocation-free CIOS arithmetic with fixed-window exponentiation. The
 //! two named constructors memoize the fully-built group in a process-wide
 //! `OnceLock`, making `DhGroup::simulation_256()` free after first use.
-//! Batched agreement ([`DhGroupW::shared_keys_batch`]) fans the per-peer
-//! exponentiations out on [`numeric::par`] — slot `i` is a pure function
-//! of peer `i`, so results are bit-identical for any thread count.
+//!
+//! # Batching
+//!
+//! One owner's agreements share an exponent — its private key — so
+//! [`DhGroupW::shared_keys_batch`] hands its peers to
+//! [`MontgomeryCtx::mod_pow_batch`] in chunks of
+//! [`MontgomeryCtx::batch_lanes`]: eight peers a call where the 256-bit
+//! group runs on the AVX-512 IFMA lane ladder (`numeric::uint`, "Lane
+//! exponentiation"), one elsewhere. The chunks fan out on
+//! [`numeric::par`]; slot `i` is a pure function of peer `i`, and the
+//! lanes return the canonical residue the scalar ladder does, so the pair
+//! keys are bit-identical for any thread count and on any CPU. What an
+//! agreement costs a region is stated once, here:
+//! [`DhGroupW::KEYPAIR_FLOPS`] for a scalar modexp (a keypair, a
+//! recovery pair, an agreement without lanes) and
+//! [`DhGroupW::agreement_flops`] for one peer of a batch.
 //!
 //! All fast paths are pinned against the retained naive square-and-
 //! multiply oracle ([`numeric::uint::Uint::mod_pow_naive`]); windowing and
@@ -136,11 +149,23 @@ impl DhGroup2048 {
 }
 
 impl<const LIMBS: usize> DhGroupW<LIMBS> {
-    /// What one agreement costs in the flop-equivalents
-    /// [`par::items_per_lease`] takes: a modexp of `64·LIMBS` squarings
-    /// at `LIMBS²` limb products each — ≈ 2¹⁵ (≈ 9 µs) in the 256-bit
-    /// group, so 128 agreements make up a lease.
-    const MODEXP_FLOPS: usize = 512 * LIMBS * LIMBS * LIMBS;
+    /// What one scalar modexp — a keypair, or an agreement off the lane
+    /// ladder — costs in the flop-equivalents [`par::items_per_lease`]
+    /// takes: `64·LIMBS` squarings at `LIMBS²` limb products of ≈ 14
+    /// each, 57 344 (≈ 14 µs) in the 256-bit group, where a modexp reads
+    /// 12–16 µs on a 2.1 GHz Xeon; 73 of them make up a lease.
+    pub const KEYPAIR_FLOPS: usize = 896 * LIMBS * LIMBS * LIMBS;
+
+    /// What one peer of [`DhGroupW::shared_keys_batch`] costs: a lane of
+    /// the IFMA ladder where it runs — ≈ 2.1 µs, measured at 7 lanes on
+    /// the same Xeon, 8 192 flop-equivalents — else a scalar modexp.
+    pub fn agreement_flops(&self) -> usize {
+        if self.ctx.batch_lanes() > 1 {
+            8 << 10
+        } else {
+            Self::KEYPAIR_FLOPS
+        }
+    }
 
     /// Builds a group over the odd prime `p` with generator `g`,
     /// constructing the resident Montgomery engine once.
@@ -237,13 +262,15 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
         ))
     }
 
-    /// Batched key agreement: one owner against `peer_publics`, one
-    /// exponentiation per peer fanned out on [`numeric::par`].
+    /// Batched key agreement: one owner against `peer_publics`, in chunks
+    /// of [`MontgomeryCtx::batch_lanes`] peers raised to `my_private`
+    /// abreast, the chunks fanned out on [`numeric::par`] (the module
+    /// docs, "Batching").
     ///
-    /// Every peer key is validated up front; slot `i` of the result is the
-    /// pair key against peer `i` — a pure function of the index, so the
-    /// output is bit-identical to the sequential loop for any thread
-    /// count.
+    /// Every peer key is validated before anything is computed; slot `i`
+    /// of the result is the pair key against peer `i` — equal to
+    /// [`DhGroupW::shared_key`] against it for any thread count and on
+    /// any CPU.
     pub fn shared_keys_batch(
         &self,
         my_private: &Uint<LIMBS>,
@@ -252,18 +279,25 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
         for pk in peer_publics {
             self.validate_public_key(pk)?;
         }
-        Ok(par::par_map(
-            peer_publics,
-            par::items_per_lease(Self::MODEXP_FLOPS),
-            |_, pk| derive_pair_key(&self.shared_element(my_private, pk)),
-        ))
+        let lanes = self.ctx.batch_lanes();
+        let chunks: Vec<&[Uint<LIMBS>]> = peer_publics.chunks(lanes).collect();
+        let keys = par::par_map(
+            &chunks,
+            par::items_per_lease(lanes * self.agreement_flops()),
+            |_, chunk| {
+                let elements = self.ctx.mod_pow_batch(chunk, my_private);
+                elements.iter().map(derive_pair_key).collect::<Vec<_>>()
+            },
+        );
+        Ok(keys.concat())
     }
 
     /// Batched key agreement over explicit `(private, public)` pairs —
     /// the recovery-path shape, where each residual mask pairs a
     /// *different* reconstructed private key with a survivor's public
     /// key. Same validation and determinism contract as
-    /// [`DhGroupW::shared_keys_batch`].
+    /// [`DhGroupW::shared_keys_batch`]; no two pairs need share an
+    /// exponent, so each runs the scalar ladder.
     pub fn shared_keys_batch_pairs(
         &self,
         pairs: &[(Uint<LIMBS>, Uint<LIMBS>)],
@@ -273,7 +307,7 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
         }
         Ok(par::par_map(
             pairs,
-            par::items_per_lease(Self::MODEXP_FLOPS),
+            par::items_per_lease(Self::KEYPAIR_FLOPS),
             |_, (private, public)| derive_pair_key(&self.shared_element(private, public)),
         ))
     }
@@ -414,6 +448,38 @@ mod tests {
         // The pair-list variant agrees with the single-owner variant.
         let pairs: Vec<(U256, U256)> = peer_pubs.iter().map(|pk| (me.private, *pk)).collect();
         assert_eq!(group.shared_keys_batch_pairs(&pairs).unwrap(), batch);
+    }
+
+    #[test]
+    fn batch_agreement_at_every_chunk_shape_matches_single_agreements() {
+        // None, a lone peer, a part-filled, a full, a full and a lone, two
+        // full, and two full and a lone chunk of the lane ladder.
+        let group = DhGroup::simulation_256();
+        let me = group.generate_keypair(&mut prg(70));
+        let peers: Vec<DhKeyPair> = (0..17u8)
+            .map(|t| group.generate_keypair(&mut prg(100 + t)))
+            .collect();
+        let pubs: Vec<U256> = peers.iter().map(|kp| kp.public).collect();
+        for n in [0, 1, 7, 8, 9, 16, 17] {
+            let batch = group.shared_keys_batch(&me.private, &pubs[..n]).unwrap();
+            assert_eq!(batch.len(), n);
+            for (kp, got) in peers.iter().zip(&batch) {
+                assert_eq!(*got, group.shared_key(&me.private, &kp.public).unwrap());
+                assert_eq!(*got, group.shared_key(&kp.private, &me.public).unwrap());
+            }
+        }
+        // A bad key in the second chunk is reported, whatever comes
+        // before it.
+        let p_minus_1 = group.p.wrapping_sub(&U256::ONE);
+        for (bad, want) in [
+            (p_minus_1, DhKeyError::Degenerate),
+            (group.p, DhKeyError::OutOfRange),
+        ] {
+            let mut with_bad = pubs.clone();
+            with_bad[12] = bad;
+            assert_eq!(group.shared_keys_batch(&me.private, &with_bad), Err(want));
+        }
+        assert!(group.agreement_flops() <= DhGroup::KEYPAIR_FLOPS);
     }
 
     #[test]

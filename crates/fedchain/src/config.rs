@@ -305,6 +305,15 @@ pub enum ConfigError {
         /// Owner count.
         owners: usize,
     },
+    /// The ring clamp `±2^(63 − frac_bits) / g_max` an honest owner
+    /// applies before encoding (`FlConfig::ring_clamp`) falls below 1:
+    /// ordinary weights would saturate.
+    RingClampBelowOne {
+        /// Fractional bits of the encoding.
+        frac_bits: u32,
+        /// The largest planned group, `g_max`.
+        largest_group: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -407,6 +416,14 @@ impl std::fmt::Display for ConfigError {
             Self::BadMinerCommittee { committee, owners } => {
                 write!(f, "miner committee {committee} exceeds {owners} owners")
             }
+            Self::RingClampBelowOne {
+                frac_bits,
+                largest_group,
+            } => write!(
+                f,
+                "frac_bits {frac_bits} leaves a group of {largest_group} a weight clamp \
+                 below 1 (2^(63 - frac_bits) / group size)"
+            ),
         }
     }
 }
@@ -514,8 +531,15 @@ impl FlConfig {
         }
         self.sv_method.validate_groups(self.num_groups)?;
         // Cohorts in 1..=n, groups that fit the smallest cohort: the
-        // layout's own rules, which hold for every round if for one.
-        self.round_plan(0)?;
+        // layout's own rules, which hold for every round if for one —
+        // as do the group sizes the ring clamp is derived from.
+        let plan = self.round_plan(0)?;
+        if self.ring_clamp(&plan) < 1.0 {
+            return Err(ConfigError::RingClampBelowOne {
+                frac_bits: self.frac_bits,
+                largest_group: largest_group(&plan),
+            });
+        }
         // The second-level game enumerates coalitions over the cohorts
         // (vacuous for the one cohort of a flat round).
         if self.num_cohorts > self.sv_method.max_groups() {
@@ -603,6 +627,15 @@ impl FlConfig {
         })
     }
 
+    /// The clamp an honest owner applies to each weight before encoding
+    /// it in a round laid out by `plan`: `±2^(63 − frac_bits) / g_max`
+    /// ([`FixedCodec::summand_limit`]), `g_max` the plan's largest group,
+    /// so no group's ring sum of survivors can wrap. Group sizes depend
+    /// on the counts alone, so one round's plan answers for every round.
+    pub(crate) fn ring_clamp(&self, plan: &RoundPlan) -> f64 {
+        FixedCodec::new(self.frac_bits).summand_limit(largest_group(plan))
+    }
+
     /// Shamir reconstruction threshold for the on-chain key escrow: a
     /// strict majority of the cohort, so any honest-majority survivor set
     /// can recover a dropped owner's key while no minority can.
@@ -635,6 +668,16 @@ impl FlConfig {
     }
 }
 
+/// The largest secure-aggregation group of `plan`.
+fn largest_group(plan: &RoundPlan) -> usize {
+    plan.groups()
+        .iter()
+        .flatten()
+        .map(Vec::len)
+        .max()
+        .unwrap_or(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,6 +696,52 @@ mod tests {
     #[test]
     fn quick_demo_is_valid() {
         FlConfig::quick_demo().validate().unwrap();
+    }
+
+    #[test]
+    fn a_ring_clamp_below_one_is_a_typed_error() {
+        // At 52 fractional bits the ring holds ±2048: one group of 2 047
+        // owners may still clamp at ±1.0005, one of 2 048 would clamp
+        // below 1.
+        let config = |owners: usize| FlConfig {
+            num_owners: owners,
+            num_groups: 1,
+            frac_bits: 52,
+            data: SyntheticDigits {
+                instances: 5200,
+                ..SyntheticDigits::small()
+            },
+            ..FlConfig::quick_demo()
+        };
+        config(2047).validate().unwrap();
+        let plan = config(2047).round_plan(0).unwrap();
+        assert!(config(2047).ring_clamp(&plan) >= 1.0);
+        assert_eq!(
+            config(2048).validate(),
+            Err(ConfigError::RingClampBelowOne {
+                frac_bits: 52,
+                largest_group: 2048,
+            })
+        );
+        // 4 095 owners in two groups: the larger (2 048) decides. At the
+        // default 24 bits the clamp is nowhere near 1.
+        let split = FlConfig {
+            num_groups: 2,
+            ..config(4095)
+        };
+        assert_eq!(
+            split.validate(),
+            Err(ConfigError::RingClampBelowOne {
+                frac_bits: 52,
+                largest_group: 2048,
+            })
+        );
+        FlConfig {
+            frac_bits: 24,
+            ..config(2048)
+        }
+        .validate()
+        .unwrap();
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! `±2^(63 - frac_bits)`. With the default 24 fractional bits that range is
 //! ±2^39 ≈ ±5.5·10^11 — vastly more than any weight-vector sum in the
 //! paper's experiments (9 owners, logistic-regression weights in ±10).
+//! Nothing in the ring notices a sum that leaves it: it wraps. So an
+//! honest owner clamps each weight to [`FixedCodec::summand_limit`] of
+//! its round's largest group before encoding, and a configuration whose
+//! clamp would fall below 1 is rejected (`fedchain`'s `FlConfig`).
 
 use std::fmt;
 
@@ -79,6 +83,22 @@ impl FixedCodec {
         let scaled = v * (1u64 << self.frac_bits) as f64;
         let clamped = scaled.clamp(i64::MIN as f64, i64::MAX as f64);
         (clamped.round() as i64) as u64
+    }
+
+    /// The weight clamp that keeps a ring sum of `summands` encodings
+    /// exact: `±2^(63 − frac_bits) / summands`, rounded down so that
+    /// `summands` encodings of weights in `[−L, L]` add up to at most
+    /// `i64::MAX` in magnitude and never wrap. (The saturation in
+    /// [`FixedCodec::encode`] bounds one encoding, not a sum of them.)
+    pub fn summand_limit(&self, summands: usize) -> f64 {
+        let per = i64::MAX as u64 / summands.max(1) as u64;
+        // The largest f64 ≤ `per`: an integer, so rounding a scaled
+        // weight in [−L, L] cannot leave [−per, per].
+        let mut scaled = per as f64;
+        if scaled as u64 > per {
+            scaled = f64::from_bits(scaled.to_bits() - 1);
+        }
+        scaled / (1u64 << self.frac_bits) as f64
     }
 
     /// Decodes a single ring element back to `f64`.
@@ -153,6 +173,35 @@ impl fmt::Display for FixedCodec {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn summand_limit_sums_never_wrap() {
+        for frac_bits in [1, 24, 52] {
+            let c = FixedCodec::new(frac_bits);
+            for g in [1usize, 2, 3, 7, 200, 1023, 2048, 1 << 20] {
+                let limit = c.summand_limit(g);
+                // Within an ulp-scale margin of 2^(63 − f) / g, never above.
+                let ideal = 2f64.powi(63 - frac_bits as i32) / g as f64;
+                assert!(
+                    limit <= ideal && limit >= ideal * (1.0 - 1e-12),
+                    "{frac_bits} {g}"
+                );
+                for w in [limit, -limit] {
+                    let e = c.encode(w) as i64 as i128;
+                    let sum = e * g as i128;
+                    assert!(sum.abs() <= i64::MAX as i128, "{frac_bits} {g} {w}");
+                    if g <= 4096 {
+                        let ring = (0..g).fold(0u64, |acc, _| acc.wrapping_add(e as u64));
+                        assert_eq!(ring as i64 as i128, sum);
+                    }
+                }
+            }
+        }
+        // The shape the clamp was found on: 200 owners in one group at
+        // 52 fractional bits may add weights of ±10.24, not ±2048.
+        let limit = FixedCodec::new(52).summand_limit(200);
+        assert!(limit > 10.0 && limit < 10.25, "{limit}");
+    }
 
     #[test]
     fn encode_decode_identity_on_grid() {

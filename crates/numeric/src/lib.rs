@@ -4,7 +4,8 @@
 //! built on:
 //!
 //! * [`uint`] — fixed-width unsigned big integers with modular arithmetic,
-//!   used by the Diffie–Hellman key agreement in `fl-crypto`.
+//!   used by the Diffie–Hellman key agreement in `fl-crypto`; one owner's
+//!   agreements run eight abreast on AVX-512 IFMA where the CPU has it.
 //! * [`fixed`] — a fixed-point codec mapping `f64` model weights into the
 //!   wrapping `u64` ring. Secure aggregation masks live in this ring, so
 //!   mask cancellation is *exact* (bit-for-bit), which a floating-point
@@ -30,8 +31,10 @@
 
 // `deny` instead of `forbid`: calling a kernel's AVX or AVX-512F
 // instantiation is one `unsafe` block, in `isa`, reached only after
-// runtime feature detection. It carries the only `#[allow(unsafe_code)]`
-// in this crate, with the safety argument inline. `avx512f` implies
+// runtime feature detection; entering `uint`'s AVX-512 IFMA lane ladder
+// is the other, behind a cached check of `avx512f` + `avx512ifma`. They
+// carry the crate's two `#[allow(unsafe_code)]`s, each with its safety
+// argument inline. `avx512f` implies
 // `fma` in rustc, so FMA is kept out by the source and the compiler, not
 // by the feature set: `isa`'s docs and `scripts/no_fma.sh`.
 #![deny(unsafe_code)]

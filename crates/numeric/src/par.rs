@@ -88,7 +88,7 @@ pub fn max_threads() -> usize {
 }
 
 /// Work worth a thread of its own, in flop-equivalents (one ≈ 0.25 ns of
-/// this workspace's GEMM; a 256-bit modexp is ≈ 2¹⁵ of them). A
+/// this workspace's GEMM; a 256-bit scalar modexp is ≈ 5.7·10⁴ of them). A
 /// scoped-thread lease measures 40–90 µs to spawn and join, and the
 /// leased thread may first have to be woken: 2²² ≈ 1 ms keeps that
 /// under a tenth of what the thread is handed.

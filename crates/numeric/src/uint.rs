@@ -28,6 +28,39 @@
 //! * Arithmetic is *not* constant time. This is a research simulation of
 //!   the paper's protocol, not a hardened TLS stack; the crate-level docs
 //!   of `fl-crypto` repeat this warning.
+//!
+//! # Lane exponentiation
+//!
+//! [`MontgomeryCtx::mod_pow_batch`] raises many bases to one exponent —
+//! one owner's private key against its group peers' public keys. For a
+//! 4-limb modulus on a CPU that reports AVX-512F and AVX-512 IFMA
+//! (`vpmadd52luq` / `vpmadd52huq`: the low and high 52 bits of a 52 × 52
+//! bit product added into a 64-bit lane), it runs eight bases abreast,
+//! one per 64-bit lane of a `zmm` register:
+//!
+//! * *Radix.* A residue is five 52-bit limbs (260 bits), so `R = 2²⁶⁰`.
+//!   The context holds the modulus in that radix, `−p⁻¹ mod 2⁵²` and
+//!   `2⁵²⁰ mod p` (R², the way in), built once in [`MontgomeryCtx::new`].
+//! * *Reduction.* Almost-Montgomery multiplication: the full 10-limb
+//!   product, then five reduction steps, then one carry pass that
+//!   leaves every limb below 2⁵² again (the multiplier reads only those
+//!   bits). No conditional subtraction is made inside the ladder: for
+//!   operands below `2p` the result `(a·b + q·p) / R` is below
+//!   `4p²/R + p`, which is below `2p` because `4p < R` — true for every
+//!   modulus below 2²⁵⁶. Converting out (a product with 1) lands in
+//!   `[0, p]`, and one subtraction of `p` makes it canonical.
+//! * *Ladder.* The same fixed 4-bit window as [`MontgomeryCtx::pow`],
+//!   over a 16-entry table whose entries interleave the eight lanes. The
+//!   exponent is shared, so every lane reads the same table index: no
+//!   gather, no lane-dependent branch.
+//!
+//! The lanes cannot move a bit. The arithmetic is exact integer
+//! arithmetic, lanes never exchange a value, and the output is the
+//! canonical residue `base^exp mod p` — the one value the scalar ladder
+//! and [`Uint::mod_pow_naive`] return too, whatever the representation
+//! on the way. A one-base batch, a zero exponent, another width or a
+//! CPU without IFMA take the scalar [`MontgomeryCtx::pow`] per base;
+//! which path runs is the platform's, not an option.
 
 // Limb-level arithmetic is written with explicit indices throughout: the
 // canonical big-integer algorithms (CIOS, shift-subtract division) are
@@ -458,6 +491,11 @@ impl<const LIMBS: usize> Uint<LIMBS> {
         ((self.limbs[(bit / 64) as usize] >> (bit % 64)) & 0xf) as usize
     }
 
+    /// The limbs as a 4-limb array — `None` at any other width.
+    fn limbs4(&self) -> Option<[u64; 4]> {
+        self.limbs[..].try_into().ok()
+    }
+
     /// Modular inverse via Fermat's little theorem (`modulus` must be
     /// prime and `self` nonzero mod it). One-shot: pays a context setup
     /// per call, so it is the reference [`MontgomeryCtx::batch_inv`] and
@@ -573,6 +611,47 @@ pub struct MontgomeryCtx<const LIMBS: usize> {
     r2: Uint<LIMBS>,
     /// `R mod modulus` — the multiplicative identity in Montgomery form.
     one: Uint<LIMBS>,
+    /// The lane ladder's constants; `Some` exactly for 4-limb moduli.
+    radix52: Option<Radix52>,
+}
+
+/// Bits per limb of the lane ladder's radix.
+const RADIX_BITS: u32 = 52;
+/// The low [`RADIX_BITS`] of a limb.
+const MASK52: u64 = (1 << RADIX_BITS) - 1;
+
+/// What the lane ladder needs of a 4-limb modulus `p`, in radix 2⁵² with
+/// `R = 2²⁶⁰` (the module docs, "Lane exponentiation").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Radix52 {
+    /// `p` in five 52-bit limbs, least significant first.
+    p: [u64; 5],
+    /// `−p⁻¹ mod 2⁵²`.
+    k0: u64,
+    /// `R² mod p = 2⁵²⁰ mod p`, five 52-bit limbs.
+    r2: [u64; 5],
+}
+
+/// A value below 2²⁵⁶ in five 52-bit limbs (the top one holds 48 bits).
+fn to_radix52(x: &[u64; 4]) -> [u64; 5] {
+    [
+        x[0] & MASK52,
+        (x[0] >> 52 | x[1] << 12) & MASK52,
+        (x[1] >> 40 | x[2] << 24) & MASK52,
+        (x[2] >> 28 | x[3] << 36) & MASK52,
+        x[3] >> 16,
+    ]
+}
+
+/// The inverse of [`to_radix52`] for limbs below 2⁵² whose value is below
+/// 2²⁵⁶.
+fn from_radix52(l: &[u64; 5]) -> [u64; 4] {
+    [
+        l[0] | l[1] << 52,
+        l[1] >> 12 | l[2] << 40,
+        l[2] >> 24 | l[3] << 28,
+        l[3] >> 36 | l[4] << 16,
+    ]
 }
 
 impl<const LIMBS: usize> MontgomeryCtx<LIMBS> {
@@ -598,11 +677,26 @@ impl<const LIMBS: usize> MontgomeryCtx<LIMBS> {
         for _ in 0..(2 * Uint::<LIMBS>::BITS) {
             r2 = r2.mod_add(&r2, modulus);
         }
+        // At 4 limbs the lane ladder's R² = 2⁵²⁰ is eight more doublings
+        // of 2⁵¹².
+        let mut r2_520 = r2;
+        for _ in 0..8 {
+            r2_520 = r2_520.mod_add(&r2_520, modulus);
+        }
+        let radix52 = modulus
+            .limbs4()
+            .zip(r2_520.limbs4())
+            .map(|(p, r2_520)| Radix52 {
+                p: to_radix52(&p),
+                k0: n0_inv & MASK52,
+                r2: to_radix52(&r2_520),
+            });
         let mut ctx = Self {
             modulus: *modulus,
             n0_inv,
             r2,
             one,
+            radix52,
         };
         // 1 in Montgomery form: R mod m = montmul(1, R²).
         ctx.one = ctx.mont_mul(&Uint::ONE, &ctx.r2);
@@ -782,6 +876,302 @@ impl<const LIMBS: usize> MontgomeryCtx<LIMBS> {
     pub fn mod_pow(&self, base: &Uint<LIMBS>, exp: &Uint<LIMBS>) -> Uint<LIMBS> {
         let base_hat = self.to_elem(base);
         self.retrieve(&self.pow(&base_hat, exp))
+    }
+
+    /// `[b^exp mod modulus for b in bases]`: one exponent, many bases —
+    /// the shape of one owner's key agreements. Equal, base for base, to
+    /// [`MontgomeryCtx::mod_pow`]; bases need not be reduced.
+    ///
+    /// Runs [`MontgomeryCtx::batch_lanes`] bases abreast: eight on the
+    /// lane ladder of the module docs ("Lane exponentiation") where this
+    /// CPU has it, otherwise one, through the scalar ladder. A lone base
+    /// left over always takes the scalar ladder, which is as fast for one
+    /// as the lanes are for eight.
+    pub fn mod_pow_batch(&self, bases: &[Uint<LIMBS>], exp: &Uint<LIMBS>) -> Vec<Uint<LIMBS>> {
+        self.mod_pow_batch_on(PowTier::detect(), bases, exp)
+    }
+
+    /// How many bases [`MontgomeryCtx::mod_pow_batch`] raises abreast on
+    /// this CPU: eight for a 4-limb modulus where AVX-512F and AVX-512
+    /// IFMA are reported, else 1. A caller chunks and prices its
+    /// batches by it; no bit of any result depends on it.
+    pub fn batch_lanes(&self) -> usize {
+        if self.radix52.is_some() && PowTier::detect() == PowTier::Ifma {
+            POW_LANES
+        } else {
+            1
+        }
+    }
+
+    /// [`MontgomeryCtx::mod_pow_batch`] in `tier` — the tests' way to
+    /// hold each tier to the oracle. The IFMA tier checks the CPU again
+    /// itself, so asking for it where it is absent runs the scalar one.
+    fn mod_pow_batch_on(
+        &self,
+        tier: PowTier,
+        bases: &[Uint<LIMBS>],
+        exp: &Uint<LIMBS>,
+    ) -> Vec<Uint<LIMBS>> {
+        let mut out = Vec::with_capacity(bases.len());
+        for chunk in bases.chunks(POW_LANES) {
+            let lanes = if tier == PowTier::Ifma && chunk.len() > 1 {
+                self.pow_lanes(chunk, exp)
+            } else {
+                None
+            };
+            match lanes {
+                Some(values) => out.extend(values),
+                None => out.extend(chunk.iter().map(|b| self.mod_pow(b, exp))),
+            }
+        }
+        out
+    }
+
+    /// Up to [`POW_LANES`] bases through the IFMA ladder, or `None` when
+    /// it cannot run (another width, no IFMA, a zero exponent, another
+    /// target).
+    fn pow_lanes(&self, chunk: &[Uint<LIMBS>], exp: &Uint<LIMBS>) -> Option<Vec<Uint<LIMBS>>> {
+        let radix = self.radix52.as_ref()?;
+        let exp = U256::from_limbs(exp.limbs4()?);
+        let mut bases = [[0u64; 5]; POW_LANES];
+        for (lane, base) in bases.iter_mut().zip(chunk) {
+            *lane = to_radix52(&self.reduced(base).limbs4()?);
+        }
+        let raised = ifma::pow(radix, &bases, &exp)?;
+        // Each lane is in [0, p]: one subtraction makes it canonical.
+        Some(
+            raised[..chunk.len()]
+                .iter()
+                .map(|lane| {
+                    let mut limbs = [0u64; LIMBS];
+                    limbs.copy_from_slice(&from_radix52(lane));
+                    let value = Uint { limbs };
+                    if value >= self.modulus {
+                        value.wrapping_sub(&self.modulus)
+                    } else {
+                        value
+                    }
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Bases the lane ladder raises abreast: the 64-bit lanes of a `zmm`
+/// register.
+const POW_LANES: usize = 8;
+
+/// Which ladder [`MontgomeryCtx::mod_pow_batch`] runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum PowTier {
+    /// [`MontgomeryCtx::pow`] per base.
+    Scalar,
+    /// Eight bases abreast on AVX-512 IFMA.
+    Ifma,
+}
+
+impl PowTier {
+    /// The widest tier this CPU runs.
+    fn detect() -> PowTier {
+        if ifma::available() {
+            PowTier::Ifma
+        } else {
+            PowTier::Scalar
+        }
+    }
+
+    /// Every tier this CPU runs, the scalar one first.
+    #[cfg(test)]
+    fn each() -> Vec<PowTier> {
+        let mut tiers = vec![PowTier::Scalar];
+        if ifma::available() {
+            tiers.push(PowTier::Ifma);
+        }
+        tiers
+    }
+}
+
+/// The lane ladder on AVX-512 IFMA (the module docs, "Lane
+/// exponentiation"). Entering [`ifma::pow8`], a `#[target_feature]`
+/// function, is the one `unsafe` step: everything inside it is
+/// register arithmetic on `__m512i` values and safe array indexing, with
+/// no pointer in sight.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use core::arch::x86_64::{
+        __m512i, _mm512_add_epi64, _mm512_alignr_epi64, _mm512_and_si512, _mm512_castsi512_si128,
+        _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_set1_epi64, _mm512_set_epi64,
+        _mm512_setzero_si512, _mm512_srli_epi64, _mm_cvtsi128_si64,
+    };
+    use std::sync::OnceLock;
+
+    use super::{Radix52, MASK52, POW_LANES, U256};
+
+    /// One 52-bit limb position of eight residues, lane `i` holding
+    /// residue `i`'s limb.
+    type Lanes = [__m512i; 5];
+
+    /// True when the CPU reports AVX-512F and AVX-512 IFMA (the first
+    /// also checks that the OS saves the `zmm` state); asked once.
+    pub(super) fn available() -> bool {
+        static IFMA: OnceLock<bool> = OnceLock::new();
+        *IFMA.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512ifma")
+        })
+    }
+
+    /// `bases[i]^exp mod p` for the eight radix-2⁵² bases (each below
+    /// `p`), each in `[0, p]` — `None`, with nothing computed, when
+    /// IFMA is not [`available`] or `exp` is zero.
+    pub(super) fn pow(
+        radix: &Radix52,
+        bases: &[[u64; 5]; POW_LANES],
+        exp: &U256,
+    ) -> Option<[[u64; 5]; POW_LANES]> {
+        let top_window = exp.highest_bit()? / 4;
+        if !available() {
+            return None;
+        }
+        // SAFETY: `available` saw `is_x86_feature_detected!` report
+        // `avx512f` and `avx512ifma` on this CPU, the two features
+        // `pow8` enables (with what rustc implies by them, which every
+        // CPU reporting them implements). `pow8` touches memory only
+        // through its references and safe array indexing.
+        #[allow(unsafe_code)]
+        let raised = unsafe { pow8(radix, bases, exp, top_window) };
+        Some(raised)
+    }
+
+    /// Reduction constants broadcast to every lane.
+    struct Consts {
+        p: Lanes,
+        k0: __m512i,
+        mask: __m512i,
+    }
+
+    /// The fixed-window ladder of `MontgomeryCtx::pow` over eight lanes:
+    /// into Montgomery form, the 16-entry table, windows MSB-first from
+    /// `top_window` (the leading one loads its table entry instead of
+    /// multiplying 1 by it), out of Montgomery form. Every lane reads
+    /// the same window, so table reads are plain indexing.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn pow8(
+        radix: &Radix52,
+        bases: &[[u64; 5]; POW_LANES],
+        exp: &U256,
+        top_window: u32,
+    ) -> [[u64; 5]; POW_LANES] {
+        let zero = _mm512_setzero_si512();
+        let mut k = Consts {
+            p: [zero; 5],
+            k0: _mm512_set1_epi64(radix.k0 as i64),
+            mask: _mm512_set1_epi64(MASK52 as i64),
+        };
+        let mut r2 = [zero; 5];
+        let mut x = [zero; 5];
+        for j in 0..5 {
+            k.p[j] = _mm512_set1_epi64(radix.p[j] as i64);
+            r2[j] = _mm512_set1_epi64(radix.r2[j] as i64);
+            x[j] = _mm512_set_epi64(
+                bases[7][j] as i64,
+                bases[6][j] as i64,
+                bases[5][j] as i64,
+                bases[4][j] as i64,
+                bases[3][j] as i64,
+                bases[2][j] as i64,
+                bases[1][j] as i64,
+                bases[0][j] as i64,
+            );
+        }
+        // x·R mod p (below 2p), then table[i] = x^i in the same form.
+        let x = amm(&k, &x, &r2);
+        let mut table = [x; 16];
+        for i in 2..16 {
+            table[i] = amm(&k, &table[i - 1], &x);
+        }
+        let mut acc = table[exp.window4(top_window)];
+        for w in (0..top_window).rev() {
+            for _ in 0..4 {
+                acc = amm(&k, &acc, &acc);
+            }
+            let idx = exp.window4(w);
+            if idx != 0 {
+                acc = amm(&k, &acc, &table[idx]);
+            }
+        }
+        let mut one = [zero; 5];
+        one[0] = _mm512_set1_epi64(1);
+        let out = amm(&k, &acc, &one);
+
+        // Lane 0 out of each limb vector, rotating the next lane down.
+        let mut raised = [[0u64; 5]; POW_LANES];
+        for j in 0..5 {
+            let mut v = out[j];
+            for lane in raised.iter_mut() {
+                lane[j] = _mm_cvtsi128_si64(_mm512_castsi512_si128(v)) as u64;
+                v = _mm512_alignr_epi64::<1>(v, v);
+            }
+        }
+        raised
+    }
+
+    /// Almost-Montgomery product `a · b · 2⁻²⁶⁰ mod p` of eight pairs:
+    /// the 10-limb product, then [`redc`].
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn amm(k: &Consts, a: &Lanes, b: &Lanes) -> Lanes {
+        let mut t = [_mm512_setzero_si512(); 10];
+        for i in 0..5 {
+            for j in 0..5 {
+                t[i + j] = _mm512_madd52lo_epu64(t[i + j], a[j], b[i]);
+                t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], a[j], b[i]);
+            }
+        }
+        redc(k, t)
+    }
+
+    /// Montgomery reduction of a 10-limb product `t` of two operands
+    /// below `2p`: `(t + q·p) / 2²⁶⁰` for the `q < 2²⁶⁰` that makes the
+    /// division exact — below `2p` since `4p < 2²⁶⁰` — with its limbs
+    /// normalised below 2⁵². Each 64-bit accumulator takes at most 21
+    /// values below 2⁵² plus a carry, so none overflows.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn redc(k: &Consts, mut t: [__m512i; 10]) -> Lanes {
+        // Step i clears the low 52 bits of t[i] with q·p and carries the
+        // rest up; q reads only the low 52 bits of t[i].
+        for i in 0..5 {
+            let q = _mm512_madd52lo_epu64(_mm512_setzero_si512(), t[i], k.k0);
+            for j in 0..5 {
+                t[i + j] = _mm512_madd52lo_epu64(t[i + j], k.p[j], q);
+                t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], k.p[j], q);
+            }
+            t[i + 1] = _mm512_add_epi64(t[i + 1], _mm512_srli_epi64::<52>(t[i]));
+        }
+        for j in 5..9 {
+            t[j + 1] = _mm512_add_epi64(t[j + 1], _mm512_srli_epi64::<52>(t[j]));
+            t[j] = _mm512_and_si512(t[j], k.mask);
+        }
+        [t[5], t[6], t[7], t[8], t[9]]
+    }
+}
+
+/// Off x86-64 the lane ladder does not exist; the scalar one runs.
+#[cfg(not(target_arch = "x86_64"))]
+mod ifma {
+    use super::{Radix52, POW_LANES, U256};
+
+    pub(super) fn available() -> bool {
+        false
+    }
+
+    pub(super) fn pow(
+        _: &Radix52,
+        _: &[[u64; 5]; POW_LANES],
+        _: &U256,
+    ) -> Option<[[u64; 5]; POW_LANES]> {
+        None
     }
 }
 
@@ -1180,7 +1570,139 @@ mod tests {
         check_inverses(wide, &[U2048::from_u64(3), wide]);
     }
 
+    /// Every tier this CPU runs, with a note (once) when the lane ladder
+    /// is not among them: its cases then hold the scalar ladder to itself.
+    fn pow_tiers() -> Vec<PowTier> {
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        let tiers = PowTier::each();
+        if !tiers.contains(&PowTier::Ifma) {
+            NOTE.call_once(|| {
+                eprintln!(
+                    "AVX-512 IFMA not detected: the lane ladder's cases ran the scalar ladder"
+                )
+            });
+        }
+        tiers
+    }
+
+    /// `mod_pow_batch` in every tier, over every prefix of `bases` (one
+    /// base, a part-filled chunk, a full one, a full one and a lone
+    /// base …), against `want[i] = bases[i]^exp mod m` and the scalar
+    /// `mod_pow`.
+    fn check_batch(ctx: &MontgomeryCtx<4>, bases: &[U256], exp: &U256, want: &[U256]) {
+        for tier in pow_tiers() {
+            for n in 1..=bases.len() {
+                let got = ctx.mod_pow_batch_on(tier, &bases[..n], exp);
+                assert_eq!(got, want[..n], "{tier:?}, {n} bases, exp {exp:?}");
+            }
+            assert!(ctx.mod_pow_batch_on(tier, &[], exp).is_empty());
+        }
+        let scalar: Vec<U256> = bases.iter().map(|b| ctx.mod_pow(b, exp)).collect();
+        assert_eq!(scalar, want);
+    }
+
+    /// The lane ladder's moduli: secp256k1's field prime (the DH group's),
+    /// the prime 2²⁵⁶ − 189, a small odd one and one whose top limb is 1.
+    fn lane_moduli() -> [U256; 4] {
+        [
+            U256::from_hex("FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F")
+                .unwrap(),
+            U256::MAX.wrapping_sub(&u256(188)),
+            u256(1_000_000_007),
+            U256::from_limbs([0x9e37_79b9_7f4a_7c15, 0xdead_beef, 0x1234_5678, 1]),
+        ]
+    }
+
+    #[test]
+    fn lane_ladder_matches_naive_oracle_on_edge_rows() {
+        for m in lane_moduli() {
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            assert!(ctx.radix52.is_some());
+            let p_minus = |k: u64| m.wrapping_sub(&u256(k as u128));
+            // Nine bases, so the last prefixes run a full chunk and a lone
+            // base; the last three are ≥ p and reduce first.
+            let bases = [
+                U256::ZERO,
+                U256::ONE,
+                u256(2),
+                p_minus(2),
+                p_minus(1),
+                u256(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210),
+                m,
+                m.wrapping_add(&U256::ONE),
+                U256::MAX,
+            ];
+            let exps = [
+                U256::ZERO,
+                U256::ONE,
+                u256(2),
+                p_minus(2),
+                U256::ONE.overflowing_shl(255).0,
+                U256::MAX,
+                // Top windows holding one bit and two bits.
+                u256(0x1f),
+                U256::from_limbs([0xabc, 2, 0, 0]),
+            ];
+            for exp in &exps {
+                let want: Vec<U256> = bases.iter().map(|b| b.mod_pow_naive(exp, &m)).collect();
+                check_batch(&ctx, &bases, exp, &want);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_ladder_covers_modulus_one_and_three() {
+        for m in [U256::ONE, u256(3)] {
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let bases = [U256::ZERO, U256::ONE, u256(2), U256::MAX];
+            for exp in [U256::ZERO, U256::ONE, U256::MAX] {
+                let want: Vec<U256> = bases.iter().map(|b| b.mod_pow_naive(&exp, &m)).collect();
+                check_batch(&ctx, &bases, &exp, &want);
+            }
+        }
+    }
+
+    #[test]
+    fn radix52_round_trips_and_wider_contexts_have_no_lanes() {
+        for x in [
+            U256::ZERO,
+            U256::MAX,
+            U256::from_limbs([1 << 63, 1 << 11, 1 << 23, 1 << 35]),
+        ] {
+            let l = to_radix52(x.limbs());
+            assert!(l.iter().all(|&limb| limb <= MASK52));
+            assert_eq!(from_radix52(&l), *x.limbs());
+        }
+        let m = U2048::MAX.shr(1);
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        assert_eq!((ctx.radix52, ctx.batch_lanes()), (None, 1));
+        let bases = [U2048::from_u64(3), U2048::from_u64(5)];
+        assert_eq!(
+            ctx.mod_pow_batch(&bases, &U2048::from_u64(77)),
+            bases.map(|b| b.mod_pow_naive(&U2048::from_u64(77), &m))
+        );
+    }
+
     proptest! {
+        #[test]
+        fn prop_lane_ladder_matches_scalar_and_naive(
+            m in proptest::collection::vec(any::<u64>(), 4),
+            exp in proptest::collection::vec(any::<u64>(), 4),
+            bases in proptest::collection::vec(
+                proptest::collection::vec(any::<u64>(), 4), 1..18),
+        ) {
+            let mut m = from_vec::<4>(&m);
+            m.limbs[0] |= 1; // odd
+            let exp = from_vec::<4>(&exp);
+            let bases: Vec<U256> = bases.iter().map(|b| from_vec(b)).collect();
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let scalar: Vec<U256> = bases.iter().map(|b| ctx.mod_pow(b, &exp)).collect();
+            prop_assert_eq!(scalar[0], bases[0].mod_pow_naive(&exp, &m));
+            for tier in pow_tiers() {
+                prop_assert_eq!(&ctx.mod_pow_batch_on(tier, &bases, &exp), &scalar);
+            }
+        }
+
         #[test]
         fn prop_field_ops_match_plain_ladder_4_limbs(
             m in proptest::collection::vec(any::<u64>(), 4),

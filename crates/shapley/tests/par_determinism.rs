@@ -750,6 +750,36 @@ fn warm_pair_cache_round_digest_matches_cold() {
 }
 
 #[test]
+fn batched_key_agreement_is_schedule_invariant() {
+    // One owner against 1 100 peers: 138 chunks of the lane ladder (or
+    // 1 100 single agreements without it), enough for the batch to lease
+    // a second thread; the pair keys may not move, and each equals the
+    // single agreement.
+    use fl_crypto::dh::DhGroup;
+    use numeric::U256;
+    let group = DhGroup::simulation_256();
+    let me = group.keypair_from_seed(&[9u8; 32]);
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state
+    };
+    let peers: Vec<U256> = (0..1100)
+        .map(|_| {
+            let limbs = [next(), next(), next(), next() >> 1];
+            U256::from_limbs(limbs)
+        })
+        .collect();
+    let batch = || group.shared_keys_batch(&me.private, &peers).unwrap();
+    assert_schedule_invariant(batch);
+    for (pk, key) in peers.iter().zip(batch()).step_by(97) {
+        assert_eq!(key, group.shared_key(&me.private, pk).unwrap());
+    }
+}
+
+#[test]
 fn blocked_gemm_is_schedule_invariant() {
     // The training engine's GEMM kernel fans out over output row panels;
     // panel boundaries move with the thread count, bits must not. Shapes

@@ -7,7 +7,7 @@
 # so the loop is an equivalence gate, not a timing one. Stops at the
 # first bench that fails.
 #
-# Eleven timing gates follow it, each a ratio inside one run because
+# Twelve timing gates follow it, each a ratio inside one run because
 # absolute ns drift ±15 % on the CI box. A 4-cohort pipelined chain at
 # thread cap 2 may not cost more than 1.75 × the sequential chain at cap
 # 1 (≈ 1.0 with the numeric::par thread budget; ≈ 2.3 – 2.5 when every
@@ -45,7 +45,12 @@
 # two accumulator chains per output row that leave the wide product
 # latency-bound); a reading over the limit is sampled once more
 # before it fails, as the cap-2 gates are; skipped, and said so, on a
-# CPU without AVX-512F.
+# CPU without AVX-512F. And where the CPU lists AVX-512 IFMA
+# (`avx512ifma` in /proc/cpuinfo), one owner's batch of eight key
+# agreements may not cost more than 3 x one scalar agreement (1.28 -
+# 1.76 in four runs with the eight-lane ladder; 5.7 - 8.4 in two runs of
+# a build whose dispatch never finds IFMA and runs the scalar ladder per
+# peer); skipped, and said so, on a CPU without it.
 #
 # usage: scripts/bench_smoke.sh [artefact.jsonl]
 set -euo pipefail
@@ -155,4 +160,13 @@ if grep -qw sha_ni /proc/cpuinfo; then
     gate "$ratio_out" sha256/opt/65536 sha256/seed/65536 0.4
 else
     echo "ratio gate skipped: /proc/cpuinfo lists no sha_ni, sha256 opt is the scalar rounds"
+fi
+
+if grep -qw avx512ifma /proc/cpuinfo; then
+    rm -f "$ratio_out"
+    cargo bench --bench crypto_primitives -- dh_batch_setup/opt/8
+    cargo bench --bench crypto_primitives -- dh_agreement/opt/256
+    gate "$ratio_out" dh_batch_setup/opt/8 dh_agreement/opt/256 3.0
+else
+    echo "ratio gate skipped: /proc/cpuinfo lists no avx512ifma, key agreements run the scalar ladder"
 fi
