@@ -15,6 +15,7 @@ use fl_ml::dataset::SyntheticDigits;
 use fl_ml::metrics::model_accuracy_design_reference;
 use fl_ml::{Design, LogisticModel, TrainConfig};
 use numeric::linalg::mean_vectors;
+use numeric::stats::is_argmax;
 use shapley::coalition::{binomial, Coalition};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
 use shapley::group::{group_shapley, GroupModelGame, GroupSvConfig};
@@ -288,12 +289,51 @@ impl<U: ModelUtility> ModelUtility for EveryRow<'_, U> {
         self.0.granule()
     }
 
+    /// Inlined, as the wrapped utility's own tally is: the walk's
+    /// instantiations compile it at their width.
+    #[inline(always)]
     fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
         self.0.tally(granules, mean_block)
     }
 
     fn of_tally(&self, total: f64) -> f64 {
         self.0.of_tally(total)
+    }
+}
+
+/// The coalition game of an accuracy utility valued the way no walk
+/// does it: each coalition's mean logits summed from scratch — the
+/// members' score vectors in ascending order from `0.0`, then `1/|S|` —
+/// and scored row by row with `is_argmax`. What the walk must equal to
+/// the bit on a game that settles no row.
+struct SeedWalk {
+    /// Each group's logits, row-major.
+    scores: Vec<Vec<f64>>,
+    labels: Vec<usize>,
+    classes: usize,
+    empty: f64,
+}
+
+impl CoalitionUtility for SeedWalk {
+    fn num_players(&self) -> usize {
+        self.scores.len()
+    }
+
+    fn evaluate(&self, coalition: Coalition) -> f64 {
+        if coalition.is_empty() {
+            return self.empty;
+        }
+        let mut sum = vec![0.0f64; self.scores[0].len()];
+        for j in coalition.members() {
+            for (acc, s) in sum.iter_mut().zip(&self.scores[j]) {
+                *acc += s;
+            }
+        }
+        let inv = 1.0 / coalition.len() as f64;
+        let mean: Vec<f64> = sum.iter().map(|s| s * inv).collect();
+        let rows = mean.chunks_exact(self.classes).zip(&self.labels);
+        let hits = rows.filter(|(row, &label)| is_argmax(row, label)).count();
+        hits as f64 / self.labels.len() as f64
     }
 }
 
@@ -327,6 +367,9 @@ fn play(game: &(impl CoalitionUtility + Sync), exact: bool) -> Vec<f64> {
 /// `unsettled/sharded_1k` is that workload's shape: the same game over a
 /// utility that settles nothing ([`EveryRow`]), every row walked per
 /// coalition, asserted equal to `batch/sharded_1k` to the bit first.
+/// `seed/sharded_1k` plays the same estimator over [`SeedWalk`] — every
+/// coalition's mean summed from scratch and scored row-major — asserted
+/// equal to `unsettled/sharded_1k` to the bit before sampling.
 ///
 /// `settled/table1_sv` and `unsettled/table1_sv` play `Exact` over the
 /// nine group models trained from `World::generate` at `table1_sv`'s
@@ -336,8 +379,8 @@ fn play(game: &(impl CoalitionUtility + Sync), exact: bool) -> Vec<f64> {
 /// asserted equal to the bit before sampling.
 ///
 /// `scripts/bench_smoke.sh` gates `batch/table1_sv` against
-/// `single/table1_sv`, and `settled/table1_sv` against
-/// `unsettled/table1_sv`, each of one run.
+/// `single/table1_sv`, `settled/table1_sv` against `unsettled/table1_sv`,
+/// and `unsettled/sharded_1k` against `seed/sharded_1k`, each of one run.
 fn bench_coalition_walk(c: &mut Criterion) {
     let bits = |values: Vec<f64>| values.into_iter().map(f64::to_bits).collect::<Vec<_>>();
     let mut group = c.benchmark_group("coalition_walk");
@@ -382,6 +425,21 @@ fn bench_coalition_walk(c: &mut Criterion) {
             );
             group.bench_function(BenchmarkId::new("unsettled", shape), |b| {
                 b.iter(|| play(black_box(&unsettled), exact))
+            });
+            let design = Design::new(&test);
+            let seed = SeedWalk {
+                scores: models.iter().map(|w| utility.scores(w)).collect(),
+                labels: design.labels().to_vec(),
+                classes,
+                empty: utility.of_empty(),
+            };
+            assert_eq!(
+                bits(play(&unsettled, exact)),
+                bits(play(&seed, exact)),
+                "{shape}: the walk and the from-scratch sums differ"
+            );
+            group.bench_function(BenchmarkId::new("seed", shape), |b| {
+                b.iter(|| play(black_box(&seed), exact))
             });
         }
     }

@@ -632,8 +632,19 @@ impl FlConfig {
     /// ([`FixedCodec::summand_limit`]), `g_max` the plan's largest group,
     /// so no group's ring sum of survivors can wrap. Group sizes depend
     /// on the counts alone, so one round's plan answers for every round.
-    pub(crate) fn ring_clamp(&self, plan: &RoundPlan) -> f64 {
+    fn ring_clamp(&self, plan: &RoundPlan) -> f64 {
         FixedCodec::new(self.frac_bits).summand_limit(largest_group(plan))
+    }
+
+    /// The clamp of every round: [`Self::ring_clamp`] of the round-0 plan,
+    /// unbounded when the counts lay out no round (a configuration
+    /// [`Self::validate`] rejects). The contract's owners
+    /// ([`crate::protocol`]) and the off-chain reference
+    /// ([`crate::world::World::local_updates_from`]) both take it here and
+    /// apply it with [`clamp_weights`].
+    pub(crate) fn weight_clamp(&self) -> f64 {
+        self.round_plan(0)
+            .map_or(f64::INFINITY, |plan| self.ring_clamp(&plan))
     }
 
     /// Shamir reconstruction threshold for the on-chain key escrow: a
@@ -665,6 +676,14 @@ impl FlConfig {
             acc = acc.wrapping_mul(0x100_0000_01b3).wrapping_add(b as u64);
         }
         acc
+    }
+}
+
+/// Clamps each weight of an update to `±clamp` ([`FlConfig::weight_clamp`]),
+/// as an honest owner does before encoding it.
+pub(crate) fn clamp_weights(update: &mut [f64], clamp: f64) {
+    for w in update {
+        *w = w.clamp(-clamp, clamp);
     }
 }
 

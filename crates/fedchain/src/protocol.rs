@@ -114,7 +114,7 @@ use numeric::{par, FixedCodec, U256};
 use shapley::hierarchy::RoundPlan;
 
 use crate::adversary::AdversaryKind;
-use crate::config::{ConfigError, FlConfig};
+use crate::config::{clamp_weights, ConfigError, FlConfig};
 use crate::contract_fl::{
     reduce_models, share_commitment, FlCall, FlContract, FlParams, RoundRecord,
 };
@@ -373,7 +373,7 @@ impl OffChainStage<'_> {
         // Every weight is clamped before it is encoded — for the masked
         // submission and the plaintext handoff alike — so no group's
         // ring sum can wrap.
-        let clamp = self.config.ring_clamp(&plan);
+        let clamp = self.config.weight_clamp();
         let num_features = self.config.data.features;
         let num_classes = self.config.data.classes;
         let epoch = self.epoch;
@@ -401,9 +401,7 @@ impl OffChainStage<'_> {
                 let started = Instant::now();
                 let trained = (!is_dropped(idx)).then(|| {
                     let mut update = owner.local_update(global_model, num_features, num_classes);
-                    for w in &mut update {
-                        *w = w.clamp(-clamp, clamp);
-                    }
+                    clamp_weights(&mut update, clamp);
                     let plain = codec.encode_vec(&update);
                     owner
                         .mask_update_cached(
@@ -1481,7 +1479,7 @@ mod tests {
         // drives single weights to ±480. Unclamped, the group's ring sum
         // wrapped with no error (accuracy 0.275 against 0.683 at 24
         // bits); clamped to ±2^11 / 200, it is the mean of the clamped
-        // encodings, summed exactly.
+        // encodings — the world's updates — summed exactly.
         let mut config = FlConfig::quick_demo();
         config.num_owners = 200;
         config.num_groups = 1;
@@ -1493,28 +1491,43 @@ mod tests {
         let mut p = FlProtocol::new(config.clone()).unwrap();
         p.run().unwrap();
 
-        let updates = World::generate(&config).unwrap().local_updates(&config);
+        let world = World::generate(&config).unwrap();
+        let updates = world.local_updates(&config);
         let codec = numeric::FixedCodec::new(config.frac_bits);
         let clamp = codec.summand_limit(config.num_owners);
+        assert_eq!(config.weight_clamp(), clamp);
+        assert!(
+            updates.iter().flatten().any(|w| w.abs() == clamp),
+            "the clamp must bite"
+        );
         let dim = (config.data.features + 1) * config.data.classes;
-        let mean: Vec<f64> = (0..dim)
-            .map(|k| {
-                let sum: i128 = updates
-                    .iter()
-                    .map(|u| i128::from(codec.encode(u[k].clamp(-clamp, clamp)) as i64))
-                    .sum();
-                let sum = i64::try_from(sum).expect("a clamped sum fits the ring");
-                codec.decode_avg(sum as u64, config.num_owners)
+        let zeros = vec![0.0; dim];
+        let unclamped: Vec<Vec<f64>> = world
+            .shards
+            .iter()
+            .map(|shard| {
+                let design = fl_ml::Design::new(shard);
+                fl_ml::logreg::LogisticModel::train_from(&zeros, &design, &config.train).to_flat()
             })
             .collect();
         let unclamped_sum_wraps = (0..dim).any(|k| {
-            let sum: i128 = updates
+            let sum: i128 = unclamped
                 .iter()
                 .map(|u| i128::from(codec.encode(u[k]) as i64))
                 .sum();
             i64::try_from(sum).is_err()
         });
         assert!(unclamped_sum_wraps, "the shape must overflow the ring");
+        let mean: Vec<f64> = (0..dim)
+            .map(|k| {
+                let sum: i128 = updates
+                    .iter()
+                    .map(|u| i128::from(codec.encode(u[k]) as i64))
+                    .sum();
+                let sum = i64::try_from(sum).expect("a clamped sum fits the ring");
+                codec.decode_avg(sum as u64, config.num_owners)
+            })
+            .collect();
         assert_eq!(
             p.contract().global_model(),
             numeric::linalg::mean_vectors(&[mean]).as_slice()

@@ -28,7 +28,7 @@ use fl_ml::noise::apply_quality_schedule;
 use fl_ml::split::{shard_rows, split_rows};
 use numeric::par;
 
-use crate::config::{ConfigError, FlConfig};
+use crate::config::{clamp_weights, ConfigError, FlConfig};
 
 /// The generated experimental world.
 #[derive(Debug, Clone)]
@@ -70,6 +70,9 @@ impl World {
 
     /// Trains each owner's local model *starting from `global`* — one FL
     /// round's worth of local updates (used by multi-round analyses).
+    /// Each weight is clamped to [`FlConfig::weight_clamp`], as an honest
+    /// owner clamps it before encoding, so these are the models the
+    /// contract aggregates.
     ///
     /// Owners train in parallel on [`numeric::par`]: each update is a
     /// pure function of the owner index (shard → conditioned design →
@@ -81,12 +84,16 @@ impl World {
         let dim = global.len();
         let rows = self.shards.iter().map(Dataset::len).sum::<usize>() / self.shards.len().max(1);
         let owner_flops = config.train.epochs * rows * dim * 4;
+        let clamp = config.weight_clamp();
         par::par_map(
             &self.shards,
             par::items_per_lease(owner_flops),
             |_, shard| {
                 let design = fl_ml::Design::new(shard);
-                LogisticModel::train_from(global, &design, &config.train).to_flat()
+                let mut update =
+                    LogisticModel::train_from(global, &design, &config.train).to_flat();
+                clamp_weights(&mut update, clamp);
+                update
             },
         )
     }
@@ -129,6 +136,23 @@ mod tests {
         assert_eq!(updates.len(), config.num_owners);
         let dim = (config.data.features + 1) * config.data.classes;
         assert!(updates.iter().all(|u| u.len() == dim));
+    }
+
+    #[test]
+    fn clamped_updates_equal_the_trained_ones_where_the_clamp_does_not_bite() {
+        for config in [FlConfig::quick_demo(), FlConfig::paper_setting()] {
+            let world = World::generate(&config).unwrap();
+            let updates = world.local_updates(&config);
+            let clamp = config.weight_clamp();
+            let zeros = vec![0.0; (config.data.features + 1) * config.data.classes];
+            for (shard, update) in world.shards.iter().zip(&updates) {
+                let design = fl_ml::Design::new(shard);
+                let trained = LogisticModel::train_from(&zeros, &design, &config.train).to_flat();
+                assert!(trained.iter().all(|w| w.abs() < clamp), "the clamp bites");
+                let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(update), bits(&trained));
+            }
+        }
     }
 
     #[test]

@@ -40,14 +40,24 @@
 //! member, each partial sum one vector add on its parent's. A game
 //! values a *batch* ([`CoalitionUtility::evaluate_many`]; `evaluate` is
 //! a batch of one) by walking that trie in pre-order: the batch sorted
-//! by `mask.reverse_bits()` — player 0 compares first — so
-//! the longest member prefix a coalition has in common with its
-//! predecessor is still on a stack of partial sums, a level per member,
-//! and only the members past it are added. That is one add per coalition
-//! of a full enumeration and about half a from-scratch sum on a sampled
-//! list. The walk runs once per tile of score elements; a tile's stack
-//! stays within `WALK_BYTES` when the utility scores means tile by tile
-//! ([`ModelUtility::tally`]) and is one whole-length tile when not.
+//! by `mask.reverse_bits()` — player 0 compares first — so the longest
+//! member prefix a coalition has in common with its predecessor is still
+//! on a stack of partial sums, a level per member, and only the members
+//! past it are added. That is one add per coalition of a full
+//! enumeration and about half a from-scratch sum on a sampled list.
+//!
+//! The walk runs once per *tile* of score elements: whole lane blocks
+//! (below), as many as keep that tile of every player's scores and of
+//! every level within `WALK_BYTES`, so what a batch reads stays in L1.
+//! Per coalition, a tile is summed a register group at a time — eight
+//! vectors of the instantiation's width. A group starts from the stored
+//! level of the prefix shared with the previous coalition (`0.0` when
+//! nothing is shared), adds the other members in ascending order while
+//! it stays in registers, writes back only the levels the next
+//! coalition reads (those up to the prefix the two share), and is
+//! scaled by `1/|S|` on its way into the tile's mean, which the utility
+//! then tallies ([`ModelUtility::tally`]) while it is still in L1. A
+//! utility that scores the vector whole gets it as one tile.
 //!
 //! # Lane blocks
 //!
@@ -69,15 +79,16 @@
 //!
 //! The walk — the member adds, the `1/|S|` scale and the tally — is a
 //! [`numeric::isa::Kernel`], compiled for the baseline, for AVX and for
-//! AVX-512F; a batch runs the widest the CPU has. None of that can move
-//! a bit. The layout moves elements, never what they are added to: every
-//! element of a coalition's sum is still its members' scores in ascending
-//! order from `0.0`, then one product with `1/|S|`, and each element is
-//! one lane of its own — `addpd` and `mulpd` round a lane alike at every
-//! width, lanes never interact, and rustc neither fuses a multiply into
-//! an add nor reorders a sum. A tally is a count of rows, exact in any
-//! order. The padding lanes add and scale zeros beside the real ones and
-//! are then ignored.
+//! AVX-512F; a batch runs the widest the CPU has, and a register group
+//! is eight of its vectors. None of that can move a bit. The layout and
+//! the groups move elements, never what they are added to: every element
+//! of a coalition's sum is still its members' scores in ascending order
+//! from `0.0`, then one product with `1/|S|`, and each element is one
+//! lane of its own — `addpd` and `mulpd` round a lane alike at every
+//! width, in a register or through memory, lanes never interact, and
+//! rustc neither fuses a multiply into an add nor reorders a sum. A
+//! tally is a count of rows, exact in any order. The padding lanes add
+//! and scale zeros beside the real ones and are then ignored.
 //!
 //! # Settled granules
 //!
@@ -91,6 +102,9 @@
 //! [`ModelUtility::tally`] each tile's indices. An element's fold order
 //! is the member order whatever else settled, and a utility answers only
 //! when its tallies add exactly (counts), so every value keeps its bits.
+//! When every granule settled (Table I's trained rounds) there is nothing
+//! to walk: each coalition's tally is that of the one empty tile, which
+//! a batch asks for once.
 //!
 //! [`argmax_settled`] decides a row for the rule of
 //! [`numeric::stats::is_argmax`]. Score `a` *beats* `b` when both are
@@ -186,6 +200,14 @@ pub(crate) fn permutation(seed: u64, round: u64, n: usize) -> Vec<usize> {
 
 /// `grouping(π, m)`: chops the permutation into `m` consecutive chunks;
 /// the first `n mod m` groups take one extra member.
+///
+/// # Panics
+///
+/// No peer reaches either: the one caller, [`RoundPlan::new`], returns a
+/// typed error for such counts first, and genesis runs it over the
+/// on-chain counts.
+/// - `m` is zero;
+/// - `m` exceeds `pi.len()`.
 pub(crate) fn grouping(pi: &[usize], m: usize) -> Vec<Vec<usize>> {
     assert!(m > 0, "need at least one group");
     assert!(m <= pi.len(), "more groups ({m}) than users ({})", pi.len());
@@ -243,9 +265,12 @@ pub struct GroupModelGame<'a, U> {
     settled: Option<f64>,
 }
 
-/// Bytes of partial sums per tile of a walk — the zero level, a level per
-/// member of the batch's deepest coalition, the mean: L1 for what is
-/// touched next, L2 for the rest (64 KiB read best of 16–256).
+/// Bytes of a walk tile's working set: that tile of every player's
+/// scores and of every level of partial sums, a level per member of the
+/// batch's deepest coalition. 64 KiB read best of 32–128 KiB on the
+/// second level of `sharded_1k` (4 blocks of 4 classes a tile at 32
+/// players); Table I's shape (5 blocks of 10 classes at 9) read alike at
+/// 64 and 96.
 const WALK_BYTES: usize = 64 << 10;
 
 thread_local! {
@@ -260,8 +285,13 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
     ///
     /// # Panics
     ///
-    /// Panics on empty/ragged input or more than
-    /// [`MAX_SAMPLED_PLAYERS`] groups.
+    /// Each a caller's contract; no peer reaches one through the
+    /// contract, which builds a game only over its non-empty set of alive
+    /// groups or cohorts, at most the count genesis bounds by the
+    /// method's cap, all scored into one length (the test set's logits):
+    /// - no group models;
+    /// - more than [`MAX_SAMPLED_PLAYERS`] group models;
+    /// - score vectors of different lengths.
     pub fn new(group_models: &[Vec<f64>], utility: &'a U) -> Self {
         let m = group_models.len();
         assert!(m > 0, "no groups");
@@ -307,17 +337,31 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
 
     /// [`Self::values_into`] with the walk compiled for `isa`.
     fn values_on(&self, isa: Isa, coalitions: &[Coalition], out: &mut [f64]) {
-        // Taken out of the cell, not borrowed across the utility's
-        // calls: a utility that itself consults another game on this
-        // thread starts from an empty buffer instead of a RefCell panic.
-        let mut scratch = MEAN_SCRATCH.with(RefCell::take);
-        isa.run(Walk {
-            game: self,
-            coalitions,
-            out: &mut *out,
-            scratch: &mut scratch,
-        });
-        MEAN_SCRATCH.with(|cell| cell.replace(scratch));
+        debug_assert!(
+            coalitions
+                .iter()
+                .all(|c| c.0 & !Coalition::grand(self.scores.len()).0 == 0),
+            "a coalition names a player past the game's {}",
+            self.scores.len()
+        );
+        if self.len == 0 {
+            // Every granule settled: each coalition tallies the same
+            // empty tile, once here instead of once per coalition.
+            out.fill(self.utility.tally(&[], &[]));
+        } else {
+            // Taken out of the cell, not borrowed across the utility's
+            // calls: a utility that itself consults another game on this
+            // thread starts from an empty buffer instead of a RefCell
+            // panic.
+            let mut scratch = MEAN_SCRATCH.with(RefCell::take);
+            isa.run(Walk {
+                game: self,
+                coalitions,
+                out: &mut *out,
+                scratch: &mut scratch,
+            });
+            MEAN_SCRATCH.with(|cell| cell.replace(scratch));
+        }
         for (value, coalition) in out.iter_mut().zip(coalitions) {
             *value = if coalition.is_empty() {
                 self.utility.of_empty()
@@ -331,71 +375,197 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
     /// One pre-order walk of the member trie per tile of score elements
     /// (module docs), leaving in `out` the tally totals of the non-empty
     /// coalitions. Inlined into [`Walk`]'s instantiations, the utility's
-    /// tally with it.
+    /// tally with it; `LANES` sizes the register groups ([`Pass`]).
     #[inline(always)]
-    fn walk(&self, coalitions: &[Coalition], out: &mut [f64], scratch: &mut Vec<f64>) {
+    fn walk<const LANES: usize>(
+        &self,
+        coalitions: &[Coalition],
+        out: &mut [f64],
+        scratch: &mut Vec<f64>,
+    ) {
         // Trie pre-order; a batch that arrives in it (one coalition, an
         // exact subtree, a prewarm run) is walked as it stands.
         let mut order: Vec<usize> = Vec::new();
         if !coalitions.is_sorted_by_key(|c| c.0.reverse_bits()) {
             order = (0..coalitions.len()).collect();
-            order.sort_unstable_by_key(|&i| coalitions[i].0.reverse_bits());
+            order.sort_unstable_by_key(|&i| coalitions.get(i).map_or(0, |c| c.0.reverse_bits()));
         }
-        // The mean, then levels 0 (zeros) ..= deepest; whole blocks.
+        // The mean, then levels 1 ..= deepest; whole blocks.
         let deepest = coalitions.iter().map(Coalition::len).max().unwrap_or(0);
         let block = self.block;
-        let fit = WALK_BYTES / std::mem::size_of::<f64>() / (deepest + 2) / block;
+        let vectors = self.scores.len() + deepest;
+        let fit = WALK_BYTES / std::mem::size_of::<f64>() / vectors / block;
         let tile = (fit.max(1) * block).min(self.len.max(1));
-        scratch.resize(scratch.len().max((deepest + 2) * tile), 0.0);
+        scratch.resize(scratch.len().max((deepest + 1) * tile), 0.0);
         let (mean, levels) = scratch.split_at_mut(tile);
-        levels[..tile].fill(0.0);
 
         let slot = |k: usize| order.get(k).copied().unwrap_or(k);
         let mask_at = |k: usize| coalitions.get(slot(k)).map_or(0, |c| c.0);
         // Pre-order puts the empty coalitions first; they have no mean.
         let empties = coalitions.iter().filter(|c| c.is_empty()).count();
+        let mut scores: [&[f64]; MAX_SAMPLED_PLAYERS] = [&[]; MAX_SAMPLED_PLAYERS];
+        let mut members = scores;
         for first in (0..self.len.max(1)).step_by(tile) {
             let len = tile.min(self.len - first);
+            let mean = mean.get_mut(..len).unwrap_or(&mut []);
+            for (tiled, s) in scores.iter_mut().zip(&self.scores) {
+                *tiled = s.get(first..).unwrap_or(&[]);
+            }
             // The tile's granules; the last block's padding names none.
-            let granules = &self.kept[first / block * self.block_granules
-                ..((first + len) / block * self.block_granules).min(self.kept.len())];
+            let granules = self.kept.get(
+                first / block * self.block_granules
+                    ..((first + len) / block * self.block_granules).min(self.kept.len()),
+            );
+            let granules = granules.unwrap_or(&[]);
             // The coalition whose member-prefix sums the levels hold.
             let mut stacked = 0u64;
             for k in empties..coalitions.len() {
                 let mask = mask_at(k);
                 // The levels of the prefix shared with the stacked
-                // coalition stand; the other members go on top: a level
-                // each while the next coalition shares it, then in place.
+                // coalition stand; the other members go on top, and a
+                // level is written back while the next coalition shares it.
                 let shared = shared_prefix(mask, stacked);
-                let kept = shared | shared_prefix(mask, mask_at(k + 1));
-                let own = kept.count_ones() as usize;
-                let mut depth = shared.count_ones() as usize;
-                let mut rest = mask ^ shared;
-                while rest != 0 {
-                    let member = &self.scores[rest.trailing_zeros() as usize][first..first + len];
-                    rest &= rest - 1;
-                    let (below, above) = levels.split_at_mut((depth + 1) * tile);
-                    if depth <= own {
-                        let parent = &below[depth * tile..][..len];
-                        for ((c, p), s) in above[..len].iter_mut().zip(parent).zip(member) {
-                            *c = p + s;
-                        }
-                        depth += 1;
-                    } else {
-                        for (c, s) in below[depth * tile..][..len].iter_mut().zip(member) {
-                            *c += s;
-                        }
-                    }
+                let own = (shared | shared_prefix(mask, mask_at(k + 1))).count_ones() as usize;
+                let added = members
+                    .iter_mut()
+                    .zip(Members(mask ^ shared).filter_map(|j| scores.get(j)))
+                    .map(|(member, scores)| *member = scores)
+                    .count();
+                let depth = shared.count_ones() as usize;
+                Pass {
+                    members: members.get(..added).unwrap_or(&[]),
+                    levels: &mut *levels,
+                    tile,
+                    depth,
+                    own,
+                    inv: 1.0 / (depth + added) as f64,
                 }
+                .mean::<LANES>(mean);
                 stacked = mask;
-                let inv = 1.0 / mask.count_ones() as f64;
-                for (mean, sum) in mean[..len].iter_mut().zip(&levels[depth * tile..]) {
-                    *mean = sum * inv;
+                let tally = self.utility.tally(granules, mean);
+                if let Some(value) = out.get_mut(slot(k)) {
+                    // Assigned, not added to 0.0: a `-0.0` utility survives.
+                    *value = if first == 0 { tally } else { *value + tally };
                 }
-                let tally = self.utility.tally(granules, &mean[..len]);
-                // Assigned, not added to 0.0: a `-0.0` utility survives.
-                let value = &mut out[slot(k)];
-                *value = if first == 0 { tally } else { *value + tally };
+            }
+        }
+    }
+}
+
+/// The members of a coalition mask, ascending.
+struct Members(u64);
+
+impl Iterator for Members {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let member = (self.0 != 0).then(|| self.0.trailing_zeros() as usize);
+        self.0 &= self.0.wrapping_sub(1);
+        member
+    }
+}
+
+/// One coalition's pass over one walk tile: the members it adds past the
+/// prefix it shares with the previous coalition, and the levels of
+/// partial sums it starts from and writes back (module docs, "The member
+/// trie").
+struct Pass<'p> {
+    /// The added members' scores from the tile's first element on,
+    /// ascending.
+    members: &'p [&'p [f64]],
+    /// Level `d` of the tile — the sum of the coalition's first `d`
+    /// members — at `(d − 1) · tile`; the zero level is not stored.
+    levels: &'p mut [f64],
+    tile: usize,
+    /// Members in the shared prefix: the level the sums start from.
+    depth: usize,
+    /// Deepest level the next coalition reads: the levels up to it are
+    /// written back, the ones past it never leave the registers.
+    own: usize,
+    /// `1/|S|`.
+    inv: f64,
+}
+
+impl Pass<'_> {
+    /// The coalition's mean over the tile, into `mean`: groups of eight
+    /// `L`-lane vectors, then single vectors for what is left of the
+    /// tile's whole blocks, then single elements for a vector the utility
+    /// scores whole.
+    #[inline(always)]
+    fn mean<const L: usize>(&mut self, mean: &mut [f64]) {
+        let mut done = 0;
+        while mean.len() - done >= 8 * L {
+            done += self.group::<L, 8>(mean, done);
+        }
+        while mean.len() - done >= L {
+            done += self.group::<L, 1>(mean, done);
+        }
+        while done < mean.len() {
+            done += self.group::<1, 1>(mean, done);
+        }
+    }
+
+    /// Tile elements `at ..`, `R` vectors of `L` lanes, held in registers
+    /// from the shared level through the last member: each member added
+    /// in ascending order, the levels the next coalition reads written
+    /// back, then the product with `1/|S|` stored into `mean`. Returns the
+    /// elements done, `R · L`.
+    #[inline(always)]
+    fn group<const L: usize, const R: usize>(&mut self, mean: &mut [f64], at: usize) -> usize {
+        let tile = self.tile;
+        let mut sum = [[0.0; L]; R];
+        if let Some(level) = self.depth.checked_sub(1) {
+            if let Some(base) = vectors::<L, R>(self.levels, level * tile + at) {
+                sum = *base;
+            }
+        }
+        let writes = self.own.saturating_sub(self.depth).min(self.members.len());
+        let (written, rest) = self.members.split_at(writes);
+        for (level, member) in (self.depth..).zip(written) {
+            add(&mut sum, vectors::<L, R>(member, at));
+            if let Some(stored) = vectors_mut::<L, R>(self.levels, level * tile + at) {
+                *stored = sum;
+            }
+        }
+        for member in rest {
+            add(&mut sum, vectors::<L, R>(member, at));
+        }
+        if let Some(out) = vectors_mut::<L, R>(mean, at) {
+            for (out, sum) in out.iter_mut().zip(&sum) {
+                for (out, sum) in out.iter_mut().zip(sum) {
+                    *out = sum * self.inv;
+                }
+            }
+        }
+        R * L
+    }
+}
+
+/// `R` vectors of `L` lanes of `v` from element `at` on.
+#[inline(always)]
+fn vectors<const L: usize, const R: usize>(v: &[f64], at: usize) -> Option<&[[f64; L]; R]> {
+    v.get(at..)?.as_chunks::<L>().0.first_chunk::<R>()
+}
+
+/// [`vectors`], writable.
+#[inline(always)]
+fn vectors_mut<const L: usize, const R: usize>(
+    v: &mut [f64],
+    at: usize,
+) -> Option<&mut [[f64; L]; R]> {
+    v.get_mut(at..)?
+        .as_chunks_mut::<L>()
+        .0
+        .first_chunk_mut::<R>()
+}
+
+/// `sum += member`, lane by lane.
+#[inline(always)]
+fn add<const L: usize, const R: usize>(sum: &mut [[f64; L]; R], member: Option<&[[f64; L]; R]>) {
+    if let Some(member) = member {
+        for (sum, member) in sum.iter_mut().zip(member) {
+            for (sum, member) in sum.iter_mut().zip(member) {
+                *sum += member;
             }
         }
     }
@@ -414,7 +584,8 @@ struct Walk<'w, 'a, U> {
 impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
     #[inline(always)]
     fn run<const LANES: usize>(self) {
-        self.game.walk(self.coalitions, self.out, self.scratch);
+        self.game
+            .walk::<LANES>(self.coalitions, self.out, self.scratch);
     }
 }
 
@@ -538,9 +709,12 @@ pub fn argmax_settled(members: &[&[f64]], label: usize) -> Option<bool> {
 ///
 /// # Panics
 ///
-/// Panics if inputs are empty/mismatched or `num_groups` is out of range
-/// (`1..=n`, and at most [`MAX_PLAYERS`] groups for the `2^m`
-/// enumeration).
+/// No peer reaches these: this is the off-chain oracle, which no replica
+/// or auditor runs.
+/// - no updates;
+/// - `num_groups` outside `1..=n`;
+/// - more than [`MAX_PLAYERS`] groups for the `2^m` enumeration;
+/// - updates of different lengths.
 pub fn group_shapley(
     local_weights: &[Vec<f64>],
     utility: &(impl ModelUtility + Sync),
@@ -812,6 +986,16 @@ mod tests {
                 round: 0,
             },
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "past the game's")]
+    fn a_coalition_naming_a_missing_player_fails_in_debug_builds() {
+        let models = vec![vec![1.0, 2.0]; 3];
+        let utility = sum_utility();
+        let game = GroupModelGame::new(&models, &utility);
+        let _ = game.evaluate(Coalition::from_members(&[0, 3]));
     }
 
     #[test]
@@ -1094,7 +1278,14 @@ mod tests {
 
     #[test]
     fn negative_zero_utility_keeps_its_sign_through_one_tile_and_many() {
-        for (cut, dim) in [(false, 7usize), (true, 7), (true, 1_640)] {
+        // Dim 0 keeps no score: the batch tallies one empty tile.
+        for (cut, dim) in [
+            (false, 7usize),
+            (true, 7),
+            (true, 1_640),
+            (false, 0),
+            (true, 0),
+        ] {
             let utility = NegativeZero { cut };
             let models = random_models(30, dim, 5);
             let game = GroupModelGame::new(&models, &utility);
@@ -1286,10 +1477,10 @@ mod tests {
         (Hits { classes, labels }, models)
     }
 
-    /// Most elements one walk tile holds when the deepest coalition has
-    /// `m` members.
+    /// Most elements one walk tile holds in a game of `m` players whose
+    /// deepest coalition has all `m`.
     fn tile_dim(m: usize) -> usize {
-        WALK_BYTES / std::mem::size_of::<f64>() / (m + 2)
+        WALK_BYTES / std::mem::size_of::<f64>() / (2 * m)
     }
 
     /// Both games value every coalition of `batch` to the bit, batched
@@ -1373,6 +1564,67 @@ mod tests {
         utility.of_tally(total)
     }
 
+    /// The game's values on `batch` in every instantiation, batched and
+    /// the first 16 one at a time, equal `want` to the bit.
+    fn assert_walk_in_every_isa<U: ModelUtility>(
+        game: &GroupModelGame<'_, U>,
+        batch: &[Coalition],
+        want: &[f64],
+        what: &str,
+    ) {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for isa in Isa::each() {
+            let mut got = vec![0.0; batch.len()];
+            game.values_on(isa, batch, &mut got);
+            assert_eq!(bits(&got), bits(want), "{isa:?}: {what}");
+            for (&coalition, want) in batch.iter().zip(want).take(16) {
+                let mut one = [0.0];
+                game.values_on(isa, &[coalition], &mut one);
+                assert_eq!(
+                    one[0].to_bits(),
+                    want.to_bits(),
+                    "{isa:?}: {what}, {coalition:?}"
+                );
+            }
+        }
+    }
+
+    /// Batches over `m ≥ 4` players whose coalitions, in trie pre-order,
+    /// share none, some or all of their member prefix with the one
+    /// before: disjoint lowest members; siblings under a common prefix;
+    /// a chain of supersets up to the grand coalition, duplicates and
+    /// the grand coalition minus each player.
+    fn prefix_batches(m: usize) -> Vec<(&'static str, Vec<Coalition>)> {
+        let grand = Coalition::grand(m).0;
+        let of = |members: &[usize]| Coalition::from_members(members);
+        let none = (0..m).map(|j| of(&[j, (j + 2) % m])).collect();
+        let some = vec![
+            of(&[0, 1, 2]),
+            of(&[0, 1, 3]),
+            of(&[0, 1, 3, m - 1]),
+            of(&[0, 2, 3]),
+            of(&[0, 2, m - 1]),
+            of(&[1, 2]),
+            of(&[1, 3]),
+        ];
+        let mut all: Vec<Coalition> = (1..=m).map(Coalition::grand).collect();
+        all.extend([of(&[0, 2, m - 1]); 3]);
+        all.extend((0..m).map(|j| Coalition(grand & !(1 << j))));
+        all.push(Coalition(grand));
+        let mut mixed: Vec<Coalition> = [&none, &some, &all]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        mixed.reverse();
+        vec![
+            ("none", none),
+            ("some", some),
+            ("all", all),
+            ("mixed", mixed),
+        ]
+    }
+
     #[test]
     fn walk_equals_the_spelled_out_oracle_in_every_instantiation_at_caps_1_and_2() {
         use crate::estimator::{Exact, Stratified, SvEstimator};
@@ -1383,7 +1635,7 @@ mod tests {
         let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (mut games, mut partly) = (0usize, 0usize);
         for m in [1usize, 4, 9, 32] {
-            for rows in [1usize, 7, 8, 9, 410] {
+            for rows in [1usize, 7, 8, 9, 15, 16, 17, 410] {
                 // The second level of a sharded round is 32 × 410 × 4.
                 for classes in [4usize, 10].into_iter().take(if m < 32 { 2 } else { 1 }) {
                     let seed = (m * 1_000 + rows * 10 + classes) as u64;
@@ -1391,7 +1643,7 @@ mod tests {
                     let game = GroupModelGame::new(&models, &utility);
                     games += 1;
                     partly += usize::from(game.settled.is_some() && game.dim > 0);
-                    let batch: Vec<Coalition> = if m <= 9 {
+                    let mut batch: Vec<Coalition> = if m <= 9 {
                         Coalition::powerset(m).collect()
                     } else {
                         let draws: Vec<u64> = (0..300u64)
@@ -1399,21 +1651,22 @@ mod tests {
                             .collect();
                         random_batch(m, &draws, false)
                     };
+                    if m >= 4 {
+                        batch.extend(prefix_batches(m).into_iter().flat_map(|(_, b)| b));
+                    }
                     let settled = settled_rows(&utility, &models);
                     let oracle = |c: Coalition| hits_oracle(&utility, &models, &settled, c);
                     let want: Vec<f64> = batch.iter().map(|&c| oracle(c)).collect();
-                    for isa in Isa::each() {
-                        let mut got = vec![0.0; batch.len()];
-                        game.values_on(isa, &batch, &mut got);
-                        assert_eq!(
-                            bits(&got),
-                            bits(&want),
-                            "{isa:?}: m {m}, {rows} rows x {classes}"
-                        );
-                        for (&coalition, want) in batch.iter().zip(&want).take(16) {
-                            let mut one = [0.0];
-                            game.values_on(isa, &[coalition], &mut one);
-                            assert_eq!(one[0].to_bits(), want.to_bits(), "{isa:?}: {coalition:?}");
+                    let what = format!("m {m}, {rows} rows x {classes}");
+                    assert_walk_in_every_isa(&game, &batch, &want, &what);
+                    if m >= 4 && rows == 410 {
+                        // Each prefix shape alone, in trie order and not.
+                        for (shape, mut batch) in prefix_batches(m) {
+                            for _ in 0..2 {
+                                let want: Vec<f64> = batch.iter().map(|&c| oracle(c)).collect();
+                                assert_walk_in_every_isa(&game, &batch, &want, shape);
+                                batch.sort_unstable_by_key(|c| c.0.reverse_bits());
+                            }
                         }
                     }
                     // The estimators over the game and over the oracle.
@@ -1443,6 +1696,40 @@ mod tests {
             partly * 2 >= games,
             "{partly} of {games} games partly settled"
         );
+
+        // Every class count the tally compiles (2–16) and the one past
+        // it (17, checked row by row), at every last-block width.
+        for classes in 2..=17usize {
+            for rows in [1usize, 7, 8, 9, 15, 16, 17, 410] {
+                let seed = (rows * 100 + classes) as u64;
+                let (utility, models) = near_ties(4, rows, classes, seed);
+                let game = GroupModelGame::new(&models, &utility);
+                let mut batch: Vec<Coalition> = Coalition::powerset(4).collect();
+                batch.extend(prefix_batches(4).into_iter().flat_map(|(_, b)| b));
+                let settled = settled_rows(&utility, &models);
+                let want: Vec<f64> = batch
+                    .iter()
+                    .map(|&c| hits_oracle(&utility, &models, &settled, c))
+                    .collect();
+                assert_walk_in_every_isa(&game, &batch, &want, &format!("{rows} rows x {classes}"));
+            }
+        }
+
+        // Every one of 64 players in one coalition.
+        let (utility, models) = near_ties(64, 17, 4, 64);
+        let game = GroupModelGame::new(&models, &utility);
+        let draws: Vec<u64> = (0..200u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let mut batch = random_batch(64, &draws, false);
+        batch.extend(prefix_batches(64).into_iter().flat_map(|(_, b)| b));
+        let settled = settled_rows(&utility, &models);
+        let want: Vec<f64> = batch
+            .iter()
+            .map(|&c| hits_oracle(&utility, &models, &settled, c))
+            .collect();
+        assert!(batch.contains(&Coalition::grand(64)));
+        assert_walk_in_every_isa(&game, &batch, &want, "m 64");
     }
 
     proptest! {
