@@ -169,11 +169,6 @@ impl<C> TxBundle<C> {
     pub fn is_empty(&self) -> bool {
         self.txs.is_empty()
     }
-
-    /// Consumes the bundle, returning the transactions.
-    pub fn into_txs(self) -> Vec<Transaction<C>> {
-        self.txs
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +207,7 @@ mod tests {
         assert_eq!(bundle.tx_root(), crate::block::Block::tx_root_of(&txs));
         assert_eq!(bundle.len(), 2);
         assert!(!bundle.is_empty());
-        assert_eq!(bundle.into_txs(), txs);
+        assert_eq!(bundle.txs(), txs);
     }
 
     #[test]

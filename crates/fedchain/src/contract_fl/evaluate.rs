@@ -69,6 +69,30 @@ pub(crate) fn reduce_models(survivor_means: &[Vec<Vec<f64>>]) -> (Vec<Option<Vec
     (cohort_models, global_model)
 }
 
+/// The group-mean rule: ring-sum the encodings of a group's survivors,
+/// let `strip` take out whatever masks the sum still carries, then decode
+/// the mean by the survivor count. `None` when no member survived — the
+/// group has no model and leaves the game.
+///
+/// The contract calls this on masked submissions, stripping a dropped
+/// member's residual masks; the protocol driver's next-model predictor
+/// calls it on plaintext encodings, with nothing to strip. Both feed
+/// [`reduce_models`], so the two agree on every step but the masks.
+pub(crate) fn group_mean(
+    codec: &FixedCodec,
+    survivors: &[&[u64]],
+    strip: impl FnOnce(&mut [u64]),
+) -> Option<Vec<f64>> {
+    let (first, rest) = survivors.split_first()?;
+    let mut sum = first.to_vec();
+    for encoded in rest {
+        FixedCodec::ring_add_assign(&mut sum, encoded);
+    }
+    strip(&mut sum);
+    let count = survivors.len();
+    Some(sum.iter().map(|&r| codec.decode_avg(r, count)).collect())
+}
+
 /// Test-set-accuracy utility `u(W)` shared by the contract and the
 /// off-chain analysis (Fig. 1/2 ground truth uses the same function).
 ///
@@ -244,8 +268,8 @@ impl FlContract {
     /// directory: each group's aggregate sums its *surviving* members'
     /// masked submissions; survivor-survivor masks cancel in the sum,
     /// and each dropped member's residual masks are stripped with its
-    /// reconstructed key. A group whose members all dropped has no model
-    /// and leaves the game. Returns the surviving groups' models and
+    /// reconstructed key ([`group_mean`]). A group whose members all
+    /// dropped has no model and leaves the game. Returns the surviving groups' models and
     /// indices, both in group order, or the first survivor whose
     /// submission or key the state lacks.
     fn aggregate_group_models(
@@ -262,22 +286,20 @@ impl FlContract {
         let mut surviving_groups: Vec<usize> = Vec::new();
         for (j, g) in groups.iter().enumerate() {
             let alive: Vec<usize> = g.iter().copied().filter(|&i| !is_dropped(i)).collect();
-            if alive.is_empty() {
-                continue;
-            }
-            surviving_groups.push(j);
-            let mut acc = vec![0u64; self.params().model_dim];
-            for &i in &alive {
-                let masked = self.submissions.slots[i]
-                    .as_ref()
-                    .ok_or(FlError::MissingSubmission(owners[i]))?;
-                FixedCodec::ring_add_assign(&mut acc, masked);
-            }
+            let submissions: Vec<&[u64]> = alive
+                .iter()
+                .map(|&i| {
+                    let masked = self.submissions.slots[i].as_deref().map(Vec::as_slice);
+                    masked.ok_or(FlError::MissingSubmission(owners[i]))
+                })
+                .collect::<Result<_, _>>()?;
             let mut group_dropped: Vec<(AccountId, U256)> = g
                 .iter()
                 .filter_map(|&i| Some((owners[i], recovered[i]?)))
                 .collect();
-            if !group_dropped.is_empty() {
+            let model = if group_dropped.is_empty() {
+                group_mean(codec, &submissions, |_| {})
+            } else {
                 group_dropped.sort_unstable_by_key(|(id, _)| *id);
                 let survivor_keys: Vec<(AccountId, U256)> = alive
                     .iter()
@@ -288,13 +310,14 @@ impl FlContract {
                         Ok((owners[i], U256::from_be_bytes(key)))
                     })
                     .collect::<Result<_, FlError>>()?;
-                strip_dropped_set_masks(dh, &mut acc, &group_dropped, &survivor_keys, round);
+                group_mean(codec, &submissions, |sum| {
+                    strip_dropped_set_masks(dh, sum, &group_dropped, &survivor_keys, round)
+                })
+            };
+            if let Some(model) = model {
+                surviving_groups.push(j);
+                group_models.push(model);
             }
-            group_models.push(
-                acc.iter()
-                    .map(|&r| codec.decode_avg(r, alive.len()))
-                    .collect(),
-            );
         }
         Ok((group_models, surviving_groups))
     }

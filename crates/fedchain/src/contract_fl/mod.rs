@@ -31,8 +31,9 @@
 //! secure-aggregation groups within each cohort and the per-cohort seed
 //! streams, derived from the digest-bound
 //! `(permutation_seed, round, n, num_cohorts, num_groups)`. Per cohort
-//! the contract aggregates the group models and runs the configured
-//! estimator; `reduce_models` folds the group models into cohort
+//! the contract aggregates the group models (`group_mean`: ring sum of
+//! the survivors, residual masks stripped, mean decoded) and runs the
+//! configured estimator; `reduce_models` folds the group models into cohort
 //! aggregates and the global model; for `num_cohorts > 1` a second-level
 //! game over the cohort aggregates prices the cohorts and
 //! [`shapley::hierarchy::compose`] scales the within-cohort values. The
@@ -77,8 +78,8 @@ mod state;
 mod tests;
 
 pub use calls::{share_commitment, FlCall, FlError};
-pub(crate) use evaluate::reduce_models;
 pub use evaluate::AccuracyUtility;
+pub(crate) use evaluate::{group_mean, reduce_models};
 pub use records::{CohortEvidence, RecoveryEvidence, RoundPhase, RoundRecord};
 use section::Section;
 

@@ -27,6 +27,23 @@
 //! let report = protocol.run().expect("honest majority commits");
 //! assert_eq!(report.per_owner_sv.len(), 4);
 //! ```
+//!
+//! # Crate map
+//!
+//! * [`config`], [`world`] — the off-chain setup stage and the data set,
+//!   split, shards and quality noise a configuration generates;
+//! * [`owner`], [`adversary`] — a data owner (local training, masking,
+//!   key escrow) and the misbehaviours it can be given;
+//! * [`contract_fl`] — the contract every miner re-executes: group means,
+//!   Algorithm 1, dropout recovery, the state root;
+//! * [`protocol`] — the driver, one file per stage: `protocol/mod.rs`
+//!   holds [`FlProtocol`] and its run loop, `protocol/off_chain.rs` the
+//!   owners' stage (train, mask, assemble calls, predict the next model)
+//!   and `protocol/on_chain.rs` the miners' stage (commit, evaluate, the
+//!   write-behind durable tail);
+//! * [`audit`] — replaying a chain, live or from disk, and certifying it;
+//! * [`rewards`], [`ground_truth`], [`privacy`] — reward splits, the
+//!   retrain-based Shapley reference, and the privacy cost of `m`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,6 +33,19 @@
 //! contribution `v_i = Σ_r v_i^r` (dropped owners earn exactly zero for
 //! their missed rounds) and the final global model `W_G`.
 //!
+//! # Layout
+//!
+//! A round has the paper's two actors (Sect. IV), one file each:
+//!
+//! * `off_chain.rs` — the off-chain stage: the owners train and mask in
+//!   one [`par::par_claim_mut`] region a round, then the round's calls
+//!   are assembled and the next global model predicted;
+//! * `on_chain.rs` — the on-chain stage: nonces, admission, consensus,
+//!   the handoff check, and the write-behind durable tail it alone
+//!   drives;
+//! * this file — [`FlProtocol`], its errors and reports, and the run
+//!   loop that hands each prepared round from one stage to the other.
+//!
 //! # Pipeline contract
 //!
 //! [`FlProtocol::run`] executes the round loop as a two-stage software
@@ -53,12 +66,14 @@
 //!   point — before SV evaluation even begins. Pairwise masks cancel
 //!   exactly in the u64 ring, so the off-chain stage predicts the
 //!   committed model bit-identically from the plaintext encodings it
-//!   already holds: per group of the round's plan,
-//!   `decode_avg(Σ_ring encode(update_i))` over the group's survivors,
-//!   folded by the very `reduce_models` function the contract calls
-//!   (group means → cohort aggregates → global model), so only the
-//!   inputs differ — masked-sum-then-strip on-chain, plaintext ring sum
-//!   here. Round `r+1` trains against that prediction; after round `r`
+//!   already holds: per group of the round's plan, the contract's own
+//!   group-mean routine `group_mean` — `decode_avg(Σ_ring
+//!   encode(update_i))` over the group's survivors, `None` for a group
+//!   that lost every member — folded by the very `reduce_models`
+//!   function the contract calls (group means → cohort aggregates →
+//!   global model), so only the inputs differ — masked sum with its
+//!   residual masks stripped on-chain, plaintext encodings here. Round
+//!   `r+1` trains against that prediction; after round `r`
 //!   commits, the driver compares the prediction against the live
 //!   contract **bit for bit** and fails with
 //!   [`ProtocolError::PipelineDivergence`] on any mismatch. The check
@@ -91,35 +106,35 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 use std::time::Instant;
 
-use fl_chain::block::Block;
 use fl_chain::consensus::engine::{
     CommitReport, ConsensusEngine, EngineConfig, EngineError, MinerBehavior,
 };
 use fl_chain::consensus::leader::LeaderSchedule;
 use fl_chain::durability::{DurabilityConfig, DurabilityError, DurableStore, RecoveryReport};
 use fl_chain::gas::Gas;
-use fl_chain::hash::Hash32;
 use fl_chain::mempool::Mempool;
-use fl_chain::store::ChainStore;
-use fl_chain::tx::{AccountId, Transaction};
+use fl_chain::tx::AccountId;
 use fl_crypto::dh::DhGroup;
 use fl_crypto::shamir::{Shamir, Share};
 use fl_crypto::ChaChaPrg;
 use fl_ml::dataset::Dataset;
-use numeric::{par, FixedCodec, U256};
-use shapley::hierarchy::RoundPlan;
+use numeric::par;
 
 use crate::adversary::AdversaryKind;
-use crate::config::{clamp_weights, ConfigError, FlConfig};
-use crate::contract_fl::{
-    reduce_models, share_commitment, FlCall, FlContract, FlParams, RoundRecord,
-};
+use crate::config::{ConfigError, FlConfig};
+use crate::contract_fl::{FlCall, FlContract, FlParams, RoundRecord};
 use crate::owner::DataOwner;
 use crate::world::World;
+
+mod off_chain;
+mod on_chain;
+
+use off_chain::{setup_calls, OffChainStage};
+use on_chain::{live_chain, DurableTail, OnChainStage};
 
 /// Errors from building or running the protocol.
 #[derive(Debug)]
@@ -277,514 +292,6 @@ pub struct FlRunReport {
     pub stages: StageTimings,
     /// End-to-end wall clock of the run, including setup.
     pub wall_seconds: f64,
-}
-
-/// One round's fully prepared off-chain work: everything `commit_round`
-/// needs, with no nonces assigned (nonces are consensus-visible and
-/// belong to the on-chain stage).
-struct PreparedRound {
-    round: u64,
-    /// Round-block calls in assembly order (submissions per cohort,
-    /// then the `EvaluateRound` trigger).
-    calls: Vec<(AccountId, FlCall)>,
-    /// Transactions per cohort bundle; `calls.len()` in total.
-    bundle_sizes: Vec<usize>,
-    /// Recovery-block calls (shares + closing `EvaluateRound`); empty
-    /// when the round schedules no dropouts.
-    recovery_calls: Vec<(AccountId, FlCall)>,
-    /// The global model the contract will hold once this round commits
-    /// — the pipeline handoff (see the module docs).
-    predicted_model: Vec<f64>,
-    /// Wall-clock seconds spent training + masking.
-    train_mask_secs: f64,
-    /// Wall-clock seconds spent assembling calls and predicting.
-    assemble_secs: f64,
-}
-
-/// One owner's round output — the masked submission and its plaintext
-/// ring encoding; `None` for an owner scheduled to drop.
-type MaskedAndPlain = (Vec<u64>, Vec<u64>);
-type Trained = Option<Result<MaskedAndPlain, fl_crypto::secure_agg::SecureAggError>>;
-
-/// Expanding and adding one ring element of a pair mask, in the
-/// flop-equivalents [`par::items_per_lease`] takes.
-const MASK_FLOPS_PER_ELEM: usize = 16;
-
-/// The off-chain half of the round pipeline: owners, their escrow
-/// shares, and the phase-0 key snapshot. Borrows are disjoint from
-/// `OnChainStage` so the two halves can run concurrently.
-struct OffChainStage<'a> {
-    config: &'a FlConfig,
-    owners: &'a mut Vec<DataOwner>,
-    escrows: &'a [Vec<Share>],
-    /// Advertised DH public keys, indexed by owner position (fixed at
-    /// phase 0).
-    keys: &'a [U256],
-    /// Pair-secret cache epoch: digest of the full advertised key set,
-    /// stable across rounds.
-    epoch: [u8; 32],
-}
-
-impl OffChainStage<'_> {
-    /// Prepares one round entirely off-chain: local training against
-    /// `global_model`, masking, call assembly, and the next-model
-    /// prediction. Touches neither the mempool nor the engine — `beside`
-    /// may: it is the side task of the owners' region (the previous
-    /// round's on-chain tail when pipelined), run on the calling thread
-    /// and returned first.
-    fn prepare_round<S>(
-        &mut self,
-        round: u64,
-        global_model: &[f64],
-        beside: Option<impl FnOnce() -> S>,
-    ) -> (Option<S>, Result<PreparedRound, ProtocolError>) {
-        let n = self.owners.len();
-        let dropped = self.config.dropped_in_round(round);
-        let is_dropped = |idx: usize| dropped.binary_search(&idx).is_ok();
-
-        // The round's public layout — the same plan the contract
-        // derives, so owners mask within exactly the groups the contract
-        // aggregates over.
-        let plan = RoundPlan::new(
-            self.config.permutation_seed,
-            round,
-            n,
-            self.config.num_cohorts,
-            self.config.num_groups,
-        )
-        .expect("validated: cohort and group counts fit the owner set");
-
-        // Every owner reads its group's keys from the phase-0 snapshot.
-        let mut group_directories: Vec<Vec<(AccountId, U256)>> = Vec::new();
-        let mut group_of = vec![0usize; n];
-        for group in plan.groups().iter().flatten() {
-            for &idx in group {
-                group_of[idx] = group_directories.len();
-            }
-            group_directories.push(
-                group
-                    .iter()
-                    .map(|&idx| (idx as u32, self.keys[idx]))
-                    .collect(),
-            );
-        }
-
-        let codec = FixedCodec::new(self.config.frac_bits);
-        // Every weight is clamped before it is encoded — for the masked
-        // submission and the plaintext handoff alike — so no group's
-        // ring sum can wrap.
-        let clamp = self.config.weight_clamp();
-        let num_features = self.config.data.features;
-        let num_classes = self.config.data.classes;
-        let epoch = self.epoch;
-
-        // Local training + masking, off-chain per owner. In deployment
-        // every owner computes on its own machine simultaneously; here the
-        // owners fan out across cores. Each owner's update depends only on
-        // its own shard, RNG, and the (shared, read-only) global model, so
-        // the updates are bit-identical to a sequential pass. Owners
-        // scheduled to drop vanish before producing anything visible. The
-        // plaintext ring encoding rides along for the handoff prediction.
-        //
-        // An owner costs its epochs — two products over its shard each —
-        // and a key agreement plus a mask expansion per group peer.
-        let dim = (num_features + 1) * num_classes;
-        let shard_rows = self.owners.iter().map(DataOwner::shard_len).sum::<usize>() / n;
-        let peers = n / group_directories.len();
-        let owner_flops = self.config.train.epochs * shard_rows * dim * 4
-            + peers * (DhGroup::simulation_256().agreement_flops() + dim * MASK_FLOPS_PER_ELEM);
-        let (beside, outputs): (_, Vec<(Instant, Instant, Trained)>) = par::par_claim_mut(
-            &mut *self.owners,
-            par::items_per_lease(owner_flops),
-            beside,
-            |idx, owner| {
-                let started = Instant::now();
-                let trained = (!is_dropped(idx)).then(|| {
-                    let mut update = owner.local_update(global_model, num_features, num_classes);
-                    clamp_weights(&mut update, clamp);
-                    let plain = codec.encode_vec(&update);
-                    owner
-                        .mask_update_cached(
-                            &update,
-                            round,
-                            &group_directories[group_of[idx]],
-                            epoch,
-                        )
-                        .map(|masked| (masked, plain))
-                });
-                (started, Instant::now(), trained)
-            },
-        );
-        // The stage's wall clock runs from the first owner claimed to the
-        // last one done — the side task is another stage's time.
-        let first = outputs.iter().map(|(started, _, _)| *started).min();
-        let last = outputs.iter().map(|(_, finished, _)| *finished).max();
-        let train_mask_secs = first
-            .zip(last)
-            .map_or(0.0, |(first, last)| (last - first).as_secs_f64());
-        let assembled = self.assemble_round(
-            round,
-            &plan,
-            outputs.into_iter().map(|(_, _, trained)| trained).collect(),
-            train_mask_secs,
-        );
-        (beside, assembled)
-    }
-
-    /// The second half of [`Self::prepare_round`]: the round's calls in
-    /// consensus order, the next-model prediction and the recovery block,
-    /// from what the owners produced.
-    fn assemble_round(
-        &self,
-        round: u64,
-        plan: &RoundPlan,
-        outputs: Vec<Trained>,
-        train_mask_secs: f64,
-    ) -> Result<PreparedRound, ProtocolError> {
-        let n = self.owners.len();
-        let dropped = self.config.dropped_in_round(round);
-        let is_dropped = |idx: usize| dropped.binary_search(&idx).is_ok();
-        let codec = FixedCodec::new(self.config.frac_bits);
-        let dim = (self.config.data.features + 1) * self.config.data.classes;
-
-        let assemble_start = Instant::now();
-        let encoded: Vec<Option<MaskedAndPlain>> = outputs
-            .into_iter()
-            .map(|r| r.transpose())
-            .collect::<Result<_, _>>()?;
-        let mut masked: Vec<Option<Vec<u64>>> = Vec::with_capacity(n);
-        let mut plain: Vec<Option<Vec<u64>>> = Vec::with_capacity(n);
-        for entry in encoded {
-            match entry {
-                Some((m, p)) => {
-                    masked.push(Some(m));
-                    plain.push(Some(p));
-                }
-                None => {
-                    masked.push(None);
-                    plain.push(None);
-                }
-            }
-        }
-
-        // Call assembly order is consensus-visible (it becomes nonce and
-        // block order); bundle boundaries follow the cohort plan — one
-        // bundle per cohort, in plan order.
-        let mut calls: Vec<(AccountId, FlCall)> = Vec::with_capacity(n + 1);
-        let mut bundle_sizes: Vec<usize> = Vec::with_capacity(plan.groups().len());
-        for cohort in plan.groups() {
-            let before = calls.len();
-            for group in cohort {
-                for &idx in group {
-                    if is_dropped(idx) {
-                        continue;
-                    }
-                    let m = masked[idx]
-                        .take()
-                        .expect("each survivor produces exactly one update");
-                    calls.push((
-                        self.owners[idx].id(),
-                        FlCall::SubmitMaskedUpdate { round, masked: m },
-                    ));
-                }
-            }
-            bundle_sizes.push(calls.len() - before);
-        }
-
-        // Anyone alive may trigger evaluation; the first survivor does.
-        // With owners missing this transaction opens recovery instead of
-        // evaluating — same call, driven by the contract's state machine.
-        // It rides in the final cohort's bundle: every earlier cohort's
-        // submissions are then already-committed blocks.
-        let survivors: Vec<usize> = (0..n).filter(|&idx| !is_dropped(idx)).collect();
-        let trigger = self.owners[*survivors.first().expect("validated: survivors exist")].id();
-        calls.push((trigger, FlCall::EvaluateRound { round }));
-        *bundle_sizes.last_mut().expect("at least one cohort") += 1;
-
-        // Handoff prediction: masks cancel exactly in the u64 ring, so
-        // per group the masked-sum-then-strip the contract runs equals
-        // this plaintext ring sum over the group's survivors (exactly
-        // the owners that produced an encoding); the contract's own
-        // `reduce_models` then folds the group means into the model the
-        // round will commit.
-        let survivor_means: Vec<Vec<Vec<f64>>> = plan
-            .groups()
-            .iter()
-            .map(|cohort| {
-                cohort
-                    .iter()
-                    .filter_map(|group| {
-                        let alive: Vec<&Vec<u64>> =
-                            group.iter().filter_map(|&i| plain[i].as_ref()).collect();
-                        if alive.is_empty() {
-                            return None;
-                        }
-                        let mut acc = vec![0u64; dim];
-                        for encoded in &alive {
-                            FixedCodec::ring_add_assign(&mut acc, encoded);
-                        }
-                        Some(
-                            acc.iter()
-                                .map(|&r| codec.decode_avg(r, alive.len()))
-                                .collect(),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let (_, predicted_model) = reduce_models(&survivor_means);
-
-        // Recovery block (assembled here, committed only after the main
-        // block): threshold-many survivors reveal their escrowed shares
-        // for every dropped owner, then the closing EvaluateRound
-        // reconstructs the keys, strips the residual masks, and
-        // evaluates on the survivors.
-        let recovery_calls: Vec<(AccountId, FlCall)> = if dropped.is_empty() {
-            Vec::new()
-        } else {
-            let threshold = self.config.escrow_threshold();
-            let mut recovery = Vec::with_capacity(dropped.len() * threshold + 1);
-            for &d in &dropped {
-                let dropped_id = self.owners[d].id();
-                for &provider in survivors.iter().take(threshold) {
-                    let share = &self.escrows[d][provider];
-                    recovery.push((
-                        self.owners[provider].id(),
-                        FlCall::SubmitRecoveryShare {
-                            round,
-                            dropped: dropped_id,
-                            share_x: share.x,
-                            share_y: share.y.to_be_bytes(),
-                        },
-                    ));
-                }
-            }
-            recovery.push((trigger, FlCall::EvaluateRound { round }));
-            recovery
-        };
-        let assemble_secs = assemble_start.elapsed().as_secs_f64();
-
-        Ok(PreparedRound {
-            round,
-            calls,
-            bundle_sizes,
-            recovery_calls,
-            predicted_model,
-            train_mask_secs,
-            assemble_secs,
-        })
-    }
-}
-
-/// The honest replica's chain — what the durable store tails.
-fn live_chain(engine: &ConsensusEngine<FlContract>) -> &ChainStore<FlCall> {
-    engine.store_of(0).expect("miner 0 always exists")
-}
-
-/// One write-behind job: a stream's blocks, appended as one flushed
-/// batch, then the contract state at the height they reach when the
-/// snapshot cadence fires there.
-type DurableJob = (Vec<Arc<Block<FlCall>>>, Option<Vec<u8>>);
-
-/// The committing side of the write-behind durable tail (module docs).
-/// The writer thread owns the store; this side tracks the height and
-/// the snapshot cadence the store will have once every queued job is
-/// written, so it decides what to queue without waiting for the disk.
-struct DurableTail<'w> {
-    jobs: mpsc::Sender<DurableJob>,
-    /// The writer's first error; it writes nothing after it.
-    failed: &'w OnceLock<DurabilityError>,
-    config: DurabilityConfig,
-    /// Height of the durable chain once every queued job is written.
-    queued: u64,
-    /// Height of the newest snapshot queued, or recovered at open.
-    last_snapshot: u64,
-}
-
-impl<'w> DurableTail<'w> {
-    /// Spawns the writer over `store` in `scope`. The writer applies the
-    /// jobs in queue order until the tail is dropped, and stops at its
-    /// first error, which it leaves in `failed`.
-    fn spawn<'scope>(
-        scope: &'scope thread::Scope<'scope, 'w>,
-        store: &'w mut DurableStore<FlCall>,
-        failed: &'w OnceLock<DurabilityError>,
-    ) -> Self {
-        let (jobs, queue) = mpsc::channel::<DurableJob>();
-        let tail = Self {
-            jobs,
-            failed,
-            config: store.config(),
-            queued: store.store().height(),
-            last_snapshot: store.last_snapshot_height(),
-        };
-        scope.spawn(move || {
-            for (blocks, snapshot) in queue {
-                let written = store.append_batch(blocks).and_then(|()| match snapshot {
-                    Some(state) => store.write_snapshot(&state),
-                    None => Ok(()),
-                });
-                if let Err(e) = written {
-                    failed.get_or_init(|| e);
-                    return;
-                }
-            }
-        });
-        tail
-    }
-}
-
-/// The on-chain half of the round pipeline: mempool, consensus engine,
-/// and the durable tail when a store is attached.
-struct OnChainStage<'a> {
-    engine: &'a mut ConsensusEngine<FlContract>,
-    pool: &'a mut Mempool<FlCall>,
-    durable: Option<DurableTail<'a>>,
-}
-
-impl OnChainStage<'_> {
-    /// Queues the honest replica's chain past the queued height for the
-    /// durable writer as one batch (the blocks themselves are shared
-    /// with the replica), with a snapshot of the contract state if the
-    /// cadence fires at the height they reach. Fails with the writer's
-    /// error once it has stopped.
-    fn sync_durable(&mut self) -> Result<(), ProtocolError> {
-        let Some(tail) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        if let Some(e) = tail.failed.get() {
-            return Err(e.clone().into());
-        }
-        let blocks = live_chain(self.engine).blocks_from(tail.queued);
-        tail.queued += blocks.len() as u64;
-        let snapshot = tail
-            .config
-            .snapshot_due(tail.queued, tail.last_snapshot)
-            .then(|| {
-                tail.last_snapshot = tail.queued;
-                self.engine.honest_contract().snapshot_state()
-            });
-        // A send fails only once the writer has stopped: the error it
-        // left is returned when the run joins it, a panic re-raised.
-        let _ = tail.jobs.send((blocks, snapshot));
-        Ok(())
-    }
-
-    /// The one commit routine: assigns nonces to `calls`, admits them in
-    /// one batched pass, drains one sealed bundle per entry of `sizes`,
-    /// commits the bundles as consecutive blocks, and persists them.
-    /// A sharded round streams one bundle per cohort; the flat round,
-    /// the setup block and the recovery block are its one-bundle case.
-    ///
-    /// Time up to and including each bundle before the last lands
-    /// under `commit`; the last bundle (the `EvaluateRound`-bearing one
-    /// of a round) plus persistence lands under `evaluate` — so a
-    /// one-bundle commit reports `commit == 0`.
-    ///
-    /// The two error paths scope their rollback differently, on
-    /// purpose. An admission failure un-admits this batch and commits
-    /// nothing: never commit a truncated round (e.g. one missing an
-    /// owner's update or the evaluation trigger). A consensus failure
-    /// at bundle `i` keeps the committed prefix (those blocks reached
-    /// quorum on every replica; they are persisted before the failure
-    /// surfaces, so a crash-restart replays exactly the blocks every
-    /// replica agrees on) and releases the unfinished suffix back to
-    /// the pool, rewinding the affected senders' nonces for
-    /// resubmission. Dropping `release`'s evicted orphans is deliberate:
-    /// the rollback makes any still-queued transactions above the rewind
-    /// point unexecutable, and their senders resubmit from the rewound
-    /// nonce.
-    fn commit_stream(
-        &mut self,
-        calls: Vec<(AccountId, FlCall)>,
-        sizes: &[usize],
-        timings: &mut StageTimings,
-    ) -> Result<Vec<CommitReport>, ProtocolError> {
-        debug_assert_eq!(calls.len(), sizes.iter().sum::<usize>());
-        let mut lap = Instant::now();
-        let mut staged: BTreeMap<AccountId, u64> = BTreeMap::new();
-        let txs: Vec<Transaction<FlCall>> = calls
-            .into_iter()
-            .map(|(sender, call)| {
-                // The pool's expectation plus however many transactions
-                // this batch already stages for the sender.
-                let count = staged.entry(sender).or_insert(0);
-                let nonce = self.pool.expected_nonce(sender) + *count;
-                *count += 1;
-                Transaction::new(sender, nonce, call)
-            })
-            .collect();
-        let admission = self.pool.submit_batch(txs);
-        if let Some((_, reason)) = admission.rejected.into_iter().next() {
-            self.pool.rollback_admitted(admission.admitted);
-            return Err(ProtocolError::Admission(reason));
-        }
-        let bundles = self.pool.drain_bundles(sizes);
-        let mut reports = Vec::with_capacity(bundles.len());
-        for (i, bundle) in bundles.iter().enumerate() {
-            match self.engine.commit_bundle(bundle) {
-                Ok(report) => reports.push(report),
-                Err(e) => {
-                    let unfinished: Vec<Transaction<FlCall>> = bundles[i..]
-                        .iter()
-                        .flat_map(|b| b.txs().iter().cloned())
-                        .collect();
-                    self.pool.release(&unfinished);
-                    self.sync_durable()?;
-                    return Err(e.into());
-                }
-            }
-            let stage = if i + 1 == bundles.len() {
-                self.sync_durable()?;
-                &mut timings.evaluate
-            } else {
-                &mut timings.commit
-            };
-            *stage += lap.elapsed().as_secs_f64();
-            lap = Instant::now();
-        }
-        Ok(reports)
-    }
-
-    /// Commits one prepared round: streams the cohort bundles, commits
-    /// the recovery block on churned rounds, and verifies the pipeline
-    /// handoff — the committed global model must equal the prediction
-    /// bit for bit.
-    fn commit_round(
-        &mut self,
-        prepared: PreparedRound,
-    ) -> Result<(Vec<CommitReport>, StageTimings), ProtocolError> {
-        let PreparedRound {
-            round,
-            calls,
-            bundle_sizes,
-            recovery_calls,
-            predicted_model,
-            ..
-        } = prepared;
-        let mut timings = StageTimings::default();
-
-        let mut commits = self.commit_stream(calls, &bundle_sizes, &mut timings)?;
-        if !recovery_calls.is_empty() {
-            let size = recovery_calls.len();
-            commits.extend(self.commit_stream(recovery_calls, &[size], &mut timings)?);
-        }
-
-        // Pipeline handoff check (module docs): round r+1 may already be
-        // training against `predicted_model` on the other stage, so any
-        // divergence here is a protocol bug that must halt the run, not
-        // skew it silently.
-        let live = self.engine.honest_contract().global_model();
-        let agrees = live.len() == predicted_model.len()
-            && live
-                .iter()
-                .zip(&predicted_model)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !agrees {
-            return Err(ProtocolError::PipelineDivergence { round });
-        }
-        Ok((commits, timings))
-    }
 }
 
 /// The protocol driver.
@@ -1105,104 +612,42 @@ impl FlProtocol {
             let size = calls.len();
             commits.extend(on.commit_stream(calls, &[size], &mut StageTimings::default())?);
         }
-        let (keys, epoch) = snapshot_keys(on.engine.honest_contract(), owners)?;
+        let mut off = OffChainStage::new(config, owners, escrows, on.engine.honest_contract())?;
         let mut stages = StageTimings::default();
         // `FlConfig::validate` holds `rounds ≥ 1`: round 0 is always run.
-        let mut off = OffChainStage {
-            config,
-            owners,
-            escrows,
-            keys: &keys,
-            epoch,
-        };
-        let model0 = on.engine.honest_contract().global_model().to_vec();
-        let mut prepared = off.prepare_round(0, &model0, None::<fn()>).1?;
-        stages.train_mask += prepared.train_mask_secs;
-        stages.assemble += prepared.assemble_secs;
-        for round in 0..config.rounds {
-            if round + 1 < config.rounds {
-                let next = if pipelined {
-                    // Round r+1 is prepared with round r's on-chain tail
-                    // beside it; r+1 trains against the predicted
-                    // (digest-fixed) model.
-                    let next_model = prepared.predicted_model.clone();
-                    let tail = || on.commit_round(prepared);
-                    let (commit_res, prep_res) =
-                        off.prepare_round(round + 1, &next_model, Some(tail));
-                    if let Some((reports, t)) = commit_res.transpose()? {
-                        commits.extend(reports);
-                        stages.accumulate(&t);
-                    }
-                    prep_res?
-                } else {
-                    let (reports, t) = on.commit_round(prepared)?;
-                    commits.extend(reports);
-                    stages.accumulate(&t);
-                    // Sequential: train against the live committed model
-                    // (the seed's loop verbatim); commit_round just
-                    // pinned it equal to the prediction.
-                    let live = on.engine.honest_contract().global_model().to_vec();
-                    off.prepare_round(round + 1, &live, None::<fn()>).1?
-                };
-                stages.train_mask += next.train_mask_secs;
-                stages.assemble += next.assemble_secs;
-                prepared = next;
+        let model0 = on.engine.honest_contract().global_model();
+        let mut prepared = off.prepare_round(0, model0, None::<fn()>).1?;
+        loop {
+            stages.accumulate(&prepared.timings);
+            let next_round = prepared.round + 1;
+            let more = next_round < config.rounds;
+            let (committed, next) = if pipelined && more {
+                // Round r+1 is prepared with round r's on-chain tail
+                // beside it; r+1 trains against the predicted
+                // (digest-fixed) model.
+                let model = prepared.predicted_model.clone();
+                let tail = || on.commit_round(prepared);
+                let (committed, next) = off.prepare_round(next_round, &model, Some(tail));
+                (committed.transpose()?, Some(next))
             } else {
-                let (reports, t) = on.commit_round(prepared)?;
+                let committed = on.commit_round(prepared)?;
+                // Sequential: train against the live committed model
+                // (the seed's loop verbatim); commit_round just pinned
+                // it equal to the prediction.
+                let live = on.engine.honest_contract().global_model();
+                let next = more.then(|| off.prepare_round(next_round, live, None::<fn()>).1);
+                (Some(committed), next)
+            };
+            if let Some((reports, timings)) = committed {
                 commits.extend(reports);
-                stages.accumulate(&t);
-                break;
+                stages.accumulate(&timings);
+            }
+            match next {
+                Some(next) => prepared = next?,
+                None => return Ok((commits, stages)),
             }
         }
-        Ok((commits, stages))
     }
-}
-
-/// The setup block's calls (phase 0): every owner advertises its DH
-/// public key and escrows hash commitments to the Shamir shares of its
-/// private key — the on-chain half of the dropout extension.
-fn setup_calls(owners: &[DataOwner], escrows: &[Vec<Share>]) -> Vec<(AccountId, FlCall)> {
-    let mut calls: Vec<(AccountId, FlCall)> = owners
-        .iter()
-        .map(|owner| {
-            let public_key = owner.public_key_bytes();
-            (owner.id(), FlCall::AdvertiseKey { public_key })
-        })
-        .collect();
-    // No escrows were generated when the run schedules no dropouts; the
-    // setup block is then keys-only.
-    for (owner, shares) in owners.iter().zip(escrows) {
-        let id = owner.id();
-        let commitments: Vec<Hash32> = shares
-            .iter()
-            .map(|share| share_commitment(id, share))
-            .collect();
-        calls.push((id, FlCall::EscrowKeyShares { commitments }));
-    }
-    calls
-}
-
-/// Snapshots the phase-0 key directory: every owner's advertised DH
-/// public key plus the pair-secret epoch digest over the full set. Keys
-/// never change after phase 0, so the snapshot equals what any round
-/// would read from the live contract.
-fn snapshot_keys(
-    contract: &FlContract,
-    owners: &[DataOwner],
-) -> Result<(Vec<U256>, [u8; 32]), ProtocolError> {
-    let mut keys = Vec::with_capacity(owners.len());
-    let mut directory: Vec<(AccountId, U256)> = Vec::with_capacity(owners.len());
-    for owner in owners {
-        let id = owner.id();
-        let bytes = contract
-            .public_key_of(id)
-            .ok_or(ProtocolError::MissingAdvertisedKey { owner: id })?;
-        let key = U256::from_be_bytes(bytes);
-        keys.push(key);
-        directory.push((id, key));
-    }
-    let epoch = fl_crypto::key_epoch(&directory);
-    Ok((keys, epoch))
 }
 
 #[cfg(test)]
@@ -1210,6 +655,7 @@ mod tests {
     use super::*;
     use fl_chain::consensus::engine::MinerBehavior;
     use fl_chain::contract::SmartContract;
+    use shapley::hierarchy::RoundPlan;
 
     fn quick() -> FlConfig {
         FlConfig::quick_demo()
@@ -1260,7 +706,10 @@ mod tests {
     #[test]
     fn pipelined_run_matches_sequential_bit_for_bit() {
         // The tentpole invariant, on both protocol shapes: a flat
-        // multi-round chain and a sharded chain with a churned round.
+        // multi-round chain and a sharded chain with a churned round —
+        // once with one owner dropped, once with both members of one
+        // group, which then has no model under the group-mean rule on
+        // either stage (the contract's and the predictor's).
         let flat = {
             let mut c = quick();
             c.rounds = 3;
@@ -1272,7 +721,15 @@ mod tests {
             c.dropout_schedule = vec![(0, vec![1])];
             c
         };
-        for config in [flat, churned_sharded] {
+        let group_lost = {
+            let mut c = churned_sharded.clone();
+            let plan = RoundPlan::new(c.permutation_seed, 0, 8, 2, 2).unwrap();
+            let group = plan.groups()[1][0].clone();
+            assert_eq!(group.len(), 2);
+            c.dropout_schedule = vec![(0, group)];
+            c
+        };
+        for config in [flat, churned_sharded, group_lost] {
             let mut seq = FlProtocol::new(config.clone()).unwrap();
             let seq_report = seq.run_sequential().unwrap();
             let mut pipe = FlProtocol::new(config).unwrap();
@@ -1292,10 +749,12 @@ mod tests {
     fn missing_advertised_key_is_a_typed_error() {
         // Snapshotting keys before the phase-0 block is the
         // mis-sequenced-caller case that used to panic.
-        let p = FlProtocol::new(quick()).unwrap();
-        match snapshot_keys(p.contract(), &p.owners) {
+        let mut p = FlProtocol::new(quick()).unwrap();
+        let contract = p.engine.honest_contract();
+        match OffChainStage::new(&p.config, &mut p.owners, &p.escrows, contract) {
             Err(ProtocolError::MissingAdvertisedKey { owner: 0 }) => {}
-            other => panic!("expected MissingAdvertisedKey for owner 0, got {other:?}"),
+            Err(other) => panic!("expected MissingAdvertisedKey for owner 0, got {other:?}"),
+            Ok(_) => panic!("the key snapshot succeeded before the setup block"),
         }
     }
 

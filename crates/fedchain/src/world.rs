@@ -70,7 +70,7 @@ impl World {
 
     /// Trains each owner's local model *starting from `global`* — one FL
     /// round's worth of local updates (used by multi-round analyses).
-    /// Each weight is clamped to [`FlConfig::weight_clamp`], as an honest
+    /// Each weight is clamped to `FlConfig::weight_clamp`, as an honest
     /// owner clamps it before encoding, so these are the models the
     /// contract aggregates.
     ///

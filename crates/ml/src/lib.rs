@@ -14,15 +14,13 @@
 //!   that compose.
 //! * [`logreg`] — multinomial (softmax) logistic regression trained with
 //!   full-batch gradient descent, the paper's local trainer.
-//! * [`fedavg`] — FedAvg over flat weight vectors.
-//! * [`metrics`] — accuracy and friends; test-set accuracy is the paper's
-//!   utility function `u(·)`.
+//! * [`metrics`] — accuracy; test-set accuracy is the paper's utility
+//!   function `u(·)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod fedavg;
 pub mod logreg;
 pub mod metrics;
 pub mod noise;

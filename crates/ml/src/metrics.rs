@@ -50,33 +50,6 @@ pub fn model_accuracy_design_reference(model: &LogisticModel, design: &Design) -
     accuracy(&predictions, design.labels())
 }
 
-/// Row-normalized confusion matrix counts: `counts[actual][predicted]`.
-pub fn confusion_matrix(
-    predictions: &[usize],
-    labels: &[usize],
-    num_classes: usize,
-) -> Vec<Vec<usize>> {
-    assert_eq!(predictions.len(), labels.len(), "length mismatch");
-    let mut counts = vec![vec![0usize; num_classes]; num_classes];
-    for (&p, &l) in predictions.iter().zip(labels) {
-        assert!(p < num_classes && l < num_classes, "class out of range");
-        counts[l][p] += 1;
-    }
-    counts
-}
-
-/// Per-class recall (diagonal over row sums); `None` for absent classes.
-pub fn per_class_recall(confusion: &[Vec<usize>]) -> Vec<Option<f64>> {
-    confusion
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let total: usize = row.iter().sum();
-            (total > 0).then(|| row[i] as f64 / total as f64)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,22 +73,6 @@ mod tests {
     #[should_panic(expected = "align")]
     fn mismatched_accuracy_panics() {
         let _ = accuracy(&[0], &[0, 1]);
-    }
-
-    #[test]
-    fn confusion_counts() {
-        let cm = confusion_matrix(&[0, 1, 1, 2], &[0, 1, 2, 2], 3);
-        assert_eq!(cm[0], vec![1, 0, 0]);
-        assert_eq!(cm[1], vec![0, 1, 0]);
-        assert_eq!(cm[2], vec![0, 1, 1]);
-    }
-
-    #[test]
-    fn recall_handles_absent_class() {
-        let cm = confusion_matrix(&[0, 0], &[0, 0], 2);
-        let recall = per_class_recall(&cm);
-        assert_eq!(recall[0], Some(1.0));
-        assert_eq!(recall[1], None);
     }
 
     #[test]

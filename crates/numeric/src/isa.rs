@@ -5,7 +5,10 @@
 //! AVX enabled (4 lanes) and with AVX-512F enabled (8 lanes). A call picks
 //! the widest one the CPU reports: `is_x86_feature_detected!("avx512f")`
 //! (which also checks that the OS saves the zmm state), else
-//! `is_x86_feature_detected!("avx")`, else the baseline. That is a
+//! `is_x86_feature_detected!("avx")`, else the baseline; both wide
+//! instantiations also enable, and require, `popcnt`, so a tally's
+//! `count_ones` is one instruction there (an integer count is exact in
+//! any instruction). That is a
 //! platform selection the code observes, not an option — nothing sets it
 //! and nothing can: `mulpd` / `addpd` / `divpd` / `sqrtpd` round each
 //! 64-bit lane exactly as their 2-lane and scalar forms do (IEEE 754
@@ -82,15 +85,17 @@ impl Tier {
     /// Every tier, narrowest first.
     const ALL: [Tier; 3] = [Tier::Portable, Tier::Avx, Tier::Avx512];
 
-    /// Whether this CPU reports the one feature the tier's instantiation
-    /// enables.
+    /// Whether this CPU reports the features the tier's instantiation
+    /// enables: its vector extension and `popcnt`.
     fn reported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let popcnt = std::arch::is_x86_feature_detected!("popcnt");
         match self {
             Tier::Portable => true,
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx => std::arch::is_x86_feature_detected!("avx"),
+            Tier::Avx => popcnt && std::arch::is_x86_feature_detected!("avx"),
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            Tier::Avx512 => popcnt && std::arch::is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
             Tier::Avx | Tier::Avx512 => false,
         }
@@ -129,10 +134,10 @@ impl Isa {
         if self.tier != Tier::Portable {
             // SAFETY: this `Isa` came from `detect` or `each`, so
             // `self.tier.reported()` held on this CPU:
-            // `is_x86_feature_detected!("avx512f")` for `Avx512`, `"avx"`
-            // for `Avx`. That is the one feature `run_avx512` / `run_avx`
-            // enables (with what rustc implies by it, which every CPU
-            // reporting that feature implements).
+            // `is_x86_feature_detected!` reported `"popcnt"` and, for
+            // `Avx512`, `"avx512f"`, for `Avx`, `"avx"`. Those are the
+            // features `run_avx512` / `run_avx` enable (with what rustc
+            // implies by them, which every CPU reporting them implements).
             #[allow(unsafe_code)]
             unsafe {
                 if self.tier == Tier::Avx512 {
@@ -148,20 +153,21 @@ impl Isa {
 }
 
 /// [`Kernel::run`] compiled a second time with AVX enabled: the same
-/// source, 4-lane instructions where the baseline has 2-lane ones.
+/// source, 4-lane instructions where the baseline has 2-lane ones, and
+/// `u64::count_ones` one `popcnt` instead of a bit-count sequence.
 /// Never `fma`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
+#[target_feature(enable = "avx,popcnt")]
 fn run_avx<K: Kernel>(kernel: K) {
     kernel.run::<4>();
 }
 
 /// [`Kernel::run`] compiled a third time with AVX-512F enabled: the same
-/// source, 8-lane instructions. `avx512f` implies `fma`, so only the
-/// source (no `mul_add`) and rustc (no contraction) keep FMA out — the
-/// module docs, "No fused multiply-add".
+/// source, 8-lane instructions, `popcnt` as in [`run_avx`]. `avx512f`
+/// implies `fma`, so only the source (no `mul_add`) and rustc (no
+/// contraction) keep FMA out — the module docs, "No fused multiply-add".
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,popcnt")]
 fn run_avx512<K: Kernel>(kernel: K) {
     kernel.run::<8>();
 }

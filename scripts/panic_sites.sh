@@ -17,17 +17,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Sites allowed today; a file not listed is allowed none.
-#   state.rs    `genesis` panics through `FlParams::validate`, on purpose
-#   engine.rs   e.g. "replicas advance in lockstep"
-#   protocol.rs e.g. "validated: survivors exist"
-#   group.rs    `GroupModelGame::new`'s shape checks and the off-chain
-#               `group_shapley` / `grouping`; the walk every replica
-#               runs holds none
+#   state.rs     `genesis` panics through `FlParams::validate`, on purpose
+#   engine.rs    e.g. "replicas advance in lockstep"
+#   off_chain.rs "validated: survivors exist" and the round plan's
+#                "validated: cohort and group counts fit the owner set"
+#   on_chain.rs  "miner 0 always exists"
+#   group.rs     `GroupModelGame::new`'s shape checks and the off-chain
+#                `group_shapley` / `grouping`; the walk every replica
+#                runs holds none
 baseline() {
     case "$1" in
     crates/fedchain/src/contract_fl/state.rs) echo 1 ;;
     crates/chain/src/consensus/engine.rs) echo 5 ;;
-    crates/fedchain/src/protocol.rs) echo 5 ;;
+    crates/fedchain/src/protocol/off_chain.rs) echo 2 ;;
+    crates/fedchain/src/protocol/on_chain.rs) echo 1 ;;
     crates/shapley/src/group.rs) echo 9 ;;
     *) echo 0 ;;
     esac
@@ -39,7 +42,9 @@ for f in crates/fedchain/src/contract_fl/*.rs; do
 done
 files+=(
     crates/chain/src/consensus/engine.rs
-    crates/fedchain/src/protocol.rs
+    crates/fedchain/src/protocol/mod.rs
+    crates/fedchain/src/protocol/off_chain.rs
+    crates/fedchain/src/protocol/on_chain.rs
     crates/fedchain/src/config.rs
     crates/fedchain/src/world.rs
     crates/fedchain/src/audit.rs
