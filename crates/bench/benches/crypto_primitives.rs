@@ -231,20 +231,28 @@ fn seed_generate_keypair<const LIMBS: usize>(
     group: &DhGroupW<LIMBS>,
     prg: &mut ChaChaPrg,
 ) -> DhKeyPairW<LIMBS> {
+    let private = seed_sample_private(group, prg);
+    let public = group.g.mod_pow_naive(&private, &group.p);
+    DhKeyPairW { private, public }
+}
+
+/// The seed's rejection sampling of a private key in `[2, p − 2]`.
+fn seed_sample_private<const LIMBS: usize>(
+    group: &DhGroupW<LIMBS>,
+    prg: &mut ChaChaPrg,
+) -> Uint<LIMBS> {
     let upper = group
         .p
         .checked_sub(&Uint::from_u64(3))
         .expect("p is a large prime");
-    let private = loop {
+    loop {
         let mut bytes = vec![0u8; LIMBS * 8];
         prg.fill_bytes(&mut bytes);
         let candidate = Uint::<LIMBS>::from_be_bytes(&bytes);
         if candidate < upper {
             break candidate.wrapping_add(&Uint::from_u64(2));
         }
-    };
-    let public = group.g.mod_pow_naive(&private, &group.p);
-    DhKeyPairW { private, public }
+    }
 }
 
 fn bench_dh_agreement(c: &mut Criterion) {
@@ -312,6 +320,24 @@ fn bench_dh_keygen(c: &mut Criterion) {
             let mut prg = ChaChaPrg::from_seed(&[9u8; 32]);
             seed_generate_keypair(black_box(&g256), &mut prg)
         })
+    });
+    // The same keypair with its public key from the scalar ladder on the
+    // group's resident context (the library before the generator's table
+    // of powers).
+    let ladder = |seed: &[u8; 32]| {
+        let private = seed_sample_private(&g256, &mut ChaChaPrg::from_seed(seed));
+        DhKeyPairW {
+            private,
+            public: g256.ctx().mod_pow(&g256.g, &private),
+        }
+    };
+    assert_eq!(
+        ladder(&[9u8; 32]),
+        g256.keypair_from_seed(&[9u8; 32]),
+        "the ladder must derive the identical keypair before sampling"
+    );
+    group.bench_function(BenchmarkId::new("ladder", 256), |b| {
+        b.iter(|| ladder(black_box(&[9u8; 32])))
     });
     group.bench_function(BenchmarkId::new("opt", 256), |b| {
         b.iter(|| g256.keypair_from_seed(black_box(&[9u8; 32])))

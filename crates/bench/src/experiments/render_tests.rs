@@ -95,6 +95,7 @@ fn table1_render_includes_speedups() {
                     assemble: 0.05,
                     commit: 0.0,
                     evaluate: 1.5,
+                    ..StageTimings::default()
                 },
             },
         ],
@@ -118,6 +119,7 @@ fn table1_render_includes_speedups() {
                     assemble: 0.5,
                     commit: 1.0,
                     evaluate: 2.5,
+                    ..StageTimings::default()
                 },
             },
         ],

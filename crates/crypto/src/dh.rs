@@ -17,11 +17,20 @@
 //!
 //! A group is a *resident engine*, not a pair of numbers: construction
 //! builds the [`MontgomeryCtx`] for `p` once (Newton limb inversion + the
-//! R² derivation) and converts the generator into Montgomery form, so
-//! every subsequent keypair generation and key agreement is pure
-//! allocation-free CIOS arithmetic with fixed-window exponentiation. The
-//! two named constructors memoize the fully-built group in a process-wide
+//! R² derivation), so every key agreement is allocation-free CIOS
+//! arithmetic with fixed-window exponentiation. The two named
+//! constructors memoize the fully-built group in a process-wide
 //! `OnceLock`, making `DhGroup::simulation_256()` free after first use.
+//!
+//! Beside each memoized group sits a second process-wide lazy: the
+//! generator's [`FixedBaseTable`], every power `g^(d·2^(8i))` in
+//! Montgomery form at 256 bits (255 KiB, built by the first
+//! [`DhGroupW::public_of`] in the process, ≈ 8 k products). Every public
+//! key — an owner's keypair and the check of a key reconstructed in
+//! dropout recovery, which every replica and auditor runs — is then at
+//! most 31 Montgomery products and no squaring: a keypair reads
+//! 1.5–1.8 µs against 10–14 µs on the ladder. Its window is derived from the width (2 bits in the
+//! 2048-bit group, where 8 would need 16 MiB), never configured.
 //!
 //! # Batching
 //!
@@ -48,7 +57,7 @@ use std::sync::OnceLock;
 use crate::chacha::ChaChaPrg;
 use crate::hkdf;
 use numeric::par;
-use numeric::uint::{MontgomeryCtx, MontyElem, Uint};
+use numeric::uint::{FixedBaseTable, MontgomeryCtx, Uint};
 use numeric::{U2048, U256};
 
 /// Largest supported group width in bytes (32 limbs = 2048 bits) — the
@@ -85,8 +94,9 @@ impl std::fmt::Display for DhKeyError {
 impl std::error::Error for DhKeyError {}
 
 /// A multiplicative prime group `(p, g)` for Diffie–Hellman, generic over
-/// limb width, with a resident Montgomery engine for `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// limb width, with a resident Montgomery engine for `p` and the
+/// generator's powers (the module docs, "Montgomery residency").
+#[derive(Debug, Clone, Copy)]
 pub struct DhGroupW<const LIMBS: usize> {
     /// Prime modulus.
     pub p: Uint<LIMBS>,
@@ -94,9 +104,9 @@ pub struct DhGroupW<const LIMBS: usize> {
     pub g: Uint<LIMBS>,
     /// Montgomery engine for `p`, built once at group construction.
     ctx: MontgomeryCtx<LIMBS>,
-    /// The generator in Montgomery form — every keypair derivation
-    /// exponentiates this resident element directly.
-    g_monty: MontyElem<LIMBS>,
+    /// The generator's powers, one table a process per named group,
+    /// built by the first [`DhGroupW::public_of`].
+    powers: &'static OnceLock<FixedBaseTable<LIMBS>>,
 }
 
 /// The 256-bit simulation group used throughout the workspace.
@@ -124,11 +134,12 @@ impl DhGroup {
     /// calling this per round or per owner costs a copy, not a rebuild.
     pub fn simulation_256() -> Self {
         static GROUP: OnceLock<DhGroup> = OnceLock::new();
+        static POWERS: OnceLock<FixedBaseTable<4>> = OnceLock::new();
         *GROUP.get_or_init(|| {
             let p =
                 U256::from_hex("FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F")
                     .expect("static prime parses");
-            Self::new(p, U256::from_u64(5))
+            Self::new(p, U256::from_u64(5), &POWERS)
         })
     }
 }
@@ -139,22 +150,34 @@ impl DhGroup2048 {
     /// per process.
     pub fn modp_2048() -> Self {
         static GROUP: OnceLock<DhGroup2048> = OnceLock::new();
+        static POWERS: OnceLock<FixedBaseTable<32>> = OnceLock::new();
         *GROUP.get_or_init(|| {
             Self::new(
                 U2048::from_hex(MODP_2048_HEX).expect("static prime parses"),
                 U2048::from_u64(2),
+                &POWERS,
             )
         })
     }
 }
 
 impl<const LIMBS: usize> DhGroupW<LIMBS> {
-    /// What one scalar modexp — a keypair, or an agreement off the lane
-    /// ladder — costs in the flop-equivalents [`par::items_per_lease`]
-    /// takes: `64·LIMBS` squarings at `LIMBS²` limb products of ≈ 14
-    /// each, 57 344 (≈ 14 µs) in the 256-bit group, where a modexp reads
-    /// 12–16 µs on a 2.1 GHz Xeon; 73 of them make up a lease.
+    /// What one scalar modexp — a recovery pair, or an agreement off the
+    /// lane ladder — costs in the flop-equivalents
+    /// [`par::items_per_lease`] takes: `64·LIMBS` squarings at `LIMBS²`
+    /// limb products of ≈ 14 each, 57 344 (≈ 14 µs) in the 256-bit group,
+    /// where a modexp reads 12–16 µs on a 2.1 GHz Xeon; 73 of them make
+    /// up a lease. A keypair no longer runs this ladder: it costs
+    /// [`DhGroupW::KEYGEN_FLOPS`].
     pub const KEYPAIR_FLOPS: usize = 896 * LIMBS * LIMBS * LIMBS;
+
+    /// What one keypair costs a region: at most `64·LIMBS / WINDOW`
+    /// products from the generator's [`FixedBaseTable`] at ≈ `14·LIMBS²`
+    /// each, 7 168 (≈ 1.8 µs) in the 256-bit group, where a keypair —
+    /// sampling included — reads 1.5–1.8 µs on the same Xeon. 585 of them
+    /// make up a lease, so a region of 1 024 keys stays on its caller.
+    pub const KEYGEN_FLOPS: usize =
+        (64 * LIMBS / FixedBaseTable::<LIMBS>::WINDOW as usize) * 14 * LIMBS * LIMBS;
 
     /// What one peer of [`DhGroupW::shared_keys_batch`] costs: a lane of
     /// the IFMA ladder where it runs — ≈ 2.1 µs, measured at 7 lanes on
@@ -168,21 +191,25 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
     }
 
     /// Builds a group over the odd prime `p` with generator `g`,
-    /// constructing the resident Montgomery engine once.
+    /// constructing the resident Montgomery engine once; `powers` is the
+    /// named group's own lazy table of `g`'s powers.
     ///
     /// # Panics
     ///
     /// Panics if `p` is zero or even (Montgomery reduction is undefined)
     /// or wider than `MAX_GROUP_BYTES` (256 bytes = 2048 bits).
-    pub fn new(p: Uint<LIMBS>, g: Uint<LIMBS>) -> Self {
+    fn new(
+        p: Uint<LIMBS>,
+        g: Uint<LIMBS>,
+        powers: &'static OnceLock<FixedBaseTable<LIMBS>>,
+    ) -> Self {
         assert!(
             LIMBS * 8 <= MAX_GROUP_BYTES,
             "group width {} exceeds the supported maximum of {MAX_GROUP_BYTES} bytes",
             LIMBS * 8
         );
         let ctx = MontgomeryCtx::new(&p).expect("DH modulus must be an odd prime");
-        let g_monty = ctx.to_elem(&g);
-        Self { p, g, ctx, g_monty }
+        Self { p, g, ctx, powers }
     }
 
     /// The resident Montgomery engine for `p`.
@@ -190,10 +217,14 @@ impl<const LIMBS: usize> DhGroupW<LIMBS> {
         &self.ctx
     }
 
-    /// The public key of `private`: `g^private mod p`, via the resident
-    /// Montgomery-form generator.
+    /// The public key of `private`: `g^private mod p`, from the
+    /// generator's [`FixedBaseTable`] (built here on the process's first
+    /// call).
     pub fn public_of(&self, private: &Uint<LIMBS>) -> Uint<LIMBS> {
-        self.ctx.retrieve(&self.ctx.pow(&self.g_monty, private))
+        let powers = self
+            .powers
+            .get_or_init(|| FixedBaseTable::new(&self.ctx, &self.ctx.to_elem(&self.g)));
+        self.ctx.retrieve(&powers.pow(private))
     }
 
     /// Samples a private key uniformly in `[2, p-2]` from `prg` and
@@ -403,6 +434,39 @@ mod tests {
         let naive = b.public.mod_pow_naive(&a.private, &group.p);
         assert_eq!(fast, naive);
         assert_eq!(a.public, group.g.mod_pow_naive(&a.private, &group.p));
+    }
+
+    #[test]
+    fn public_keys_from_the_table_match_the_ladder_in_both_groups() {
+        // 0, 1, 2, p − 2, all ones, every other byte zero, a sampled key.
+        fn exponents<const L: usize>(group: &DhGroupW<L>, private: Uint<L>) -> Vec<Uint<L>> {
+            let mut sparse = Uint::<L>::MAX.to_be_bytes();
+            sparse.iter_mut().step_by(2).for_each(|b| *b = 0);
+            vec![
+                Uint::ZERO,
+                Uint::ONE,
+                Uint::from_u64(2),
+                group.p.wrapping_sub(&Uint::from_u64(2)),
+                Uint::MAX,
+                Uint::from_be_bytes(&sparse),
+                private,
+            ]
+        }
+        let g256 = DhGroup::simulation_256();
+        for x in exponents(&g256, g256.generate_keypair(&mut prg(3)).private) {
+            assert_eq!(g256.public_of(&x), g256.g.mod_pow_naive(&x, &g256.p));
+        }
+        // The 2048-bit oracle pays a 2048-bit reduction per exponent
+        // bit: the ladder stands in for it past 64 bits.
+        let g2048 = DhGroup2048::modp_2048();
+        for x in exponents(&g2048, g2048.generate_keypair(&mut prg(3)).private) {
+            let want = if x.highest_bit() < Some(64) {
+                g2048.g.mod_pow_naive(&x, &g2048.p)
+            } else {
+                g2048.ctx.mod_pow(&g2048.g, &x)
+            };
+            assert_eq!(g2048.public_of(&x), want);
+        }
     }
 
     #[test]

@@ -336,4 +336,24 @@ mod tests {
         o.set_adversary(AdversaryKind::LabelFlip { fraction: 1.0 });
         assert_ne!(o.shard.labels, before);
     }
+
+    #[test]
+    fn keypair_public_keys_are_pinned() {
+        // Recorded while public keys still came from the scalar ladder:
+        // the generator's table of powers must move no bit of them.
+        let pinned = [
+            "8f6dfc0d834e4dda6115fada38f7eee8939c1df00a6e9db877465601f201bb1b",
+            "ea2072e3b1d942540cd74b8efddf457168ebf2222749cde490e86c5a7334c37d",
+            "1d47c8e06ea56cfd0ec689d9cd6b143eb293800ed4ba0ef1f3fd36d0dabe3707",
+        ];
+        for (id, hex) in [0, 1, 1023].into_iter().zip(pinned) {
+            let keypair = DataOwner::keypair(id, 7);
+            assert_eq!(keypair.public.to_hex(), hex, "owner {id}");
+            let group = DhGroup::simulation_256();
+            assert_eq!(
+                keypair.public,
+                group.g.mod_pow_naive(&keypair.private, &group.p)
+            );
+        }
+    }
 }

@@ -237,9 +237,14 @@ impl From<DurabilityError> for ProtocolError {
 /// stage sums can exceed the run's wall clock because the off-chain
 /// stage (`train_mask` + `assemble`) overlaps the on-chain stage
 /// (`commit` + `evaluate`); the gap between `Σ stages` and
-/// [`FlRunReport::wall_seconds`] is exactly the overlap won.
+/// [`FlRunReport::wall_seconds`] is the overlap won, less the run's
+/// unstaged glue.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
+    /// The run's phase 0: committing the setup block (every owner's
+    /// `AdvertiseKey`, and the escrows when any owner is scheduled to
+    /// drop) and snapshotting the advertised keys for the rounds.
+    pub setup: f64,
     /// Local training plus mask generation (off-chain, per owner).
     pub train_mask: f64,
     /// Transaction assembly and next-model prediction (off-chain).
@@ -259,6 +264,7 @@ pub struct StageTimings {
 impl StageTimings {
     /// Element-wise accumulation.
     pub fn accumulate(&mut self, other: &StageTimings) {
+        self.setup += other.setup;
         self.train_mask += other.train_mask;
         self.assemble += other.assemble;
         self.commit += other.commit;
@@ -267,7 +273,7 @@ impl StageTimings {
 
     /// Sum over all stages — what a fully sequential run would cost.
     pub fn total(&self) -> f64 {
-        self.train_mask + self.assemble + self.commit + self.evaluate
+        self.setup + self.train_mask + self.assemble + self.commit + self.evaluate
     }
 }
 
@@ -329,12 +335,15 @@ impl FlProtocol {
         let world = World::generate(&config)?;
 
         // An owner's keypair is one fixed-base modexp, a pure function of
-        // `(seed, id)`: the keys fan out, the shards move in behind them.
+        // `(seed, id)`: at most 31 products from the generator's resident
+        // table of powers (`fl_crypto::dh`, "Montgomery residency"; the
+        // process's first key builds it), priced as such, so 1 024 keys
+        // stay on the caller. The shards move in behind the keys.
         let owner_ids: Vec<AccountId> = (0..config.num_owners as u32).collect();
         let key_seed = config.sub_seed("dh-keys");
         let keypairs = par::par_map(
             &owner_ids,
-            par::items_per_lease(DhGroup::KEYPAIR_FLOPS),
+            par::items_per_lease(DhGroup::KEYGEN_FLOPS),
             |_, &id| DataOwner::keypair(id, key_seed),
         );
         let owners: Vec<DataOwner> = owner_ids
@@ -458,7 +467,7 @@ impl FlProtocol {
         config: DurabilityConfig,
     ) -> Result<RecoveryReport, ProtocolError> {
         let (mut durable, report) = DurableStore::open(dir, config)?;
-        durable.append_batch(live_chain(&self.engine).blocks_from(durable.store().height()))?;
+        durable.append_batch(live_chain(&self.engine)?.blocks_from(durable.store().height()))?;
         if durable.snapshot_due() {
             durable.write_snapshot(&self.engine.honest_contract().snapshot_state())?;
         }
@@ -599,6 +608,7 @@ impl FlProtocol {
             durable,
         };
         let mut commits = Vec::new();
+        let setup = Instant::now();
         // Phase 0, unless keys are already on-chain (re-advertising
         // would fail the block with `KeyAlreadyAdvertised` and wedge the
         // protocol).
@@ -613,7 +623,10 @@ impl FlProtocol {
             commits.extend(on.commit_stream(calls, &[size], &mut StageTimings::default())?);
         }
         let mut off = OffChainStage::new(config, owners, escrows, on.engine.honest_contract())?;
-        let mut stages = StageTimings::default();
+        let mut stages = StageTimings {
+            setup: setup.elapsed().as_secs_f64(),
+            ..StageTimings::default()
+        };
         // `FlConfig::validate` holds `rounds ≥ 1`: round 0 is always run.
         let model0 = on.engine.honest_contract().global_model();
         let mut prepared = off.prepare_round(0, model0, None::<fn()>).1?;
@@ -766,10 +779,25 @@ mod tests {
         let report = p.run().unwrap();
         assert!(report.stages.train_mask > 0.0, "{:?}", report.stages);
         assert!(report.stages.evaluate > 0.0, "{:?}", report.stages);
-        // Flat rounds commit a single block, accounted under `evaluate`.
+        // Flat rounds commit a single block, accounted under `evaluate`;
+        // the setup block is a stage of its own.
         assert_eq!(report.stages.commit, 0.0);
+        assert!(report.stages.setup > 0.0, "{:?}", report.stages);
         assert!(report.wall_seconds >= report.stages.evaluate);
         assert!(report.stages.total() > 0.0);
+
+        // A sharded run streams its first cohort's bundle under `commit`;
+        // run sequentially, its stages are disjoint spans of the run.
+        let mut p = FlProtocol::new(sharded()).unwrap();
+        let report = p.run_sequential().unwrap();
+        assert!(report.stages.setup > 0.0, "{:?}", report.stages);
+        assert!(report.stages.commit > 0.0, "{:?}", report.stages);
+        assert!(
+            report.stages.total() <= report.wall_seconds,
+            "{:?} over {} s",
+            report.stages,
+            report.wall_seconds
+        );
     }
 
     #[test]

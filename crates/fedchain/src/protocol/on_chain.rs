@@ -9,7 +9,7 @@ use std::thread;
 use std::time::Instant;
 
 use fl_chain::block::Block;
-use fl_chain::consensus::engine::{CommitReport, ConsensusEngine};
+use fl_chain::consensus::engine::{CommitReport, ConsensusEngine, EngineError};
 use fl_chain::durability::{DurabilityConfig, DurabilityError, DurableStore};
 use fl_chain::mempool::Mempool;
 use fl_chain::store::ChainStore;
@@ -19,9 +19,15 @@ use super::off_chain::PreparedRound;
 use super::{ProtocolError, StageTimings};
 use crate::contract_fl::{FlCall, FlContract};
 
-/// The honest replica's chain — what the durable store tails.
-pub(super) fn live_chain(engine: &ConsensusEngine<FlContract>) -> &ChainStore<FlCall> {
-    engine.store_of(0).expect("miner 0 always exists")
+/// The honest replica's chain — what the durable store tails: miner 0's,
+/// which every committee the driver builds holds (its first owner). An
+/// engine without it has none of the driver's miners, a typed error.
+pub(super) fn live_chain(
+    engine: &ConsensusEngine<FlContract>,
+) -> Result<&ChainStore<FlCall>, ProtocolError> {
+    engine
+        .store_of(0)
+        .ok_or(ProtocolError::Consensus(EngineError::NoMiners))
 }
 
 /// One write-behind job: a stream's blocks, appended as one flushed
@@ -98,7 +104,7 @@ impl OnChainStage<'_> {
         if let Some(e) = tail.failed.get() {
             return Err(e.clone().into());
         }
-        let blocks = live_chain(self.engine).blocks_from(tail.queued);
+        let blocks = live_chain(self.engine)?.blocks_from(tail.queued);
         tail.queued += blocks.len() as u64;
         let snapshot = tail
             .config

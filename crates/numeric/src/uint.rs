@@ -24,7 +24,9 @@
 //!   convenience that pays setup per call. The same engine carries the
 //!   field operations Shamir key escrow runs on (difference, plain ×
 //!   resident product, batch inversion); [`Uint::mod_mul`] is left as
-//!   what the oracles stand on.
+//!   what the oracles stand on. A base raised to many exponents (a DH
+//!   generator) goes through a [`FixedBaseTable`] of its powers built
+//!   on that engine: products only, no squarings.
 //! * Arithmetic is *not* constant time. This is a research simulation of
 //!   the paper's protocol, not a hardened TLS stack; the crate-level docs
 //!   of `fl-crypto` repeat this warning.
@@ -480,15 +482,15 @@ impl<const LIMBS: usize> Uint<LIMBS> {
         result
     }
 
-    /// The 4-bit window of the exponent starting at bit `4 * w`
-    /// (little-endian window order). Window boundaries never straddle a
-    /// limb because 64 is a multiple of 4.
-    fn window4(&self, w: u32) -> usize {
-        let bit = 4 * w;
+    /// The `width`-bit window of the exponent starting at bit `width * w`
+    /// (little-endian window order). `width` divides 64, so a window
+    /// never straddles a limb.
+    fn window(&self, w: u32, width: u32) -> usize {
+        let bit = width * w;
         if bit >= Self::BITS {
             return 0;
         }
-        ((self.limbs[(bit / 64) as usize] >> (bit % 64)) & 0xf) as usize
+        ((self.limbs[(bit / 64) as usize] >> (bit % 64)) & ((1 << width) - 1)) as usize
     }
 
     /// The limbs as a 4-limb array — `None` at any other width.
@@ -863,7 +865,7 @@ impl<const LIMBS: usize> MontgomeryCtx<LIMBS> {
                     acc = self.mont_mul(&acc, &acc);
                 }
             }
-            let idx = exp.window4(w);
+            let idx = exp.window(w, 4);
             if idx != 0 {
                 acc = self.mont_mul(&acc, &table[idx]);
             }
@@ -954,6 +956,99 @@ impl<const LIMBS: usize> MontgomeryCtx<LIMBS> {
                 })
                 .collect(),
         )
+    }
+}
+
+/// The most bytes a [`FixedBaseTable`] may hold; its window is the widest
+/// that fits.
+const FIXED_BASE_BYTES: usize = 1 << 20;
+
+/// The widest of 8, 4, 2 and 1 bits whose [`FixedBaseTable`] at `limbs`
+/// limbs fits [`FIXED_BASE_BYTES`]: 8 up to 8 limbs (255 KiB at 4), 2 at
+/// 32 (768 KiB; 8 would need 16 MiB). Each divides 64, so a window never
+/// straddles a limb.
+const fn fixed_base_window(limbs: usize) -> u32 {
+    let mut width = 8;
+    while width > 1 && (64 * limbs / width) * ((1 << width) - 1) * 8 * limbs > FIXED_BASE_BYTES {
+        width /= 2;
+    }
+    width as u32
+}
+
+/// Every power a fixed base is raised to, precomputed: `base^x` is at
+/// most `BITS / WINDOW − 1` Montgomery products and no squaring
+/// (Brickell–Gordon–McCurley–Wilson, EUROCRYPT '92).
+///
+/// Position `i` of the exponent, `WINDOW` bits wide, holds
+/// `base^(d · 2^(WINDOW·i))` for every nonzero digit `d`, in Montgomery
+/// form; `base^x` is the product of the entries `x`'s digits pick. At 4
+/// limbs that is 32 positions × 255 entries (255 KiB, 8 160 products to
+/// build) and at most 31 products a power, against [`MontgomeryCtx::pow`]'s
+/// 252 squarings and up to 64 products. The window is the width's, never
+/// an option ([`FixedBaseTable::WINDOW`]).
+///
+/// The table pays for itself after a handful of powers of one base —
+/// the shape of a DH group's generator, raised to every owner's private
+/// key. The result is the canonical residue: bit-identical to
+/// [`MontgomeryCtx::pow`] and [`Uint::mod_pow_naive`] for every exponent.
+#[derive(Clone)]
+pub struct FixedBaseTable<const LIMBS: usize> {
+    ctx: MontgomeryCtx<LIMBS>,
+    /// Row `i` is position `i`: entry `d − 1` is `base^(d · 2^(WINDOW·i))`.
+    powers: Vec<Uint<LIMBS>>,
+}
+
+impl<const LIMBS: usize> FixedBaseTable<LIMBS> {
+    /// Exponent bits per table position.
+    pub const WINDOW: u32 = fixed_base_window(LIMBS);
+    /// Entries per position: every nonzero digit.
+    const ROW: usize = (1 << Self::WINDOW) - 1;
+
+    /// The table of `base`'s powers under `ctx`: `BITS / WINDOW` rows of
+    /// `2^WINDOW − 1` products each.
+    pub fn new(ctx: &MontgomeryCtx<LIMBS>, base: &MontyElem<LIMBS>) -> Self {
+        let rows = (Uint::<LIMBS>::BITS / Self::WINDOW) as usize;
+        let mut powers = Vec::with_capacity(rows * Self::ROW);
+        // `unit` is base^(2^(WINDOW·i)), row i's first entry; the row's
+        // last entry times it is the next row's.
+        let mut unit = base.hat;
+        for _ in 0..rows {
+            let mut entry = unit;
+            powers.push(entry);
+            for _ in 1..Self::ROW {
+                entry = ctx.mont_mul(&entry, &unit);
+                powers.push(entry);
+            }
+            unit = ctx.mont_mul(&entry, &unit);
+        }
+        Self { ctx: *ctx, powers }
+    }
+
+    /// `base^exp` in Montgomery form: the product, lowest position first,
+    /// of the entries `exp`'s nonzero digits pick.
+    pub fn pow(&self, exp: &Uint<LIMBS>) -> MontyElem<LIMBS> {
+        let mut acc: Option<Uint<LIMBS>> = None;
+        for (i, row) in (0..).zip(self.powers.chunks_exact(Self::ROW)) {
+            let digit = exp.window(i, Self::WINDOW);
+            if let Some(entry) = digit.checked_sub(1).and_then(|d| row.get(d)) {
+                acc = Some(match acc {
+                    Some(acc) => self.ctx.mont_mul(&acc, entry),
+                    None => *entry,
+                });
+            }
+        }
+        MontyElem {
+            hat: acc.unwrap_or(self.ctx.one),
+        }
+    }
+}
+
+impl<const LIMBS: usize> fmt::Debug for FixedBaseTable<LIMBS> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FixedBaseTable")
+            .field("window", &Self::WINDOW)
+            .field("entries", &self.powers.len())
+            .finish()
     }
 }
 
@@ -1090,12 +1185,12 @@ mod ifma {
         for i in 2..16 {
             table[i] = amm(&k, &table[i - 1], &x);
         }
-        let mut acc = table[exp.window4(top_window)];
+        let mut acc = table[exp.window(top_window, 4)];
         for w in (0..top_window).rev() {
             for _ in 0..4 {
                 acc = amm(&k, &acc, &acc);
             }
-            let idx = exp.window4(w);
+            let idx = exp.window(w, 4);
             if idx != 0 {
                 acc = amm(&k, &acc, &table[idx]);
             }
@@ -1681,6 +1776,147 @@ mod tests {
             ctx.mod_pow_batch(&bases, &U2048::from_u64(77)),
             bases.map(|b| b.mod_pow_naive(&U2048::from_u64(77), &m))
         );
+    }
+
+    // A table costs ≈ 8 k products to build (32 × 255 at 4 limbs), and
+    // the oracle a bit-serial reduction per exponent bit: few cases, many
+    // exponents each.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn prop_fixed_base_matches_ladder_and_naive_4_limbs(
+            m in proptest::collection::vec(any::<u64>(), 4),
+            base in proptest::collection::vec(any::<u64>(), 4),
+            exps in proptest::collection::vec(
+                proptest::collection::vec(any::<u64>(), 4), 1..6),
+            zeros in any::<u64>(),
+        ) {
+            let mut m = from_vec::<4>(&m);
+            m.limbs[0] |= 1; // odd
+            // Each exponent as drawn and with its own bytes cleared.
+            let exps: Vec<U256> = (0..)
+                .zip(&exps)
+                .flat_map(|(i, e)| {
+                    let e = from_vec(e);
+                    [e, with_zero_bytes(e, zeros.rotate_left(7 * i))]
+                })
+                .collect();
+            check_fixed_base(&m, &from_vec(&base), &exps, 2);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn prop_fixed_base_matches_ladder_32_limbs(
+            m in proptest::collection::vec(any::<u64>(), 32),
+            base in proptest::collection::vec(any::<u64>(), 32),
+            exp in proptest::collection::vec(any::<u64>(), 32),
+            zeros in any::<u64>(),
+            short in any::<u64>(),
+        ) {
+            // Full-width exponents against the ladder (itself pinned to
+            // the oracle at 32 limbs), a short one against the oracle.
+            let mut m = from_vec::<32>(&m);
+            m.limbs[0] |= 1; // odd
+            let exp = from_vec(&exp);
+            let exps = [U2048::from_u64(short), exp, with_zero_bytes(exp, zeros)];
+            check_fixed_base(&m, &from_vec(&base), &exps, 1);
+        }
+    }
+
+    /// `exp` with byte `i` cleared wherever bit `i mod 64` of `zeros` is
+    /// set — whole zero digits at the positions of an 8-bit window.
+    fn with_zero_bytes<const L: usize>(exp: Uint<L>, zeros: u64) -> Uint<L> {
+        let mut limbs = *exp.limbs();
+        for byte in 0..8 * L {
+            if zeros >> (byte % 64) & 1 == 1 {
+                limbs[byte / 8] &= !(0xff << (8 * (byte % 8)));
+            }
+        }
+        Uint::from_limbs(limbs)
+    }
+
+    /// The fixed-base table's power of `base` against the ladder's for
+    /// every exponent, and against the naive oracle's for the first
+    /// `naive` (a bit-serial reduction per exponent bit).
+    fn check_fixed_base<const L: usize>(
+        m: &Uint<L>,
+        base: &Uint<L>,
+        exps: &[Uint<L>],
+        naive: usize,
+    ) {
+        let ctx = MontgomeryCtx::new(m).unwrap();
+        let elem = ctx.to_elem(base);
+        let table = FixedBaseTable::new(&ctx, &elem);
+        for (i, exp) in exps.iter().enumerate() {
+            let got = ctx.retrieve(&table.pow(exp));
+            assert_eq!(got, ctx.retrieve(&ctx.pow(&elem, exp)), "exp {exp:?}");
+            if i < naive {
+                assert_eq!(got, base.mod_pow_naive(exp, m), "exp {exp:?}");
+            }
+        }
+    }
+
+    /// 0, 1, 2, m − 2, m − 1, 2^BITS − 1, one nonzero byte at each end
+    /// and in the middle, and alternate bytes cleared.
+    fn edge_exponents<const L: usize>(m: &Uint<L>) -> Vec<Uint<L>> {
+        let mut top = [0u64; L];
+        top[L - 1] = 0xab << 56;
+        let mut middle = [0u64; L];
+        middle[L / 2] = 0xcd;
+        vec![
+            Uint::ZERO,
+            Uint::ONE,
+            Uint::from_u64(2),
+            m.wrapping_sub(&Uint::from_u64(2)),
+            m.wrapping_sub(&Uint::ONE),
+            Uint::MAX,
+            Uint::from_u64(0x7f),
+            Uint::from_limbs(top),
+            Uint::from_limbs(middle),
+            with_zero_bytes(Uint::MAX, 0x5555_5555_5555_5555),
+            with_zero_bytes(m.wrapping_sub(&Uint::from_u64(2)), 0xaaaa_aaaa_aaaa_aaaa),
+        ]
+    }
+
+    #[test]
+    fn fixed_base_window_follows_the_width() {
+        assert_eq!(FixedBaseTable::<4>::WINDOW, 8);
+        assert_eq!(FixedBaseTable::<8>::WINDOW, 8);
+        assert_eq!(FixedBaseTable::<16>::WINDOW, 4);
+        assert_eq!(FixedBaseTable::<32>::WINDOW, 2);
+        let ctx = MontgomeryCtx::new(&p25519()).unwrap();
+        let table = FixedBaseTable::new(&ctx, &ctx.to_elem(&u256(5)));
+        assert_eq!(table.powers.len(), 32 * 255);
+        assert!(table.powers.len() * 32 <= FIXED_BASE_BYTES);
+    }
+
+    #[test]
+    fn fixed_base_matches_ladder_and_naive_at_edge_exponents() {
+        let secp =
+            U256::from_hex("FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F")
+                .unwrap();
+        for m in [secp, p25519(), u256(1_000_003)] {
+            for base in [u256(5), u256(2), m.wrapping_sub(&U256::ONE), U256::MAX] {
+                let exps = edge_exponents(&m);
+                check_fixed_base(&m, &base, &exps, exps.len());
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_base_matches_ladder_at_32_limbs() {
+        // An odd 2048-bit modulus, 2^2048 − 159: every edge exponent
+        // against the ladder, the short ones against the naive oracle
+        // too (it pays a 2048-bit reduction per exponent bit).
+        let m = mersenne::<32>(2048).wrapping_sub(&U2048::from_u64(158));
+        let base = U2048::from_u64(2);
+        let mut exps = edge_exponents(&m);
+        exps.sort_by_key(Uint::highest_bit); // 0, 1, 2, 0x7f first
+        check_fixed_base(&m, &base, &exps, 4);
     }
 
     proptest! {

@@ -7,7 +7,7 @@
 # so the loop is an equivalence gate, not a timing one. Stops at the
 # first bench that fails.
 #
-# Thirteen timing gates follow it, each a ratio inside one run because
+# Fourteen timing gates follow it, each a ratio inside one run because
 # absolute ns drift ±15 % on the CI box. A 4-cohort pipelined chain at
 # thread cap 2 may not cost more than 1.75 × the sequential chain at cap
 # 1 (≈ 1.0 with the numeric::par thread budget; ≈ 2.3 – 2.5 when every
@@ -42,7 +42,11 @@
 # owner's key escrow at the stream_churn shape (32 shares, threshold 17)
 # through the Montgomery-resident Shamir::split may not cost more than
 # 0.2 × the retained plain-U256 Horner ladder (≈ 0.04; a split that went
-# back to one bit-serial reduction per step reads 1.0). And where the CPU
+# back to one bit-serial reduction per step reads 1.0). And one keypair
+# from a seed, its public key taken from the generator's table of powers,
+# may not cost more than 0.006 × the seed's keypair over the naive
+# square-and-multiply ladder (0.0016 – 0.0023 in six runs; 0.014 – 0.016
+# when the public key runs the scalar fixed-window ladder). And where the CPU
 # lists the SHA extensions (`sha_ni` in /proc/cpuinfo), SHA-256 over
 # 64 KiB through the library may not cost more than 0.4 × the scalar
 # rounds kept in the bench file (≈ 0.16; 1.0 is a dispatch that stopped
@@ -107,7 +111,7 @@ gate() {
     awk -v num="$(median "$1" "$2")" -v den="$(median "$1" "$3")" -v limit="$4" \
         -v name="$2 / $3" 'BEGIN {
         if (num + 0 == 0 || den + 0 == 0) { print "ratio gate: entry missing from the run"; exit 1 }
-        printf "ratio gate: %s = %.2f (limit %s)\n", name, num / den, limit
+        printf "ratio gate: %s = %.3g (limit %s)\n", name, num / den, limit
         exit !(num / den <= limit)
     }'
 }
@@ -161,6 +165,9 @@ gate "$ratio_out" gaussian_fill/opt gaussian_fill/seed 0.5
 
 cargo bench --bench crypto_primitives -- shamir_escrow/
 gate "$ratio_out" shamir_escrow/opt/split/32/17 shamir_escrow/seed/split/32/17 0.2
+
+cargo bench --bench crypto_primitives -- dh_keygen/
+gate "$ratio_out" dh_keygen/opt/256 dh_keygen/seed/256 0.006
 
 if grep -qw avx512f /proc/cpuinfo; then
     for try in 1 2; do

@@ -21,17 +21,25 @@ cd "$(dirname "$0")/.."
 #   engine.rs    e.g. "replicas advance in lockstep"
 #   off_chain.rs "validated: survivors exist" and the round plan's
 #                "validated: cohort and group counts fit the owner set"
-#   on_chain.rs  "miner 0 always exists"
 #   group.rs     `GroupModelGame::new`'s shape checks and the off-chain
 #                `group_shapley` / `grouping`; the walk every replica
 #                runs holds none
+#   dh.rs        the named groups' static primes and the group
+#                constructor's width and odd-modulus checks, and
+#                keygen's "p is a large prime"; replicas reach
+#                `public_of` (recovery's key check) and the agreements,
+#                which hold none
+#   dropout.rs   `strip_dropped_set_masks`' caller contract: dropped
+#                ids ascending, no dropped party among the survivors,
+#                survivor keys validated when advertised
 baseline() {
     case "$1" in
     crates/fedchain/src/contract_fl/state.rs) echo 1 ;;
     crates/chain/src/consensus/engine.rs) echo 5 ;;
     crates/fedchain/src/protocol/off_chain.rs) echo 2 ;;
-    crates/fedchain/src/protocol/on_chain.rs) echo 1 ;;
     crates/shapley/src/group.rs) echo 9 ;;
+    crates/crypto/src/dh.rs) echo 5 ;;
+    crates/crypto/src/dropout.rs) echo 3 ;;
     *) echo 0 ;;
     esac
 }
@@ -51,6 +59,8 @@ files+=(
     crates/chain/src/durability.rs
     crates/chain/src/log.rs
     crates/shapley/src/group.rs
+    crates/crypto/src/dh.rs
+    crates/crypto/src/dropout.rs
 )
 
 failed=0

@@ -19,12 +19,12 @@ cd "$(dirname "$0")/.."
 # Non-test code lines and `pub` items allowed today, per crate.
 baseline() {
     case "$1" in
-    numeric) echo "1971 134" ;;
-    crypto) echo "1392 89" ;;
+    numeric) echo "2026 138" ;;
+    crypto) echo "1403 89" ;;
     chain) echo "2253 164" ;;
     ml) echo "611 78" ;;
     shapley) echo "1219 71" ;;
-    fedchain) echo "3403 97" ;;
+    fedchain) echo "3413 97" ;;
     bench) echo "929 48" ;;
     esac
 }
