@@ -289,11 +289,8 @@ impl<U: ModelUtility> ModelUtility for EveryRow<'_, U> {
         self.0.granule()
     }
 
-    /// Inlined, as the wrapped utility's own tally is: the walk's
-    /// instantiations compile it at their width.
-    #[inline(always)]
-    fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-        self.0.tally(granules, mean_block)
+    fn labels(&self) -> Option<&[usize]> {
+        self.0.labels()
     }
 
     fn of_tally(&self, total: f64) -> f64 {

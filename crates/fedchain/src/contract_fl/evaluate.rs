@@ -12,7 +12,7 @@ use fl_crypto::shamir::{Shamir, Share};
 use fl_ml::dataset::Dataset;
 use fl_ml::LogisticModel;
 use numeric::linalg::mean_vectors;
-use numeric::stats::{block_hits, is_argmax, BLOCK_ROWS};
+use numeric::stats::is_argmax;
 use numeric::{par, FixedCodec, U256};
 use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
 use shapley::group::{argmax_settled, GroupModelGame};
@@ -108,12 +108,13 @@ pub(crate) fn group_mean(
 /// class index. Neither the softmax nor the
 /// `1/|S|` scale can reorder a row, so no `exp` is evaluated. Hits add
 /// up row by row, so there is an additive view too: the granule is one
-/// row's logits, [`ModelUtility::tally`] the hits in a tile of lane
-/// blocks (each row checked against its own label by
-/// [`numeric::stats::block_hits`], eight rows a vector; the game compiles
-/// it into its walk's instantiations). `of_scores` is the hits of all
-/// rows, row-major, over the row count — [`is_argmax`] row by row, the
-/// lane count's oracle — and `of_model` is `of_scores ∘ scores`.
+/// row's logits, and the utility names each row's label
+/// ([`ModelUtility::labels`]), so the game counts a coalition's hits
+/// itself — screening each row's label-minus-rival logit differences in
+/// `f32` and deciding the rows the screen leaves open in `f64`
+/// ([`shapley::group`], "The label screen"). `of_scores` is the hits of
+/// all rows, row-major, over the row count — [`is_argmax`] row by row,
+/// the count's oracle — and `of_model` is `of_scores ∘ scores`.
 ///
 /// Hits are counts, so a row may be settled
 /// ([`ModelUtility::settled`]): given one row's logits under every
@@ -134,8 +135,6 @@ pub(crate) fn group_mean(
 #[derive(Debug, Clone)]
 pub struct AccuracyUtility {
     test_design: fl_ml::Design,
-    /// Each test row's label as `f64`: a lane of a block's labels.
-    lane_labels: Vec<f64>,
     num_features: usize,
     num_classes: usize,
     /// `u(∅)`: the zero model's logits all tie, so it predicts class 0 —
@@ -150,7 +149,6 @@ impl AccuracyUtility {
         let zeros = test_design.labels().iter().filter(|&&l| l == 0).count();
         Self {
             empty: zeros as f64 / test_design.len() as f64,
-            lane_labels: test_design.labels().iter().map(|&l| l as f64).collect(),
             test_design,
             num_features,
             num_classes,
@@ -185,21 +183,10 @@ impl ModelUtility for AccuracyUtility {
         Some(self.num_classes)
     }
 
-    /// Hits among the rows of `mean_block`, lane blocks of test rows
-    /// `rows`; counts, so a test set's tallies add up exactly. A padding
-    /// lane gets the label `-1.0`, which is no class.
-    #[inline(always)]
-    fn tally(&self, rows: &[usize], mean_block: &[f64]) -> f64 {
-        let labels = &self.lane_labels;
-        let hits = block_hits(mean_block, self.num_classes, |b| {
-            std::array::from_fn(|lane| {
-                let label = rows
-                    .get(b * BLOCK_ROWS + lane)
-                    .and_then(|&row| labels.get(row));
-                label.copied().unwrap_or(-1.0)
-            })
-        });
-        hits as f64
+    /// Each test row's label: a row's tally is whether its first maximum
+    /// is its label, counted by the game.
+    fn labels(&self) -> Option<&[usize]> {
+        Some(self.test_design.labels())
     }
 
     /// `1` for a settled hit, `0` for a settled miss
@@ -398,15 +385,17 @@ impl FlContract {
         //
         // A cohort costs the ring sum of its members' submissions, one
         // test-set product per group model and the estimator's coalition
-        // means over those scores: `stream_churn`'s four 8-owner cohorts
-        // together are a ninth of a lease, `sharded_1k`'s thirty-two
-        // are five.
+        // walks over those scores, each row's label-minus-rival
+        // differences screened at half an element apiece
+        // (`GroupModelGame::eval_flops`): `stream_churn`'s four 8-owner
+        // cohorts together are a thirteenth of a lease, `sharded_1k`'s
+        // thirty-two are three.
         let test_rows = utility.test_design.len();
-        let score_len = test_rows * self.params().num_classes;
+        let rivals = self.params().num_classes.saturating_sub(1).max(1);
         let model_dim = self.params().model_dim;
         let cohort_flops = n.div_ceil(k) * model_dim
             + m * test_rows * model_dim * 2
-            + evaluations(method, m) * score_len * (m / 2 + 2);
+            + evaluations(method, m) * test_rows * rivals * (m / 2 + 2) / 2;
         let this: &Self = self;
         let mut per_cohort: Vec<CohortOutcome> = par::par_map(
             plan.groups(),

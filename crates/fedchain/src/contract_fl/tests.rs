@@ -1682,9 +1682,8 @@ mod accuracy_utility {
     use fl_ml::metrics::model_accuracy_design_reference;
     use fl_ml::rng::Xoshiro256;
     use fl_ml::{Design, LogisticModel};
-    use numeric::isa::{Isa, Kernel};
     use numeric::linalg::mean_vectors;
-    use numeric::stats::{is_argmax, BLOCK_ROWS};
+    use numeric::stats::is_argmax;
     use numeric::Matrix;
     use proptest::prelude::*;
     use shapley::coalition::Coalition;
@@ -1730,8 +1729,8 @@ mod accuracy_utility {
             classes in 2usize..5,
             m in 1usize..6,
         ) {
-            // Long test sets (thousands of rows) cut every walk into
-            // tiles, so a tally is held to the oracle across tile cuts.
+            // Long test sets (thousands of rows) run every walk over many
+            // register groups and screen blocks.
             let rows = if long { 6_000 + rows } else { rows };
             let mut rng = Xoshiro256::seed_from_u64(seed);
             let test_set = random_test_set(&mut rng, rows, features, classes);
@@ -1853,8 +1852,8 @@ mod accuracy_utility {
             self.utility.granule()
         }
 
-        fn tally(&self, rows: &[usize], mean_block: &[f64]) -> f64 {
-            self.utility.tally(rows, mean_block)
+        fn labels(&self) -> Option<&[usize]> {
+            self.utility.labels()
         }
 
         fn of_tally(&self, hits: f64) -> f64 {
@@ -1962,76 +1961,31 @@ mod accuracy_utility {
         }
     }
 
-    /// Rows `rows` of row-major `logits` as the coalition walk hands
-    /// them to `tally`: blocks of eight rows, class-major within a block,
-    /// the last one padded with `0.0`.
-    fn lane_blocks(logits: &[f64], rows: &[usize], classes: usize) -> Vec<f64> {
-        let stride = BLOCK_ROWS * classes;
-        let mut blocks = vec![0.0; rows.len().div_ceil(BLOCK_ROWS) * stride];
-        for (k, &r) in rows.iter().enumerate() {
-            for c in 0..classes {
-                blocks[k / BLOCK_ROWS * stride + c * BLOCK_ROWS + k % BLOCK_ROWS] =
-                    logits[r * classes + c];
-            }
-        }
-        blocks
-    }
-
-    /// `utility.tally` compiled into `isa`'s instantiation, as the walk
-    /// inlines it.
-    fn tally_on(isa: Isa, utility: &AccuracyUtility, rows: &[usize], blocks: &[f64]) -> f64 {
-        struct Tally<'a> {
-            utility: &'a AccuracyUtility,
-            rows: &'a [usize],
-            blocks: &'a [f64],
-            hits: &'a mut f64,
-        }
-        impl Kernel for Tally<'_> {
-            #[inline(always)]
-            fn run<const LANES: usize>(self) {
-                *self.hits = self.utility.tally(self.rows, self.blocks);
-            }
-        }
-        let mut hits = -1.0;
-        isa.run(Tally {
-            utility,
-            rows,
-            blocks,
-            hits: &mut hits,
-        });
-        hits
-    }
-
     #[test]
-    fn tally_over_lane_blocks_equals_is_argmax_row_by_row_in_every_instantiation() {
-        // 2..=16 classes run the lane fold, 17 the row-by-row fallback;
-        // the logits hold near ties, exact ties, `±0.0`, NaN and `±∞`.
+    fn one_model_game_counts_is_argmax_row_by_row() {
+        // 2..=17 classes; the logits hold near ties, exact ties, `±0.0`,
+        // NaN and `±∞`, so the screen leaves rows to the exact decision.
+        // Over one model the coalition mean is the logits themselves, so
+        // a value is the rows whose first maximum is the label, settled
+        // or screened or decided exactly.
         for classes in 2..=17usize {
             let mut rng = Xoshiro256::seed_from_u64(classes as u64);
-            let (labels, models) = near_tie_logits(&mut rng, 1, 203, classes);
-            let utility = labelled(&labels, classes);
-            let logits = &models[0];
-            let hit = |r: usize| is_argmax(&logits[r * classes..][..classes], labels[r]);
-            // Consecutive runs and rows with gaps (settled rows left
-            // out), ending in every last-block width.
-            let mut cuts: Vec<Vec<usize>> = (1..=17).map(|len| (0..len).collect()).collect();
-            cuts.extend((1..=17).map(|len| (5..5 + len).collect()));
-            cuts.extend((1..=17).map(|len| (0..len).map(|k| 3 * k + k / 5).collect()));
-            cuts.push((0..203).collect());
-            cuts.push((0..203).filter(|r| r % 7 != 3).collect());
-            for isa in Isa::each() {
-                for r in 0..203 {
-                    let got = tally_on(isa, &utility, &[r], &lane_blocks(logits, &[r], classes));
-                    assert_eq!(
-                        got,
-                        f64::from(u8::from(hit(r))),
-                        "{isa:?}, {classes} classes, row {r}"
-                    );
-                }
-                for rows in &cuts {
-                    let want = rows.iter().filter(|&&r| hit(r)).count() as f64;
-                    let got = tally_on(isa, &utility, rows, &lane_blocks(logits, rows, classes));
-                    assert_eq!(got, want, "{isa:?}, {classes} classes, rows {rows:?}");
+            for rows in [1usize, 15, 16, 17, 203] {
+                let (labels, models) = near_tie_logits(&mut rng, 1, rows, classes);
+                let utility = labelled(&labels, classes);
+                let logits = &models[0];
+                let hits = (0..rows)
+                    .filter(|&r| is_argmax(&logits[r * classes..][..classes], labels[r]))
+                    .count();
+                let want = utility.of_tally(hits as f64);
+                for settle in [false, true] {
+                    let view = AsLogits {
+                        utility: &utility,
+                        settle,
+                    };
+                    let game = GroupModelGame::new(&models, &view);
+                    let got = game.evaluate(Coalition::grand(1));
+                    assert_eq!(got, want, "{classes} classes, {rows} rows, settle {settle}");
                 }
             }
         }

@@ -123,6 +123,7 @@ use fl_crypto::shamir::{Shamir, Share};
 use fl_crypto::ChaChaPrg;
 use fl_ml::dataset::Dataset;
 use numeric::par;
+use shapley::hierarchy::HierarchyError;
 
 use crate::adversary::AdversaryKind;
 use crate::config::{ConfigError, FlConfig};
@@ -173,6 +174,17 @@ pub enum ProtocolError {
         /// The round whose committed model diverged from the prediction.
         round: u64,
     },
+    /// The round's cohort and group layout cannot be built over the
+    /// owner set. `FlConfig::validate` rejects such counts first, so this
+    /// signals a configuration that bypassed it.
+    Layout(HierarchyError),
+    /// Every owner dropped out of a round, so no one is left to submit
+    /// its evaluation. `FlConfig::validate` rejects such a schedule
+    /// first, so this signals a configuration that bypassed it.
+    NoSurvivors {
+        /// The round nobody survived.
+        round: u64,
+    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -194,6 +206,8 @@ impl std::fmt::Display for ProtocolError {
                 f,
                 "round {round}: predicted global model diverged from the committed model"
             ),
+            Self::Layout(e) => write!(f, "round layout: {e}"),
+            Self::NoSurvivors { round } => write!(f, "round {round}: every owner dropped out"),
         }
     }
 }
@@ -259,6 +273,10 @@ pub struct StageTimings {
     /// snapshot) for the durable writer. The writes themselves run
     /// beside the stages; the run waits for them only before it returns.
     pub evaluate: f64,
+    /// That wait: once the last round has committed, the durable writer
+    /// lands what it still holds — the final flush. `0.0` with no store
+    /// attached.
+    pub flush: f64,
 }
 
 impl StageTimings {
@@ -269,11 +287,12 @@ impl StageTimings {
         self.assemble += other.assemble;
         self.commit += other.commit;
         self.evaluate += other.evaluate;
+        self.flush += other.flush;
     }
 
     /// Sum over all stages — what a fully sequential run would cost.
     pub fn total(&self) -> f64 {
-        self.setup + self.train_mask + self.assemble + self.commit + self.evaluate
+        self.setup + self.train_mask + self.assemble + self.commit + self.evaluate + self.flush
     }
 }
 
@@ -536,19 +555,26 @@ impl FlProtocol {
         let failed = OnceLock::new();
         // The writer lives for the scope; the rounds drop their end of
         // its queue when they return, and the scope joins it.
-        let rounds = thread::scope(|scope| {
+        let (rounds, committed) = thread::scope(|scope| {
             let durable = store
                 .as_mut()
                 .map(|store| DurableTail::spawn(scope, store, &failed));
-            self.run_rounds(pipelined, durable)
+            (self.run_rounds(pipelined, durable), Instant::now())
         });
+        // From the last commit to the join: the writer's final flush.
+        let flush = if store.is_some() {
+            committed.elapsed().as_secs_f64()
+        } else {
+            0.0
+        };
         self.durable = store;
         // The writer's error comes first: the job it failed on was
         // queued before anything the run met after it.
         if let Some(e) = failed.into_inner() {
             return Err(e.into());
         }
-        let (commits, stages) = rounds?;
+        let (commits, mut stages) = rounds?;
+        stages.flush = flush;
 
         let contract = self.engine.honest_contract();
         let per_owner_sv: Vec<f64> = contract

@@ -108,14 +108,17 @@ impl<'a> OffChainStage<'a> {
         // The round's public layout — the same plan the contract
         // derives, so owners mask within exactly the groups the contract
         // aggregates over — and who drops, both derived once a round.
-        let plan = RoundPlan::new(
+        let plan = match RoundPlan::new(
             self.config.permutation_seed,
             round,
             n,
             self.config.num_cohorts,
             self.config.num_groups,
-        )
-        .expect("validated: cohort and group counts fit the owner set");
+        ) {
+            Ok(plan) => plan,
+            // The side task runs whatever this round's fate.
+            Err(e) => return (beside.map(|task| task()), Err(ProtocolError::Layout(e))),
+        };
         let dropped = self.config.dropped_in_round(round);
 
         // Every owner reads its group's keys from the phase-0 snapshot.
@@ -178,8 +181,8 @@ impl<'a> OffChainStage<'a> {
             .into_iter()
             .map(|(_, _, output)| output)
             .collect::<Result<_, _>>()
-            .map(|outputs| self.assemble_round(round, &plan, &dropped, outputs, train_mask))
-            .map_err(ProtocolError::from);
+            .map_err(ProtocolError::from)
+            .and_then(|outputs| self.assemble_round(round, &plan, &dropped, outputs, train_mask));
         (beside, prepared)
     }
 
@@ -193,7 +196,7 @@ impl<'a> OffChainStage<'a> {
         dropped: &[usize],
         mut outputs: Vec<Output>,
         train_mask: f64,
-    ) -> PreparedRound {
+    ) -> Result<PreparedRound, ProtocolError> {
         let started = Instant::now();
         // The survivors are exactly the owners that produced an output.
         // Anyone alive may trigger evaluation; the first survivor does.
@@ -202,7 +205,10 @@ impl<'a> OffChainStage<'a> {
         let survivors: Vec<usize> = (0..outputs.len())
             .filter(|&idx| outputs[idx].is_some())
             .collect();
-        let trigger = self.owners[*survivors.first().expect("validated: survivors exist")].id();
+        let first = survivors
+            .first()
+            .ok_or(ProtocolError::NoSurvivors { round })?;
+        let trigger = self.owners[*first].id();
 
         // Handoff prediction: masks cancel exactly in the u64 ring, so
         // per group the masked-sum-then-strip the contract runs equals
@@ -274,7 +280,7 @@ impl<'a> OffChainStage<'a> {
             recovery_calls.push((trigger, FlCall::EvaluateRound { round }));
         }
 
-        PreparedRound {
+        Ok(PreparedRound {
             round,
             calls,
             bundle_sizes,
@@ -285,7 +291,7 @@ impl<'a> OffChainStage<'a> {
                 assemble: started.elapsed().as_secs_f64(),
                 ..StageTimings::default()
             },
-        }
+        })
     }
 }
 

@@ -6,13 +6,15 @@
 //! the widest one the CPU reports: `is_x86_feature_detected!("avx512f")`
 //! (which also checks that the OS saves the zmm state), else
 //! `is_x86_feature_detected!("avx")`, else the baseline; both wide
-//! instantiations also enable, and require, `popcnt`, so a tally's
+//! instantiations also enable, and require, `popcnt`, so a count's
 //! `count_ones` is one instruction there (an integer count is exact in
 //! any instruction). That is a
 //! platform selection the code observes, not an option — nothing sets it
 //! and nothing can: `mulpd` / `addpd` / `divpd` / `sqrtpd` round each
 //! 64-bit lane exactly as their 2-lane and scalar forms do (IEEE 754
-//! binary64, round to nearest even) at every width, lanes never interact,
+//! binary64, round to nearest even), `addps` each 32-bit lane as `addss`
+//! does (binary32), compares decide a lane alike, at every width, lanes
+//! never interact,
 //! and which lanes share a register decides no element's operation
 //! order, so a wider instantiation cannot change a bit. Other targets
 //! compile the baseline instantiation only.
@@ -22,10 +24,12 @@
 //! In this crate: the GEMM panel in [`crate::linalg`] and the slice
 //! passes of [`crate::math`] (`exp_slice`, `box_muller`,
 //! `softmax_columns`). Outside it, `shapley::group`'s coalition walk —
-//! the member-trie adds, the `1/|S|` scale and the utility's tally, which
-//! for the contract's accuracy utility is [`crate::stats::block_hits`] —
-//! so that crates which forbid `unsafe` code reach the wider
-//! instantiations through [`Isa::run`] alone. A kernel from any crate is
+//! the member-trie adds and then, for a labelled utility such as the
+//! contract's accuracy utility, the label screen (`f32` label-minus-rival
+//! sums of 16 rows a vector against their thresholds), or, for an
+//! unlabelled one, the `1/|S|` scale and the utility's tally — so that
+//! crates which forbid `unsafe` code reach the wider instantiations
+//! through [`Isa::run`] alone. A kernel from any crate is
 //! sound to run: the only `unsafe` step is entering an instantiation, and
 //! an [`Isa`] names one only after the CPU reported its feature.
 //!
@@ -55,8 +59,8 @@ pub trait Kernel {
     /// registers of `LANES` `f64` lanes: 2 in the portable instantiation
     /// (16 `xmm` registers on x86-64), 4 with AVX (16 `ymm`), 8 with
     /// AVX-512F (32 `zmm`). A kernel whose blocking depends on the
-    /// register file — the GEMM micro-tile — picks it from `LANES`; the
-    /// others ignore it.
+    /// register file — the GEMM micro-tile, the coalition walk's register
+    /// groups — picks it from `LANES`; the others ignore it.
     fn run<const LANES: usize>(self);
 }
 

@@ -46,49 +46,63 @@
 //! past it are added. That is one add per coalition of a full
 //! enumeration and about half a from-scratch sum on a sampled list.
 //!
-//! The walk runs once per *tile* of score elements: whole lane blocks
-//! (below), as many as keep that tile of every player's scores and of
-//! every level within `WALK_BYTES`, so what a batch reads stays in L1.
-//! Per coalition, a tile is summed a register group at a time — eight
-//! vectors of the instantiation's width. A group starts from the stored
-//! level of the prefix shared with the previous coalition (`0.0` when
-//! nothing is shared), adds the other members in ascending order while
-//! it stays in registers, writes back only the levels the next
-//! coalition reads (those up to the prefix the two share), and is
-//! scaled by `1/|S|` on its way into the tile's mean, which the utility
-//! then tallies ([`ModelUtility::tally`]) while it is still in L1. A
-//! utility that scores the vector whole gets it as one tile.
+//! The walk goes coalition by coalition over a *tile* of the vectors:
+//! whole blocks (below), as many as keep that tile of every player's
+//! vector and of every level within `WALK_BYTES` (1 MiB, half an L2 of
+//! the benchmark's Xeon). A game as small as the benchmark's second
+//! level is one tile, so a coalition's set-up — the shared prefix, the
+//! members it adds, the levels it writes back — runs once; a larger one
+//! is walked once per tile, its tallies added in tile order. A tile is
+//! summed a register group at a time (twelve 16-lane `f32` vectors' worth
+//! of registers for a screened game, eight of the instantiation's `f64`
+//! vectors for a mean): a group starts from the stored level of the
+//! prefix shared with the previous coalition (`0.0` when nothing is
+//! shared), adds the other members in ascending order while it stays in
+//! registers, and writes back only the levels the next coalition reads
+//! (those up to the prefix the two share). What happens to a group's sums
+//! then depends on the utility: a labelled one's are screened (below); an
+//! unlabelled one's are scaled by `1/|S|` into the coalition's mean, which
+//! [`ModelUtility::tally`] scores once the tile is done. A utility
+//! without a granule gets its vector as it came, whole, one tile; one with a
+//! granule gets it in lane blocks of [`BLOCK_ROWS`] (8) granules, within a
+//! block element `c · 8 + lane` being element `c` of the block's granule
+//! `lane`, the last block padded with `0.0` and handed over with the
+//! indices of its real granules only.
 //!
-//! # Lane blocks
+//! The walk is a [`numeric::isa::Kernel`], compiled for the baseline, for
+//! AVX and for AVX-512F; a batch runs the widest the CPU has. None of that
+//! can move a bit. The layouts and the groups move elements, never what
+//! they are added to: every element of a coalition's sum is still its
+//! members' values in ascending order from `0.0`, and each element is one
+//! lane of its own — `addps` / `addpd` and `mulpd` round a lane alike at
+//! every width, in a register or through memory, lanes never interact,
+//! and rustc neither fuses a multiply into an add nor reorders a sum. A
+//! tally is a count of rows, exact in any order. Padding lanes are summed
+//! beside the real ones and never count.
 //!
-//! A utility that scores tile by tile gets its granules — an accuracy
-//! utility's test rows — in interleaved blocks of [`BLOCK_ROWS`] (8):
-//! within a block the scores are class-major, element `c · 8 + lane` is
-//! score `c` of the block's granule `lane`, so one vector of the widest
-//! instantiation holds one score of eight rows and the utility's tally
-//! folds eight rows a step ([`numeric::stats::block_hits`]).
-//! [`GroupModelGame::new`] lays every kept granule out that way in the
-//! same pass that drops the settled ones, one group's vector at a time,
-//! so no second copy of the scores stays alive. The last block is padded
-//! with `0.0`. Padding lanes never count: a tally is handed the indices
-//! of the real granules only, so a utility knows which lanes hold one
-//! (the accuracy utility gives a padding lane the label `-1`, which no
-//! first maximum matches), and a tile is whole blocks. A utility without
-//! a granule, or whose granule does not divide the score vectors, is
-//! handed the vector as it came, whole.
+//! # The label screen
 //!
-//! The walk — the member adds, the `1/|S|` scale and the tally — is a
-//! [`numeric::isa::Kernel`], compiled for the baseline, for AVX and for
-//! AVX-512F; a batch runs the widest the CPU has, and a register group
-//! is eight of its vectors. None of that can move a bit. The layout and
-//! the groups move elements, never what they are added to: every element
-//! of a coalition's sum is still its members' scores in ascending order
-//! from `0.0`, then one product with `1/|S|`, and each element is one
-//! lane of its own — `addpd` and `mulpd` round a lane alike at every
-//! width, in a register or through memory, lanes never interact, and
-//! rustc neither fuses a multiply into an add nor reorders a sum. A
-//! tally is a count of rows, exact in any order. The padding lanes add
-//! and scale zeros beside the real ones and are then ignored.
+//! A utility that scores a row by whether its label is the row's first
+//! maximum ([`ModelUtility::labels`]; the contract's accuracy utility)
+//! only needs, per row, the signs of the `C − 1` label-minus-rival
+//! differences of the coalition mean. [`GroupModelGame::new`] therefore
+//! keeps, for each row that did not settle (below), each player's
+//! differences `d_j = s_j[label] − s_j[c]` rounded to `f32`, in blocks of
+//! 16 rows — one AVX-512F vector of one rival for 16 rows, rival-major
+//! within a block — and a threshold per row and rival,
+//! `θ = 2^-16 · Σ_j (|s_j[label]| + |s_j[c]|) + 2^-100` over every player
+//! `j`, rounded to `f32`. A row holding a score that is not finite or has
+//! a magnitude above 2^100, in any player, or whose label is no class,
+//! gets `θ = +∞` and zero differences. The walk sums the differences over
+//! a coalition's members in `f32`: a row whose sums all exceed their `θ`
+//! is a hit, a row with one sum below `−θ` a miss, and every other row —
+//! a few hundred row-coalitions in a walk of millions on the benchmark's
+//! second level — is decided exactly: its scores summed in `f64` over
+//! the members in ascending order from `0.0`, scaled by `1/|S|` and
+//! checked by [`numeric::stats::is_argmax`], which is what the mean's
+//! element-wise order gives. Padding rows hold difference `−1` and
+//! threshold `0`, so they read as misses. The game keeps the kept rows'
+//! `f64` scores, row-major, for that exact decision.
 //!
 //! # Settled granules
 //!
@@ -97,14 +111,12 @@
 //! a test row right, or wrong, by a margin no average of them can erase.
 //! [`GroupModelGame::new`] asks the utility once per granule
 //! ([`ModelUtility::settled`]), folds the answered tallies into one
-//! constant per game and keeps only the other granules' scores, in lane
-//! blocks, with their original indices; the walk sums those and hands
-//! [`ModelUtility::tally`] each tile's indices. An element's fold order
-//! is the member order whatever else settled, and a utility answers only
-//! when its tallies add exactly (counts), so every value keeps its bits.
-//! When every granule settled (Table I's trained rounds) there is nothing
-//! to walk: each coalition's tally is that of the one empty tile, which
-//! a batch asks for once.
+//! constant per game and keeps only the other granules, with their
+//! original indices. An element's fold order is the member order whatever
+//! else settled, and a utility answers only when its tallies add exactly
+//! (counts), so every value keeps its bits. When every granule settled
+//! (Table I's trained rounds) there is nothing to walk: each coalition's
+//! tally is that of no granule, which a batch asks for once.
 //!
 //! [`argmax_settled`] decides a row for the rule of
 //! [`numeric::stats::is_argmax`]. Score `a` *beats* `b` when both are
@@ -119,13 +131,15 @@
 //!    rounds within a factor 1 ± u — except the product by 2^-40, which
 //!    may underflow by at most 2^-1075 — so a passing check implies the
 //!    real `a − b > ε·(|a| + |b|) + τ` with ε = 2^-41 and τ = 2^-1001.
-//! 2. *The sums.* Let a coalition hold k ≤ 64 members, `A = Σ a_j` and
-//!    `B = Σ b_j` exactly, `T = Σ (|a_j| + |b_j|)`. Any addition tree over
-//!    k leaves computes Â with |Â − A| ≤ γ_{k−1}·Σ|a_j|: a leaf passes at
-//!    most k − 1 roundings, a subnormal sum is exact, and no partial sum
-//!    comes near overflow below 64·2^1000. The walk's member order and
-//!    the `0.0` a level starts from make such a tree. So
-//!    Â − B̂ > (ε − γ₆₃)·T + kτ, where ε − γ₆₃ > 2^-42.
+//!    Summed over a coalition's k members: `A − B > ε·T + kτ`, where
+//!    `A = Σ a_j` and `B = Σ b_j` exactly and `T = Σ (|a_j| + |b_j|)`.
+//! 2. *The sums.* Let k ≤ 64 and every |a_j|, |b_j| ≤ 2^1000. Any
+//!    addition tree over k leaves computes Â with |Â − A| ≤
+//!    γ_{k−1}·Σ|a_j|: a leaf passes at most k − 1 roundings, a subnormal
+//!    sum is exact, and no partial sum comes near overflow below
+//!    64·2^1000. The walk's member order and the `0.0` a level starts
+//!    from make such a tree. So Â − B̂ > (ε − γ₆₃)·T + kτ, where ε − γ₆₃ >
+//!    2^-42.
 //! 3. *The scale.* `s = fl(1/k)` has `s·k ≥ 1 − u`. A rounded product is
 //!    `z(1 + θ) + η` with |θ| ≤ u and |η| ≤ 2^-1075, the absolute floor
 //!    where `z` underflows, so fl(Â·s) − fl(B̂·s) ≥ (Â − B̂)·s −
@@ -136,13 +150,45 @@
 //! So each coalition's mean puts the beating score strictly above the
 //! beaten one, both finite: the label wins every comparison of a settled
 //! hit and loses one of a settled miss, exactly as in every member.
+//!
+//! **The screen decides as the mean does.** Steps 2 and 3 need only
+//! their premise, `A − B > ε·T + kτ` with every magnitude ≤ 2^1000, for
+//! the one coalition at hand. Take a row and rival the screen decided for
+//! a coalition of k ≤ 64 members, `a` the label's scores and `b` the
+//! rival's, so every magnitude is ≤ 2^100, and let `Δ = A − B` and
+//! `T_all ≥ T` the sum over every player. With v = 2^-24 (`f32`'s unit
+//! roundoff) and γ'ₙ = nv / (1 − nv):
+//!
+//! 4. *The differences.* `d_j` is `a_j − b_j` rounded to `f64`, then to
+//!    `f32`: |d_j − (a_j − b_j)| ≤ (v + 2^-53 + 2^-77)·|a_j − b_j| +
+//!    2^-150, the last term where `d_j` lands among `f32`'s subnormals
+//!    (|d_j| ≤ 2^101, far from overflow).
+//! 5. *The screened sum.* The walk adds the k differences in one addition
+//!    tree, so the computed D̂ has |D̂ − Σ d_j| ≤ γ'₆₃·Σ|d_j| (sums stay
+//!    below 2^108 and subnormal sums are exact). With step 4, |D̂ − Δ| ≤
+//!    (v + γ'₆₃)(1 + 2^-22)·T + 2^-143 < 2^-17.9·T + 2^-143.
+//! 6. *The threshold.* The stored `θ` is at least
+//!    (1 − 2^-23)·(2^-16·T_all + 2^-100): its `f64` sum of at most 128
+//!    terms rounds by less than 2^-45 relatively, its scale by 2^-16 is
+//!    exact or underflows by at most 2^-1075, and the rounding to `f32`
+//!    costs a factor 1 − v.
+//!
+//! So a sum D̂ > θ gives Δ > θ − 2^-17.9·T − 2^-143 > (2^-16·(1 − 2^-23) −
+//! 2^-17.9)·T + 2^-101 > 2^-41·T + 64·2^-1001 ≥ ε·T + kτ, and a sum D̂ <
+//! −θ gives the same for `B − A`. Steps 2 and 3 then order the two
+//! scores of the `f64` mean strictly, both finite: a row whose every
+//! rival is screened above is a hit of [`numeric::stats::is_argmax`], a
+//! row with a rival screened below a miss — each exactly what the exact
+//! decision would answer. Hit counts are exact, so every value keeps its
+//! bits.
 
 use std::cell::RefCell;
+use std::ops::Add;
 
 use numeric::isa::{Isa, Kernel};
 use numeric::linalg::mean_vectors;
 use numeric::par;
-use numeric::stats::BLOCK_ROWS;
+use numeric::stats::{is_argmax, BLOCK_ROWS};
 
 use crate::coalition::{Coalition, MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
 use crate::estimator::{Exact, SvEstimator};
@@ -239,25 +285,17 @@ pub(crate) fn grouping(pi: &[usize], m: usize) -> Vec<Vec<usize>> {
 /// [`ModelUtility::scores`] once (`m` test-set GEMMs for an accuracy
 /// utility, `m` copies for the identity view); a coalition is then
 /// valued by the utility on the mean of its members' scores, which the
-/// game sums by walking the member trie (module docs) over the `m` score
-/// vectors it holds — only their granules that did not settle (module
-/// docs, "Settled granules"). A value is a pure function of the
-/// coalition bitmask, so every estimator built on [`numeric::par`] stays
-/// bit-identical across thread counts.
+/// game sums by walking the member trie (module docs) over what it keeps
+/// of the `m` score vectors — only their granules that did not settle
+/// (module docs, "Settled granules"), screened when the utility is
+/// labelled (module docs, "The label screen"). A value is a pure
+/// function of the coalition bitmask, so every estimator built on
+/// [`numeric::par`] stays bit-identical across thread counts.
 pub struct GroupModelGame<'a, U> {
     utility: &'a U,
-    /// Each group's kept scores, `len` long: lane blocks of
-    /// [`BLOCK_ROWS`] granules (module docs, "Lane blocks"), or the whole
-    /// vector as it came when the utility scores it whole.
-    scores: Vec<Vec<f64>>,
-    /// Length of each laid-out score vector: whole blocks.
-    len: usize,
-    /// Kept elements, padding not counted: the unsettled granules.
-    dim: usize,
-    /// Elements per block.
-    block: usize,
-    /// Granules per block: [`BLOCK_ROWS`], or one vector scored whole.
-    block_granules: usize,
+    players: usize,
+    /// What the walk sums, per player.
+    lanes: Lanes,
     /// Index in the full score vectors of each kept granule, ascending.
     kept: Vec<usize>,
     /// The settled granules' tallies, summed in granule order; `None`
@@ -265,19 +303,70 @@ pub struct GroupModelGame<'a, U> {
     settled: Option<f64>,
 }
 
-/// Bytes of a walk tile's working set: that tile of every player's
-/// scores and of every level of partial sums, a level per member of the
-/// batch's deepest coalition. 64 KiB read best of 32–128 KiB on the
-/// second level of `sharded_1k` (4 blocks of 4 classes a tile at 32
-/// players); Table I's shape (5 blocks of 10 classes at 9) read alike at
-/// 64 and 96.
-const WALK_BYTES: usize = 64 << 10;
+/// The per-player vectors a game walks.
+enum Lanes {
+    /// An unlabelled utility's kept scores: lane blocks of [`BLOCK_ROWS`]
+    /// granules, or the whole vector as it came — one block of one
+    /// granule — when the utility scores it whole. `dim` counts the kept
+    /// elements, padding not counted; `block` and `block_granules` the
+    /// elements and granules of a block.
+    Means {
+        scores: Vec<Vec<f64>>,
+        dim: usize,
+        block: usize,
+        block_granules: usize,
+    },
+    /// A labelled utility's kept rows (module docs, "The label screen").
+    Margins(Margins),
+}
+
+/// Rows per block of the label screen: one 16-lane `f32` vector.
+const SCREEN_ROWS: usize = 16;
+/// Largest score magnitude the screen decides: 2^100.
+const SCREEN_MAX: f64 = f64::from_bits((1023 + 100) << 52);
+/// The relative part of a screen threshold: 2^-16.
+const SCREEN_RELATIVE: f64 = f64::from_bits((1023 - 16) << 52);
+/// The absolute part of a screen threshold: 2^-100.
+const SCREEN_ABSOLUTE: f64 = f64::from_bits((1023 - 100) << 52);
+
+/// A labelled game's kept rows (module docs, "The label screen").
+struct Margins {
+    /// Per player, per block of [`SCREEN_ROWS`] kept rows, per rival of
+    /// each row's label in class order, one difference a row:
+    /// `s[label] − s[rival]` as `f32`; `−1` in a padding lane.
+    margins: Vec<Vec<f32>>,
+    /// The threshold of each difference, a vector per block and rival.
+    thresholds: Vec<[f32; SCREEN_ROWS]>,
+    /// Per player, the kept rows' scores, row-major: the exact decision.
+    rows: Vec<Vec<f64>>,
+    /// Each kept row's label.
+    labels: Vec<usize>,
+    classes: usize,
+    /// Differences per row: `classes − 1`, at least one.
+    rivals: usize,
+}
 
 thread_local! {
-    /// Per-thread scratch for means and partial sums: `evaluate` only
-    /// allocates on a thread's first use. A call reads what it wrote, a
-    /// pure function of the masks, so no output bit knows the thread.
-    static MEAN_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch for means, partial sums and screened rows:
+    /// `evaluate` only allocates on a thread's first use. A call reads
+    /// what it wrote, a pure function of the masks, so no output bit
+    /// knows the thread.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// What a walk writes besides its output.
+#[derive(Default)]
+struct Scratch {
+    /// An unlabelled coalition's mean.
+    mean: Vec<f64>,
+    /// Levels of partial sums of means.
+    sums: Vec<f64>,
+    /// Levels of partial sums of screened differences.
+    margins: Vec<f32>,
+    /// A screened coalition's undecided lanes: block and lane mask.
+    unsure: Vec<(usize, u16)>,
+    /// One row's exact mean.
+    row: Vec<f64>,
 }
 
 impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
@@ -299,7 +388,7 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             m <= MAX_SAMPLED_PLAYERS,
             "coalition masks hold {MAX_SAMPLED_PLAYERS} groups, got {m}"
         );
-        let mut scores: Vec<Vec<f64>> = group_models.iter().map(|w| utility.scores(w)).collect();
+        let scores: Vec<Vec<f64>> = group_models.iter().map(|w| utility.scores(w)).collect();
         let full = scores[0].len();
         assert!(
             scores.iter().all(|s| s.len() == full),
@@ -307,27 +396,55 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
         );
         // A granule that does not divide the vectors is no granule: the
         // vector is scored whole, as one granule and one block.
-        let (settled, kept, granule, block_granules) = match utility.granule() {
-            Some(granule) if granule > 0 && full.is_multiple_of(granule) => {
-                let (settled, kept) = settle(utility, &mut scores, granule);
-                (settled, kept, granule, BLOCK_ROWS)
+        let granule = utility
+            .granule()
+            .filter(|&granule| granule > 0 && full.is_multiple_of(granule));
+        let (settled, kept, lanes) = match granule {
+            Some(granule) => {
+                let (settled, kept) = settle(utility, &scores, granule);
+                let lanes = match utility.labels() {
+                    Some(labels) if labels.len() == full / granule => {
+                        Lanes::Margins(Margins::new(scores, &kept, labels, granule))
+                    }
+                    _ => Lanes::Means {
+                        dim: kept.len() * granule,
+                        scores: lane_blocks(scores, &kept, granule),
+                        block: BLOCK_ROWS * granule,
+                        block_granules: BLOCK_ROWS,
+                    },
+                };
+                (settled, kept, lanes)
             }
-            _ => {
+            None => {
                 let kept = if full > 0 { vec![0] } else { Vec::new() };
-                (None, kept, full, 1)
+                let block = full.max(1);
+                let (dim, block_granules) = (full, 1);
+                let lanes = Lanes::Means {
+                    scores,
+                    dim,
+                    block,
+                    block_granules,
+                };
+                (None, kept, lanes)
             }
         };
-        let block = (block_granules * granule).max(1);
         Self {
             utility,
-            len: scores[0].len(),
-            scores,
-            dim: kept.len() * granule,
-            block,
-            block_granules,
+            players: m,
+            lanes,
             kept,
             settled,
         }
+    }
+
+    /// Length of each walked vector: whole blocks; 0 when nothing is
+    /// left to walk.
+    fn len(&self) -> usize {
+        let vectors = match &self.lanes {
+            Lanes::Means { scores, .. } => scores.first().map(Vec::len),
+            Lanes::Margins(margins) => margins.margins.first().map(Vec::len),
+        };
+        vectors.unwrap_or(0)
     }
 
     /// `out[i] = u(coalitions[i])`; allocates only to grow the scratch.
@@ -340,27 +457,30 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
         debug_assert!(
             coalitions
                 .iter()
-                .all(|c| c.0 & !Coalition::grand(self.scores.len()).0 == 0),
+                .all(|c| c.0 & !Coalition::grand(self.players).0 == 0),
             "a coalition names a player past the game's {}",
-            self.scores.len()
+            self.players
         );
-        if self.len == 0 {
+        if self.len() == 0 {
             // Every granule settled: each coalition tallies the same
             // empty tile, once here instead of once per coalition.
-            out.fill(self.utility.tally(&[], &[]));
+            out.fill(match self.lanes {
+                Lanes::Means { .. } => self.utility.tally(&[], &[]),
+                Lanes::Margins(_) => 0.0,
+            });
         } else {
             // Taken out of the cell, not borrowed across the utility's
             // calls: a utility that itself consults another game on this
-            // thread starts from an empty buffer instead of a RefCell
+            // thread starts from an empty scratch instead of a RefCell
             // panic.
-            let mut scratch = MEAN_SCRATCH.with(RefCell::take);
+            let mut scratch = SCRATCH.with(RefCell::take);
             isa.run(Walk {
                 game: self,
                 coalitions,
                 out: &mut *out,
                 scratch: &mut scratch,
             });
-            MEAN_SCRATCH.with(|cell| cell.replace(scratch));
+            SCRATCH.with(|cell| cell.replace(scratch));
         }
         for (value, coalition) in out.iter_mut().zip(coalitions) {
             *value = if coalition.is_empty() {
@@ -371,84 +491,86 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             };
         }
     }
+}
 
-    /// One pre-order walk of the member trie per tile of score elements
-    /// (module docs), leaving in `out` the tally totals of the non-empty
-    /// coalitions. Inlined into [`Walk`]'s instantiations, the utility's
-    /// tally with it; `LANES` sizes the register groups ([`Pass`]).
-    #[inline(always)]
-    fn walk<const LANES: usize>(
-        &self,
-        coalitions: &[Coalition],
-        out: &mut [f64],
-        scratch: &mut Vec<f64>,
-    ) {
-        // Trie pre-order; a batch that arrives in it (one coalition, an
-        // exact subtree, a prewarm run) is walked as it stands.
-        let mut order: Vec<usize> = Vec::new();
-        if !coalitions.is_sorted_by_key(|c| c.0.reverse_bits()) {
-            order = (0..coalitions.len()).collect();
-            order.sort_unstable_by_key(|&i| coalitions.get(i).map_or(0, |c| c.0.reverse_bits()));
-        }
-        // The mean, then levels 1 ..= deepest; whole blocks.
-        let deepest = coalitions.iter().map(Coalition::len).max().unwrap_or(0);
-        let block = self.block;
-        let vectors = self.scores.len() + deepest;
-        let fit = WALK_BYTES / std::mem::size_of::<f64>() / vectors / block;
-        let tile = (fit.max(1) * block).min(self.len.max(1));
-        scratch.resize(scratch.len().max((deepest + 1) * tile), 0.0);
-        let (mean, levels) = scratch.split_at_mut(tile);
-
-        let slot = |k: usize| order.get(k).copied().unwrap_or(k);
-        let mask_at = |k: usize| coalitions.get(slot(k)).map_or(0, |c| c.0);
-        // Pre-order puts the empty coalitions first; they have no mean.
-        let empties = coalitions.iter().filter(|c| c.is_empty()).count();
-        let mut scores: [&[f64]; MAX_SAMPLED_PLAYERS] = [&[]; MAX_SAMPLED_PLAYERS];
-        let mut members = scores;
-        for first in (0..self.len.max(1)).step_by(tile) {
-            let len = tile.min(self.len - first);
-            let mean = mean.get_mut(..len).unwrap_or(&mut []);
-            for (tiled, s) in scores.iter_mut().zip(&self.scores) {
-                *tiled = s.get(first..).unwrap_or(&[]);
+impl Margins {
+    /// Lays out the screen of `scores` (one row-major vector per player,
+    /// rows of `classes`) over rows `kept`, whose labels `labels` lists
+    /// for every row, and keeps the kept rows' scores for the exact
+    /// decision (module docs, "The label screen").
+    fn new(mut scores: Vec<Vec<f64>>, kept: &[usize], labels: &[usize], classes: usize) -> Self {
+        for s in &mut scores {
+            for (k, &row) in kept.iter().enumerate() {
+                s.copy_within(row * classes..(row + 1) * classes, k * classes);
             }
-            // The tile's granules; the last block's padding names none.
-            let granules = self.kept.get(
-                first / block * self.block_granules
-                    ..((first + len) / block * self.block_granules).min(self.kept.len()),
-            );
-            let granules = granules.unwrap_or(&[]);
-            // The coalition whose member-prefix sums the levels hold.
-            let mut stacked = 0u64;
-            for k in empties..coalitions.len() {
-                let mask = mask_at(k);
-                // The levels of the prefix shared with the stacked
-                // coalition stand; the other members go on top, and a
-                // level is written back while the next coalition shares it.
-                let shared = shared_prefix(mask, stacked);
-                let own = (shared | shared_prefix(mask, mask_at(k + 1))).count_ones() as usize;
-                let added = members
-                    .iter_mut()
-                    .zip(Members(mask ^ shared).filter_map(|j| scores.get(j)))
-                    .map(|(member, scores)| *member = scores)
-                    .count();
-                let depth = shared.count_ones() as usize;
-                Pass {
-                    members: members.get(..added).unwrap_or(&[]),
-                    levels: &mut *levels,
-                    tile,
-                    depth,
-                    own,
-                    inv: 1.0 / (depth + added) as f64,
+            s.truncate(kept.len() * classes);
+            s.shrink_to_fit();
+        }
+        let labels: Vec<usize> = kept.iter().map(|&row| labels[row]).collect();
+        let rivals = classes.saturating_sub(1).max(1);
+        let vectors = kept.len().div_ceil(SCREEN_ROWS) * rivals;
+        let mut thresholds = vec![[0.0f32; SCREEN_ROWS]; vectors];
+        let mut margins = vec![vec![-1.0f32; vectors * SCREEN_ROWS]; scores.len()];
+        for (k, &label) in labels.iter().enumerate() {
+            let row = k * classes..(k + 1) * classes;
+            let decided = classes > 1
+                && label < classes
+                && scores
+                    .iter()
+                    .all(|s| s[row.clone()].iter().all(|x| x.abs() <= SCREEN_MAX));
+            for rival in 0..rivals {
+                let vector = k / SCREEN_ROWS * rivals + rival;
+                let lane = k % SCREEN_ROWS;
+                let class = rival + usize::from(rival >= label);
+                let mut total = 0.0f64;
+                for (s, margins) in scores.iter().zip(&mut margins) {
+                    margins[vector * SCREEN_ROWS + lane] = if decided {
+                        let (a, b) = (s[row.start + label], s[row.start + class]);
+                        total += a.abs() + b.abs();
+                        (a - b) as f32
+                    } else {
+                        0.0
+                    };
                 }
-                .mean::<LANES>(mean);
-                stacked = mask;
-                let tally = self.utility.tally(granules, mean);
-                if let Some(value) = out.get_mut(slot(k)) {
-                    // Assigned, not added to 0.0: a `-0.0` utility survives.
-                    *value = if first == 0 { tally } else { *value + tally };
-                }
+                thresholds[vector][lane] = if decided {
+                    (total * SCREEN_RELATIVE + SCREEN_ABSOLUTE) as f32
+                } else {
+                    f32::INFINITY
+                };
             }
         }
+        Self {
+            margins,
+            thresholds,
+            rows: scores,
+            labels,
+            classes,
+            rivals,
+        }
+    }
+
+    /// Whether kept row `k`'s label is the first maximum of coalition
+    /// `mask`'s mean, decided in `f64`: the members' scores in ascending
+    /// order from `0.0`, times `inv` = `1/|S|`, into `row`.
+    fn exact_hit(&self, k: usize, mask: u64, inv: f64, row: &mut Vec<f64>) -> bool {
+        let classes = self.classes;
+        row.clear();
+        row.resize(classes, 0.0);
+        for j in Members(mask) {
+            let scores = self
+                .rows
+                .get(j)
+                .and_then(|s| s.get(k * classes..(k + 1) * classes));
+            for (sum, s) in row.iter_mut().zip(scores.unwrap_or(&[])) {
+                *sum += s;
+            }
+        }
+        for sum in row.iter_mut() {
+            *sum *= inv;
+        }
+        self.labels
+            .get(k)
+            .is_some_and(|&label| is_argmax(row, label))
     }
 }
 
@@ -465,133 +587,470 @@ impl Iterator for Members {
     }
 }
 
-/// One coalition's pass over one walk tile: the members it adds past the
+/// A lane element the walk sums: `f64` for means, `f32` for screened
+/// differences. `Default` is `+0.0`, the sum of no member.
+trait Lane: Copy + Default + Add<Output = Self> {}
+
+impl Lane for f64 {}
+
+impl Lane for f32 {}
+
+/// What a walk does with each coalition's sums.
+trait Visit<E> {
+    /// The tally of coalition `mask` over the tile of elements `first ..`,
+    /// whose sums `pass` yields a register group at a time.
+    fn coalition(&mut self, pass: &mut Pass<'_, E>, mask: u64, first: usize) -> f64;
+}
+
+/// Bytes of a walk tile's working set: that tile of every player's
+/// vector and of every level of partial sums. Half an L2 of the
+/// 2-MiB-a-core Xeon the benchmark runs on: `sharded_1k`'s second level
+/// (32 players, 1 248 screened differences) is one tile, so each
+/// coalition's set-up runs once; the 10 000-owner round's (64 players,
+/// 12 000) is six, which keeps the walk out of L3.
+const WALK_BYTES: usize = 1 << 20;
+
+/// One pre-order walk of the member trie over `vectors` (one per
+/// player, all one length) per tile of whole `unit`s of elements,
+/// leaving in `out` the sum of the tallies `visit` gives each non-empty
+/// coalition (module docs, "The member trie"). Inlined into [`Walk`]'s
+/// instantiations, `visit` with it.
+#[inline(always)]
+fn walk<E: Lane>(
+    vectors: &[Vec<E>],
+    unit: usize,
+    coalitions: &[Coalition],
+    out: &mut [f64],
+    levels: &mut Vec<E>,
+    visit: &mut impl Visit<E>,
+) {
+    // Trie pre-order; a batch that arrives in it (one coalition, an
+    // exact subtree, a prewarm run) is walked as it stands.
+    let mut order: Vec<usize> = Vec::new();
+    if !coalitions.is_sorted_by_key(|c| c.0.reverse_bits()) {
+        order = (0..coalitions.len()).collect();
+        order.sort_unstable_by_key(|&i| coalitions.get(i).map_or(0, |c| c.0.reverse_bits()));
+    }
+    // Levels 1 ..= deepest, each a tile long.
+    let deepest = coalitions.iter().map(Coalition::len).max().unwrap_or(0);
+    let stride = vectors.first().map_or(0, Vec::len);
+    let fit = WALK_BYTES / std::mem::size_of::<E>() / (vectors.len() + deepest) / unit.max(1);
+    let tile = (fit.max(1) * unit).clamp(1, stride.max(1));
+    levels.resize(levels.len().max(deepest * tile), E::default());
+
+    let slot = |k: usize| order.get(k).copied().unwrap_or(k);
+    let mask_at = |k: usize| coalitions.get(slot(k)).map_or(0, |c| c.0);
+    // Pre-order puts the empty coalitions first; they have no mean.
+    let empties = coalitions.iter().filter(|c| c.is_empty()).count();
+    let mut players: [&[E]; MAX_SAMPLED_PLAYERS] = [&[]; MAX_SAMPLED_PLAYERS];
+    let mut members = players;
+    for first in (0..stride).step_by(tile) {
+        let len = tile.min(stride - first);
+        for (player, vector) in players.iter_mut().zip(vectors) {
+            *player = vector.get(first..first + len).unwrap_or(&[]);
+        }
+        // The coalition whose member-prefix sums the levels hold.
+        let mut stacked = 0u64;
+        for k in empties..coalitions.len() {
+            let mask = mask_at(k);
+            // The levels of the prefix shared with the stacked coalition
+            // stand; the other members go on top, and a level is written
+            // back while the next coalition shares it.
+            let shared = shared_prefix(mask, stacked);
+            let own = (shared | shared_prefix(mask, mask_at(k + 1))).count_ones() as usize;
+            let added = members
+                .iter_mut()
+                .zip(Members(mask ^ shared).filter_map(|j| players.get(j)))
+                .map(|(member, vector)| *member = vector)
+                .count();
+            let mut pass = Pass {
+                members: members.get(..added).unwrap_or(&[]),
+                levels: &mut levels[..],
+                stride: len,
+                depth: shared.count_ones() as usize,
+                own,
+            };
+            let value = visit.coalition(&mut pass, mask, first);
+            stacked = mask;
+            if let Some(slot) = out.get_mut(slot(k)) {
+                // Assigned, not added to 0.0: a `-0.0` utility survives.
+                *slot = if first == 0 { value } else { *slot + value };
+            }
+        }
+    }
+}
+
+/// One coalition's pass over the vectors: the members it adds past the
 /// prefix it shares with the previous coalition, and the levels of
 /// partial sums it starts from and writes back (module docs, "The member
 /// trie").
-struct Pass<'p> {
-    /// The added members' scores from the tile's first element on,
-    /// ascending.
-    members: &'p [&'p [f64]],
-    /// Level `d` of the tile — the sum of the coalition's first `d`
-    /// members — at `(d − 1) · tile`; the zero level is not stored.
-    levels: &'p mut [f64],
-    tile: usize,
+struct Pass<'p, E> {
+    /// The added members' vectors, ascending.
+    members: &'p [&'p [E]],
+    /// Level `d` — the sum of the coalition's first `d` members — at
+    /// `(d − 1) · stride`; the zero level is not stored.
+    levels: &'p mut [E],
+    /// Length of the tile and of a level.
+    stride: usize,
     /// Members in the shared prefix: the level the sums start from.
     depth: usize,
     /// Deepest level the next coalition reads: the levels up to it are
     /// written back, the ones past it never leave the registers.
     own: usize,
-    /// `1/|S|`.
-    inv: f64,
 }
 
-impl Pass<'_> {
-    /// The coalition's mean over the tile, into `mean`: groups of eight
-    /// `L`-lane vectors, then single vectors for what is left of the
-    /// tile's whole blocks, then single elements for a vector the utility
-    /// scores whole.
+impl<E: Lane> Pass<'_, E> {
+    /// The coalition's sums over elements `at ..`, `R` vectors of `W`
+    /// lanes, held in registers from the shared level through the last
+    /// member: each member added in ascending order, the levels the next
+    /// coalition reads written back.
     #[inline(always)]
-    fn mean<const L: usize>(&mut self, mean: &mut [f64]) {
-        let mut done = 0;
-        while mean.len() - done >= 8 * L {
-            done += self.group::<L, 8>(mean, done);
-        }
-        while mean.len() - done >= L {
-            done += self.group::<L, 1>(mean, done);
-        }
-        while done < mean.len() {
-            done += self.group::<1, 1>(mean, done);
-        }
-    }
-
-    /// Tile elements `at ..`, `R` vectors of `L` lanes, held in registers
-    /// from the shared level through the last member: each member added
-    /// in ascending order, the levels the next coalition reads written
-    /// back, then the product with `1/|S|` stored into `mean`. Returns the
-    /// elements done, `R · L`.
-    #[inline(always)]
-    fn group<const L: usize, const R: usize>(&mut self, mean: &mut [f64], at: usize) -> usize {
-        let tile = self.tile;
-        let mut sum = [[0.0; L]; R];
+    fn group<const W: usize, const R: usize>(&mut self, at: usize) -> [[E; W]; R] {
+        let stride = self.stride;
+        let mut sum = [[E::default(); W]; R];
         if let Some(level) = self.depth.checked_sub(1) {
-            if let Some(base) = vectors::<L, R>(self.levels, level * tile + at) {
+            if let Some(base) = vectors::<E, W, R>(self.levels, level * stride + at) {
                 sum = *base;
             }
         }
         let writes = self.own.saturating_sub(self.depth).min(self.members.len());
         let (written, rest) = self.members.split_at(writes);
         for (level, member) in (self.depth..).zip(written) {
-            add(&mut sum, vectors::<L, R>(member, at));
-            if let Some(stored) = vectors_mut::<L, R>(self.levels, level * tile + at) {
+            add(&mut sum, vectors::<E, W, R>(member, at));
+            if let Some(stored) = vectors_mut::<E, W, R>(self.levels, level * stride + at) {
                 *stored = sum;
             }
         }
         for member in rest {
-            add(&mut sum, vectors::<L, R>(member, at));
+            add(&mut sum, vectors::<E, W, R>(member, at));
         }
-        if let Some(out) = vectors_mut::<L, R>(mean, at) {
-            for (out, sum) in out.iter_mut().zip(&sum) {
-                for (out, sum) in out.iter_mut().zip(sum) {
-                    *out = sum * self.inv;
-                }
-            }
-        }
-        R * L
+        sum
     }
 }
 
-/// `R` vectors of `L` lanes of `v` from element `at` on.
+/// `R` vectors of `W` lanes of `v` from element `at` on.
 #[inline(always)]
-fn vectors<const L: usize, const R: usize>(v: &[f64], at: usize) -> Option<&[[f64; L]; R]> {
-    v.get(at..)?.as_chunks::<L>().0.first_chunk::<R>()
+fn vectors<E, const W: usize, const R: usize>(v: &[E], at: usize) -> Option<&[[E; W]; R]> {
+    v.get(at..)?.as_chunks::<W>().0.first_chunk::<R>()
 }
 
 /// [`vectors`], writable.
 #[inline(always)]
-fn vectors_mut<const L: usize, const R: usize>(
-    v: &mut [f64],
+fn vectors_mut<E, const W: usize, const R: usize>(
+    v: &mut [E],
     at: usize,
-) -> Option<&mut [[f64; L]; R]> {
+) -> Option<&mut [[E; W]; R]> {
     v.get_mut(at..)?
-        .as_chunks_mut::<L>()
+        .as_chunks_mut::<W>()
         .0
         .first_chunk_mut::<R>()
 }
 
-/// `sum += member`, lane by lane.
+/// `sum += member`, lane by lane. Spelled as a new group, not as adds
+/// into `sum` in place: past 64 lanes LLVM keeps the group in registers
+/// only in this form, and leaves the in-place one scalar, through the
+/// stack.
 #[inline(always)]
-fn add<const L: usize, const R: usize>(sum: &mut [[f64; L]; R], member: Option<&[[f64; L]; R]>) {
+fn add<E: Lane, const W: usize, const R: usize>(
+    sum: &mut [[E; W]; R],
+    member: Option<&[[E; W]; R]>,
+) {
     if let Some(member) = member {
-        for (sum, member) in sum.iter_mut().zip(member) {
-            for (sum, member) in sum.iter_mut().zip(member) {
-                *sum += member;
+        let mut next = [[E::default(); W]; R];
+        for ((next, sum), member) in next.iter_mut().zip(sum.iter()).zip(member) {
+            for ((next, sum), member) in next.iter_mut().zip(sum).zip(member) {
+                *next = *sum + *member;
             }
+        }
+        *sum = next;
+    }
+}
+
+/// An unlabelled utility's visit: each group's sums scaled by `1/|S|`
+/// into the mean, groups of eight `L`-lane vectors, then single vectors,
+/// then single elements for a vector the utility scores whole; the
+/// utility's tally of the mean.
+struct Scale<'s, U, const L: usize> {
+    utility: &'s U,
+    /// The kept granules' indices.
+    kept: &'s [usize],
+    /// Elements and granules per block.
+    block: usize,
+    block_granules: usize,
+    /// A tile's mean, at least a tile long.
+    mean: &'s mut [f64],
+}
+
+impl<U: ModelUtility, const L: usize> Visit<f64> for Scale<'_, U, L> {
+    #[inline(always)]
+    fn coalition(&mut self, pass: &mut Pass<'_, f64>, mask: u64, first: usize) -> f64 {
+        let inv = 1.0 / f64::from(mask.count_ones());
+        let len = pass.stride;
+        let mean = self.mean.get_mut(..len).unwrap_or(&mut []);
+        let mut done = 0;
+        while len - done >= 8 * L {
+            done += scale::<L, 8>(pass, mean, done, inv);
+        }
+        while len - done >= L {
+            done += scale::<L, 1>(pass, mean, done, inv);
+        }
+        while done < len {
+            done += scale::<1, 1>(pass, mean, done, inv);
+        }
+        // The tile's granules; the last block's padding names none.
+        let (from, to) = (first / self.block, (first + len) / self.block);
+        let granules = self
+            .kept
+            .get(from * self.block_granules..(to * self.block_granules).min(self.kept.len()));
+        self.utility.tally(granules.unwrap_or(&[]), mean)
+    }
+}
+
+/// One register group of a mean: the sums of elements `at ..` times
+/// `inv`, into `mean`. Returns the elements done, `R · L`.
+#[inline(always)]
+fn scale<const L: usize, const R: usize>(
+    pass: &mut Pass<'_, f64>,
+    mean: &mut [f64],
+    at: usize,
+    inv: f64,
+) -> usize {
+    let sum = pass.group::<L, R>(at);
+    if let Some(out) = vectors_mut::<f64, L, R>(mean, at) {
+        for (out, sum) in out.iter_mut().zip(&sum) {
+            for (out, sum) in out.iter_mut().zip(sum) {
+                *out = sum * inv;
+            }
+        }
+    }
+    R * L
+}
+
+/// A labelled utility's visit (module docs, "The label screen"): each
+/// group of `R` difference vectors screened against its thresholds, then
+/// the undecided rows decided exactly; the coalition's hit count.
+struct Screen<'s, const R: usize> {
+    margins: &'s Margins,
+    unsure: &'s mut Vec<(usize, u16)>,
+    row: &'s mut Vec<f64>,
+}
+
+impl<const R: usize> Visit<f32> for Screen<'_, R> {
+    #[inline(always)]
+    fn coalition(&mut self, pass: &mut Pass<'_, f32>, mask: u64, first: usize) -> f64 {
+        let margins = self.margins;
+        // The tile's vectors: whole blocks of every rival.
+        let (base, vectors) = (first / SCREEN_ROWS, pass.stride / SCREEN_ROWS);
+        let thresholds = margins.thresholds.get(base..).unwrap_or(&[]);
+        let mut tally = Tally::new(margins.rivals, base / margins.rivals);
+        self.unsure.clear();
+        let mut v = 0;
+        while vectors - v >= R {
+            v = self.screen::<R>(pass, &mut tally, thresholds, v);
+        }
+        while vectors - v >= 4 {
+            v = self.screen::<4>(pass, &mut tally, thresholds, v);
+        }
+        while v < vectors {
+            v = self.screen::<1>(pass, &mut tally, thresholds, v);
+        }
+        let inv = 1.0 / f64::from(mask.count_ones());
+        let mut hits = tally.hits();
+        for &(block, lanes) in self.unsure.iter() {
+            for lane in Members(u64::from(lanes)) {
+                let k = block * SCREEN_ROWS + lane;
+                hits += usize::from(margins.exact_hit(k, mask, inv, self.row));
+            }
+        }
+        hits as f64
+    }
+}
+
+impl<const R: usize> Screen<'_, R> {
+    /// Screens the tile's `G` difference vectors from vector `v` on
+    /// against their `thresholds`; returns the vector after them.
+    #[inline(always)]
+    fn screen<const G: usize>(
+        &mut self,
+        pass: &mut Pass<'_, f32>,
+        tally: &mut Tally,
+        thresholds: &[[f32; SCREEN_ROWS]],
+        v: usize,
+    ) -> usize {
+        for (sum, v) in pass
+            .group::<SCREEN_ROWS, G>(v * SCREEN_ROWS)
+            .iter()
+            .zip(v..)
+        {
+            tally.take(sum, thresholds.get(v), self.unsure);
+        }
+        v + G
+    }
+}
+
+/// A screened coalition's running count: per lane of the block at hand,
+/// `1` while the row's sums on every rival so far exceed their
+/// thresholds, and `1` once one sum is below its negated threshold —
+/// lane-wise integers, which LLVM keeps in vector registers where a bit
+/// mask per compare would leave the compares scalar.
+struct Tally {
+    rivals: usize,
+    /// The next vector's rival and block.
+    rival: usize,
+    block: usize,
+    above: [u32; SCREEN_ROWS],
+    below: [u32; SCREEN_ROWS],
+    /// Per lane, the rows screened hits in the finished blocks.
+    hits: [u32; SCREEN_ROWS],
+}
+
+impl Tally {
+    /// The count of a tile whose first block is `block`.
+    #[inline(always)]
+    fn new(rivals: usize, block: usize) -> Self {
+        Self {
+            rivals,
+            rival: 0,
+            block,
+            above: [1; SCREEN_ROWS],
+            below: [0; SCREEN_ROWS],
+            hits: [0; SCREEN_ROWS],
+        }
+    }
+
+    /// The rows screened hits. A loop, not a closure: a closure the
+    /// walk does not inline would pin the count in memory.
+    #[inline(always)]
+    fn hits(&self) -> usize {
+        let mut hits = 0;
+        for lane in self.hits {
+            hits += lane as usize;
+        }
+        hits
+    }
+
+    /// Screens the next vector of sums against `thresholds` (none: every
+    /// row stays open); at a block's last rival, counts its hits and
+    /// files its open rows in `unsure` as a lane mask.
+    #[inline(always)]
+    fn take(
+        &mut self,
+        sums: &[f32; SCREEN_ROWS],
+        thresholds: Option<&[f32; SCREEN_ROWS]>,
+        unsure: &mut Vec<(usize, u16)>,
+    ) {
+        let thresholds = thresholds.unwrap_or(&[f32::INFINITY; SCREEN_ROWS]);
+        // New arrays, not updates in place, as in `add`.
+        let (mut above, mut below) = ([0; SCREEN_ROWS], [0; SCREEN_ROWS]);
+        for lane in 0..SCREEN_ROWS {
+            above[lane] = self.above[lane] & u32::from(sums[lane] > thresholds[lane]);
+            below[lane] = self.below[lane] | u32::from(sums[lane] < -thresholds[lane]);
+        }
+        (self.above, self.below) = (above, below);
+        self.rival += 1;
+        if self.rival == self.rivals {
+            let mut open = false;
+            let mut hits = [0; SCREEN_ROWS];
+            for lane in 0..SCREEN_ROWS {
+                hits[lane] = self.hits[lane] + above[lane];
+                open |= above[lane] | below[lane] == 0;
+            }
+            self.hits = hits;
+            if open {
+                unsure.push((self.block, open_lanes(self.above, self.below)));
+            }
+            self.block += 1;
+            self.rival = 0;
+            self.above = [1; SCREEN_ROWS];
+            self.below = [0; SCREEN_ROWS];
         }
     }
 }
 
+/// The lanes of a block that the screen left open, as a bit mask. Out
+/// of line, and handed the lanes by value: the walk's running count then
+/// never leaves the registers.
+#[inline(never)]
+fn open_lanes(above: [u32; SCREEN_ROWS], below: [u32; SCREEN_ROWS]) -> u16 {
+    (0..SCREEN_ROWS)
+        .filter(|&lane| above[lane] | below[lane] == 0)
+        .fold(0, |open, lane| open | 1 << lane)
+}
+
 /// A batch's walk as a [`Kernel`]: [`numeric::isa`] compiles it once per
-/// instantiation, so the adds, the scale and the utility's tally run in
-/// the CPU's widest vectors.
+/// instantiation, so the adds, the scale or the screen, and an
+/// unlabelled utility's tally run in the CPU's widest vectors.
 struct Walk<'w, 'a, U> {
     game: &'w GroupModelGame<'a, U>,
     coalitions: &'w [Coalition],
     out: &'w mut [f64],
-    scratch: &'w mut Vec<f64>,
+    scratch: &'w mut Scratch,
 }
 
 impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
     #[inline(always)]
     fn run<const LANES: usize>(self) {
-        self.game
-            .walk::<LANES>(self.coalitions, self.out, self.scratch);
+        let Self {
+            game,
+            coalitions,
+            out,
+            scratch,
+        } = self;
+        match &game.lanes {
+            Lanes::Means {
+                scores,
+                block,
+                block_granules,
+                ..
+            } => {
+                scratch.mean.resize(game.len(), 0.0);
+                let mut visit = Scale::<U, LANES> {
+                    utility: game.utility,
+                    kept: &game.kept,
+                    block: *block,
+                    block_granules: *block_granules,
+                    mean: &mut scratch.mean,
+                };
+                let levels = &mut scratch.sums;
+                walk(scores, *block, coalitions, out, levels, &mut visit);
+            }
+            // Twelve registers of sums: 16-lane vectors, one zmm each,
+            // two ymm or four xmm.
+            Lanes::Margins(margins) => match LANES {
+                8 => screen_walk::<12>(margins, coalitions, out, scratch),
+                4 => screen_walk::<6>(margins, coalitions, out, scratch),
+                _ => screen_walk::<3>(margins, coalitions, out, scratch),
+            },
+        }
     }
+}
+
+/// The screened walk in register groups of `R` difference vectors.
+#[inline(always)]
+fn screen_walk<const R: usize>(
+    margins: &Margins,
+    coalitions: &[Coalition],
+    out: &mut [f64],
+    scratch: &mut Scratch,
+) {
+    let mut visit = Screen::<R> {
+        margins,
+        unsure: &mut scratch.unsure,
+        row: &mut scratch.row,
+    };
+    walk(
+        &margins.margins,
+        margins.rivals * SCREEN_ROWS,
+        coalitions,
+        out,
+        &mut scratch.margins,
+        &mut visit,
+    );
 }
 
 impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
     fn num_players(&self) -> usize {
-        self.scores.len()
+        self.players
     }
 
     fn evaluate(&self, coalition: Coalition) -> f64 {
@@ -607,9 +1066,15 @@ impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
     }
 
     /// A mean over about `m / 2` members' scores, its scaling and the
-    /// utility's pass over it, in kept elements (padding lanes are free).
+    /// utility's pass over it, in kept elements (padding lanes are free);
+    /// a screened difference is half an element (an `f32` lane is half
+    /// an `f64` one), and the exact decisions are rare enough to be free.
     fn eval_flops(&self) -> usize {
-        self.dim * (self.scores.len() / 2 + 2)
+        let per_element = self.players / 2 + 2;
+        match &self.lanes {
+            Lanes::Means { dim, .. } => dim * per_element,
+            Lanes::Margins(margins) => margins.labels.len() * margins.rivals * per_element / 2,
+        }
     }
 }
 
@@ -621,13 +1086,12 @@ fn shared_prefix(a: u64, b: u64) -> u64 {
 
 /// Asks `utility` for each granule of `scores` (one vector per group)
 /// whether every coalition tallies it alike (module docs, "Settled
-/// granules"), then lays each vector's other granules out in lane blocks
-/// (module docs, "Lane blocks"), one vector at a time. Returns the
-/// answered tallies summed in granule order — `None` when there are none
-/// — and the indices of the kept granules, ascending.
+/// granules"). Returns the answered tallies summed in granule order —
+/// `None` when there are none — and the indices of the other granules,
+/// ascending.
 fn settle<U: ModelUtility>(
     utility: &U,
-    scores: &mut [Vec<f64>],
+    scores: &[Vec<f64>],
     granule: usize,
 ) -> (Option<f64>, Vec<usize>) {
     let full = scores[0].len();
@@ -642,8 +1106,15 @@ fn settle<U: ModelUtility>(
             None => kept.push(index),
         }
     }
+    (settled, kept)
+}
+
+/// Lays each vector's `kept` granules out in lane blocks (module docs,
+/// "The member trie"), one vector at a time, so no second copy of the
+/// scores stays alive.
+fn lane_blocks(mut scores: Vec<Vec<f64>>, kept: &[usize], granule: usize) -> Vec<Vec<f64>> {
     let stride = BLOCK_ROWS * granule;
-    for s in scores.iter_mut() {
+    for s in &mut scores {
         let mut blocks = vec![0.0; kept.len().div_ceil(BLOCK_ROWS) * stride];
         for (k, &index) in kept.iter().enumerate() {
             let row = &s[index * granule..(index + 1) * granule];
@@ -654,7 +1125,7 @@ fn settle<U: ModelUtility>(
         }
         *s = blocks;
     }
-    (settled, kept)
+    scores
 }
 
 /// Largest score magnitude [`argmax_settled`] reads: 2^1000, so no sum
@@ -1047,8 +1518,7 @@ mod tests {
         let utility = Stretched { len: 11_240 };
         let models: Vec<Vec<f64>> = (0..MAX_PLAYERS).map(|j| vec![j as f64]).collect();
         let game = GroupModelGame::new(&models, &utility);
-        assert_eq!(game.scores.len(), MAX_PLAYERS);
-        assert!(game.scores.iter().all(|s| s.len() == 11_240));
+        assert_eq!((game.players, game.len()), (MAX_PLAYERS, 11_240));
         assert_eq!(game.evaluate(Coalition::from_members(&[4, 24])), 14.0);
         assert_eq!(game.evaluate(Coalition::EMPTY), 0.0);
     }
@@ -1070,7 +1540,7 @@ mod tests {
         v.chunks(classes).map(<[f64]>::to_vec).enumerate().collect()
     }
 
-    /// The rows of a tile of lane blocks (module docs, "Lane blocks"),
+    /// The rows of a tile of lane blocks (module docs, "The member trie"),
     /// each with its granule index; the padding lanes must hold `0.0`.
     fn lane_rows(granules: &[usize], classes: usize, tile: &[f64]) -> Vec<(usize, Vec<f64>)> {
         let stride = BLOCK_ROWS * classes;
@@ -1300,12 +1770,15 @@ mod tests {
     }
 
     /// Argmax hits against a label per row — the shape of the contract's
-    /// accuracy utility: counts, so it settles rows, and its tally is the
-    /// contract's lane count ([`numeric::stats::block_hits`]) while
-    /// `of_model` checks row by row.
+    /// accuracy utility: counts, so it settles rows. Labelled, the game
+    /// counts its hits through the label screen; unlabelled, it tallies
+    /// the rows of its lane blocks ([`lane_rows`]). `of_model` checks row
+    /// by row.
+    #[derive(Clone)]
     struct Hits {
         classes: usize,
         labels: Vec<usize>,
+        labelled: bool,
     }
 
     impl ModelUtility for Hits {
@@ -1323,24 +1796,19 @@ mod tests {
             Some(self.classes)
         }
 
-        #[inline(always)]
         fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-            let stride = BLOCK_ROWS * self.classes;
-            assert_eq!(
-                granules.len().div_ceil(BLOCK_ROWS) * stride,
-                mean_block.len()
-            );
-            let hits = numeric::stats::block_hits(mean_block, self.classes, |b| {
-                std::array::from_fn(|lane| {
-                    let row = granules.get(b * BLOCK_ROWS + lane);
-                    row.map_or(-1.0, |&g| self.labels[g] as f64)
-                })
-            });
-            hits as f64
+            let rows = lane_rows(granules, self.classes, mean_block);
+            rows.iter()
+                .filter(|(g, row)| numeric::stats::is_argmax(row, self.labels[*g]))
+                .count() as f64
         }
 
         fn settled(&self, granule: usize, members: &[&[f64]]) -> Option<f64> {
             argmax_settled(members, self.labels[granule]).map(f64::from)
+        }
+
+        fn labels(&self) -> Option<&[usize]> {
+            self.labelled.then_some(&self.labels)
         }
     }
 
@@ -1474,13 +1942,15 @@ mod tests {
                 }
             }
         }
-        (Hits { classes, labels }, models)
-    }
-
-    /// Most elements one walk tile holds in a game of `m` players whose
-    /// deepest coalition has all `m`.
-    fn tile_dim(m: usize) -> usize {
-        WALK_BYTES / std::mem::size_of::<f64>() / (2 * m)
+        let labelled = false;
+        (
+            Hits {
+                classes,
+                labels,
+                labelled,
+            },
+            models,
+        )
     }
 
     /// Both games value every coalition of `batch` to the bit, batched
@@ -1509,9 +1979,13 @@ mod tests {
             .flat_map(|&label| (0..3).map(move |c| f64::from(u8::from(c == label))))
             .collect();
         let models = vec![model; 4];
-        let utility = Hits { classes: 3, labels };
+        let utility = Hits {
+            classes: 3,
+            labels,
+            labelled: false,
+        };
         let game = GroupModelGame::new(&models, &utility);
-        assert_eq!((game.dim, game.settled), (0, Some(30.0)));
+        assert_eq!((game.kept.len(), game.settled), (0, Some(30.0)));
         assert_eq!(game.eval_flops(), 0);
         let bare = Unsettled(&utility);
         let plain = GroupModelGame::new(&models, &bare);
@@ -1633,103 +2107,131 @@ mod tests {
         use crate::utility::utility_fn;
         let _cap = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
         let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let (mut games, mut partly) = (0usize, 0usize);
-        for m in [1usize, 4, 9, 32] {
-            for rows in [1usize, 7, 8, 9, 15, 16, 17, 410] {
-                // The second level of a sharded round is 32 × 410 × 4.
-                for classes in [4usize, 10].into_iter().take(if m < 32 { 2 } else { 1 }) {
-                    let seed = (m * 1_000 + rows * 10 + classes) as u64;
-                    let (utility, models) = near_ties(m, rows, classes, seed);
-                    let game = GroupModelGame::new(&models, &utility);
-                    games += 1;
-                    partly += usize::from(game.settled.is_some() && game.dim > 0);
-                    let mut batch: Vec<Coalition> = if m <= 9 {
-                        Coalition::powerset(m).collect()
-                    } else {
-                        let draws: Vec<u64> = (0..300u64)
-                            .map(|i| seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                            .collect();
-                        random_batch(m, &draws, false)
-                    };
-                    if m >= 4 {
-                        batch.extend(prefix_batches(m).into_iter().flat_map(|(_, b)| b));
-                    }
-                    let settled = settled_rows(&utility, &models);
-                    let oracle = |c: Coalition| hits_oracle(&utility, &models, &settled, c);
-                    let want: Vec<f64> = batch.iter().map(|&c| oracle(c)).collect();
-                    let what = format!("m {m}, {rows} rows x {classes}");
-                    assert_walk_in_every_isa(&game, &batch, &want, &what);
-                    if m >= 4 && rows == 410 {
-                        // Each prefix shape alone, in trie order and not.
-                        for (shape, mut batch) in prefix_batches(m) {
-                            for _ in 0..2 {
-                                let want: Vec<f64> = batch.iter().map(|&c| oracle(c)).collect();
-                                assert_walk_in_every_isa(&game, &batch, &want, shape);
-                                batch.sort_unstable_by_key(|c| c.0.reverse_bits());
+        // Unlabelled, the walk tallies lane blocks; labelled, it screens.
+        for labelled in [false, true] {
+            let (mut games, mut partly) = (0usize, 0usize);
+            for m in [1usize, 4, 9, 32] {
+                for rows in [1usize, 7, 8, 9, 15, 16, 17, 410] {
+                    // The second level of a sharded round is 32 × 410 × 4.
+                    for classes in [4usize, 10].into_iter().take(if m < 32 { 2 } else { 1 }) {
+                        let seed = (m * 1_000 + rows * 10 + classes) as u64;
+                        let (utility, models) = near_ties(m, rows, classes, seed);
+                        let utility = Hits {
+                            labelled,
+                            ..utility
+                        };
+                        let game = GroupModelGame::new(&models, &utility);
+                        games += 1;
+                        partly += usize::from(game.settled.is_some() && !game.kept.is_empty());
+                        let mut batch: Vec<Coalition> = if m <= 9 {
+                            Coalition::powerset(m).collect()
+                        } else {
+                            let draws: Vec<u64> = (0..300u64)
+                                .map(|i| seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                                .collect();
+                            random_batch(m, &draws, false)
+                        };
+                        if m >= 4 {
+                            batch.extend(prefix_batches(m).into_iter().flat_map(|(_, b)| b));
+                        }
+                        let settled = settled_rows(&utility, &models);
+                        let oracle = |c: Coalition| hits_oracle(&utility, &models, &settled, c);
+                        let want: Vec<f64> = batch.iter().map(|&c| oracle(c)).collect();
+                        let what = format!("m {m}, {rows} rows x {classes}, labelled {labelled}");
+                        assert_walk_in_every_isa(&game, &batch, &want, &what);
+                        if m >= 4 && rows == 410 {
+                            // Each prefix shape alone, in trie order and not.
+                            for (shape, mut batch) in prefix_batches(m) {
+                                for _ in 0..2 {
+                                    let want: Vec<f64> = batch.iter().map(|&c| oracle(c)).collect();
+                                    assert_walk_in_every_isa(&game, &batch, &want, shape);
+                                    batch.sort_unstable_by_key(|c| c.0.reverse_bits());
+                                }
                             }
                         }
-                    }
-                    // The estimators over the game and over the oracle.
-                    let oracle = utility_fn(m, oracle);
-                    for cap in [1usize, 2] {
-                        par::set_max_threads(cap);
-                        if m <= 9 {
-                            let (got, want) = (Exact.estimate(&game), Exact.estimate(&oracle));
-                            assert_eq!(bits(&got.values), bits(&want.values), "cap {cap}, m {m}");
-                        } else {
-                            let stratified = Stratified {
-                                config: StratifiedConfig {
-                                    samples_per_stratum: 1,
-                                    seed,
-                                },
-                            };
-                            let got = stratified.estimate(&game);
-                            let want = stratified.estimate(&oracle);
-                            assert_eq!(bits(&got.values), bits(&want.values), "cap {cap}, m {m}");
+                        // The estimators over the game and over the oracle.
+                        let oracle = utility_fn(m, oracle);
+                        for cap in [1usize, 2] {
+                            par::set_max_threads(cap);
+                            if m <= 9 {
+                                let (got, want) = (Exact.estimate(&game), Exact.estimate(&oracle));
+                                assert_eq!(
+                                    bits(&got.values),
+                                    bits(&want.values),
+                                    "cap {cap}, m {m}"
+                                );
+                            } else {
+                                let stratified = Stratified {
+                                    config: StratifiedConfig {
+                                        samples_per_stratum: 1,
+                                        seed,
+                                    },
+                                };
+                                let got = stratified.estimate(&game);
+                                let want = stratified.estimate(&oracle);
+                                assert_eq!(
+                                    bits(&got.values),
+                                    bits(&want.values),
+                                    "cap {cap}, m {m}"
+                                );
+                            }
                         }
                     }
                 }
             }
-        }
-        par::set_max_threads(0);
-        assert!(
-            partly * 2 >= games,
-            "{partly} of {games} games partly settled"
-        );
+            par::set_max_threads(0);
+            assert!(
+                partly * 2 >= games,
+                "{partly} of {games} games partly settled"
+            );
 
-        // Every class count the tally compiles (2–16) and the one past
-        // it (17, checked row by row), at every last-block width.
-        for classes in 2..=17usize {
-            for rows in [1usize, 7, 8, 9, 15, 16, 17, 410] {
-                let seed = (rows * 100 + classes) as u64;
-                let (utility, models) = near_ties(4, rows, classes, seed);
-                let game = GroupModelGame::new(&models, &utility);
-                let mut batch: Vec<Coalition> = Coalition::powerset(4).collect();
-                batch.extend(prefix_batches(4).into_iter().flat_map(|(_, b)| b));
-                let settled = settled_rows(&utility, &models);
-                let want: Vec<f64> = batch
-                    .iter()
-                    .map(|&c| hits_oracle(&utility, &models, &settled, c))
-                    .collect();
-                assert_walk_in_every_isa(&game, &batch, &want, &format!("{rows} rows x {classes}"));
+            // Every class count the tally compiles (2–16) and the one past
+            // it (17, checked row by row), at every last-block width.
+            for classes in 2..=17usize {
+                for rows in [1usize, 7, 8, 9, 15, 16, 17, 410] {
+                    let seed = (rows * 100 + classes) as u64;
+                    let (utility, models) = near_ties(4, rows, classes, seed);
+                    let utility = Hits {
+                        labelled,
+                        ..utility
+                    };
+                    let game = GroupModelGame::new(&models, &utility);
+                    let mut batch: Vec<Coalition> = Coalition::powerset(4).collect();
+                    batch.extend(prefix_batches(4).into_iter().flat_map(|(_, b)| b));
+                    let settled = settled_rows(&utility, &models);
+                    let want: Vec<f64> = batch
+                        .iter()
+                        .map(|&c| hits_oracle(&utility, &models, &settled, c))
+                        .collect();
+                    assert_walk_in_every_isa(
+                        &game,
+                        &batch,
+                        &want,
+                        &format!("{rows} rows x {classes}"),
+                    );
+                }
             }
-        }
 
-        // Every one of 64 players in one coalition.
-        let (utility, models) = near_ties(64, 17, 4, 64);
-        let game = GroupModelGame::new(&models, &utility);
-        let draws: Vec<u64> = (0..200u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .collect();
-        let mut batch = random_batch(64, &draws, false);
-        batch.extend(prefix_batches(64).into_iter().flat_map(|(_, b)| b));
-        let settled = settled_rows(&utility, &models);
-        let want: Vec<f64> = batch
-            .iter()
-            .map(|&c| hits_oracle(&utility, &models, &settled, c))
-            .collect();
-        assert!(batch.contains(&Coalition::grand(64)));
-        assert_walk_in_every_isa(&game, &batch, &want, "m 64");
+            // Every one of 64 players in one coalition.
+            let (utility, models) = near_ties(64, 17, 4, 64);
+            let utility = Hits {
+                labelled,
+                ..utility
+            };
+            let game = GroupModelGame::new(&models, &utility);
+            let draws: Vec<u64> = (0..200u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            let mut batch = random_batch(64, &draws, false);
+            batch.extend(prefix_batches(64).into_iter().flat_map(|(_, b)| b));
+            let settled = settled_rows(&utility, &models);
+            let want: Vec<f64> = batch
+                .iter()
+                .map(|&c| hits_oracle(&utility, &models, &settled, c))
+                .collect();
+            assert!(batch.contains(&Coalition::grand(64)));
+            assert_walk_in_every_isa(&game, &batch, &want, "m 64");
+        }
     }
 
     proptest! {
@@ -1747,8 +2249,9 @@ mod tests {
             let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let (mut games, mut engaged) = (0usize, 0usize);
             for m in 1..=12usize {
-                // One game inside one walk tile, one past it.
-                let fit = tile_dim(m) / classes;
+                // One game inside one register group of the walk, one
+                // past a screen's.
+                let fit = 12 * SCREEN_ROWS;
                 let pick = draws[m % draws.len()] as usize;
                 for rows in [4 + pick % 20, fit + 1 + pick % 5] {
                     let (utility, models) = near_ties(m, rows, classes, seed ^ (m * rows) as u64);
@@ -1862,6 +2365,294 @@ mod tests {
                     }
                 }
                 prop_assert!(seen.iter().all(|&s| s));
+            }
+        }
+    }
+
+    /// `m` score vectors of `rows` labelled rows of `classes` scores,
+    /// drawn for the label screen at a random scale: per row, members
+    /// that disagree on the label by up to two units; near ties inside
+    /// the screen's threshold; differences whose sum over the grand
+    /// coalition cancels to a few `f32` ulps of its terms; `±0.0` label
+    /// and rival; subnormal scores; scores past 2^100, which the screen
+    /// leaves to the exact decision; a NaN or an infinity in one member;
+    /// or the label a unit ahead in every member, which settles — every
+    /// row, when `settle_all`.
+    fn screen_rows(
+        m: usize,
+        rows: usize,
+        classes: usize,
+        seed: u64,
+        settle_all: bool,
+    ) -> (Hits, Vec<Vec<f64>>) {
+        let mut state = seed;
+        let mut next = move || crate::rng::stream_next(&mut state);
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0;
+        let mut state = !seed;
+        let mut pick = move |n: usize| (crate::rng::stream_next(&mut state) % n as u64) as usize;
+        let mut labels: Vec<usize> = (0..rows).map(|_| pick(classes)).collect();
+        let mut models = vec![vec![0.0f64; rows * classes]; m];
+        for r in 0..rows {
+            let label = labels[r];
+            // Row 0 always ties: the screen leaves it open.
+            let kind = match (settle_all, r) {
+                (true, _) => 7,
+                (false, 0) => 1,
+                _ => pick(8),
+            };
+            let scale = match kind {
+                4 => pow2(-1_070),
+                5 => pow2(101 + pick(10) as i32),
+                _ => pow2(pick(40) as i32 - 20),
+            };
+            let rival = (label + 1 + pick(classes - 1)) % classes;
+            let odd = pick(m);
+            let special = [f64::NAN, f64::INFINITY, -f64::INFINITY][pick(3)];
+            let mut cancel = 0.0f64;
+            for (j, model) in models.iter_mut().enumerate() {
+                let row = &mut model[r * classes..(r + 1) * classes];
+                for s in row.iter_mut() {
+                    *s = unit() * scale;
+                }
+                let top = (0..classes)
+                    .filter(|&c| c != label)
+                    .map(|c| row[c])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                match kind {
+                    // Disagreeing members, also past 2^100 and subnormal.
+                    0 | 4 | 5 => row[label] = top + 2.0 * unit() * scale,
+                    // Near ties: a relative 2^-20 either way, or exact.
+                    1 => {
+                        row[label] = match pick(3) {
+                            0 => top,
+                            _ => top + top.abs() * unit() * pow2(-20),
+                        }
+                    }
+                    // The grand coalition's difference cancels.
+                    2 => {
+                        let d = if j + 1 < m {
+                            unit() * scale
+                        } else {
+                            -cancel + unit() * scale * pow2(-22)
+                        };
+                        cancel += d;
+                        row[label] = row[rival] + d;
+                    }
+                    3 => {
+                        (row[label], row[rival]) = if pick(2) == 0 {
+                            (0.0, -0.0)
+                        } else {
+                            (-0.0, 0.0)
+                        };
+                        for c in (0..classes).filter(|&c| c != label && c != rival) {
+                            row[c] = -scale;
+                        }
+                    }
+                    6 => {
+                        row[label] = top + scale;
+                        if j == odd {
+                            row[pick(classes)] = special;
+                        }
+                    }
+                    _ => row[label] = top + scale,
+                }
+            }
+            // A label that is no class: never a hit.
+            if kind == 0 && pick(4) == 0 {
+                labels[r] = classes;
+            }
+        }
+        let labelled = true;
+        (
+            Hits {
+                classes,
+                labels,
+                labelled,
+            },
+            models,
+        )
+    }
+
+    /// Rows of kept row order the label screen leaves open for
+    /// `coalition`: its differences summed in `f32` in member order, as
+    /// the walk sums them, neither above every threshold nor below one.
+    fn screen_open_rows<U>(game: &GroupModelGame<'_, U>, coalition: Coalition) -> usize {
+        let Lanes::Margins(margins) = &game.lanes else {
+            return 0;
+        };
+        let thresholds = margins.thresholds.as_flattened();
+        (0..margins.labels.len())
+            .filter(|&k| {
+                let (mut above, mut below) = (true, false);
+                for rival in 0..margins.rivals {
+                    let at =
+                        (k / SCREEN_ROWS * margins.rivals + rival) * SCREEN_ROWS + k % SCREEN_ROWS;
+                    let sum = coalition
+                        .members()
+                        .fold(0.0f32, |sum, j| sum + margins.margins[j][at]);
+                    above &= sum > thresholds[at];
+                    below |= sum < -thresholds[at];
+                }
+                !above && !below
+            })
+            .count()
+    }
+
+    #[test]
+    fn screened_walk_spans_walk_tiles() {
+        // 64 players over 1 500 rows of 10 classes: 94 16-row blocks of
+        // nine differences, seven tiles once the grand coalition's levels
+        // join the players' vectors. Each row's scale is its own (2^-20
+        // to 2^20), and over the grand coalition its label and one rival
+        // cancel to 2^-23 of it, either way — inside the row's threshold,
+        // but not inside one of a row far smaller, so a tile screened
+        // against another tile's thresholds decides rows wrongly.
+        let (m, rows, classes) = (64usize, 1_500usize, 10usize);
+        let mut state = 41u64;
+        let mut unit =
+            move || (crate::rng::stream_next(&mut state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+        let labels: Vec<usize> = (0..rows).map(|r| r * 7 % classes).collect();
+        let mut models = vec![vec![0.0f64; rows * classes]; m];
+        for (r, &label) in labels.iter().enumerate() {
+            let scale = pow2((r % 41) as i32 - 20);
+            let rival = (label + 1 + r % (classes - 1)) % classes;
+            let mut cancel = 0.0f64;
+            for (j, model) in models.iter_mut().enumerate() {
+                let row = &mut model[r * classes..(r + 1) * classes];
+                row.fill(-4.0 * scale);
+                row[rival] = unit() * scale;
+                let d = if j + 1 < m {
+                    unit() * scale
+                } else {
+                    -cancel + scale * pow2(-23) * if r % 2 == 0 { 1.0 } else { -1.0 }
+                };
+                cancel += d;
+                row[label] = row[rival] + d;
+            }
+        }
+        let utility = Hits {
+            classes,
+            labels,
+            labelled: true,
+        };
+        let game = GroupModelGame::new(&models, &utility);
+        assert!(
+            game.len() * 4 * 128 > 2 * WALK_BYTES,
+            "{} elements",
+            game.len()
+        );
+        let draws: Vec<u64> = (0..40u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let mut batch = random_batch(m, &draws, false);
+        batch.extend(prefix_batches(m).into_iter().flat_map(|(_, b)| b));
+        let unsettled = vec![None; rows];
+        let want: Vec<f64> = batch
+            .iter()
+            .map(|&c| hits_oracle(&utility, &models, &unsettled, c))
+            .collect();
+        assert!(screen_open_rows(&game, Coalition::grand(m)) >= rows / 2);
+        assert_walk_in_every_isa(&game, &batch, &want, "tiles");
+    }
+
+    #[test]
+    fn screen_threshold_covers_rounding_accumulated_over_64_members() {
+        // Label 0 against a rival scored 0: the row's difference is the
+        // label's score. Member 0 holds 1, members 1–62 hold 1.25·2^-23,
+        // so each f32 add after the first rounds a quarter ulp away, and
+        // member 63 cancels the exact sum up to `t`·2^-25. The grand
+        // coalition's f32 sum then misses the true one by about 62·2^-25
+        // with the opposite sign for small `t`: a threshold below that
+        // (2^-16 of the scores' magnitudes divided by 32 or more)
+        // decides those rows wrongly.
+        let rows: Vec<i32> = (-20..=60).collect();
+        let small = 1.25 * pow2(-23);
+        let exact = 1.0 + 62.0 * small;
+        let mut models = vec![vec![0.0f64; rows.len() * 2]; 64];
+        for (r, &t) in rows.iter().enumerate() {
+            models[0][2 * r] = 1.0;
+            for model in &mut models[1..63] {
+                model[2 * r] = small;
+            }
+            models[63][2 * r] = -exact + f64::from(t) * pow2(-25);
+        }
+        let utility = Hits {
+            classes: 2,
+            labels: vec![0; rows.len()],
+            labelled: true,
+        };
+        let game = GroupModelGame::new(&models, &utility);
+        let batch = [
+            Coalition::grand(64),
+            Coalition(u64::MAX >> 1),
+            Coalition(1 << 63 | 1),
+        ];
+        let unsettled = vec![None; rows.len()];
+        let want: Vec<f64> = batch
+            .iter()
+            .map(|&c| hits_oracle(&utility, &models, &unsettled, c))
+            .collect();
+        // t ≥ 0 hits: the mean's first maximum is the label on a tie.
+        assert_eq!(want[0], 61.0);
+        assert!(screen_open_rows(&game, Coalition::grand(64)) >= 60);
+        assert_walk_in_every_isa(&game, &batch, &want, "accumulated rounding");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_screened_walk_equals_the_f64_oracle_in_every_instantiation_at_caps_1_and_2(
+            classes in 2usize..=16,
+            m in 1usize..=64,
+            rows in 1usize..70,
+            seed in any::<u64>(),
+            draws in proptest::collection::vec(any::<u64>(), 1..40),
+        ) {
+            use crate::estimator::{Exact, Stratified, SvEstimator};
+            use crate::stratified::StratifiedConfig;
+            use crate::utility::games::THREAD_CAP;
+            use crate::utility::utility_fn;
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for settle_all in [false, true] {
+                let (utility, models) = screen_rows(m, rows, classes, seed, settle_all);
+                let game = GroupModelGame::new(&models, &utility);
+                prop_assert_eq!(game.kept.is_empty(), settle_all);
+                let mut batch: Vec<Coalition> = if m <= 8 {
+                    Coalition::powerset(m).collect()
+                } else {
+                    random_batch(m, &draws, false)
+                };
+                if m >= 4 {
+                    batch.extend(prefix_batches(m).into_iter().flat_map(|(_, b)| b));
+                }
+                batch.push(Coalition::grand(m));
+                // From scratch: no row settled, every mean summed in f64.
+                let unsettled = vec![None; rows];
+                let oracle = |c: Coalition| hits_oracle(&utility, &models, &unsettled, c);
+                let want: Vec<f64> = batch.iter().map(|&c| oracle(c)).collect();
+                let what = format!("m {m}, {rows} rows x {classes}, settle_all {settle_all}");
+                assert_walk_in_every_isa(&game, &batch, &want, &what);
+                if !settle_all {
+                    let open: usize = batch.iter().map(|&c| screen_open_rows(&game, c)).sum();
+                    prop_assert!(open > 0, "{}: the screen decided every row", what);
+                }
+                if m <= 12 {
+                    let _cap = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
+                    let oracle = utility_fn(m, oracle);
+                    for cap in [1usize, 2] {
+                        par::set_max_threads(cap);
+                        let (got, want) = if m <= 8 {
+                            (Exact.estimate(&game), Exact.estimate(&oracle))
+                        } else {
+                            let stratified = Stratified {
+                                config: StratifiedConfig { samples_per_stratum: 1, seed },
+                            };
+                            (stratified.estimate(&game), stratified.estimate(&oracle))
+                        };
+                        prop_assert_eq!(bits(&got.values), bits(&want.values), "cap {}, {}", cap, what);
+                    }
+                    par::set_max_threads(0);
+                }
             }
         }
     }

@@ -85,17 +85,17 @@ pub(crate) const MAX_BATCH: usize = 1 << 12;
 ///
 /// # The additive view
 ///
-/// The game builds those means a cache-sized tile at a time, reusing
-/// partial sums between coalitions, so a whole mean vector exists only
-/// if the utility needs one. A utility that is a sum over pieces of the
+/// The game builds those means reusing partial sums between
+/// coalitions, and drops the pieces of the vector every coalition scores
+/// alike (below). A utility that is a sum over pieces of the
 /// vector — accuracy is hits per row, summed — names the piece size as
 /// [`ModelUtility::granule`] and scores a tile with
 /// [`ModelUtility::tally`]. A tile is granules named by their indices in
 /// `v` (ascending, not necessarily adjacent), arriving **interleaved**
 /// in lane blocks of [`numeric::stats::BLOCK_ROWS`] granules: within a
 /// block, element `e · BLOCK_ROWS + lane` is element `e` of the block's
-/// granule `lane` ([`crate::group`], "Lane blocks"). Every block but the
-/// tile's last is full; the last one's lanes past the named granules are
+/// granule `lane` ([`crate::group`], "The member trie"). Every block but
+/// the tile's last is full; the last one's lanes past the named granules are
 /// padding, `0.0`, and must not count. Contract: over any partition of
 /// `v`'s granules into tiles, `of_scores(v) == of_tally(Σ tally(granules,
 /// tile))`, summed in order from the first tally (not from `0.0`), where
@@ -115,6 +115,21 @@ pub(crate) const MAX_BATCH: usize = 1 << 12;
 /// its tallies add exactly — counts — because the settled tallies join
 /// the sum in another order than the tiles'. The default answers
 /// nothing.
+///
+/// # The label view
+///
+/// Accuracy scores a granule — one row of class scores — `1` when its
+/// first maximum ([`numeric::stats::is_argmax`]: the lowest index among
+/// equal maxima, NaN never) is the row's label and `0` otherwise. A
+/// utility whose tally is exactly that names each granule's label in
+/// [`ModelUtility::labels`], and the game counts the hits itself: it
+/// screens each row's label-minus-rival differences in `f32` and decides
+/// only the rows the screen leaves open in `f64` ([`crate::group`], "The
+/// label screen"), never calling [`ModelUtility::tally`]. Contract: the
+/// list has one label per granule, and `tally(granules, tile)` would
+/// count the listed granules of `tile` whose first maximum is their
+/// label. A label that is no class index never hits. The default lists
+/// none; a list of another length counts as none.
 pub trait ModelUtility {
     /// Utility of the model with flat weights `w`.
     fn of_model(&self, weights: &[f64]) -> f64;
@@ -157,6 +172,12 @@ pub trait ModelUtility {
     /// some mean could tally otherwise.
     fn settled(&self, granule: usize, members: &[&[f64]]) -> Option<f64> {
         let _ = (granule, members);
+        None
+    }
+
+    /// Each granule's label when the tally is a first-maximum hit count
+    /// (trait docs, "The label view"); `None` otherwise.
+    fn labels(&self) -> Option<&[usize]> {
         None
     }
 

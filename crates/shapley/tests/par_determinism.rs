@@ -235,8 +235,8 @@ fn restricted_game_is_schedule_invariant() {
 #[test]
 fn accuracy_game_is_schedule_invariant_in_one_walk_tile_and_many() {
     // The game the contract plays: test accuracy, scored in logit space.
-    // At m = 8 forty test rows fit one tile of the member-trie walk;
-    // the full 600-row set takes several, and more groups than the
+    // At m = 8 forty test rows fit one register group of the label
+    // screen; the full 600-row set takes many, and more groups than the
     // exact cap are sampled. Thread caps 1, 2 and 4 must agree to the bit on every
     // path.
     use fedchain::contract_fl::AccuracyUtility;
@@ -360,7 +360,9 @@ fn settled_table1_games_are_schedule_invariant() {
     for (rows, walked) in [(&settled, 0), (&half, pairs)] {
         let utility = AccuracyUtility::new(&world.test.subset(rows), features, classes);
         let game = GroupModelGame::new(&models, &utility);
-        assert_eq!(game.eval_flops(), walked * classes * (9 / 2 + 2));
+        // Each walked row screens its `classes − 1` label-minus-rival
+        // differences, half an element apiece.
+        assert_eq!(game.eval_flops(), walked * (classes - 1) * (9 / 2 + 2) / 2);
         if walked == 0 {
             assert!(par::items_per_lease(game.eval_flops()) >= 1 << 9);
         }

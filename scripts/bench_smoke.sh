@@ -14,22 +14,22 @@
 # nested region spawned its own threads onto two cores). And the exact
 # m = 9 game at the Table I test-set size, valued through the batch
 # kernel, may not cost more than 0.75 × the same game asked one
-# coalition at a time (≈ 0.5; 1.0 is a kernel that stopped sharing
-# member-prefix sums). And the same game over Table I's nine trained
+# coalition at a time (≈ 0.5 with the f64 walk, 0.63 – 0.78 with the
+# label screen, which speeds single coalitions up more than batches;
+# 1.0 is a kernel that stopped sharing member-prefix sums). And the same game over Table I's nine trained
 # group models, whose every test row settles, may not cost more than
 # 0.3 × that game over a utility that settles no row (≈ 0.005: such a
 # game tallies its empty tile once per batch; 1.0 is a game that
 # stopped settling rows). And the benchmark's second-level game
 # (Stratified{2} over 32 cohorts, 410 rows × 4 classes, no row settled)
 # through the coalition walk, at thread cap 1, may not cost more than
-# 0.35 × the same estimates over coalition means summed from scratch and
-# scored row-major, kept in the bench file (0.18 – 0.32 in twenty of
-# twenty-one runs with the register-blocked walk, the spread mostly the
-# from-scratch entry's, and 0.39 in the other, whose walk entry met a
-# busy spell of the shared box, so a reading over the limit is sampled
-# once more before it fails; 0.31 – 0.44 in twelve runs of the walk
-# before it, which streamed every member add, the scale and the tally
-# through memory). And one dim-650 local training through the library,
+# 0.2 × the same estimates over coalition means summed from scratch and
+# scored row-major, kept in the bench file (0.113 – 0.143 in five runs
+# with the f32 label screen; the f64 walk before it read 0.22 – 0.23
+# measured alongside and 0.18 – 0.32 over twenty-one runs, so the bound
+# catches a walk that lost the screen most of the time; a reading over
+# the limit is sampled once more before it fails, as a busy spell of
+# the shared box can double the walk entry). And one dim-650 local training through the library,
 # at thread cap 1, may not cost more than 0.20 × the retained naive
 # pipeline (measured 0.127 and 0.136 in two 9-sample
 # runs where the AVX instantiations run, 0.176 on the SSE2 baseline
@@ -151,7 +151,7 @@ gate "$ratio_out" coalition_walk/settled/table1_sv coalition_walk/unsettled/tabl
 for try in 1 2; do
     rm -f "$ratio_out"
     FL_PAR_THREADS=1 cargo bench --bench sv_runtime -- coalition_walk/
-    if gate "$ratio_out" coalition_walk/unsettled/sharded_1k coalition_walk/seed/sharded_1k 0.35; then
+    if gate "$ratio_out" coalition_walk/unsettled/sharded_1k coalition_walk/seed/sharded_1k 0.2; then
         break
     fi
     [ "$try" = 1 ] || exit 1

@@ -19,8 +19,6 @@ cd "$(dirname "$0")/.."
 # Sites allowed today; a file not listed is allowed none.
 #   state.rs     `genesis` panics through `FlParams::validate`, on purpose
 #   engine.rs    e.g. "replicas advance in lockstep"
-#   off_chain.rs "validated: survivors exist" and the round plan's
-#                "validated: cohort and group counts fit the owner set"
 #   group.rs     `GroupModelGame::new`'s shape checks and the off-chain
 #                `group_shapley` / `grouping`; the walk every replica
 #                runs holds none
@@ -36,7 +34,6 @@ baseline() {
     case "$1" in
     crates/fedchain/src/contract_fl/state.rs) echo 1 ;;
     crates/chain/src/consensus/engine.rs) echo 5 ;;
-    crates/fedchain/src/protocol/off_chain.rs) echo 2 ;;
     crates/shapley/src/group.rs) echo 9 ;;
     crates/crypto/src/dh.rs) echo 5 ;;
     crates/crypto/src/dropout.rs) echo 3 ;;

@@ -452,3 +452,31 @@ fn a_directory_holding_another_chain_stops_the_run() {
         first.engine().store_of(0).expect("miner 0").tip_digest()
     );
 }
+
+#[test]
+fn a_persisted_run_stages_its_final_flush_and_a_memory_run_none() {
+    // Two cohorts of four owners, run sequentially: its stages are
+    // disjoint spans of the run, the final flush among them.
+    let mut config = FlConfig::quick_demo();
+    config.num_owners = 8;
+    config.num_groups = 2;
+    config.num_cohorts = 2;
+    let dir = TestDir::new("final-flush");
+    let mut persisted = FlProtocol::new(config.clone()).expect("valid config");
+    persisted
+        .persist_to(dir.path(), durability_config(1))
+        .expect("fresh directory");
+    let report = persisted.run_sequential().expect("run");
+    assert!(report.stages.flush > 0.0, "{:?}", report.stages);
+    assert!(
+        report.stages.total() <= report.wall_seconds,
+        "{:?} over {} s",
+        report.stages,
+        report.wall_seconds
+    );
+
+    let mut memory = FlProtocol::new(config).expect("valid config");
+    let report = memory.run_sequential().expect("run");
+    assert_eq!(report.stages.flush, 0.0, "{:?}", report.stages);
+    assert!(report.stages.total() <= report.wall_seconds);
+}
