@@ -2083,22 +2083,24 @@ mod accuracy_utility {
             let mut rng = Xoshiro256::seed_from_u64(seed);
             let (mut games, mut engaged) = (0usize, 0usize);
             // m = 1..=12 exactly, inside one tile of the member-trie walk
-            // and past it (64 KiB over the m + 2 levels of the grand
-            // coalition), whole and restricted; then 64 groups, sampled.
-            let mut shapes: Vec<(usize, usize)> = Vec::new();
+            // and past it (a walk budget of one block a tile: the label
+            // screen's 16 rows), whole and restricted; then 64 groups,
+            // sampled. The tiles are counted on the game that keeps
+            // every row.
+            let mut shapes: Vec<(usize, usize, bool)> = Vec::new();
             for m in 1..=12usize {
-                let past_tile = (64 << 10) / 8 / (m + 2);
-                shapes.push((m, 6 + rng.next_below(15) as usize));
-                shapes.push((m, past_tile / classes + 1 + rng.next_below(4) as usize));
+                shapes.push((m, 6 + rng.next_below(11) as usize, false));
+                shapes.push((m, 17 + rng.next_below(48) as usize, true));
             }
-            shapes.push((64, 4 + rng.next_below(4) as usize));
-            for (m, rows) in shapes {
+            shapes.push((64, 4 + rng.next_below(4) as usize, false));
+            for (m, rows, past_tile) in shapes {
                 let (labels, models) = near_tie_logits(&mut rng, m, rows, classes);
                 let accuracy = labelled(&labels, classes);
                 let settling = AsLogits { utility: &accuracy, settle: true };
                 let walking = AsLogits { utility: &accuracy, settle: false };
-                let game = GroupModelGame::new(&models, &settling);
-                let plain = GroupModelGame::new(&models, &walking);
+                let game = GroupModelGame::new(&models, &settling).with_walk_bytes(1);
+                let plain = GroupModelGame::new(&models, &walking).with_walk_bytes(1);
+                prop_assert_eq!(plain.walk_tiles(m) > 1, past_tile, "m = {}, {} rows", m, rows);
                 games += 1;
                 engaged += usize::from(game.eval_flops() < plain.eval_flops());
                 if m == 64 {

@@ -48,11 +48,13 @@
 //!
 //! The walk goes coalition by coalition over a *tile* of the vectors:
 //! whole blocks (below), as many as keep that tile of every player's
-//! vector and of every level within `WALK_BYTES` (1 MiB, half an L2 of
-//! the benchmark's Xeon). A game as small as the benchmark's second
-//! level is one tile, so a coalition's set-up — the shared prefix, the
-//! members it adds, the levels it writes back — runs once; a larger one
-//! is walked once per tile, its tallies added in tile order. A tile is
+//! vector and of every level within the game's walk budget (1 MiB, half
+//! an L2 of the benchmark's Xeon, unless
+//! [`GroupModelGame::with_walk_bytes`] sets another; at least one block
+//! a tile). A game as small as the benchmark's second level is one
+//! tile, so a coalition's set-up — the shared prefix, the members it
+//! adds, the levels it writes back — runs once; a larger one is walked
+//! once per tile, its tallies added in tile order. A tile is
 //! summed a register group at a time (twelve 16-lane `f32` vectors' worth
 //! of registers for a screened game, eight of the instantiation's `f64`
 //! vectors for a mean): a group starts from the stored level of the
@@ -301,6 +303,8 @@ pub struct GroupModelGame<'a, U> {
     /// The settled granules' tallies, summed in granule order; `None`
     /// when no granule settled.
     settled: Option<f64>,
+    /// Bytes of a walk tile's working set.
+    walk_bytes: usize,
 }
 
 /// The per-player vectors a game walks.
@@ -434,6 +438,40 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             lanes,
             kept,
             settled,
+            walk_bytes: WALK_BYTES,
+        }
+    }
+
+    /// The game walking its vectors in tiles whose working set — that
+    /// tile of every player's vector and of every level of partial sums
+    /// — stays within `bytes` (default 1 MiB), at least one block a tile
+    /// (module docs, "The member trie"). A cache-size knob: no value
+    /// moves a bit.
+    #[must_use]
+    pub fn with_walk_bytes(mut self, bytes: usize) -> Self {
+        self.walk_bytes = bytes;
+        self
+    }
+
+    /// Tiles the walk cuts the kept vectors into for a batch whose
+    /// largest coalition has `deepest` members; 0 when nothing is left
+    /// to walk.
+    pub fn walk_tiles(&self, deepest: usize) -> usize {
+        self.len().div_ceil(self.tile(deepest))
+    }
+
+    /// Elements of a walk tile for a batch whose largest coalition has
+    /// `deepest` members.
+    fn tile(&self, deepest: usize) -> usize {
+        let (bytes, stride) = (self.walk_bytes, self.len());
+        match &self.lanes {
+            Lanes::Means { scores, block, .. } => {
+                tile_len::<f64>(bytes, scores.len(), deepest, *block, stride)
+            }
+            Lanes::Margins(margins) => {
+                let unit = margins.rivals * SCREEN_ROWS;
+                tile_len::<f32>(bytes, margins.margins.len(), deepest, unit, stride)
+            }
         }
     }
 
@@ -602,23 +640,37 @@ trait Visit<E> {
     fn coalition(&mut self, pass: &mut Pass<'_, E>, mask: u64, first: usize) -> f64;
 }
 
-/// Bytes of a walk tile's working set: that tile of every player's
-/// vector and of every level of partial sums. Half an L2 of the
+/// A game's default walk budget ([`GroupModelGame::with_walk_bytes`]):
+/// bytes of a tile's working set, that tile of every player's vector
+/// and of every level of partial sums. Half an L2 of the
 /// 2-MiB-a-core Xeon the benchmark runs on: `sharded_1k`'s second level
 /// (32 players, 1 248 screened differences) is one tile, so each
 /// coalition's set-up runs once; the 10 000-owner round's (64 players,
 /// 12 000) is six, which keeps the walk out of L3.
 const WALK_BYTES: usize = 1 << 20;
 
+/// Elements of a walk tile: as many whole `unit`s as keep that tile of
+/// `players` vectors and `deepest` levels of `E` within `bytes`, at
+/// least one unit and at most the vectors' `stride`.
+fn tile_len<E>(bytes: usize, players: usize, deepest: usize, unit: usize, stride: usize) -> usize {
+    let fit = bytes / std::mem::size_of::<E>() / (players + deepest).max(1) / unit.max(1);
+    (fit.max(1) * unit).clamp(1, stride.max(1))
+}
+
+/// Members of a batch's largest coalition: the levels its walk stores.
+fn deepest(coalitions: &[Coalition]) -> usize {
+    coalitions.iter().map(Coalition::len).max().unwrap_or(0)
+}
+
 /// One pre-order walk of the member trie over `vectors` (one per
-/// player, all one length) per tile of whole `unit`s of elements,
-/// leaving in `out` the sum of the tallies `visit` gives each non-empty
-/// coalition (module docs, "The member trie"). Inlined into [`Walk`]'s
+/// player, all one length) per tile of `tile` elements, leaving in
+/// `out` the sum of the tallies `visit` gives each non-empty coalition
+/// (module docs, "The member trie"). Inlined into [`Walk`]'s
 /// instantiations, `visit` with it.
 #[inline(always)]
 fn walk<E: Lane>(
     vectors: &[Vec<E>],
-    unit: usize,
+    tile: usize,
     coalitions: &[Coalition],
     out: &mut [f64],
     levels: &mut Vec<E>,
@@ -632,11 +684,9 @@ fn walk<E: Lane>(
         order.sort_unstable_by_key(|&i| coalitions.get(i).map_or(0, |c| c.0.reverse_bits()));
     }
     // Levels 1 ..= deepest, each a tile long.
-    let deepest = coalitions.iter().map(Coalition::len).max().unwrap_or(0);
     let stride = vectors.first().map_or(0, Vec::len);
-    let fit = WALK_BYTES / std::mem::size_of::<E>() / (vectors.len() + deepest) / unit.max(1);
-    let tile = (fit.max(1) * unit).clamp(1, stride.max(1));
-    levels.resize(levels.len().max(deepest * tile), E::default());
+    let tile = tile.max(1);
+    levels.resize(levels.len().max(deepest(coalitions) * tile), E::default());
 
     let slot = |k: usize| order.get(k).copied().unwrap_or(k);
     let mask_at = |k: usize| coalitions.get(slot(k)).map_or(0, |c| c.0);
@@ -996,6 +1046,7 @@ impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
             out,
             scratch,
         } = self;
+        let tile = game.tile(deepest(coalitions));
         match &game.lanes {
             Lanes::Means {
                 scores,
@@ -1012,14 +1063,14 @@ impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
                     mean: &mut scratch.mean,
                 };
                 let levels = &mut scratch.sums;
-                walk(scores, *block, coalitions, out, levels, &mut visit);
+                walk(scores, tile, coalitions, out, levels, &mut visit);
             }
             // Twelve registers of sums: 16-lane vectors, one zmm each,
             // two ymm or four xmm.
             Lanes::Margins(margins) => match LANES {
-                8 => screen_walk::<12>(margins, coalitions, out, scratch),
-                4 => screen_walk::<6>(margins, coalitions, out, scratch),
-                _ => screen_walk::<3>(margins, coalitions, out, scratch),
+                8 => screen_walk::<12>(margins, tile, coalitions, out, scratch),
+                4 => screen_walk::<6>(margins, tile, coalitions, out, scratch),
+                _ => screen_walk::<3>(margins, tile, coalitions, out, scratch),
             },
         }
     }
@@ -1029,6 +1080,7 @@ impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
 #[inline(always)]
 fn screen_walk<const R: usize>(
     margins: &Margins,
+    tile: usize,
     coalitions: &[Coalition],
     out: &mut [f64],
     scratch: &mut Scratch,
@@ -1040,7 +1092,7 @@ fn screen_walk<const R: usize>(
     };
     walk(
         &margins.margins,
-        margins.rivals * SCREEN_ROWS,
+        tile,
         coalitions,
         out,
         &mut scratch.margins,
@@ -1697,13 +1749,12 @@ mod tests {
         models: &[Vec<f64>],
         batch: &[Coalition],
     ) {
-        let game = GroupModelGame::new(models, utility);
-        let many = game.evaluate_many(batch);
-        assert_eq!(many.len(), batch.len());
-        for (&coalition, &got) in batch.iter().zip(&many) {
-            let want = if coalition.is_empty() {
-                utility.of_empty()
-            } else {
+        let want: Vec<f64> = batch
+            .iter()
+            .map(|&coalition| {
+                if coalition.is_empty() {
+                    return utility.of_empty();
+                }
                 // Fresh vector, the members in ascending order from 0.0.
                 let mut sum = vec![0.0f64; models[0].len()];
                 for j in coalition.members() {
@@ -1714,13 +1765,25 @@ mod tests {
                 let inv = 1.0 / coalition.len() as f64;
                 let mean: Vec<f64> = sum.iter().map(|sum| sum * inv).collect();
                 utility.of_scores(&mean)
-            };
-            assert_eq!(got.to_bits(), want.to_bits(), "batch, {coalition:?}");
-            assert_eq!(
-                game.evaluate(coalition).to_bits(),
-                want.to_bits(),
-                "single, {coalition:?}"
-            );
+            })
+            .collect();
+        // At the default walk budget and at one block a tile.
+        for bytes in [WALK_BYTES, 1] {
+            let game = GroupModelGame::new(models, utility).with_walk_bytes(bytes);
+            let many = game.evaluate_many(batch);
+            assert_eq!(many.len(), batch.len());
+            for ((&coalition, &got), want) in batch.iter().zip(&many).zip(&want) {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "batch, {coalition:?}, {bytes} B"
+                );
+                assert_eq!(
+                    game.evaluate(coalition).to_bits(),
+                    want.to_bits(),
+                    "single, {coalition:?}, {bytes} B"
+                );
+            }
         }
     }
 
@@ -1748,23 +1811,29 @@ mod tests {
 
     #[test]
     fn negative_zero_utility_keeps_its_sign_through_one_tile_and_many() {
-        // Dim 0 keeps no score: the batch tallies one empty tile.
-        for (cut, dim) in [
-            (false, 7usize),
-            (true, 7),
-            (true, 1_640),
-            (false, 0),
-            (true, 0),
+        // Each case at the default walk budget, one tile, and at one
+        // block a tile: a cut vector of 1 640 granules is 205 blocks,
+        // so its `-0.0` tallies are added across 205 tiles. Dim 0 keeps
+        // no score: the batch tallies no tile.
+        for (cut, dim, blocks) in [
+            (false, 7usize, 1usize),
+            (true, 7, 1),
+            (true, 1_640, 205),
+            (false, 0, 0),
+            (true, 0, 0),
         ] {
             let utility = NegativeZero { cut };
             let models = random_models(30, dim, 5);
-            let game = GroupModelGame::new(&models, &utility);
-            let batch = [Coalition::grand(30), Coalition::EMPTY, Coalition(0b101)];
-            let want = [(-0.0f64).to_bits(), 0.0f64.to_bits(), (-0.0f64).to_bits()];
-            let many = game.evaluate_many(&batch);
-            for ((&coalition, got), want) in batch.iter().zip(many).zip(want) {
-                assert_eq!(got.to_bits(), want, "cut {cut}, dim {dim}");
-                assert_eq!(game.evaluate(coalition).to_bits(), want);
+            for (bytes, tiles) in [(WALK_BYTES, blocks.min(1)), (1, blocks)] {
+                let game = GroupModelGame::new(&models, &utility).with_walk_bytes(bytes);
+                assert_eq!(game.walk_tiles(30), tiles, "cut {cut}, dim {dim}");
+                let batch = [Coalition::grand(30), Coalition::EMPTY, Coalition(0b101)];
+                let want = [(-0.0f64).to_bits(), 0.0f64.to_bits(), (-0.0f64).to_bits()];
+                let many = game.evaluate_many(&batch);
+                for ((&coalition, got), want) in batch.iter().zip(many).zip(want) {
+                    assert_eq!(got.to_bits(), want, "cut {cut}, dim {dim}, {tiles} tiles");
+                    assert_eq!(game.evaluate(coalition).to_bits(), want);
+                }
             }
         }
     }
@@ -2249,15 +2318,19 @@ mod tests {
             let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let (mut games, mut engaged) = (0usize, 0usize);
             for m in 1..=12usize {
-                // One game inside one register group of the walk, one
-                // past a screen's.
-                let fit = 12 * SCREEN_ROWS;
+                // A walk budget of three lane blocks (24 rows) a tile over
+                // the m players and the grand coalition's m levels: one
+                // game inside one tile, one past it. Settling keeps fewer
+                // rows, so the tiles are counted on the game that keeps
+                // them all.
+                let bytes = 3 * BLOCK_ROWS * classes * 8 * 2 * m;
                 let pick = draws[m % draws.len()] as usize;
-                for rows in [4 + pick % 20, fit + 1 + pick % 5] {
+                for (rows, tiles) in [(4 + pick % 20, 1), (25 + pick % 5, 2)] {
                     let (utility, models) = near_ties(m, rows, classes, seed ^ (m * rows) as u64);
-                    let game = GroupModelGame::new(&models, &utility);
+                    let game = GroupModelGame::new(&models, &utility).with_walk_bytes(bytes);
                     let bare = Unsettled(&utility);
-                    let plain = GroupModelGame::new(&models, &bare);
+                    let plain = GroupModelGame::new(&models, &bare).with_walk_bytes(bytes);
+                    prop_assert_eq!(plain.walk_tiles(m), tiles);
                     games += 1;
                     engaged += usize::from(game.settled.is_some());
                     assert_same_values(&game, &plain, &Coalition::powerset(m).collect::<Vec<_>>());
@@ -2313,6 +2386,14 @@ mod tests {
             let models = random_models(m, dim, seed);
             let batch = random_batch(m, &draws, seed.is_multiple_of(2));
             let rows = RowHits { classes, cut };
+            // At one block a tile, a granule per row's block of eight.
+            let blocks = if cut && dim.is_multiple_of(classes) {
+                (dim / classes).div_ceil(BLOCK_ROWS)
+            } else {
+                1
+            };
+            let game = GroupModelGame::new(&models, &rows).with_walk_bytes(1);
+            prop_assert_eq!(game.walk_tiles(m), blocks);
             assert_batch_single_oracle(&rows, &models, &batch);
             assert_batch_single_oracle(&rows, &models, &batch[..batch.len().min(1)]);
             assert_batch_single_oracle(&rows, &models, &[]);
@@ -2536,11 +2617,7 @@ mod tests {
             labelled: true,
         };
         let game = GroupModelGame::new(&models, &utility);
-        assert!(
-            game.len() * 4 * 128 > 2 * WALK_BYTES,
-            "{} elements",
-            game.len()
-        );
+        assert_eq!(game.walk_tiles(m), 7);
         let draws: Vec<u64> = (0..40u64)
             .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .collect();

@@ -236,9 +236,10 @@ fn restricted_game_is_schedule_invariant() {
 fn accuracy_game_is_schedule_invariant_in_one_walk_tile_and_many() {
     // The game the contract plays: test accuracy, scored in logit space.
     // At m = 8 forty test rows fit one register group of the label
-    // screen; the full 600-row set takes many, and more groups than the
-    // exact cap are sampled. Thread caps 1, 2 and 4 must agree to the bit on every
-    // path.
+    // screen and one walk tile; the full 600-row set takes many groups
+    // and, at a walk budget of 16 KiB, many tiles; and more groups than
+    // the exact cap are sampled. Thread caps 1, 2 and 4 must agree to
+    // the bit on every path.
     use fedchain::contract_fl::AccuracyUtility;
     use fl_ml::dataset::SyntheticDigits;
 
@@ -251,12 +252,19 @@ fn accuracy_game_is_schedule_invariant_in_one_walk_tile_and_many() {
         },
     };
     let _lock = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
-    for (test_set, m) in [(&short, 8usize), (&full, 8), (&short, 30)] {
+    for (test_set, m, many_tiles) in [
+        (&short, 8usize, false),
+        (&full, 8, true),
+        (&short, 30, false),
+    ] {
         let utility = AccuracyUtility::new(test_set, 64, 10);
         let models = synthetic_models(m, 650);
+        let game = |bytes| GroupModelGame::new(&models, &utility).with_walk_bytes(bytes);
+        let bytes = if many_tiles { 16 << 10 } else { 1 << 20 };
+        assert_eq!(game(bytes).walk_tiles(m) > 1, many_tiles);
         let run = |cap: usize| {
             par::set_max_threads(cap);
-            let game = GroupModelGame::new(&models, &utility);
+            let game = game(bytes);
             let exact = (m <= 8).then(|| Exact.estimate(&game).values);
             (exact, stratified.estimate(&game).values)
         };

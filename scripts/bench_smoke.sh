@@ -14,11 +14,16 @@
 # nested region spawned its own threads onto two cores). And the exact
 # m = 9 game at the Table I test-set size, valued through the batch
 # kernel, may not cost more than 0.75 × the same game asked one
-# coalition at a time (≈ 0.5 with the f64 walk, 0.63 – 0.78 with the
-# label screen, which speeds single coalitions up more than batches;
-# 1.0 is a kernel that stopped sharing member-prefix sums). And the same game over Table I's nine trained
-# group models, whose every test row settles, may not cost more than
-# 0.3 × that game over a utility that settles no row (≈ 0.005: such a
+# coalition at a time (≈ 0.5 with the f64 walk; 1.0 is a kernel that
+# stopped sharing member-prefix sums). The label screen sped single
+# coalitions up more than batches: twelve runs as here read 0.60 –
+# 0.81 (median 0.61) and twelve at thread cap 1 0.54 – 0.81 (0.65),
+# four of the twenty-four over the limit when a busy spell of the
+# shared box landed on one entry and none of their twelve back-to-back
+# pairs over it twice, so a reading over the limit is sampled once more
+# before it fails. And the same game over Table I's nine trained group
+# models, whose every test row settles, may not cost more than 0.3 ×
+# that game over a utility that settles no row (≈ 0.005: such a
 # game tallies its empty tile once per batch; 1.0 is a game that
 # stopped settling rows). And the benchmark's second-level game
 # (Stratified{2} over 32 cohorts, 410 rows × 4 classes, no row settled)
@@ -144,8 +149,14 @@ else
 fi
 rm -f "$ratio_out"
 
-cargo bench --bench sv_runtime -- coalition_walk/
-gate "$ratio_out" coalition_walk/batch/table1_sv coalition_walk/single/table1_sv 0.75
+for try in 1 2; do
+    rm -f "$ratio_out"
+    cargo bench --bench sv_runtime -- coalition_walk/
+    if gate "$ratio_out" coalition_walk/batch/table1_sv coalition_walk/single/table1_sv 0.75; then
+        break
+    fi
+    [ "$try" = 1 ] || exit 1
+done
 gate "$ratio_out" coalition_walk/settled/table1_sv coalition_walk/unsettled/table1_sv 0.3
 
 for try in 1 2; do

@@ -23,7 +23,7 @@ baseline() {
     crypto) echo "1403 89" ;;
     chain) echo "2253 164" ;;
     ml) echo "611 78" ;;
-    shapley) echo "1553 71" ;;
+    shapley) echo "1582 73" ;;
     fedchain) echo "3421 97" ;;
     bench) echo "929 48" ;;
     esac
