@@ -28,8 +28,8 @@
 //! live one first. No replica fan-out sits above a replay, so its
 //! `numeric::par` regions are top-level and ask for threads by their own
 //! work: `stream_churn`'s 80 small evaluations must not pay for one
-//! (cap 2 ≤ cap 1), `sharded_128`'s second-level prewarm is worth one
-//! (cap 2 < cap 1).
+//! (cap 2 ≤ cap 1), `sharded_128`'s second-level evaluation runs are
+//! worth one (cap 2 < cap 1).
 //!
 //! `{persisted,memory}/stream_churn/cap{1,2}` is the same chain through
 //! `run()` with and without a durable store: `persist_to` a fresh

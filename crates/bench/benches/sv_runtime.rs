@@ -335,7 +335,7 @@ impl CoalitionUtility for SeedWalk {
 }
 
 /// The contract's estimator dispatch at the benchmark's two SV-bound
-/// shapes: exact enumeration, or `Stratified{2}` behind the cache.
+/// shapes: exact enumeration, or `Stratified{2}`.
 fn play(game: &(impl CoalitionUtility + Sync), exact: bool) -> Vec<f64> {
     if exact {
         return Exact.estimate(game).values;
@@ -346,16 +346,17 @@ fn play(game: &(impl CoalitionUtility + Sync), exact: bool) -> Vec<f64> {
             seed: 42,
         },
     };
-    stratified.estimate(&CachedUtility::new(game)).values
+    stratified.estimate(game).values
 }
 
 /// What the batch kernel buys on the two games the federation benchmark
 /// spends its evaluation time in: `table1_sv` (`Exact`, m = 9 groups,
 /// 1 124 test rows × 10 classes) and the second level of `sharded_1k`
-/// (`Stratified{2}` over k = 32 cohorts, 410 rows × 4 classes, through
-/// `CachedUtility` as the contract wraps it).
-/// `batch` lets the estimator hand the game whole subtrees / prewarm
-/// runs, `single` asks the same game one coalition at a time; the two
+/// (`Stratified{2}` over k = 32 cohorts, 410 rows × 4 classes, as the
+/// contract plays it).
+/// `batch` lets the estimator hand the game whole subtrees / runs of the
+/// distinct sampled coalitions, `single` asks the same game one
+/// coalition at a time; the two
 /// estimates are asserted equal to the bit before sampling. Their group
 /// models are synthetic sine patterns: at `table1_sv`'s shape no test row
 /// settles, so that pair measures the walk itself, while most of

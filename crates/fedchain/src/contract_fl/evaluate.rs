@@ -171,6 +171,29 @@ impl ModelUtility for AccuracyUtility {
             .into_vec()
     }
 
+    /// Every model's logits from one GEMM: the models side by side,
+    /// `[W_1 | … | W_m]`, are one linear model of `m · classes` outputs,
+    /// whose logits hold each test row's `m` rows of logits side by side —
+    /// the layout [`ModelUtility::scores_many`] asks for. Column block `j`
+    /// of `X · [W_1 | … | W_m]` is `X · W_j` to the bit: every element
+    /// folds its own products in ascending `k` from `0.0` however the
+    /// product tiles its columns ([`numeric::linalg`], "Determinism
+    /// contract").
+    fn scores_many(&self, models: &[Vec<f64>]) -> Vec<f64> {
+        let (classes, width) = (self.num_classes, models.len() * self.num_classes);
+        let mut side_by_side = vec![0.0; (self.num_features + 1) * width];
+        for (j, w) in models.iter().enumerate() {
+            let model = LogisticModel::from_flat(w, self.num_features, classes);
+            let rows = model.weights().as_slice().chunks_exact(classes);
+            for (out, row) in side_by_side.chunks_exact_mut(width).zip(rows) {
+                out[j * classes..(j + 1) * classes].copy_from_slice(row);
+            }
+        }
+        LogisticModel::from_flat(&side_by_side, self.num_features, width)
+            .logits_design(&self.test_design)
+            .into_vec()
+    }
+
     fn of_scores(&self, mean_scores: &[f64]) -> f64 {
         debug_assert_eq!(mean_scores.len(), self.test_design.len() * self.num_classes);
         let rows = mean_scores.chunks_exact(self.num_classes);
@@ -383,8 +406,8 @@ impl FlContract {
         // stream and the round number, so sampling estimators
         // re-execute bit-identically.
         //
-        // A cohort costs the ring sum of its members' submissions, one
-        // test-set product per group model and the estimator's coalition
+        // A cohort costs the ring sum of its members' submissions, the
+        // test-set product over its group models and the estimator's coalition
         // walks over those scores, each row's label-minus-rival
         // differences screened at half an element apiece
         // (`GroupModelGame::eval_flops`): `stream_churn`'s four 8-owner
@@ -568,12 +591,12 @@ impl FlContract {
     /// The method is on-chain configuration, and this is the single
     /// point where it meets the estimator layer, so every miner — and
     /// every later auditor replaying the chain — resolves the identical
-    /// estimator with the identical seed. The sampling estimators
-    /// revisit coalitions (e.g. every size-0 stratum draws the same
-    /// singleton), so their game is wrapped in [`CachedUtility`]: each
+    /// estimator with the identical seed. Monte-Carlo revisits coalitions
+    /// one at a time, so its game is wrapped in [`CachedUtility`]: each
     /// distinct coalition model pays for one accuracy pass, with
-    /// bit-identical values. The exact path visits each coalition exactly
-    /// once and skips the cache.
+    /// bit-identical values. `Stratified` dedups the coalitions its
+    /// samples name itself and values each once, and the exact path
+    /// visits each coalition exactly once; both skip the cache.
     fn estimate_alive(
         method: SvMethod,
         seed: u64,
@@ -604,7 +627,7 @@ impl FlContract {
                     seed,
                 },
             }
-            .estimate(&CachedUtility::new(&game)),
+            .estimate(&game),
         };
         for (&player, &value) in alive.iter().zip(&estimate.values) {
             values[player] = value;

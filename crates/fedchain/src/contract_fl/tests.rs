@@ -1754,6 +1754,37 @@ mod accuracy_utility {
     }
 
     #[test]
+    fn scores_many_lays_out_every_models_scores_to_the_bit() {
+        // Table I's shape (9 models, 1 124 rows of 64 features, 10
+        // classes) and `sharded_1k`'s second level (32 models, 410 rows
+        // of 16 features, 4 classes): row `r` of model `j`'s logits at
+        // `(r · m + j) · classes` of the one product, equal to `scores`
+        // of that model alone. One model is all zeros.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (m, rows, features, classes) in
+            [(9usize, 1_124usize, 64usize, 10usize), (32, 410, 16, 4)]
+        {
+            let mut rng = Xoshiro256::seed_from_u64(rows as u64);
+            let test_set = random_test_set(&mut rng, rows, features, classes);
+            let utility = AccuracyUtility::new(&test_set, features, classes);
+            let mut models = random_models(&mut rng, m, (features + 1) * classes);
+            models[1].fill(0.0);
+            let many = utility.scores_many(&models);
+            assert_eq!(many.len(), rows * m * classes);
+            for (j, model) in models.iter().enumerate() {
+                let alone = utility.scores(model);
+                for r in 0..rows {
+                    assert_eq!(
+                        bits(&many[(r * m + j) * classes..][..classes]),
+                        bits(&alone[r * classes..][..classes]),
+                        "{m} models of {classes} classes: model {j}, row {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn of_model_is_of_scores_of_scores_and_matches_the_oracle() {
         let test_set = SyntheticDigits::small().generate(99);
         let utility = AccuracyUtility::new(&test_set, 64, 10);

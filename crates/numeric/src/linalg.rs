@@ -851,6 +851,48 @@ mod tests {
     }
 
     #[test]
+    fn side_by_side_products_equal_the_separate_ones_bit_for_bit() {
+        // `X · [W_1 | … | W_m]`, the scoring of m models in one product:
+        // column block j is `X · W_j` to the bit in every instantiation,
+        // however the wider product tiles its columns. Shapes:
+        // `sharded_1k`'s second level and cohorts (410 × 17, 32 and 4
+        // models of 4 classes), Table I (1 124 × 65, 9 models of 10), a
+        // reduction past the k-tile, one-column blocks.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rows, k, classes, models) in [
+            (410, 17, 4, 32),
+            (410, 17, 4, 4),
+            (1_124, 65, 10, 9),
+            (7, 300, 3, 5),
+            (11, 2, 1, 33),
+        ] {
+            let x = dense_matrix(rows, k, 61);
+            let ws: Vec<Matrix> = (0..models)
+                .map(|j| dense_matrix(k, classes, 67 + j as u64))
+                .collect();
+            let mut side_by_side = Matrix::zeros(k, models * classes);
+            for (j, w) in ws.iter().enumerate() {
+                for r in 0..k {
+                    side_by_side.row_mut(r)[j * classes..(j + 1) * classes]
+                        .copy_from_slice(w.row(r));
+                }
+            }
+            let products = matmul_each_isa(&x, &side_by_side);
+            for (j, w) in ws.iter().enumerate() {
+                for (product, alone) in products.iter().zip(matmul_each_isa(&x, w)) {
+                    for r in 0..rows {
+                        assert_eq!(
+                            bits(&product.row(r)[j * classes..(j + 1) * classes]),
+                            bits(alone.row(r)),
+                            "{rows} x {k} x {classes}, model {j} of {models}, row {r}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn class_major_epoch_products_bit_identical_across_wide_tiles() {
         // The trainer's two class-major products, `m` classes by `n`
         // columns over a `k`-long reduction, in every instantiation: `m`

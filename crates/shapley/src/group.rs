@@ -48,13 +48,18 @@
 //!
 //! The walk goes coalition by coalition over a *tile* of the vectors:
 //! whole blocks (below), as many as keep that tile of every player's
-//! vector and of every level within the game's walk budget (1 MiB, half
-//! an L2 of the benchmark's Xeon, unless
-//! [`GroupModelGame::with_walk_bytes`] sets another; at least one block
-//! a tile). A game as small as the benchmark's second level is one
-//! tile, so a coalition's set-up — the shared prefix, the members it
-//! adds, the levels it writes back — runs once; a larger one is walked
-//! once per tile, its tallies added in tile order. A tile is
+//! vector and of every level within the game's walk budget, at least one
+//! block a tile, its tallies added in tile order. The game derives the
+//! budget from two cache sizes of the benchmark's Xeon: 48 KiB, its L1
+//! data cache, when one whole register group (below) of every player and
+//! every level fits in it, so the tile's sums and levels stay in L1 from
+//! one coalition to the next — the second level of `sharded_1k`, 32
+//! players, walks seven tiles of one AVX-512F group each; otherwise
+//! 1 MiB, half its L2 — the 10 000-owner round's second level, 64
+//! players, walks six ([`GroupModelGame::with_walk_bytes`] sets another
+//! budget for tests). A coalition's set-up — the shared prefix, the
+//! members it adds, the levels it writes back — runs once per tile. A
+//! tile is
 //! summed a register group at a time (twelve 16-lane `f32` vectors' worth
 //! of registers for a screened game, eight of the instantiation's `f64`
 //! vectors for a mean): a group starts from the stored level of the
@@ -103,8 +108,9 @@
 //! the members in ascending order from `0.0`, scaled by `1/|S|` and
 //! checked by [`numeric::stats::is_argmax`], which is what the mean's
 //! element-wise order gives. Padding rows hold difference `−1` and
-//! threshold `0`, so they read as misses. The game keeps the kept rows'
-//! `f64` scores, row-major, for that exact decision.
+//! threshold `0`, so they read as misses. For that exact decision the
+//! game keeps the `f64` scores as [`ModelUtility::scores_many`] laid them
+//! out — each row's players side by side — unless every row settled.
 //!
 //! # Settled granules
 //!
@@ -195,7 +201,7 @@ use numeric::stats::{is_argmax, BLOCK_ROWS};
 use crate::coalition::{Coalition, MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
 use crate::estimator::{Exact, SvEstimator};
 use crate::hierarchy::RoundPlan;
-use crate::utility::{CoalitionUtility, ModelUtility};
+use crate::utility::{granule_of, CoalitionUtility, ModelUtility};
 
 /// Configuration for one GroupSV evaluation round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,9 +289,11 @@ pub(crate) fn grouping(pi: &[usize], m: usize) -> Vec<Vec<usize>> {
 /// (Algorithm 1), Monte-Carlo, or stratified sampling for group counts
 /// beyond the exact cap.
 ///
-/// Representation: construction takes each group model's
-/// [`ModelUtility::scores`] once (`m` test-set GEMMs for an accuracy
-/// utility, `m` copies for the identity view); a coalition is then
+/// Representation: construction takes every group model's
+/// [`ModelUtility::scores`] once, in one call
+/// ([`ModelUtility::scores_many`]: one test-set GEMM for an accuracy
+/// utility, copies for the identity view), and settles and lays out the
+/// kept granules straight from them; a coalition is then
 /// valued by the utility on the mean of its members' scores, which the
 /// game sums by walking the member trie (module docs) over what it keeps
 /// of the `m` score vectors — only their granules that did not settle
@@ -303,8 +311,9 @@ pub struct GroupModelGame<'a, U> {
     /// The settled granules' tallies, summed in granule order; `None`
     /// when no granule settled.
     settled: Option<f64>,
-    /// Bytes of a walk tile's working set.
-    walk_bytes: usize,
+    /// Bytes of a walk tile's working set, when set
+    /// ([`Self::with_walk_bytes`]); the game derives them otherwise.
+    walk_bytes: Option<usize>,
 }
 
 /// The per-player vectors a game walks.
@@ -341,9 +350,10 @@ struct Margins {
     margins: Vec<Vec<f32>>,
     /// The threshold of each difference, a vector per block and rival.
     thresholds: Vec<[f32; SCREEN_ROWS]>,
-    /// Per player, the kept rows' scores, row-major: the exact decision.
-    rows: Vec<Vec<f64>>,
-    /// Each kept row's label.
+    /// Every row's scores, each row's players side by side: the exact
+    /// decision. Empty when no row is kept.
+    scores: Vec<f64>,
+    /// Every row's label; empty with `scores`.
     labels: Vec<usize>,
     classes: usize,
     /// Differences per row: `classes − 1`, at least one.
@@ -392,42 +402,36 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             m <= MAX_SAMPLED_PLAYERS,
             "coalition masks hold {MAX_SAMPLED_PLAYERS} groups, got {m}"
         );
-        let scores: Vec<Vec<f64>> = group_models.iter().map(|w| utility.scores(w)).collect();
-        let full = scores[0].len();
-        assert!(
-            scores.iter().all(|s| s.len() == full),
-            "all group models must share a dimension"
-        );
-        // A granule that does not divide the vectors is no granule: the
-        // vector is scored whole, as one granule and one block.
-        let granule = utility
-            .granule()
-            .filter(|&granule| granule > 0 && full.is_multiple_of(granule));
-        let (settled, kept, lanes) = match granule {
+        // Granule `g` of player `j` at `(g · m + j) · granule`.
+        let scores = utility.scores_many(group_models);
+        let full = scores.len() / m;
+        let (settled, kept, lanes) = match granule_of(utility, full) {
             Some(granule) => {
-                let (settled, kept) = settle(utility, &scores, granule);
+                let (settled, kept) = settle(utility, &scores, m, granule);
                 let lanes = match utility.labels() {
                     Some(labels) if labels.len() == full / granule => {
-                        Lanes::Margins(Margins::new(scores, &kept, labels, granule))
+                        Lanes::Margins(Margins::new(scores, m, &kept, labels, granule))
                     }
                     _ => Lanes::Means {
                         dim: kept.len() * granule,
-                        scores: lane_blocks(scores, &kept, granule),
+                        scores: lane_blocks(&scores, m, &kept, granule),
                         block: BLOCK_ROWS * granule,
                         block_granules: BLOCK_ROWS,
                     },
                 };
                 (settled, kept, lanes)
             }
+            // No granule: the players' vectors one after another, each
+            // scored whole as one granule and one block.
             None => {
                 let kept = if full > 0 { vec![0] } else { Vec::new() };
-                let block = full.max(1);
-                let (dim, block_granules) = (full, 1);
                 let lanes = Lanes::Means {
-                    scores,
-                    dim,
-                    block,
-                    block_granules,
+                    scores: (0..m)
+                        .map(|j| scores[j * full..(j + 1) * full].to_vec())
+                        .collect(),
+                    dim: full,
+                    block: full.max(1),
+                    block_granules: 1,
                 };
                 (None, kept, lanes)
             }
@@ -438,18 +442,18 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             lanes,
             kept,
             settled,
-            walk_bytes: WALK_BYTES,
+            walk_bytes: None,
         }
     }
 
     /// The game walking its vectors in tiles whose working set — that
     /// tile of every player's vector and of every level of partial sums
-    /// — stays within `bytes` (default 1 MiB), at least one block a tile
-    /// (module docs, "The member trie"). A cache-size knob: no value
-    /// moves a bit.
+    /// — stays within `bytes`, at least one block a tile, in place of the
+    /// budget the game derives (module docs, "The member trie"). A test
+    /// hook: no value moves a bit.
     #[must_use]
     pub fn with_walk_bytes(mut self, bytes: usize) -> Self {
-        self.walk_bytes = bytes;
+        self.walk_bytes = Some(bytes);
         self
     }
 
@@ -461,18 +465,23 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
     }
 
     /// Elements of a walk tile for a batch whose largest coalition has
-    /// `deepest` members.
+    /// `deepest` members: as many whole units (a block of every rival,
+    /// or of a mean's granules) as keep that tile of every player's
+    /// vector and of `deepest` levels within the walk budget, at least
+    /// one unit and at most the whole vector.
     fn tile(&self, deepest: usize) -> usize {
-        let (bytes, stride) = (self.walk_bytes, self.len());
-        match &self.lanes {
-            Lanes::Means { scores, block, .. } => {
-                tile_len::<f64>(bytes, scores.len(), deepest, *block, stride)
-            }
+        let (players, unit, lane) = match &self.lanes {
+            Lanes::Means { scores, block, .. } => (scores.len(), *block, size_of::<f64>()),
             Lanes::Margins(margins) => {
                 let unit = margins.rivals * SCREEN_ROWS;
-                tile_len::<f32>(bytes, margins.margins.len(), deepest, unit, stride)
+                (margins.margins.len(), unit, size_of::<f32>())
             }
-        }
+        };
+        let vectors = (players + deepest).max(1);
+        let in_l1 = vectors * GROUP_BYTES <= L1_BYTES;
+        let bytes = (self.walk_bytes).unwrap_or(if in_l1 { L1_BYTES } else { L2_BYTES });
+        let fit = bytes / lane / vectors / unit.max(1);
+        (fit.max(1) * unit).clamp(1, self.len().max(1))
     }
 
     /// Length of each walked vector: whole blocks; 0 when nothing is
@@ -532,38 +541,35 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
 }
 
 impl Margins {
-    /// Lays out the screen of `scores` (one row-major vector per player,
-    /// rows of `classes`) over rows `kept`, whose labels `labels` lists
-    /// for every row, and keeps the kept rows' scores for the exact
-    /// decision (module docs, "The label screen").
-    fn new(mut scores: Vec<Vec<f64>>, kept: &[usize], labels: &[usize], classes: usize) -> Self {
-        for s in &mut scores {
-            for (k, &row) in kept.iter().enumerate() {
-                s.copy_within(row * classes..(row + 1) * classes, k * classes);
-            }
-            s.truncate(kept.len() * classes);
-            s.shrink_to_fit();
-        }
-        let labels: Vec<usize> = kept.iter().map(|&row| labels[row]).collect();
+    /// Lays out the screen of rows `kept` of `scores` (rows of `classes`,
+    /// each row's `players` score rows side by side), whose labels
+    /// `labels` lists for every row, straight from the scores, which it
+    /// keeps for the exact decision while a row is kept (module docs,
+    /// "The label screen").
+    fn new(
+        scores: Vec<f64>,
+        players: usize,
+        kept: &[usize],
+        labels: &[usize],
+        classes: usize,
+    ) -> Self {
         let rivals = classes.saturating_sub(1).max(1);
         let vectors = kept.len().div_ceil(SCREEN_ROWS) * rivals;
         let mut thresholds = vec![[0.0f32; SCREEN_ROWS]; vectors];
-        let mut margins = vec![vec![-1.0f32; vectors * SCREEN_ROWS]; scores.len()];
-        for (k, &label) in labels.iter().enumerate() {
-            let row = k * classes..(k + 1) * classes;
-            let decided = classes > 1
-                && label < classes
-                && scores
-                    .iter()
-                    .all(|s| s[row.clone()].iter().all(|x| x.abs() <= SCREEN_MAX));
+        let mut margins = vec![vec![-1.0f32; vectors * SCREEN_ROWS]; players];
+        let width = players * classes;
+        for (k, &row) in kept.iter().enumerate() {
+            let (label, row) = (labels[row], &scores[row * width..(row + 1) * width]);
+            let decided =
+                classes > 1 && label < classes && row.iter().all(|x| x.abs() <= SCREEN_MAX);
             for rival in 0..rivals {
                 let vector = k / SCREEN_ROWS * rivals + rival;
                 let lane = k % SCREEN_ROWS;
                 let class = rival + usize::from(rival >= label);
                 let mut total = 0.0f64;
-                for (s, margins) in scores.iter().zip(&mut margins) {
+                for (s, margins) in row.chunks_exact(classes).zip(&mut margins) {
                     margins[vector * SCREEN_ROWS + lane] = if decided {
-                        let (a, b) = (s[row.start + label], s[row.start + class]);
+                        let (a, b) = (s[label], s[class]);
                         total += a.abs() + b.abs();
                         (a - b) as f32
                     } else {
@@ -577,38 +583,43 @@ impl Margins {
                 };
             }
         }
+        let (scores, labels) = if kept.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            (scores, labels.to_vec())
+        };
         Self {
             margins,
             thresholds,
-            rows: scores,
+            scores,
             labels,
             classes,
             rivals,
         }
     }
 
-    /// Whether kept row `k`'s label is the first maximum of coalition
+    /// Whether row `row`'s label is the first maximum of coalition
     /// `mask`'s mean, decided in `f64`: the members' scores in ascending
-    /// order from `0.0`, times `inv` = `1/|S|`, into `row`.
-    fn exact_hit(&self, k: usize, mask: u64, inv: f64, row: &mut Vec<f64>) -> bool {
-        let classes = self.classes;
-        row.clear();
-        row.resize(classes, 0.0);
-        for j in Members(mask) {
-            let scores = self
-                .rows
-                .get(j)
-                .and_then(|s| s.get(k * classes..(k + 1) * classes));
-            for (sum, s) in row.iter_mut().zip(scores.unwrap_or(&[])) {
+    /// order from `0.0`, times `inv` = `1/|S|`, into `mean`.
+    fn exact_hit(&self, row: usize, mask: u64, inv: f64, mean: &mut Vec<f64>) -> bool {
+        let (classes, players) = (self.classes, self.margins.len());
+        mean.clear();
+        mean.resize(classes, 0.0);
+        for j in Members(mask).take_while(|&j| j < players) {
+            let at = (row * players + j) * classes;
+            for (sum, s) in mean
+                .iter_mut()
+                .zip(self.scores.get(at..at + classes).unwrap_or(&[]))
+            {
                 *sum += s;
             }
         }
-        for sum in row.iter_mut() {
+        for sum in mean.iter_mut() {
             *sum *= inv;
         }
         self.labels
-            .get(k)
-            .is_some_and(|&label| is_argmax(row, label))
+            .get(row)
+            .is_some_and(|&label| is_argmax(mean, label))
     }
 }
 
@@ -640,22 +651,23 @@ trait Visit<E> {
     fn coalition(&mut self, pass: &mut Pass<'_, E>, mask: u64, first: usize) -> f64;
 }
 
-/// A game's default walk budget ([`GroupModelGame::with_walk_bytes`]):
-/// bytes of a tile's working set, that tile of every player's vector
-/// and of every level of partial sums. Half an L2 of the
-/// 2-MiB-a-core Xeon the benchmark runs on: `sharded_1k`'s second level
-/// (32 players, 1 248 screened differences) is one tile, so each
-/// coalition's set-up runs once; the 10 000-owner round's (64 players,
-/// 12 000) is six, which keeps the walk out of L3.
-const WALK_BYTES: usize = 1 << 20;
+/// The walk budget of a game one register group of whose every player
+/// and level fits in [`L1_BYTES`]: that L1 data cache, so each tile's
+/// sums and stored levels stay in it from one coalition to the next.
+/// `sharded_1k`'s second level (32 players and up to 32 levels, 1 248
+/// screened differences) walks seven tiles of one AVX-512F group each.
+const L1_BYTES: usize = 48 << 10;
 
-/// Elements of a walk tile: as many whole `unit`s as keep that tile of
-/// `players` vectors and `deepest` levels of `E` within `bytes`, at
-/// least one unit and at most the vectors' `stride`.
-fn tile_len<E>(bytes: usize, players: usize, deepest: usize, unit: usize, stride: usize) -> usize {
-    let fit = bytes / std::mem::size_of::<E>() / (players + deepest).max(1) / unit.max(1);
-    (fit.max(1) * unit).clamp(1, stride.max(1))
-}
+/// The walk budget of a larger game: half an L2 of the 2-MiB-a-core Xeon
+/// the benchmark runs on. The 10 000-owner round's second level (64
+/// players and up to 64 levels, 12 000 screened differences) walks six
+/// tiles, which keeps it out of L3.
+const L2_BYTES: usize = 1 << 20;
+
+/// The widest register group either walk holds: twelve 16-lane `f32`
+/// vectors of screened differences, one zmm each (eight 8-lane `f64`
+/// vectors of a mean are less).
+const GROUP_BYTES: usize = 12 * SCREEN_ROWS * size_of::<f32>();
 
 /// Members of a batch's largest coalition: the levels its walk stores.
 fn deepest(coalitions: &[Coalition]) -> usize {
@@ -677,7 +689,8 @@ fn walk<E: Lane>(
     visit: &mut impl Visit<E>,
 ) {
     // Trie pre-order; a batch that arrives in it (one coalition, an
-    // exact subtree, a prewarm run) is walked as it stands.
+    // exact subtree, a run of distinct sampled coalitions) is walked as
+    // it stands.
     let mut order: Vec<usize> = Vec::new();
     if !coalitions.is_sorted_by_key(|c| c.0.reverse_bits()) {
         order = (0..coalitions.len()).collect();
@@ -881,6 +894,8 @@ fn scale<const L: usize, const R: usize>(
 /// the undecided rows decided exactly; the coalition's hit count.
 struct Screen<'s, const R: usize> {
     margins: &'s Margins,
+    /// Each kept row's index in the players' vectors.
+    kept: &'s [usize],
     unsure: &'s mut Vec<(usize, u16)>,
     row: &'s mut Vec<f64>,
 }
@@ -908,8 +923,10 @@ impl<const R: usize> Visit<f32> for Screen<'_, R> {
         let mut hits = tally.hits();
         for &(block, lanes) in self.unsure.iter() {
             for lane in Members(u64::from(lanes)) {
-                let k = block * SCREEN_ROWS + lane;
-                hits += usize::from(margins.exact_hit(k, mask, inv, self.row));
+                let row = self.kept.get(block * SCREEN_ROWS + lane);
+                hits += usize::from(
+                    row.is_some_and(|&row| margins.exact_hit(row, mask, inv, self.row)),
+                );
             }
         }
         hits as f64
@@ -1067,11 +1084,14 @@ impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
             }
             // Twelve registers of sums: 16-lane vectors, one zmm each,
             // two ymm or four xmm.
-            Lanes::Margins(margins) => match LANES {
-                8 => screen_walk::<12>(margins, tile, coalitions, out, scratch),
-                4 => screen_walk::<6>(margins, tile, coalitions, out, scratch),
-                _ => screen_walk::<3>(margins, tile, coalitions, out, scratch),
-            },
+            Lanes::Margins(margins) => {
+                let kept = &game.kept;
+                match LANES {
+                    8 => screen_walk::<12>(margins, kept, tile, coalitions, out, scratch),
+                    4 => screen_walk::<6>(margins, kept, tile, coalitions, out, scratch),
+                    _ => screen_walk::<3>(margins, kept, tile, coalitions, out, scratch),
+                }
+            }
         }
     }
 }
@@ -1080,6 +1100,7 @@ impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
 #[inline(always)]
 fn screen_walk<const R: usize>(
     margins: &Margins,
+    kept: &[usize],
     tile: usize,
     coalitions: &[Coalition],
     out: &mut [f64],
@@ -1087,6 +1108,7 @@ fn screen_walk<const R: usize>(
 ) {
     let mut visit = Screen::<R> {
         margins,
+        kept,
         unsure: &mut scratch.unsure,
         row: &mut scratch.row,
     };
@@ -1125,7 +1147,7 @@ impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
         let per_element = self.players / 2 + 2;
         match &self.lanes {
             Lanes::Means { dim, .. } => dim * per_element,
-            Lanes::Margins(margins) => margins.labels.len() * margins.rivals * per_element / 2,
+            Lanes::Margins(margins) => self.kept.len() * margins.rivals * per_element / 2,
         }
     }
 }
@@ -1136,23 +1158,23 @@ fn shared_prefix(a: u64, b: u64) -> u64 {
     a & !u64::MAX.checked_shl((a ^ b).trailing_zeros()).unwrap_or(0)
 }
 
-/// Asks `utility` for each granule of `scores` (one vector per group)
-/// whether every coalition tallies it alike (module docs, "Settled
-/// granules"). Returns the answered tallies summed in granule order —
-/// `None` when there are none — and the indices of the other granules,
-/// ascending.
+/// Asks `utility` for each granule of `scores` (each granule's `players`
+/// pieces side by side) whether every coalition tallies it alike (module
+/// docs, "Settled granules"). Returns the answered tallies summed in
+/// granule order — `None` when there are none — and the indices of the
+/// other granules, ascending.
 fn settle<U: ModelUtility>(
     utility: &U,
-    scores: &[Vec<f64>],
+    scores: &[f64],
+    players: usize,
     granule: usize,
 ) -> (Option<f64>, Vec<usize>) {
-    let full = scores[0].len();
     let mut settled: Option<f64> = None;
     let mut kept = Vec::new();
-    let mut members: Vec<&[f64]> = Vec::with_capacity(scores.len());
-    for (index, at) in (0..full).step_by(granule).enumerate() {
+    let mut members: Vec<&[f64]> = Vec::with_capacity(players);
+    for (index, pieces) in scores.chunks_exact(players * granule).enumerate() {
         members.clear();
-        members.extend(scores.iter().map(|s| &s[at..at + granule]));
+        members.extend(pieces.chunks_exact(granule));
         match utility.settled(index, &members) {
             Some(tally) => settled = Some(settled.map_or(tally, |sum| sum + tally)),
             None => kept.push(index),
@@ -1161,23 +1183,24 @@ fn settle<U: ModelUtility>(
     (settled, kept)
 }
 
-/// Lays each vector's `kept` granules out in lane blocks (module docs,
-/// "The member trie"), one vector at a time, so no second copy of the
-/// scores stays alive.
-fn lane_blocks(mut scores: Vec<Vec<f64>>, kept: &[usize], granule: usize) -> Vec<Vec<f64>> {
+/// Lays each player's `kept` granules of `scores` (each granule's
+/// `players` pieces side by side) out in lane blocks (module docs, "The
+/// member trie").
+fn lane_blocks(scores: &[f64], players: usize, kept: &[usize], granule: usize) -> Vec<Vec<f64>> {
     let stride = BLOCK_ROWS * granule;
-    for s in &mut scores {
-        let mut blocks = vec![0.0; kept.len().div_ceil(BLOCK_ROWS) * stride];
-        for (k, &index) in kept.iter().enumerate() {
-            let row = &s[index * granule..(index + 1) * granule];
-            let lanes = &mut blocks[k / BLOCK_ROWS * stride + k % BLOCK_ROWS..];
-            for (c, &score) in row.iter().enumerate() {
-                lanes[c * BLOCK_ROWS] = score;
+    (0..players)
+        .map(|j| {
+            let mut blocks = vec![0.0; kept.len().div_ceil(BLOCK_ROWS) * stride];
+            for (k, &index) in kept.iter().enumerate() {
+                let at = (index * players + j) * granule;
+                let lanes = &mut blocks[k / BLOCK_ROWS * stride + k % BLOCK_ROWS..];
+                for (c, &score) in scores[at..at + granule].iter().enumerate() {
+                    lanes[c * BLOCK_ROWS] = score;
+                }
             }
-        }
-        *s = blocks;
-    }
-    scores
+            blocks
+        })
+        .collect()
 }
 
 /// Largest score magnitude [`argmax_settled`] reads: 2^1000, so no sum
@@ -1767,8 +1790,8 @@ mod tests {
                 utility.of_scores(&mean)
             })
             .collect();
-        // At the default walk budget and at one block a tile.
-        for bytes in [WALK_BYTES, 1] {
+        // At both derived walk budgets and at one block a tile.
+        for bytes in [L1_BYTES, L2_BYTES, 1] {
             let game = GroupModelGame::new(models, utility).with_walk_bytes(bytes);
             let many = game.evaluate_many(batch);
             assert_eq!(many.len(), batch.len());
@@ -1824,7 +1847,7 @@ mod tests {
         ] {
             let utility = NegativeZero { cut };
             let models = random_models(30, dim, 5);
-            for (bytes, tiles) in [(WALK_BYTES, blocks.min(1)), (1, blocks)] {
+            for (bytes, tiles) in [(L2_BYTES, blocks.min(1)), (1, blocks)] {
                 let game = GroupModelGame::new(&models, &utility).with_walk_bytes(bytes);
                 assert_eq!(game.walk_tiles(30), tiles, "cut {cut}, dim {dim}");
                 let batch = [Coalition::grand(30), Coalition::EMPTY, Coalition(0b101)];
@@ -2562,7 +2585,7 @@ mod tests {
             return 0;
         };
         let thresholds = margins.thresholds.as_flattened();
-        (0..margins.labels.len())
+        (0..game.kept.len())
             .filter(|&k| {
                 let (mut above, mut below) = (true, false);
                 for rival in 0..margins.rivals {

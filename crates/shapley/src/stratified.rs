@@ -19,23 +19,19 @@
 //! Re-executability: each sample draws from its **own splitmix64 stream**
 //! derived from `(seed, stratum, sample index)` — never from a shared
 //! evolving stream — so sample `k` of stratum `t` is identical whether it
-//! runs first on one thread or last on sixty-four. Strata fan out on the
-//! deterministic fork-join layer ([`numeric::par`]) with one output slot
-//! per stratum, combined in stratum order; the estimate is therefore
-//! bit-identical for every thread count, which is what lets miners
-//! re-execute it as part of contract verification.
+//! runs first on one thread or last on sixty-four. Strata draw their
+//! samples on the deterministic fork-join layer ([`numeric::par`]) into
+//! slots of their own, each distinct coalition the samples name is valued
+//! once, and the strata combine in stratum order; the estimate is
+//! therefore bit-identical for every thread count, which is what lets
+//! miners re-execute it as part of contract verification.
 
 use numeric::par;
 
 use crate::coalition::{Coalition, MAX_SAMPLED_PLAYERS};
 use crate::estimator::{Stratified, SvDiagnostics, SvEstimate, SvEstimator};
 use crate::rng::splitmix;
-use crate::utility::CoalitionUtility;
-
-/// Flop-equivalents of reading one value back from a warm
-/// [`CachedUtility`](crate::utility::CachedUtility): a stripe lock and a
-/// hashed lookup, ≈ 50 ns.
-const CACHE_READ_FLOPS: usize = 256;
+use crate::utility::{evaluate_in_runs, CoalitionUtility};
 
 /// Stratified-sampling configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,79 +88,87 @@ impl SvEstimator for Stratified {
         let k = config.samples_per_stratum;
         assert!(k > 0, "need at least one sample per stratum");
 
-        // Stratum t = (player i = t / n, size s = t % n). Each slot is the
-        // *sum* of that stratum's k marginals — a pure function of t.
+        // Stratum t = (player i = t / n, size s = t % n), its k samples
+        // the bases S and S ∪ {i}. Three passes, none allocating per
+        // stratum:
         //
-        // The work is split into two passes so caching utilities can stream.
-        // Pass 1 runs only the RNG: it enumerates each stratum's k sampled
-        // base coalitions (cheap — no utility evaluation). The full coalition
-        // list is then handed to `CoalitionUtility::prewarm`, which a
-        // [`CachedUtility`](crate::utility::CachedUtility) services by
-        // deduplicating and evaluating each *unique* coalition exactly once,
-        // in parallel, as the list streams in — instead of every stratum
-        // barriering on its own redundant evaluations. Pass 2 re-walks the
-        // strata in the original order and reads the (now warm) utility, so
-        // the combine below sees the exact same values in the exact same
-        // order as the single-pass form: the estimate is bit-identical, warm
-        // or cold, for every thread count.
+        // 1. The RNG alone: each stratum's k bases, k slots of one list,
+        //    drawn per chunk of strata on a stack buffer (k partial
+        //    shuffles of n players apiece, so no thread below thousands of
+        //    strata).
+        // 2. The wanted coalitions — base and base ∪ {i} of every sample —
+        //    sorted once into member-trie pre-order (`reverse_bits`, see
+        //    [`crate::group`]) and deduplicated: every size-0 stratum draws
+        //    the empty base, every size-(n−1) one the grand coalition. The
+        //    distinct ones go to the game in contiguous runs of its batch
+        //    call (`evaluate_in_runs`), each a `numeric::par` slot priced
+        //    by the game; each wanted coalition keeps the index of its
+        //    value.
+        // 3. Each stratum sums its k marginals `u(S ∪ {i}) − u(S)` in
+        //    sample order from `0.0`, read back by index, and the strata
+        //    combine in stratum order.
         //
-        // Both passes are priced as what they are behind a cache — k partial
-        // shuffles of n players, 2k reads — so neither takes a thread below
-        // thousands of strata: the evaluations fan out inside the prewarm,
-        // priced by the game (one too dear for a thread goes in a cache).
+        // A value is the game's to the bit however its batch is cut, so
+        // the estimate is bit-identical for every thread count, and to the
+        // same passes asking the game one coalition at a time.
         let strata = n * n;
-        let bases_per_lease = par::items_per_lease(k * 4 * n);
-        let stratum_bases = par::par_map_indices(strata, bases_per_lease, |t| {
-            let i = t / n;
-            let s = t % n;
-            // The other n−1 players, from which s-subsets are drawn.
-            let others_template: Vec<usize> = (0..n).filter(|&p| p != i).collect();
-            let mut others = others_template.clone();
-            let mut bases = Vec::with_capacity(k);
-            for sample in 0..k {
-                let mut state = stream_state(config.seed, t as u64, sample as u64);
-                let mut next = || crate::rng::stream_next(&mut state);
-                // Partial Fisher–Yates: after s steps the prefix is a
-                // uniform s-subset of the others. One buffer per stratum —
-                // the shuffle only permutes, so resetting from the template
-                // is enough and spares n²·k clone allocations.
-                others.copy_from_slice(&others_template);
-                for j in 0..s {
-                    let r = j + (next() % (others.len() - j) as u64) as usize;
-                    others.swap(j, r);
+        let mut bases = vec![Coalition::EMPTY; strata * k];
+        par::par_fill_rows(
+            &mut bases,
+            k,
+            par::items_per_lease(k * 4 * n),
+            |first, rows| {
+                let mut others = [0usize; MAX_SAMPLED_PLAYERS];
+                for (t, row) in (first..).zip(rows.chunks_exact_mut(k)) {
+                    let (i, s) = (t / n, t % n);
+                    for (sample, base) in row.iter_mut().enumerate() {
+                        let mut state = stream_state(config.seed, t as u64, sample as u64);
+                        let mut next = || crate::rng::stream_next(&mut state);
+                        // Partial Fisher–Yates over the other n − 1 players,
+                        // reset to ascending order: after s steps the prefix
+                        // is a uniform s-subset of them.
+                        let others = &mut others[..n - 1];
+                        for (slot, p) in others.iter_mut().zip((0..n).filter(|&p| p != i)) {
+                            *slot = p;
+                        }
+                        for j in 0..s {
+                            let r = j + (next() % (others.len() - j) as u64) as usize;
+                            others.swap(j, r);
+                        }
+                        *base = Coalition::from_members(&others[..s]);
+                    }
                 }
-                bases.push(Coalition::from_members(&others[..s]));
-            }
-            bases
-        });
+            },
+        );
 
-        let mut wanted = Vec::with_capacity(2 * strata * k);
-        for (t, bases) in stratum_bases.iter().enumerate() {
-            let i = t / n;
-            for &base in bases {
-                wanted.push(base);
-                wanted.push(base.with(i));
-            }
+        // Wanted coalition 2w is sample w's base, 2w + 1 the base with its
+        // stratum's player.
+        let mut keyed: Vec<(u64, usize)> = Vec::with_capacity(2 * bases.len());
+        for (w, base) in bases.iter().enumerate() {
+            let with_i = base.with(w / k / n);
+            keyed.push((base.0.reverse_bits(), 2 * w));
+            keyed.push((with_i.0.reverse_bits(), 2 * w + 1));
         }
-        utility.prewarm(&wanted);
-
-        let sums_per_lease = par::items_per_lease(2 * k * CACHE_READ_FLOPS);
-        let stratum_sums = par::par_map_indices(strata, sums_per_lease, |t| {
-            let i = t / n;
-            let mut sum = 0.0f64;
-            for &coalition in &stratum_bases[t] {
-                let base = utility.evaluate(coalition);
-                let with_i = utility.evaluate(coalition.with(i));
-                sum += with_i - base;
+        keyed.sort_unstable();
+        let mut distinct: Vec<Coalition> = Vec::new();
+        let mut slot = vec![0usize; keyed.len()];
+        for &(key, wanted) in &keyed {
+            if distinct.last().map(|c| c.0.reverse_bits()) != Some(key) {
+                distinct.push(Coalition(key.reverse_bits()));
             }
-            sum
-        });
+            slot[wanted] = distinct.len() - 1;
+        }
+        let utilities = evaluate_in_runs(utility, &distinct);
 
         // Combine in stratum order: v_i = (1/n) Σ_s (stratum sum / k). The
         // floating-point reduction is independent of the parallel schedule.
         let scale = 1.0 / (n as f64 * k as f64);
         let mut values = vec![0.0f64; n];
-        for (t, sum) in stratum_sums.iter().enumerate() {
+        for (t, samples) in slot.chunks_exact(2 * k).enumerate() {
+            let mut sum = 0.0f64;
+            for pair in samples.chunks_exact(2) {
+                sum += utilities[pair[1]] - utilities[pair[0]];
+            }
             values[t / n] += sum * scale;
         }
 
@@ -286,8 +290,8 @@ mod tests {
     }
 
     #[test]
-    fn cached_estimate_is_bit_identical_and_all_hits_after_prewarm() {
-        use crate::utility::CachedUtility;
+    fn cached_estimate_is_bit_identical_with_one_miss_per_distinct_coalition() {
+        use crate::utility::{CacheStats, CachedUtility};
         let game = GloveGame { left: 3, n: 6 };
         let cfg = StratifiedConfig {
             samples_per_stratum: 8,
@@ -296,14 +300,114 @@ mod tests {
         let estimator = Stratified { config: cfg };
         let plain = estimator.estimate(&game);
         let cached = CachedUtility::new(&game);
-        let streamed = estimator.estimate(&cached);
-        // Streaming through the cache must not move a single bit.
-        assert_eq!(plain, streamed);
-        // The prewarm pass dedups: every pass-2 read is a hit, and the
-        // miss count equals the number of distinct sampled coalitions.
+        let through = estimator.estimate(&cached);
+        // Going through the cache must not move a single bit.
+        assert_eq!(plain, through);
+        // The estimator dedups before it asks: every coalition it names
+        // is one miss, and no slot is a hit.
         let stats = cached.stats();
         assert_eq!(stats.misses, cached.unique_evaluations());
-        assert_eq!(stats.hits, 2 * 6 * 6 * 8);
+        assert_eq!(
+            stats,
+            CacheStats {
+                hits: 0,
+                misses: stats.misses
+            }
+        );
+    }
+
+    /// The estimate as the per-stratum form computes it: each sample's
+    /// base drawn from its own stream, both coalitions asked one at a time
+    /// through a [`CachedUtility`](crate::utility::CachedUtility), each
+    /// stratum's marginals summed in sample order and the strata combined
+    /// in stratum order. Also returns the distinct coalitions asked.
+    fn per_stratum_oracle<U: CoalitionUtility + Sync>(
+        utility: &U,
+        k: usize,
+        seed: u64,
+    ) -> (Vec<f64>, usize) {
+        let cached = crate::utility::CachedUtility::new(utility);
+        let n = utility.num_players();
+        let scale = 1.0 / (n as f64 * k as f64);
+        let mut values = vec![0.0f64; n];
+        for t in 0..n * n {
+            let (i, s) = (t / n, t % n);
+            let mut sum = 0.0f64;
+            for sample in 0..k {
+                let mut state = stream_state(seed, t as u64, sample as u64);
+                let mut others: Vec<usize> = (0..n).filter(|&p| p != i).collect();
+                for j in 0..s {
+                    let draw = crate::rng::stream_next(&mut state);
+                    let r = j + (draw % (others.len() - j) as u64) as usize;
+                    others.swap(j, r);
+                }
+                let base = Coalition::from_members(&others[..s]);
+                let without = cached.evaluate(base);
+                sum += cached.evaluate(base.with(i)) - without;
+            }
+            values[i] += sum * scale;
+        }
+        (values, cached.unique_evaluations())
+    }
+
+    #[test]
+    fn indexed_passes_equal_the_cached_per_stratum_form_at_caps_1_and_2() {
+        use crate::utility::games::{Recording, THREAD_CAP};
+        use crate::utility::{CacheStats, CachedUtility};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let _cap = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
+        for cap in [1usize, 2] {
+            numeric::par::set_max_threads(cap);
+            // Few players and many samples: most draws collide.
+            for n in 1..=10usize {
+                for k in 1..=8usize {
+                    let wavy = |c: Coalition| ((c.0 as f64 + 0.5) * 0.731).sin() * c.len() as f64;
+                    let game = utility_fn(n, wavy);
+                    let seed = (n * 31 + k) as u64;
+                    let (oracle, distinct) = per_stratum_oracle(&game, k, seed);
+                    let estimator = Stratified {
+                        config: StratifiedConfig {
+                            samples_per_stratum: k,
+                            seed,
+                        },
+                    };
+                    let plain = estimator.estimate(&game);
+                    assert_eq!(
+                        bits(&plain.values),
+                        bits(&oracle),
+                        "n {n}, k {k}, cap {cap}"
+                    );
+                    let cached = CachedUtility::new(&game);
+                    assert_eq!(
+                        estimator.estimate(&cached),
+                        plain,
+                        "n {n}, k {k}, cap {cap}"
+                    );
+                    assert_eq!(
+                        cached.stats(),
+                        CacheStats {
+                            hits: 0,
+                            misses: distinct
+                        },
+                        "n {n}, k {k}, cap {cap}"
+                    );
+                    // Each distinct coalition is asked once, in runs that
+                    // keep member-trie pre-order.
+                    let recording = Recording::new(utility_fn(n, wavy));
+                    assert_eq!(estimator.estimate(&recording), plain);
+                    let batches = recording.take();
+                    assert!(batches
+                        .iter()
+                        .all(|b| b.is_sorted_by_key(|c| c.0.reverse_bits())));
+                    let mut asked = batches.concat();
+                    let asked_len = asked.len();
+                    asked.sort_unstable();
+                    asked.dedup();
+                    assert_eq!((asked.len(), asked_len), (distinct, distinct));
+                }
+            }
+        }
+        numeric::par::set_max_threads(0);
     }
 
     #[test]

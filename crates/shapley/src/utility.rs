@@ -30,26 +30,12 @@ pub trait CoalitionUtility {
     /// Values a batch: slot `i` is `evaluate(coalitions[i])` to the bit,
     /// whatever the batch's order, duplicates or length. A game whose
     /// neighbouring coalitions share work overrides it
-    /// ([`crate::group::GroupModelGame`]); the default asks one at a
-    /// time. It runs on the calling thread: callers fan batches of at
-    /// most 2^12 (`MAX_BATCH`) out over [`numeric::par`], never the reverse.
+    /// ([`crate::group::GroupModelGame`]), a memo its misses
+    /// ([`CachedUtility`]); the default asks one at a time. A game runs it
+    /// on the calling thread: callers fan batches of at most 2^12
+    /// (`MAX_BATCH`) out over [`numeric::par`], never the reverse.
     fn evaluate_many(&self, coalitions: &[Coalition]) -> Vec<f64> {
         coalitions.iter().map(|&c| self.evaluate(c)).collect()
-    }
-
-    /// Hints that every coalition in `coalitions` is about to be
-    /// evaluated, letting memoizing wrappers stream the evaluations
-    /// into their cache ahead of the caller's combine pass.
-    ///
-    /// The default is a no-op, so plain utilities pay nothing.
-    /// [`CachedUtility`] overrides it to hand the *unique* uncached
-    /// coalitions to the inner game's [`Self::evaluate_many`], a
-    /// contiguous run per thread — later `evaluate` calls are then pure
-    /// cache hits. Because `evaluate` returns identical values with or
-    /// without the hint, prewarming never changes an estimator's output,
-    /// only its schedule.
-    fn prewarm(&self, coalitions: &[Coalition]) {
-        let _ = coalitions;
     }
 
     /// What one [`Self::evaluate`] costs, in the flop-equivalents
@@ -64,6 +50,28 @@ pub trait CoalitionUtility {
 /// Most coalitions a caller puts into one
 /// [`CoalitionUtility::evaluate_many`] batch.
 pub(crate) const MAX_BATCH: usize = 1 << 12;
+
+/// `utility`'s values of `coalitions`, in order, through its batch call:
+/// the list cut into equal contiguous runs — one per thread it is worth
+/// at the game's [`CoalitionUtility::eval_flops`], which also balances a
+/// game that retrains per coalition, none longer than `MAX_BATCH` — each
+/// a [`numeric::par`] slot. A list in member-trie pre-order
+/// (`reverse_bits`, see [`crate::group`]) hands each run neighbours that
+/// share member prefixes.
+pub(crate) fn evaluate_in_runs<U: CoalitionUtility + Sync + ?Sized>(
+    utility: &U,
+    coalitions: &[Coalition],
+) -> Vec<f64> {
+    let (len, flops) = (coalitions.len(), utility.eval_flops());
+    let runs = (len / par::items_per_lease(flops))
+        .min(par::max_threads())
+        .max(len.div_ceil(MAX_BATCH));
+    let run_flops = (len / runs.max(1)).saturating_mul(flops);
+    par::par_map_indices(runs, par::items_per_lease(run_flops), |r| {
+        utility.evaluate_many(&coalitions[r * len / runs..(r + 1) * len / runs])
+    })
+    .concat()
+}
 
 /// Utility of a *model*, `u(W)`, plus the value assigned to the empty
 /// coalition (no model at all — the paper's implicit `u(∅)`, e.g. the
@@ -143,6 +151,35 @@ pub trait ModelUtility {
         weights.to_vec()
     }
 
+    /// Every model's [`Self::scores`] to the bit, in one vector granule
+    /// by granule: granule `g` of model `j` of `m` at `(g · m + j) · G`,
+    /// `G` being the [`Self::granule`] that divides the vectors or, when
+    /// there is none, their whole length (model after model). The default
+    /// asks [`Self::scores`] per model; a utility whose scores come from
+    /// one product overrides it to form them all in one (the contract's
+    /// accuracy utility: one test-set GEMM over every model's columns side
+    /// by side, whose rows are exactly this layout).
+    ///
+    /// # Panics
+    ///
+    /// The default panics when the score vectors differ in length.
+    fn scores_many(&self, models: &[Vec<f64>]) -> Vec<f64> {
+        let scores: Vec<Vec<f64>> = models.iter().map(|w| self.scores(w)).collect();
+        let full = scores.first().map_or(0, Vec::len);
+        assert!(
+            scores.iter().all(|s| s.len() == full),
+            "all group models must share a dimension"
+        );
+        let granule = granule_of(self, full).unwrap_or(full).max(1);
+        let mut out = Vec::with_capacity(full * scores.len());
+        for at in (0..full).step_by(granule) {
+            for s in &scores {
+                out.extend_from_slice(&s[at..at + granule]);
+            }
+        }
+        out
+    }
+
     /// Utility of a model given the mean of its members' `scores`.
     fn of_scores(&self, mean_scores: &[f64]) -> f64 {
         self.of_model(mean_scores)
@@ -185,6 +222,13 @@ pub trait ModelUtility {
     fn of_tally(&self, total: f64) -> f64 {
         total
     }
+}
+
+/// `utility`'s granule for score vectors of length `full`: a granule that
+/// does not divide them is none, and they are scored whole.
+pub(crate) fn granule_of<U: ModelUtility + ?Sized>(utility: &U, full: usize) -> Option<usize> {
+    let granule = utility.granule();
+    granule.filter(|&granule| granule > 0 && full.is_multiple_of(granule))
 }
 
 /// Blanket impl so closures `(Fn(&[f64]) -> f64, f64)` can be used as a
@@ -266,8 +310,9 @@ pub struct CachedUtility<'a, U: ?Sized> {
 /// Observability only: the counters are **not** schedule-invariant in
 /// general (two threads missing the same coalition concurrently both
 /// count a miss), so they must never feed a consensus-visible value.
-/// Under the streaming prewarm path the unique coalitions are evaluated
-/// exactly once each, so there the counts are deterministic.
+/// Through [`CoalitionUtility::evaluate_many`] the distinct uncached
+/// coalitions are evaluated exactly once each, so there the counts are
+/// deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Evaluations answered from the cache.
@@ -337,32 +382,29 @@ impl<U: CoalitionUtility + Sync + ?Sized> CoalitionUtility for CachedUtility<'_,
         v
     }
 
-    /// Streams the unique coalitions the cache lacks into it through the
-    /// inner game's batch call: the list in member-trie pre-order
-    /// (`reverse_bits`, see [`crate::group`]; neighbours share member
-    /// prefixes), cut into equal contiguous runs — one per thread the
-    /// list is worth at the inner game's [`Self::eval_flops`], which also
-    /// balances a game that retrains per coalition, none longer than
-    /// `MAX_BATCH` — each a [`numeric::par`] slot. A caller combining
-    /// from the cache afterwards sees pure hits, and the miss counter is
-    /// deterministic here: one miss per distinct uncached coalition.
-    fn prewarm(&self, coalitions: &[Coalition]) {
+    /// Values the batch from the cache, after evaluating the distinct
+    /// coalitions it lacks through the inner game's batch call, in
+    /// member-trie pre-order runs over [`numeric::par`]
+    /// (`evaluate_in_runs`). The counters are deterministic here: one miss
+    /// per distinct uncached coalition, a hit for every other slot.
+    fn evaluate_many(&self, coalitions: &[Coalition]) -> Vec<f64> {
         let mut todo: Vec<Coalition> = coalitions.to_vec();
         todo.sort_unstable_by_key(|c| c.0.reverse_bits());
         todo.dedup();
         todo.retain(|c| !self.stripe(*c).contains_key(c));
-        let flops = self.inner.eval_flops();
-        let runs = (todo.len() / par::items_per_lease(flops))
-            .min(par::max_threads())
-            .max(todo.len().div_ceil(MAX_BATCH));
-        let run_flops = (todo.len() / runs.max(1)).saturating_mul(flops);
-        par::par_map_indices(runs, par::items_per_lease(run_flops), |r| {
-            let run = &todo[r * todo.len() / runs..(r + 1) * todo.len() / runs];
-            self.misses.fetch_add(run.len(), Ordering::Relaxed);
-            for (&coalition, v) in run.iter().zip(self.inner.evaluate_many(run)) {
-                self.stripe(coalition).insert(coalition, v);
-            }
-        });
+        self.misses.fetch_add(todo.len(), Ordering::Relaxed);
+        self.hits
+            .fetch_add(coalitions.len() - todo.len(), Ordering::Relaxed);
+        for (&coalition, v) in todo.iter().zip(evaluate_in_runs(self.inner, &todo)) {
+            self.stripe(coalition).insert(coalition, v);
+        }
+        coalitions
+            .iter()
+            .map(|&coalition| {
+                let cached = self.stripe(coalition).get(&coalition).copied();
+                cached.unwrap_or_else(|| self.evaluate(coalition))
+            })
+            .collect()
     }
 
     fn eval_flops(&self) -> usize {
@@ -671,27 +713,20 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_streams_unique_coalitions_once_then_all_hits() {
+    fn evaluate_many_evaluates_each_distinct_coalition_once() {
         let game = AdditiveGame {
             values: (0..8).map(|i| i as f64).collect(),
         };
         let cached = CachedUtility::new(&game);
-        // Duplicates in the hint must not evaluate twice.
-        let mut hint: Vec<Coalition> = Coalition::powerset(8).collect();
-        hint.extend(Coalition::powerset(8));
-        cached.prewarm(&hint);
-        assert_eq!(cached.unique_evaluations(), 1 << 8);
-        assert_eq!(
-            cached.stats(),
-            CacheStats {
-                hits: 0,
-                misses: 1 << 8
-            }
-        );
-        // Everything after the prewarm is a pure hit with the inner value.
-        for c in Coalition::powerset(8) {
-            assert_eq!(cached.evaluate(c), game.evaluate(c));
+        // Duplicates in the batch must not evaluate twice: one miss per
+        // distinct coalition, a hit for every other slot.
+        let mut batch: Vec<Coalition> = Coalition::powerset(8).collect();
+        batch.extend(Coalition::powerset(8));
+        let values = cached.evaluate_many(&batch);
+        for (&c, v) in batch.iter().zip(&values) {
+            assert_eq!(v.to_bits(), game.evaluate(c).to_bits());
         }
+        assert_eq!(cached.unique_evaluations(), 1 << 8);
         assert_eq!(
             cached.stats(),
             CacheStats {
@@ -699,10 +734,21 @@ mod tests {
                 misses: 1 << 8
             }
         );
+        // Everything after the batch is a pure hit with the inner value.
+        for c in Coalition::powerset(8) {
+            assert_eq!(cached.evaluate(c), game.evaluate(c));
+        }
+        assert_eq!(
+            cached.stats(),
+            CacheStats {
+                hits: 2 << 8,
+                misses: 1 << 8
+            }
+        );
     }
 
     #[test]
-    fn prewarm_batches_exactly_what_the_cache_lacks() {
+    fn evaluate_many_batches_exactly_what_the_cache_lacks() {
         use super::games::{Recording, THREAD_CAP};
         let _cap = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
         for cap in [1usize, 2, 3, 8] {
@@ -719,10 +765,10 @@ mod tests {
 
             // 2^13 coalitions, twice over and back to front: two full
             // batches at the least, the three cached ones left out.
-            let mut hint: Vec<Coalition> = Coalition::powerset(13).collect();
-            hint.extend(Coalition::powerset(13));
-            hint.reverse();
-            cached.prewarm(&hint);
+            let mut batch: Vec<Coalition> = Coalition::powerset(13).collect();
+            batch.extend(Coalition::powerset(13));
+            batch.reverse();
+            let values = cached.evaluate_many(&batch);
             let batches = game.take();
             assert!(batches.len() >= cap.max(2), "cap {cap}: {}", batches.len());
             assert!(batches.iter().all(|b| b.len() <= MAX_BATCH));
@@ -736,13 +782,13 @@ mod tests {
                 .collect();
             assert_eq!(asked, wanted, "cap {cap}: every uncached coalition once");
             assert_eq!(cached.stats().misses, 1 << 13);
-            for c in Coalition::powerset(13) {
-                assert_eq!(cached.evaluate(c), game.evaluate(c));
+            for (&c, v) in batch.iter().zip(&values) {
+                assert_eq!(v.to_bits(), game.evaluate(c).to_bits(), "cap {cap}");
             }
             game.take();
 
             // Nothing is missing any more: nothing is asked.
-            cached.prewarm(&hint);
+            assert_eq!(cached.evaluate_many(&batch), values);
             assert_eq!(game.take(), Vec::<Vec<Coalition>>::new());
             assert_eq!(cached.stats().misses, 1 << 13);
 
@@ -752,7 +798,7 @@ mod tests {
                 values: vec![1.0; 20],
             });
             let few: Vec<Coalition> = (1..=15).map(|i| Coalition(i << 14)).collect();
-            CachedUtility::new(&wider).prewarm(&few);
+            CachedUtility::new(&wider).evaluate_many(&few);
             assert_eq!(wider.take().len(), cap.min(15));
             let wider = Recording::priced(
                 AdditiveGame {
@@ -761,20 +807,9 @@ mod tests {
                 20,
             );
             let cached = CachedUtility::new(&wider);
-            let few: Vec<Coalition> = (1..=15).map(|i| Coalition(i << 14)).collect();
-            cached.prewarm(&few);
+            cached.evaluate_many(&few);
             assert_eq!(wider.take().len(), 1);
         }
         par::set_max_threads(0);
-    }
-
-    #[test]
-    fn prewarm_is_a_noop_on_plain_utilities() {
-        // The trait default must not disturb a bare game.
-        let game = AdditiveGame {
-            values: vec![1.0, 2.0],
-        };
-        game.prewarm(&[Coalition::from_members(&[0])]);
-        assert_eq!(game.evaluate(Coalition::from_members(&[0])), 1.0);
     }
 }

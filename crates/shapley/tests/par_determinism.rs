@@ -19,7 +19,9 @@ use shapley::estimator::{Exact, MonteCarlo, Stratified, SvEstimator};
 use shapley::group::{group_shapley, GroupModelGame, GroupSvConfig};
 use shapley::monte_carlo::McConfig;
 use shapley::stratified::StratifiedConfig;
-use shapley::utility::{model_utility_fn, utility_fn, CachedUtility, RestrictedGame};
+use shapley::utility::{
+    model_utility_fn, utility_fn, CachedUtility, CoalitionUtility, ModelUtility, RestrictedGame,
+};
 
 static THREAD_CAP: Mutex<()> = Mutex::new(());
 
@@ -161,7 +163,7 @@ fn stratified_48_players_is_schedule_invariant() {
 #[test]
 fn estimator_layer_is_schedule_invariant() {
     // The sampling estimators behind `CachedUtility`, as the contract
-    // runs them: the memo table must not move a bit at any cap.
+    // runs Monte-Carlo: the memo table must not move a bit at any cap.
     let game = nonlinear_game(10);
     assert_schedule_invariant(|| Exact.estimate(&game));
     assert_schedule_invariant(|| {
@@ -281,14 +283,13 @@ fn accuracy_game_is_schedule_invariant_in_one_walk_tile_and_many() {
 fn benchmark_shaped_games_are_schedule_invariant() {
     // The two games the federation benchmark spends its evaluation time
     // in, through the batch kernel: the subtrees `Exact` hands out and
-    // the runs `prewarm` cuts both move with the thread cap, the values
-    // may not. `table1_sv`: 2^9 coalitions over 1 124 x 10 logits;
-    // `sharded_1k`'s second level: `Stratified{2}` over 32 cohorts and
-    // 410 x 4 logits, cached and restricted as the contract wraps it
-    // (three cohorts dropped here, so the restriction lifts masks).
+    // the runs `Stratified` cuts both move with the thread cap, the
+    // values may not. `table1_sv`: 2^9 coalitions over 1 124 x 10
+    // logits; `sharded_1k`'s second level: `Stratified{2}` over 32
+    // cohorts and 410 x 4 logits, restricted as the contract's survivor
+    // game (three cohorts dropped here, so the restriction lifts masks).
     use fedchain::contract_fl::AccuracyUtility;
     use fl_ml::dataset::SyntheticDigits;
-    use shapley::utility::CachedUtility;
 
     let digits = |instances, features, classes| {
         let data = SyntheticDigits {
@@ -315,8 +316,100 @@ fn benchmark_shaped_games_are_schedule_invariant() {
     assert_schedule_invariant(|| {
         let full = GroupModelGame::new(&models, &utility);
         let alive = RestrictedGame::new(&full, (0..32).filter(|c| c % 11 != 5).collect());
-        stratified.estimate(&CachedUtility::new(&alive))
+        stratified.estimate(&alive)
     });
+}
+
+/// `AccuracyUtility` with no row settled: every row walked per coalition,
+/// as in the benchmark's real second-level game.
+struct EveryRow<'a>(&'a fedchain::contract_fl::AccuracyUtility);
+
+impl ModelUtility for EveryRow<'_> {
+    fn of_model(&self, weights: &[f64]) -> f64 {
+        self.0.of_model(weights)
+    }
+
+    fn of_empty(&self) -> f64 {
+        self.0.of_empty()
+    }
+
+    fn scores_many(&self, models: &[Vec<f64>]) -> Vec<f64> {
+        self.0.scores_many(models)
+    }
+
+    fn granule(&self) -> Option<usize> {
+        self.0.granule()
+    }
+
+    fn labels(&self) -> Option<&[usize]> {
+        self.0.labels()
+    }
+
+    fn of_tally(&self, total: f64) -> f64 {
+        self.0.of_tally(total)
+    }
+}
+
+#[test]
+fn l1_tiled_walk_equals_one_tile_at_the_benchmark_shapes() {
+    // The walk budget the game derives: `sharded_1k`'s second level, 32
+    // cohort models over 410 rows x 4 classes with no row settled, holds
+    // one AVX-512F register group of its 32 players and 32 levels in
+    // 48 KiB and walks seven tiles of the L1 budget; the 10 000-owner
+    // round's, 64 models over 4 000 rows, does not and walks six of the
+    // 1-MiB one. The seven-tile walk values every sampled coalition and
+    // estimate as one tile does, to the bit, at caps 1 and 2.
+    use fedchain::contract_fl::AccuracyUtility;
+    use fl_ml::dataset::SyntheticDigits;
+
+    let digits = |instances| {
+        let data = SyntheticDigits {
+            instances,
+            features: 16,
+            classes: 4,
+            ..SyntheticDigits::default()
+        };
+        AccuracyUtility::new(&data.generate(5), 16, 4)
+    };
+    let utility = digits(4_000);
+    let every_row = EveryRow(&utility);
+    let wide = GroupModelGame::new(&synthetic_models(64, 68), &every_row);
+    assert_eq!(wide.walk_tiles(64), 6);
+
+    let utility = digits(410);
+    let every_row = EveryRow(&utility);
+    let models = synthetic_models(32, 68);
+    let game = GroupModelGame::new(&models, &every_row);
+    let one_tile = GroupModelGame::new(&models, &every_row).with_walk_bytes(1 << 20);
+    assert_eq!((game.walk_tiles(32), one_tile.walk_tiles(32)), (7, 1));
+    let stratified = Stratified {
+        config: StratifiedConfig {
+            samples_per_stratum: 2,
+            seed: 31,
+        },
+    };
+    let batch: Vec<Coalition> = (0..600u64)
+        .map(|i| Coalition(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32))
+        .chain([Coalition::grand(32), Coalition::EMPTY])
+        .collect();
+    let bits = |values: Vec<f64>| values.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let _lock = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
+    for cap in [1usize, 2] {
+        par::set_max_threads(cap);
+        let estimate = stratified.estimate(&game).values;
+        assert!(estimate.iter().any(|&v| v != 0.0), "degenerate game");
+        assert_eq!(
+            bits(estimate),
+            bits(stratified.estimate(&one_tile).values),
+            "cap {cap}"
+        );
+        assert_eq!(
+            bits(game.evaluate_many(&batch)),
+            bits(one_tile.evaluate_many(&batch)),
+            "cap {cap}"
+        );
+    }
+    par::set_max_threads(0);
 }
 
 #[test]
@@ -387,7 +480,7 @@ fn settled_table1_games_are_schedule_invariant() {
 fn stratified_over_a_cached_group_game_is_schedule_invariant_at_both_levels() {
     // The two sizes a sharded round plays — a cohort's 4 groups, where
     // no pass of the estimator is worth a thread, and the 32 cohorts of
-    // the second level, where the prewarm is — each sized by
+    // the second level, whose evaluation runs are — each sized by
     // `GroupModelGame::eval_flops` through the cache.
     use shapley::utility::{CachedUtility, CoalitionUtility};
     let utility = model_utility_fn(|w: &[f64]| w.iter().map(|x| x.tanh()).sum(), 0.1);
