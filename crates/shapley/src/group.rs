@@ -394,7 +394,8 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
     /// method's cap, all scored into one length (the test set's logits):
     /// - no group models;
     /// - more than [`MAX_SAMPLED_PLAYERS`] group models;
-    /// - score vectors of different lengths.
+    /// - score vectors of different lengths
+    ///   ([`ModelUtility::scores_many`]'s default checks them).
     pub fn new(group_models: &[Vec<f64>], utility: &'a U) -> Self {
         let m = group_models.len();
         assert!(m > 0, "no groups");

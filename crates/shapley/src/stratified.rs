@@ -113,41 +113,36 @@ impl SvEstimator for Stratified {
         // same passes asking the game one coalition at a time.
         let strata = n * n;
         let mut bases = vec![Coalition::EMPTY; strata * k];
-        par::par_fill_rows(
-            &mut bases,
-            k,
-            par::items_per_lease(k * 4 * n),
-            |first, rows| {
-                let mut others = [0usize; MAX_SAMPLED_PLAYERS];
-                for (t, row) in (first..).zip(rows.chunks_exact_mut(k)) {
-                    let (i, s) = (t / n, t % n);
-                    for (sample, base) in row.iter_mut().enumerate() {
-                        let mut state = stream_state(config.seed, t as u64, sample as u64);
-                        let mut next = || crate::rng::stream_next(&mut state);
-                        // Partial Fisher–Yates over the other n − 1 players,
-                        // reset to ascending order: after s steps the prefix
-                        // is a uniform s-subset of them.
-                        let others = &mut others[..n - 1];
-                        for (slot, p) in others.iter_mut().zip((0..n).filter(|&p| p != i)) {
-                            *slot = p;
-                        }
-                        for j in 0..s {
-                            let r = j + (next() % (others.len() - j) as u64) as usize;
-                            others.swap(j, r);
-                        }
-                        *base = Coalition::from_members(&others[..s]);
+        let per_lease = par::items_per_lease(k * 4 * n);
+        par::par_fill_rows(&mut bases, k, per_lease, |first, rows| {
+            let mut others = [0usize; MAX_SAMPLED_PLAYERS];
+            for (t, row) in (first..).zip(rows.chunks_exact_mut(k)) {
+                let (i, s) = (t / n, t % n);
+                for (sample, base) in row.iter_mut().enumerate() {
+                    let mut state = stream_state(config.seed, t as u64, sample as u64);
+                    let mut next = || crate::rng::stream_next(&mut state);
+                    // Partial Fisher–Yates over the other n − 1 players,
+                    // reset to ascending order: after s steps the prefix
+                    // is a uniform s-subset of them.
+                    let others = &mut others[..n - 1];
+                    for (slot, p) in others.iter_mut().zip((0..n).filter(|&p| p != i)) {
+                        *slot = p;
                     }
+                    for j in 0..s {
+                        let r = j + (next() % (others.len() - j) as u64) as usize;
+                        others.swap(j, r);
+                    }
+                    *base = Coalition::from_members(&others[..s]);
                 }
-            },
-        );
+            }
+        });
 
         // Wanted coalition 2w is sample w's base, 2w + 1 the base with its
         // stratum's player.
         let mut keyed: Vec<(u64, usize)> = Vec::with_capacity(2 * bases.len());
         for (w, base) in bases.iter().enumerate() {
-            let with_i = base.with(w / k / n);
             keyed.push((base.0.reverse_bits(), 2 * w));
-            keyed.push((with_i.0.reverse_bits(), 2 * w + 1));
+            keyed.push((base.with(w / k / n).0.reverse_bits(), 2 * w + 1));
         }
         keyed.sort_unstable();
         let mut distinct: Vec<Coalition> = Vec::new();

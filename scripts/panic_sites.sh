@@ -34,7 +34,7 @@ baseline() {
     case "$1" in
     crates/fedchain/src/contract_fl/state.rs) echo 1 ;;
     crates/chain/src/consensus/engine.rs) echo 5 ;;
-    crates/shapley/src/group.rs) echo 9 ;;
+    crates/shapley/src/group.rs) echo 8 ;;
     crates/crypto/src/dh.rs) echo 5 ;;
     crates/crypto/src/dropout.rs) echo 3 ;;
     *) echo 0 ;;

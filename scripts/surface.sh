@@ -23,8 +23,8 @@ baseline() {
     crypto) echo "1403 89" ;;
     chain) echo "2253 164" ;;
     ml) echo "611 78" ;;
-    shapley) echo "1582 73" ;;
-    fedchain) echo "3421 97" ;;
+    shapley) echo "1617 73" ;;
+    fedchain) echo "3435 97" ;;
     bench) echo "929 48" ;;
     esac
 }
