@@ -333,6 +333,10 @@ impl ModelUtility for EveryRow<'_> {
         self.0.of_empty()
     }
 
+    fn scores(&self, weights: &[f64]) -> Vec<f64> {
+        self.0.scores(weights)
+    }
+
     fn scores_many(&self, models: &[Vec<f64>]) -> Vec<f64> {
         self.0.scores_many(models)
     }
