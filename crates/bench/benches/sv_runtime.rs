@@ -285,10 +285,6 @@ impl<U: ModelUtility> ModelUtility for EveryRow<'_, U> {
         self.0.of_scores(mean_scores)
     }
 
-    fn granule(&self) -> Option<usize> {
-        self.0.granule()
-    }
-
     fn labels(&self) -> Option<&[usize]> {
         self.0.labels()
     }

@@ -106,10 +106,9 @@ pub(crate) fn group_mean(
 /// label — the tie rule of [`numeric::stats::argmax`], checked per row
 /// by [`numeric::stats::is_argmax`]: equal logits resolve to the lowest
 /// class index. Neither the softmax nor the
-/// `1/|S|` scale can reorder a row, so no `exp` is evaluated. Hits add
-/// up row by row, so there is an additive view too: the granule is one
-/// row's logits, and the utility names each row's label
-/// ([`ModelUtility::labels`]), so the game counts a coalition's hits
+/// `1/|S|` scale can reorder a row, so no `exp` is evaluated. The
+/// utility names each row's label ([`ModelUtility::labels`]; one label
+/// per row of `classes` logits), so the game counts a coalition's hits
 /// itself — screening each row's label-minus-rival logit differences in
 /// `f32` and deciding the rows the screen leaves open in `f64`
 /// ([`shapley::group`], "The label screen"). `of_scores` is the hits of
@@ -202,12 +201,8 @@ impl ModelUtility for AccuracyUtility {
         self.of_tally(hits as f64)
     }
 
-    fn granule(&self) -> Option<usize> {
-        Some(self.num_classes)
-    }
-
-    /// Each test row's label: a row's tally is whether its first maximum
-    /// is its label, counted by the game.
+    /// Each test row's label: a row is a hit when its first maximum is
+    /// its label, and the game counts the hits.
     fn labels(&self) -> Option<&[usize]> {
         Some(self.test_design.labels())
     }

@@ -1879,10 +1879,6 @@ mod accuracy_utility {
             self.utility.of_empty()
         }
 
-        fn granule(&self) -> Option<usize> {
-            self.utility.granule()
-        }
-
         fn labels(&self) -> Option<&[usize]> {
             self.utility.labels()
         }
@@ -1905,7 +1901,7 @@ mod accuracy_utility {
 
     /// `rows` rows of `classes` logits under each of `m` members, drawn
     /// around the settling margin (`shapley::group`, "Settled
-    /// granules"): per row a clear hit, the label a few ulps either side
+    /// rows"): per row a clear hit, the label a few ulps either side
     /// of the margin over its top rival, or of a tie with it; a `±0.0`
     /// pair; a NaN, an infinity or 2^1001 in one member; the same at
     /// subnormal scale; or noise. Returns the labels and the logits.

@@ -77,11 +77,6 @@ pub fn is_argmax(v: &[f64], index: usize) -> bool {
     !(x.is_nan() | reached | exceeded)
 }
 
-/// Granules per lane block of the coalition walk's unlabelled path
-/// (`shapley::group`): one 8-lane AVX-512F vector, two 4-lane AVX ones,
-/// four 2-lane baseline ones.
-pub const BLOCK_ROWS: usize = 8;
-
 /// Ranks of the elements in descending order: `ranks[i]` is the rank
 /// (0 = largest) of element `i`. Ties broken by index for determinism.
 pub fn descending_ranks(v: &[f64]) -> Vec<usize> {

@@ -46,35 +46,31 @@
 //! past it are added. That is one add per coalition of a full
 //! enumeration and about half a from-scratch sum on a sampled list.
 //!
-//! The walk goes coalition by coalition over a *tile* of the vectors:
-//! whole blocks (below), as many as keep that tile of every player's
-//! vector and of every level within the game's walk budget, at least one
-//! block a tile, its tallies added in tile order. The game derives the
-//! budget from two cache sizes of the benchmark's Xeon: 48 KiB, its L1
-//! data cache, when one whole register group (below) of every player and
-//! every level fits in it, so the tile's sums and levels stay in L1 from
-//! one coalition to the next — the second level of `sharded_1k`, 32
-//! players, walks seven tiles of one AVX-512F group each; otherwise
-//! 1 MiB, half its L2 — the 10 000-owner round's second level, 64
-//! players, walks six ([`GroupModelGame::with_walk_bytes`] sets another
-//! budget for tests). A coalition's set-up — the shared prefix, the
-//! members it adds, the levels it writes back — runs once per tile. A
-//! tile is
-//! summed a register group at a time (twelve 16-lane `f32` vectors' worth
-//! of registers for a screened game, eight of the instantiation's `f64`
+//! The walk goes coalition by coalition over a *tile* of the vectors. A
+//! labelled utility's vectors (below) are cut into whole blocks of rows,
+//! as many a tile as keep that tile of every player's vector and of every
+//! level within the game's walk budget, at least one block a tile, their
+//! hit counts added in tile order; any other utility's vector is one
+//! tile, whole. The game derives the budget from two cache sizes of the
+//! benchmark's Xeon: 48 KiB, its L1 data cache, when one whole register
+//! group (below) of every player and every level fits in it, so the
+//! tile's sums and levels stay in L1 from one coalition to the next — the
+//! second level of `sharded_1k`, 32 players, walks seven tiles of one
+//! AVX-512F group each; otherwise 1 MiB, half its L2 — the 10 000-owner
+//! round's second level, 64 players, walks six
+//! ([`GroupModelGame::with_walk_bytes`] sets another budget for tests). A
+//! coalition's set-up — the shared prefix, the members it adds, the
+//! levels it writes back — runs once per tile. A tile is summed a
+//! register group at a time (twelve 16-lane `f32` vectors' worth of
+//! registers for a screened game, eight of the instantiation's `f64`
 //! vectors for a mean): a group starts from the stored level of the
 //! prefix shared with the previous coalition (`0.0` when nothing is
 //! shared), adds the other members in ascending order while it stays in
 //! registers, and writes back only the levels the next coalition reads
 //! (those up to the prefix the two share). What happens to a group's sums
-//! then depends on the utility: a labelled one's are screened (below); an
-//! unlabelled one's are scaled by `1/|S|` into the coalition's mean, which
-//! [`ModelUtility::tally`] scores once the tile is done. A utility
-//! without a granule gets its vector as it came, whole, one tile; one with a
-//! granule gets it in lane blocks of [`BLOCK_ROWS`] (8) granules, within a
-//! block element `c · 8 + lane` being element `c` of the block's granule
-//! `lane`, the last block padded with `0.0` and handed over with the
-//! indices of its real granules only.
+//! then depends on the utility: a labelled one's are screened (below); any
+//! other one's are scaled by `1/|S|` into the coalition's mean, which
+//! [`ModelUtility::of_scores`] values once the vector is done.
 //!
 //! The walk is a [`numeric::isa::Kernel`], compiled for the baseline, for
 //! AVX and for AVX-512F; a batch runs the widest the CPU has. None of that
@@ -84,8 +80,8 @@
 //! lane of its own — `addps` / `addpd` and `mulpd` round a lane alike at
 //! every width, in a register or through memory, lanes never interact,
 //! and rustc neither fuses a multiply into an add nor reorders a sum. A
-//! tally is a count of rows, exact in any order. Padding lanes are summed
-//! beside the real ones and never count.
+//! hit count is exact in any order. Padding rows are summed beside the
+//! real ones and never count.
 //!
 //! # The label screen
 //!
@@ -112,19 +108,19 @@
 //! game keeps the `f64` scores as [`ModelUtility::scores_many`] laid them
 //! out — each row's players side by side — unless every row settled.
 //!
-//! # Settled granules
+//! # Settled rows
 //!
-//! A value is a sum of per-granule tallies, and on a trained round most
-//! granules tally alike for every coalition: each group model classifies
+//! A labelled value is a count of hits per row, and on a trained round
+//! most rows count alike for every coalition: each group model classifies
 //! a test row right, or wrong, by a margin no average of them can erase.
-//! [`GroupModelGame::new`] asks the utility once per granule
-//! ([`ModelUtility::settled`]), folds the answered tallies into one
-//! constant per game and keeps only the other granules, with their
-//! original indices. An element's fold order is the member order whatever
-//! else settled, and a utility answers only when its tallies add exactly
-//! (counts), so every value keeps its bits. When every granule settled
-//! (Table I's trained rounds) there is nothing to walk: each coalition's
-//! tally is that of no granule, which a batch asks for once.
+//! [`GroupModelGame::new`] asks the utility once per row
+//! ([`ModelUtility::settled`]), folds the answered counts into one
+//! constant per game and keeps only the other rows, with their original
+//! indices. An element's fold order is the member order whatever else
+//! settled, and a utility answers only when its counts add exactly, so
+//! every value keeps its bits. When every row settled (Table I's trained
+//! rounds) there is nothing to walk: each coalition counts no hit past
+//! the settled ones.
 //!
 //! [`argmax_settled`] decides a row for the rule of
 //! [`numeric::stats::is_argmax`]. Score `a` *beats* `b` when both are
@@ -196,7 +192,7 @@ use std::ops::Add;
 use numeric::isa::{Isa, Kernel};
 use numeric::linalg::mean_vectors;
 use numeric::par;
-use numeric::stats::{is_argmax, BLOCK_ROWS};
+use numeric::stats::is_argmax;
 
 use crate::coalition::{Coalition, MAX_PLAYERS, MAX_SAMPLED_PLAYERS};
 use crate::estimator::{Exact, SvEstimator};
@@ -292,25 +288,19 @@ pub(crate) fn grouping(pi: &[usize], m: usize) -> Vec<Vec<usize>> {
 /// Representation: construction takes every group model's
 /// [`ModelUtility::scores`] once, in one call
 /// ([`ModelUtility::scores_many`]: one test-set GEMM for an accuracy
-/// utility, copies for the identity view), and settles and lays out the
-/// kept granules straight from them; a coalition is then
-/// valued by the utility on the mean of its members' scores, which the
-/// game sums by walking the member trie (module docs) over what it keeps
-/// of the `m` score vectors — only their granules that did not settle
-/// (module docs, "Settled granules"), screened when the utility is
-/// labelled (module docs, "The label screen"). A value is a pure
-/// function of the coalition bitmask, so every estimator built on
+/// utility, copies for the identity view). A labelled utility's rows are
+/// settled and laid out for the screen straight from them (module docs,
+/// "Settled rows" and "The label screen"); any other utility's vectors
+/// are kept whole. A coalition is then valued by the utility on the mean
+/// of its members' scores, which the game sums by walking the member trie
+/// (module docs) over what it keeps of the `m` score vectors. A value is
+/// a pure function of the coalition bitmask, so every estimator built on
 /// [`numeric::par`] stays bit-identical across thread counts.
 pub struct GroupModelGame<'a, U> {
     utility: &'a U,
     players: usize,
     /// What the walk sums, per player.
     lanes: Lanes,
-    /// Index in the full score vectors of each kept granule, ascending.
-    kept: Vec<usize>,
-    /// The settled granules' tallies, summed in granule order; `None`
-    /// when no granule settled.
-    settled: Option<f64>,
     /// Bytes of a walk tile's working set, when set
     /// ([`Self::with_walk_bytes`]); the game derives them otherwise.
     walk_bytes: Option<usize>,
@@ -318,17 +308,8 @@ pub struct GroupModelGame<'a, U> {
 
 /// The per-player vectors a game walks.
 enum Lanes {
-    /// An unlabelled utility's kept scores: lane blocks of [`BLOCK_ROWS`]
-    /// granules, or the whole vector as it came — one block of one
-    /// granule — when the utility scores it whole. `dim` counts the kept
-    /// elements, padding not counted; `block` and `block_granules` the
-    /// elements and granules of a block.
-    Means {
-        scores: Vec<Vec<f64>>,
-        dim: usize,
-        block: usize,
-        block_granules: usize,
-    },
+    /// An unscreened utility's score vectors, whole.
+    Means(Vec<Vec<f64>>),
     /// A labelled utility's kept rows (module docs, "The label screen").
     Margins(Margins),
 }
@@ -355,6 +336,11 @@ struct Margins {
     scores: Vec<f64>,
     /// Every row's label; empty with `scores`.
     labels: Vec<usize>,
+    /// Index in the full score vectors of each kept row, ascending.
+    kept: Vec<usize>,
+    /// The settled rows' counts, summed in row order; `None` when no row
+    /// settled.
+    settled: Option<f64>,
     classes: usize,
     /// Differences per row: `classes − 1`, at least one.
     rivals: usize,
@@ -403,54 +389,35 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             m <= MAX_SAMPLED_PLAYERS,
             "coalition masks hold {MAX_SAMPLED_PLAYERS} groups, got {m}"
         );
-        // Granule `g` of player `j` at `(g · m + j) · granule`.
+        // Row `g` of player `j` at `(g · m + j) · G`: `G` is a labelled
+        // row's length, or the whole vector's.
         let scores = utility.scores_many(group_models);
         let full = scores.len() / m;
-        let (settled, kept, lanes) = match granule_of(utility, full) {
-            Some(granule) => {
-                let (settled, kept) = settle(utility, &scores, m, granule);
-                let lanes = match utility.labels() {
-                    Some(labels) if labels.len() == full / granule => {
-                        Lanes::Margins(Margins::new(scores, m, &kept, labels, granule))
-                    }
-                    _ => Lanes::Means {
-                        dim: kept.len() * granule,
-                        scores: lane_blocks(&scores, m, &kept, granule),
-                        block: BLOCK_ROWS * granule,
-                        block_granules: BLOCK_ROWS,
-                    },
-                };
-                (settled, kept, lanes)
+        let lanes = match (granule_of(utility, full), utility.labels()) {
+            (Some(classes), Some(labels)) => {
+                let (settled, kept) = settle(utility, &scores, m, classes);
+                Lanes::Margins(Margins::new(scores, m, kept, settled, labels, classes))
             }
-            // No granule: the players' vectors one after another, each
-            // scored whole as one granule and one block.
-            None => {
-                let kept = if full > 0 { vec![0] } else { Vec::new() };
-                let lanes = Lanes::Means {
-                    scores: (0..m)
-                        .map(|j| scores[j * full..(j + 1) * full].to_vec())
-                        .collect(),
-                    dim: full,
-                    block: full.max(1),
-                    block_granules: 1,
-                };
-                (None, kept, lanes)
-            }
+            // The players' vectors one after another, each scored whole.
+            _ => Lanes::Means(
+                (0..m)
+                    .map(|j| scores[j * full..(j + 1) * full].to_vec())
+                    .collect(),
+            ),
         };
         Self {
             utility,
             players: m,
             lanes,
-            kept,
-            settled,
             walk_bytes: None,
         }
     }
 
-    /// The game walking its vectors in tiles whose working set — that
-    /// tile of every player's vector and of every level of partial sums
-    /// — stays within `bytes`, at least one block a tile, in place of the
-    /// budget the game derives (module docs, "The member trie"). A test
+    /// The game walking a labelled utility's vectors in tiles whose
+    /// working set — that tile of every player's vector and of every level
+    /// of partial sums — stays within `bytes`, at least one block of rows
+    /// a tile, in place of the budget the game derives (module docs, "The
+    /// member trie"); any other utility's vector stays one tile. A test
     /// hook: no value moves a bit.
     #[must_use]
     pub fn with_walk_bytes(mut self, bytes: usize) -> Self {
@@ -466,22 +433,19 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
     }
 
     /// Elements of a walk tile for a batch whose largest coalition has
-    /// `deepest` members: as many whole units (a block of every rival,
-    /// or of a mean's granules) as keep that tile of every player's
-    /// vector and of `deepest` levels within the walk budget, at least
-    /// one unit and at most the whole vector.
+    /// `deepest` members: for a labelled utility, as many whole blocks of
+    /// every rival as keep that tile of every player's vector and of
+    /// `deepest` levels within the walk budget, at least one block and at
+    /// most the whole vector; the whole vector otherwise.
     fn tile(&self, deepest: usize) -> usize {
-        let (players, unit, lane) = match &self.lanes {
-            Lanes::Means { scores, block, .. } => (scores.len(), *block, size_of::<f64>()),
-            Lanes::Margins(margins) => {
-                let unit = margins.rivals * SCREEN_ROWS;
-                (margins.margins.len(), unit, size_of::<f32>())
-            }
+        let Lanes::Margins(margins) = &self.lanes else {
+            return self.len().max(1);
         };
+        let (players, unit) = (margins.margins.len(), margins.rivals * SCREEN_ROWS);
         let vectors = (players + deepest).max(1);
         let in_l1 = vectors * GROUP_BYTES <= L1_BYTES;
         let bytes = (self.walk_bytes).unwrap_or(if in_l1 { L1_BYTES } else { L2_BYTES });
-        let fit = bytes / lane / vectors / unit.max(1);
+        let fit = bytes / size_of::<f32>() / vectors / unit;
         (fit.max(1) * unit).clamp(1, self.len().max(1))
     }
 
@@ -489,7 +453,7 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
     /// left to walk.
     fn len(&self) -> usize {
         let vectors = match &self.lanes {
-            Lanes::Means { scores, .. } => scores.first().map(Vec::len),
+            Lanes::Means(scores) => scores.first().map(Vec::len),
             Lanes::Margins(margins) => margins.margins.first().map(Vec::len),
         };
         vectors.unwrap_or(0)
@@ -510,10 +474,10 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             self.players
         );
         if self.len() == 0 {
-            // Every granule settled: each coalition tallies the same
-            // empty tile, once here instead of once per coalition.
+            // Nothing to walk: every row settled, or the vectors are
+            // empty; each coalition's value is the same, asked once here.
             out.fill(match self.lanes {
-                Lanes::Means { .. } => self.utility.tally(&[], &[]),
+                Lanes::Means(_) => self.utility.of_scores(&[]),
                 Lanes::Margins(_) => 0.0,
             });
         } else {
@@ -531,12 +495,12 @@ impl<'a, U: ModelUtility> GroupModelGame<'a, U> {
             SCRATCH.with(|cell| cell.replace(scratch));
         }
         for (value, coalition) in out.iter_mut().zip(coalitions) {
-            *value = if coalition.is_empty() {
-                self.utility.of_empty()
-            } else {
-                self.utility
-                    .of_tally(self.settled.map_or(*value, |settled| settled + *value))
-            };
+            if coalition.is_empty() {
+                *value = self.utility.of_empty();
+            } else if let Lanes::Margins(margins) = &self.lanes {
+                *value = (self.utility)
+                    .of_tally(margins.settled.map_or(*value, |settled| settled + *value));
+            }
         }
     }
 }
@@ -546,11 +510,12 @@ impl Margins {
     /// each row's `players` score rows side by side), whose labels
     /// `labels` lists for every row, straight from the scores, which it
     /// keeps for the exact decision while a row is kept (module docs,
-    /// "The label screen").
+    /// "The label screen"); `settled` counts the other rows' hits.
     fn new(
         scores: Vec<f64>,
         players: usize,
-        kept: &[usize],
+        kept: Vec<usize>,
+        settled: Option<f64>,
         labels: &[usize],
         classes: usize,
     ) -> Self {
@@ -594,6 +559,8 @@ impl Margins {
             thresholds,
             scores,
             labels,
+            kept,
+            settled,
             classes,
             rivals,
         }
@@ -647,8 +614,9 @@ impl Lane for f32 {}
 
 /// What a walk does with each coalition's sums.
 trait Visit<E> {
-    /// The tally of coalition `mask` over the tile of elements `first ..`,
-    /// whose sums `pass` yields a register group at a time.
+    /// What coalition `mask` makes of the tile of elements `first ..`,
+    /// whose sums `pass` yields a register group at a time: a screened
+    /// tile's hit count, a whole mean's value.
     fn coalition(&mut self, pass: &mut Pass<'_, E>, mask: u64, first: usize) -> f64;
 }
 
@@ -677,8 +645,8 @@ fn deepest(coalitions: &[Coalition]) -> usize {
 
 /// One pre-order walk of the member trie over `vectors` (one per
 /// player, all one length) per tile of `tile` elements, leaving in
-/// `out` the sum of the tallies `visit` gives each non-empty coalition
-/// (module docs, "The member trie"). Inlined into [`Walk`]'s
+/// `out` each non-empty coalition's sum of what `visit` gives it per
+/// tile (module docs, "The member trie"). Inlined into [`Walk`]'s
 /// instantiations, `visit` with it.
 #[inline(always)]
 fn walk<E: Lane>(
@@ -832,22 +800,16 @@ fn add<E: Lane, const W: usize, const R: usize>(
 
 /// An unlabelled utility's visit: each group's sums scaled by `1/|S|`
 /// into the mean, groups of eight `L`-lane vectors, then single vectors,
-/// then single elements for a vector the utility scores whole; the
-/// utility's tally of the mean.
+/// then single elements; the utility's value of the whole mean.
 struct Scale<'s, U, const L: usize> {
     utility: &'s U,
-    /// The kept granules' indices.
-    kept: &'s [usize],
-    /// Elements and granules per block.
-    block: usize,
-    block_granules: usize,
-    /// A tile's mean, at least a tile long.
+    /// The coalition's mean, at least the vector long.
     mean: &'s mut [f64],
 }
 
 impl<U: ModelUtility, const L: usize> Visit<f64> for Scale<'_, U, L> {
     #[inline(always)]
-    fn coalition(&mut self, pass: &mut Pass<'_, f64>, mask: u64, first: usize) -> f64 {
+    fn coalition(&mut self, pass: &mut Pass<'_, f64>, mask: u64, _: usize) -> f64 {
         let inv = 1.0 / f64::from(mask.count_ones());
         let len = pass.stride;
         let mean = self.mean.get_mut(..len).unwrap_or(&mut []);
@@ -861,12 +823,7 @@ impl<U: ModelUtility, const L: usize> Visit<f64> for Scale<'_, U, L> {
         while done < len {
             done += scale::<1, 1>(pass, mean, done, inv);
         }
-        // The tile's granules; the last block's padding names none.
-        let (from, to) = (first / self.block, (first + len) / self.block);
-        let granules = self
-            .kept
-            .get(from * self.block_granules..(to * self.block_granules).min(self.kept.len()));
-        self.utility.tally(granules.unwrap_or(&[]), mean)
+        self.utility.of_scores(mean)
     }
 }
 
@@ -1046,8 +1003,8 @@ fn open_lanes(above: [u32; SCREEN_ROWS], below: [u32; SCREEN_ROWS]) -> u16 {
 }
 
 /// A batch's walk as a [`Kernel`]: [`numeric::isa`] compiles it once per
-/// instantiation, so the adds, the scale or the screen, and an
-/// unlabelled utility's tally run in the CPU's widest vectors.
+/// instantiation, so the adds and the scale or the screen run in the
+/// CPU's widest vectors.
 struct Walk<'w, 'a, U> {
     game: &'w GroupModelGame<'a, U>,
     coalitions: &'w [Coalition],
@@ -1066,18 +1023,10 @@ impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
         } = self;
         let tile = game.tile(deepest(coalitions));
         match &game.lanes {
-            Lanes::Means {
-                scores,
-                block,
-                block_granules,
-                ..
-            } => {
+            Lanes::Means(scores) => {
                 scratch.mean.resize(game.len(), 0.0);
                 let mut visit = Scale::<U, LANES> {
                     utility: game.utility,
-                    kept: &game.kept,
-                    block: *block,
-                    block_granules: *block_granules,
                     mean: &mut scratch.mean,
                 };
                 let levels = &mut scratch.sums;
@@ -1085,14 +1034,11 @@ impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
             }
             // Twelve registers of sums: 16-lane vectors, one zmm each,
             // two ymm or four xmm.
-            Lanes::Margins(margins) => {
-                let kept = &game.kept;
-                match LANES {
-                    8 => screen_walk::<12>(margins, kept, tile, coalitions, out, scratch),
-                    4 => screen_walk::<6>(margins, kept, tile, coalitions, out, scratch),
-                    _ => screen_walk::<3>(margins, kept, tile, coalitions, out, scratch),
-                }
-            }
+            Lanes::Margins(margins) => match LANES {
+                8 => screen_walk::<12>(margins, tile, coalitions, out, scratch),
+                4 => screen_walk::<6>(margins, tile, coalitions, out, scratch),
+                _ => screen_walk::<3>(margins, tile, coalitions, out, scratch),
+            },
         }
     }
 }
@@ -1101,7 +1047,6 @@ impl<U: ModelUtility> Kernel for Walk<'_, '_, U> {
 #[inline(always)]
 fn screen_walk<const R: usize>(
     margins: &Margins,
-    kept: &[usize],
     tile: usize,
     coalitions: &[Coalition],
     out: &mut [f64],
@@ -1109,7 +1054,7 @@ fn screen_walk<const R: usize>(
 ) {
     let mut visit = Screen::<R> {
         margins,
-        kept,
+        kept: &margins.kept,
         unsure: &mut scratch.unsure,
         row: &mut scratch.row,
     };
@@ -1141,14 +1086,15 @@ impl<U: ModelUtility> CoalitionUtility for GroupModelGame<'_, U> {
     }
 
     /// A mean over about `m / 2` members' scores, its scaling and the
-    /// utility's pass over it, in kept elements (padding lanes are free);
-    /// a screened difference is half an element (an `f32` lane is half
-    /// an `f64` one), and the exact decisions are rare enough to be free.
+    /// utility's pass over it, per element; a screened difference of a
+    /// kept row is half an element (an `f32` lane is half an `f64` one;
+    /// padding rows are free), and the exact decisions are rare enough to
+    /// be free.
     fn eval_flops(&self) -> usize {
         let per_element = self.players / 2 + 2;
         match &self.lanes {
-            Lanes::Means { dim, .. } => dim * per_element,
-            Lanes::Margins(margins) => self.kept.len() * margins.rivals * per_element / 2,
+            Lanes::Means(_) => self.len() * per_element,
+            Lanes::Margins(margins) => margins.kept.len() * margins.rivals * per_element / 2,
         }
     }
 }
@@ -1159,49 +1105,29 @@ fn shared_prefix(a: u64, b: u64) -> u64 {
     a & !u64::MAX.checked_shl((a ^ b).trailing_zeros()).unwrap_or(0)
 }
 
-/// Asks `utility` for each granule of `scores` (each granule's `players`
-/// pieces side by side) whether every coalition tallies it alike (module
-/// docs, "Settled granules"). Returns the answered tallies summed in
-/// granule order — `None` when there are none — and the indices of the
-/// other granules, ascending.
+/// Asks a labelled `utility` for each row of `scores` (each row's
+/// `players` pieces of `classes` side by side) whether every coalition
+/// counts it alike (module docs, "Settled rows"). Returns the answered
+/// counts summed in row order — `None` when there are none — and the
+/// indices of the other rows, ascending.
 fn settle<U: ModelUtility>(
     utility: &U,
     scores: &[f64],
     players: usize,
-    granule: usize,
+    classes: usize,
 ) -> (Option<f64>, Vec<usize>) {
     let mut settled: Option<f64> = None;
     let mut kept = Vec::new();
     let mut members: Vec<&[f64]> = Vec::with_capacity(players);
-    for (index, pieces) in scores.chunks_exact(players * granule).enumerate() {
+    for (index, pieces) in scores.chunks_exact(players * classes).enumerate() {
         members.clear();
-        members.extend(pieces.chunks_exact(granule));
+        members.extend(pieces.chunks_exact(classes));
         match utility.settled(index, &members) {
             Some(tally) => settled = Some(settled.map_or(tally, |sum| sum + tally)),
             None => kept.push(index),
         }
     }
     (settled, kept)
-}
-
-/// Lays each player's `kept` granules of `scores` (each granule's
-/// `players` pieces side by side) out in lane blocks (module docs, "The
-/// member trie").
-fn lane_blocks(scores: &[f64], players: usize, kept: &[usize], granule: usize) -> Vec<Vec<f64>> {
-    let stride = BLOCK_ROWS * granule;
-    (0..players)
-        .map(|j| {
-            let mut blocks = vec![0.0; kept.len().div_ceil(BLOCK_ROWS) * stride];
-            for (k, &index) in kept.iter().enumerate() {
-                let at = (index * players + j) * granule;
-                let lanes = &mut blocks[k / BLOCK_ROWS * stride + k % BLOCK_ROWS..];
-                for (c, &score) in scores[at..at + granule].iter().enumerate() {
-                    lanes[c * BLOCK_ROWS] = score;
-                }
-            }
-            blocks
-        })
-        .collect()
 }
 
 /// Largest score magnitude [`argmax_settled`] reads: 2^1000, so no sum
@@ -1213,7 +1139,7 @@ const SETTLE_RELATIVE: f64 = f64::from_bits((1023 - 40) << 52);
 const SETTLE_ABSOLUTE: f64 = f64::from_bits((1023 - 1000) << 52);
 
 /// Whether `a` leads `b` by the margin that no coalition mean can erase
-/// (module docs, "Settled granules").
+/// (module docs, "Settled rows").
 fn beats(a: f64, b: f64) -> bool {
     a.abs() <= SETTLE_MAX
         && b.abs() <= SETTLE_MAX
@@ -1599,46 +1525,18 @@ mod tests {
         assert_eq!(game.evaluate(Coalition::EMPTY), 0.0);
     }
 
-    /// A decomposable utility over rows of `classes` scores, valued in
-    /// whole numbers so that any cut adds up exactly: a row counts
-    /// `row + 1` when its first maximum is class `row % classes`, and
-    /// every element counts the low bits of its mantissa. A tile handed
-    /// over with the wrong indices, cut inside a block, laid out in other
-    /// lanes or holding a mean summed in another order changes the total.
+    /// A utility over rows of `classes` scores that every element of the
+    /// mean moves: a row counts `row + 1` when its first maximum is class
+    /// `row % classes`, and every element counts the low bits of its
+    /// mantissa; the value is the count's square root. A mean summed in
+    /// another order, or handed over short, changes it.
     struct RowHits {
         classes: usize,
-        /// `false`: no granule, the vector is scored whole.
-        cut: bool,
     }
 
     /// A row-major vector's rows (the last may be short), numbered.
     fn row_major(v: &[f64], classes: usize) -> Vec<(usize, Vec<f64>)> {
         v.chunks(classes).map(<[f64]>::to_vec).enumerate().collect()
-    }
-
-    /// The rows of a tile of lane blocks (module docs, "The member trie"),
-    /// each with its granule index; the padding lanes must hold `0.0`.
-    fn lane_rows(granules: &[usize], classes: usize, tile: &[f64]) -> Vec<(usize, Vec<f64>)> {
-        let stride = BLOCK_ROWS * classes;
-        assert_eq!(
-            tile.len(),
-            granules.len().div_ceil(BLOCK_ROWS) * stride,
-            "tile cut inside a block"
-        );
-        let at =
-            |k: usize, c: usize| tile[k / BLOCK_ROWS * stride + c * BLOCK_ROWS + k % BLOCK_ROWS];
-        for k in granules.len()..tile.len() / classes.max(1) {
-            assert!(
-                (0..classes).all(|c| at(k, c).to_bits() == 0),
-                "padding lane {k} holds a score"
-            );
-        }
-        let row = |k: usize| (0..classes).map(|c| at(k, c)).collect::<Vec<_>>();
-        granules
-            .iter()
-            .enumerate()
-            .map(|(k, &g)| (g, row(k)))
-            .collect()
     }
 
     impl RowHits {
@@ -1652,82 +1550,64 @@ mod tests {
             }
             total
         }
-
-        /// The rows of a tile: lane blocks when the utility cuts, the
-        /// vector whole otherwise — or when its granule does not divide
-        /// the vector, which the game then scores whole.
-        fn rows(&self, granules: &[usize], tile: &[f64]) -> Vec<(usize, Vec<f64>)> {
-            if self.cut && tile.len().is_multiple_of(self.classes) {
-                lane_rows(granules, self.classes, tile)
-            } else {
-                assert_eq!(granules, [0]);
-                row_major(tile, self.classes)
-            }
-        }
     }
 
     impl ModelUtility for RowHits {
         fn of_model(&self, weights: &[f64]) -> f64 {
-            self.of_tally(self.total(&row_major(weights, self.classes)) as f64)
+            (self.total(&row_major(weights, self.classes)) as f64).sqrt()
         }
 
         fn of_empty(&self) -> f64 {
             -1.0
         }
+    }
 
-        fn granule(&self) -> Option<usize> {
-            self.cut.then_some(self.classes)
+    /// An unlabelled utility with an `of_tally` of its own, which only a
+    /// labelled game applies: the sum of the mean's elements.
+    struct OffsetTally;
+
+    impl ModelUtility for OffsetTally {
+        fn of_model(&self, weights: &[f64]) -> f64 {
+            weights.iter().sum()
         }
 
-        fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-            self.total(&self.rows(granules, mean_block)) as f64
+        fn of_empty(&self) -> f64 {
+            0.0
         }
 
         fn of_tally(&self, total: f64) -> f64 {
-            total.sqrt()
+            total + 1.0
         }
     }
 
-    /// [`RowHits`] whose every tally also asks a second game, on the same
-    /// thread, while the first one's scratch is checked out.
+    /// [`RowHits`] whose every value also asks a second game — whole or
+    /// screened — on the same thread, from inside the first one's walk
+    /// while its scratch is checked out.
     struct Nested<'a> {
         rows: RowHits,
-        inner: &'a GroupModelGame<'a, RowHits>,
+        inner: &'a dyn CoalitionUtility,
     }
 
-    impl Nested<'_> {
-        fn count(&self, rows: &[(usize, Vec<f64>)]) -> f64 {
+    impl ModelUtility for Nested<'_> {
+        fn of_model(&self, weights: &[f64]) -> f64 {
             let some = Coalition::from_members(&[0, 3, 25]);
             let asked = self.inner.evaluate(some);
             let both = self.inner.evaluate_many(&[Coalition::grand(26), some]);
             assert_eq!(asked.to_bits(), both[1].to_bits());
             let per_element = asked.to_bits() % 1021 + both[0].to_bits() % 1021;
-            let elements: usize = rows.iter().map(|(_, row)| row.len()).sum();
-            (self.rows.total(rows) + per_element * elements as u64) as f64
-        }
-    }
-
-    impl ModelUtility for Nested<'_> {
-        fn of_model(&self, weights: &[f64]) -> f64 {
-            self.of_tally(self.count(&row_major(weights, self.rows.classes)))
+            let rows = row_major(weights, self.rows.classes);
+            (self.rows.total(&rows) + per_element * weights.len() as u64) as f64
         }
 
         fn of_empty(&self) -> f64 {
             -1.0
         }
-
-        fn granule(&self) -> Option<usize> {
-            self.rows.granule()
-        }
-
-        fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-            self.count(&self.rows.rows(granules, mean_block))
-        }
     }
 
-    /// A utility that is `-0.0` wherever it is asked.
+    /// A utility that is `-0.0` wherever it is asked: of every model and,
+    /// when `labels` lists rows, of every hit count.
     struct NegativeZero {
-        cut: bool,
+        labels: Option<Vec<usize>>,
     }
 
     impl ModelUtility for NegativeZero {
@@ -1739,11 +1619,11 @@ mod tests {
             0.0
         }
 
-        fn granule(&self) -> Option<usize> {
-            self.cut.then_some(1)
+        fn labels(&self) -> Option<&[usize]> {
+            self.labels.as_deref()
         }
 
-        fn tally(&self, _: &[usize], _: &[f64]) -> f64 {
+        fn of_tally(&self, _: f64) -> f64 {
             -0.0
         }
     }
@@ -1835,27 +1715,29 @@ mod tests {
 
     #[test]
     fn negative_zero_utility_keeps_its_sign_through_one_tile_and_many() {
-        // Each case at the default walk budget, one tile, and at one
-        // block a tile: a cut vector of 1 640 granules is 205 blocks,
-        // so its `-0.0` tallies are added across 205 tiles. Dim 0 keeps
-        // no score: the batch tallies no tile.
-        for (cut, dim, blocks) in [
-            (false, 7usize, 1usize),
-            (true, 7, 1),
-            (true, 1_640, 205),
-            (false, 0, 0),
-            (true, 0, 0),
+        // Each case at the default walk budget and at one block a tile.
+        // A whole vector is one tile at every budget; dim 0 keeps no
+        // score and walks none. Labelled, 820 rows of two classes are 52
+        // screened blocks, one a tile at one byte: the value is the
+        // utility's `-0.0` of the count, whatever the tiles add up to;
+        // so is that of seven rows whose label is no class, one block.
+        for (labels, dim, tiles) in [
+            (None, 7usize, [1usize, 1]),
+            (None, 1_640, [1, 1]),
+            (None, 0, [0, 0]),
+            (Some(vec![0; 820]), 1_640, [1, 52]),
+            (Some(vec![1; 7]), 7, [1, 1]),
         ] {
-            let utility = NegativeZero { cut };
+            let utility = NegativeZero { labels };
             let models = random_models(30, dim, 5);
-            for (bytes, tiles) in [(L2_BYTES, blocks.min(1)), (1, blocks)] {
+            for (bytes, tiles) in [L2_BYTES, 1].into_iter().zip(tiles) {
                 let game = GroupModelGame::new(&models, &utility).with_walk_bytes(bytes);
-                assert_eq!(game.walk_tiles(30), tiles, "cut {cut}, dim {dim}");
+                assert_eq!(game.walk_tiles(30), tiles, "dim {dim}, {bytes} B");
                 let batch = [Coalition::grand(30), Coalition::EMPTY, Coalition(0b101)];
                 let want = [(-0.0f64).to_bits(), 0.0f64.to_bits(), (-0.0f64).to_bits()];
                 let many = game.evaluate_many(&batch);
                 for ((&coalition, got), want) in batch.iter().zip(many).zip(want) {
-                    assert_eq!(got.to_bits(), want, "cut {cut}, dim {dim}, {tiles} tiles");
+                    assert_eq!(got.to_bits(), want, "dim {dim}, {tiles} tiles");
                     assert_eq!(game.evaluate(coalition).to_bits(), want);
                 }
             }
@@ -1864,9 +1746,8 @@ mod tests {
 
     /// Argmax hits against a label per row — the shape of the contract's
     /// accuracy utility: counts, so it settles rows. Labelled, the game
-    /// counts its hits through the label screen; unlabelled, it tallies
-    /// the rows of its lane blocks ([`lane_rows`]). `of_model` checks row
-    /// by row.
+    /// counts its hits through the label screen; unlabelled, it values
+    /// each coalition's whole mean by `of_model`, which checks row by row.
     #[derive(Clone)]
     struct Hits {
         classes: usize,
@@ -1885,19 +1766,8 @@ mod tests {
             -1.0
         }
 
-        fn granule(&self) -> Option<usize> {
-            Some(self.classes)
-        }
-
-        fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-            let rows = lane_rows(granules, self.classes, mean_block);
-            rows.iter()
-                .filter(|(g, row)| numeric::stats::is_argmax(row, self.labels[*g]))
-                .count() as f64
-        }
-
-        fn settled(&self, granule: usize, members: &[&[f64]]) -> Option<f64> {
-            argmax_settled(members, self.labels[granule]).map(f64::from)
+        fn settled(&self, row: usize, members: &[&[f64]]) -> Option<f64> {
+            argmax_settled(members, self.labels[row]).map(f64::from)
         }
 
         fn labels(&self) -> Option<&[usize]> {
@@ -1926,12 +1796,8 @@ mod tests {
             self.0.of_scores(mean_scores)
         }
 
-        fn granule(&self) -> Option<usize> {
-            self.0.granule()
-        }
-
-        fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-            self.0.tally(granules, mean_block)
+        fn labels(&self) -> Option<&[usize]> {
+            self.0.labels()
         }
 
         fn of_tally(&self, total: f64) -> f64 {
@@ -2035,7 +1901,7 @@ mod tests {
                 }
             }
         }
-        let labelled = false;
+        let labelled = true;
         (
             Hits {
                 classes,
@@ -2044,6 +1910,14 @@ mod tests {
             },
             models,
         )
+    }
+
+    /// A screened game's rows: the game's labelled lanes.
+    fn screened<'g, U>(game: &'g GroupModelGame<'_, U>) -> &'g Margins {
+        match &game.lanes {
+            Lanes::Margins(margins) => margins,
+            Lanes::Means(_) => panic!("the game scores whole vectors"),
+        }
     }
 
     /// Both games value every coalition of `batch` to the bit, batched
@@ -2075,14 +1949,16 @@ mod tests {
         let utility = Hits {
             classes: 3,
             labels,
-            labelled: false,
+            labelled: true,
         };
         let game = GroupModelGame::new(&models, &utility);
-        assert_eq!((game.kept.len(), game.settled), (0, Some(30.0)));
+        let margins = screened(&game);
+        assert_eq!((margins.kept.len(), margins.settled), (0, Some(30.0)));
         assert_eq!(game.eval_flops(), 0);
         let bare = Unsettled(&utility);
         let plain = GroupModelGame::new(&models, &bare);
-        assert_eq!(plain.eval_flops(), 90 * (4 / 2 + 2));
+        // Thirty rows of two rivals, a screened difference half an element.
+        assert_eq!(plain.eval_flops(), 30 * 2 * (4 / 2 + 2) / 2);
         assert_same_values(&game, &plain, &Coalition::powerset(4).collect::<Vec<_>>());
     }
 
@@ -2200,7 +2076,7 @@ mod tests {
         use crate::utility::utility_fn;
         let _cap = THREAD_CAP.lock().expect("thread-cap mutex poisoned");
         let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        // Unlabelled, the walk tallies lane blocks; labelled, it screens.
+        // Unlabelled, the walk values whole means; labelled, it screens.
         for labelled in [false, true] {
             let (mut games, mut partly) = (0usize, 0usize);
             for m in [1usize, 4, 9, 32] {
@@ -2215,7 +2091,13 @@ mod tests {
                         };
                         let game = GroupModelGame::new(&models, &utility);
                         games += 1;
-                        partly += usize::from(game.settled.is_some() && !game.kept.is_empty());
+                        if labelled {
+                            let margins = screened(&game);
+                            let kept = !margins.kept.is_empty();
+                            partly += usize::from(margins.settled.is_some() && kept);
+                        } else {
+                            assert!(matches!(game.lanes, Lanes::Means(_)));
+                        }
                         let mut batch: Vec<Coalition> = if m <= 9 {
                             Coalition::powerset(m).collect()
                         } else {
@@ -2274,12 +2156,11 @@ mod tests {
             }
             par::set_max_threads(0);
             assert!(
-                partly * 2 >= games,
+                !labelled || partly * 2 >= games,
                 "{partly} of {games} games partly settled"
             );
 
-            // Every class count the tally compiles (2–16) and the one past
-            // it (17, checked row by row), at every last-block width.
+            // Every class count from 2 to 17, at every last-block width.
             for classes in 2..=17usize {
                 for rows in [1usize, 7, 8, 9, 15, 16, 17, 410] {
                     let seed = (rows * 100 + classes) as u64;
@@ -2341,22 +2222,23 @@ mod tests {
             let classes = [1usize, 2, 3, 10][classes_pick];
             let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let (mut games, mut engaged) = (0usize, 0usize);
+            let rivals = classes.saturating_sub(1).max(1);
             for m in 1..=12usize {
-                // A walk budget of three lane blocks (24 rows) a tile over
+                // A walk budget of one screened block (16 rows) a tile over
                 // the m players and the grand coalition's m levels: one
                 // game inside one tile, one past it. Settling keeps fewer
                 // rows, so the tiles are counted on the game that keeps
                 // them all.
-                let bytes = 3 * BLOCK_ROWS * classes * 8 * 2 * m;
+                let bytes = SCREEN_ROWS * rivals * size_of::<f32>() * 2 * m;
                 let pick = draws[m % draws.len()] as usize;
-                for (rows, tiles) in [(4 + pick % 20, 1), (25 + pick % 5, 2)] {
+                for (rows, tiles) in [(1 + pick % 16, 1), (17 + pick % 16, 2)] {
                     let (utility, models) = near_ties(m, rows, classes, seed ^ (m * rows) as u64);
                     let game = GroupModelGame::new(&models, &utility).with_walk_bytes(bytes);
                     let bare = Unsettled(&utility);
                     let plain = GroupModelGame::new(&models, &bare).with_walk_bytes(bytes);
                     prop_assert_eq!(plain.walk_tiles(m), tiles);
                     games += 1;
-                    engaged += usize::from(game.settled.is_some());
+                    engaged += usize::from(screened(&game).settled.is_some());
                     assert_same_values(&game, &plain, &Coalition::powerset(m).collect::<Vec<_>>());
                     prop_assert_eq!(
                         bits(&Exact.estimate(&game).values),
@@ -2382,7 +2264,7 @@ mod tests {
             let bare = Unsettled(&utility);
             let plain = GroupModelGame::new(&models, &bare);
             games += 1;
-            engaged += usize::from(game.settled.is_some());
+            engaged += usize::from(screened(&game).settled.is_some());
             assert_same_values(&game, &plain, &random_batch(64, &draws, false));
             let stratified = Stratified {
                 config: StratifiedConfig { samples_per_stratum: 1, seed },
@@ -2401,26 +2283,55 @@ mod tests {
         fn prop_batch_equals_single_equals_spelled_out_oracle(
             m in 1usize..=40,
             dim_pick in 0usize..5,
-            granule_pick in 0usize..4,
+            classes_pick in 0usize..3,
             seed in any::<u64>(),
             draws in proptest::collection::vec(any::<u64>(), 0..40),
         ) {
             let dim = [1usize, 7, 64, 650, 1_640][dim_pick];
-            let (classes, cut) = [(1usize, true), (4, true), (10, true), (4, false)][granule_pick];
+            let classes = [1usize, 4, 10][classes_pick];
             let models = random_models(m, dim, seed);
             let batch = random_batch(m, &draws, seed.is_multiple_of(2));
-            let rows = RowHits { classes, cut };
-            // At one block a tile, a granule per row's block of eight.
-            let blocks = if cut && dim.is_multiple_of(classes) {
-                (dim / classes).div_ceil(BLOCK_ROWS)
-            } else {
-                1
-            };
+            let batches = [&batch[..], &batch[..batch.len().min(1)], &[]];
+            // Whole vectors: one tile at every budget, one block a tile
+            // included, valued by `of_scores` alone.
+            let rows = RowHits { classes };
             let game = GroupModelGame::new(&models, &rows).with_walk_bytes(1);
-            prop_assert_eq!(game.walk_tiles(m), blocks);
-            assert_batch_single_oracle(&rows, &models, &batch);
-            assert_batch_single_oracle(&rows, &models, &batch[..batch.len().min(1)]);
-            assert_batch_single_oracle(&rows, &models, &[]);
+            prop_assert_eq!(game.walk_tiles(m), 1);
+            for batch in batches {
+                assert_batch_single_oracle(&rows, &models, batch);
+                assert_batch_single_oracle(&OffsetTally, &models, batch);
+            }
+            // Labelled where the classes cut the vector into rows:
+            // screened, settling or not, and worth the same hits counted row
+            // by row on the whole mean; with every row kept, a block of 16
+            // rows a tile at one byte.
+            let label = |r: usize| (seed >> (r % 61)) as usize % classes;
+            if dim.is_multiple_of(classes) {
+                let hits = Hits { classes, labels: (0..dim / classes).map(label).collect(), labelled: true };
+                let bare = Unsettled(&hits);
+                let game = GroupModelGame::new(&models, &bare).with_walk_bytes(1);
+                prop_assert!(matches!(game.lanes, Lanes::Margins(_)));
+                prop_assert_eq!(game.walk_tiles(m), (dim / classes).div_ceil(SCREEN_ROWS));
+                let row_by_row = Hits { labelled: false, ..hits.clone() };
+                assert_same_values(
+                    &GroupModelGame::new(&models, &hits),
+                    &GroupModelGame::new(&models, &row_by_row),
+                    &batch,
+                );
+                for batch in batches {
+                    assert_batch_single_oracle(&hits, &models, batch);
+                    assert_batch_single_oracle(&bare, &models, batch);
+                }
+            }
+            // No label, 3 (a divisor of no `dim` here) or `dim + 1`:
+            // labels that cut the vector into no rows leave it whole,
+            // valued by `of_scores`.
+            for count in [0, 3, dim + 1] {
+                let hits = Hits { classes, labels: (0..count).map(label).collect(), labelled: true };
+                let game = GroupModelGame::new(&models, &hits);
+                prop_assert!(matches!(game.lanes, Lanes::Means(_)), "{} labels", count);
+                assert_batch_single_oracle(&hits, &models, &batch);
+            }
         }
 
         #[test]
@@ -2429,14 +2340,18 @@ mod tests {
             seed in any::<u64>(),
             draws in proptest::collection::vec(any::<u64>(), 1..12),
         ) {
-            // One walk inside the other's tally, on one thread-local
-            // scratch.
-            let inner_utility = RowHits { classes: 2, cut: seed.is_multiple_of(2) };
+            // One walk inside the other's `of_scores`, on one thread-local
+            // scratch: a whole-vector game or a screened one.
             let inner_models = random_models(26, 6, !seed);
-            let inner = GroupModelGame::new(&inner_models, &inner_utility);
+            let whole = RowHits { classes: 2 };
+            let labelled = Hits { classes: 2, labels: vec![0, 1, 1], labelled: true };
+            let (whole, labelled) = (
+                GroupModelGame::new(&inner_models, &whole),
+                GroupModelGame::new(&inner_models, &labelled),
+            );
             let nested = Nested {
-                rows: RowHits { classes: 10, cut: !seed.is_multiple_of(3) },
-                inner: &inner,
+                rows: RowHits { classes: 10 },
+                inner: if seed.is_multiple_of(2) { &whole } else { &labelled },
             };
             let models = random_models(m, 650, seed);
             assert_batch_single_oracle(&nested, &models, &random_batch(m, &draws, false));
@@ -2582,11 +2497,9 @@ mod tests {
     /// `coalition`: its differences summed in `f32` in member order, as
     /// the walk sums them, neither above every threshold nor below one.
     fn screen_open_rows<U>(game: &GroupModelGame<'_, U>, coalition: Coalition) -> usize {
-        let Lanes::Margins(margins) = &game.lanes else {
-            return 0;
-        };
+        let margins = screened(game);
         let thresholds = margins.thresholds.as_flattened();
-        (0..game.kept.len())
+        (0..margins.kept.len())
             .filter(|&k| {
                 let (mut above, mut below) = (true, false);
                 for rival in 0..margins.rivals {
@@ -2717,7 +2630,7 @@ mod tests {
             for settle_all in [false, true] {
                 let (utility, models) = screen_rows(m, rows, classes, seed, settle_all);
                 let game = GroupModelGame::new(&models, &utility);
-                prop_assert_eq!(game.kept.is_empty(), settle_all);
+                prop_assert_eq!(screened(&game).kept.is_empty(), settle_all);
                 let mut batch: Vec<Coalition> = if m <= 8 {
                     Coalition::powerset(m).collect()
                 } else {

@@ -89,55 +89,36 @@ pub(crate) fn evaluate_in_runs<U: CoalitionUtility + Sync + ?Sized>(
 /// `of_model(w) == of_scores(&scores(w))`. The defaults are the
 /// identity view (`scores(w) = w`, `of_scores = of_model`), so closures
 /// and every utility without linear structure behave as if the view did
-/// not exist.
-///
-/// # The additive view
-///
-/// The game builds those means reusing partial sums between
-/// coalitions, and drops the pieces of the vector every coalition scores
-/// alike (below). A utility that is a sum over pieces of the
-/// vector — accuracy is hits per row, summed — names the piece size as
-/// [`ModelUtility::granule`] and scores a tile with
-/// [`ModelUtility::tally`]. A tile is granules named by their indices in
-/// `v` (ascending, not necessarily adjacent), arriving **interleaved**
-/// in lane blocks of [`numeric::stats::BLOCK_ROWS`] granules: within a
-/// block, element `e · BLOCK_ROWS + lane` is element `e` of the block's
-/// granule `lane` ([`crate::group`], "The member trie"). Every block but
-/// the tile's last is full; the last one's lanes past the named granules are
-/// padding, `0.0`, and must not count. Contract: over any partition of
-/// `v`'s granules into tiles, `of_scores(v) == of_tally(Σ tally(granules,
-/// tile))`, summed in order from the first tally (not from `0.0`), where
-/// `v` is row-major as `scores` returns it. A granule must divide the
-/// length of the score vectors; one that does not counts as none. The
-/// defaults are again the identity: no granule, `v` is the only tile
-/// (granule `0`, not interleaved), `tally = of_scores`, `of_tally` passes
-/// it through.
-///
-/// # Settled granules
-///
-/// Often a granule comes out the same for every coalition: each test row
-/// classified right, or wrong, by every group model with a margin no
-/// mean can erase. [`ModelUtility::settled`] names that tally, and the
-/// game adds it once instead of scoring the granule per coalition
-/// ([`crate::group`], "Settled granules"). A utility may answer only if
-/// its tallies add exactly — counts — because the settled tallies join
-/// the sum in another order than the tiles'. The default answers
-/// nothing.
+/// not exist. A coalition is valued at `of_scores` of its members' whole
+/// mean, unless the utility is labelled (below).
 ///
 /// # The label view
 ///
-/// Accuracy scores a granule — one row of class scores — `1` when its
-/// first maximum ([`numeric::stats::is_argmax`]: the lowest index among
-/// equal maxima, NaN never) is the row's label and `0` otherwise. A
-/// utility whose tally is exactly that names each granule's label in
-/// [`ModelUtility::labels`], and the game counts the hits itself: it
-/// screens each row's label-minus-rival differences in `f32` and decides
-/// only the rows the screen leaves open in `f64` ([`crate::group`], "The
-/// label screen"), never calling [`ModelUtility::tally`]. Contract: the
-/// list has one label per granule, and `tally(granules, tile)` would
-/// count the listed granules of `tile` whose first maximum is their
-/// label. A label that is no class index never hits. The default lists
-/// none; a list of another length counts as none.
+/// Accuracy scores a mean score vector by its rows — one row of class
+/// scores per test example — counting a row `1` when its first maximum
+/// ([`numeric::stats::is_argmax`]: the lowest index among equal maxima,
+/// NaN never) is the row's label and `0` otherwise. A utility that is
+/// exactly that names each row's label in [`ModelUtility::labels`]: the
+/// row length is the score length over the number of labels, when that
+/// divides exactly and is not zero (otherwise the vector is scored whole,
+/// as if unlabelled). The game then counts the hits itself: it screens
+/// each row's label-minus-rival differences in `f32` and decides only the
+/// rows the screen leaves open in `f64` ([`crate::group`], "The label
+/// screen"), and values the coalition at [`ModelUtility::of_tally`] of
+/// the count. Contract: `of_scores(v) == of_tally(hits)` where `hits`
+/// counts the rows of `v` whose first maximum is their label. A label
+/// that is no class index never hits.
+///
+/// # Settled rows
+///
+/// Often a row comes out the same for every coalition: classified right,
+/// or wrong, by every group model with a margin no mean can erase. A
+/// labelled utility names that count in [`ModelUtility::settled`], and
+/// the game adds it once instead of screening the row per coalition
+/// ([`crate::group`], "Settled rows"). A utility may answer only if its
+/// counts add exactly, because the settled counts join the sum in another
+/// order than the walk's. The default answers nothing; an unlabelled
+/// utility is never asked.
 pub trait ModelUtility {
     /// Utility of the model with flat weights `w`.
     fn of_model(&self, weights: &[f64]) -> f64;
@@ -151,14 +132,15 @@ pub trait ModelUtility {
         weights.to_vec()
     }
 
-    /// Every model's [`Self::scores`] to the bit, in one vector granule
-    /// by granule: granule `g` of model `j` of `m` at `(g · m + j) · G`,
-    /// `G` being the [`Self::granule`] that divides the vectors or, when
-    /// there is none, their whole length (model after model). The default
-    /// asks [`Self::scores`] per model; a utility whose scores come from
-    /// one product overrides it to form them all in one (the contract's
-    /// accuracy utility: one test-set GEMM over every model's columns side
-    /// by side, whose rows are exactly this layout).
+    /// Every model's [`Self::scores`] to the bit, in one vector row by
+    /// row: row `g` of model `j` of `m` at `(g · m + j) · G`, `G` being
+    /// the row length a labelled utility's labels divide the vectors into
+    /// (trait docs, "The label view") or, when there is none, their whole
+    /// length (model after model). The default asks [`Self::scores`] per
+    /// model; a utility whose scores come from one product overrides it to
+    /// form them all in one (the contract's accuracy utility: one test-set
+    /// GEMM over every model's columns side by side, whose rows are exactly
+    /// this layout).
     ///
     /// # Panics
     ///
@@ -185,50 +167,34 @@ pub trait ModelUtility {
         self.of_model(mean_scores)
     }
 
-    /// The positive element count at whose multiples a mean score vector
-    /// may be cut for [`Self::tally`], dividing its length; `None`: it is
-    /// scored whole.
-    fn granule(&self) -> Option<usize> {
+    /// The count of row `row` that the mean of *every* non-empty subset
+    /// of `members` — that row of each group's scores — is certain to get,
+    /// whatever order the game sums it in; `None` when some mean could
+    /// count otherwise (trait docs, "Settled rows").
+    fn settled(&self, row: usize, members: &[&[f64]]) -> Option<f64> {
+        let _ = (row, members);
         None
     }
 
-    /// Partial score of `mean_block`: the granules of a mean score vector
-    /// whose indices `granules` lists, in interleaved lane blocks (trait
-    /// docs, "The additive view"); the whole vector when there is no
-    /// granule. The game runs it inside its lane-compiled walk: an
-    /// implementation marked `#[inline(always)]` is compiled for the
-    /// CPU's widest vectors with it.
-    fn tally(&self, granules: &[usize], mean_block: &[f64]) -> f64 {
-        let _ = granules;
-        self.of_scores(mean_block)
-    }
-
-    /// The tally of granule `granule` that the mean of *every* non-empty
-    /// subset of `members` — that granule of each group's scores — is
-    /// certain to get, whatever order the game sums it in; `None` when
-    /// some mean could tally otherwise.
-    fn settled(&self, granule: usize, members: &[&[f64]]) -> Option<f64> {
-        let _ = (granule, members);
-        None
-    }
-
-    /// Each granule's label when the tally is a first-maximum hit count
-    /// (trait docs, "The label view"); `None` otherwise.
+    /// Each row's label when the utility counts first-maximum hits (trait
+    /// docs, "The label view"); `None` otherwise.
     fn labels(&self) -> Option<&[usize]> {
         None
     }
 
-    /// Utility from the sum of a vector's tallies.
+    /// Utility of a labelled vector from its hit count.
     fn of_tally(&self, total: f64) -> f64 {
         total
     }
 }
 
-/// `utility`'s granule for score vectors of length `full`: a granule that
-/// does not divide them is none, and they are scored whole.
+/// The row length of score vectors of length `full` under `utility`'s
+/// labels: `full` over their count when that divides exactly and is not
+/// zero; `None` (unlabelled, or labels that make no rows): the vectors
+/// are scored whole.
 pub(crate) fn granule_of<U: ModelUtility + ?Sized>(utility: &U, full: usize) -> Option<usize> {
-    let granule = utility.granule();
-    granule.filter(|&granule| granule > 0 && full.is_multiple_of(granule))
+    let rows = utility.labels()?.len();
+    (rows > 0 && full >= rows && full.is_multiple_of(rows)).then(|| full / rows)
 }
 
 /// Blanket impl so closures `(Fn(&[f64]) -> f64, f64)` can be used as a

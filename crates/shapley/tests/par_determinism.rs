@@ -341,10 +341,6 @@ impl ModelUtility for EveryRow<'_> {
         self.0.scores_many(models)
     }
 
-    fn granule(&self) -> Option<usize> {
-        self.0.granule()
-    }
-
     fn labels(&self) -> Option<&[usize]> {
         self.0.labels()
     }

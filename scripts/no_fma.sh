@@ -2,8 +2,9 @@
 # Fails if a fused multiply-add can reach the lane-compiled kernels of
 # `numeric` (the GEMM panel, `exp_slice`, `softmax_columns`,
 # `box_muller`), the trainer in `ml`, or the coalition walk of `shapley`
-# with the `fedchain` accuracy tally it inlines. A fused multiply-add rounds once
-# where `a * b + c` rounds twice, so it changes bits. `numeric::isa`
+# (its `f64` means and the label screen's exact decisions) and the
+# `fedchain` accuracy utility whose logits it walks. A fused multiply-add
+# rounds once where `a * b + c` rounds twice, so it changes bits. `numeric::isa`
 # compiles each kernel a third time with `avx512f` enabled, and in rustc
 # `avx512f` implies the `fma` target feature: from there on only the
 # source and the compiler keep FMA out.
